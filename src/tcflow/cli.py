@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,15 @@ from . import data as dt
 from . import metrics as mx
 from .conditioners import EncoderConfig
 from .flow import ConditionerConfig, FlowConfig
-from .hyperopt import METHOD_ENCODERS, run_search
+from .hyperopt import (
+    CANDIDATE_EPOCHS,
+    CANDIDATE_PATIENCE,
+    LOOKBACK_MAX,
+    METHOD_ENCODERS,
+    OBJECTIVES,
+    flow_config,
+    run_search,
+)
 from .score import (
     export_latent,
     load_score_csv,
@@ -39,33 +48,12 @@ ANOMALY_MAGNITUDES = {
     "pattern": 2.5, "variance": 3.0, "trend": 3.0, "cutoff": 0.0,
 }
 
-SCHEMA: dict[str, dict[str, type]] = {
-    "run": {"seed": int, "out_dir": str, "method": str},
-    "generate": {
-        "family": str, "n_steps": int, "n_channels": int, "noise": float,
-        "anomalies": str, "n_anomalies": int, "anomaly_magnitude": float,
-        "anomaly_length": int,
-    },
-    "flow": {
-        "coupling_layers": int, "cond_multiplier": int, "cond_layers": int,
-        "cond_dropout": float, "cond_funnel": float,
-    },
-    "encoder": {
-        "lookback": int, "mlp_layers": int, "mlp_compression": int,
-        "cnn_layers": int, "cnn_kernel": int, "cnn_max_channels": int,
-        "lstm_layers": int, "lstm_hidden": int, "dropout": float,
-    },
-    "train": {
-        "epochs": int, "batch_size": int, "learning_rate": float,
-        "patience": int, "clip_norm": float, "split_mode": str,
-    },
-    "search": {
-        "budget": int, "objective": str, "candidate_epochs": int,
-        "final_epochs": int, "lookback_max": int,
-    },
-    "metrics": {"window": int, "quantile": float},
-}
 
+def _field_defaults(cls, skip=()) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.name not in skip}
+
+
+# Every key's type is the type of its default.
 DEFAULTS = {
     "run": {"seed": 0, "out_dir": "runs", "method": "tcnf-base"},
     "generate": {
@@ -74,21 +62,14 @@ DEFAULTS = {
         "anomaly_length": 20,
     },
     "flow": {
-        "coupling_layers": 4, "cond_multiplier": 4, "cond_layers": 3,
-        "cond_dropout": 0.1, "cond_funnel": 1.5,
+        "coupling_layers": FlowConfig.n_layers,
+        **{f"cond_{name}": value for name, value in _field_defaults(ConditionerConfig).items()},
     },
-    "encoder": {
-        "lookback": 10, "mlp_layers": 3, "mlp_compression": 2,
-        "cnn_layers": 2, "cnn_kernel": 3, "cnn_max_channels": 8,
-        "lstm_layers": 1, "lstm_hidden": 0, "dropout": 0.1,
-    },
-    "train": {
-        "epochs": 30, "batch_size": 128, "learning_rate": 1e-3,
-        "patience": 10, "clip_norm": 5.0, "split_mode": "auto",
-    },
+    "encoder": _field_defaults(EncoderConfig, skip=("kind",)),
+    "train": _field_defaults(TrainConfig, skip=("beta1", "beta2", "adam_eps", "seed")),
     "search": {
-        "budget": 18, "objective": "labeled-30-70", "candidate_epochs": 10,
-        "final_epochs": 30, "lookback_max": 50,
+        "budget": 18, "objective": OBJECTIVES[0], "candidate_epochs": CANDIDATE_EPOCHS,
+        "final_epochs": 30, "lookback_max": LOOKBACK_MAX,
     },
     "metrics": {"window": -1, "quantile": 0.99},
 }
@@ -110,17 +91,16 @@ class RunConfig:
         if not read:
             raise CliError(f"config file not found: {path}")
         for section in parser.sections():
-            if section not in SCHEMA:
+            if section not in DEFAULTS:
                 raise CliError(f"unknown config section [{section}]")
             for key, raw in parser.items(section):
                 self.set(section, key, raw)
 
     def set(self, section: str, key: str, raw) -> None:
-        if section not in SCHEMA or key not in SCHEMA[section]:
+        if key not in DEFAULTS.get(section, {}):
             raise CliError(f"unknown config key [{section}] {key}")
-        caster = SCHEMA[section][key]
         try:
-            self.values[section][key] = caster(raw)
+            self.values[section][key] = type(DEFAULTS[section][key])(raw)
         except ValueError:
             raise CliError(f"bad value for [{section}] {key}: {raw!r}") from None
 
@@ -137,33 +117,13 @@ class RunConfig:
     # -- typed views ---------------------------------------------------
 
     def encoder_config(self, method: str) -> EncoderConfig:
-        enc = self.values["encoder"]
-        return EncoderConfig(
-            kind=METHOD_ENCODERS[method],
-            lookback=enc["lookback"],
-            mlp_layers=enc["mlp_layers"], mlp_compression=enc["mlp_compression"],
-            cnn_layers=enc["cnn_layers"], cnn_kernel=enc["cnn_kernel"],
-            cnn_max_channels=enc["cnn_max_channels"],
-            lstm_layers=enc["lstm_layers"], lstm_hidden=enc["lstm_hidden"],
-            dropout=enc["dropout"],
-        )
+        return EncoderConfig(kind=METHOD_ENCODERS[method], **self.values["encoder"])
 
     def flow_config(self) -> FlowConfig:
-        f = self.values["flow"]
-        return FlowConfig(
-            f["coupling_layers"],
-            ConditionerConfig(f["cond_multiplier"], f["cond_layers"],
-                              f["cond_dropout"], f["cond_funnel"]),
-        )
+        return flow_config(self.values["flow"])
 
     def train_config(self) -> TrainConfig:
-        t = self.values["train"]
-        return TrainConfig(
-            epochs=t["epochs"], batch_size=t["batch_size"],
-            learning_rate=t["learning_rate"], patience=t["patience"],
-            clip_norm=t["clip_norm"], seed=self.get("run", "seed"),
-            split_mode=t["split_mode"],
-        )
+        return TrainConfig(seed=self.get("run", "seed"), **self.values["train"])
 
 
 def _build_config(args) -> RunConfig:
@@ -340,13 +300,9 @@ def cmd_search(args) -> int:
     train_ds = dt.load_csv(args.train)
     labeled = dt.load_csv(args.labeled, has_labels=True) if args.labeled else None
     s = cfg.values["search"]
-    t = cfg.values["train"]
     window = cfg.get("metrics", "window")
-    candidate_cfg = TrainConfig(
-        epochs=s["candidate_epochs"], batch_size=t["batch_size"],
-        learning_rate=t["learning_rate"], patience=3,
-        clip_norm=t["clip_norm"], split_mode=t["split_mode"],
-    )
+    candidate_cfg = TrainConfig(**dict(cfg.values["train"], epochs=s["candidate_epochs"],
+                                       patience=CANDIDATE_PATIENCE))
     result = run_search(
         train_ds, labeled, method, s["objective"], s["budget"],
         seed=cfg.get("run", "seed"),

@@ -71,20 +71,6 @@ class EncoderConfig:
             if not 0.1 <= self.dropout <= 0.9:
                 raise ValueError(f"encoder dropout out of range [0.1, 0.9]: {self.dropout}")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lookback": self.lookback,
-            "mlp_layers": self.mlp_layers,
-            "mlp_compression": self.mlp_compression,
-            "cnn_layers": self.cnn_layers,
-            "cnn_kernel": self.cnn_kernel,
-            "cnn_max_channels": self.cnn_max_channels,
-            "lstm_layers": self.lstm_layers,
-            "lstm_hidden": self.lstm_hidden,
-            "dropout": self.dropout,
-        }
-
 
 # -- window construction ---------------------------------------------------
 
@@ -125,7 +111,11 @@ def padded_context_windows(series: np.ndarray, lookback: int) -> np.ndarray:
 
 
 class Encoder:
-    """Shared interface: ``context_dim``, ``parameters()``, ``encode_batch``."""
+    """Shared interface: ``context_dim``, ``parameters()``, ``encode_batch``.
+
+    Instantiated directly for kind ``none``: the unconditioned flow, with an
+    empty context and nothing to learn.
+    """
 
     kind = "none"
     context_dim = 0
@@ -141,6 +131,14 @@ class Encoder:
                      rng: np.random.Generator | None = None) -> Node | None:
         return None
 
+    def _validate(self, contexts, fixed_length: bool = True) -> np.ndarray:
+        contexts = np.asarray(contexts, dtype=np.float64)
+        expected_time = self.cfg.lookback if fixed_length else None
+        wrong_time = fixed_length and contexts.shape[1:2] != (self.cfg.lookback,)
+        if contexts.ndim != 3 or wrong_time or contexts.shape[2] != self.dim:
+            raise dc.ShapeError("encode", contexts.shape, (None, expected_time, self.dim))
+        return contexts
+
 
 class PassthroughEncoder(Encoder):
     """Raw window, flattened: context_dim = lookback * channels."""
@@ -155,23 +153,15 @@ class PassthroughEncoder(Encoder):
         contexts = self._validate(contexts)
         return dc.constant(contexts.reshape(contexts.shape[0], -1))
 
-    def _validate(self, contexts, fixed_length: bool = True) -> np.ndarray:
-        contexts = np.asarray(contexts, dtype=np.float64)
-        expected_time = self.cfg.lookback if fixed_length else None
-        wrong_time = fixed_length and contexts.shape[1:2] != (self.cfg.lookback,)
-        if contexts.ndim != 3 or wrong_time or contexts.shape[2] != self.dim:
-            raise dc.ShapeError("encode", contexts.shape, (None, expected_time, self.dim))
-        return contexts
 
-
-class FixedSummaryEncoder(PassthroughEncoder):
+class FixedSummaryEncoder(Encoder):
     """Per-channel summary statistics: mean, std, last value, mean first
     difference. Fixed function, nothing to learn; context_dim = 4 * channels."""
 
     kind = "fixed-encode"
 
     def __init__(self, cfg: EncoderConfig, dim: int):
-        Encoder.__init__(self, cfg, dim)
+        super().__init__(cfg, dim)
         self.context_dim = 4 * dim
 
     def encode_batch(self, contexts, training=False, rng=None):
@@ -186,14 +176,14 @@ class FixedSummaryEncoder(PassthroughEncoder):
         return dc.constant(np.concatenate([mean, std, last, diff_mean], axis=1))
 
 
-class MlpEncoder(PassthroughEncoder):
+class MlpEncoder(Encoder):
     """Flattened window through a funnel MLP down to
     max(2, floor(lookback * channels / compression)) outputs."""
 
     kind = "mlp"
 
     def __init__(self, cfg: EncoderConfig, dim: int, rng: np.random.Generator):
-        Encoder.__init__(self, cfg, dim)
+        super().__init__(cfg, dim)
         in_dim = cfg.lookback * dim
         self.context_dim = max(2, in_dim // cfg.mlp_compression)
         # hidden widths shrink geometrically from the input to the output size
@@ -231,14 +221,14 @@ class MlpEncoder(PassthroughEncoder):
         return dc.add(dc.matmul(h, self.head_w), self.head_b)
 
 
-class CnnEncoder(PassthroughEncoder):
+class CnnEncoder(Encoder):
     """Temporal convolutions followed by a global average pool over time, so
     the context size equals the channel width of the last conv layer."""
 
     kind = "cnn"
 
     def __init__(self, cfg: EncoderConfig, dim: int, rng: np.random.Generator):
-        Encoder.__init__(self, cfg, dim)
+        super().__init__(cfg, dim)
         self.context_dim = cfg.cnn_max_channels
         channels = [
             max(1, round(dim + (cfg.cnn_max_channels - dim) * (j + 1) / cfg.cnn_layers))
@@ -272,14 +262,14 @@ class CnnEncoder(PassthroughEncoder):
         return dc.mean(h, axis=1)
 
 
-class LstmEncoder(PassthroughEncoder):
+class LstmEncoder(Encoder):
     """Stacked LSTM run over the window from a zero state; the context is the
     final hidden state of the top layer."""
 
     kind = "lstm-stateless"
 
     def __init__(self, cfg: EncoderConfig, dim: int, rng: np.random.Generator):
-        Encoder.__init__(self, cfg, dim)
+        super().__init__(cfg, dim)
         self.hidden = cfg.lstm_hidden if cfg.lstm_hidden > 0 else max(2, 2 * dim)
         self.context_dim = self.hidden
         self.cells: list[tuple[Parameter, Parameter]] = []
@@ -384,12 +374,13 @@ class StatefulLstmEncoder(LstmEncoder):
 
 
 def build_encoder(cfg: EncoderConfig, dim: int,
-                  rng: np.random.Generator | None = None) -> Encoder | None:
-    """Instantiate the encoder for ``cfg``; ``None`` for the unconditioned flow."""
+                  rng: np.random.Generator | None = None) -> Encoder:
+    """Instantiate the encoder for ``cfg``; the base ``Encoder`` for kind
+    ``none``, the unconditioned flow."""
     if rng is None:
         rng = np.random.default_rng(0)
     if cfg.kind == "none":
-        return None
+        return Encoder(cfg, dim)
     if cfg.kind == "passthrough":
         return PassthroughEncoder(cfg, dim)
     if cfg.kind == "fixed-encode":

@@ -88,7 +88,8 @@ class AnomalySpec:
 def load_csv(path, has_labels: bool = False) -> TimeSeriesDataset:
     """Rows are timesteps, columns are channels; with ``has_labels`` the last
     column must be 0/1 and becomes the label vector. A non-numeric first row
-    is treated as a header of channel names."""
+    is treated as a header of channel names. Every other cell must be a
+    finite number."""
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
@@ -111,6 +112,10 @@ def load_csv(path, has_labels: bool = False) -> TimeSeriesDataset:
                 values[i, j] = float(cell)
             except ValueError:
                 raise DataError(f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: {cell!r}") from None
+    bad_rows, bad_cols = np.nonzero(~np.isfinite(values))
+    if bad_rows.size:
+        i, j = bad_rows[0], bad_cols[0]
+        raise DataError(f"{path}: non-finite cell at row {i + 1}, column {j + 1}: {rows[i][j]!r}")
     labels = None
     if has_labels:
         if width < 2:

@@ -52,7 +52,9 @@ class Node:
         self.grad = np.zeros_like(self.value)
         self.op = op
         self.parents = tuple(parents)
-        self._backward: Callable[[], None] | None = None
+        # takes the node itself instead of closing over it: a graph then has
+        # no reference cycle and is freed as soon as it is unreachable
+        self._backward: Callable[[Node], None] | None = None
 
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape})"
@@ -129,7 +131,7 @@ def add(a: Node, b: Node) -> Node:
         raise ShapeError("add", a.value.shape, b.value.shape) from None
     out = Node(value, "add", (a, b))
 
-    def backward():
+    def backward(out):
         a.grad += _unbroadcast(out.grad, a.value.shape)
         b.grad += _unbroadcast(out.grad, b.value.shape)
 
@@ -144,7 +146,7 @@ def sub(a: Node, b: Node) -> Node:
         raise ShapeError("sub", a.value.shape, b.value.shape) from None
     out = Node(value, "sub", (a, b))
 
-    def backward():
+    def backward(out):
         a.grad += _unbroadcast(out.grad, a.value.shape)
         b.grad -= _unbroadcast(out.grad, b.value.shape)
 
@@ -155,7 +157,7 @@ def sub(a: Node, b: Node) -> Node:
 def neg(a: Node) -> Node:
     out = Node(-a.value, "neg", (a,))
 
-    def backward():
+    def backward(out):
         a.grad -= out.grad
 
     out._backward = backward
@@ -169,7 +171,7 @@ def mul(a: Node, b: Node) -> Node:
         raise ShapeError("mul", a.value.shape, b.value.shape) from None
     out = Node(value, "mul", (a, b))
 
-    def backward():
+    def backward(out):
         a.grad += _unbroadcast(out.grad * b.value, a.value.shape)
         b.grad += _unbroadcast(out.grad * a.value, b.value.shape)
 
@@ -182,7 +184,7 @@ def matmul(a: Node, b: Node) -> Node:
         raise ShapeError("matmul", a.value.shape, b.value.shape)
     out = Node(a.value @ b.value, "matmul", (a, b))
 
-    def backward():
+    def backward(out):
         a.grad += out.grad @ b.value.T
         b.grad += a.value.T @ out.grad
 
@@ -193,7 +195,7 @@ def matmul(a: Node, b: Node) -> Node:
 def tanh(a: Node) -> Node:
     out = Node(np.tanh(a.value), "tanh", (a,))
 
-    def backward():
+    def backward(out):
         a.grad += out.grad * (1.0 - out.value * out.value)
 
     out._backward = backward
@@ -203,7 +205,7 @@ def tanh(a: Node) -> Node:
 def sigmoid(a: Node) -> Node:
     out = Node(1.0 / (1.0 + np.exp(-a.value)), "sigmoid", (a,))
 
-    def backward():
+    def backward(out):
         a.grad += out.grad * out.value * (1.0 - out.value)
 
     out._backward = backward
@@ -213,7 +215,7 @@ def sigmoid(a: Node) -> Node:
 def exp(a: Node) -> Node:
     out = Node(np.exp(a.value), "exp", (a,))
 
-    def backward():
+    def backward(out):
         a.grad += out.grad * out.value
 
     out._backward = backward
@@ -223,7 +225,7 @@ def exp(a: Node) -> Node:
 def log(a: Node) -> Node:
     out = Node(np.log(a.value), "log", (a,))
 
-    def backward():
+    def backward(out):
         a.grad += out.grad / a.value
 
     out._backward = backward
@@ -233,7 +235,7 @@ def log(a: Node) -> Node:
 def sum_(a: Node, axis: int | None = None, keepdims: bool = False) -> Node:
     out = Node(a.value.sum(axis=axis, keepdims=keepdims), "sum", (a,))
 
-    def backward():
+    def backward(out):
         g = out.grad
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
@@ -247,7 +249,7 @@ def mean(a: Node, axis: int | None = None, keepdims: bool = False) -> Node:
     n = a.value.size if axis is None else a.value.shape[axis]
     out = Node(a.value.mean(axis=axis, keepdims=keepdims), "mean", (a,))
 
-    def backward():
+    def backward(out):
         g = out.grad
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
@@ -260,7 +262,7 @@ def mean(a: Node, axis: int | None = None, keepdims: bool = False) -> Node:
 def getitem(a: Node, key) -> Node:
     out = Node(a.value[key], "slice", (a,))
 
-    def backward():
+    def backward(out):
         scattered = np.zeros_like(a.value)
         scattered[key] = out.grad
         a.grad += scattered
@@ -279,7 +281,7 @@ def concat(nodes: Sequence[Node], axis: int = 0) -> Node:
     sizes = [n.value.shape[axis] for n in nodes]
     offsets = np.cumsum([0] + sizes)
 
-    def backward():
+    def backward(out):
         for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * out.grad.ndim
             idx[axis] = slice(lo, hi)
@@ -292,7 +294,7 @@ def concat(nodes: Sequence[Node], axis: int = 0) -> Node:
 def reshape(a: Node, shape) -> Node:
     out = Node(a.value.reshape(shape), "reshape", (a,))
 
-    def backward():
+    def backward(out):
         a.grad += out.grad.reshape(a.value.shape)
 
     out._backward = backward
@@ -311,7 +313,7 @@ def dropout(a: Node, rate: float, rng: np.random.Generator, training: bool) -> N
     mask = (rng.random(a.value.shape) >= rate) / (1.0 - rate)
     out = Node(a.value * mask, "dropout", (a,))
 
-    def backward():
+    def backward(out):
         a.grad += out.grad * mask
 
     out._backward = backward
@@ -334,7 +336,7 @@ def conv1d(x: Node, weight: Node, bias: Node | None = None) -> Node:
     out = Node(value, "conv1d", (x, weight))
     n_time = x.value.shape[1]
 
-    def backward():
+    def backward(out):
         weight.grad += np.einsum("btck,bto->kco", windows, out.grad)
         grad_padded = np.zeros_like(padded)
         for k in range(kernel):
@@ -388,11 +390,6 @@ def _topo_order(root: Node) -> list[Node]:
     return order
 
 
-def forward_eval(root: Node) -> np.ndarray:
-    """Value of the graph root (graphs evaluate eagerly at construction)."""
-    return root.value
-
-
 def backward(root: Node) -> dict[str, np.ndarray]:
     """Accumulate d(root)/d(node) over the whole graph.
 
@@ -409,7 +406,7 @@ def backward(root: Node) -> dict[str, np.ndarray]:
     grads: dict[str, np.ndarray] = {}
     for node in reversed(order):
         if node._backward is not None:
-            node._backward()
+            node._backward(node)
         if isinstance(node, Parameter) and node.trainable:
             grads[node.name] = node.grad
     return grads

@@ -49,14 +49,6 @@ class ConditionerConfig:
         if not 1.0 <= self.funnel <= 10.0:
             raise ValueError(f"funnel out of range [1, 10]: {self.funnel}")
 
-    def to_dict(self) -> dict:
-        return {
-            "multiplier": self.multiplier,
-            "layers": self.layers,
-            "dropout": self.dropout,
-            "funnel": self.funnel,
-        }
-
 
 @dataclass
 class FlowConfig:
@@ -177,13 +169,11 @@ class FlowModel:
     """Stack of coupling layers with one shared context encoder.
 
     The encoder (any object with ``context_dim``, ``parameters()`` and
-    ``encode_batch``) turns lookback windows into the context vector fed to
-    every layer of the stack for the same timestep. Scoring never mutates
-    the model, so a trained instance may be shared read-only; training owns
-    it exclusively.
+    ``encode_batch``; the base ``Encoder`` for the unconditioned flow) turns
+    lookback windows into the context vector fed to every layer of the stack
+    for the same timestep. Scoring never mutates the model, so a trained
+    instance may be shared read-only; training owns it exclusively.
     """
-
-    FORMAT_VERSION = 1
 
     def __init__(self, dim: int, config: FlowConfig, encoder,
                  rng: np.random.Generator, model_id: str = "flow"):
@@ -194,22 +184,16 @@ class FlowModel:
         self.encoder = encoder
         self.model_id = model_id
         self.norm_stats = None
-        context_dim = encoder.context_dim if encoder is not None else 0
         self.layers = [
-            CouplingLayer(dim, context_dim, config.conditioner, rng, f"layer{i}")
+            CouplingLayer(dim, encoder.context_dim, config.conditioner, rng, f"layer{i}")
             for i in range(config.n_layers)
         ]
-
-    @property
-    def context_dim(self) -> int:
-        return self.encoder.context_dim if self.encoder is not None else 0
 
     def parameters(self) -> list[Parameter]:
         params = []
         for layer in self.layers:
             params.extend(layer.parameters())
-        if self.encoder is not None:
-            params.extend(self.encoder.parameters())
+        params.extend(self.encoder.parameters())
         return params
 
     def _context_node(self, context) -> Node | None:
@@ -220,9 +204,9 @@ class FlowModel:
             return None
         return node
 
-    def log_prob_nodes(self, points, context=None, training: bool = False,
-                       rng: np.random.Generator | None = None) -> Node:
-        """Per-row conditional log density as a graph node.
+    def latent_nodes(self, points, context=None, training: bool = False,
+                     rng: np.random.Generator | None = None) -> tuple[Node, Node]:
+        """Normalize points: (latent, per-row summed log|det J|) as graph nodes.
 
         ``points`` is (batch, dim); ``context`` is (batch, context_dim), a
         Node when gradients must flow into an encoder. The same context row
@@ -238,25 +222,23 @@ class FlowModel:
             total = log_det if total is None else dc.add(total, log_det)
             if i > 0:
                 x = _swap_halves(x)
-        return dc.add(_gaussian_log_density_nodes(x), total)
+        return x, total
+
+    def latent(self, points, context=None) -> tuple[np.ndarray, np.ndarray]:
+        """Evaluation-mode ``latent_nodes``, plain arrays in and out."""
+        latent, log_det = self.latent_nodes(points, context)
+        return latent.value, log_det.value
+
+    def log_prob_nodes(self, points, context=None, training: bool = False,
+                       rng: np.random.Generator | None = None) -> Node:
+        """Per-row conditional log density as a graph node: the base density
+        of the latent plus the log-det of the normalizing pass."""
+        latent, log_det = self.latent_nodes(points, context, training, rng)
+        return dc.add(_gaussian_log_density_nodes(latent), log_det)
 
     def log_prob(self, points, context=None) -> np.ndarray:
         """Evaluation-mode log density, plain arrays in and out."""
         return self.log_prob_nodes(points, context, training=False).value
-
-    def latent(self, points, context=None) -> tuple[np.ndarray, np.ndarray]:
-        """Normalize points: returns (latent, per-row summed log|det J|)."""
-        x = dc.constant(points)
-        ctx = self._context_node(context)
-        total = np.zeros(x.value.shape[0])
-        for i in reversed(range(len(self.layers))):
-            x, log_det = self.layers[i].inverse(x, ctx)
-            if np.isnan(x.value).any():
-                raise FlowNanError(i)
-            total = total + log_det.value
-            if i > 0:
-                x = _swap_halves(x)
-        return x.value, total
 
     def sample(self, context, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """Draw from the base Gaussian and push through the stack."""

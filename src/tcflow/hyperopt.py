@@ -18,18 +18,31 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .conditioners import EncoderConfig
-from .data import TimeSeriesDataset, normalize_minmax, normalize_with_stats, pad_even_channels
+from .data import (
+    DataError,
+    TimeSeriesDataset,
+    normalize_minmax,
+    normalize_with_stats,
+    pad_even_channels,
+)
 from .flow import ConditionerConfig, FlowConfig
 from .metrics import auc_roc, combined_objective, infer_metric_window, vus_roc
 from .score import score_series
 from .train import TrainConfig, train_model
 
 OBJECTIVES = ("labeled-30-70", "val-loss")
+
+# Candidates train on a reduced budget: these epochs, and early stopping after
+# this many epochs without a better validation loss.
+CANDIDATE_EPOCHS = 10
+CANDIDATE_PATIENCE = 3
+# Upper bound of the searched lookback.
+LOOKBACK_MAX = 50
 
 METHOD_ENCODERS = {
     "realnvp": "none",
@@ -71,7 +84,30 @@ class SearchSpace:
         return len(self.params)
 
 
-def space_for_method(method: str, lookback_max: int = 50) -> SearchSpace:
+# The encoder rows of each method's search space, each with the EncoderConfig
+# field it sets.
+_LSTM_ROWS = [
+    (ParamSpec("enc_layers", 1, 10, "int"), "lstm_layers"),
+    (ParamSpec("enc_dropout", 0.1, 0.9), "dropout"),
+]
+_ENCODER_ROWS: dict[str, list[tuple[ParamSpec, str]]] = {
+    "tcnf-mlp": [
+        (ParamSpec("enc_layers", 3, 20, "int"), "mlp_layers"),
+        (ParamSpec("enc_compression", 1, 20, "int"), "mlp_compression"),
+        (ParamSpec("enc_dropout", 0.1, 0.9), "dropout"),
+    ],
+    "tcnf-cnn": [
+        (ParamSpec("enc_layers", 1, 5, "int"), "cnn_layers"),
+        (ParamSpec("enc_kernel", 3, 7, "int"), "cnn_kernel"),
+        (ParamSpec("enc_max_channels", 1, 20, "int"), "cnn_max_channels"),
+        (ParamSpec("enc_dropout", 0.1, 0.9), "dropout"),
+    ],
+    "tcnf-stateless": _LSTM_ROWS,
+    "tcnf-stateful": _LSTM_ROWS,
+}
+
+
+def space_for_method(method: str, lookback_max: int = LOOKBACK_MAX) -> SearchSpace:
     """Bounded hyperparameter rows for one method."""
     if method not in METHOD_ENCODERS:
         raise ValueError(f"unknown method {method!r}")
@@ -84,24 +120,7 @@ def space_for_method(method: str, lookback_max: int = 50) -> SearchSpace:
     ]
     if method != "realnvp":
         rows.append(ParamSpec("lookback", 1, lookback_max, "int"))
-    if method == "tcnf-mlp":
-        rows += [
-            ParamSpec("enc_layers", 3, 20, "int"),
-            ParamSpec("enc_compression", 1, 20, "int"),
-            ParamSpec("enc_dropout", 0.1, 0.9),
-        ]
-    elif method == "tcnf-cnn":
-        rows += [
-            ParamSpec("enc_layers", 1, 5, "int"),
-            ParamSpec("enc_kernel", 3, 7, "int"),
-            ParamSpec("enc_max_channels", 1, 20, "int"),
-            ParamSpec("enc_dropout", 0.1, 0.9),
-        ]
-    elif method in ("tcnf-stateless", "tcnf-stateful"):
-        rows += [
-            ParamSpec("enc_layers", 1, 10, "int"),
-            ParamSpec("enc_dropout", 0.1, 0.9),
-        ]
+    rows += [spec for spec, _ in _ENCODER_ROWS.get(method, [])]
     return SearchSpace(rows)
 
 
@@ -118,29 +137,23 @@ def decode(vector: np.ndarray, space: SearchSpace) -> dict:
     return out
 
 
-def configs_from_params(method: str, params: dict) -> tuple[EncoderConfig, FlowConfig]:
+def flow_config(params: dict) -> FlowConfig:
+    """The flow from the flat ``coupling_layers`` and ``cond_*`` keys, as
+    named in the search space and in the ``[flow]`` config section."""
     cond = ConditionerConfig(
         multiplier=params["cond_multiplier"],
         layers=params["cond_layers"],
         dropout=params["cond_dropout"],
         funnel=params["cond_funnel"],
     )
-    flow_cfg = FlowConfig(params["coupling_layers"], cond)
-    kind = METHOD_ENCODERS[method]
-    enc_kwargs = {"kind": kind, "lookback": params.get("lookback", 1)}
-    if kind == "mlp":
-        enc_kwargs.update(mlp_layers=params["enc_layers"],
-                          mlp_compression=params["enc_compression"],
-                          dropout=params["enc_dropout"])
-    elif kind == "cnn":
-        enc_kwargs.update(cnn_layers=params["enc_layers"],
-                          cnn_kernel=params["enc_kernel"],
-                          cnn_max_channels=params["enc_max_channels"],
-                          dropout=params["enc_dropout"])
-    elif kind in ("lstm-stateless", "lstm-stateful"):
-        enc_kwargs.update(lstm_layers=params["enc_layers"],
-                          dropout=params["enc_dropout"])
-    return EncoderConfig(**enc_kwargs), flow_cfg
+    return FlowConfig(params["coupling_layers"], cond)
+
+
+def configs_from_params(method: str, params: dict) -> tuple[EncoderConfig, FlowConfig]:
+    enc_kwargs = {attr: params[spec.name] for spec, attr in _ENCODER_ROWS.get(method, [])}
+    encoder_cfg = EncoderConfig(METHOD_ENCODERS[method], lookback=params.get("lookback", 1),
+                                **enc_kwargs)
+    return encoder_cfg, flow_config(params)
 
 
 # -- CMA-ES --------------------------------------------------------------------
@@ -355,13 +368,7 @@ def _evaluate_candidate(args) -> tuple[float, float, float, float]:
      metric_window, train_cfg, base_seed, index) = args
     params = decode(vector, space)
     encoder_cfg, flow_cfg = configs_from_params(method, params)
-    cfg = TrainConfig(
-        epochs=train_cfg.epochs, batch_size=train_cfg.batch_size,
-        learning_rate=train_cfg.learning_rate, beta1=train_cfg.beta1,
-        beta2=train_cfg.beta2, adam_eps=train_cfg.adam_eps,
-        patience=train_cfg.patience, clip_norm=train_cfg.clip_norm,
-        seed=_candidate_seed(base_seed, index), split_mode=train_cfg.split_mode,
-    )
+    cfg = replace(train_cfg, seed=_candidate_seed(base_seed, index))
     try:
         model, report = train_model(train_ds, encoder_cfg, flow_cfg, cfg)
         val_loss = report.best_val_loss
@@ -374,7 +381,7 @@ def _evaluate_candidate(args) -> tuple[float, float, float, float]:
             fitness = -combined_objective(auc, vus)
         else:
             fitness = val_loss
-    except (FloatingPointError, RuntimeError):
+    except (FloatingPointError, RuntimeError, DataError):  # e.g. no split fits the lookback
         fitness, auc, vus, val_loss = float("inf"), float("nan"), float("nan"), float("nan")
     return fitness, auc, vus, val_loss
 
@@ -389,7 +396,7 @@ def run_search(
     metric_window: int | None = None,
     candidate_cfg: TrainConfig | None = None,
     final_epochs: int | None = None,
-    lookback_max: int = 50,
+    lookback_max: int = LOOKBACK_MAX,
     workers: int | None = None,
 ) -> SearchResult:
     """CMA-ES search over the method's space; every candidate is trained on
@@ -413,7 +420,7 @@ def run_search(
         if metric_window is None and labeled_eval.labels is not None:
             metric_window = infer_metric_window(labeled_eval.labels)
     metric_window = int(metric_window or 0)
-    candidate_cfg = candidate_cfg or TrainConfig(epochs=10, patience=3)
+    candidate_cfg = candidate_cfg or TrainConfig(epochs=CANDIDATE_EPOCHS, patience=CANDIDATE_PATIENCE)
     if workers is None:
         workers = int(os.environ.get("TCFLOW_WORKERS", "1"))
 
@@ -443,14 +450,11 @@ def run_search(
     best_pos = int(np.argmin([np.inf if np.isnan(t.fitness) else t.fitness for t in trials]))
     best_trial = trials[best_pos]
     encoder_cfg, flow_cfg = configs_from_params(method, best_trial.params)
-    final_cfg = TrainConfig(
+    final_cfg = replace(
+        candidate_cfg,
         epochs=final_epochs or max(candidate_cfg.epochs * 3, 30),
-        batch_size=candidate_cfg.batch_size,
-        learning_rate=candidate_cfg.learning_rate,
         patience=max(candidate_cfg.patience, 5),
-        clip_norm=candidate_cfg.clip_norm,
         seed=_candidate_seed(seed, best_trial.index),
-        split_mode=candidate_cfg.split_mode,
     )
     best_model, _ = train_model(train_prepared, encoder_cfg, flow_cfg, final_cfg,
                                 model_id=f"{method}-seed{seed}")

@@ -56,47 +56,44 @@ def load_score_csv(path) -> tuple[ScoreSeries, np.ndarray | None]:
     return ScoreSeries(scores), labels
 
 
-def _contexts_for(model: FlowModel, values: np.ndarray) -> np.ndarray | None:
-    enc = model.encoder
-    if enc is None:
-        return None
-    return padded_context_windows(values, enc.cfg.lookback)
+def _latent_series(model: FlowModel, ds: TimeSeriesDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Latent coordinates and summed log|det J| per timestep. The stateful
+    LSTM carries its state from row to row, so it walks the series one row
+    at a time; every other encoder works on batches of padded windows."""
+    if ds.n_channels != model.dim:
+        raise ValueError(f"model expects {model.dim} channels, dataset has {ds.n_channels}")
+    values = ds.values
+    encoder = model.encoder
+    latents = np.empty_like(values)
+    log_dets = np.empty(values.shape[0])
+    if isinstance(encoder, StatefulLstmEncoder):
+        stream = np.vstack([values[:1], values[:-1]])
+        handle = encoder.new_handle()
+        for t in range(values.shape[0]):
+            w = encoder.encode_step(stream[t], handle, t)
+            latents[t : t + 1], log_dets[t : t + 1] = model.latent(values[t : t + 1], w)
+            if (t + 1) % max(1, encoder.cfg.lookback) == 0:
+                encoder.detach_states(handle)  # keep the rolling graph bounded
+        return latents, log_dets
+    contexts = None
+    if encoder.context_dim:
+        contexts = padded_context_windows(values, encoder.cfg.lookback)
+    for lo in range(0, values.shape[0], _BATCH):
+        hi = min(lo + _BATCH, values.shape[0])
+        ctx_node = None if contexts is None else encoder.encode_batch(contexts[lo:hi])
+        latents[lo:hi], log_dets[lo:hi] = model.latent(values[lo:hi], ctx_node)
+    return latents, log_dets
 
 
 def score_series(model: FlowModel, ds: TimeSeriesDataset) -> ScoreSeries:
     """Negative log density per timestep; the dataset must already carry the
     training normalization and an even channel count."""
-    if ds.n_channels != model.dim:
-        raise ValueError(f"model expects {model.dim} channels, dataset has {ds.n_channels}")
-    values = ds.values
-    if isinstance(model.encoder, StatefulLstmEncoder):
-        scores = _score_stateful(model, values)
-    else:
-        contexts = _contexts_for(model, values)
-        scores = np.empty(values.shape[0])
-        for lo in range(0, values.shape[0], _BATCH):
-            hi = min(lo + _BATCH, values.shape[0])
-            ctx_node = None
-            if contexts is not None:
-                ctx_node = model.encoder.encode_batch(contexts[lo:hi])
-            scores[lo:hi] = -model.log_prob(values[lo:hi], ctx_node)
+    latents, log_dets = _latent_series(model, ds)
+    scores = -(gaussian_log_density(latents) + log_dets)
     bad = np.nonzero(~np.isfinite(scores))[0]
     if bad.size:
         raise FloatingPointError(f"non-finite score at timestep {bad[0]}")
     return ScoreSeries(scores, model_id=model.model_id, dataset_id=ds.provenance)
-
-
-def _score_stateful(model: FlowModel, values: np.ndarray) -> np.ndarray:
-    encoder: StatefulLstmEncoder = model.encoder
-    stream = np.vstack([values[:1], values[:-1]])
-    handle = encoder.new_handle()
-    scores = np.empty(values.shape[0])
-    for t in range(values.shape[0]):
-        w = encoder.encode_step(stream[t], handle, t)
-        scores[t] = -float(model.log_prob(values[t : t + 1], w)[0])
-        if (t + 1) % max(1, encoder.cfg.lookback) == 0:
-            encoder.detach_states(handle)  # keep the rolling graph bounded
-    return scores
 
 
 def select_threshold(scores, labels=None, policy: str = "quantile", q: float = 0.99) -> float:
@@ -125,21 +122,7 @@ def export_latent(model: FlowModel, ds: TimeSeriesDataset, path) -> None:
     """CSV of the normalized representation per timestep: latent coordinates,
     the summed log|det J|, the score and the label (if present). The score is
     redundantly recomputable as -(base log density + log-det)."""
-    if ds.n_channels != model.dim:
-        raise ValueError(f"model expects {model.dim} channels, dataset has {ds.n_channels}")
-    values = ds.values
-    if isinstance(model.encoder, StatefulLstmEncoder):
-        latents, log_dets = _latent_stateful(model, values)
-    else:
-        contexts = _contexts_for(model, values)
-        latents = np.empty_like(values)
-        log_dets = np.empty(values.shape[0])
-        for lo in range(0, values.shape[0], _BATCH):
-            hi = min(lo + _BATCH, values.shape[0])
-            ctx_node = None
-            if contexts is not None:
-                ctx_node = model.encoder.encode_batch(contexts[lo:hi])
-            latents[lo:hi], log_dets[lo:hi] = model.latent(values[lo:hi], ctx_node)
+    latents, log_dets = _latent_series(model, ds)
     scores = -(gaussian_log_density(latents) + log_dets)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -147,27 +130,13 @@ def export_latent(model: FlowModel, ds: TimeSeriesDataset, path) -> None:
         if ds.labels is not None:
             header.append("label")
         writer.writerow(header)
-        for t in range(values.shape[0]):
+        for t in range(latents.shape[0]):
             row = [repr(float(v)) for v in latents[t]]
             row.append(repr(float(log_dets[t])))
             row.append(repr(float(scores[t])))
             if ds.labels is not None:
                 row.append(int(ds.labels[t]))
             writer.writerow(row)
-
-
-def _latent_stateful(model: FlowModel, values: np.ndarray):
-    encoder: StatefulLstmEncoder = model.encoder
-    stream = np.vstack([values[:1], values[:-1]])
-    handle = encoder.new_handle()
-    latents = np.empty_like(values)
-    log_dets = np.empty(values.shape[0])
-    for t in range(values.shape[0]):
-        w = encoder.encode_step(stream[t], handle, t)
-        latents[t], log_dets[t] = (arr[0] for arr in model.latent(values[t : t + 1], w))
-        if (t + 1) % max(1, encoder.cfg.lookback) == 0:
-            encoder.detach_states(handle)
-    return latents, log_dets
 
 
 def write_score_svg(series: ScoreSeries, path, labels=None,

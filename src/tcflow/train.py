@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .conditioners import (
     build_encoder,
     make_windows,
 )
-from .data import TimeSeriesDataset, split_train_val
+from .data import DataError, TimeSeriesDataset, split_train_val
 from .flow import ConditionerConfig, FlowConfig, FlowModel, nll_loss
 
 MODEL_MAGIC = b"TCFLOW\x00\x01"
@@ -41,7 +41,7 @@ class SerializationError(ValueError):
 
 @dataclass
 class TrainConfig:
-    epochs: int = 40
+    epochs: int = 30
     batch_size: int = 128
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -148,9 +148,7 @@ def build_model(
     model_id: str = "flow",
 ) -> FlowModel:
     encoder = build_encoder(encoder_cfg, dim, rng)
-    model = FlowModel(dim, flow_cfg, encoder, rng, model_id=model_id)
-    model.encoder_cfg = encoder_cfg
-    return model
+    return FlowModel(dim, flow_cfg, encoder, rng, model_id=model_id)
 
 
 def train_model(
@@ -178,7 +176,7 @@ def train_model(
     if stateful:
         runner = _StatefulRunner(model, ds.values, train_idx, val_idx, train_cfg, rng)
     else:
-        runner = _BatchedRunner(model, ds.values, encoder_cfg, train_idx, val_idx, train_cfg, rng)
+        runner = _BatchedRunner(model, ds.values, lookback, train_idx, val_idx, train_cfg, rng)
 
     params = model.parameters()
     adam = AdamState(params)
@@ -212,11 +210,10 @@ def train_model(
 class _BatchedRunner:
     """Shuffled window batches for every encoder kind except the stateful LSTM."""
 
-    def __init__(self, model, values, encoder_cfg, train_idx, val_idx, cfg, rng):
+    def __init__(self, model, values, lookback, train_idx, val_idx, cfg, rng):
         self.model = model
         self.cfg = cfg
         self.rng = rng
-        lookback = encoder_cfg.lookback if encoder_cfg.kind != "none" else 0
         if lookback > 0:
             windows = make_windows(values, lookback)
             targets = np.stack([w[2] for w in windows])
@@ -235,13 +232,12 @@ class _BatchedRunner:
         self.train_contexts = contexts[in_train] if contexts is not None else None
         self.val_contexts = contexts[in_val] if contexts is not None else None
         if self.train_targets.shape[0] == 0 or self.val_targets.shape[0] == 0:
-            raise ValueError("split left an empty train or validation window set")
+            raise DataError("split left an empty train or validation window set")
 
     def _loss(self, targets, contexts, training):
-        enc = self.model.encoder
         context_node = None
-        if enc is not None:
-            context_node = enc.encode_batch(contexts, training=training, rng=self.rng)
+        if contexts is not None:
+            context_node = self.model.encoder.encode_batch(contexts, training=training, rng=self.rng)
         return nll_loss(self.model, targets, context_node, training=training, rng=self.rng)
 
     def train_epoch(self, params, adam) -> float:
@@ -341,15 +337,14 @@ class _StatefulRunner:
 def save_model(model: FlowModel, path) -> None:
     """Versioned binary container; the parameter round trip is bit-exact."""
     params = model.parameters()
-    encoder_cfg: EncoderConfig = getattr(model, "encoder_cfg", None) or EncoderConfig(kind="none")
     stats = model.norm_stats
     header = {
         "format_version": FORMAT_VERSION,
         "model_id": model.model_id,
         "dim": model.dim,
         "n_layers": model.config.n_layers,
-        "conditioner": model.config.conditioner.to_dict(),
-        "encoder": encoder_cfg.to_dict(),
+        "conditioner": asdict(model.config.conditioner),
+        "encoder": asdict(model.encoder.cfg),
         "norm_stats": None if stats is None else [list(map(float, s)) for s in stats],
         "params": [{"name": p.name, "shape": list(p.value.shape)} for p in params],
     }

@@ -25,8 +25,9 @@ from tcflow.flow import ConditionerConfig, FlowConfig, FlowModel
 def small_flow(dim=2, n_layers=2, context_dim=0, seed=0, multiplier=2,
                cond_layers=3, dropout=0.1, funnel=1.5, encoder=None):
     cfg = FlowConfig(n_layers, ConditionerConfig(multiplier, cond_layers, dropout, funnel))
-    if encoder is None and context_dim > 0:
-        encoder = _FixedDimEncoder(context_dim)
+    if encoder is None:
+        encoder = (_FixedDimEncoder(context_dim) if context_dim > 0
+                   else build_encoder(EncoderConfig("none"), dim))
     return FlowModel(dim, cfg, encoder, np.random.default_rng(seed))
 
 
@@ -45,9 +46,7 @@ def build_model_with_encoder(dim, n_layers, encoder_cfg: EncoderConfig, seed=0,
     rng = np.random.default_rng(seed)
     encoder = build_encoder(encoder_cfg, dim, rng)
     cfg = FlowConfig(n_layers, ConditionerConfig(multiplier, cond_layers, 0.1, 1.5))
-    model = FlowModel(dim, cfg, encoder, rng)
-    model.encoder_cfg = encoder_cfg
-    return model
+    return FlowModel(dim, cfg, encoder, rng)
 
 
 def randomize_model(model, rng, scale=0.4):

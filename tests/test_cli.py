@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tcflow import data as dt
-from tcflow.cli import main
+from tcflow.cli import RunConfig, main
 
 
 def run_cli(*argv):
@@ -149,6 +149,68 @@ class TestReport:
         assert float(mean) == pytest.approx(0.85)
         assert float(std) == pytest.approx(0.05)
         assert n == "2"
+
+
+DEFAULT_INI = """\
+[run]
+seed = 0
+out_dir = runs
+method = tcnf-base
+
+[generate]
+family = sine
+n_steps = 2000
+n_channels = 2
+noise = 0.05
+anomalies = spike
+n_anomalies = 3
+anomaly_magnitude = nan
+anomaly_length = 20
+
+[flow]
+coupling_layers = 4
+cond_multiplier = 4
+cond_layers = 3
+cond_dropout = 0.1
+cond_funnel = 1.5
+
+[encoder]
+lookback = 10
+mlp_layers = 3
+mlp_compression = 2
+cnn_layers = 2
+cnn_kernel = 3
+cnn_max_channels = 8
+lstm_layers = 1
+lstm_hidden = 0
+dropout = 0.1
+
+[train]
+epochs = 30
+batch_size = 128
+learning_rate = 0.001
+patience = 10
+clip_norm = 5.0
+split_mode = auto
+
+[search]
+budget = 18
+objective = labeled-30-70
+candidate_epochs = 10
+final_epochs = 30
+lookback_max = 50
+
+[metrics]
+window = -1
+quantile = 0.99
+
+"""
+
+
+class TestRunConfig:
+    def test_default_resolved_config_text(self, tmp_path):
+        RunConfig().write(tmp_path / "resolved.ini")
+        assert (tmp_path / "resolved.ini").read_text() == DEFAULT_INI
 
 
 class TestErrors:

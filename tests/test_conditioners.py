@@ -3,6 +3,7 @@ import pytest
 
 from tcflow import diffcore as dc
 from tcflow.conditioners import (
+    Encoder,
     EncoderConfig,
     build_encoder,
     make_windows,
@@ -231,5 +232,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EncoderConfig(**kwargs)
 
-    def test_none_kind_builds_no_encoder(self):
-        assert build_encoder(EncoderConfig("none"), 4, np.random.default_rng(0)) is None
+    def test_none_kind_builds_empty_encoder(self):
+        enc = build_encoder(EncoderConfig("none"), 4, np.random.default_rng(0))
+        assert type(enc) is Encoder and enc.kind == "none"
+        assert enc.context_dim == 0 and enc.parameters() == []

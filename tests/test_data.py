@@ -41,9 +41,10 @@ class TestLoadCsv:
 
     def test_non_numeric_cell_reports_coordinates(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("1.0,2.0\n3.0,oops\n")
-        with pytest.raises(dt.DataError, match="row 2, column 2"):
-            dt.load_csv(path)
+        for cell in ("oops", "nan", "inf", "-inf"):
+            path.write_text(f"1.0,2.0\n3.0,{cell}\n")
+            with pytest.raises(dt.DataError, match="row 2, column 2"):
+                dt.load_csv(path)
 
     def test_save_load_round_trip(self, tmp_path):
         ds = dt.generate_synthetic("sine", 120, 3, noise=0.1, seed=4)

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,12 @@ from tcflow import diffcore as dc
 
 def test_tanh_of_zero_is_zero():
     node = dc.tanh(dc.constant(0.0))
-    assert dc.forward_eval(node) == 0.0
+    assert node.value == 0.0
 
 
 def test_sum_of_symmetric_pair_cancels():
     node = dc.sum_(dc.constant([0.5, -0.5]))
-    assert dc.forward_eval(node) == 0.0
+    assert node.value == 0.0
 
 
 def test_matmul_identity_returns_input():
@@ -196,3 +198,25 @@ def test_gradient_shapes_match_values_everywhere():
     dc.backward(out)
     for node in (p, out):
         assert node.grad.shape == node.value.shape
+
+
+def test_dropped_graph_is_freed_without_cycle_collection():
+    # a graph must be freed by reference counting alone: large intermediates
+    # waiting for the cyclic collector inflate the peak memory of scoring
+    rng = np.random.default_rng(0)
+    gc.collect()
+    gc.disable()
+    try:
+        a = dc.Parameter(rng.normal(size=(2, 3)), "a")
+        zeros = dc.constant(np.zeros((2, 2)))
+        h, c = dc.lstm_cell(a, zeros, zeros, dc.Parameter(rng.normal(size=(5, 8)), "w"),
+                            dc.Parameter(np.zeros(8), "b"))
+        conv = dc.conv1d(dc.reshape(a, (2, 3, 1)), dc.Parameter(rng.normal(size=(3, 1, 2)), "k"))
+        terms = [dc.exp(h), dc.log(dc.exp(c)), dc.neg(dc.sub(conv[:, 0, :], h)),
+                 dc.dropout(h, 0.5, rng, True)]
+        loss = dc.mean(dc.sum_(dc.concat(terms, axis=1), axis=1))
+        dc.backward(loss)
+        del loss, h, c, conv, terms
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

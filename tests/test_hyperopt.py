@@ -174,6 +174,23 @@ class TestRunSearch:
         with pytest.raises(ValueError, match="budget"):
             run_search(train, labeled, "tcnf-base", "labeled-30-70", budget=2)
 
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_infeasible_lookback_is_a_failed_trial(self, seed):
+        # 300 steps leave no train/validation split for lookbacks near 50;
+        # both seeds draw such candidates in the first generation
+        train = dt.generate_synthetic("sine", 300, 2, noise=0.1, seed=0)
+        result = run_search(
+            train, None, "tcnf-base", "val-loss", budget=9, seed=seed,
+            candidate_cfg=TrainConfig(epochs=1, patience=1), final_epochs=1,
+            lookback_max=50,
+        )
+        failed = [t for t in result.trials if not np.isfinite(t.fitness)]
+        assert 0 < len(failed) < len(result.trials)
+        for t in failed:
+            assert t.fitness == np.inf
+            assert np.isnan(t.auc) and np.isnan(t.vus) and np.isnan(t.val_loss)
+        assert np.isfinite(result.best_trial.fitness)
+
     def test_candidate_fitness_equals_chained_train_score_evaluate(self):
         # the search's internal evaluation must match running the pipeline
         # stages by hand with the same hyperparameters and derived seed

@@ -5,7 +5,7 @@ import pytest
 from helpers import build_model_with_encoder, randomize_model
 
 from tcflow import data as dt
-from tcflow.conditioners import EncoderConfig
+from tcflow.conditioners import KINDS, EncoderConfig
 from tcflow.flow import gaussian_log_density
 from tcflow.score import (
     ScoreSeries,
@@ -128,8 +128,9 @@ class TestExportLatent:
         np.testing.assert_allclose(parsed[:, :2], values, atol=1e-12)
         np.testing.assert_allclose(parsed[:, 2], 0.0, atol=1e-12)
 
-    def test_score_reconstructs_from_latent_and_logdet(self, tmp_path):
-        model = build_model_with_encoder(2, 3, EncoderConfig("passthrough", lookback=3), seed=2)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_score_reconstructs_from_latent_and_logdet(self, tmp_path, kind):
+        model = build_model_with_encoder(2, 3, EncoderConfig(kind, lookback=3), seed=2)
         randomize_model(model, np.random.default_rng(1), scale=0.3)
         rng = np.random.default_rng(5)
         ds = dt.TimeSeriesDataset(rng.normal(size=(30, 2)),
@@ -140,9 +141,9 @@ class TestExportLatent:
         parsed = np.array([[float(c) for c in r.split(",")] for r in rows])
         latent, logdet, stored_score = parsed[:, :2], parsed[:, 2], parsed[:, 3]
         recomputed = -(gaussian_log_density(latent) + logdet)
-        np.testing.assert_allclose(recomputed, stored_score, atol=1e-9)
+        np.testing.assert_array_equal(recomputed, stored_score)
         series = score_series(model, ds)
-        np.testing.assert_allclose(stored_score, series.scores, atol=1e-9)
+        np.testing.assert_array_equal(stored_score, series.scores)
 
     def test_labeled_dataset_adds_label_column(self, tmp_path):
         model = build_model_with_encoder(2, 2, EncoderConfig("none"))
