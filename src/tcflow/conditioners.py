@@ -2,8 +2,9 @@
 
 Six encoder kinds are supported, from a raw passthrough of the window to a
 stateful LSTM whose hidden state is carried from timestep to timestep. All
-stateless kinds consume a batch of (lookback, channels) slices and return a
-(batch, context_dim) node; learnable encoders are trained end to end with
+stateless kinds consume a batch of (lookback, channels) slices, the stateful
+LSTM a block of consecutive observations in order; either returns a
+(batch, context_dim) node. Learnable encoders are trained end to end with
 the flow.
 """
 
@@ -322,7 +323,7 @@ class LstmEncoder(Encoder):
 
 
 class StatefulHandle:
-    """Mutable LSTM state advanced one observation at a time.
+    """Mutable LSTM state advanced over the series in order.
 
     Strictly sequential: step ``i`` may only be fed after step ``i - 1``,
     and ``steps_done`` counts how many observations were consumed.
@@ -346,24 +347,26 @@ class StatefulLstmEncoder(LstmEncoder):
     def new_handle(self) -> StatefulHandle:
         return StatefulHandle(self)
 
-    def encode_step(self, observation: np.ndarray, handle: StatefulHandle,
+    def encode_step(self, observations: np.ndarray, handle: StatefulHandle,
                     step_index: int, training: bool = False,
                     rng: np.random.Generator | None = None) -> Node:
-        """Consume one observation row and return the new top hidden state.
+        """Consume one row or a (k, channels) block of consecutive rows and
+        return the top hidden state after each row, a (k, hidden) node.
 
-        ``step_index`` must follow on from the handle's progress; feeding
-        steps out of order raises with both indices named.
+        ``step_index`` (the first row's) must follow on from the handle's
+        progress, which advances by k; feeding steps out of order raises
+        with both indices named.
         """
         if step_index != handle.steps_done:
             raise ValueError(
                 f"stateful encoder expected step {handle.steps_done}, got {step_index}"
             )
-        row = np.asarray(observation, dtype=np.float64).reshape(1, self.dim)
+        rows = np.asarray(observations, dtype=np.float64).reshape(-1, self.dim)
         seq, handle.states = self._run_stack(
-            [dc.constant(row)], handle.states, training, rng
+            [dc.constant(row[None]) for row in rows], handle.states, training, rng
         )
-        handle.steps_done += 1
-        return seq[-1]
+        handle.steps_done += rows.shape[0]
+        return dc.concat(seq, axis=0)
 
     def detach_states(self, handle: StatefulHandle):
         """Cut the graph between truncation chunks, keeping the values."""

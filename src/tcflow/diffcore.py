@@ -41,15 +41,16 @@ def _as_array(value) -> np.ndarray:
 class Node:
     """One value in the computation graph.
 
-    ``value`` and ``grad`` always have the same shape; ``parents`` are the
-    inputs of ``op`` in order. Leaves have no parents.
+    ``grad`` is None until ``backward`` reaches the node, then it has the
+    shape of ``value``; ``parents`` are the inputs of ``op`` in order.
+    Leaves have no parents.
     """
 
     __slots__ = ("value", "grad", "op", "parents", "_backward")
 
     def __init__(self, value, op: str = "leaf", parents: Sequence["Node"] = ()):
         self.value = _as_array(value)
-        self.grad = np.zeros_like(self.value)
+        self.grad = None
         self.op = op
         self.parents = tuple(parents)
         # takes the node itself instead of closing over it: a graph then has

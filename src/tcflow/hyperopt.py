@@ -447,8 +447,10 @@ def run_search(
         opt.tell(population, np.array([r[0] for r in results]))
         used += len(population)
 
-    best_pos = int(np.argmin([np.inf if np.isnan(t.fitness) else t.fitness for t in trials]))
-    best_trial = trials[best_pos]
+    fitness = np.array([t.fitness for t in trials])
+    if not np.isfinite(fitness).any():
+        raise DataError(f"all {len(trials)} candidates failed; there is no trial to refit")
+    best_trial = trials[int(np.argmin(np.where(np.isnan(fitness), np.inf, fitness)))]
     encoder_cfg, flow_cfg = configs_from_params(method, best_trial.params)
     final_cfg = replace(
         candidate_cfg,

@@ -57,31 +57,32 @@ def load_score_csv(path) -> tuple[ScoreSeries, np.ndarray | None]:
 
 
 def _latent_series(model: FlowModel, ds: TimeSeriesDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Latent coordinates and summed log|det J| per timestep. The stateful
-    LSTM carries its state from row to row, so it walks the series one row
-    at a time; every other encoder works on batches of padded windows."""
+    """Latent coordinates and summed log|det J| per timestep, one flow call
+    per ``_BATCH`` rows. The stateful LSTM's state runs from row to row, so
+    its (T, hidden) contexts are collected in order first, one truncation
+    chunk at a time; other encoders encode padded windows batch by batch."""
     if ds.n_channels != model.dim:
         raise ValueError(f"model expects {model.dim} channels, dataset has {ds.n_channels}")
     values = ds.values
     encoder = model.encoder
     latents = np.empty_like(values)
     log_dets = np.empty(values.shape[0])
+    contexts, encode = None, encoder.encode_batch
     if isinstance(encoder, StatefulLstmEncoder):
         stream = np.vstack([values[:1], values[:-1]])
         handle = encoder.new_handle()
-        for t in range(values.shape[0]):
-            w = encoder.encode_step(stream[t], handle, t)
-            latents[t : t + 1], log_dets[t : t + 1] = model.latent(values[t : t + 1], w)
-            if (t + 1) % max(1, encoder.cfg.lookback) == 0:
-                encoder.detach_states(handle)  # keep the rolling graph bounded
-        return latents, log_dets
-    contexts = None
-    if encoder.context_dim:
+        contexts = np.empty((values.shape[0], encoder.context_dim))
+        for lo in range(0, values.shape[0], encoder.cfg.lookback):
+            span = slice(lo, lo + encoder.cfg.lookback)
+            contexts[span] = encoder.encode_step(stream[span], handle, lo).value
+            encoder.detach_states(handle)  # keep the rolling graph bounded
+        encode = np.asarray  # the contexts are already encoded
+    elif encoder.context_dim:
         contexts = padded_context_windows(values, encoder.cfg.lookback)
     for lo in range(0, values.shape[0], _BATCH):
         hi = min(lo + _BATCH, values.shape[0])
-        ctx_node = None if contexts is None else encoder.encode_batch(contexts[lo:hi])
-        latents[lo:hi], log_dets[lo:hi] = model.latent(values[lo:hi], ctx_node)
+        ctx = None if contexts is None else encode(contexts[lo:hi])
+        latents[lo:hi], log_dets[lo:hi] = model.latent(values[lo:hi], ctx)
     return latents, log_dets
 
 

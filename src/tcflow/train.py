@@ -1,9 +1,10 @@
 """End-to-end training of the conditioned flow, plus model (de)serialization.
 
-Batched encoders train on shuffled windows; the stateful LSTM variant walks
-the sequence in order with truncated backpropagation (graph cut every
-``lookback`` steps). Validation NLL is tracked per epoch with dropout off,
-and the parameters from the best validation epoch are restored at the end.
+Batched encoders train on shuffled windows. The stateful LSTM variant walks
+the sequence in order, one chunk of ``lookback`` rows per batched flow call,
+with the graph cut between chunks (truncated backpropagation). Validation
+NLL is tracked per epoch with dropout off, and the parameters from the best
+validation epoch are restored at the end.
 """
 
 from __future__ import annotations
@@ -265,11 +266,12 @@ class _BatchedRunner:
 
 
 class _StatefulRunner:
-    """Sequential pass with truncated backpropagation every ``lookback`` steps.
+    """In-order pass with truncated backpropagation every ``lookback`` rows.
 
-    The encoder consumes the previous observation before each target is
-    scored; the first target's "previous" row is the first observation
-    itself (repeat padding).
+    Per chunk, the LSTM consumes each target's previous observation (the
+    first target's is the first observation itself, repeat padding), then
+    one batched flow call scores the chunk's targets in the split: one Adam
+    step per chunk in training. The LSTM is the only sequential part.
     """
 
     def __init__(self, model, values, train_idx, val_idx, cfg, rng):
@@ -283,52 +285,35 @@ class _StatefulRunner:
         self.val_mask[val_idx] = True
         self.cfg = cfg
         self.rng = rng
-        self.chunk = max(1, self.encoder.cfg.lookback)
 
-    def _walk(self, training: bool, params=None, adam=None) -> tuple[float, float]:
+    def _walk(self, mask, params=None, adam=None) -> float:
+        """Mean NLL over the rows in ``mask``; trains when given ``adam``."""
+        training = adam is not None
         handle = self.encoder.new_handle()
-        n = self.values.shape[0]
-        train_total, train_count = 0.0, 0
-        val_total, val_count = 0.0, 0
-        pending: list[dc.Node] = []
-        for t in range(n):
-            w = self.encoder.encode_step(self.stream[t], handle, t,
-                                         training=training, rng=self.rng)
-            point = self.values[t : t + 1]
-            if training and self.train_mask[t]:
-                pending.append(dc.neg(self.model.log_prob_nodes(
-                    point, w, training=True, rng=self.rng)))
-                train_total += float(pending[-1].value[0])
-                train_count += 1
-            elif not training and self.val_mask[t]:
-                val_total += -float(self.model.log_prob_nodes(point, w).value[0])
-                val_count += 1
-            if (t + 1) % self.chunk == 0:
+        chunk = self.encoder.cfg.lookback
+        total = 0.0
+        for lo in range(0, self.values.shape[0], chunk):
+            span = slice(lo, lo + chunk)
+            contexts = self.encoder.encode_step(self.stream[span], handle, lo,
+                                                training=training, rng=self.rng)
+            pick = mask[span]
+            if pick.any():
+                loss = nll_loss(self.model, self.values[span][pick], contexts[pick],
+                                training=training, rng=self.rng)
                 if training:
-                    self._flush(pending, params, adam)
-                    pending = []
-                self.encoder.detach_states(handle)  # bounds the rolling graph
-        if training and pending:
-            self._flush(pending, params, adam)
-        train_mean = train_total / train_count if train_count else np.nan
-        val_mean = val_total / val_count if val_count else np.nan
-        return train_mean, val_mean
-
-    def _flush(self, pending, params, adam):
-        if not pending:
-            return
-        loss = dc.mean(dc.concat(pending, axis=0))
-        grads = dc.backward(loss)
-        adam_step(params, grads, adam, self.cfg.learning_rate,
-                  self.cfg.beta1, self.cfg.beta2, self.cfg.adam_eps, self.cfg.clip_norm)
+                    adam_step(params, dc.backward(loss), adam, self.cfg.learning_rate,
+                              self.cfg.beta1, self.cfg.beta2, self.cfg.adam_eps,
+                              self.cfg.clip_norm)
+                total += float(loss.value) * int(pick.sum())
+            self.encoder.detach_states(handle)  # bounds the rolling graph
+        count = int(mask.sum())
+        return total / count if count else np.nan
 
     def train_epoch(self, params, adam) -> float:
-        train_mean, _ = self._walk(training=True, params=params, adam=adam)
-        return train_mean
+        return self._walk(self.train_mask, params, adam)
 
     def val_loss(self) -> float:
-        _, val_mean = self._walk(training=False)
-        return val_mean
+        return self._walk(self.val_mask)
 
 
 # -- serialization -----------------------------------------------------------------
@@ -383,6 +368,9 @@ def load_model(path) -> FlowModel:
                         np.random.default_rng(0), model_id=header["model_id"])
     if header["norm_stats"] is not None:
         model.norm_stats = tuple(np.asarray(s, dtype=np.float64) for s in header["norm_stats"])
+        bad = np.nonzero(~np.isfinite(np.stack(model.norm_stats)))[1]
+        if bad.size:
+            raise SerializationError(f"{path}: non-finite norm_stats for channel {bad[0]}")
     params = model.parameters()
     if [p.name for p in params] != [entry["name"] for entry in header["params"]]:
         raise SerializationError(f"{path}: parameter list does not match the declared architecture")
@@ -393,7 +381,6 @@ def load_model(path) -> FlowModel:
         if end > len(raw):
             raise SerializationError(f"{path}: truncated parameter data at {p.name!r}")
         p.value = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy()
-        p.grad = np.zeros_like(p.value)
         offset = end
     if offset != len(raw):
         raise SerializationError(f"{path}: {len(raw) - offset} trailing bytes")

@@ -235,6 +235,7 @@ def test_a06_cma_es():
            f"sphere {successes}/10 seeds, rank-invariance {invariant}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_a07_desk_scale_detection():
     start = time.perf_counter()
     anomalies = [("spike", 1, 5.0), ("platform", 25, 0.25), ("spike", 1, 4.0)]
@@ -246,6 +247,7 @@ def test_a07_desk_scale_detection():
            f"AUCs {[round(a, 3) for a in aucs]}, median {median:.3f}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_a08_conditioning_benefit():
     start = time.perf_counter()
     anomalies = [("platform", 30, 0.25), ("pattern", 40, 2.2), ("platform", 30, -0.2)]

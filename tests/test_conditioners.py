@@ -207,6 +207,20 @@ class TestStatefulEncoder:
             stateful.encode_step(np.zeros(2), handle, t)
         assert handle.steps_done == 5
 
+    def test_block_step_equals_single_row_steps(self):
+        _, stateful = self._pair()
+        values = series(7, 2, seed=13)
+        single, block = stateful.new_handle(), stateful.new_handle()
+        rows = np.vstack([stateful.encode_step(values[t], single, t).value for t in range(7)])
+        first = stateful.encode_step(values[:3], block, 0)
+        assert first.value.shape == (3, stateful.hidden) and block.steps_done == 3
+        rest = stateful.encode_step(values[3:], block, 3)
+        assert block.steps_done == 7
+        np.testing.assert_array_equal(np.vstack([first.value, rest.value]), rows)
+        for (h1, c1), (h2, c2) in zip(single.states, block.states):
+            np.testing.assert_array_equal(h1.value, h2.value)
+            np.testing.assert_array_equal(c1.value, c2.value)
+
     def test_two_handles_same_stream_agree(self):
         _, stateful = self._pair(seed=21)
         values = series(6, 2, seed=22)

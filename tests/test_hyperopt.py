@@ -191,6 +191,14 @@ class TestRunSearch:
             assert np.isnan(t.auc) and np.isnan(t.vus) and np.isnan(t.val_loss)
         assert np.isfinite(result.best_trial.fitness)
 
+    def test_search_with_no_finite_trial_fails_before_refit(self):
+        # lookbacks up to 250 leave no train/validation split of 300 steps
+        train = dt.generate_synthetic("sine", 300, 2, noise=0.1, seed=0)
+        with pytest.raises(dt.DataError, match="all 9 candidates failed"):
+            run_search(train, None, "tcnf-base", "val-loss", budget=9, seed=0,
+                       candidate_cfg=TrainConfig(epochs=1, patience=1), final_epochs=1,
+                       lookback_max=250)
+
     def test_candidate_fitness_equals_chained_train_score_evaluate(self):
         # the search's internal evaluation must match running the pipeline
         # stages by hand with the same hyperparameters and derived seed

@@ -69,6 +69,22 @@ class TestScoreSeries:
         ds = zero_dataset(23)
         assert score_series(model, ds).scores.shape == (23,)
 
+    @pytest.mark.parametrize("n_steps", [1, 4, 5, 6, 13])
+    def test_stateful_scores_match_per_row_reference_walk(self, n_steps):
+        # lookback 5: series shorter than, equal to and not a multiple of it
+        model = build_model_with_encoder(
+            2, 2, EncoderConfig("lstm-stateful", lookback=5, lstm_layers=2), seed=7)
+        randomize_model(model, np.random.default_rng(8), scale=0.3)
+        values = np.random.default_rng(9).normal(size=(n_steps, 2))
+        ds = dt.TimeSeriesDataset(values, norm_stats=(np.full(2, -1.0), np.full(2, 1.0)))
+        stream = np.vstack([values[:1], values[:-1]])
+        handle = model.encoder.new_handle()
+        expected = []
+        for t in range(n_steps):
+            w = model.encoder.encode_step(stream[t], handle, t)
+            expected.append(-model.log_prob(values[t : t + 1], w)[0])
+        np.testing.assert_allclose(score_series(model, ds).scores, expected, rtol=1e-12, atol=0)
+
     def test_trained_model_peaks_inside_injected_spike_range(self):
         from tcflow.flow import ConditionerConfig, FlowConfig
         from tcflow.train import TrainConfig, train_model

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import build_model_with_encoder
+from helpers import build_model_with_encoder, randomize_model
 
 from tcflow import diffcore as dc
 from tcflow import data as dt
@@ -13,6 +13,7 @@ from tcflow.train import (
     SerializationError,
     TrainConfig,
     TrainingDiverged,
+    _StatefulRunner,
     adam_step,
     load_model,
     save_model,
@@ -167,6 +168,59 @@ class TestTrainModel:
         assert model.encoder.kind == "lstm-stateful"
 
 
+class TestStatefulChunks:
+    """The stateful path runs the flow once per chunk; these pin it to the
+    per-row construction of acceptance a02 (one flow call per timestep)."""
+
+    def _model(self):
+        model = build_model_with_encoder(
+            2, 2, EncoderConfig("lstm-stateful", lookback=5, lstm_layers=2), seed=3)
+        randomize_model(model, np.random.default_rng(4), scale=0.3)
+        return model
+
+    @staticmethod
+    def _per_row_nll(model, stream, targets, pick):
+        encoder = model.encoder
+        handle = encoder.new_handle()
+        terms = []
+        for t in range(stream.shape[0]):
+            w = encoder.encode_step(stream[t], handle, t)
+            if pick[t]:
+                terms.append(dc.neg(model.log_prob_nodes(targets[t : t + 1], w)))
+        return dc.mean(dc.concat(terms, axis=0))
+
+    def test_chunk_loss_and_gradients_match_per_row_construction(self):
+        model = self._model()
+        rng = np.random.default_rng(5)
+        stream, targets = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+        pick = np.array([True, False, True, True, False])
+
+        contexts = model.encoder.encode_step(stream, model.encoder.new_handle(), 0)
+        chunked = nll_loss(model, targets[pick], contexts[pick])
+        chunk_grads = dc.backward(chunked)
+        per_row = self._per_row_nll(model, stream, targets, pick)
+        row_grads = dc.backward(per_row)
+
+        np.testing.assert_allclose(chunked.value, per_row.value, rtol=1e-12, atol=0)
+        assert chunk_grads.keys() == row_grads.keys() == {p.name for p in model.parameters()}
+        for name, grad in row_grads.items():
+            np.testing.assert_allclose(chunk_grads[name], grad, rtol=1e-10, atol=0, err_msg=name)
+
+    @pytest.mark.parametrize("n_steps", [10, 13, 16])
+    def test_validation_loss_matches_per_row_walk(self, n_steps):
+        # lookback 5: 10 rows fill whole chunks, 13 and 16 end on a partial
+        # one; the validation rows start inside a chunk
+        model = self._model()
+        values = np.random.default_rng(6).normal(size=(n_steps, 2))
+        stream = np.vstack([values[:1], values[:-1]])
+        val = np.zeros(n_steps, dtype=bool)
+        val[7:] = True
+        runner = _StatefulRunner(model, values, np.arange(7), np.arange(7, n_steps),
+                                 TrainConfig(), np.random.default_rng(0))
+        expected = float(self._per_row_nll(model, stream, values, val).value)
+        np.testing.assert_allclose(runner.val_loss(), expected, rtol=1e-12, atol=0)
+
+
 class TestSerialization:
     def _trained(self, tmp_path, encoder_kind="passthrough"):
         ds = prepared_sine(300)
@@ -206,6 +260,13 @@ class TestSerialization:
         patched = raw.replace(b'"format_version": 1', b'"format_version": 9', 1)
         path.write_bytes(patched)
         with pytest.raises(SerializationError, match=r"9.*expected 1"):
+            load_model(path)
+
+    def test_non_finite_norm_stats_rejected_with_channel(self, tmp_path):
+        model, path, _ = self._trained(tmp_path)
+        model.norm_stats = (model.norm_stats[0], np.array([model.norm_stats[1][0], np.nan]))
+        save_model(model, path)
+        with pytest.raises(SerializationError, match="non-finite norm_stats for channel 1"):
             load_model(path)
 
     def test_garbage_file_rejected(self, tmp_path):
