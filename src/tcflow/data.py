@@ -12,6 +12,8 @@ training window can touch validation targets.
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -90,32 +92,38 @@ def load_csv(path, has_labels: bool = False) -> TimeSeriesDataset:
     column must be 0/1 and becomes the label vector. A non-numeric first row
     is treated as a header of channel names. Every other cell must be a
     finite number."""
+    # row by row: a list of every row's fields, thrown away per call,
+    # fragments the heap so that peak memory grows with each call
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header: list[str] | None = None
-    try:
-        [float(cell) for cell in rows[0]]
-    except ValueError:
-        header = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise DataError(f"{path}: header but no data rows")
-    width = len(rows[0])
-    values = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"{path}: ragged row {i + 1} has {len(row)} cells, expected {width}")
-        for j, cell in enumerate(row):
-            try:
-                values[i, j] = float(cell)
-            except ValueError:
-                raise DataError(f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: {cell!r}") from None
-    bad_rows, bad_cols = np.nonzero(~np.isfinite(values))
-    if bad_rows.size:
-        i, j = bad_rows[0], bad_cols[0]
-        raise DataError(f"{path}: non-finite cell at row {i + 1}, column {j + 1}: {rows[i][j]!r}")
+        rows = (row for row in csv.reader(fh) if row)
+        first = next(rows, None)
+        if first is None:
+            raise DataError(f"{path}: empty file")
+        header: list[str] | None = None
+        try:
+            [float(cell) for cell in first]
+        except ValueError:
+            header = [cell.strip() for cell in first]
+            first = next(rows, None)
+            if first is None:
+                raise DataError(f"{path}: header but no data rows")
+        width = len(first)
+        cells: list[float] = []
+        non_finite = None
+        for i, row in enumerate(itertools.chain([first], rows)):
+            if len(row) != width:
+                raise DataError(f"{path}: ragged row {i + 1} has {len(row)} cells, expected {width}")
+            for j, cell in enumerate(row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: {cell!r}") from None
+                if non_finite is None and not math.isfinite(value):
+                    non_finite = f"row {i + 1}, column {j + 1}: {cell!r}"
+                cells.append(value)
+    if non_finite is not None:
+        raise DataError(f"{path}: non-finite cell at {non_finite}")
+    values = np.array(cells).reshape(-1, width)
     labels = None
     if has_labels:
         if width < 2:

@@ -135,7 +135,7 @@ class CouplingLayer:
                 rng: np.random.Generator | None = None) -> tuple[Node, Node]:
         """Base-to-data direction: returns (x, per-row log|det J|) with
         log-det equal to the row sum of the effective scale."""
-        self._check(u, context)
+        self._check(u, context, (self.dim,))
         u1 = u[:, : self.split]
         u2 = u[:, self.split :]
         log_scale, shift = self._scale_shift(u1, context, training, rng)
@@ -143,18 +143,21 @@ class CouplingLayer:
         return dc.concat([u1, x2], axis=1), dc.sum_(log_scale, axis=1)
 
     def inverse(self, x: Node, context: Node | None, training: bool = False,
-                rng: np.random.Generator | None = None) -> tuple[Node, Node]:
-        """Data-to-base direction; log-det is the negated forward one."""
-        self._check(x, context)
-        x1 = x[:, : self.split]
-        x2 = x[:, self.split :]
-        log_scale, shift = self._scale_shift(x1, context, training, rng)
-        u2 = dc.mul(dc.sub(x2, shift), dc.exp(dc.neg(log_scale)))
-        return dc.concat([x1, u2], axis=1), dc.neg(dc.sum_(log_scale, axis=1))
+                rng: np.random.Generator | None = None, swap: bool = False) -> Node:
+        """Data-to-base direction as one fused node (``dc.coupling_inverse``).
 
-    def _check(self, points: Node, context: Node | None):
-        if points.value.ndim != 2 or points.value.shape[1] != self.dim:
-            raise dc.ShapeError("coupling", points.value.shape, (self.dim,))
+        ``x`` is (batch, dim), or (batch, dim + 1) with a running log-det in
+        its last column. Returns (batch, dim + 1): the transformed points
+        (halves swapped when ``swap``), then the running log-det plus this
+        layer's, which is the negated forward one."""
+        self._check(x, context, (self.dim, self.dim + 1))
+        rate = self.cfg.dropout if training else 0.0
+        return dc.coupling_inverse(x, context, self.hidden, self.head_w, self.head_b,
+                                   self.scale_cap, rate, rng, swap)
+
+    def _check(self, points: Node, context: Node | None, widths: tuple[int, ...]):
+        if points.value.ndim != 2 or points.value.shape[1] not in widths:
+            raise dc.ShapeError("coupling", points.value.shape, widths)
         got_ctx = 0 if context is None else context.value.shape[1]
         if got_ctx != self.context_dim:
             raise dc.ShapeError("coupling context", (got_ctx,), (self.context_dim,))
@@ -214,15 +217,11 @@ class FlowModel:
         """
         x = points if isinstance(points, Node) else dc.constant(points)
         ctx = self._context_node(context)
-        total: Node | None = None
         for i in reversed(range(len(self.layers))):
-            x, log_det = self.layers[i].inverse(x, ctx, training, rng)
-            if np.isnan(x.value).any():
+            x = self.layers[i].inverse(x, ctx, training, rng, swap=i > 0)
+            if np.isnan(x.value[:, : self.dim]).any():
                 raise FlowNanError(i)
-            total = log_det if total is None else dc.add(total, log_det)
-            if i > 0:
-                x = _swap_halves(x)
-        return x, total
+        return x[:, : self.dim], x[:, self.dim]
 
     def latent(self, points, context=None) -> tuple[np.ndarray, np.ndarray]:
         """Evaluation-mode ``latent_nodes``, plain arrays in and out."""

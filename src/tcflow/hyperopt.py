@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -425,27 +426,23 @@ def run_search(
         workers = int(os.environ.get("TCFLOW_WORKERS", "1"))
 
     trials: list[Trial] = []
-    vectors: list[np.ndarray] = []
     used = 0
-    while used + opt.lam <= budget:
-        population = opt.ask()
-        arg_list = [
-            (vec, space, method, train_prepared, eval_prepared, objective,
-             metric_window, candidate_cfg, seed, used + i)
-            for i, vec in enumerate(population)
-        ]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_evaluate_candidate, arg_list))
-        else:
-            results = [_evaluate_candidate(a) for a in arg_list]
-        generation = opt.state.generation
-        for i, (vec, (fitness, auc, vus, val_loss)) in enumerate(zip(population, results)):
-            trials.append(Trial(generation, used + i, decode(vec, space),
-                                fitness, auc, vus, val_loss))
-            vectors.append(vec.copy())
-        opt.tell(population, np.array([r[0] for r in results]))
-        used += len(population)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        evaluate = map if pool is None else pool.map
+        while used + opt.lam <= budget:
+            population = opt.ask()
+            arg_list = [
+                (vec, space, method, train_prepared, eval_prepared, objective,
+                 metric_window, candidate_cfg, seed, used + i)
+                for i, vec in enumerate(population)
+            ]
+            results = list(evaluate(_evaluate_candidate, arg_list))
+            generation = opt.state.generation
+            for i, (vec, (fitness, auc, vus, val_loss)) in enumerate(zip(population, results)):
+                trials.append(Trial(generation, used + i, decode(vec, space),
+                                    fitness, auc, vus, val_loss))
+            opt.tell(population, np.array([r[0] for r in results]))
+            used += len(population)
 
     fitness = np.array([t.fitness for t in trials])
     if not np.isfinite(fitness).any():

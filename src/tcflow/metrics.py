@@ -40,15 +40,11 @@ def auc_roc(scores, labels) -> float:
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks, ties sharing the average of their span."""
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size)
     sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.concatenate([[True], sorted_scores[1:] != sorted_scores[:-1]]))
+    ends = np.concatenate([starts[1:], [scores.size]]) - 1
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -60,26 +56,20 @@ def range_labels(labels, width: int) -> np.ndarray:
         raise ValueError("buffer width must be >= 0")
     if width == 0 or not labels.any():
         return labels.astype(np.float64)
-    distance = _distance_to_true(labels)
+    return _buffer_weights(_distance_to_true(labels), width)
+
+
+def _buffer_weights(distance: np.ndarray, width: int) -> np.ndarray:
     return np.clip((width + 1.0 - distance) / (width + 1.0), 0.0, 1.0)
 
 
 def _distance_to_true(labels: np.ndarray) -> np.ndarray:
+    """Cells to the nearest True cell; more than ``labels.size`` without one."""
     n = labels.size
-    inf = float(n + 1)
-    forward = np.full(n, inf)
-    last = -inf
-    for i in range(n):
-        if labels[i]:
-            last = i
-        forward[i] = i - last
-    backward = np.full(n, inf)
-    nxt = inf * 2
-    for i in range(n - 1, -1, -1):
-        if labels[i]:
-            nxt = i
-        backward[i] = nxt - i
-    return np.minimum(forward, backward)
+    index = np.arange(n, dtype=np.float64)
+    last = np.maximum.accumulate(np.where(labels, index, -float(n + 1)))
+    following = np.minimum.accumulate(np.where(labels, index, 2.0 * (n + 1))[::-1])[::-1]
+    return np.minimum(index - last, following - index)
 
 
 def weighted_auc_roc(scores: np.ndarray, weights: np.ndarray) -> float:
@@ -109,10 +99,8 @@ def vus_roc(scores, labels, max_width: int) -> float:
         raise ValueError("max_width must be >= 0")
     if not labels.any() or labels.all():
         raise ValueError("vus_roc needs both classes present")
-    aucs = [
-        weighted_auc_roc(scores, range_labels(labels, w))
-        for w in range(max_width + 1)
-    ]
+    distance = _distance_to_true(labels)
+    aucs = [weighted_auc_roc(scores, _buffer_weights(distance, w)) for w in range(max_width + 1)]
     return float(np.mean(aucs))
 
 

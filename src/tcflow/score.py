@@ -45,15 +45,18 @@ class ScoreSeries:
 
 
 def load_score_csv(path) -> tuple[ScoreSeries, np.ndarray | None]:
+    # row by row: a list of every row's fields, thrown away per call,
+    # fragments the heap so that peak memory grows with each call
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    scores = np.array([float(r[1]) for r in body])
-    labels = None
-    if "label" in header:
-        col = header.index("label")
-        labels = np.array([int(r[col]) for r in body], dtype=bool)
-    return ScoreSeries(scores), labels
+        reader = csv.reader(fh)
+        header = next(reader)
+        col = header.index("label") if "label" in header else None
+        scores, labels = [], []
+        for row in reader:
+            scores.append(float(row[1]))
+            if col is not None:
+                labels.append(int(row[col]))
+    return ScoreSeries(np.array(scores)), None if col is None else np.array(labels, dtype=bool)
 
 
 def _latent_series(model: FlowModel, ds: TimeSeriesDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -107,16 +110,26 @@ def select_threshold(scores, labels=None, policy: str = "quantile", q: float = 0
     if policy == "best-f1":
         if labels is None:
             raise ValueError("best-f1 threshold selection requires labels")
-        from .metrics import precision_recall_f1
-
-        labels = np.asarray(labels, dtype=bool)
-        best_thr, best_f1 = float(scores.max()), -1.0
-        for thr in np.unique(scores):
-            _, _, f1 = precision_recall_f1(scores, labels, float(thr))
-            if f1 > best_f1:
-                best_f1, best_thr = f1, float(thr)
-        return best_thr
+        return _best_f1_threshold(scores, np.asarray(labels, dtype=bool))
     raise ValueError(f"unknown threshold policy {policy!r}")
+
+
+def _best_f1_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
+    """The unique score whose rule ``score >= threshold`` has the best F1,
+    the lowest such score on ties; precision, recall and F1 per threshold are
+    those of ``metrics.precision_recall_f1`` (a NaN score is never flagged)."""
+    thresholds, group = np.unique(scores, return_inverse=True)
+    counted = ~np.isnan(scores)
+
+    def at_or_above(rows):
+        return np.cumsum(np.bincount(group[rows], minlength=thresholds.size)[::-1])[::-1]
+
+    flagged, tp = at_or_above(counted), at_or_above(counted & labels)
+    precision = np.divide(tp, flagged, out=np.zeros(thresholds.size), where=flagged > 0)
+    recall = tp / max(int(labels.sum()), 1)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros(thresholds.size), where=both > 0)
+    return float(thresholds[int(np.argmax(f1))])
 
 
 def export_latent(model: FlowModel, ds: TimeSeriesDataset, path) -> None:

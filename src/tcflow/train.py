@@ -82,16 +82,36 @@ class TrainReport:
 
 
 class AdamState:
-    """First/second moment accumulators per parameter, by name."""
+    """Adam moments over one flat parameter buffer.
+
+    Construction packs ``params`` (``dc.pack``): ``values`` holds every
+    parameter and ``grads`` every gradient, each parameter's ``value`` and
+    ``grad`` being views in list order, and ``spans[i]`` is parameter i's
+    slice of both. ``m`` and ``v`` are the first and second moments, aligned
+    with ``values``.
+    """
 
     def __init__(self, params):
+        self.params = list(params)
+        self.values, self.grads = dc.pack(self.params)
+        sizes = np.array([p.value.size for p in self.params], dtype=np.intp)
+        starts = np.cumsum(sizes) - sizes
+        self.spans = [slice(lo, lo + size) for lo, size in zip(starts, sizes)]
+        # parameters of one size share a (count, size) gather index, so the
+        # per-parameter sums of the clip norm take one reduction per size
+        self.size_groups = []
+        for size in dict.fromkeys(sizes.tolist()):
+            members = np.flatnonzero(sizes == size)
+            self.size_groups.append((members, starts[members, None] + np.arange(size)))
         self.step = 0
-        self.m = {p.name: np.zeros_like(p.value) for p in params}
-        self.v = {p.name: np.zeros_like(p.value) for p in params}
+        self.m = np.zeros_like(self.values)
+        self.v = np.zeros_like(self.values)
+        # scratch for the update: a new buffer-sized temporary per op costs
+        # more than the arithmetic
+        self._work = np.empty((2, self.values.size))
 
 
 def adam_step(
-    params,
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
@@ -100,35 +120,58 @@ def adam_step(
     eps: float = 1e-8,
     clip_norm: float = 0.0,
 ) -> None:
-    """Bias-corrected Adam update in place, with optional global-norm clip."""
-    for p in params:
+    """Bias-corrected Adam update in place, with optional global-norm clip.
+
+    ``grads`` maps parameter names to gradients, as ``dc.backward`` returns
+    them; those are already the views into ``state.grads``, and any other
+    array is copied in. The NaN check, the moment and parameter updates and
+    the finite check each run once over the whole buffer. The clip norm adds
+    up per-parameter sums of squares in parameter order, as a loop over the
+    parameters would. A parameter missing from ``grads`` keeps its value and
+    its moments.
+    """
+    frozen = []
+    for p, span in zip(state.params, state.spans):
         g = grads.get(p.name)
         if g is None:
-            continue
-        if np.isnan(g).any():
-            raise FloatingPointError(f"NaN gradient for parameter {p.name!r}")
+            p.grad.fill(0.0)
+            frozen.append((span, state.values[span].copy(), state.m[span].copy(),
+                           state.v[span].copy()))
+        elif g is not p.grad:
+            p.grad[...] = g
+    g = state.grads
+    if np.isnan(g).any():
+        bad = next(p for p in state.params if np.isnan(p.grad).any())
+        raise FloatingPointError(f"NaN gradient for parameter {bad.name!r}")
+    a, b = state._work
     if clip_norm > 0:
-        total = np.sqrt(sum(float((grads[p.name] ** 2).sum()) for p in params if p.name in grads))
+        squares = np.multiply(g, g, out=a)
+        sums = np.empty(len(state.params))
+        for members, index in state.size_groups:
+            gathered = np.take(squares, index, out=b[: index.size].reshape(index.shape))
+            sums[members] = gathered.sum(axis=1)
+        total = np.sqrt(sum(sums.tolist()))
         if total > clip_norm:
-            scale = clip_norm / total
-            grads = {name: g * scale for name, g in grads.items()}
+            g = np.multiply(g, clip_norm / total, out=a)
     state.step += 1
     t = state.step
-    for p in params:
-        g = grads.get(p.name)
-        if g is None:
-            continue
-        m = state.m[p.name]
-        v = state.v[p.name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        if not np.isfinite(p.value).all():
-            raise FloatingPointError(f"non-finite values in parameter {p.name!r} after update")
+    # the arithmetic of m += (1 - beta1) * g, v += (1 - beta2) * g * g and
+    # values -= lr * m_hat / (sqrt(v_hat) + eps), one op at a time in place
+    m, v = state.m, state.v
+    m *= beta1
+    m += np.multiply(g, 1.0 - beta1, out=b)
+    v *= beta2
+    v += np.multiply(np.multiply(g, 1.0 - beta2, out=b), g, out=b)
+    m_hat = np.divide(m, 1.0 - beta1**t, out=a)
+    m_hat *= lr
+    denominator = np.sqrt(np.divide(v, 1.0 - beta2**t, out=b), out=b)
+    denominator += eps
+    state.values -= np.divide(m_hat, denominator, out=a)
+    for span, value, first, second in frozen:
+        state.values[span], m[span], v[span] = value, first, second
+    if not np.isfinite(state.values).all():
+        bad = next(p for p in state.params if not np.isfinite(p.value).all())
+        raise FloatingPointError(f"non-finite values in parameter {bad.name!r} after update")
 
 
 # -- training -------------------------------------------------------------------
@@ -179,14 +222,13 @@ def train_model(
     else:
         runner = _BatchedRunner(model, ds.values, lookback, train_idx, val_idx, train_cfg, rng)
 
-    params = model.parameters()
-    adam = AdamState(params)
+    adam = AdamState(model.parameters())
     report = TrainReport()
     best_val = np.inf
     best_snapshot = None
     since_best = 0
     for epoch in range(1, train_cfg.epochs + 1):
-        train_loss = runner.train_epoch(params, adam)
+        train_loss = runner.train_epoch(adam)
         val_loss = runner.val_loss()
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise TrainingDiverged(epoch - 1)
@@ -195,15 +237,14 @@ def train_model(
         if val_loss < best_val:
             best_val = val_loss
             report.best_epoch = epoch
-            best_snapshot = {p.name: p.value.copy() for p in params}
+            best_snapshot = adam.values.copy()
             since_best = 0
         else:
             since_best += 1
             if since_best >= train_cfg.patience:
                 break
     if best_snapshot is not None:
-        for p in params:
-            p.value = best_snapshot[p.name]
+        adam.values[:] = best_snapshot
     report.wall_time = time.perf_counter() - start
     return model, report
 
@@ -241,7 +282,7 @@ class _BatchedRunner:
             context_node = self.model.encoder.encode_batch(contexts, training=training, rng=self.rng)
         return nll_loss(self.model, targets, context_node, training=training, rng=self.rng)
 
-    def train_epoch(self, params, adam) -> float:
+    def train_epoch(self, adam) -> float:
         n = self.train_targets.shape[0]
         order = self.rng.permutation(n)
         total = 0.0
@@ -249,8 +290,7 @@ class _BatchedRunner:
             pick = order[lo : lo + self.cfg.batch_size]
             ctx = self.train_contexts[pick] if self.train_contexts is not None else None
             loss = self._loss(self.train_targets[pick], ctx, training=True)
-            grads = dc.backward(loss)
-            adam_step(params, grads, adam, self.cfg.learning_rate,
+            adam_step(dc.backward(loss), adam, self.cfg.learning_rate,
                       self.cfg.beta1, self.cfg.beta2, self.cfg.adam_eps, self.cfg.clip_norm)
             total += float(loss.value) * pick.size
         return total / n
@@ -286,7 +326,7 @@ class _StatefulRunner:
         self.cfg = cfg
         self.rng = rng
 
-    def _walk(self, mask, params=None, adam=None) -> float:
+    def _walk(self, mask, adam=None) -> float:
         """Mean NLL over the rows in ``mask``; trains when given ``adam``."""
         training = adam is not None
         handle = self.encoder.new_handle()
@@ -301,7 +341,7 @@ class _StatefulRunner:
                 loss = nll_loss(self.model, self.values[span][pick], contexts[pick],
                                 training=training, rng=self.rng)
                 if training:
-                    adam_step(params, dc.backward(loss), adam, self.cfg.learning_rate,
+                    adam_step(dc.backward(loss), adam, self.cfg.learning_rate,
                               self.cfg.beta1, self.cfg.beta2, self.cfg.adam_eps,
                               self.cfg.clip_norm)
                 total += float(loss.value) * int(pick.sum())
@@ -309,8 +349,8 @@ class _StatefulRunner:
         count = int(mask.sum())
         return total / count if count else np.nan
 
-    def train_epoch(self, params, adam) -> float:
-        return self._walk(self.train_mask, params, adam)
+    def train_epoch(self, adam) -> float:
+        return self._walk(self.train_mask, adam)
 
     def val_loss(self) -> float:
         return self._walk(self.val_mask)
@@ -372,16 +412,16 @@ def load_model(path) -> FlowModel:
         if bad.size:
             raise SerializationError(f"{path}: non-finite norm_stats for channel {bad[0]}")
     params = model.parameters()
-    if [p.name for p in params] != [entry["name"] for entry in header["params"]]:
+    if [(p.name, list(p.value.shape)) for p in params] != [
+            (entry["name"], entry["shape"]) for entry in header["params"]]:
         raise SerializationError(f"{path}: parameter list does not match the declared architecture")
-    for p, entry in zip(params, header["params"]):
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * count
-        if end > len(raw):
+    values, _ = dc.pack(params)
+    start = offset
+    for p in params:
+        offset += p.value.nbytes
+        if offset > len(raw):
             raise SerializationError(f"{path}: truncated parameter data at {p.name!r}")
-        p.value = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy()
-        offset = end
+    values[:] = np.frombuffer(raw, dtype="<f8", count=values.size, offset=start)
     if offset != len(raw):
         raise SerializationError(f"{path}: {len(raw) - offset} trailing bytes")
     return model

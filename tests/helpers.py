@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from tcflow import diffcore as dc
+
 
 def auc_pairwise_oracle(scores, labels):
     """O(n^2) pairwise counting with ties worth one half."""
@@ -66,3 +68,29 @@ def force_affine(layer, log_scale, shift):
     layer.head_b.value[:half] = 1.0
     layer.head_b.value[half:] = np.asarray(shift, dtype=float)
     layer.scale_cap.value[:] = np.asarray(log_scale, dtype=float) / np.tanh(1.0)
+
+
+def composed_inverse(layer, x, context, training=False, rng=None):
+    """Reference coupling inverse built from diffcore primitives: returns
+    ``([x1 | u2], per-row log-det)`` as graph nodes, the composition that
+    ``dc.coupling_inverse`` fuses into one node."""
+    x1 = x[:, : layer.split]
+    x2 = x[:, layer.split :]
+    log_scale, shift = layer._scale_shift(x1, context, training, rng)
+    u2 = dc.mul(dc.sub(x2, shift), dc.exp(dc.neg(log_scale)))
+    return dc.concat([x1, u2], axis=1), dc.neg(dc.sum_(log_scale, axis=1))
+
+
+def composed_latent(model, points, context=None, training=False, rng=None):
+    """Reference ``FlowModel.latent_nodes``: one ``composed_inverse`` per layer,
+    halves swapped between layers, log-dets summed in graph nodes."""
+    x = points if isinstance(points, dc.Node) else dc.constant(points)
+    ctx = model._context_node(context)
+    total = None
+    for i in reversed(range(len(model.layers))):
+        x, log_det = composed_inverse(model.layers[i], x, ctx, training, rng)
+        total = log_det if total is None else dc.add(total, log_det)
+        if i > 0:
+            half = model.dim // 2
+            x = dc.concat([x[:, half:], x[:, :half]], axis=1)
+    return x, total

@@ -2,11 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from helpers import force_affine, randomize_model, small_flow
+from helpers import (
+    build_model_with_encoder,
+    composed_inverse,
+    composed_latent,
+    force_affine,
+    randomize_model,
+    small_flow,
+)
 
 from tcflow import diffcore as dc
+from tcflow.conditioners import EncoderConfig
 from tcflow.flow import (
     FlowNanError,
+    _gaussian_log_density_nodes,
     gaussian_log_density,
     nll_loss,
 )
@@ -42,15 +51,15 @@ class TestCouplingLayer:
     def test_inverse_of_hand_example(self):
         model = small_flow(dim=2, n_layers=1)
         force_affine(model.layers[0], LN2, 1.0)
-        u, logdet = model.layers[0].inverse(as_node([0.0, 3.0]), None)
-        np.testing.assert_allclose(u.value, [[0.0, 1.0]], atol=1e-12)
-        np.testing.assert_allclose(logdet.value, [-LN2], atol=1e-12)
+        out = model.layers[0].inverse(as_node([0.0, 3.0]), None)
+        np.testing.assert_allclose(out.value[:, :2], [[0.0, 1.0]], atol=1e-12)
+        np.testing.assert_allclose(out.value[:, 2], [-LN2], atol=1e-12)
 
     def test_identity_inverse_is_identity(self):
         model = small_flow(dim=2, n_layers=1)
         x = np.array([[0.7, -0.4]])
-        u, _ = model.layers[0].inverse(as_node(x), None)
-        np.testing.assert_allclose(u.value, x)
+        out = model.layers[0].inverse(as_node(x), None)
+        np.testing.assert_allclose(out.value[:, :2], x)
 
     def test_round_trip_with_random_parameters(self):
         rng = np.random.default_rng(0)
@@ -60,9 +69,9 @@ class TestCouplingLayer:
         u = rng.normal(size=(5, 4))
         ctx = dc.constant(rng.normal(size=(5, 3)))
         x, fwd = layer.forward(dc.constant(u), ctx)
-        back, inv = layer.inverse(dc.constant(x.value), ctx)
-        np.testing.assert_allclose(back.value, u, atol=1e-9)
-        np.testing.assert_allclose(fwd.value, -inv.value, atol=1e-12)
+        back = layer.inverse(dc.constant(x.value), ctx)
+        np.testing.assert_allclose(back.value[:, :4], u, atol=1e-9)
+        np.testing.assert_allclose(fwd.value, -back.value[:, 4], atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         model = small_flow(dim=4, n_layers=1)
@@ -241,3 +250,111 @@ class TestGradients:
 
         err = dc.finite_diff_check(loss, model.parameters(), epsilon=1e-5)
         assert err < 1e-4
+
+
+class TestFusedCoupling:
+    """``CouplingLayer.inverse`` is one fused node; the composition of
+    primitives in ``helpers.composed_inverse`` is its reference. Values and
+    gradients must be equal, not merely close."""
+
+    @staticmethod
+    def _values_and_grads(build, model, x, ctx_values, training):
+        ctx = None if ctx_values is None else dc.Parameter(ctx_values.copy(), "ctx")
+        latent, log_det = build(model, x, ctx, training, np.random.default_rng(11))
+        loss = dc.mean(dc.neg(dc.add(_gaussian_log_density_nodes(latent), log_det)))
+        grads = {name: g.copy() for name, g in dc.backward(loss).items()}
+        return latent.value, log_det.value, loss.value, grads
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+    @pytest.mark.parametrize("dim,n_layers,context_dim,cond_layers", [
+        (2, 1, 0, 3), (4, 3, 3, 4), (6, 4, 5, 5), (8, 12, 2, 3),
+    ])
+    def test_stack_matches_composed_primitives(self, training, dim, n_layers, context_dim,
+                                               cond_layers):
+        rng = np.random.default_rng(dim * 100 + n_layers)
+        model = small_flow(dim=dim, n_layers=n_layers, context_dim=context_dim,
+                           multiplier=3, cond_layers=cond_layers, seed=dim)
+        randomize_model(model, rng)
+        x = rng.normal(size=(37, dim))
+        ctx = rng.normal(size=(37, context_dim)) if context_dim else None
+
+        fused = self._values_and_grads(
+            lambda m, *a: m.latent_nodes(*a), model, x, ctx, training)
+        reference = self._values_and_grads(composed_latent, model, x, ctx, training)
+
+        for got, want in zip(fused[:3], reference[:3]):
+            np.testing.assert_array_equal(got, want)
+        expected = {p.name for p in model.parameters()} | ({"ctx"} if context_dim else set())
+        assert fused[3].keys() == reference[3].keys() == expected
+        for name, grad in reference[3].items():
+            np.testing.assert_array_equal(fused[3][name], grad, err_msg=name)
+
+    def test_dropout_masks_drawn_as_by_the_composition(self):
+        model = small_flow(dim=4, n_layers=2, context_dim=2, dropout=0.5)
+        randomize_model(model, np.random.default_rng(3))
+        x = dc.constant(np.random.default_rng(4).normal(size=(9, 4)))
+        ctx = dc.constant(np.random.default_rng(5).normal(size=(9, 2)))
+        fused_rng, reference_rng = np.random.default_rng(6), np.random.default_rng(6)
+        out = model.layers[0].inverse(x, ctx, True, fused_rng)
+        points, log_det = composed_inverse(model.layers[0], x, ctx, True, reference_rng)
+        np.testing.assert_array_equal(out.value[:, :4], points.value)
+        np.testing.assert_array_equal(out.value[:, 4], log_det.value)
+        assert fused_rng.random() == reference_rng.random()
+
+    def test_finite_differences_through_stack_with_mlp_encoder(self):
+        rng = np.random.default_rng(21)
+        model = build_model_with_encoder(
+            2, 3, EncoderConfig("mlp", lookback=3, mlp_layers=3), seed=2, multiplier=1)
+        randomize_model(model, rng, scale=0.3)
+        x = rng.normal(size=(4, 2))
+        windows = rng.normal(size=(4, 3, 2))
+
+        def loss():
+            return nll_loss(model, x, model.encoder.encode_batch(windows))
+
+        assert any(p.name.startswith("encoder.") for p in model.parameters())
+        assert dc.finite_diff_check(loss, model.parameters(), epsilon=1e-5) < 1e-4
+
+    def test_nan_from_a_middle_layer_names_that_layer(self):
+        model = small_flow(dim=2, n_layers=3)
+        model.layers[1].head_b.value[:] = np.nan
+        with pytest.raises(FlowNanError) as excinfo:
+            model.log_prob(np.array([[0.3, -0.1]]))
+        assert excinfo.value.layer_index == 1
+
+    def test_fused_inverse_then_composed_forward_round_trips(self):
+        rng = np.random.default_rng(8)
+        model = small_flow(dim=4, n_layers=1, context_dim=3)
+        randomize_model(model, rng)
+        layer = model.layers[0]
+        x = rng.normal(size=(6, 4))
+        ctx = dc.constant(rng.normal(size=(6, 3)))
+        inverted = layer.inverse(dc.constant(x), ctx)
+        back, fwd = layer.forward(dc.constant(inverted.value[:, :4]), ctx)
+        np.testing.assert_allclose(back.value, x, atol=1e-9)
+        np.testing.assert_allclose(fwd.value, -inverted.value[:, 4], atol=1e-12)
+
+    def test_builds_one_node_per_layer(self):
+        model = small_flow(dim=4, n_layers=5, context_dim=2)
+        ctx = dc.constant(np.zeros((3, 2)))
+        latent, log_det = model.latent_nodes(np.zeros((3, 4)), ctx, True,
+                                             np.random.default_rng(0))
+        ops = [node.op for node in dc._topo_order(dc.sum_(log_det))
+               if not isinstance(node, dc.Parameter)]
+        assert ops.count("coupling") == 5
+        assert len(ops) == 5 + 4  # input, context, log-det slice and the sum
+
+    def test_dropped_graph_is_freed_without_cycle_collection(self):
+        import gc
+
+        model = small_flow(dim=4, n_layers=3, context_dim=2)
+        gc.collect()
+        gc.disable()
+        try:
+            ctx = dc.constant(np.ones((5, 2)))
+            loss = nll_loss(model, np.ones((5, 4)), ctx, True, np.random.default_rng(0))
+            dc.backward(loss)
+            del loss, ctx
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -191,6 +191,33 @@ class TestRunSearch:
             assert np.isnan(t.auc) and np.isnan(t.vus) and np.isnan(t.val_loss)
         assert np.isfinite(result.best_trial.fitness)
 
+    def test_two_workers_write_the_same_trials_as_one(self, tmp_path, monkeypatch):
+        # two generations share one pool of two processes
+        import tcflow.hyperopt as hyperopt
+
+        pools = []
+
+        class CountedPool(hyperopt.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(hyperopt, "ProcessPoolExecutor", CountedPool)
+        train, labeled = self._datasets()
+        rows = []
+        for workers in (1, 2):
+            result = run_search(
+                train, labeled, "tcnf-base", "labeled-30-70", budget=18, seed=3,
+                candidate_cfg=TrainConfig(epochs=1, batch_size=128, patience=1),
+                final_epochs=1, lookback_max=8, workers=workers,
+            )
+            path = tmp_path / f"trials-{workers}.csv"
+            result.trials_csv(path)
+            rows.append(path.read_text())
+        assert pools == [2]
+        assert len(rows[0].splitlines()) == 2 + 18
+        assert rows[0] == rows[1]
+
     def test_search_with_no_finite_trial_fails_before_refit(self):
         # lookbacks up to 250 leave no train/validation split of 300 steps
         train = dt.generate_synthetic("sine", 300, 2, noise=0.1, seed=0)

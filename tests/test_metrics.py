@@ -36,6 +36,69 @@ def weighted_auc_sweep_oracle(scores, weights):
     return area
 
 
+def average_ranks_loop(scores):
+    """The tie-group walk ``_average_ranks`` replaced: exact oracle."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def distance_to_true_loop(labels):
+    """The two sweeps ``_distance_to_true`` replaced: exact oracle."""
+    n = labels.size
+    inf = float(n + 1)
+    forward = np.full(n, inf)
+    last = -inf
+    for i in range(n):
+        if labels[i]:
+            last = i
+        forward[i] = i - last
+    backward = np.full(n, inf)
+    nxt = inf * 2
+    for i in range(n - 1, -1, -1):
+        if labels[i]:
+            nxt = i
+        backward[i] = nxt - i
+    return np.minimum(forward, backward)
+
+
+class TestVectorizedHelpers:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_average_ranks_equal_tie_group_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 9, 300):
+            scores = rng.integers(0, 5, n).astype(float) if seed % 2 else rng.normal(size=n)
+            if seed == 4:
+                scores[rng.random(n) < 0.2] = np.nan
+            np.testing.assert_array_equal(mx._average_ranks(scores), average_ranks_loop(scores))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_distance_to_true_equals_sweeps(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 9, 300):
+            labels = rng.random(n) < (0.0 if n == 9 else 0.1)
+            np.testing.assert_array_equal(mx._distance_to_true(labels),
+                                          distance_to_true_loop(labels))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_vus_equals_mean_of_per_width_range_labels(self, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.normal(size=500)
+        labels = np.zeros(500, dtype=bool)
+        labels[[40, 41, 42, 300, 480]] = True
+        expected = float(np.mean([mx.weighted_auc_roc(scores, mx.range_labels(labels, w))
+                                  for w in range(13)]))
+        assert mx.vus_roc(scores, labels, 12) == expected
+
+
 class TestAucRoc:
     def test_perfect_separation(self):
         assert mx.auc_roc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]) == 1.0

@@ -127,6 +127,32 @@ class TestSelectThreshold:
             select_threshold(np.arange(4.0), policy="best-f1")
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_best_f1_equals_per_threshold_loop(self, seed):
+        # the loop over every unique score is the exact oracle, ties and NaN
+        # scores included
+        from tcflow.metrics import precision_recall_f1
+
+        def oracle(scores, labels):
+            best_thr, best_f1 = float(scores.max()), -1.0
+            for thr in np.unique(scores):
+                _, _, f1 = precision_recall_f1(scores, labels, float(thr))
+                if f1 > best_f1:
+                    best_f1, best_thr = f1, float(thr)
+            return best_thr
+
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 7, 60, 400):
+            scores = (rng.integers(0, 6, n).astype(float) if seed % 2
+                      else rng.normal(size=n))
+            if seed == 4:
+                scores[rng.random(n) < 0.1] = np.nan
+            labels = rng.random(n) < 0.2
+            got = select_threshold(scores, labels, policy="best-f1")
+            want = oracle(scores, labels)
+            assert got == want or (np.isnan(got) and np.isnan(want))
+
+
 class TestExportLatent:
     def test_identity_model_latent_equals_input(self, tmp_path):
         # with one layer there is no half-swap, so fresh parameters give the

@@ -37,21 +37,21 @@ class TestAdam:
     def test_zero_gradient_is_a_fixed_point(self):
         p = self._param([1.0, -2.0])
         state = AdamState([p])
-        adam_step([p], {"p": np.zeros(2)}, state, lr=1e-3)
+        adam_step({"p": np.zeros(2)}, state, lr=1e-3)
         np.testing.assert_array_equal(p.value, [1.0, -2.0])
 
     def test_first_step_matches_hand_computation(self):
         # bias correction makes the first update -lr * g/(|g| + eps)
         p = self._param([0.0])
         state = AdamState([p])
-        adam_step([p], {"p": np.ones(1)}, state, lr=1e-3)
+        adam_step({"p": np.ones(1)}, state, lr=1e-3)
         assert p.value[0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_parameter_groups_updated_independently(self):
         a = self._param([0.0], "a")
         b = self._param([0.0], "b")
         state = AdamState([a, b])
-        adam_step([a, b], {"a": np.ones(1), "b": np.zeros(1)}, state, lr=1e-3)
+        adam_step({"a": np.ones(1), "b": np.zeros(1)}, state, lr=1e-3)
         assert a.value[0] != 0.0
         assert b.value[0] == 0.0
 
@@ -59,16 +59,157 @@ class TestAdam:
         p = self._param([0.0], "w3")
         state = AdamState([p])
         with pytest.raises(FloatingPointError, match="w3"):
-            adam_step([p], {"w3": np.array([np.nan])}, state, lr=1e-3)
+            adam_step({"w3": np.array([np.nan])}, state, lr=1e-3)
 
     def test_global_norm_clip_rescales(self):
         p = self._param(np.zeros(4))
         state = AdamState([p])
         big = np.full(4, 100.0)
-        adam_step([p], {"p": big}, state, lr=1.0, clip_norm=1.0)
+        adam_step({"p": big}, state, lr=1.0, clip_norm=1.0)
         # after clipping, every coordinate sees the same (scaled) gradient
         assert np.isfinite(p.value).all()
         assert np.allclose(p.value, p.value[0])
+
+
+def _per_parameter_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8,
+                        clip_norm=0.0):
+    """Reference: the Adam update one parameter at a time (moments by name)."""
+    if clip_norm > 0:
+        total = np.sqrt(sum(float((grads[p.name] ** 2).sum()) for p in params if p.name in grads))
+        if total > clip_norm:
+            grads = {name: g * (clip_norm / total) for name, g in grads.items()}
+    for p in params:
+        g = grads.get(p.name)
+        if g is None:
+            continue
+        m[p.name] *= beta1
+        m[p.name] += (1.0 - beta1) * g
+        v[p.name] *= beta2
+        v[p.name] += (1.0 - beta2) * g * g
+        m_hat = m[p.name] / (1.0 - beta1**t)
+        v_hat = v[p.name] / (1.0 - beta2**t)
+        p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+class TestFlatBuffer:
+    # b1 and b2 share a size: the clip norm sums them in one gathered group
+    SHAPES = {"w1": (7, 5), "b1": (5,), "w2": (5, 5), "b2": (5,), "w3": (5, 3), "cap": (3,)}
+
+    def _pair(self):
+        rng = np.random.default_rng(0)
+        values = {name: rng.normal(size=shape) for name, shape in self.SHAPES.items()}
+        flat = [dc.Parameter(values[name].copy(), name) for name in self.SHAPES]
+        loop = [dc.Parameter(values[name].copy(), name) for name in self.SHAPES]
+        return flat, loop
+
+    @staticmethod
+    def _assert_one_buffer(params):
+        base = params[0].value.base
+        assert base is not None and base.ndim == 1
+        size = 0
+        for p in params:
+            assert p.value.base is base, p.name
+            size += p.value.size
+        assert base.size == size
+
+    def test_flat_adam_equals_per_parameter_loop_with_clipping(self):
+        flat, loop = self._pair()
+        state = AdamState(flat)
+        m = {p.name: np.zeros_like(p.value) for p in loop}
+        v = {p.name: np.zeros_like(p.value) for p in loop}
+        rng = np.random.default_rng(1)
+        clipped = 0
+        for t in range(1, 21):
+            scale = 3.0 if t % 3 else 0.1
+            grads = {name: rng.normal(size=shape) * scale for name, shape in self.SHAPES.items()}
+            clipped += np.sqrt(sum(float((g**2).sum()) for g in grads.values())) > 5.0
+            adam_step(grads, state, lr=1e-2, clip_norm=5.0)
+            _per_parameter_adam(loop, grads, m, v, t, lr=1e-2, clip_norm=5.0)
+            for a, b in zip(flat, loop):
+                np.testing.assert_array_equal(a.value, b.value, err_msg=f"{a.name} step {t}")
+        assert 0 < clipped < 20
+        for p, span in zip(flat, state.spans):
+            np.testing.assert_array_equal(state.m[span], m[p.name].ravel())
+            np.testing.assert_array_equal(state.v[span], v[p.name].ravel())
+
+    def test_gradients_from_backward_are_views_of_the_buffer(self):
+        flat, loop = self._pair()
+        state = AdamState(flat)
+        x = dc.constant(np.random.default_rng(2).normal(size=(4, 7)))
+
+        def loss(params):
+            w1, b1, w2, b2, w3, cap = params
+            h = dc.tanh(dc.add(dc.matmul(x, w1), b1))
+            h = dc.tanh(dc.add(dc.matmul(h, w2), b2))
+            return dc.sum_(dc.mul(dc.matmul(h, w3), cap))
+
+        m = {p.name: np.zeros_like(p.value) for p in loop}
+        v = {p.name: np.zeros_like(p.value) for p in loop}
+        for t in range(1, 4):
+            grads = dc.backward(loss(flat))
+            for p in flat:
+                assert grads[p.name] is p.grad and np.shares_memory(p.grad, state.grads)
+            adam_step(grads, state, lr=0.1, clip_norm=1.0)
+            _per_parameter_adam(loop, dc.backward(loss(loop)), m, v, t, lr=0.1, clip_norm=1.0)
+            for a, b in zip(flat, loop):
+                np.testing.assert_array_equal(a.value, b.value, err_msg=a.name)
+
+    def test_unreached_parameter_keeps_value_and_moments(self):
+        flat, _ = self._pair()
+        state = AdamState(flat)
+        ones = {name: np.ones(shape) for name, shape in self.SHAPES.items()}
+        adam_step(ones, state, lr=1e-2)
+        frozen = state.spans[1]
+        before = state.values[frozen].copy(), state.m[frozen].copy(), state.v[frozen].copy()
+        others = state.values.copy()
+        adam_step({name: g for name, g in ones.items() if name != "b1"}, state, lr=1e-2)
+        np.testing.assert_array_equal(state.values[frozen], before[0])
+        np.testing.assert_array_equal(state.m[frozen], before[1])
+        np.testing.assert_array_equal(state.v[frozen], before[2])
+        assert (state.values[state.spans[0]] != others[state.spans[0]]).all()
+
+    def test_nan_gradient_names_its_parameter_among_many(self):
+        flat, _ = self._pair()
+        state = AdamState(flat)
+        grads = {name: np.zeros(shape) for name, shape in self.SHAPES.items()}
+        grads["w2"][1, 2] = np.nan
+        with pytest.raises(FloatingPointError, match="'w2'"):
+            adam_step(grads, state, lr=1e-3)
+
+    @pytest.mark.parametrize("kind", ["none", "mlp", "lstm-stateful"])
+    def test_parameters_are_views_of_one_buffer_after_training_and_loading(self, kind, tmp_path):
+        ds = prepared_sine(200, seed=1)
+        model, report = train_model(ds, EncoderConfig(kind, lookback=4), small_cfgs(),
+                                    TrainConfig(epochs=3, seed=0))
+        self._assert_one_buffer(model.parameters())
+        path = tmp_path / "model.tcf"
+        save_model(model, path)
+        loaded = load_model(path)
+        self._assert_one_buffer(loaded.parameters())
+        for a, b in zip(model.parameters(), loaded.parameters()):
+            np.testing.assert_array_equal(a.value, b.value)
+
+    def test_restore_writes_the_best_epoch_into_the_buffer(self, monkeypatch):
+        # record the buffer's values at each epoch's validation; the model
+        # returned must hold the best epoch's, in the same buffer
+        import tcflow.train as train_module
+
+        seen = []
+        original = train_module._BatchedRunner.val_loss
+
+        def val_loss(runner):
+            seen.append(np.concatenate([p.value.ravel() for p in runner.model.parameters()]))
+            return original(runner)
+
+        monkeypatch.setattr(train_module._BatchedRunner, "val_loss", val_loss)
+        ds = prepared_sine(300, seed=4)
+        model, report = train_model(ds, EncoderConfig("passthrough", lookback=4), small_cfgs(),
+                                    TrainConfig(epochs=6, learning_rate=0.3, seed=1))
+        assert report.best_epoch < len(report.val_losses)
+        self._assert_one_buffer(model.parameters())
+        np.testing.assert_array_equal(
+            np.concatenate([p.value.ravel() for p in model.parameters()]),
+            seen[report.best_epoch - 1])
 
 
 class TestTrainModel:
@@ -260,6 +401,19 @@ class TestSerialization:
         patched = raw.replace(b'"format_version": 1', b'"format_version": 9', 1)
         path.write_bytes(patched)
         with pytest.raises(SerializationError, match=r"9.*expected 1"):
+            load_model(path)
+
+    def test_declared_shape_must_match_architecture(self, tmp_path):
+        # same element count, other shape: reading it would scramble the layer
+        model, path, _ = self._trained(tmp_path)
+        rows, cols = model.layers[0].hidden[0][0].value.shape
+        assert rows != cols
+        declared = f'"name": "layer0.h0.w", "shape": [{rows}, {cols}]'.encode()
+        raw = path.read_bytes()
+        assert declared in raw
+        path.write_bytes(raw.replace(declared, declared.replace(
+            f"[{rows}, {cols}]".encode(), f"[{cols}, {rows}]".encode())))
+        with pytest.raises(SerializationError, match="does not match the declared architecture"):
             load_model(path)
 
     def test_non_finite_norm_stats_rejected_with_channel(self, tmp_path):
