@@ -3,7 +3,7 @@ anomaly detection: train a conditional density model on normal data, score
 new points by negative log-likelihood, evaluate with AUC/VUS, and tune
 hyperparameters with CMA-ES."""
 
-from .conditioners import EncoderConfig, build_encoder, make_windows
+from .conditioners import EncoderConfig, build_encoder
 from .data import (
     AnomalySpec,
     TimeSeriesDataset,
@@ -46,7 +46,6 @@ __all__ = [
     "inject_anomaly",
     "load_csv",
     "load_model",
-    "make_windows",
     "nll_loss",
     "normalize_minmax",
     "normalize_with_stats",

@@ -24,6 +24,7 @@ from .flow import ConditionerConfig, FlowConfig
 from .hyperopt import (
     CANDIDATE_EPOCHS,
     CANDIDATE_PATIENCE,
+    FINAL_EPOCHS,
     LOOKBACK_MAX,
     METHOD_ENCODERS,
     OBJECTIVES,
@@ -66,12 +67,12 @@ DEFAULTS = {
         **{f"cond_{name}": value for name, value in _field_defaults(ConditionerConfig).items()},
     },
     "encoder": _field_defaults(EncoderConfig, skip=("kind",)),
-    "train": _field_defaults(TrainConfig, skip=("beta1", "beta2", "adam_eps", "seed")),
+    "train": _field_defaults(TrainConfig, skip=("seed",)),
     "search": {
         "budget": 18, "objective": OBJECTIVES[0], "candidate_epochs": CANDIDATE_EPOCHS,
-        "final_epochs": 30, "lookback_max": LOOKBACK_MAX,
+        "final_epochs": FINAL_EPOCHS, "lookback_max": LOOKBACK_MAX,
     },
-    "metrics": {"window": -1, "quantile": 0.99},
+    "metrics": {"window": -1},
 }
 
 
@@ -274,7 +275,7 @@ def cmd_evaluate(args) -> int:
     auc = mx.auc_roc(scores, labels)
     vus = mx.vus_roc(scores, labels, window)
     pr = mx.auc_pr(scores, labels)
-    threshold = select_threshold(scores, labels, policy="best-f1")
+    threshold = select_threshold(scores, labels)
     precision, recall, f1 = mx.precision_recall_f1(scores, labels, threshold)
     dataset_id = args.dataset_id or Path(args.scores).stem
     model_id = args.model_id or "model"

@@ -1,9 +1,11 @@
 """Context encoders: turn the lookback window into the conditioning vector.
 
-Six encoder kinds are supported, from a raw passthrough of the window to a
-stateful LSTM whose hidden state is carried from timestep to timestep. All
-stateless kinds consume a batch of (lookback, channels) slices, the stateful
-LSTM a block of consecutive observations in order; either returns a
+``padded_context_windows`` is the one pairing of targets with contexts, for
+training (its rows t >= lookback) and scoring (every row). Six encoder kinds
+are supported, from a raw passthrough of the window to a stateful LSTM whose
+hidden state is carried from timestep to timestep. All stateless kinds
+consume a batch of (lookback, channels) windows, the stateful LSTM walks the
+series in order (``StatefulLstmEncoder.walk``); either returns a
 (batch, context_dim) node. Learnable encoders are trained end to end with
 the flow.
 """
@@ -76,28 +78,9 @@ class EncoderConfig:
 # -- window construction ---------------------------------------------------
 
 
-def make_windows(series: np.ndarray, lookback: int):
-    """All fully observed (target index, context, target) triples.
-
-    The context holds the ``lookback`` rows immediately before the target,
-    oldest first; the target row itself is never part of its own context.
-    Targets run from index ``lookback`` to the end, so a series of length T
-    yields exactly T - lookback windows.
-    """
-    series = np.asarray(series, dtype=np.float64)
-    n_steps = series.shape[0]
-    if lookback < 1:
-        raise ValueError("lookback must be >= 1")
-    if n_steps <= lookback:
-        raise ValueError(f"series length {n_steps} must exceed lookback {lookback}")
-    return [
-        (t, series[t - lookback : t].copy(), series[t].copy())
-        for t in range(lookback, n_steps)
-    ]
-
-
 def padded_context_windows(series: np.ndarray, lookback: int) -> np.ndarray:
-    """(T, lookback, D) contexts for every timestep, for scoring alignment.
+    """(T, lookback, D) contexts for every timestep: row t holds rows
+    t - lookback .. t - 1, so a target is never part of its own context.
 
     The first ``lookback`` targets have no full history; missing rows are
     filled by repeating the first observation.
@@ -368,12 +351,20 @@ class StatefulLstmEncoder(LstmEncoder):
         handle.steps_done += rows.shape[0]
         return dc.concat(seq, axis=0)
 
-    def detach_states(self, handle: StatefulHandle):
-        """Cut the graph between truncation chunks, keeping the values."""
-        handle.states = [
-            (dc.constant(h.value.copy()), dc.constant(c.value.copy()))
-            for h, c in handle.states
-        ]
+    def walk(self, values: np.ndarray, training: bool = False,
+             rng: np.random.Generator | None = None):
+        """Yield ``(span, contexts)`` per chunk of ``lookback`` rows of
+        ``values``, in order: row t's context is the state after its 1-row
+        padded window (row t - 1; row 0 repeats itself). The graph is cut
+        between chunks, keeping the state values: truncated backpropagation.
+        """
+        stream = padded_context_windows(values, 1)[:, 0]
+        handle = self.new_handle()
+        for lo in range(0, stream.shape[0], self.cfg.lookback):
+            span = slice(lo, lo + self.cfg.lookback)
+            yield span, self.encode_step(stream[span], handle, lo, training, rng)
+            handle.states = [(dc.constant(h.value), dc.constant(c.value))
+                             for h, c in handle.states]
 
 
 def build_encoder(cfg: EncoderConfig, dim: int,

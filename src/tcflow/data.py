@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 SPLIT_MODES = ("random-sections", "sequential-tail")
+TRAIN_SHARE = 0.8  # of the series; the other 20% is validation
 FAMILIES = ("sine", "saw", "increasing", "wave", "random-walk", "cbf")
 ANOMALY_KINDS = (
     "spike", "platform", "mean-shift", "amplitude",
@@ -230,7 +231,6 @@ def split_train_val(
     lookback: int,
     mode: str = "random-sections",
     rng: np.random.Generator | None = None,
-    ratio: float = 0.8,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint train/validation index sets with a lookback-sized guard gap.
 
@@ -240,7 +240,7 @@ def split_train_val(
     """
     if mode not in SPLIT_MODES:
         raise DataError(f"unknown split mode {mode!r}")
-    val_total = int(round(n_steps * (1.0 - ratio)))
+    val_total = int(round(n_steps * (1.0 - TRAIN_SHARE)))
     if val_total < 5:
         raise DataError(f"series too short to split: {n_steps} steps")
     gap = max(0, int(lookback))

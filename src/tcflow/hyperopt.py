@@ -39,9 +39,11 @@ from .train import TrainConfig, train_model
 OBJECTIVES = ("labeled-30-70", "val-loss")
 
 # Candidates train on a reduced budget: these epochs, and early stopping after
-# this many epochs without a better validation loss.
+# this many epochs without a better validation loss. The winner is refit for
+# FINAL_EPOCHS.
 CANDIDATE_EPOCHS = 10
 CANDIDATE_PATIENCE = 3
+FINAL_EPOCHS = 30
 # Upper bound of the searched lookback.
 LOOKBACK_MAX = 50
 
@@ -396,7 +398,7 @@ def run_search(
     seed: int = 0,
     metric_window: int | None = None,
     candidate_cfg: TrainConfig | None = None,
-    final_epochs: int | None = None,
+    final_epochs: int = FINAL_EPOCHS,
     lookback_max: int = LOOKBACK_MAX,
     workers: int | None = None,
 ) -> SearchResult:
@@ -451,7 +453,7 @@ def run_search(
     encoder_cfg, flow_cfg = configs_from_params(method, best_trial.params)
     final_cfg = replace(
         candidate_cfg,
-        epochs=final_epochs or max(candidate_cfg.epochs * 3, 30),
+        epochs=final_epochs,
         patience=max(candidate_cfg.patience, 5),
         seed=_candidate_seed(seed, best_trial.index),
     )

@@ -75,21 +75,26 @@ def _distance_to_true(labels: np.ndarray) -> np.ndarray:
 def weighted_auc_roc(scores: np.ndarray, weights: np.ndarray) -> float:
     """ROC AUC where each point counts ``weight`` as positive and
     ``1 - weight`` as negative; trapezoidal over unique thresholds."""
+    return _weighted_aucs(scores, [weights])[0]
+
+
+def _weighted_aucs(scores, weight_rows) -> list[float]:
+    """``weighted_auc_roc`` for each weight vector, the scores ranked once."""
     scores = np.asarray(scores, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    total_pos = weights.sum()
-    total_neg = (1.0 - weights).sum()
-    if total_pos <= 0 or total_neg <= 0:
-        raise ValueError("weighted auc needs mass on both classes")
     order = np.argsort(-scores, kind="mergesort")
-    s = scores[order]
-    w = weights[order]
-    boundary = np.nonzero(np.diff(s))[0]  # last index of each tie group
-    tp = np.concatenate([[0.0], np.cumsum(w)[boundary], [total_pos]])
-    fp = np.concatenate([[0.0], np.cumsum(1.0 - w)[boundary], [total_neg]])
-    tpr = tp / total_pos
-    fpr = fp / total_neg
-    return float(np.trapezoid(tpr, fpr))
+    boundary = np.nonzero(np.diff(scores[order]))[0]  # last index of each tie group
+    aucs = []
+    for weights in weight_rows:
+        weights = np.asarray(weights, dtype=np.float64)
+        total_pos = weights.sum()
+        total_neg = (1.0 - weights).sum()
+        if total_pos <= 0 or total_neg <= 0:
+            raise ValueError("weighted auc needs mass on both classes")
+        w = weights[order]
+        tp = np.concatenate([[0.0], np.cumsum(w)[boundary], [total_pos]])
+        fp = np.concatenate([[0.0], np.cumsum(1.0 - w)[boundary], [total_neg]])
+        aucs.append(float(np.trapezoid(tp / total_pos, fp / total_neg)))
+    return aucs
 
 
 def vus_roc(scores, labels, max_width: int) -> float:
@@ -100,8 +105,8 @@ def vus_roc(scores, labels, max_width: int) -> float:
     if not labels.any() or labels.all():
         raise ValueError("vus_roc needs both classes present")
     distance = _distance_to_true(labels)
-    aucs = [weighted_auc_roc(scores, _buffer_weights(distance, w)) for w in range(max_width + 1)]
-    return float(np.mean(aucs))
+    widths = range(max_width + 1)
+    return float(np.mean(_weighted_aucs(scores, (_buffer_weights(distance, w) for w in widths))))
 
 
 def precision_recall_f1(scores, labels, threshold: float) -> tuple[float, float, float]:

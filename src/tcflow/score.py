@@ -62,8 +62,9 @@ def load_score_csv(path) -> tuple[ScoreSeries, np.ndarray | None]:
 def _latent_series(model: FlowModel, ds: TimeSeriesDataset) -> tuple[np.ndarray, np.ndarray]:
     """Latent coordinates and summed log|det J| per timestep, one flow call
     per ``_BATCH`` rows. The stateful LSTM's state runs from row to row, so
-    its (T, hidden) contexts are collected in order first, one truncation
-    chunk at a time; other encoders encode padded windows batch by batch."""
+    its (T, hidden) contexts are collected first from one
+    ``StatefulLstmEncoder.walk``; other encoders encode
+    ``padded_context_windows`` batch by batch."""
     if ds.n_channels != model.dim:
         raise ValueError(f"model expects {model.dim} channels, dataset has {ds.n_channels}")
     values = ds.values
@@ -72,13 +73,10 @@ def _latent_series(model: FlowModel, ds: TimeSeriesDataset) -> tuple[np.ndarray,
     log_dets = np.empty(values.shape[0])
     contexts, encode = None, encoder.encode_batch
     if isinstance(encoder, StatefulLstmEncoder):
-        stream = np.vstack([values[:1], values[:-1]])
-        handle = encoder.new_handle()
         contexts = np.empty((values.shape[0], encoder.context_dim))
-        for lo in range(0, values.shape[0], encoder.cfg.lookback):
-            span = slice(lo, lo + encoder.cfg.lookback)
-            contexts[span] = encoder.encode_step(stream[span], handle, lo).value
-            encoder.detach_states(handle)  # keep the rolling graph bounded
+        for span, context in encoder.walk(values):
+            contexts[span] = context.value
+            del context  # free the chunk's graph before the walk builds the next
         encode = np.asarray  # the contexts are already encoded
     elif encoder.context_dim:
         contexts = padded_context_windows(values, encoder.cfg.lookback)
@@ -100,24 +98,14 @@ def score_series(model: FlowModel, ds: TimeSeriesDataset) -> ScoreSeries:
     return ScoreSeries(scores, model_id=model.model_id, dataset_id=ds.provenance)
 
 
-def select_threshold(scores, labels=None, policy: str = "quantile", q: float = 0.99) -> float:
-    """Either the q-quantile of the scores or the threshold with best F1."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if policy == "quantile":
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        return float(np.quantile(scores, q))
-    if policy == "best-f1":
-        if labels is None:
-            raise ValueError("best-f1 threshold selection requires labels")
-        return _best_f1_threshold(scores, np.asarray(labels, dtype=bool))
-    raise ValueError(f"unknown threshold policy {policy!r}")
-
-
-def _best_f1_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
+def select_threshold(scores, labels) -> float:
     """The unique score whose rule ``score >= threshold`` has the best F1,
     the lowest such score on ties; precision, recall and F1 per threshold are
     those of ``metrics.precision_recall_f1`` (a NaN score is never flagged)."""
+    if labels is None:
+        raise ValueError("best-f1 threshold selection requires labels")
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=bool)
     thresholds, group = np.unique(scores, return_inverse=True)
     counted = ~np.isnan(scores)
 

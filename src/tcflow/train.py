@@ -1,10 +1,11 @@
 """End-to-end training of the conditioned flow, plus model (de)serialization.
 
-Batched encoders train on shuffled windows. The stateful LSTM variant walks
-the sequence in order, one chunk of ``lookback`` rows per batched flow call,
-with the graph cut between chunks (truncated backpropagation). Validation
-NLL is tracked per epoch with dropout off, and the parameters from the best
-validation epoch are restored at the end.
+Batched encoders train on shuffled batches of the rows t >= lookback of
+``padded_context_windows``. The stateful LSTM variant walks the sequence in
+order (``StatefulLstmEncoder.walk``), one chunk of ``lookback`` rows per
+batched flow call, with the graph cut between chunks (truncated
+backpropagation). Validation NLL is tracked per epoch with dropout off,
+and the parameters from the best validation epoch are restored at the end.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .conditioners import (
     EncoderConfig,
     StatefulLstmEncoder,
     build_encoder,
-    make_windows,
+    padded_context_windows,
 )
 from .data import DataError, TimeSeriesDataset, split_train_val
 from .flow import ConditionerConfig, FlowConfig, FlowModel, nll_loss
@@ -45,9 +46,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 128
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     patience: int = 10
     clip_norm: float = 5.0
     seed: int = 0
@@ -216,11 +214,13 @@ def train_model(
         mode = "sequential-tail" if stateful else "random-sections"
     lookback = encoder_cfg.lookback if encoder_cfg.kind != "none" else 0
     train_idx, val_idx = split_train_val(ds.n_steps, lookback, mode, rng)
+    train_mask, val_mask = np.zeros((2, ds.n_steps), dtype=bool)
+    train_mask[train_idx] = val_mask[val_idx] = True
 
     if stateful:
-        runner = _StatefulRunner(model, ds.values, train_idx, val_idx, train_cfg, rng)
+        runner = _StatefulRunner(model, ds.values, train_mask, val_mask, train_cfg, rng)
     else:
-        runner = _BatchedRunner(model, ds.values, lookback, train_idx, val_idx, train_cfg, rng)
+        runner = _BatchedRunner(model, ds.values, lookback, train_mask, val_mask, train_cfg, rng)
 
     adam = AdamState(model.parameters())
     report = TrainReport()
@@ -249,111 +249,75 @@ def train_model(
     return model, report
 
 
-class _BatchedRunner:
-    """Shuffled window batches for every encoder kind except the stateful LSTM."""
+def _mean_loss(losses, adam=None, cfg=None) -> float:
+    """Row-weighted mean of the ``(loss, rows)`` pairs, NaN if there are
+    none; with ``adam``, one backward pass and Adam step per pair."""
+    total, count = 0.0, 0
+    for loss, rows in losses:
+        if adam is not None:
+            adam_step(dc.backward(loss), adam, cfg.learning_rate, clip_norm=cfg.clip_norm)
+        total += float(loss.value) * rows
+        count += rows
+    return total / count if count else np.nan
 
-    def __init__(self, model, values, lookback, train_idx, val_idx, cfg, rng):
-        self.model = model
-        self.cfg = cfg
-        self.rng = rng
-        if lookback > 0:
-            windows = make_windows(values, lookback)
-            targets = np.stack([w[2] for w in windows])
-            contexts = np.stack([w[1] for w in windows])
-            t_index = np.array([w[0] for w in windows])
-        else:
-            targets = values
-            contexts = None
-            t_index = np.arange(values.shape[0])
-        train_set = set(train_idx.tolist())
-        val_set = set(val_idx.tolist())
-        in_train = np.array([t in train_set for t in t_index])
-        in_val = np.array([t in val_set for t in t_index])
-        self.train_targets = targets[in_train]
-        self.val_targets = targets[in_val]
-        self.train_contexts = contexts[in_train] if contexts is not None else None
-        self.val_contexts = contexts[in_val] if contexts is not None else None
-        if self.train_targets.shape[0] == 0 or self.val_targets.shape[0] == 0:
+
+class _BatchedRunner:
+    """Shuffled window batches for every encoder kind except the stateful
+    LSTM: the targets t >= ``lookback`` in each split mask, in time order,
+    with their ``padded_context_windows`` (empty for lookback 0)."""
+
+    def __init__(self, model, values, lookback, train_mask, val_mask, cfg, rng):
+        self.model, self.cfg, self.rng = model, cfg, rng
+        usable = np.arange(values.shape[0]) >= lookback
+        contexts = padded_context_windows(values, lookback)
+        self.train = values[train_mask & usable], contexts[train_mask & usable]
+        self.val = values[val_mask & usable], contexts[val_mask & usable]
+        if len(self.train[0]) == 0 or len(self.val[0]) == 0:
             raise DataError("split left an empty train or validation window set")
 
-    def _loss(self, targets, contexts, training):
-        context_node = None
-        if contexts is not None:
-            context_node = self.model.encoder.encode_batch(contexts, training=training, rng=self.rng)
-        return nll_loss(self.model, targets, context_node, training=training, rng=self.rng)
+    def _losses(self, rows, batches, training):
+        targets, contexts = rows
+        for pick in batches:
+            context = self.model.encoder.encode_batch(contexts[pick], training=training,
+                                                      rng=self.rng)
+            batch = targets[pick]
+            yield nll_loss(self.model, batch, context, training=training, rng=self.rng), len(batch)
 
     def train_epoch(self, adam) -> float:
-        n = self.train_targets.shape[0]
+        n, size = len(self.train[0]), self.cfg.batch_size
         order = self.rng.permutation(n)
-        total = 0.0
-        for lo in range(0, n, self.cfg.batch_size):
-            pick = order[lo : lo + self.cfg.batch_size]
-            ctx = self.train_contexts[pick] if self.train_contexts is not None else None
-            loss = self._loss(self.train_targets[pick], ctx, training=True)
-            adam_step(dc.backward(loss), adam, self.cfg.learning_rate,
-                      self.cfg.beta1, self.cfg.beta2, self.cfg.adam_eps, self.cfg.clip_norm)
-            total += float(loss.value) * pick.size
-        return total / n
+        batches = (order[lo : lo + size] for lo in range(0, n, size))
+        return _mean_loss(self._losses(self.train, batches, True), adam, self.cfg)
 
     def val_loss(self) -> float:
-        n = self.val_targets.shape[0]
-        total = 0.0
-        for lo in range(0, n, 4096):
-            ctx = self.val_contexts[lo : lo + 4096] if self.val_contexts is not None else None
-            loss = self._loss(self.val_targets[lo : lo + 4096], ctx, training=False)
-            total += float(loss.value) * min(4096, n - lo)
-        return total / n
+        batches = (slice(lo, lo + 4096) for lo in range(0, len(self.val[0]), 4096))
+        return _mean_loss(self._losses(self.val, batches, False))
 
 
 class _StatefulRunner:
     """In-order pass with truncated backpropagation every ``lookback`` rows.
 
-    Per chunk, the LSTM consumes each target's previous observation (the
-    first target's is the first observation itself, repeat padding), then
-    one batched flow call scores the chunk's targets in the split: one Adam
-    step per chunk in training. The LSTM is the only sequential part.
+    Per chunk of ``StatefulLstmEncoder.walk``, one batched flow call scores
+    the chunk's targets in the split mask: one Adam step per chunk in
+    training. The LSTM is the only sequential part.
     """
 
-    def __init__(self, model, values, train_idx, val_idx, cfg, rng):
-        self.model = model
-        self.encoder: StatefulLstmEncoder = model.encoder
-        self.values = values
-        self.stream = np.vstack([values[:1], values[:-1]])
-        self.train_mask = np.zeros(values.shape[0], dtype=bool)
-        self.train_mask[train_idx] = True
-        self.val_mask = np.zeros(values.shape[0], dtype=bool)
-        self.val_mask[val_idx] = True
-        self.cfg = cfg
-        self.rng = rng
+    def __init__(self, model, values, train_mask, val_mask, cfg, rng):
+        self.model, self.values, self.cfg, self.rng = model, values, cfg, rng
+        self.train_mask, self.val_mask = train_mask, val_mask
 
-    def _walk(self, mask, adam=None) -> float:
-        """Mean NLL over the rows in ``mask``; trains when given ``adam``."""
-        training = adam is not None
-        handle = self.encoder.new_handle()
-        chunk = self.encoder.cfg.lookback
-        total = 0.0
-        for lo in range(0, self.values.shape[0], chunk):
-            span = slice(lo, lo + chunk)
-            contexts = self.encoder.encode_step(self.stream[span], handle, lo,
-                                                training=training, rng=self.rng)
+    def _losses(self, mask, training):
+        for span, contexts in self.model.encoder.walk(self.values, training, self.rng):
             pick = mask[span]
             if pick.any():
-                loss = nll_loss(self.model, self.values[span][pick], contexts[pick],
-                                training=training, rng=self.rng)
-                if training:
-                    adam_step(dc.backward(loss), adam, self.cfg.learning_rate,
-                              self.cfg.beta1, self.cfg.beta2, self.cfg.adam_eps,
-                              self.cfg.clip_norm)
-                total += float(loss.value) * int(pick.sum())
-            self.encoder.detach_states(handle)  # bounds the rolling graph
-        count = int(mask.sum())
-        return total / count if count else np.nan
+                yield nll_loss(self.model, self.values[span][pick], contexts[pick],
+                               training=training, rng=self.rng), int(pick.sum())
 
     def train_epoch(self, adam) -> float:
-        return self._walk(self.train_mask, adam)
+        return _mean_loss(self._losses(self.train_mask, True), adam, self.cfg)
 
     def val_loss(self) -> float:
-        return self._walk(self.val_mask)
+        return _mean_loss(self._losses(self.val_mask, False))
 
 
 # -- serialization -----------------------------------------------------------------

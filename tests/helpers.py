@@ -94,3 +94,25 @@ def composed_latent(model, points, context=None, training=False, rng=None):
             half = model.dim // 2
             x = dc.concat([x[:, half:], x[:, :half]], axis=1)
     return x, total
+
+
+def reference_window_rows(values, lookback, train_idx, val_idx):
+    """Reference batched training rows: every fully observed window
+    (t, rows t - lookback .. t - 1, row t) for t >= lookback, or every row
+    with an empty (0, D) context for lookback 0, kept when t is in a split's
+    index set. Returns (train targets, train contexts, val targets, val
+    contexts)."""
+    values = np.asarray(values, dtype=np.float64)
+    if lookback > 0:
+        windows = [(t, values[t - lookback : t].copy(), values[t].copy())
+                   for t in range(lookback, values.shape[0])]
+        targets = np.stack([w[2] for w in windows])
+        contexts = np.stack([w[1] for w in windows])
+        t_index = [w[0] for w in windows]
+    else:
+        targets, t_index = values, range(values.shape[0])
+        contexts = np.empty((values.shape[0], 0, values.shape[1]))
+    train_set, val_set = set(train_idx.tolist()), set(val_idx.tolist())
+    in_train = np.array([t in train_set for t in t_index])
+    in_val = np.array([t in val_set for t in t_index])
+    return targets[in_train], contexts[in_train], targets[in_val], contexts[in_val]

@@ -202,7 +202,6 @@ lookback_max = 50
 
 [metrics]
 window = -1
-quantile = 0.99
 
 """
 

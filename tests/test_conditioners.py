@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from helpers import build_model_with_encoder
 
 from tcflow import diffcore as dc
 from tcflow.conditioners import (
     Encoder,
     EncoderConfig,
     build_encoder,
-    make_windows,
     padded_context_windows,
 )
+from tcflow.train import TrainConfig, _BatchedRunner
 
 
 def series(n_steps=12, dim=2, seed=0):
@@ -16,32 +17,42 @@ def series(n_steps=12, dim=2, seed=0):
 
 
 class TestMakeWindows:
+    """``padded_context_windows`` is the one (target, context) construction;
+    its rows t >= lookback are the fully observed windows training uses."""
+
     def test_unrolls_definition(self):
         values = np.arange(10.0).reshape(5, 2)
-        windows = make_windows(values, 2)
-        assert [w[0] for w in windows] == [2, 3, 4]
-        np.testing.assert_array_equal(windows[0][1], values[0:2])
-        np.testing.assert_array_equal(windows[0][2], values[2])
+        contexts = padded_context_windows(values, 2)
+        for t in (2, 3, 4):
+            np.testing.assert_array_equal(contexts[t], values[t - 2 : t])
 
     def test_lookback_of_length_minus_one_gives_single_window(self):
         values = series(6, 3)
-        windows = make_windows(values, 5)
-        assert len(windows) == 1
-        np.testing.assert_array_equal(windows[0][1], values[:5])
+        unpadded = padded_context_windows(values, 5)[5:]
+        assert len(unpadded) == 1
+        np.testing.assert_array_equal(unpadded[0], values[:5])
 
     @pytest.mark.parametrize("n,k", [(10, 1), (10, 4), (50, 9)])
     def test_window_count(self, n, k):
-        assert len(make_windows(series(n), k)) == n - k
+        contexts = padded_context_windows(series(n), k)
+        assert contexts.shape == (n, k, 2)
+        assert len(contexts[k:]) == n - k
 
     def test_rejects_too_short_series(self):
-        with pytest.raises(ValueError):
-            make_windows(series(4), 4)
+        # no target has a full history, so training has no rows
+        values = series(4)
+        model = build_model_with_encoder(2, 2, EncoderConfig("passthrough", lookback=4))
+        everything = np.ones(4, dtype=bool)
+        with pytest.raises(ValueError, match="empty"):
+            _BatchedRunner(model, values, 4, everything, everything, TrainConfig(),
+                           np.random.default_rng(0))
 
     def test_target_never_inside_its_own_context(self):
         values = series(30, 2, seed=3)
-        for t, ctx, target in make_windows(values, 5):
-            np.testing.assert_array_equal(ctx, values[t - 5 : t])
-            assert not any(np.array_equal(row, target) and i + t - 5 == t for i, row in enumerate(ctx))
+        contexts = padded_context_windows(values, 5)
+        for t in range(5, 30):
+            np.testing.assert_array_equal(contexts[t], values[t - 5 : t])
+            assert not any(np.array_equal(row, values[t]) for row in contexts[t])
 
     def test_padded_windows_repeat_first_row(self):
         values = np.arange(8.0).reshape(4, 2)
@@ -220,6 +231,21 @@ class TestStatefulEncoder:
         for (h1, c1), (h2, c2) in zip(single.states, block.states):
             np.testing.assert_array_equal(h1.value, h2.value)
             np.testing.assert_array_equal(c1.value, c2.value)
+
+    def test_walk_equals_one_block_step_and_cuts_between_chunks(self):
+        # lookback 4 over 10 rows: chunks 0-3, 4-7 and a partial one
+        _, stateful = self._pair()
+        values = series(10, 2, seed=14)
+        chunks = list(stateful.walk(values))
+        assert [span for span, _ in chunks] == [slice(0, 4), slice(4, 8), slice(8, 12)]
+        shifted = np.vstack([values[:1], values[:-1]])
+        whole = stateful.encode_step(shifted, stateful.new_handle(), 0)
+        np.testing.assert_array_equal(np.vstack([c.value for _, c in chunks]), whole.value)
+
+        def graph(node):
+            return {id(n) for n in dc._topo_order(node) if not isinstance(n, dc.Parameter)}
+
+        assert not graph(chunks[0][1]) & graph(chunks[1][1])
 
     def test_two_handles_same_stream_agree(self):
         _, stateful = self._pair(seed=21)

@@ -105,26 +105,22 @@ class TestScoreSeries:
 
 
 class TestSelectThreshold:
-    def test_quantile_one_is_max(self):
-        scores = np.array([0.3, 2.0, 1.1, 0.9])
-        assert select_threshold(scores, policy="quantile", q=1.0) == 2.0
-
     def test_best_f1_on_separable_scores_reaches_one(self):
         from tcflow.metrics import precision_recall_f1
 
         scores = np.array([0.1, 0.2, 5.0, 6.0])
         labels = np.array([0, 0, 1, 1], dtype=bool)
-        thr = select_threshold(scores, labels, policy="best-f1")
+        thr = select_threshold(scores, labels)
         assert precision_recall_f1(scores, labels, thr)[2] == 1.0
 
     def test_best_f1_worked_example(self):
         thr = select_threshold(np.array([1.0, 2.0, 3.0, 4.0]),
-                               np.array([0, 0, 1, 1], dtype=bool), policy="best-f1")
+                               np.array([0, 0, 1, 1], dtype=bool))
         assert 2.0 < thr <= 3.0
 
     def test_best_f1_without_labels_rejected(self):
         with pytest.raises(ValueError, match="labels"):
-            select_threshold(np.arange(4.0), policy="best-f1")
+            select_threshold(np.arange(4.0), None)
 
 
     @pytest.mark.parametrize("seed", range(6))
@@ -148,7 +144,7 @@ class TestSelectThreshold:
             if seed == 4:
                 scores[rng.random(n) < 0.1] = np.nan
             labels = rng.random(n) < 0.2
-            got = select_threshold(scores, labels, policy="best-f1")
+            got = select_threshold(scores, labels)
             want = oracle(scores, labels)
             assert got == want or (np.isnan(got) and np.isnan(want))
 

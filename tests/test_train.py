@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import build_model_with_encoder, randomize_model
+from helpers import build_model_with_encoder, randomize_model, reference_window_rows
 
 from tcflow import diffcore as dc
 from tcflow import data as dt
@@ -13,6 +13,7 @@ from tcflow.train import (
     SerializationError,
     TrainConfig,
     TrainingDiverged,
+    _BatchedRunner,
     _StatefulRunner,
     adam_step,
     load_model,
@@ -309,6 +310,27 @@ class TestTrainModel:
         assert model.encoder.kind == "lstm-stateful"
 
 
+class TestBatchedRows:
+    @pytest.mark.parametrize("mode", ["random-sections", "sequential-tail"])
+    @pytest.mark.parametrize("lookback", [1, 4, 30])
+    @pytest.mark.parametrize("kind", ["none", "passthrough"])
+    def test_rows_match_window_and_set_construction(self, kind, lookback, mode):
+        # the split masks over padded_context_windows pick the same rows, in
+        # the same order, as the windows filtered by split-index membership
+        ds = prepared_sine(400, seed=5)
+        model = build_model_with_encoder(2, 2, EncoderConfig(kind, lookback=lookback))
+        lookback = lookback if kind != "none" else 0  # as train_model splits
+        train_idx, val_idx = dt.split_train_val(ds.n_steps, lookback, mode,
+                                                np.random.default_rng(1))
+        masks = np.zeros((2, ds.n_steps), dtype=bool)
+        masks[0, train_idx] = masks[1, val_idx] = True
+        runner = _BatchedRunner(model, ds.values, lookback, *masks, TrainConfig(),
+                                np.random.default_rng(0))
+        want = reference_window_rows(ds.values, lookback, train_idx, val_idx)
+        for rows, expected in zip(runner.train + runner.val, want):
+            np.testing.assert_array_equal(rows, expected)
+
+
 class TestStatefulChunks:
     """The stateful path runs the flow once per chunk; these pin it to the
     per-row construction of acceptance a02 (one flow call per timestep)."""
@@ -356,8 +378,8 @@ class TestStatefulChunks:
         stream = np.vstack([values[:1], values[:-1]])
         val = np.zeros(n_steps, dtype=bool)
         val[7:] = True
-        runner = _StatefulRunner(model, values, np.arange(7), np.arange(7, n_steps),
-                                 TrainConfig(), np.random.default_rng(0))
+        runner = _StatefulRunner(model, values, ~val, val, TrainConfig(),
+                                 np.random.default_rng(0))
         expected = float(self._per_row_nll(model, stream, values, val).value)
         np.testing.assert_allclose(runner.val_loss(), expected, rtol=1e-12, atol=0)
 

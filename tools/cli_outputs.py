@@ -1,0 +1,81 @@
+"""Write every CLI artifact of a small fixed pipeline, for byte-identity checks.
+
+Usage: python tools/cli_outputs.py SRC OUT
+
+Imports ``tcflow`` from the source directory SRC (for example ``src`` of a
+checkout) and runs, through ``tcflow.cli.main``, into the empty directory OUT:
+
+- ``generate``: a 600-step sine with spike and platform anomalies, seed 7;
+- ``train`` for 2 epochs with each of the 7 methods;
+- a one-generation ``tcnf-base`` search (budget 9, 2 candidate and 2 final
+  epochs);
+- ``score --labeled``, ``evaluate`` and ``export-latent`` on the test series
+  for all 8 models.
+
+A change that must not alter any output is checked by running this against
+the parent's ``src`` and the change's, each into its own directory, then
+``diff -r`` of the two. The commands run inside OUT with relative paths,
+so the resolved INIs of both runs name the same ``out_dir``. Every command
+must exit 0.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+CONFIG = """\
+[train]
+epochs = 2
+
+[search]
+budget = 9
+candidate_epochs = 2
+final_epochs = 2
+"""
+
+
+def main(src: str, out: str) -> int:
+    sys.path.insert(0, str(Path(src).resolve()))
+    from tcflow.cli import METHODS, main as cli
+
+    out = Path(out)
+    if out.exists() and any(out.iterdir()):
+        raise SystemExit(f"{out} is not empty")
+    out.mkdir(parents=True, exist_ok=True)
+    os.chdir(out)
+    data, config = Path("data"), Path("config.ini")
+    config.write_text(CONFIG)
+
+    def run(*argv):
+        argv = [str(a) for a in argv]
+        if cli(argv) != 0:
+            raise SystemExit(f"failed: tcflow {' '.join(argv)}")
+
+    run("generate", "--family", "sine", "--anomaly", "spike", "--anomaly", "platform",
+        "--n-steps", 600, "--seed", 7, "--out-dir", data)
+    models = {}
+    for method in METHODS:
+        run("train", "--config", config, "--data", data / "train_clean.csv",
+            "--method", method, "--out-dir", Path(method, "train"))
+        models[method] = Path(method, "train") / "model.tcf"
+    run("search", "--config", config, "--train", data / "train_clean.csv",
+        "--labeled", data / "train_labeled.csv", "--method", "tcnf-base",
+        "--out-dir", "search")
+    models["search"] = Path("search", "model.tcf")
+    test = data / "test_labeled.csv"
+    for name, model in models.items():
+        run("score", "--model", model, "--data", test, "--labeled",
+            "--out-dir", Path(name, "score"))
+        run("evaluate", "--scores", Path(name, "score", "scores.csv"),
+            "--out-dir", Path(name, "evaluate"))
+        run("export-latent", "--model", model, "--data", test, "--labeled",
+            "--out-dir", Path(name, "latent"))
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        raise SystemExit(__doc__)
+    sys.exit(main(sys.argv[1], sys.argv[2]))
