@@ -6,8 +6,9 @@ are supported, from a raw passthrough of the window to a stateful LSTM whose
 hidden state is carried from timestep to timestep. All stateless kinds
 consume a batch of (lookback, channels) windows, the stateful LSTM walks the
 series in order (``StatefulLstmEncoder.walk``); either returns a
-(batch, context_dim) node. Learnable encoders are trained end to end with
-the flow.
+(batch, context_dim) node. Both LSTM kinds run each layer as one
+``dc.lstm_sequence`` node per call: per batch of windows, or per chunk of
+rows. Learnable encoders are trained end to end with the flow.
 """
 
 from __future__ import annotations
@@ -248,7 +249,9 @@ class CnnEncoder(Encoder):
 
 class LstmEncoder(Encoder):
     """Stacked LSTM run over the window from a zero state; the context is the
-    final hidden state of the top layer."""
+    final hidden state of the top layer. Each layer is one
+    ``dc.lstm_sequence`` node over the whole batch of windows, and its state
+    is one (batch, 2*hidden) ``[h | c]`` node."""
 
     kind = "lstm-stateless"
 
@@ -273,36 +276,29 @@ class LstmEncoder(Encoder):
             out.extend([w, b])
         return out
 
-    def _run_stack(self, inputs: list[Node], states: list[tuple[Node, Node]],
-                   training: bool, rng) -> tuple[list[Node], list[tuple[Node, Node]]]:
-        """Advance every layer over the given step inputs; returns the top
-        layer's hidden sequence and the new per-layer states."""
-        seq = inputs
+    def _run_stack(self, steps: Node, states: list[Node], training: bool,
+                   rng) -> tuple[Node, list[Node]]:
+        """Advance every layer over a (T, batch, input) step sequence, one
+        ``dc.lstm_sequence`` node per layer, from the per-layer
+        (batch, 2*hidden) ``[h | c]`` states. Returns the top layer's
+        (T, batch, 2*hidden) node and the new per-layer states; in training,
+        inverted dropout sits between layers, one mask draw per layer."""
         new_states = []
         for j, (w, b) in enumerate(self.cells):
-            h, c = states[j]
-            outputs = []
-            for step in seq:
-                h, c = dc.lstm_cell(step, h, c, w, b)
-                outputs.append(h)
-            new_states.append((h, c))
-            if j < len(self.cells) - 1 and training:
-                outputs = [dc.dropout(o, self.cfg.dropout, rng, training) for o in outputs]
-            seq = outputs
-        return seq, new_states
+            out = dc.lstm_sequence(steps, states[j], w, b)
+            new_states.append(out[-1])
+            if j < len(self.cells) - 1:
+                steps = dc.dropout(out[:, :, : self.hidden], self.cfg.dropout, rng, training)
+        return out, new_states
 
-    def zero_states(self, batch: int) -> list[tuple[Node, Node]]:
-        return [
-            (dc.constant(np.zeros((batch, self.hidden))), dc.constant(np.zeros((batch, self.hidden))))
-            for _ in self.cells
-        ]
+    def zero_states(self, batch: int) -> list[Node]:
+        return [dc.constant(np.zeros((batch, 2 * self.hidden))) for _ in self.cells]
 
     def encode_batch(self, contexts, training=False, rng=None):
         contexts = self._validate(contexts, fixed_length=False)
-        batch = contexts.shape[0]
-        steps = [dc.constant(contexts[:, t, :]) for t in range(contexts.shape[1])]
-        seq, _ = self._run_stack(steps, self.zero_states(batch), training, rng)
-        return seq[-1]
+        steps = dc.constant(contexts.transpose(1, 0, 2))
+        out, _ = self._run_stack(steps, self.zero_states(contexts.shape[0]), training, rng)
+        return out[-1, :, : self.hidden]
 
 
 class StatefulHandle:
@@ -310,6 +306,7 @@ class StatefulHandle:
 
     Strictly sequential: step ``i`` may only be fed after step ``i - 1``,
     and ``steps_done`` counts how many observations were consumed.
+    ``states`` holds one (1, 2*hidden) ``[h | c]`` node per layer.
     """
 
     def __init__(self, encoder: "StatefulLstmEncoder"):
@@ -333,23 +330,29 @@ class StatefulLstmEncoder(LstmEncoder):
     def encode_step(self, observations: np.ndarray, handle: StatefulHandle,
                     step_index: int, training: bool = False,
                     rng: np.random.Generator | None = None) -> Node:
-        """Consume one row or a (k, channels) block of consecutive rows and
-        return the top hidden state after each row, a (k, hidden) node.
+        """Consume one (channels,) row or a (k, channels) block of
+        consecutive rows and return the top hidden state after each row, a
+        (k, hidden) node. Each layer runs the block as one
+        ``dc.lstm_sequence`` node from the handle's state, and the new state
+        stays in the graph, so chained calls differentiate through it.
 
         ``step_index`` (the first row's) must follow on from the handle's
         progress, which advances by k; feeding steps out of order raises
-        with both indices named.
+        with both indices named, and any other shape raises ``ShapeError``.
         """
         if step_index != handle.steps_done:
             raise ValueError(
                 f"stateful encoder expected step {handle.steps_done}, got {step_index}"
             )
-        rows = np.asarray(observations, dtype=np.float64).reshape(-1, self.dim)
-        seq, handle.states = self._run_stack(
-            [dc.constant(row[None]) for row in rows], handle.states, training, rng
-        )
+        rows = np.asarray(observations, dtype=np.float64)
+        if rows.shape == (self.dim,):
+            rows = rows[None]
+        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] != self.dim:
+            raise dc.ShapeError("encode_step", rows.shape, (None, self.dim))
+        out, handle.states = self._run_stack(
+            dc.constant(rows[:, None, :]), handle.states, training, rng)
         handle.steps_done += rows.shape[0]
-        return dc.concat(seq, axis=0)
+        return out[:, 0, : self.hidden]
 
     def walk(self, values: np.ndarray, training: bool = False,
              rng: np.random.Generator | None = None):
@@ -363,8 +366,7 @@ class StatefulLstmEncoder(LstmEncoder):
         for lo in range(0, stream.shape[0], self.cfg.lookback):
             span = slice(lo, lo + self.cfg.lookback)
             yield span, self.encode_step(stream[span], handle, lo, training, rng)
-            handle.states = [(dc.constant(h.value), dc.constant(c.value))
-                             for h, c in handle.states]
+            handle.states = [dc.constant(state.value) for state in handle.states]
 
 
 def build_encoder(cfg: EncoderConfig, dim: int,

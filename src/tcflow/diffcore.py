@@ -7,12 +7,14 @@ topological order and accumulates gradients with the chain rule.
 
 Supported operations: add, multiply (both broadcasting), matmul, tanh,
 sigmoid, exp, log, sum, mean, slicing, concat, reshape, inverted dropout and
-1-D "same" convolution over the time axis. An LSTM cell step is provided as a
-composition of these primitives, so its backward pass needs no special code.
-The inverse of one affine coupling layer (conditioner net, scale, shift,
-log-det) is one fused node with a hand-written backward, because the graph of
-primitives it replaces is ~40 nodes of Python overhead on small arrays; its
-values and gradients equal those of that graph.
+1-D "same" convolution over the time axis. One LSTM cell step,
+``lstm_cell``, is a composition of these primitives (about 16 nodes).
+Two fused nodes have a hand-written backward, because the graphs of
+primitives they replace are mostly Python overhead on small arrays:
+``lstm_sequence`` runs an LSTM layer over a whole sequence (backpropagation
+through time), and ``coupling_inverse`` is the inverse of one affine coupling
+layer (conditioner net, scale, shift, log-det; ~40 nodes). The values and
+gradients of each equal those of the composition it replaces.
 
 ``pack`` moves a list of parameters into one contiguous value buffer and one
 gradient buffer: each ``value`` and ``grad`` becomes a view, ``backward``
@@ -26,7 +28,7 @@ workers.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -401,6 +403,80 @@ def lstm_cell(
     return h_next, c_next
 
 
+def lstm_sequence(steps: Node, state: Node, weight: Node, bias: Node) -> Node:
+    """``lstm_cell`` over every step of a sequence, as one node whose
+    backward is backpropagation through time.
+
+    ``steps`` is (T, batch, input) and ``state`` the incoming
+    (batch, 2*hidden) ``[h | c]``; ``weight`` and ``bias`` are as in
+    ``lstm_cell``. Returns (T, batch, 2*hidden): row t is ``[h | c]`` after
+    step t, so ``out[:, :, :hidden]`` is the hidden sequence and ``out[-1]``
+    the state to hand on. Each step keeps the cell's arithmetic and order,
+    and the backward accumulates into ``weight`` and ``bias`` one step at a
+    time from the last, so values and gradients (of the weight, the bias,
+    the input sequence and the incoming state) equal those of the per-step
+    cells.
+    """
+    xv, sv, w, b = steps.value, state.value, weight.value, bias.value
+    hidden = b.size // 4
+    if (xv.ndim != 3 or b.shape != (4 * hidden,) or sv.shape != (xv.shape[1], 2 * hidden)
+            or w.shape != (xv.shape[2] + hidden, 4 * hidden)):
+        raise ShapeError("lstm_sequence", xv.shape, sv.shape, w.shape, b.shape)
+    n_steps, batch, n_in = xv.shape
+    i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+    xh = np.empty((n_steps, batch, n_in + hidden))
+    xh[:, :, :n_in] = xv
+    acts = np.empty((n_steps, batch, 4 * hidden))  # i, f, candidate, o
+    tanh_c = np.empty((n_steps, batch, hidden))
+    value = np.empty((n_steps, batch, 2 * hidden))
+    h, c = sv[:, :hidden], sv[:, hidden:]
+    for t in range(n_steps):
+        xh[t, :, n_in:] = h
+        gates = xh[t] @ w + b
+        act = acts[t]
+        # the sigmoid of every block, then the candidate block's tanh: the
+        # same elementwise arithmetic as the cell's per-block nodes
+        np.divide(1.0, 1.0 + np.exp(-gates), out=act)
+        np.tanh(gates[:, g_], out=act[:, g_])
+        c_next = np.add(act[:, f_] * c, act[:, i_] * act[:, g_], out=value[t, :, hidden:])
+        h = np.multiply(act[:, o_], np.tanh(c_next, out=tanh_c[t]), out=value[t, :, :hidden])
+        c = c_next
+    out = Node(value, "lstm_sequence", (steps, state, weight, bias))
+
+    def backward(out):
+        grad = out.grad
+        i_gate, f_gate, cand, o_gate = (acts[:, :, s] for s in (i_, f_, g_, o_))
+        # gate gradient = (d_act * scale) * slope: sigmoid' is (g * s) * (1 - s)
+        # and the candidate's tanh' is (g * 1) * (1 - t * t)
+        scale = acts.copy()
+        scale[:, :, g_] = 1.0
+        slope = 1.0 - acts
+        slope[:, :, g_] = 1.0 - cand * cand
+        tanh_slope = 1.0 - tanh_c * tanh_c
+        d_act = np.empty((batch, 4 * hidden))
+        dh_carry = dc_carry = 0.0
+        for t in reversed(range(n_steps)):
+            c_prev = sv[:, hidden:] if t == 0 else value[t - 1, :, hidden:]
+            dh = grad[t, :, :hidden] + dh_carry
+            np.multiply(dh, tanh_c[t], out=d_act[:, o_])
+            dc = (grad[t, :, hidden:] + dc_carry) + (dh * o_gate[t]) * tanh_slope[t]
+            np.multiply(dc, c_prev, out=d_act[:, f_])
+            np.multiply(dc, cand[t], out=d_act[:, i_])
+            np.multiply(dc, i_gate[t], out=d_act[:, g_])
+            d_gates = d_act * scale[t] * slope[t]
+            bias.grad += d_gates.sum(axis=0)
+            weight.grad += xh[t].T @ d_gates
+            d_xh = d_gates @ weight.value.T
+            steps.grad[t] += d_xh[:, :n_in]
+            dh_carry = d_xh[:, n_in:]
+            dc_carry = dc * f_gate[t]
+        state.grad[:, :hidden] += dh_carry
+        state.grad[:, hidden:] += dc_carry
+
+    out._backward = backward
+    return out
+
+
 def coupling_inverse(
     x: Node,
     context: Node | None,
@@ -544,36 +620,3 @@ def backward(root: Node) -> dict[str, np.ndarray]:
             grads[node.name] = node.grad
     return grads
 
-
-def finite_diff_check(
-    build_loss: Callable[[], Node],
-    params: Iterable[Parameter],
-    epsilon: float = 1e-5,
-) -> float:
-    """Max entrywise relative error between analytic and central-difference
-    gradients: |analytic - numeric| / (|analytic| + |numeric| + 1e-12).
-
-    ``build_loss`` must rebuild the scalar loss from the parameters' current
-    values and be deterministic (dropout disabled).
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    params = list(params)
-    analytic = backward(build_loss())
-    worst = 0.0
-    for p in params:
-        a_grad = analytic.get(p.name)
-        if a_grad is None:
-            raise KeyError(f"parameter {p.name!r} not reached by the loss graph")
-        for idx in np.ndindex(p.value.shape):
-            saved = p.value[idx]
-            p.value[idx] = saved + epsilon
-            f_plus = float(build_loss().value)
-            p.value[idx] = saved - epsilon
-            f_minus = float(build_loss().value)
-            p.value[idx] = saved
-            numeric = (f_plus - f_minus) / (2.0 * epsilon)
-            a = float(a_grad[idx])
-            err = abs(a - numeric) / (abs(a) + abs(numeric) + 1e-12)
-            worst = max(worst, err)
-    return worst

@@ -309,22 +309,6 @@ class CmaEs:
         return earlier - recent < self.restart_tol
 
 
-def minimize(func, n: int, budget: int, seed: int = 0, sigma0: float = 0.3,
-             lam: int | None = None) -> tuple[np.ndarray, float, int]:
-    """Convenience loop: minimize func over [0, 1]^n within a budget of
-    evaluations; returns (best vector, best fitness, evaluations used)."""
-    opt = CmaEs(n, seed=seed, sigma0=sigma0, lam=lam)
-    if budget < opt.lam:
-        raise ValueError(f"budget {budget} is below one population of {opt.lam}")
-    used = 0
-    while used + opt.lam <= budget:
-        xs = opt.ask()
-        fits = np.array([func(x) for x in xs])
-        opt.tell(xs, fits)
-        used += opt.lam
-    return opt.best_vector, opt.best_fitness, used
-
-
 # -- candidate evaluation and the search driver ----------------------------------
 
 

@@ -3,6 +3,9 @@
 import numpy as np
 
 from tcflow import diffcore as dc
+from tcflow.conditioners import EncoderConfig, build_encoder
+from tcflow.flow import ConditionerConfig, FlowConfig, FlowModel
+from tcflow.hyperopt import CmaEs
 
 
 def auc_pairwise_oracle(scores, labels):
@@ -19,9 +22,6 @@ def auc_pairwise_oracle(scores, labels):
             elif p == n:
                 wins += 0.5
     return wins / (pos.size * neg.size)
-
-from tcflow.conditioners import EncoderConfig, build_encoder
-from tcflow.flow import ConditionerConfig, FlowConfig, FlowModel
 
 
 def small_flow(dim=2, n_layers=2, context_dim=0, seed=0, multiplier=2,
@@ -116,3 +116,68 @@ def reference_window_rows(values, lookback, train_idx, val_idx):
     in_train = np.array([t in train_set for t in t_index])
     in_val = np.array([t in val_set for t in t_index])
     return targets[in_train], contexts[in_train], targets[in_val], contexts[in_val]
+
+
+def composed_lstm_stack(encoder, steps, states, training=False, rng=None):
+    """Reference ``LstmEncoder._run_stack``: one ``dc.lstm_cell`` per step
+    and layer over a list of (batch, input) step nodes, from per-layer
+    ``(h, c)`` node pairs, with one dropout draw per step between layers in
+    training. Returns the top layer's hidden nodes and the new pairs."""
+    seq = list(steps)
+    new_states = []
+    for j, (w, b) in enumerate(encoder.cells):
+        h, c = states[j]
+        outputs = []
+        for step in seq:
+            h, c = dc.lstm_cell(step, h, c, w, b)
+            outputs.append(h)
+        new_states.append((h, c))
+        if j < len(encoder.cells) - 1:
+            outputs = [dc.dropout(o, encoder.cfg.dropout, rng, training) for o in outputs]
+        seq = outputs
+    return seq, new_states
+
+
+def finite_diff_check(build_loss, params, epsilon=1e-5):
+    """Max entrywise relative error between analytic and central-difference
+    gradients: |analytic - numeric| / (|analytic| + |numeric| + 1e-12).
+
+    ``build_loss`` must rebuild the scalar loss from the parameters' current
+    values and be deterministic (dropout disabled).
+    """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    params = list(params)
+    analytic = dc.backward(build_loss())
+    worst = 0.0
+    for p in params:
+        a_grad = analytic.get(p.name)
+        if a_grad is None:
+            raise KeyError(f"parameter {p.name!r} not reached by the loss graph")
+        for idx in np.ndindex(p.value.shape):
+            saved = p.value[idx]
+            p.value[idx] = saved + epsilon
+            f_plus = float(build_loss().value)
+            p.value[idx] = saved - epsilon
+            f_minus = float(build_loss().value)
+            p.value[idx] = saved
+            numeric = (f_plus - f_minus) / (2.0 * epsilon)
+            a = float(a_grad[idx])
+            err = abs(a - numeric) / (abs(a) + abs(numeric) + 1e-12)
+            worst = max(worst, err)
+    return worst
+
+
+def minimize(func, n, budget, seed=0, sigma0=0.3, lam=None):
+    """CMA-ES loop: minimize func over [0, 1]^n within a budget of
+    evaluations; returns (best vector, best fitness, evaluations used)."""
+    opt = CmaEs(n, seed=seed, sigma0=sigma0, lam=lam)
+    if budget < opt.lam:
+        raise ValueError(f"budget {budget} is below one population of {opt.lam}")
+    used = 0
+    while used + opt.lam <= budget:
+        xs = opt.ask()
+        fits = np.array([func(x) for x in xs])
+        opt.tell(xs, fits)
+        used += opt.lam
+    return opt.best_vector, opt.best_fitness, used

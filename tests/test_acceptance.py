@@ -10,14 +10,20 @@ import time
 
 import numpy as np
 import pytest
-from helpers import auc_pairwise_oracle, randomize_model, small_flow
+from helpers import (
+    auc_pairwise_oracle,
+    finite_diff_check,
+    minimize,
+    randomize_model,
+    small_flow,
+)
 
 from tcflow import data as dt
 from tcflow import diffcore as dc
 from tcflow import metrics as mx
 from tcflow.conditioners import EncoderConfig, build_encoder, padded_context_windows
 from tcflow.flow import ConditionerConfig, FlowConfig, nll_loss
-from tcflow.hyperopt import CmaEs, minimize, run_search
+from tcflow.hyperopt import CmaEs, run_search
 from tcflow.score import score_series
 from tcflow.train import TrainConfig, load_model, save_model, train_model
 
@@ -102,7 +108,7 @@ def test_a02_gradient_correctness():
             ctx = encoder.encode_batch(contexts) if encoder is not None else None
             return nll_loss(model, points, ctx)
 
-        errors[tag] = dc.finite_diff_check(loss, model.parameters(), epsilon=1e-5)
+        errors[tag] = finite_diff_check(loss, model.parameters(), epsilon=1e-5)
 
     check_full_loss("coupling", EncoderConfig("none"), 0)
     check_full_loss("mlp", EncoderConfig("mlp", lookback=3, mlp_layers=3,
@@ -132,8 +138,8 @@ def test_a02_gradient_correctness():
             terms.append(dc.neg(model.log_prob_nodes(targets[t : t + 1], w)))
         return dc.mean(dc.concat(terms, axis=0))
 
-    errors["stateful"] = dc.finite_diff_check(stateful_loss, model.parameters(),
-                                              epsilon=1e-5)
+    errors["stateful"] = finite_diff_check(stateful_loss, model.parameters(),
+                                           epsilon=1e-5)
     elapsed = time.perf_counter() - start
     worst = max(errors.values())
     detail = ", ".join(f"{k}={v:.2e}" for k, v in errors.items())

@@ -1,6 +1,9 @@
+import functools
+import re
+
 import numpy as np
 import pytest
-from helpers import build_model_with_encoder
+from helpers import build_model_with_encoder, composed_lstm_stack, finite_diff_check
 
 from tcflow import diffcore as dc
 from tcflow.conditioners import (
@@ -146,7 +149,7 @@ class TestCnnEncoder:
             out = enc.encode_batch(ctx)
             return dc.sum_(dc.mul(out, out))
 
-        assert dc.finite_diff_check(loss, enc.parameters(), epsilon=1e-5) < 1e-4
+        assert finite_diff_check(loss, enc.parameters(), epsilon=1e-5) < 1e-4
 
 
 class TestLstmEncoder:
@@ -171,7 +174,7 @@ class TestLstmEncoder:
             out = enc.encode_batch(ctx)
             return dc.sum_(dc.mul(out, out))
 
-        assert dc.finite_diff_check(loss, enc.parameters(), epsilon=1e-5) < 1e-4
+        assert finite_diff_check(loss, enc.parameters(), epsilon=1e-5) < 1e-4
 
 
 class TestStatefulEncoder:
@@ -199,9 +202,8 @@ class TestStatefulEncoder:
         stateful.encode_step(np.ones(2), handle, 0)
         handle.reset()
         assert handle.steps_done == 0
-        for h, c in handle.states:
-            np.testing.assert_array_equal(h.value, 0.0)
-            np.testing.assert_array_equal(c.value, 0.0)
+        for state in handle.states:
+            np.testing.assert_array_equal(state.value, 0.0)
 
     def test_out_of_order_step_names_both_indices(self):
         _, stateful = self._pair()
@@ -209,6 +211,16 @@ class TestStatefulEncoder:
         stateful.encode_step(np.ones(2), handle, 0)
         with pytest.raises(ValueError, match="expected step 1, got 3"):
             stateful.encode_step(np.ones(2), handle, 3)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2), (0, 2)])
+    def test_misshaped_block_rejected_naming_both_shapes(self, shape):
+        # a (2, 3) block holds 6 values: a flat reshape would read it as 3
+        # rows of the 2 channels and advance the handle by 3
+        _, stateful = self._pair()
+        handle = stateful.new_handle()
+        with pytest.raises(dc.ShapeError, match=re.escape(f"{shape} and (None, 2)")):
+            stateful.encode_step(np.zeros(shape), handle, 0)
+        assert handle.steps_done == 0
 
     def test_step_advances_counter_by_one(self):
         _, stateful = self._pair()
@@ -228,9 +240,8 @@ class TestStatefulEncoder:
         rest = stateful.encode_step(values[3:], block, 3)
         assert block.steps_done == 7
         np.testing.assert_array_equal(np.vstack([first.value, rest.value]), rows)
-        for (h1, c1), (h2, c2) in zip(single.states, block.states):
-            np.testing.assert_array_equal(h1.value, h2.value)
-            np.testing.assert_array_equal(c1.value, c2.value)
+        for s1, s2 in zip(single.states, block.states):
+            np.testing.assert_array_equal(s1.value, s2.value)
 
     def test_walk_equals_one_block_step_and_cuts_between_chunks(self):
         # lookback 4 over 10 rows: chunks 0-3, 4-7 and a partial one
@@ -255,6 +266,84 @@ class TestStatefulEncoder:
             a = stateful.encode_step(values[t], h1, t).value
             b = stateful.encode_step(values[t], h2, t).value
             np.testing.assert_array_equal(a, b)
+
+
+class TestFusedLstmStack:
+    """``LstmEncoder._run_stack`` (one ``dc.lstm_sequence`` node per layer)
+    against ``helpers.composed_lstm_stack`` (one ``dc.lstm_cell`` per step and
+    layer): values and every gradient are equal, bit for bit."""
+
+    HIDDEN = 3
+
+    def _encoder(self, layers, kind="lstm-stateless", lookback=4):
+        cfg = EncoderConfig(kind, lookback=lookback, lstm_layers=layers,
+                            lstm_hidden=self.HIDDEN, dropout=0.4)
+        enc = build_encoder(cfg, 2, np.random.default_rng(layers))
+        for _, b in enc.cells:
+            b.value = np.random.default_rng(7).normal(0.0, 0.5, b.value.shape)
+        return enc
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("n_steps", [1, 7])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_values_and_gradients_equal_per_step_cells(self, layers, batch, n_steps, training):
+        enc, hid = self._encoder(layers), self.HIDDEN
+        rng = np.random.default_rng(100 * layers + 10 * batch + n_steps)
+        x = rng.normal(size=(n_steps, batch, 2))
+        states = rng.normal(size=(layers, batch, 2 * hid))
+        seq_seed, state_seed = rng.normal(size=(n_steps, batch, hid)), rng.normal(size=states.shape)
+
+        steps = dc.Parameter(x, "x")
+        incoming = [dc.Parameter(s, f"s{j}") for j, s in enumerate(states)]
+        out, fused_states = enc._run_stack(steps, incoming, training, np.random.default_rng(3))
+        terms = [dc.sum_(dc.mul(out[:, :, :hid], dc.constant(seq_seed)))]
+        terms += [dc.sum_(dc.mul(s, dc.constant(q))) for s, q in zip(fused_states, state_seed)]
+        fused = dc.backward(functools.reduce(dc.add, terms))
+
+        ref_steps = [dc.Parameter(x[t], f"x{t}") for t in range(n_steps)]
+        ref_in = [(dc.Parameter(s[:, :hid], f"h{j}"), dc.Parameter(s[:, hid:], f"c{j}"))
+                  for j, s in enumerate(states)]
+        seq, ref_states = composed_lstm_stack(enc, ref_steps, ref_in, training,
+                                              np.random.default_rng(3))
+        terms = [dc.sum_(dc.mul(h, dc.constant(q))) for h, q in zip(seq, seq_seed)]
+        for (h, c), q in zip(ref_states, state_seed):
+            terms += [dc.sum_(dc.mul(h, dc.constant(q[:, :hid]))),
+                      dc.sum_(dc.mul(c, dc.constant(q[:, hid:])))]
+        ref = dc.backward(functools.reduce(dc.add, terms))
+
+        np.testing.assert_array_equal(out.value[:, :, :hid], np.stack([h.value for h in seq]))
+        for state, (h, c) in zip(fused_states, ref_states):
+            np.testing.assert_array_equal(state.value, np.hstack([h.value, c.value]))
+        for p in enc.parameters():
+            np.testing.assert_array_equal(fused[p.name], ref[p.name], err_msg=p.name)
+        np.testing.assert_array_equal(
+            fused["x"], np.stack([ref[f"x{t}"] for t in range(n_steps)]))
+        for j in range(layers):
+            np.testing.assert_array_equal(
+                fused[f"s{j}"], np.hstack([ref[f"h{j}"], ref[f"c{j}"]]), err_msg=f"layer {j}")
+
+    def test_walk_chunk_with_partial_mask_equals_per_step_cells(self):
+        # lookback 4 over 7 rows: a full chunk, then a partial one whose
+        # state comes across the cut; a partial pick of each chunk's rows
+        enc = self._encoder(2, kind="lstm-stateful")
+        values = np.random.default_rng(8).normal(size=(7, 2))
+        stream = np.vstack([values[:1], values[:-1]])
+        picks = [np.array([True, False, True, True]), np.array([False, True, True])]
+        fused_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        states = [(dc.constant(np.zeros((1, self.HIDDEN))),) * 2 for _ in enc.cells]
+        chunks = list(enc.walk(values, training=True, rng=fused_rng))
+        assert [span for span, _ in chunks] == [slice(0, 4), slice(4, 8)]
+        for (span, contexts), pick in zip(chunks, picks):
+            rows = [dc.constant(row[None]) for row in stream[span]]
+            seq, states = composed_lstm_stack(enc, rows, states, True, ref_rng)
+            np.testing.assert_array_equal(contexts.value, np.vstack([h.value for h in seq]))
+            weights = np.random.default_rng(span.start).normal(size=(int(pick.sum()), self.HIDDEN))
+            fused = dc.backward(dc.sum_(dc.mul(contexts[pick], dc.constant(weights))))
+            ref = dc.backward(dc.sum_(dc.mul(dc.concat(seq, axis=0)[pick], dc.constant(weights))))
+            for p in enc.parameters():
+                np.testing.assert_array_equal(fused[p.name], ref[p.name], err_msg=p.name)
+            states = [(dc.constant(h.value), dc.constant(c.value)) for h, c in states]
 
 
 class TestConfigValidation:

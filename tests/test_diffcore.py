@@ -2,6 +2,7 @@ import gc
 
 import numpy as np
 import pytest
+from helpers import finite_diff_check
 
 from tcflow import diffcore as dc
 
@@ -100,7 +101,7 @@ def test_dropout_deterministic_given_seed():
 def test_finite_diff_exact_for_linear_loss():
     p = dc.Parameter(np.array([1.0, -2.0, 0.5]), "p")
     coeff = np.array([2.0, 3.0, -1.0])
-    err = dc.finite_diff_check(lambda: dc.sum_(dc.mul(p, dc.constant(coeff))), [p])
+    err = finite_diff_check(lambda: dc.sum_(dc.mul(p, dc.constant(coeff))), [p])
     assert err <= 1e-10
 
 
@@ -116,7 +117,7 @@ def test_finite_diff_two_layer_tanh_net():
         out = dc.matmul(h, w2)
         return dc.sum_(dc.mul(out, out))
 
-    assert dc.finite_diff_check(loss, [w1, b1, w2], epsilon=1e-5) < 1e-4
+    assert finite_diff_check(loss, [w1, b1, w2], epsilon=1e-5) < 1e-4
 
 
 def test_finite_diff_lstm_cell_step():
@@ -133,7 +134,36 @@ def test_finite_diff_lstm_cell_step():
         h2, _ = dc.lstm_cell(x, h1, c1, w, b)
         return dc.sum_(dc.mul(h2, h2))
 
-    assert dc.finite_diff_check(loss, [w, b], epsilon=1e-5) < 1e-4
+    assert finite_diff_check(loss, [w, b], epsilon=1e-5) < 1e-4
+
+
+def test_finite_diff_lstm_sequence_through_chained_state():
+    # two chained calls, the second starting from the first's final state,
+    # as consecutive stateful encode_step calls chain: the gradient reaches
+    # the input sequence and the incoming state through both
+    rng = np.random.default_rng(6)
+    hidden = 3
+    w = dc.Parameter(rng.normal(0, 0.4, (2 + hidden, 4 * hidden)), "w")
+    b = dc.Parameter(rng.normal(0, 0.1, 4 * hidden), "b")
+    x = dc.Parameter(rng.normal(0, 1, (5, 2, 2)), "x")
+    state = dc.Parameter(rng.normal(0, 0.5, (2, 2 * hidden)), "state")
+
+    def loss():
+        first = dc.lstm_sequence(x[:3], state, w, b)
+        second = dc.lstm_sequence(x[3:], first[-1], w, b)
+        hidden_seq = first[:, :, :hidden]
+        return dc.add(dc.sum_(dc.mul(hidden_seq, hidden_seq)), dc.sum_(dc.mul(second, second)))
+
+    assert finite_diff_check(loss, [x, state, w, b], epsilon=1e-5) < 1e-4
+
+
+def test_lstm_sequence_shape_mismatch_names_op():
+    w = dc.constant(np.zeros((5, 8)))
+    b = dc.constant(np.zeros(8))
+    with pytest.raises(dc.ShapeError, match="lstm_sequence"):
+        dc.lstm_sequence(dc.constant(np.zeros((4, 2, 3))), dc.constant(np.zeros((3, 4))), w, b)
+    with pytest.raises(dc.ShapeError, match="lstm_sequence"):
+        dc.lstm_sequence(dc.constant(np.zeros((4, 2, 2))), dc.constant(np.zeros((2, 4))), w, b)
 
 
 def test_finite_diff_conv1d():
@@ -146,7 +176,7 @@ def test_finite_diff_conv1d():
         out = dc.conv1d(x, w, b)
         return dc.sum_(dc.mul(out, out))
 
-    assert dc.finite_diff_check(loss, [w, b], epsilon=1e-5) < 1e-4
+    assert finite_diff_check(loss, [w, b], epsilon=1e-5) < 1e-4
 
 
 def test_conv1d_preserves_time_length():
@@ -189,7 +219,7 @@ def test_mean_and_log_and_exp_gradients():
     # mean(log(exp(p))) == mean(p), gradient 1/3 everywhere
     grads = dc.backward(loss())
     np.testing.assert_allclose(grads["p"], np.full(3, 1.0 / 3.0))
-    assert dc.finite_diff_check(loss, [p]) < 1e-6
+    assert finite_diff_check(loss, [p]) < 1e-6
 
 
 def test_gradient_shapes_match_values_everywhere():
@@ -212,11 +242,14 @@ def test_dropped_graph_is_freed_without_cycle_collection():
         h, c = dc.lstm_cell(a, zeros, zeros, dc.Parameter(rng.normal(size=(5, 8)), "w"),
                             dc.Parameter(np.zeros(8), "b"))
         conv = dc.conv1d(dc.reshape(a, (2, 3, 1)), dc.Parameter(rng.normal(size=(3, 1, 2)), "k"))
+        seq = dc.lstm_sequence(dc.reshape(a, (1, 2, 3)), dc.constant(np.zeros((2, 4))),
+                               dc.Parameter(rng.normal(size=(5, 8)), "w2"),
+                               dc.Parameter(np.zeros(8), "b2"))
         terms = [dc.exp(h), dc.log(dc.exp(c)), dc.neg(dc.sub(conv[:, 0, :], h)),
-                 dc.dropout(h, 0.5, rng, True)]
+                 dc.dropout(h, 0.5, rng, True), seq[0]]
         loss = dc.mean(dc.sum_(dc.concat(terms, axis=1), axis=1))
         dc.backward(loss)
-        del loss, h, c, conv, terms
+        del loss, h, c, conv, seq, terms
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -6,6 +6,7 @@ from helpers import (
     build_model_with_encoder,
     composed_inverse,
     composed_latent,
+    finite_diff_check,
     force_affine,
     randomize_model,
     small_flow,
@@ -248,7 +249,7 @@ class TestGradients:
         def loss():
             return nll_loss(model, x, dc.constant(ctx))
 
-        err = dc.finite_diff_check(loss, model.parameters(), epsilon=1e-5)
+        err = finite_diff_check(loss, model.parameters(), epsilon=1e-5)
         assert err < 1e-4
 
 
@@ -313,7 +314,7 @@ class TestFusedCoupling:
             return nll_loss(model, x, model.encoder.encode_batch(windows))
 
         assert any(p.name.startswith("encoder.") for p in model.parameters())
-        assert dc.finite_diff_check(loss, model.parameters(), epsilon=1e-5) < 1e-4
+        assert finite_diff_check(loss, model.parameters(), epsilon=1e-5) < 1e-4
 
     def test_nan_from_a_middle_layer_names_that_layer(self):
         model = small_flow(dim=2, n_layers=3)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from helpers import minimize
 
 from tcflow import data as dt
 from tcflow.hyperopt import (
     CmaEs,
     decode,
     default_population,
-    minimize,
     reflect_into_unit,
     run_search,
     space_for_method,

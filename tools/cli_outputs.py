@@ -6,11 +6,13 @@ Imports ``tcflow`` from the source directory SRC (for example ``src`` of a
 checkout) and runs, through ``tcflow.cli.main``, into the empty directory OUT:
 
 - ``generate``: a 600-step sine with spike and platform anomalies, seed 7;
-- ``train`` for 2 epochs with each of the 7 methods;
+- ``train`` for 2 epochs with each of the 7 methods, and again with 2-layer
+  LSTMs (``[encoder] lstm_layers = 2``) for ``tcnf-stateless`` and
+  ``tcnf-stateful``, whose training draws the dropout between LSTM layers;
 - a one-generation ``tcnf-base`` search (budget 9, 2 candidate and 2 final
   epochs);
 - ``score --labeled``, ``evaluate`` and ``export-latent`` on the test series
-  for all 8 models.
+  for all 10 models.
 
 A change that must not alter any output is checked by running this against
 the parent's ``src`` and the change's, each into its own directory, then
@@ -34,6 +36,7 @@ budget = 9
 candidate_epochs = 2
 final_epochs = 2
 """
+TWO_LAYER_LSTM = "\n[encoder]\nlstm_layers = 2\n"
 
 
 def main(src: str, out: str) -> int:
@@ -45,8 +48,9 @@ def main(src: str, out: str) -> int:
         raise SystemExit(f"{out} is not empty")
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
-    data, config = Path("data"), Path("config.ini")
+    data, config, config_2 = Path("data"), Path("config.ini"), Path("config-lstm2.ini")
     config.write_text(CONFIG)
+    config_2.write_text(CONFIG + TWO_LAYER_LSTM)
 
     def run(*argv):
         argv = [str(a) for a in argv]
@@ -60,6 +64,11 @@ def main(src: str, out: str) -> int:
         run("train", "--config", config, "--data", data / "train_clean.csv",
             "--method", method, "--out-dir", Path(method, "train"))
         models[method] = Path(method, "train") / "model.tcf"
+    for method in ("tcnf-stateless", "tcnf-stateful"):
+        name = f"{method}-2layer"
+        run("train", "--config", config_2, "--data", data / "train_clean.csv",
+            "--method", method, "--out-dir", Path(name, "train"))
+        models[name] = Path(name, "train") / "model.tcf"
     run("search", "--config", config, "--train", data / "train_clean.csv",
         "--labeled", data / "train_labeled.csv", "--method", "tcnf-base",
         "--out-dir", "search")
