@@ -64,7 +64,8 @@ DEFAULTS = {
     },
     "flow": {
         "coupling_layers": FlowConfig.n_layers,
-        **{f"cond_{name}": value for name, value in _field_defaults(ConditionerConfig).items()},
+        **{ConditionerConfig.KEY_PREFIX + name: value
+           for name, value in _field_defaults(ConditionerConfig).items()},
     },
     "encoder": _field_defaults(EncoderConfig, skip=("kind",)),
     "train": _field_defaults(TrainConfig, skip=("seed",)),

@@ -15,29 +15,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Node, Parameter
-
-KINDS = (
-    "none",
-    "passthrough",
-    "fixed-encode",
-    "mlp",
-    "cnn",
-    "lstm-stateless",
-    "lstm-stateful",
-)
+from .flow import check_ranges
 
 
 @dataclass
 class EncoderConfig:
     """Encoder kind plus its kind-specific hyperparameters.
 
-    ``lookback`` is the number of past timesteps summarized per target;
-    bounds on the learnable-kind fields match the search space.
+    ``lookback`` is the number of past timesteps summarized per target. A
+    kind reads the fields its class lists in ``reads`` (see ``ENCODERS``);
+    those with a ``RANGES`` entry must lie in that inclusive range, which for
+    all but ``lookback`` is also the range the search space searches.
     """
 
     kind: str = "passthrough"
@@ -51,29 +45,21 @@ class EncoderConfig:
     lstm_hidden: int = 0  # 0 means "derive from channel count"
     dropout: float = 0.1
 
+    RANGES: ClassVar[dict[str, tuple]] = {
+        "lookback": (1, math.inf),
+        "mlp_layers": (3, 20),
+        "mlp_compression": (1, 20),
+        "cnn_layers": (1, 5),
+        "cnn_kernel": (3, 7),
+        "cnn_max_channels": (1, 20),
+        "lstm_layers": (1, 10),
+        "dropout": (0.1, 0.9),
+    }
+
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in ENCODERS:
             raise ValueError(f"unknown encoder kind {self.kind!r}")
-        if self.kind != "none" and self.lookback < 1:
-            raise ValueError("lookback must be >= 1")
-        if self.kind == "mlp":
-            if not 3 <= self.mlp_layers <= 20:
-                raise ValueError(f"mlp layers out of range [3, 20]: {self.mlp_layers}")
-            if not 1 <= self.mlp_compression <= 20:
-                raise ValueError(f"mlp compression out of range [1, 20]: {self.mlp_compression}")
-        if self.kind == "cnn":
-            if not 1 <= self.cnn_layers <= 5:
-                raise ValueError(f"cnn layers out of range [1, 5]: {self.cnn_layers}")
-            if not 3 <= self.cnn_kernel <= 7:
-                raise ValueError(f"cnn kernel out of range [3, 7]: {self.cnn_kernel}")
-            if not 1 <= self.cnn_max_channels <= 20:
-                raise ValueError(f"cnn max channels out of range [1, 20]: {self.cnn_max_channels}")
-        if self.kind in ("lstm-stateless", "lstm-stateful"):
-            if not 1 <= self.lstm_layers <= 10:
-                raise ValueError(f"lstm layers out of range [1, 10]: {self.lstm_layers}")
-        if self.kind in ("mlp", "cnn", "lstm-stateless", "lstm-stateful"):
-            if not 0.1 <= self.dropout <= 0.9:
-                raise ValueError(f"encoder dropout out of range [0.1, 0.9]: {self.dropout}")
+        check_ranges(self, ENCODERS[self.kind].reads)
 
 
 # -- window construction ---------------------------------------------------
@@ -98,14 +84,16 @@ def padded_context_windows(series: np.ndarray, lookback: int) -> np.ndarray:
 class Encoder:
     """Shared interface: ``context_dim``, ``parameters()``, ``encode_batch``.
 
-    Instantiated directly for kind ``none``: the unconditioned flow, with an
-    empty context and nothing to learn.
+    ``reads`` lists the ``EncoderConfig`` fields the kind uses. Instantiated
+    directly for kind ``none``: the unconditioned flow, with an empty context
+    and nothing to learn.
     """
 
     kind = "none"
+    reads: tuple[str, ...] = ()
     context_dim = 0
 
-    def __init__(self, cfg: EncoderConfig, dim: int):
+    def __init__(self, cfg: EncoderConfig, dim: int, rng: np.random.Generator):
         self.cfg = cfg
         self.dim = dim
 
@@ -129,9 +117,10 @@ class PassthroughEncoder(Encoder):
     """Raw window, flattened: context_dim = lookback * channels."""
 
     kind = "passthrough"
+    reads = ("lookback",)
 
-    def __init__(self, cfg: EncoderConfig, dim: int):
-        super().__init__(cfg, dim)
+    def __init__(self, cfg: EncoderConfig, dim: int, rng: np.random.Generator):
+        super().__init__(cfg, dim, rng)
         self.context_dim = cfg.lookback * dim
 
     def encode_batch(self, contexts, training=False, rng=None):
@@ -144,9 +133,10 @@ class FixedSummaryEncoder(Encoder):
     difference. Fixed function, nothing to learn; context_dim = 4 * channels."""
 
     kind = "fixed-encode"
+    reads = ("lookback",)
 
-    def __init__(self, cfg: EncoderConfig, dim: int):
-        super().__init__(cfg, dim)
+    def __init__(self, cfg: EncoderConfig, dim: int, rng: np.random.Generator):
+        super().__init__(cfg, dim, rng)
         self.context_dim = 4 * dim
 
     def encode_batch(self, contexts, training=False, rng=None):
@@ -166,9 +156,10 @@ class MlpEncoder(Encoder):
     max(2, floor(lookback * channels / compression)) outputs."""
 
     kind = "mlp"
+    reads = ("lookback", "mlp_layers", "mlp_compression", "dropout")
 
     def __init__(self, cfg: EncoderConfig, dim: int, rng: np.random.Generator):
-        super().__init__(cfg, dim)
+        super().__init__(cfg, dim, rng)
         in_dim = cfg.lookback * dim
         self.context_dim = max(2, in_dim // cfg.mlp_compression)
         # hidden widths shrink geometrically from the input to the output size
@@ -211,9 +202,10 @@ class CnnEncoder(Encoder):
     the context size equals the channel width of the last conv layer."""
 
     kind = "cnn"
+    reads = ("lookback", "cnn_layers", "cnn_kernel", "cnn_max_channels", "dropout")
 
     def __init__(self, cfg: EncoderConfig, dim: int, rng: np.random.Generator):
-        super().__init__(cfg, dim)
+        super().__init__(cfg, dim, rng)
         self.context_dim = cfg.cnn_max_channels
         channels = [
             max(1, round(dim + (cfg.cnn_max_channels - dim) * (j + 1) / cfg.cnn_layers))
@@ -254,9 +246,10 @@ class LstmEncoder(Encoder):
     is one (batch, 2*hidden) ``[h | c]`` node."""
 
     kind = "lstm-stateless"
+    reads = ("lookback", "lstm_layers", "lstm_hidden", "dropout")
 
     def __init__(self, cfg: EncoderConfig, dim: int, rng: np.random.Generator):
-        super().__init__(cfg, dim)
+        super().__init__(cfg, dim, rng)
         self.hidden = cfg.lstm_hidden if cfg.lstm_hidden > 0 else max(2, 2 * dim)
         self.context_dim = self.hidden
         self.cells: list[tuple[Parameter, Parameter]] = []
@@ -369,24 +362,19 @@ class StatefulLstmEncoder(LstmEncoder):
             handle.states = [dc.constant(state.value) for state in handle.states]
 
 
+# kind -> encoder class; ``KINDS`` lists the kinds in this order
+ENCODERS: dict[str, type[Encoder]] = {
+    cls.kind: cls
+    for cls in (Encoder, PassthroughEncoder, FixedSummaryEncoder, MlpEncoder,
+                CnnEncoder, LstmEncoder, StatefulLstmEncoder)
+}
+KINDS = tuple(ENCODERS)
+
+
 def build_encoder(cfg: EncoderConfig, dim: int,
                   rng: np.random.Generator | None = None) -> Encoder:
     """Instantiate the encoder for ``cfg``; the base ``Encoder`` for kind
     ``none``, the unconditioned flow."""
     if rng is None:
         rng = np.random.default_rng(0)
-    if cfg.kind == "none":
-        return Encoder(cfg, dim)
-    if cfg.kind == "passthrough":
-        return PassthroughEncoder(cfg, dim)
-    if cfg.kind == "fixed-encode":
-        return FixedSummaryEncoder(cfg, dim)
-    if cfg.kind == "mlp":
-        return MlpEncoder(cfg, dim, rng)
-    if cfg.kind == "cnn":
-        return CnnEncoder(cfg, dim, rng)
-    if cfg.kind == "lstm-stateless":
-        return LstmEncoder(cfg, dim, rng)
-    if cfg.kind == "lstm-stateful":
-        return StatefulLstmEncoder(cfg, dim, rng)
-    raise ValueError(f"unknown encoder kind {cfg.kind!r}")
+    return ENCODERS[cfg.kind](cfg, dim, rng)

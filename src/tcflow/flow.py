@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,24 +31,42 @@ class FlowNanError(FloatingPointError):
         self.layer_index = layer_index
 
 
+def check_ranges(cfg, names, key_prefix: str = "") -> None:
+    """Reject the first of ``names`` outside its inclusive ``cfg.RANGES``
+    bounds, naming it as its config key (``key_prefix`` plus the field);
+    names without a range pass."""
+    for name in names:
+        if name in cfg.RANGES:
+            lower, upper = cfg.RANGES[name]
+            value = getattr(cfg, name)
+            if not lower <= value <= upper:
+                raise ValueError(f"{key_prefix}{name} out of range [{lower}, {upper}]: {value}")
+
+
 @dataclass
 class ConditionerConfig:
-    """Hyperparameters of the per-layer scale/shift network."""
+    """Hyperparameters of the per-layer scale/shift network.
+
+    ``RANGES`` bounds each field, inclusively; the search space searches the
+    same ranges. Each field's config key and search row is ``KEY_PREFIX``
+    plus its name.
+    """
 
     multiplier: int = 4
     layers: int = 3
     dropout: float = 0.1
     funnel: float = 1.5
 
+    KEY_PREFIX: ClassVar[str] = "cond_"
+    RANGES: ClassVar[dict[str, tuple]] = {
+        "multiplier": (1, 50),
+        "layers": (3, 8),
+        "dropout": (0.1, 0.9),
+        "funnel": (1.0, 10.0),
+    }
+
     def __post_init__(self):
-        if not 1 <= self.multiplier <= 50:
-            raise ValueError(f"multiplier out of range [1, 50]: {self.multiplier}")
-        if not 3 <= self.layers <= 8:
-            raise ValueError(f"layers out of range [3, 8]: {self.layers}")
-        if not 0.1 <= self.dropout <= 0.9:
-            raise ValueError(f"dropout out of range [0.1, 0.9]: {self.dropout}")
-        if not 1.0 <= self.funnel <= 10.0:
-            raise ValueError(f"funnel out of range [1, 10]: {self.funnel}")
+        check_ranges(self, self.RANGES, self.KEY_PREFIX)
 
 
 @dataclass

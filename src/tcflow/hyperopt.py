@@ -19,11 +19,11 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .conditioners import EncoderConfig
+from .conditioners import ENCODERS, EncoderConfig
 from .data import (
     DataError,
     TimeSeriesDataset,
@@ -87,43 +87,36 @@ class SearchSpace:
         return len(self.params)
 
 
-# The encoder rows of each method's search space, each with the EncoderConfig
-# field it sets.
-_LSTM_ROWS = [
-    (ParamSpec("enc_layers", 1, 10, "int"), "lstm_layers"),
-    (ParamSpec("enc_dropout", 0.1, 0.9), "dropout"),
-]
-_ENCODER_ROWS: dict[str, list[tuple[ParamSpec, str]]] = {
-    "tcnf-mlp": [
-        (ParamSpec("enc_layers", 3, 20, "int"), "mlp_layers"),
-        (ParamSpec("enc_compression", 1, 20, "int"), "mlp_compression"),
-        (ParamSpec("enc_dropout", 0.1, 0.9), "dropout"),
-    ],
-    "tcnf-cnn": [
-        (ParamSpec("enc_layers", 1, 5, "int"), "cnn_layers"),
-        (ParamSpec("enc_kernel", 3, 7, "int"), "cnn_kernel"),
-        (ParamSpec("enc_max_channels", 1, 20, "int"), "cnn_max_channels"),
-        (ParamSpec("enc_dropout", 0.1, 0.9), "dropout"),
-    ],
-    "tcnf-stateless": _LSTM_ROWS,
-    "tcnf-stateful": _LSTM_ROWS,
-}
+def _ranged_row(cls, attr: str, name: str) -> ParamSpec:
+    """The search row ``name`` over ``cls.RANGES[attr]``; integer when the
+    field's default is an integer, as for its config key."""
+    lower, upper = cls.RANGES[attr]
+    return ParamSpec(name, lower, upper, "int" if type(getattr(cls, attr)) is int else "real")
+
+
+def _encoder_rows(method: str) -> dict[str, str]:
+    """Search row name -> ``EncoderConfig`` field for the ranged fields the
+    method's encoder reads, ``lookback`` aside: ``enc_`` plus the field name
+    without its kind prefix (``cnn_kernel`` is searched as ``enc_kernel``)."""
+    return {
+        "enc_" + attr.split("_", 1)[-1]: attr
+        for attr in ENCODERS[METHOD_ENCODERS[method]].reads
+        if attr in EncoderConfig.RANGES and attr != "lookback"
+    }
 
 
 def space_for_method(method: str, lookback_max: int = LOOKBACK_MAX) -> SearchSpace:
-    """Bounded hyperparameter rows for one method."""
+    """Bounded hyperparameter rows for one method: the coupling layers, the
+    conditioner's ranged fields, the lookback if the encoder reads one, and
+    the encoder's other ranged fields."""
     if method not in METHOD_ENCODERS:
         raise ValueError(f"unknown method {method!r}")
-    rows = [
-        ParamSpec("coupling_layers", 3, 20, "int"),
-        ParamSpec("cond_multiplier", 1, 50, "int"),
-        ParamSpec("cond_layers", 3, 8, "int"),
-        ParamSpec("cond_dropout", 0.1, 0.9),
-        ParamSpec("cond_funnel", 1.0, 10.0),
-    ]
-    if method != "realnvp":
+    rows = [ParamSpec("coupling_layers", 3, 20, "int")]
+    rows += [_ranged_row(ConditionerConfig, attr, ConditionerConfig.KEY_PREFIX + attr)
+             for attr in ConditionerConfig.RANGES]
+    if "lookback" in ENCODERS[METHOD_ENCODERS[method]].reads:
         rows.append(ParamSpec("lookback", 1, lookback_max, "int"))
-    rows += [spec for spec, _ in _ENCODER_ROWS.get(method, [])]
+    rows += [_ranged_row(EncoderConfig, attr, name) for name, attr in _encoder_rows(method).items()]
     return SearchSpace(rows)
 
 
@@ -143,17 +136,14 @@ def decode(vector: np.ndarray, space: SearchSpace) -> dict:
 def flow_config(params: dict) -> FlowConfig:
     """The flow from the flat ``coupling_layers`` and ``cond_*`` keys, as
     named in the search space and in the ``[flow]`` config section."""
-    cond = ConditionerConfig(
-        multiplier=params["cond_multiplier"],
-        layers=params["cond_layers"],
-        dropout=params["cond_dropout"],
-        funnel=params["cond_funnel"],
-    )
+    cond = ConditionerConfig(**{f.name: params[ConditionerConfig.KEY_PREFIX + f.name]
+                                for f in fields(ConditionerConfig)})
     return FlowConfig(params["coupling_layers"], cond)
 
 
 def configs_from_params(method: str, params: dict) -> tuple[EncoderConfig, FlowConfig]:
-    enc_kwargs = {attr: params[spec.name] for spec, attr in _ENCODER_ROWS.get(method, [])}
+    """The configs of one trial's decoded ``params``."""
+    enc_kwargs = {attr: params[name] for name, attr in _encoder_rows(method).items()}
     encoder_cfg = EncoderConfig(METHOD_ENCODERS[method], lookback=params.get("lookback", 1),
                                 **enc_kwargs)
     return encoder_cfg, flow_config(params)
@@ -408,6 +398,8 @@ def run_search(
             metric_window = infer_metric_window(labeled_eval.labels)
     metric_window = int(metric_window or 0)
     candidate_cfg = candidate_cfg or TrainConfig(epochs=CANDIDATE_EPOCHS, patience=CANDIDATE_PATIENCE)
+    # checked before any candidate trains; only its seed waits for the winner
+    final_cfg = replace(candidate_cfg, epochs=final_epochs, patience=max(candidate_cfg.patience, 5))
     if workers is None:
         workers = int(os.environ.get("TCFLOW_WORKERS", "1"))
 
@@ -435,12 +427,7 @@ def run_search(
         raise DataError(f"all {len(trials)} candidates failed; there is no trial to refit")
     best_trial = trials[int(np.argmin(np.where(np.isnan(fitness), np.inf, fitness)))]
     encoder_cfg, flow_cfg = configs_from_params(method, best_trial.params)
-    final_cfg = replace(
-        candidate_cfg,
-        epochs=final_epochs,
-        patience=max(candidate_cfg.patience, 5),
-        seed=_candidate_seed(seed, best_trial.index),
-    )
+    final_cfg = replace(final_cfg, seed=_candidate_seed(seed, best_trial.index))
     best_model, _ = train_model(train_prepared, encoder_cfg, flow_cfg, final_cfg,
                                 model_id=f"{method}-seed{seed}")
     return SearchResult(trials, best_trial, best_model, space, method, objective, metric_window)

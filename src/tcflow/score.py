@@ -59,12 +59,13 @@ def load_score_csv(path) -> tuple[ScoreSeries, np.ndarray | None]:
     return ScoreSeries(np.array(scores)), None if col is None else np.array(labels, dtype=bool)
 
 
-def _latent_series(model: FlowModel, ds: TimeSeriesDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Latent coordinates and summed log|det J| per timestep, one flow call
-    per ``_BATCH`` rows. The stateful LSTM's state runs from row to row, so
-    its (T, hidden) contexts are collected first from one
-    ``StatefulLstmEncoder.walk``; other encoders encode
-    ``padded_context_windows`` batch by batch."""
+def _latent_series(model: FlowModel, ds: TimeSeriesDataset
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Latent coordinates, summed log|det J| and score per timestep, one flow
+    call per ``_BATCH`` rows; a non-finite score raises with its timestep.
+    The stateful LSTM's state runs from row to row, so its (T, hidden)
+    contexts are collected first from one ``StatefulLstmEncoder.walk``;
+    other encoders encode ``padded_context_windows`` batch by batch."""
     if ds.n_channels != model.dim:
         raise ValueError(f"model expects {model.dim} channels, dataset has {ds.n_channels}")
     values = ds.values
@@ -84,17 +85,17 @@ def _latent_series(model: FlowModel, ds: TimeSeriesDataset) -> tuple[np.ndarray,
         hi = min(lo + _BATCH, values.shape[0])
         ctx = None if contexts is None else encode(contexts[lo:hi])
         latents[lo:hi], log_dets[lo:hi] = model.latent(values[lo:hi], ctx)
-    return latents, log_dets
+    scores = -(gaussian_log_density(latents) + log_dets)
+    bad = np.nonzero(~np.isfinite(scores))[0]
+    if bad.size:
+        raise FloatingPointError(f"non-finite score at timestep {bad[0]}")
+    return latents, log_dets, scores
 
 
 def score_series(model: FlowModel, ds: TimeSeriesDataset) -> ScoreSeries:
     """Negative log density per timestep; the dataset must already carry the
     training normalization and an even channel count."""
-    latents, log_dets = _latent_series(model, ds)
-    scores = -(gaussian_log_density(latents) + log_dets)
-    bad = np.nonzero(~np.isfinite(scores))[0]
-    if bad.size:
-        raise FloatingPointError(f"non-finite score at timestep {bad[0]}")
+    scores = _latent_series(model, ds)[2]
     return ScoreSeries(scores, model_id=model.model_id, dataset_id=ds.provenance)
 
 
@@ -123,9 +124,9 @@ def select_threshold(scores, labels) -> float:
 def export_latent(model: FlowModel, ds: TimeSeriesDataset, path) -> None:
     """CSV of the normalized representation per timestep: latent coordinates,
     the summed log|det J|, the score and the label (if present). The score is
-    redundantly recomputable as -(base log density + log-det)."""
-    latents, log_dets = _latent_series(model, ds)
-    scores = -(gaussian_log_density(latents) + log_dets)
+    redundantly recomputable as -(base log density + log-det), and a
+    non-finite one raises as in ``score_series``, before the file is opened."""
+    latents, log_dets, scores = _latent_series(model, ds)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         header = [f"u{i}" for i in range(model.dim)] + ["logdet", "score"]

@@ -49,7 +49,6 @@ class TrainConfig:
     patience: int = 10
     clip_norm: float = 5.0
     seed: int = 0
-    split_mode: str = "auto"  # auto | random-sections | sequential-tail
 
     def __post_init__(self):
         if min(self.epochs, self.batch_size, self.patience) < 1:
@@ -209,10 +208,8 @@ def train_model(
     model.norm_stats = ds.norm_stats
 
     stateful = isinstance(model.encoder, StatefulLstmEncoder)
-    mode = train_cfg.split_mode
-    if mode == "auto":
-        mode = "sequential-tail" if stateful else "random-sections"
-    lookback = encoder_cfg.lookback if encoder_cfg.kind != "none" else 0
+    mode = "sequential-tail" if stateful else "random-sections"
+    lookback = encoder_cfg.lookback if "lookback" in model.encoder.reads else 0
     train_idx, val_idx = split_train_val(ds.n_steps, lookback, mode, rng)
     train_mask, val_mask = np.zeros((2, ds.n_steps), dtype=bool)
     train_mask[train_idx] = val_mask[val_idx] = True

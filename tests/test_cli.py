@@ -191,7 +191,6 @@ batch_size = 128
 learning_rate = 0.001
 patience = 10
 clip_norm = 5.0
-split_mode = auto
 
 [search]
 budget = 18

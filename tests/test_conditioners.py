@@ -1,4 +1,5 @@
 import functools
+import math
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from tcflow.conditioners import (
     build_encoder,
     padded_context_windows,
 )
+from tcflow.flow import ConditionerConfig
 from tcflow.train import TrainConfig, _BatchedRunner
 
 
@@ -360,6 +362,43 @@ class TestConfigValidation:
     def test_out_of_range_rejected(self, kwargs):
         with pytest.raises(ValueError):
             EncoderConfig(**kwargs)
+
+    # every ranged field: (config, fixed kwargs, field, its INI key, lower, upper)
+    RANGED_FIELDS = [
+        (ConditionerConfig, {}, "multiplier", "cond_multiplier", 1, 50),
+        (ConditionerConfig, {}, "layers", "cond_layers", 3, 8),
+        (ConditionerConfig, {}, "dropout", "cond_dropout", 0.1, 0.9),
+        (ConditionerConfig, {}, "funnel", "cond_funnel", 1.0, 10.0),
+        (EncoderConfig, {"kind": "passthrough"}, "lookback", "lookback", 1, math.inf),
+        (EncoderConfig, {"kind": "mlp"}, "mlp_layers", "mlp_layers", 3, 20),
+        (EncoderConfig, {"kind": "mlp"}, "mlp_compression", "mlp_compression", 1, 20),
+        (EncoderConfig, {"kind": "cnn"}, "cnn_layers", "cnn_layers", 1, 5),
+        (EncoderConfig, {"kind": "cnn"}, "cnn_kernel", "cnn_kernel", 3, 7),
+        (EncoderConfig, {"kind": "cnn"}, "cnn_max_channels", "cnn_max_channels", 1, 20),
+        (EncoderConfig, {"kind": "lstm-stateless"}, "lstm_layers", "lstm_layers", 1, 10),
+        (EncoderConfig, {"kind": "lstm-stateful"}, "lstm_layers", "lstm_layers", 1, 10),
+        (EncoderConfig, {"kind": "mlp"}, "dropout", "dropout", 0.1, 0.9),
+        (EncoderConfig, {"kind": "cnn"}, "dropout", "dropout", 0.1, 0.9),
+    ]
+
+    @pytest.mark.parametrize("cls, fixed, attr, key, lower, upper", RANGED_FIELDS,
+                             ids=[f"{key}-{fixed.get('kind', 'flow')}"
+                                  for _, fixed, _, key, _, _ in RANGED_FIELDS])
+    def test_range_ends_accepted_and_just_outside_rejected(self, cls, fixed, attr, key,
+                                                           lower, upper):
+        ends = [(lower, -1)] + ([] if math.isinf(upper) else [(upper, 1)])
+        for end, direction in ends:
+            assert getattr(cls(**fixed, **{attr: end}), attr) == end
+            if isinstance(end, int):
+                value = end + direction
+            else:
+                value = math.nextafter(end, direction * math.inf)
+            with pytest.raises(ValueError, match=rf"^{key} out of range .*: {re.escape(str(value))}$"):
+                cls(**fixed, **{attr: value})
+
+    def test_fields_a_kind_does_not_read_are_not_checked(self):
+        assert EncoderConfig("passthrough", mlp_layers=0, dropout=5.0).mlp_layers == 0
+        assert EncoderConfig("none", lookback=0).lookback == 0
 
     def test_none_kind_builds_empty_encoder(self):
         enc = build_encoder(EncoderConfig("none"), 4, np.random.default_rng(0))

@@ -4,14 +4,68 @@ from helpers import minimize
 
 from tcflow import data as dt
 from tcflow.hyperopt import (
+    METHOD_ENCODERS,
     CmaEs,
+    configs_from_params,
     decode,
     default_population,
     reflect_into_unit,
     run_search,
     space_for_method,
 )
-from tcflow.train import TrainConfig
+from tcflow.train import TrainConfig, train_model
+
+
+# Every method's search rows as (name, lower, upper, kind), in order, at the
+# default lookback_max. Trials are decoded from these rows, so any drift
+# changes the trials of a fixed seed.
+_SHARED_ROWS = [
+    ("coupling_layers", 3, 20, "int"),
+    ("cond_multiplier", 1, 50, "int"),
+    ("cond_layers", 3, 8, "int"),
+    ("cond_dropout", 0.1, 0.9, "real"),
+    ("cond_funnel", 1.0, 10.0, "real"),
+]
+_LOOKBACK_ROW = [("lookback", 1, 50, "int")]
+_LSTM_ROWS = [("enc_layers", 1, 10, "int"), ("enc_dropout", 0.1, 0.9, "real")]
+PINNED_SPACES = {
+    "realnvp": _SHARED_ROWS,
+    "tcnf-base": _SHARED_ROWS + _LOOKBACK_ROW,
+    "tcnf-fixed": _SHARED_ROWS + _LOOKBACK_ROW,
+    "tcnf-mlp": _SHARED_ROWS + _LOOKBACK_ROW + [
+        ("enc_layers", 3, 20, "int"),
+        ("enc_compression", 1, 20, "int"),
+        ("enc_dropout", 0.1, 0.9, "real"),
+    ],
+    "tcnf-cnn": _SHARED_ROWS + _LOOKBACK_ROW + [
+        ("enc_layers", 1, 5, "int"),
+        ("enc_kernel", 3, 7, "int"),
+        ("enc_max_channels", 1, 20, "int"),
+        ("enc_dropout", 0.1, 0.9, "real"),
+    ],
+    "tcnf-stateless": _SHARED_ROWS + _LOOKBACK_ROW + _LSTM_ROWS,
+    "tcnf-stateful": _SHARED_ROWS + _LOOKBACK_ROW + _LSTM_ROWS,
+}
+
+
+class TestSearchSpace:
+    def test_every_method_is_pinned(self):
+        assert list(PINNED_SPACES) == list(METHOD_ENCODERS)
+
+    @pytest.mark.parametrize("method", list(PINNED_SPACES))
+    def test_rows_match_the_pinned_table(self, method):
+        rows = [(p.name, p.lower, p.upper, p.kind) for p in space_for_method(method).params]
+        assert rows == PINNED_SPACES[method]
+
+    @pytest.mark.parametrize("method", list(PINNED_SPACES))
+    def test_both_corners_decode_to_valid_configs(self, method):
+        space = space_for_method(method)
+        for corner in (0.0, 1.0):
+            params = decode(np.full(len(space), corner), space)
+            encoder_cfg, flow_cfg = configs_from_params(method, params)
+            assert encoder_cfg.kind == METHOD_ENCODERS[method]
+            assert flow_cfg.n_layers == params["coupling_layers"]
+            assert flow_cfg.conditioner.funnel == params["cond_funnel"]
 
 
 class TestPopulationAndDecode:
@@ -218,6 +272,23 @@ class TestRunSearch:
         assert len(rows[0].splitlines()) == 2 + 18
         assert rows[0] == rows[1]
 
+    def test_bad_final_epochs_rejected_before_any_candidate_trains(self, monkeypatch):
+        import tcflow.hyperopt as hyperopt
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return train_model(*args, **kwargs)
+
+        monkeypatch.setattr(hyperopt, "train_model", counted)
+        train, labeled = self._datasets()
+        with pytest.raises(ValueError, match="epochs"):
+            run_search(train, labeled, "tcnf-base", "labeled-30-70", budget=9, seed=0,
+                       candidate_cfg=TrainConfig(epochs=1, patience=1), final_epochs=0,
+                       lookback_max=8, workers=1)
+        assert calls == []
+
     def test_search_with_no_finite_trial_fails_before_refit(self):
         # lookbacks up to 250 leave no train/validation split of 300 steps
         train = dt.generate_synthetic("sine", 300, 2, noise=0.1, seed=0)
@@ -233,7 +304,6 @@ class TestRunSearch:
         from tcflow.hyperopt import _candidate_seed, configs_from_params
         from tcflow.metrics import auc_roc, combined_objective, vus_roc
         from tcflow.score import score_series
-        from tcflow.train import train_model
 
         train, labeled = self._datasets()
         result = run_search(

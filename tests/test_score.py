@@ -183,6 +183,23 @@ class TestExportLatent:
         series = score_series(model, ds)
         np.testing.assert_array_equal(stored_score, series.scores)
 
+    def test_non_finite_score_raises_as_in_score_series(self, tmp_path):
+        # caps near the float maximum overflow exp(scale): infinite latents
+        # and log-dets, so every score is inf or nan
+        model = build_model_with_encoder(2, 2, EncoderConfig("none"))
+        randomize_model(model, np.random.default_rng(0), scale=0.5)
+        for layer in model.layers:
+            layer.scale_cap.value = np.full_like(layer.scale_cap.value, 1.7e308)
+        ds = dt.TimeSeriesDataset(np.random.default_rng(1).normal(size=(5, 2)),
+                                  norm_stats=(np.full(2, -1.0), np.full(2, 1.0)))
+        path = tmp_path / "latent.csv"
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite score at timestep 0"):
+                score_series(model, ds)
+            with pytest.raises(FloatingPointError, match="non-finite score at timestep 0"):
+                export_latent(model, ds, path)
+        assert not path.exists()
+
     def test_labeled_dataset_adds_label_column(self, tmp_path):
         model = build_model_with_encoder(2, 2, EncoderConfig("none"))
         ds = zero_dataset(8)

@@ -9,10 +9,14 @@ checkout) and runs, through ``tcflow.cli.main``, into the empty directory OUT:
 - ``train`` for 2 epochs with each of the 7 methods, and again with 2-layer
   LSTMs (``[encoder] lstm_layers = 2``) for ``tcnf-stateless`` and
   ``tcnf-stateful``, whose training draws the dropout between LSTM layers;
-- a one-generation ``tcnf-base`` search (budget 9, 2 candidate and 2 final
-  epochs);
+- a one-generation search (2 candidate and 2 final epochs) for ``tcnf-base``
+  (budget 9), and for ``tcnf-mlp``, ``tcnf-cnn`` and ``tcnf-stateless``
+  (budget 10), so every kind of search row (``cond_*``, ``lookback`` and
+  each encoder's ``enc_*``) is decoded into a config;
 - ``score --labeled``, ``evaluate`` and ``export-latent`` on the test series
-  for all 10 models.
+  for all 13 models.
+
+That is 123 files.
 
 A change that must not alter any output is checked by running this against
 the parent's ``src`` and the change's, each into its own directory, then
@@ -32,11 +36,12 @@ CONFIG = """\
 epochs = 2
 
 [search]
-budget = 9
 candidate_epochs = 2
 final_epochs = 2
 """
 TWO_LAYER_LSTM = "\n[encoder]\nlstm_layers = 2\n"
+# method -> budget: one population of its search space
+SEARCHES = {"tcnf-base": 9, "tcnf-mlp": 10, "tcnf-cnn": 10, "tcnf-stateless": 10}
 
 
 def main(src: str, out: str) -> int:
@@ -69,10 +74,12 @@ def main(src: str, out: str) -> int:
         run("train", "--config", config_2, "--data", data / "train_clean.csv",
             "--method", method, "--out-dir", Path(name, "train"))
         models[name] = Path(name, "train") / "model.tcf"
-    run("search", "--config", config, "--train", data / "train_clean.csv",
-        "--labeled", data / "train_labeled.csv", "--method", "tcnf-base",
-        "--out-dir", "search")
-    models["search"] = Path("search", "model.tcf")
+    for method, budget in SEARCHES.items():
+        name = f"{method}-search"
+        run("search", "--config", config, "--train", data / "train_clean.csv",
+            "--labeled", data / "train_labeled.csv", "--method", method,
+            "--budget", budget, "--out-dir", name)
+        models[name] = Path(name, "model.tcf")
     test = data / "test_labeled.csv"
     for name, model in models.items():
         run("score", "--model", model, "--data", test, "--labeled",
