@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -285,11 +286,11 @@ def cmd_evaluate(args) -> int:
         ("precision", precision), ("recall", recall), ("f1", f1),
         ("threshold", threshold), ("combined_30_70", mx.combined_objective(auc, vus)),
     ]
-    with open(out / "metrics.csv", "w") as fh:
+    with open(out / "metrics.csv", "w", newline="") as fh:
         fh.write(f"# vus_variant={mx.VUS_VARIANT} window={window}\n")
-        fh.write("dataset,model,metric,value\n")
-        for name, value in rows:
-            fh.write(f"{dataset_id},{model_id},{name},{value!r}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["dataset", "model", "metric", "value"])
+        writer.writerows([dataset_id, model_id, name, repr(value)] for name, value in rows)
     cfg.write(out / "resolved-evaluate.ini")
     print(f"auc={auc:.4f} vus={vus:.4f} f1={f1:.4f} -> {out / 'metrics.csv'}")
     return 0
@@ -338,19 +339,18 @@ def cmd_report(args) -> int:
     out = _out_dir(cfg)
     groups: dict[tuple[str, str], list[float]] = {}
     for path in args.inputs:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or line.startswith("dataset,"):
+        with open(path, newline="") as fh:
+            for row in csv.reader(fh):
+                if not row or row[0].startswith("#") or row[0] == "dataset":
                     continue
-                dataset, _model, metric, value = line.split(",")
+                dataset, _model, metric, value = row
                 groups.setdefault((dataset, metric), []).append(float(value))
-    with open(out / "report.csv", "w") as fh:
+    with open(out / "report.csv", "w", newline="") as fh:
         fh.write(f"# vus_variant={mx.VUS_VARIANT}\n")
-        fh.write("dataset,metric,mean,std,n\n")
-        for (dataset, metric), values in sorted(groups.items()):
-            arr = np.asarray(values)
-            fh.write(f"{dataset},{metric},{float(arr.mean())!r},{float(arr.std())!r},{arr.size}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["dataset", "metric", "mean", "std", "n"])
+        writer.writerows([dataset, metric, repr(float(np.mean(v))), repr(float(np.std(v))), len(v)]
+                         for (dataset, metric), v in sorted(groups.items()))
     print(f"aggregated {len(args.inputs)} metric files to {out / 'report.csv'}")
     return 0
 

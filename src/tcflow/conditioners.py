@@ -4,11 +4,11 @@
 training (its rows t >= lookback) and scoring (every row). Six encoder kinds
 are supported, from a raw passthrough of the window to a stateful LSTM whose
 hidden state is carried from timestep to timestep. All stateless kinds
-consume a batch of (lookback, channels) windows, the stateful LSTM walks the
-series in order (``StatefulLstmEncoder.walk``); either returns a
-(batch, context_dim) node. Both LSTM kinds run each layer as one
-``dc.lstm_sequence`` node per call: per batch of windows, or per chunk of
-rows. Learnable encoders are trained end to end with the flow.
+consume a batch of (lookback, channels) windows; the stateful LSTM walks the
+series in order (``StatefulLstmEncoder.walk``), holding its per-layer
+``[h | c]`` states, one ``encode_step`` per chunk of ``lookback`` rows.
+Either returns a (batch, context_dim) node; each LSTM layer is one
+``dc.lstm_sequence`` node per call. Learnable encoders train with the flow.
 """
 
 from __future__ import annotations
@@ -294,58 +294,24 @@ class LstmEncoder(Encoder):
         return out[-1, :, : self.hidden]
 
 
-class StatefulHandle:
-    """Mutable LSTM state advanced over the series in order.
-
-    Strictly sequential: step ``i`` may only be fed after step ``i - 1``,
-    and ``steps_done`` counts how many observations were consumed.
-    ``states`` holds one (1, 2*hidden) ``[h | c]`` node per layer.
-    """
-
-    def __init__(self, encoder: "StatefulLstmEncoder"):
-        self.encoder = encoder
-        self.reset()
-
-    def reset(self):
-        self.steps_done = 0
-        self.states = self.encoder.zero_states(1)
-
-
 class StatefulLstmEncoder(LstmEncoder):
     """Same cells as the stateless LSTM, but the state is handed over from
     timestep to timestep instead of being rebuilt per window."""
 
     kind = "lstm-stateful"
 
-    def new_handle(self) -> StatefulHandle:
-        return StatefulHandle(self)
-
-    def encode_step(self, observations: np.ndarray, handle: StatefulHandle,
-                    step_index: int, training: bool = False,
-                    rng: np.random.Generator | None = None) -> Node:
-        """Consume one (channels,) row or a (k, channels) block of
-        consecutive rows and return the top hidden state after each row, a
-        (k, hidden) node. Each layer runs the block as one
-        ``dc.lstm_sequence`` node from the handle's state, and the new state
-        stays in the graph, so chained calls differentiate through it.
-
-        ``step_index`` (the first row's) must follow on from the handle's
-        progress, which advances by k; feeding steps out of order raises
-        with both indices named, and any other shape raises ``ShapeError``.
-        """
-        if step_index != handle.steps_done:
-            raise ValueError(
-                f"stateful encoder expected step {handle.steps_done}, got {step_index}"
-            )
-        rows = np.asarray(observations, dtype=np.float64)
-        if rows.shape == (self.dim,):
-            rows = rows[None]
+    def encode_step(self, rows: np.ndarray, states: list[Node], training: bool = False,
+                    rng: np.random.Generator | None = None) -> tuple[Node, list[Node]]:
+        """Run a (k, channels) block of consecutive rows from the per-layer
+        (1, 2*hidden) ``[h | c]`` ``states`` (``zero_states(1)`` to start).
+        Returns the top hidden state after each row, a (k, hidden) node, and
+        the new states, which stay in the graph: chained calls differentiate
+        through them. Any other block shape raises ``ShapeError``."""
+        rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] != self.dim:
             raise dc.ShapeError("encode_step", rows.shape, (None, self.dim))
-        out, handle.states = self._run_stack(
-            dc.constant(rows[:, None, :]), handle.states, training, rng)
-        handle.steps_done += rows.shape[0]
-        return out[:, 0, : self.hidden]
+        out, states = self._run_stack(dc.constant(rows[:, None, :]), states, training, rng)
+        return out[:, 0, : self.hidden], states
 
     def walk(self, values: np.ndarray, training: bool = False,
              rng: np.random.Generator | None = None):
@@ -355,11 +321,13 @@ class StatefulLstmEncoder(LstmEncoder):
         between chunks, keeping the state values: truncated backpropagation.
         """
         stream = padded_context_windows(values, 1)[:, 0]
-        handle = self.new_handle()
+        states = self.zero_states(1)
         for lo in range(0, stream.shape[0], self.cfg.lookback):
             span = slice(lo, lo + self.cfg.lookback)
-            yield span, self.encode_step(stream[span], handle, lo, training, rng)
-            handle.states = [dc.constant(state.value) for state in handle.states]
+            contexts, states = self.encode_step(stream[span], states, training, rng)
+            yield span, contexts
+            del contexts  # the caller may free the chunk's graph before the next
+            states = [dc.constant(state.value) for state in states]
 
 
 # kind -> encoder class; ``KINDS`` lists the kinds in this order

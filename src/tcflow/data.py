@@ -41,7 +41,6 @@ class TimeSeriesDataset:
     labels: np.ndarray | None = None
     channel_names: list[str] = field(default_factory=list)
     norm_stats: tuple[np.ndarray, np.ndarray] | None = None  # per-channel (min, max)
-    provenance: str = ""
     anomalies: list["AnomalySpec"] = field(default_factory=list)
 
     def __post_init__(self):
@@ -140,7 +139,7 @@ def load_csv(path, has_labels: bool = False) -> TimeSeriesDataset:
         if header:
             header = header[:-1]
     names = header if header else []
-    return TimeSeriesDataset(values, labels, channel_names=names, provenance=str(path))
+    return TimeSeriesDataset(values, labels, channel_names=names)
 
 
 def save_csv(ds: TimeSeriesDataset, path, with_labels: bool = True) -> None:
@@ -329,10 +328,7 @@ def generate_synthetic(
         values[:, d] = base
     if noise > 0:
         values += rng.normal(0.0, noise, values.shape)
-    return TimeSeriesDataset(
-        values,
-        provenance=f"synthetic:{family}:T={n_steps}:D={n_channels}:noise={noise}:seed={seed}",
-    )
+    return TimeSeriesDataset(values)
 
 
 def _cbf_channel(n_steps: int, rng: np.random.Generator) -> np.ndarray:

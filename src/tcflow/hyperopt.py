@@ -191,7 +191,6 @@ class CmaEs:
         self.best_vector: np.ndarray | None = None
         self.best_fitness = np.inf
         self.restarts = 0
-        self._history: list[float] = []
         self._init_state(lam or default_population(n), np.full(n, 0.5))
 
     def _init_state(self, lam: int, mean: np.ndarray):
@@ -216,7 +215,7 @@ class CmaEs:
         self.c_mu = min(1.0 - self.c_one,
                         2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((n + 2.0) ** 2 + mu_eff))
         self.chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
-        self._history = []
+        self._history: list[float] = []
 
     @property
     def lam(self) -> int:
@@ -256,12 +255,12 @@ class CmaEs:
         self._history.append(float(fitnesses[order[0]]))
         st.generation += 1
         if not np.all(fitnesses == fitnesses[0]):  # all-equal carries no ranking signal
-            self._update(candidates[order], fitnesses[order])
+            self._update(candidates[order])
         if self._stagnated():
             self.restarts += 1
             self._init_state(st.lam * 2, self.rng.uniform(0.0, 1.0, self.n))
 
-    def _update(self, ranked: np.ndarray, _fits: np.ndarray) -> None:
+    def _update(self, ranked: np.ndarray) -> None:
         st = self.state
         mu = st.weights.size
         basis, scale = self._decomposed()

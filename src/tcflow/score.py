@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioners import StatefulLstmEncoder, padded_context_windows
-from .data import TimeSeriesDataset
+from .data import DataError, TimeSeriesDataset
 from .flow import FlowModel, gaussian_log_density
 
 _BATCH = 1024
@@ -26,8 +26,6 @@ class ScoreSeries:
     """Scores aligned to the scored series, one per timestep."""
 
     scores: np.ndarray
-    model_id: str = ""
-    dataset_id: str = ""
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
@@ -45,18 +43,45 @@ class ScoreSeries:
 
 
 def load_score_csv(path) -> tuple[ScoreSeries, np.ndarray | None]:
+    """Scores, and labels if there is a ``label`` column, from a CSV whose
+    header names a ``score`` column, as ``ScoreSeries.to_csv`` writes it. As
+    in ``data.load_csv``, a ragged row, a non-numeric or non-finite score and
+    a label other than 0 or 1 raise ``DataError`` naming the row (data rows
+    count from 1) and column."""
     # row by row: a list of every row's fields, thrown away per call,
     # fragments the heap so that peak memory grows with each call
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        col = header.index("label") if "label" in header else None
+        header = next(reader, [])
+        if "score" not in header:
+            raise DataError(f"{path}: no 'score' column in the header")
+        width, score_col = len(header), header.index("score")
+        # without a label column the score column stands in, its copy unused
+        label_col = header.index("label") if "label" in header else score_col
         scores, labels = [], []
         for row in reader:
-            scores.append(float(row[1]))
-            if col is not None:
-                labels.append(int(row[col]))
-    return ScoreSeries(np.array(scores)), None if col is None else np.array(labels, dtype=bool)
+            if len(row) != width:
+                raise DataError(f"{path}: ragged row {len(labels) + 1} has {len(row)} cells, "
+                                f"expected {width}")
+            try:
+                scores.append(float(row[score_col]))
+                labels.append(float(row[label_col]))
+            except ValueError:
+                col = score_col if len(scores) == len(labels) else label_col
+                raise DataError(f"{path}: non-numeric cell at row {len(labels) + 1}, "
+                                f"column {col + 1}: {row[col]!r}") from None
+    scores, labels = np.array(scores), np.array(labels)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise DataError(f"{path}: non-finite score at row {bad[0] + 1}, column {score_col + 1}: "
+                        f"{float(scores[bad[0]])!r}")
+    if label_col == score_col:
+        return ScoreSeries(scores), None
+    bad = np.flatnonzero((labels != 0.0) & (labels != 1.0))
+    if bad.size:
+        raise DataError(f"{path}: non-binary label at row {bad[0] + 1}, column {label_col + 1}: "
+                        f"{float(labels[bad[0]])!r}")
+    return ScoreSeries(scores), labels.astype(bool)
 
 
 def _latent_series(model: FlowModel, ds: TimeSeriesDataset
@@ -96,7 +121,7 @@ def score_series(model: FlowModel, ds: TimeSeriesDataset) -> ScoreSeries:
     """Negative log density per timestep; the dataset must already carry the
     training normalization and an even channel count."""
     scores = _latent_series(model, ds)[2]
-    return ScoreSeries(scores, model_id=model.model_id, dataset_id=ds.provenance)
+    return ScoreSeries(scores)
 
 
 def select_threshold(scores, labels) -> float:

@@ -1,18 +1,17 @@
 """End-to-end training of the conditioned flow, plus model (de)serialization.
 
-Batched encoders train on shuffled batches of the rows t >= lookback of
-``padded_context_windows``. The stateful LSTM variant walks the sequence in
-order (``StatefulLstmEncoder.walk``), one chunk of ``lookback`` rows per
-batched flow call, with the graph cut between chunks (truncated
-backpropagation). Validation NLL is tracked per epoch with dropout off,
-and the parameters from the best validation epoch are restored at the end.
+One loop (``_mean_loss``) trains and validates every encoder kind. Its
+batches are shuffled rows t >= lookback of ``padded_context_windows``
+(``_window_batches``) or, for the stateful LSTM, the chunks of
+``StatefulLstmEncoder.walk`` with the graph cut between chunks (truncated
+backpropagation; ``_chunk_batches``). Validation NLL is tracked per epoch
+with dropout off, and the best validation epoch's parameters are restored.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -62,7 +61,6 @@ class TrainReport:
     train_losses: list[float] = field(default_factory=list)
     val_losses: list[float] = field(default_factory=list)
     best_epoch: int = 0  # 1-based index into the loss lists
-    wall_time: float = 0.0
 
     @property
     def best_val_loss(self) -> float:
@@ -202,7 +200,6 @@ def train_model(
     """Minimize the mean NLL on the training split; returns the model with
     the best-validation-epoch parameters restored, plus the loss history."""
     _require_prepared(ds)
-    start = time.perf_counter()
     rng = np.random.default_rng(train_cfg.seed)
     model = build_model(ds.n_channels, encoder_cfg, flow_cfg, rng, model_id=model_id)
     model.norm_stats = ds.norm_stats
@@ -215,9 +212,10 @@ def train_model(
     train_mask[train_idx] = val_mask[val_idx] = True
 
     if stateful:
-        runner = _StatefulRunner(model, ds.values, train_mask, val_mask, train_cfg, rng)
+        source = _chunk_batches(model.encoder, ds.values, train_mask, val_mask)
     else:
-        runner = _BatchedRunner(model, ds.values, lookback, train_mask, val_mask, train_cfg, rng)
+        source = _window_batches(model.encoder, ds.values, lookback, train_mask, val_mask,
+                                 train_cfg.batch_size)
 
     adam = AdamState(model.parameters())
     report = TrainReport()
@@ -225,8 +223,8 @@ def train_model(
     best_snapshot = None
     since_best = 0
     for epoch in range(1, train_cfg.epochs + 1):
-        train_loss = runner.train_epoch(adam)
-        val_loss = runner.val_loss()
+        train_loss = _mean_loss(model, source(True, rng), rng, adam, train_cfg)
+        val_loss = _mean_loss(model, source(False, rng), rng)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise TrainingDiverged(epoch - 1)
         report.train_losses.append(train_loss)
@@ -242,79 +240,57 @@ def train_model(
                 break
     if best_snapshot is not None:
         adam.values[:] = best_snapshot
-    report.wall_time = time.perf_counter() - start
     return model, report
 
 
-def _mean_loss(losses, adam=None, cfg=None) -> float:
-    """Row-weighted mean of the ``(loss, rows)`` pairs, NaN if there are
-    none; with ``adam``, one backward pass and Adam step per pair."""
+def _mean_loss(model, batches, rng, adam=None, cfg=None) -> float:
+    """Row-weighted mean NLL of the ``(targets, contexts)`` batches, NaN if
+    there are none; with ``adam``, training: one Adam step per batch."""
     total, count = 0.0, 0
-    for loss, rows in losses:
+    for targets, contexts in batches:
+        loss = nll_loss(model, targets, contexts, training=adam is not None, rng=rng)
         if adam is not None:
             adam_step(dc.backward(loss), adam, cfg.learning_rate, clip_norm=cfg.clip_norm)
-        total += float(loss.value) * rows
-        count += rows
+        total += float(loss.value) * len(targets)
+        count += len(targets)
     return total / count if count else np.nan
 
 
-class _BatchedRunner:
-    """Shuffled window batches for every encoder kind except the stateful
-    LSTM: the targets t >= ``lookback`` in each split mask, in time order,
-    with their ``padded_context_windows`` (empty for lookback 0)."""
+def _window_batches(encoder, values, lookback, train_mask, val_mask, batch_size):
+    """``batches(training, rng)`` for every encoder kind but the stateful
+    LSTM: a split's targets t >= ``lookback`` and their encoded
+    ``padded_context_windows``, shuffled in batches of ``batch_size`` in
+    training, by 4096 in order in validation. An empty split raises here."""
+    usable = np.arange(values.shape[0]) >= lookback
+    contexts = padded_context_windows(values, lookback)
+    train, val = ((values[mask & usable], contexts[mask & usable])
+                  for mask in (train_mask, val_mask))
+    if len(train[0]) == 0 or len(val[0]) == 0:
+        raise DataError("split left an empty train or validation window set")
 
-    def __init__(self, model, values, lookback, train_mask, val_mask, cfg, rng):
-        self.model, self.cfg, self.rng = model, cfg, rng
-        usable = np.arange(values.shape[0]) >= lookback
-        contexts = padded_context_windows(values, lookback)
-        self.train = values[train_mask & usable], contexts[train_mask & usable]
-        self.val = values[val_mask & usable], contexts[val_mask & usable]
-        if len(self.train[0]) == 0 or len(self.val[0]) == 0:
-            raise DataError("split left an empty train or validation window set")
+    def batches(training, rng):
+        targets, windows = train if training else val
+        size = batch_size if training else 4096
+        order = rng.permutation(len(targets)) if training else np.arange(len(targets))
+        for lo in range(0, len(targets), size):
+            pick = order[lo : lo + size]
+            yield targets[pick], encoder.encode_batch(windows[pick], training=training, rng=rng)
 
-    def _losses(self, rows, batches, training):
-        targets, contexts = rows
-        for pick in batches:
-            context = self.model.encoder.encode_batch(contexts[pick], training=training,
-                                                      rng=self.rng)
-            batch = targets[pick]
-            yield nll_loss(self.model, batch, context, training=training, rng=self.rng), len(batch)
-
-    def train_epoch(self, adam) -> float:
-        n, size = len(self.train[0]), self.cfg.batch_size
-        order = self.rng.permutation(n)
-        batches = (order[lo : lo + size] for lo in range(0, n, size))
-        return _mean_loss(self._losses(self.train, batches, True), adam, self.cfg)
-
-    def val_loss(self) -> float:
-        batches = (slice(lo, lo + 4096) for lo in range(0, len(self.val[0]), 4096))
-        return _mean_loss(self._losses(self.val, batches, False))
+    return batches
 
 
-class _StatefulRunner:
-    """In-order pass with truncated backpropagation every ``lookback`` rows.
+def _chunk_batches(encoder, values, train_mask, val_mask):
+    """``batches(training, rng)`` for the stateful LSTM: per chunk of
+    ``StatefulLstmEncoder.walk``, its targets in the split and their contexts."""
 
-    Per chunk of ``StatefulLstmEncoder.walk``, one batched flow call scores
-    the chunk's targets in the split mask: one Adam step per chunk in
-    training. The LSTM is the only sequential part.
-    """
-
-    def __init__(self, model, values, train_mask, val_mask, cfg, rng):
-        self.model, self.values, self.cfg, self.rng = model, values, cfg, rng
-        self.train_mask, self.val_mask = train_mask, val_mask
-
-    def _losses(self, mask, training):
-        for span, contexts in self.model.encoder.walk(self.values, training, self.rng):
+    def batches(training, rng):
+        mask = train_mask if training else val_mask
+        for span, contexts in encoder.walk(values, training, rng):
             pick = mask[span]
             if pick.any():
-                yield nll_loss(self.model, self.values[span][pick], contexts[pick],
-                               training=training, rng=self.rng), int(pick.sum())
+                yield values[span][pick], contexts[pick]
 
-    def train_epoch(self, adam) -> float:
-        return _mean_loss(self._losses(self.train_mask, True), adam, self.cfg)
-
-    def val_loss(self) -> float:
-        return _mean_loss(self._losses(self.val_mask, False))
+    return batches
 
 
 # -- serialization -----------------------------------------------------------------

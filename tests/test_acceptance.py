@@ -131,10 +131,10 @@ def test_a02_gradient_correctness():
     targets = rng.normal(size=(5, 2))
 
     def stateful_loss():
-        handle = stateful.new_handle()
+        states = stateful.zero_states(1)
         terms = []
         for t in range(5):
-            w = stateful.encode_step(stream[t], handle, t)
+            w, states = stateful.encode_step(stream[t : t + 1], states)
             terms.append(dc.neg(model.log_prob_nodes(targets[t : t + 1], w)))
         return dc.mean(dc.concat(terms, axis=0))
 

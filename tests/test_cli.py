@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,23 @@ class TestReport:
         assert float(mean) == pytest.approx(0.85)
         assert float(std) == pytest.approx(0.05)
         assert n == "2"
+
+    def test_ids_with_commas_survive_evaluate_then_report(self, tmp_path):
+        scores_path = tmp_path / "s,1.csv"
+        scores_path.write_text("t,score,label\n0,0.0,0\n1,1.0,1\n2,0.5,0\n3,2.0,1\n")
+        paths = []
+        for i, dataset_id in enumerate(("sine,a", "sine,a")):
+            out = tmp_path / f"eval{i}"
+            assert run_cli("evaluate", "--scores", scores_path, "--dataset-id", dataset_id,
+                           "--model-id", f"m,{i}", "--out-dir", out) == 0
+            paths.append(out / "metrics.csv")
+        assert run_cli("evaluate", "--scores", scores_path, "--out-dir", tmp_path / "eval2") == 0
+        paths.append(tmp_path / "eval2" / "metrics.csv")
+        assert run_cli("report", *paths, "--out-dir", tmp_path / "report") == 0
+        with open(tmp_path / "report" / "report.csv", newline="") as fh:
+            rows = {(row[0], row[1]): row[2:] for row in csv.reader(fh) if len(row) == 5}
+        assert rows[("sine,a", "auc_roc")] == ["1.0", "0.0", "2"]
+        assert rows[("s,1", "auc_roc")] == ["1.0", "0.0", "1"]
 
 
 DEFAULT_INI = """\

@@ -14,7 +14,7 @@ from tcflow.conditioners import (
     padded_context_windows,
 )
 from tcflow.flow import ConditionerConfig
-from tcflow.train import TrainConfig, _BatchedRunner
+from tcflow.train import _window_batches
 
 
 def series(n_steps=12, dim=2, seed=0):
@@ -49,8 +49,7 @@ class TestMakeWindows:
         model = build_model_with_encoder(2, 2, EncoderConfig("passthrough", lookback=4))
         everything = np.ones(4, dtype=bool)
         with pytest.raises(ValueError, match="empty"):
-            _BatchedRunner(model, values, 4, everything, everything, TrainConfig(),
-                           np.random.default_rng(0))
+            _window_batches(model.encoder, values, 4, everything, everything, batch_size=128)
 
     def test_target_never_inside_its_own_context(self):
         values = series(30, 2, seed=3)
@@ -192,57 +191,32 @@ class TestStatefulEncoder:
     def test_stepwise_feed_matches_stateless_prefix_run(self):
         stateless, stateful = self._pair()
         values = series(7, 2, seed=12)
-        handle = stateful.new_handle()
+        states = stateful.zero_states(1)
         for t in range(values.shape[0]):
-            stepped = stateful.encode_step(values[t], handle, t).value[0]
+            stepped, states = stateful.encode_step(values[t : t + 1], states)
             prefix = stateless.encode_batch(values[: t + 1][None, :, :]).value[0]
-            np.testing.assert_allclose(stepped, prefix, atol=1e-12)
+            np.testing.assert_allclose(stepped.value[0], prefix, atol=1e-12)
 
-    def test_reset_zeroes_state_and_counter(self):
-        _, stateful = self._pair()
-        handle = stateful.new_handle()
-        stateful.encode_step(np.ones(2), handle, 0)
-        handle.reset()
-        assert handle.steps_done == 0
-        for state in handle.states:
-            np.testing.assert_array_equal(state.value, 0.0)
-
-    def test_out_of_order_step_names_both_indices(self):
-        _, stateful = self._pair()
-        handle = stateful.new_handle()
-        stateful.encode_step(np.ones(2), handle, 0)
-        with pytest.raises(ValueError, match="expected step 1, got 3"):
-            stateful.encode_step(np.ones(2), handle, 3)
-
-    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2), (0, 2)])
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2,), (1, 2, 2), (0, 2)])
     def test_misshaped_block_rejected_naming_both_shapes(self, shape):
         # a (2, 3) block holds 6 values: a flat reshape would read it as 3
-        # rows of the 2 channels and advance the handle by 3
+        # rows of the 2 channels
         _, stateful = self._pair()
-        handle = stateful.new_handle()
         with pytest.raises(dc.ShapeError, match=re.escape(f"{shape} and (None, 2)")):
-            stateful.encode_step(np.zeros(shape), handle, 0)
-        assert handle.steps_done == 0
-
-    def test_step_advances_counter_by_one(self):
-        _, stateful = self._pair()
-        handle = stateful.new_handle()
-        for t in range(5):
-            assert handle.steps_done == t
-            stateful.encode_step(np.zeros(2), handle, t)
-        assert handle.steps_done == 5
+            stateful.encode_step(np.zeros(shape), stateful.zero_states(1))
 
     def test_block_step_equals_single_row_steps(self):
         _, stateful = self._pair()
         values = series(7, 2, seed=13)
-        single, block = stateful.new_handle(), stateful.new_handle()
-        rows = np.vstack([stateful.encode_step(values[t], single, t).value for t in range(7)])
-        first = stateful.encode_step(values[:3], block, 0)
-        assert first.value.shape == (3, stateful.hidden) and block.steps_done == 3
-        rest = stateful.encode_step(values[3:], block, 3)
-        assert block.steps_done == 7
-        np.testing.assert_array_equal(np.vstack([first.value, rest.value]), rows)
-        for s1, s2 in zip(single.states, block.states):
+        single, rows = stateful.zero_states(1), []
+        for t in range(7):
+            row, single = stateful.encode_step(values[t : t + 1], single)
+            rows.append(row.value)
+        first, block = stateful.encode_step(values[:3], stateful.zero_states(1))
+        assert first.value.shape == (3, stateful.hidden)
+        rest, block = stateful.encode_step(values[3:], block)
+        np.testing.assert_array_equal(np.vstack([first.value, rest.value]), np.vstack(rows))
+        for s1, s2 in zip(single, block):
             np.testing.assert_array_equal(s1.value, s2.value)
 
     def test_walk_equals_one_block_step_and_cuts_between_chunks(self):
@@ -252,7 +226,7 @@ class TestStatefulEncoder:
         chunks = list(stateful.walk(values))
         assert [span for span, _ in chunks] == [slice(0, 4), slice(4, 8), slice(8, 12)]
         shifted = np.vstack([values[:1], values[:-1]])
-        whole = stateful.encode_step(shifted, stateful.new_handle(), 0)
+        whole, _ = stateful.encode_step(shifted, stateful.zero_states(1))
         np.testing.assert_array_equal(np.vstack([c.value for _, c in chunks]), whole.value)
 
         def graph(node):
@@ -260,14 +234,14 @@ class TestStatefulEncoder:
 
         assert not graph(chunks[0][1]) & graph(chunks[1][1])
 
-    def test_two_handles_same_stream_agree(self):
+    def test_two_state_chains_same_stream_agree(self):
         _, stateful = self._pair(seed=21)
         values = series(6, 2, seed=22)
-        h1, h2 = stateful.new_handle(), stateful.new_handle()
+        s1, s2 = stateful.zero_states(1), stateful.zero_states(1)
         for t in range(values.shape[0]):
-            a = stateful.encode_step(values[t], h1, t).value
-            b = stateful.encode_step(values[t], h2, t).value
-            np.testing.assert_array_equal(a, b)
+            a, s1 = stateful.encode_step(values[t : t + 1], s1)
+            b, s2 = stateful.encode_step(values[t : t + 1], s2)
+            np.testing.assert_array_equal(a.value, b.value)
 
 
 class TestFusedLstmStack:

@@ -21,7 +21,6 @@ def zero_dataset(n_steps=6, dim=2):
     return dt.TimeSeriesDataset(
         np.zeros((n_steps, dim)),
         norm_stats=(np.full(dim, -1.0), np.full(dim, 1.0)),
-        provenance="zeros",
     )
 
 
@@ -78,10 +77,10 @@ class TestScoreSeries:
         values = np.random.default_rng(9).normal(size=(n_steps, 2))
         ds = dt.TimeSeriesDataset(values, norm_stats=(np.full(2, -1.0), np.full(2, 1.0)))
         stream = np.vstack([values[:1], values[:-1]])
-        handle = model.encoder.new_handle()
+        states = model.encoder.zero_states(1)
         expected = []
         for t in range(n_steps):
-            w = model.encoder.encode_step(stream[t], handle, t)
+            w, states = model.encoder.encode_step(stream[t : t + 1], states)
             expected.append(-model.log_prob(values[t : t + 1], w)[0])
         np.testing.assert_allclose(score_series(model, ds).scores, expected, rtol=1e-12, atol=0)
 
@@ -223,13 +222,35 @@ class TestExportLatent:
 
 class TestCsvAndSvg:
     def test_score_csv_round_trip(self, tmp_path):
-        series = ScoreSeries(np.array([1.5, -0.25, 3.0]), "m", "d")
+        series = ScoreSeries(np.array([1.5, -0.25, 3.0]))
         labels = np.array([0, 1, 0], dtype=bool)
         path = tmp_path / "scores.csv"
         series.to_csv(path, labels=labels)
         back, back_labels = load_score_csv(path)
         np.testing.assert_array_equal(back.scores, series.scores)
         np.testing.assert_array_equal(back_labels, labels)
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,score,label\n0,1.0,0\n1,nan,1\n", r"non-finite score at row 2, column 2: nan"),
+        ("t,score,label\n0,1.0,0\n1,0.5,2\n", r"non-binary label at row 2, column 3: 2.0"),
+        ("t,score,label\n0,1.0,0\n1,0.5\n", r"ragged row 2 has 2 cells, expected 3"),
+        ("t,score\n0,1.0\n1,high\n", r"non-numeric cell at row 2, column 2: 'high'"),
+        ("t,score,label\n0,1.0,yes\n", r"non-numeric cell at row 1, column 3: 'yes'"),
+        ("t,value,label\n0,1.0,0\n", r"no 'score' column"),
+    ], ids=["nan-score", "label-2", "short-row", "non-numeric-score", "non-numeric-label",
+            "no-score-header"])
+    def test_bad_score_csv_rejected_naming_row_and_column(self, tmp_path, text, message):
+        path = tmp_path / "scores.csv"
+        path.write_text(text)
+        with pytest.raises(dt.DataError, match=message):
+            load_score_csv(path)
+
+    def test_score_column_found_by_header_name(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("score,t,label\n0.25,0,1\n-1.5,1,0\n")
+        series, labels = load_score_csv(path)
+        np.testing.assert_array_equal(series.scores, [0.25, -1.5])
+        np.testing.assert_array_equal(labels, [True, False])
 
     def test_svg_is_deterministic(self, tmp_path):
         series = ScoreSeries(np.sin(np.linspace(0, 6, 200)))

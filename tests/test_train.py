@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from tcflow.train import (
     SerializationError,
     TrainConfig,
     TrainingDiverged,
-    _BatchedRunner,
-    _StatefulRunner,
+    _chunk_batches,
+    _mean_loss,
+    _window_batches,
     adam_step,
     load_model,
     save_model,
@@ -196,13 +198,14 @@ class TestFlatBuffer:
         import tcflow.train as train_module
 
         seen = []
-        original = train_module._BatchedRunner.val_loss
+        original = train_module._mean_loss
 
-        def val_loss(runner):
-            seen.append(np.concatenate([p.value.ravel() for p in runner.model.parameters()]))
-            return original(runner)
+        def mean_loss(model, batches, rng, adam=None, cfg=None):
+            if adam is None:
+                seen.append(np.concatenate([p.value.ravel() for p in model.parameters()]))
+            return original(model, batches, rng, adam, cfg)
 
-        monkeypatch.setattr(train_module._BatchedRunner, "val_loss", val_loss)
+        monkeypatch.setattr(train_module, "_mean_loss", mean_loss)
         ds = prepared_sine(300, seed=4)
         model, report = train_model(ds, EncoderConfig("passthrough", lookback=4), small_cfgs(),
                                     TrainConfig(epochs=6, learning_rate=0.3, seed=1))
@@ -318,16 +321,19 @@ class TestBatchedRows:
         # the split masks over padded_context_windows pick the same rows, in
         # the same order, as the windows filtered by split-index membership
         ds = prepared_sine(400, seed=5)
-        model = build_model_with_encoder(2, 2, EncoderConfig(kind, lookback=lookback))
         lookback = lookback if kind != "none" else 0  # as train_model splits
         train_idx, val_idx = dt.split_train_val(ds.n_steps, lookback, mode,
                                                 np.random.default_rng(1))
         masks = np.zeros((2, ds.n_steps), dtype=bool)
         masks[0, train_idx] = masks[1, val_idx] = True
-        runner = _BatchedRunner(model, ds.values, lookback, *masks, TrainConfig(),
-                                np.random.default_rng(0))
+        # the raw windows as "contexts", every row in one batch, unshuffled
+        raw = SimpleNamespace(encode_batch=lambda windows, training, rng: windows)
+        batches = _window_batches(raw, ds.values, lookback, *masks, batch_size=ds.n_steps)
+        in_order = SimpleNamespace(permutation=np.arange)
+        (train,) = batches(True, in_order)
+        (val,) = batches(False, None)
         want = reference_window_rows(ds.values, lookback, train_idx, val_idx)
-        for rows, expected in zip(runner.train + runner.val, want):
+        for rows, expected in zip(train + val, want):
             np.testing.assert_array_equal(rows, expected)
 
 
@@ -344,10 +350,10 @@ class TestStatefulChunks:
     @staticmethod
     def _per_row_nll(model, stream, targets, pick):
         encoder = model.encoder
-        handle = encoder.new_handle()
+        states = encoder.zero_states(1)
         terms = []
         for t in range(stream.shape[0]):
-            w = encoder.encode_step(stream[t], handle, t)
+            w, states = encoder.encode_step(stream[t : t + 1], states)
             if pick[t]:
                 terms.append(dc.neg(model.log_prob_nodes(targets[t : t + 1], w)))
         return dc.mean(dc.concat(terms, axis=0))
@@ -358,7 +364,7 @@ class TestStatefulChunks:
         stream, targets = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
         pick = np.array([True, False, True, True, False])
 
-        contexts = model.encoder.encode_step(stream, model.encoder.new_handle(), 0)
+        contexts, _ = model.encoder.encode_step(stream, model.encoder.zero_states(1))
         chunked = nll_loss(model, targets[pick], contexts[pick])
         chunk_grads = dc.backward(chunked)
         per_row = self._per_row_nll(model, stream, targets, pick)
@@ -378,10 +384,11 @@ class TestStatefulChunks:
         stream = np.vstack([values[:1], values[:-1]])
         val = np.zeros(n_steps, dtype=bool)
         val[7:] = True
-        runner = _StatefulRunner(model, values, ~val, val, TrainConfig(),
-                                 np.random.default_rng(0))
+        batches = _chunk_batches(model.encoder, values, ~val, val)
+        rng = np.random.default_rng(0)
+        val_loss = _mean_loss(model, batches(False, rng), rng)
         expected = float(self._per_row_nll(model, stream, values, val).value)
-        np.testing.assert_allclose(runner.val_loss(), expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(val_loss, expected, rtol=1e-12, atol=0)
 
 
 class TestSerialization:

@@ -10,13 +10,15 @@ checkout) and runs, through ``tcflow.cli.main``, into the empty directory OUT:
   LSTMs (``[encoder] lstm_layers = 2``) for ``tcnf-stateless`` and
   ``tcnf-stateful``, whose training draws the dropout between LSTM layers;
 - a one-generation search (2 candidate and 2 final epochs) for ``tcnf-base``
-  (budget 9), and for ``tcnf-mlp``, ``tcnf-cnn`` and ``tcnf-stateless``
-  (budget 10), so every kind of search row (``cond_*``, ``lookback`` and
-  each encoder's ``enc_*``) is decoded into a config;
+  (budget 9), and for ``tcnf-mlp``, ``tcnf-cnn``, ``tcnf-stateless`` and
+  ``tcnf-stateful`` (budget 10), so every kind of search row (``cond_*``,
+  ``lookback`` and each encoder's ``enc_*``) is decoded into a config and
+  the stateful training path runs with searched settings;
 - ``score --labeled``, ``evaluate`` and ``export-latent`` on the test series
-  for all 13 models.
+  for all 14 models;
+- one ``report`` over the 14 ``metrics.csv`` files.
 
-That is 123 files.
+That is 133 files.
 
 A change that must not alter any output is checked by running this against
 the parent's ``src`` and the change's, each into its own directory, then
@@ -41,7 +43,8 @@ final_epochs = 2
 """
 TWO_LAYER_LSTM = "\n[encoder]\nlstm_layers = 2\n"
 # method -> budget: one population of its search space
-SEARCHES = {"tcnf-base": 9, "tcnf-mlp": 10, "tcnf-cnn": 10, "tcnf-stateless": 10}
+SEARCHES = {"tcnf-base": 9, "tcnf-mlp": 10, "tcnf-cnn": 10, "tcnf-stateless": 10,
+            "tcnf-stateful": 10}
 
 
 def main(src: str, out: str) -> int:
@@ -88,6 +91,8 @@ def main(src: str, out: str) -> int:
             "--out-dir", Path(name, "evaluate"))
         run("export-latent", "--model", model, "--data", test, "--labeled",
             "--out-dir", Path(name, "latent"))
+    run("report", *(Path(name, "evaluate", "metrics.csv") for name in models),
+        "--out-dir", "report")
     return 0
 
 
