@@ -192,6 +192,8 @@ def cmd_generate(args) -> int:
     seed = cfg.get("run", "seed")
     g = cfg.values["generate"]
     kinds = [k.strip() for k in g["anomalies"].split(",") if k.strip()]
+    if not kinds and g["n_anomalies"] > 0:
+        raise CliError(f"[generate] anomalies is empty; n_anomalies = {g['n_anomalies']}")
     for kind in kinds:
         if kind not in dt.ANOMALY_KINDS:
             raise CliError(f"unknown anomaly kind {kind!r}")
@@ -286,11 +288,9 @@ def cmd_evaluate(args) -> int:
         ("precision", precision), ("recall", recall), ("f1", f1),
         ("threshold", threshold), ("combined_30_70", mx.combined_objective(auc, vus)),
     ]
-    with open(out / "metrics.csv", "w", newline="") as fh:
-        fh.write(f"# vus_variant={mx.VUS_VARIANT} window={window}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dataset", "model", "metric", "value"])
-        writer.writerows([dataset_id, model_id, name, repr(value)] for name, value in rows)
+    dt.write_table(out / "metrics.csv", ["dataset", "model", "metric", "value"],
+                   [[dataset_id] * len(rows), [model_id] * len(rows), *zip(*rows)],
+                   comment=f"vus_variant={mx.VUS_VARIANT} window={window}")
     cfg.write(out / "resolved-evaluate.ini")
     print(f"auc={auc:.4f} vus={vus:.4f} f1={f1:.4f} -> {out / 'metrics.csv'}")
     return 0
@@ -340,17 +340,19 @@ def cmd_report(args) -> int:
     groups: dict[tuple[str, str], list[float]] = {}
     for path in args.inputs:
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].startswith("#") or row[0] == "dataset":
-                    continue
-                dataset, _model, metric, value = row
-                groups.setdefault((dataset, metric), []).append(float(value))
-    with open(out / "report.csv", "w", newline="") as fh:
-        fh.write(f"# vus_variant={mx.VUS_VARIANT}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dataset", "metric", "mean", "std", "n"])
-        writer.writerows([dataset, metric, repr(float(np.mean(v))), repr(float(np.std(v))), len(v)]
-                         for (dataset, metric), v in sorted(groups.items()))
+            rows = csv.reader(fh)
+            next(rows, None)  # the comment line
+            next(rows, None)  # the header
+            for i, row in enumerate(rows, 1):
+                try:
+                    dataset, _model, metric, value = row
+                    groups.setdefault((dataset, metric), []).append(float(value))
+                except ValueError:
+                    raise dt.DataError(f"{path}: row {i} is not dataset,model,metric,value "
+                                       f"with a numeric value: {row}") from None
+    stats = [(d, m, np.mean(v), np.std(v), len(v)) for (d, m), v in sorted(groups.items())]
+    dt.write_table(out / "report.csv", ["dataset", "metric", "mean", "std", "n"],
+                   list(zip(*stats)), comment=f"vus_variant={mx.VUS_VARIANT}")
     print(f"aggregated {len(args.inputs)} metric files to {out / 'report.csv'}")
     return 0
 

@@ -12,8 +12,6 @@ training window can touch validation targets.
 from __future__ import annotations
 
 import csv
-import itertools
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,6 +51,8 @@ class TimeSeriesDataset:
                 raise DataError("labels length must equal the number of timesteps")
         if not self.channel_names:
             self.channel_names = [f"ch{i}" for i in range(self.values.shape[1])]
+        if len(self.channel_names) != self.n_channels:
+            raise DataError(f"{len(self.channel_names)} channel names for {self.n_channels} channels")
 
     @property
     def n_steps(self) -> int:
@@ -87,74 +87,104 @@ class AnomalySpec:
 # -- CSV ---------------------------------------------------------------------
 
 
-def load_csv(path, has_labels: bool = False) -> TimeSeriesDataset:
-    """Rows are timesteps, columns are channels; with ``has_labels`` the last
-    column must be 0/1 and becomes the label vector. A non-numeric first row
-    is treated as a header of channel names. Every other cell must be a
-    finite number."""
-    # row by row: a list of every row's fields, thrown away per call,
-    # fragments the heap so that peak memory grows with each call
+def write_table(path, header, columns, comment=None) -> None:
+    """The one table format: an optional "# " comment line, the header, then
+    the equal-length ``columns`` (arrays or lists) row by row, floats as the
+    shortest repr that reads back exactly, booleans as 0/1."""
+    cells = [(c.astype(int) if c.dtype == bool else c).tolist() for c in map(np.asarray, columns)]
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
+
+
+def read_table(path) -> tuple[list[str] | None, np.ndarray]:
+    """The header (None without one) and the (rows, columns) float array of a
+    numeric table. A first row that is not all numbers is the header; blank
+    rows are skipped. An empty file, a ragged row (a header of another width
+    counts), a non-numeric or a non-finite cell raises ``DataError`` naming
+    the row (data rows count from 1) and column."""
     with open(path, newline="") as fh:
-        rows = (row for row in csv.reader(fh) if row)
+        reader = csv.reader(fh)
+        rows = filter(None, reader)
         first = next(rows, None)
         if first is None:
             raise DataError(f"{path}: empty file")
-        header: list[str] | None = None
+        header, skip = None, 0
         try:
             [float(cell) for cell in first]
         except ValueError:
-            header = [cell.strip() for cell in first]
-            first = next(rows, None)
-            if first is None:
-                raise DataError(f"{path}: header but no data rows")
-        width = len(first)
-        cells: list[float] = []
-        non_finite = None
-        for i, row in enumerate(itertools.chain([first], rows)):
-            if len(row) != width:
-                raise DataError(f"{path}: ragged row {i + 1} has {len(row)} cells, expected {width}")
-            for j, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: {cell!r}") from None
-                if non_finite is None and not math.isfinite(value):
-                    non_finite = f"row {i + 1}, column {j + 1}: {cell!r}"
-                cells.append(value)
-    if non_finite is not None:
-        raise DataError(f"{path}: non-finite cell at {non_finite}")
-    values = np.array(cells).reshape(-1, width)
+            header, skip = [cell.strip() for cell in first], reader.line_num
+            if next(rows, None) is None:
+                raise DataError(f"{path}: header but no data rows") from None
+        fh.seek(0)
+        try:
+            values = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                skiprows=skip, ndmin=2)
+            if header is not None and values.shape[1] != len(header):
+                raise ValueError("header and rows differ in width")
+        except ValueError as exc:
+            fh.seek(0)
+            raise _bad_cell(path, filter(None, csv.reader(fh)), header, exc) from None
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        name = header[j] if header else "cell"
+        raise DataError(f"{path}: non-finite {name} at row {i + 1}, column {j + 1}: "
+                        f"{float(values[i, j])!r}")
+    return header, values
+
+
+def _bad_cell(path, rows, header, exc: ValueError) -> DataError:
+    """The error naming the first of the non-blank ``rows`` that is ragged or
+    has a cell ``float`` rejects; numpy's own if none is (numpy also rejects
+    ``1_000``)."""
+    width = len(next(rows)) if header is not None else None
+    for i, row in enumerate(rows, 1):
+        width = width or len(row)
+        if len(row) != width:
+            return DataError(f"{path}: ragged row {i} has {len(row)} cells, expected {width}")
+        for j, cell in enumerate(row, 1):
+            try:
+                float(cell)
+            except ValueError:
+                return DataError(f"{path}: non-numeric cell at row {i}, column {j}: {cell!r}")
+    return DataError(f"{path}: {exc}")
+
+
+def binary_labels(path, values: np.ndarray, column: int) -> np.ndarray:
+    """Column ``column`` of a ``read_table`` array as booleans; a value other
+    than 0 or 1 raises ``DataError`` naming its row and column."""
+    raw = values[:, column]
+    bad = np.flatnonzero((raw != 0.0) & (raw != 1.0))
+    if bad.size:
+        raise DataError(f"{path}: non-binary label at row {bad[0] + 1}, column {column + 1}: "
+                        f"{float(raw[bad[0]])!r}")
+    return raw.astype(bool)
+
+
+def load_csv(path, has_labels: bool = False) -> TimeSeriesDataset:
+    """A ``read_table`` table, its header naming the channels; with
+    ``has_labels`` the last column must be 0/1 and becomes the labels."""
+    header, values = read_table(path)
     labels = None
     if has_labels:
-        if width < 2:
+        if values.shape[1] < 2:
             raise DataError(f"{path}: need at least one channel besides the label column")
-        raw = values[:, -1]
-        bad = np.nonzero((raw != 0.0) & (raw != 1.0))[0]
-        if bad.size:
-            raise DataError(
-                f"{path}: non-binary label at row {bad[0] + 1}, column {width}: {raw[bad[0]]!r}"
-            )
-        labels = raw.astype(bool)
+        labels = binary_labels(path, values, values.shape[1] - 1)
         values = values[:, :-1]
-        if header:
-            header = header[:-1]
-    names = header if header else []
-    return TimeSeriesDataset(values, labels, channel_names=names)
+        header = header and header[:-1]
+    return TimeSeriesDataset(values, labels, channel_names=header or [])
 
 
 def save_csv(ds: TimeSeriesDataset, path, with_labels: bool = True) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = list(ds.channel_names)
-        include_labels = with_labels and ds.labels is not None
-        if include_labels:
-            header.append("label")
-        writer.writerow(header)
-        for i in range(ds.n_steps):
-            row = [repr(float(v)) for v in ds.values[i]]
-            if include_labels:
-                row.append(str(int(ds.labels[i])))
-            writer.writerow(row)
+    header, columns = list(ds.channel_names), list(ds.values.T)
+    if with_labels and ds.labels is not None:
+        header.append("label")
+        columns.append(ds.labels)
+    write_table(path, header, columns)
 
 
 # -- normalization and padding ------------------------------------------------

@@ -30,6 +30,7 @@ from .data import (
     normalize_minmax,
     normalize_with_stats,
     pad_even_channels,
+    write_table,
 )
 from .flow import ConditionerConfig, FlowConfig
 from .metrics import auc_roc, combined_objective, infer_metric_window, vus_roc
@@ -323,16 +324,13 @@ class SearchResult:
     metric_window: int
 
     def trials_csv(self, path) -> None:
+        keys = [f.name for f in fields(Trial) if f.name != "params"]
         names = self.space.names
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# method={self.method} objective={self.objective} "
-                     f"metric_window={self.metric_window}\n")
-            fh.write(",".join(["generation", "index", "fitness", "auc", "vus", "val_loss"] + names) + "\n")
-            for t in self.trials:
-                row = [str(t.generation), str(t.index), repr(t.fitness),
-                       repr(t.auc), repr(t.vus), repr(t.val_loss)]
-                row += [repr(float(t.params[n])) for n in names]
-                fh.write(",".join(row) + "\n")
+        columns = [[getattr(t, key) for t in self.trials] for key in keys]
+        columns += [np.array([t.params[n] for t in self.trials], dtype=float) for n in names]
+        write_table(path, keys + names, columns,
+                    comment=f"method={self.method} objective={self.objective} "
+                            f"metric_window={self.metric_window}")
 
 
 def _candidate_seed(base_seed: int, index: int) -> int:

@@ -9,13 +9,12 @@ alignment over the whole test series.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conditioners import StatefulLstmEncoder, padded_context_windows
-from .data import DataError, TimeSeriesDataset
+from .data import DataError, TimeSeriesDataset, binary_labels, read_table, write_table
 from .flow import FlowModel, gaussian_log_density
 
 _BATCH = 1024
@@ -31,57 +30,23 @@ class ScoreSeries:
         self.scores = np.asarray(self.scores, dtype=np.float64)
 
     def to_csv(self, path, labels=None) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            header = ["t", "score"] + (["label"] if labels is not None else [])
-            writer.writerow(header)
-            for t, s in enumerate(self.scores):
-                row = [t, repr(float(s))]
-                if labels is not None:
-                    row.append(int(labels[t]))
-                writer.writerow(row)
+        header, columns = ["t", "score"], [np.arange(self.scores.size), self.scores]
+        if labels is not None:
+            header.append("label")
+            columns.append(labels)
+        write_table(path, header, columns)
 
 
 def load_score_csv(path) -> tuple[ScoreSeries, np.ndarray | None]:
-    """Scores, and labels if there is a ``label`` column, from a CSV whose
-    header names a ``score`` column, as ``ScoreSeries.to_csv`` writes it. As
-    in ``data.load_csv``, a ragged row, a non-numeric or non-finite score and
-    a label other than 0 or 1 raise ``DataError`` naming the row (data rows
-    count from 1) and column."""
-    # row by row: a list of every row's fields, thrown away per call,
-    # fragments the heap so that peak memory grows with each call
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if "score" not in header:
-            raise DataError(f"{path}: no 'score' column in the header")
-        width, score_col = len(header), header.index("score")
-        # without a label column the score column stands in, its copy unused
-        label_col = header.index("label") if "label" in header else score_col
-        scores, labels = [], []
-        for row in reader:
-            if len(row) != width:
-                raise DataError(f"{path}: ragged row {len(labels) + 1} has {len(row)} cells, "
-                                f"expected {width}")
-            try:
-                scores.append(float(row[score_col]))
-                labels.append(float(row[label_col]))
-            except ValueError:
-                col = score_col if len(scores) == len(labels) else label_col
-                raise DataError(f"{path}: non-numeric cell at row {len(labels) + 1}, "
-                                f"column {col + 1}: {row[col]!r}") from None
-    scores, labels = np.array(scores), np.array(labels)
-    bad = np.flatnonzero(~np.isfinite(scores))
-    if bad.size:
-        raise DataError(f"{path}: non-finite score at row {bad[0] + 1}, column {score_col + 1}: "
-                        f"{float(scores[bad[0]])!r}")
-    if label_col == score_col:
-        return ScoreSeries(scores), None
-    bad = np.flatnonzero((labels != 0.0) & (labels != 1.0))
-    if bad.size:
-        raise DataError(f"{path}: non-binary label at row {bad[0] + 1}, column {label_col + 1}: "
-                        f"{float(labels[bad[0]])!r}")
-    return ScoreSeries(scores), labels.astype(bool)
+    """Scores, and labels if there is a ``label`` column, from a
+    ``data.read_table`` table whose header names a ``score`` column."""
+    header, values = read_table(path)
+    if header is None or "score" not in header:
+        raise DataError(f"{path}: no 'score' column in the header")
+    series = ScoreSeries(values[:, header.index("score")])
+    if "label" not in header:
+        return series, None
+    return series, binary_labels(path, values, header.index("label"))
 
 
 def _latent_series(model: FlowModel, ds: TimeSeriesDataset
@@ -152,19 +117,12 @@ def export_latent(model: FlowModel, ds: TimeSeriesDataset, path) -> None:
     redundantly recomputable as -(base log density + log-det), and a
     non-finite one raises as in ``score_series``, before the file is opened."""
     latents, log_dets, scores = _latent_series(model, ds)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = [f"u{i}" for i in range(model.dim)] + ["logdet", "score"]
-        if ds.labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for t in range(latents.shape[0]):
-            row = [repr(float(v)) for v in latents[t]]
-            row.append(repr(float(log_dets[t])))
-            row.append(repr(float(scores[t])))
-            if ds.labels is not None:
-                row.append(int(ds.labels[t]))
-            writer.writerow(row)
+    header = [f"u{i}" for i in range(model.dim)] + ["logdet", "score"]
+    columns = [*latents.T, log_dets, scores]
+    if ds.labels is not None:
+        header.append("label")
+        columns.append(ds.labels)
+    write_table(path, header, columns)
 
 
 def write_score_svg(series: ScoreSeries, path, labels=None,

@@ -23,7 +23,7 @@ from .conditioners import (
     build_encoder,
     padded_context_windows,
 )
-from .data import DataError, TimeSeriesDataset, split_train_val
+from .data import DataError, TimeSeriesDataset, split_train_val, write_table
 from .flow import ConditionerConfig, FlowConfig, FlowModel, nll_loss
 
 MODEL_MAGIC = b"TCFLOW\x00\x01"
@@ -67,10 +67,9 @@ class TrainReport:
         return self.val_losses[self.best_epoch - 1]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("epoch,train_loss,val_loss,best\n")
-            for i, (tr, va) in enumerate(zip(self.train_losses, self.val_losses), start=1):
-                fh.write(f"{i},{tr!r},{va!r},{int(i == self.best_epoch)}\n")
+        epochs = np.arange(1, len(self.train_losses) + 1)
+        write_table(path, ["epoch", "train_loss", "val_loss", "best"],
+                    [epochs, self.train_losses, self.val_losses, epochs == self.best_epoch])
 
 
 # -- Adam ----------------------------------------------------------------------

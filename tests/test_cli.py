@@ -156,18 +156,34 @@ class TestReport:
         scores_path = tmp_path / "s,1.csv"
         scores_path.write_text("t,score,label\n0,0.0,0\n1,1.0,1\n2,0.5,0\n3,2.0,1\n")
         paths = []
-        for i, dataset_id in enumerate(("sine,a", "sine,a")):
+        for i, dataset_id in enumerate(("sine,a", "sine,a", "#a", "dataset")):
             out = tmp_path / f"eval{i}"
             assert run_cli("evaluate", "--scores", scores_path, "--dataset-id", dataset_id,
                            "--model-id", f"m,{i}", "--out-dir", out) == 0
             paths.append(out / "metrics.csv")
-        assert run_cli("evaluate", "--scores", scores_path, "--out-dir", tmp_path / "eval2") == 0
-        paths.append(tmp_path / "eval2" / "metrics.csv")
+        out = tmp_path / "eval-default-id"
+        assert run_cli("evaluate", "--scores", scores_path, "--out-dir", out) == 0
+        paths.append(out / "metrics.csv")
         assert run_cli("report", *paths, "--out-dir", tmp_path / "report") == 0
         with open(tmp_path / "report" / "report.csv", newline="") as fh:
             rows = {(row[0], row[1]): row[2:] for row in csv.reader(fh) if len(row) == 5}
         assert rows[("sine,a", "auc_roc")] == ["1.0", "0.0", "2"]
         assert rows[("s,1", "auc_roc")] == ["1.0", "0.0", "1"]
+        assert rows[("#a", "auc_roc")] == ["1.0", "0.0", "1"]
+        assert rows[("dataset", "auc_roc")] == ["1.0", "0.0", "1"]
+
+    @pytest.mark.parametrize("row, message", [
+        ("sine,m,auc_roc", "row 2 is not dataset,model,metric,value"),
+        ("sine,m,auc_roc,high", "row 2 is not dataset,model,metric,value"),
+    ], ids=["three-cells", "non-numeric-value"])
+    def test_malformed_metrics_row_rejected_naming_file_and_row(self, tmp_path, capsys,
+                                                                row, message):
+        path = tmp_path / "metrics.csv"
+        path.write_text("# vus_variant=x window=3\ndataset,model,metric,value\n"
+                        f"sine,m,auc_roc,0.5\n{row}\n")
+        assert run_cli("report", path, "--out-dir", tmp_path / "report") == 1
+        err = capsys.readouterr().err
+        assert "DataError" in err and str(path) in err and message in err
 
 
 DEFAULT_INI = """\
@@ -231,6 +247,17 @@ class TestRunConfig:
 
 
 class TestErrors:
+    def test_empty_anomaly_list_needs_zero_anomalies(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.ini"
+        cfg.write_text("[generate]\nanomalies =\n")
+        args = ("generate", "--config", cfg, "--n-steps", 200, "--out-dir", tmp_path / "gen")
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err
+        assert "CliError" in err and "[generate] anomalies" in err
+        cfg.write_text("[generate]\nanomalies =\nn_anomalies = 0\n")
+        assert run_cli(*args) == 0
+        assert dt.load_csv(tmp_path / "gen" / "test_labeled.csv").n_steps == 200
+
     def test_missing_file_exits_one_with_single_line(self, tmp_path, capsys):
         code = run_cli("train", "--data", tmp_path / "nope.csv", "--out-dir", tmp_path)
         assert code == 1

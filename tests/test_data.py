@@ -1,9 +1,15 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from helpers import build_model_with_encoder, randomize_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcflow import data as dt
+from tcflow.conditioners import EncoderConfig
+from tcflow.score import ScoreSeries, _latent_series, export_latent, load_score_csv
 
 
 class TestLoadCsv:
@@ -55,6 +61,125 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.values, ds.values)
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert back.channel_names == ds.channel_names
+
+
+    def test_header_wider_than_rows_is_a_ragged_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,c\n1,2\n3,4\n")
+        with pytest.raises(dt.DataError, match="ragged row 1 has 2 cells, expected 3"):
+            dt.load_csv(path)
+        with pytest.raises(dt.DataError, match="ragged row 1 has 2 cells, expected 3"):
+            dt.load_csv(path, has_labels=True)
+
+    def test_channel_names_must_match_channels(self):
+        with pytest.raises(dt.DataError, match="3 channel names for 2 channels"):
+            dt.TimeSeriesDataset(np.zeros((4, 2)), channel_names=["a", "b", "c"])
+
+
+# finite doubles, with the edge values drawn often
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# channel names with a comma and a double quote, no edge whitespace
+NAMES = st.text(alphabet='ab ,"', max_size=4).map(lambda s: f'c,{s}"')
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestTableRoundTrip:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+        st.lists(st.lists(FINITE, min_size=d, max_size=d), min_size=1, max_size=8),
+        st.lists(NAMES, min_size=d, max_size=d))), st.booleans(), st.data())
+    def test_save_csv_reads_back_bit_identical(self, table, with_labels, data):
+        rows, names = table
+        labels = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        ds = dt.TimeSeriesDataset(np.array(rows), np.array(labels) if with_labels else None,
+                                  channel_names=names)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            dt.save_csv(ds, path)
+            back = dt.load_csv(path, has_labels=with_labels)
+        np.testing.assert_array_equal(_bits(back.values), _bits(ds.values))
+        assert back.channel_names == names
+        if with_labels:
+            np.testing.assert_array_equal(back.labels, ds.labels)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(FINITE, st.booleans()), min_size=1, max_size=12), st.booleans())
+    def test_score_csv_reads_back_bit_identical(self, rows, with_labels):
+        scores = np.array([s for s, _ in rows])
+        labels = np.array([flag for _, flag in rows]) if with_labels else None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scores.csv"
+            ScoreSeries(scores).to_csv(path, labels=labels)
+            back, back_labels = load_score_csv(path)
+        np.testing.assert_array_equal(_bits(back.scores), _bits(scores))
+        if with_labels:
+            np.testing.assert_array_equal(back_labels, labels)
+        else:
+            assert back_labels is None
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.booleans()),
+                    min_size=1, max_size=12), st.integers(0, 3))
+    def test_export_latent_reads_back_bit_identical(self, rows, seed):
+        model = build_model_with_encoder(2, 2, EncoderConfig("passthrough", lookback=2))
+        randomize_model(model, np.random.default_rng(seed), scale=0.3)
+        ds = dt.TimeSeriesDataset(np.array([r[:2] for r in rows]),
+                                  np.array([r[2] for r in rows]))
+        latents, log_dets, scores = _latent_series(model, ds)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "latent.csv"
+            export_latent(model, ds, path)
+            header, values = dt.read_table(path)
+        assert header == ["u0", "u1", "logdet", "score", "label"]
+        expected = np.column_stack([latents, log_dets, scores, ds.labels])
+        np.testing.assert_array_equal(_bits(values), _bits(expected))
+
+
+SCORES_HEADER = "t,score,label\n0,1.0,0\n"
+
+
+class TestTableChecks:
+    """One table of inputs for both numeric readers: the same file is a
+    labeled series for ``load_csv`` and a scores file for ``load_score_csv``."""
+
+    LOADERS = {"load_csv": lambda path: dt.load_csv(path, has_labels=True),
+               "load_score_csv": load_score_csv}
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_blank_rows_are_skipped(self, tmp_path, loader):
+        path = tmp_path / "d.csv"
+        path.write_text("\n" + SCORES_HEADER + "\n1,2.0,1\n\n")
+        assert self.LOADERS[loader](path) is not None
+        header, values = dt.read_table(path)
+        assert header == ["t", "score", "label"]
+        np.testing.assert_array_equal(values, [[0.0, 1.0, 0.0], [1.0, 2.0, 1.0]])
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    @pytest.mark.parametrize("rows, message", [
+        ("1,2.0\n", "ragged row 2 has 2 cells, expected 3"),
+        ("1,2.0,1,7\n", "ragged row 2 has 4 cells, expected 3"),
+        ("1,high,1\n", "non-numeric cell at row 2, column 2: 'high'"),
+        ("one,2.0,1\n", "non-numeric cell at row 2, column 1: 'one'"),
+        ("1,,1\n", "non-numeric cell at row 2, column 2: ''"),
+        ("1,-inf,1\n", "non-finite score at row 2, column 2: -inf"),
+        ("nan,2.0,1\n", "non-finite t at row 2, column 1: nan"),
+        ("1,1e999,1\n", "non-finite score at row 2, column 2: inf"),
+        ("1,2.0,2\n", "non-binary label at row 2, column 3: 2.0"),
+        ("1,2.0,0.5\n", "non-binary label at row 2, column 3: 0.5"),
+    ], ids=["short", "long", "non-numeric", "non-numeric-t", "empty-cell", "minus-inf",
+            "nan-t", "overflow", "label-2", "label-half"])
+    def test_bad_rows_rejected_naming_row_and_column(self, tmp_path, loader, rows, message):
+        path = tmp_path / "d.csv"
+        path.write_text(SCORES_HEADER + rows)
+        with pytest.raises(dt.DataError, match=message):
+            self.LOADERS[loader](path)
 
 
 class TestNormalize:

@@ -16,9 +16,13 @@ checkout) and runs, through ``tcflow.cli.main``, into the empty directory OUT:
   the stateful training path runs with searched settings;
 - ``score --labeled``, ``evaluate`` and ``export-latent`` on the test series
   for all 14 models;
-- one ``report`` over the 14 ``metrics.csv`` files.
+- one ``report`` over the 14 ``metrics.csv`` files;
+- ``generate`` of a 3-channel series (so the pad channel is added), headerless
+  copies of its training and test CSVs (first line stripped), and ``train``,
+  ``score --labeled``, ``evaluate`` and ``export-latent`` of ``tcnf-base`` on
+  those copies, so header detection is part of the comparison.
 
-That is 133 files.
+That is 148 files.
 
 A change that must not alter any output is checked by running this against
 the parent's ``src`` and the change's, each into its own directory, then
@@ -93,6 +97,21 @@ def main(src: str, out: str) -> int:
             "--out-dir", Path(name, "latent"))
     run("report", *(Path(name, "evaluate", "metrics.csv") for name in models),
         "--out-dir", "report")
+
+    data_3, bare = Path("data-3ch"), Path("headerless")
+    run("generate", "--family", "sine", "--n-channels", 3, "--n-steps", 600, "--seed", 8,
+        "--out-dir", data_3)
+    bare.mkdir()
+    for name in ("train_clean.csv", "test_labeled.csv"):
+        lines = (data_3 / name).read_text().splitlines(keepends=True)
+        (bare / name).write_text("".join(lines[1:]))
+    run("train", "--config", config, "--data", bare / "train_clean.csv",
+        "--method", "tcnf-base", "--out-dir", bare / "train")
+    run("score", "--model", bare / "train" / "model.tcf", "--data", bare / "test_labeled.csv",
+        "--labeled", "--out-dir", bare / "score")
+    run("evaluate", "--scores", bare / "score" / "scores.csv", "--out-dir", bare / "evaluate")
+    run("export-latent", "--model", bare / "train" / "model.tcf",
+        "--data", bare / "test_labeled.csv", "--labeled", "--out-dir", bare / "latent")
     return 0
 
 
