@@ -17,8 +17,9 @@ from .data import (
 )
 from .flow import ConditionerConfig, FlowConfig, FlowModel, gaussian_log_density, nll_loss
 from .hyperopt import CmaEs, SearchSpace, decode, run_search, space_for_method
-from .metrics import auc_pr, auc_roc, combined_objective, precision_recall_f1, range_labels, vus_roc
-from .score import ScoreSeries, export_latent, score_series, select_threshold
+from .metrics import (auc_pr, auc_roc, combined_objective, precision_recall_f1, range_labels,
+                      select_threshold, vus_roc)
+from .score import ScoreSeries, export_latent, score_series
 from .train import TrainConfig, TrainReport, load_model, save_model, train_model
 
 __version__ = "0.1.0"

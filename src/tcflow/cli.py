@@ -13,7 +13,7 @@ import argparse
 import configparser
 import csv
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +32,11 @@ from .hyperopt import (
     flow_config,
     run_search,
 )
+from .metrics import select_threshold
 from .score import (
     export_latent,
     load_score_csv,
     score_series,
-    select_threshold,
     write_score_svg,
 )
 from .train import TrainConfig, load_model, save_model, train_model
@@ -216,6 +216,7 @@ def cmd_generate(args) -> int:
 def _inject_round(ds, kinds, g, rng) -> dt.TimeSeriesDataset:
     n_anoms = g["n_anomalies"]
     n_steps = ds.n_steps
+    ds = replace(ds, labels=np.zeros(n_steps, dtype=bool))  # labels even for n_anoms = 0
     # evenly strided slots keep injected ranges from colliding
     slot = n_steps // (n_anoms + 1)
     for i in range(n_anoms):

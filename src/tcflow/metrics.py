@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import label_runs
+
 VUS_VARIANT = "linear-buffer-mean-over-widths"
 
 
@@ -21,31 +23,35 @@ def _validate(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError(f"scores {scores.shape} and labels {labels.shape} must be equal-length vectors")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise ValueError(f"non-finite score at index {bad[0]}: {scores[bad[0]]}")
     return scores, labels.astype(bool)
+
+
+def _at_or_above(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct scores, highest first, and for each the number of rows
+    and of positives scoring at or above it (exact integer counts)."""
+    distinct, group = np.unique(scores, return_inverse=True)
+    rows = np.cumsum(np.bincount(group, minlength=distinct.size)[::-1])
+    hits = np.cumsum(np.bincount(group[labels], minlength=distinct.size)[::-1])
+    return distinct[::-1], rows, hits
 
 
 def auc_roc(scores, labels) -> float:
     """Probability that a random positive outscores a random negative, with
-    ties counted half (rank formulation)."""
+    ties counted half (Mann-Whitney U over tie groups)."""
     scores, labels = _validate(scores, labels)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auc_roc needs both classes present")
-    ranks = _average_ranks(scores)
-    pos_rank_sum = ranks[labels].sum()
-    return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties sharing the average of their span."""
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    starts = np.flatnonzero(np.concatenate([[True], sorted_scores[1:] != sorted_scores[:-1]]))
-    ends = np.concatenate([starts[1:], [scores.size]]) - 1
-    ranks = np.empty(scores.size)
-    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
-    return ranks
+    _, rows, hits = _at_or_above(scores, labels)
+    false_pos = rows - hits
+    pos, neg = np.diff(hits, prepend=0), np.diff(false_pos, prepend=0)
+    # 2U as an exact integer, so the one rounding is the final division
+    twice_wins = 2 * int(pos @ (n_neg - false_pos)) + int(pos @ neg)
+    return twice_wins / (2 * n_pos * n_neg)
 
 
 def range_labels(labels, width: int) -> np.ndarray:
@@ -75,6 +81,7 @@ def _distance_to_true(labels: np.ndarray) -> np.ndarray:
 def weighted_auc_roc(scores: np.ndarray, weights: np.ndarray) -> float:
     """ROC AUC where each point counts ``weight`` as positive and
     ``1 - weight`` as negative; trapezoidal over unique thresholds."""
+    scores, _ = _validate(scores, weights)
     return _weighted_aucs(scores, [weights])[0]
 
 
@@ -122,20 +129,27 @@ def precision_recall_f1(scores, labels, threshold: float) -> tuple[float, float,
     return precision, recall, f1
 
 
+def select_threshold(scores, labels) -> float:
+    """The distinct score whose rule ``score >= threshold`` has the best F1 of
+    ``precision_recall_f1``, the lowest such score on ties."""
+    scores, labels = _validate(scores, labels)
+    distinct, rows, hits = _at_or_above(scores, labels)
+    precision = hits / rows
+    recall = hits / max(int(labels.sum()), 1)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros(distinct.size), where=both > 0)
+    return float(distinct[distinct.size - 1 - int(np.argmax(f1[::-1]))])
+
+
 def auc_pr(scores, labels) -> float:
     """Trapezoidal area under the precision-recall curve."""
     scores, labels = _validate(scores, labels)
     n_pos = int(labels.sum())
     if n_pos == 0 or n_pos == labels.size:
         raise ValueError("auc_pr needs both classes present")
-    order = np.argsort(-scores, kind="mergesort")
-    hits = labels[order].astype(np.float64)
-    boundary = np.nonzero(np.diff(scores[order]))[0]
-    keep = np.concatenate([boundary, [scores.size - 1]])
-    tp = np.cumsum(hits)[keep]
-    count = keep + 1.0
-    precision = tp / count
-    recall = tp / n_pos
+    _, rows, hits = _at_or_above(scores, labels)
+    precision = hits / rows
+    recall = hits / n_pos
     recall = np.concatenate([[0.0], recall])
     precision = np.concatenate([[precision[0]], precision])
     return float(np.trapezoid(precision, recall))
@@ -151,9 +165,6 @@ def combined_objective(auc: float, vus: float) -> float:
 
 def infer_metric_window(labels) -> int:
     """Default VUS max width: the median labeled-range length."""
-    labels = np.asarray(labels, dtype=bool)
-    from .data import label_runs
-
     runs = label_runs(labels)
     if not runs:
         return 0

@@ -1,4 +1,4 @@
-"""Per-timestep anomaly scoring, threshold selection and latent export.
+"""Per-timestep anomaly scoring and latent export.
 
 The score of a timestep is its negative conditional log density, so higher
 means more anomalous. Scores are reported raw: no point adjustment, no
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioners import StatefulLstmEncoder, padded_context_windows
-from .data import DataError, TimeSeriesDataset, binary_labels, read_table, write_table
+from .data import DataError, TimeSeriesDataset, binary_labels, label_runs, read_table, write_table
 from .flow import FlowModel, gaussian_log_density
 
 _BATCH = 1024
@@ -89,28 +89,6 @@ def score_series(model: FlowModel, ds: TimeSeriesDataset) -> ScoreSeries:
     return ScoreSeries(scores)
 
 
-def select_threshold(scores, labels) -> float:
-    """The unique score whose rule ``score >= threshold`` has the best F1,
-    the lowest such score on ties; precision, recall and F1 per threshold are
-    those of ``metrics.precision_recall_f1`` (a NaN score is never flagged)."""
-    if labels is None:
-        raise ValueError("best-f1 threshold selection requires labels")
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=bool)
-    thresholds, group = np.unique(scores, return_inverse=True)
-    counted = ~np.isnan(scores)
-
-    def at_or_above(rows):
-        return np.cumsum(np.bincount(group[rows], minlength=thresholds.size)[::-1])[::-1]
-
-    flagged, tp = at_or_above(counted), at_or_above(counted & labels)
-    precision = np.divide(tp, flagged, out=np.zeros(thresholds.size), where=flagged > 0)
-    recall = tp / max(int(labels.sum()), 1)
-    both = precision + recall
-    f1 = np.divide(2 * precision * recall, both, out=np.zeros(thresholds.size), where=both > 0)
-    return float(thresholds[int(np.argmax(f1))])
-
-
 def export_latent(model: FlowModel, ds: TimeSeriesDataset, path) -> None:
     """CSV of the normalized representation per timestep: latent coordinates,
     the summed log|det J|, the score and the label (if present). The score is
@@ -140,8 +118,6 @@ def write_score_svg(series: ScoreSeries, path, labels=None,
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     if labels is not None:
-        from .data import label_runs
-
         for start, stop in label_runs(labels):
             x0 = margin + (width - 2 * margin) * start / max(1, scores.size - 1)
             x1 = margin + (width - 2 * margin) * (stop - 1) / max(1, scores.size - 1)

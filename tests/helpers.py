@@ -6,6 +6,7 @@ from tcflow import diffcore as dc
 from tcflow.conditioners import EncoderConfig, build_encoder
 from tcflow.flow import ConditionerConfig, FlowConfig, FlowModel
 from tcflow.hyperopt import CmaEs
+from tcflow.metrics import precision_recall_f1
 
 
 def auc_pairwise_oracle(scores, labels):
@@ -22,6 +23,17 @@ def auc_pairwise_oracle(scores, labels):
             elif p == n:
                 wins += 0.5
     return wins / (pos.size * neg.size)
+
+
+def best_f1_threshold_oracle(scores, labels):
+    """The loop over every unique score, ascending, keeping the first best F1
+    of ``precision_recall_f1``: the exact reference for ``select_threshold``."""
+    best_thr, best_f1 = float(scores.max()), -1.0
+    for thr in np.unique(scores):
+        _, _, f1 = precision_recall_f1(scores, labels, float(thr))
+        if f1 > best_f1:
+            best_f1, best_thr = f1, float(thr)
+    return best_thr
 
 
 def small_flow(dim=2, n_layers=2, context_dim=0, seed=0, multiplier=2,

@@ -33,6 +33,17 @@ class TestGenerate:
         test = dt.load_csv(generated / "test_labeled.csv", has_labels=True)
         assert test.labels.any() and not test.labels.all()
 
+    def test_zero_anomalies_write_an_all_zero_label_column(self, tmp_path):
+        cfg = tmp_path / "gen.ini"
+        cfg.write_text("[generate]\nn_anomalies = 0\n")
+        assert run_cli("generate", "--config", cfg, "--n-steps", 200,
+                       "--out-dir", tmp_path / "gen") == 0
+        for name in ("train_labeled.csv", "test_labeled.csv"):
+            header = (tmp_path / "gen" / name).read_text().splitlines()[0]
+            assert header == "ch0,ch1,label"
+            ds = dt.load_csv(tmp_path / "gen" / name, has_labels=True)
+            assert ds.n_channels == 2 and not ds.labels.any()
+
     def test_resolved_config_records_seed(self, generated):
         text = (generated / "resolved-generate.ini").read_text()
         assert "seed = 5" in text

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-from helpers import auc_pairwise_oracle
-from hypothesis import given, settings
+from helpers import auc_pairwise_oracle, best_f1_threshold_oracle
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcflow import metrics as mx
@@ -36,19 +36,37 @@ def weighted_auc_sweep_oracle(scores, weights):
     return area
 
 
-def average_ranks_loop(scores):
-    """The tie-group walk ``_average_ranks`` replaced: exact oracle."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def auc_pr_loop_oracle(scores, labels):
+    """Precision and recall of ``score >= theta`` at each distinct score,
+    highest first, the first precision repeated at recall 0; trapezoid."""
+    n_pos = labels.sum()
+    points = []
+    for theta in sorted(set(scores.tolist()), reverse=True):
+        flagged = scores >= theta
+        tp = (flagged & labels).sum()
+        points.append((tp / n_pos, tp / flagged.sum()))
+    points.insert(0, (0.0, points[0][1]))
+    return sum((r1 - r0) * (p0 + p1) / 2.0 for (r0, p0), (r1, p1) in zip(points, points[1:]))
+
+
+@st.composite
+def tied_binary(draw):
+    """Scores on a coarse integer grid, so ties are common, with both classes."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 6), st.booleans()), min_size=2, max_size=60)
+                 .filter(lambda pairs: 0 < sum(label for _, label in pairs) < len(pairs)))
+    scores, labels = zip(*pairs)
+    return np.array(scores, dtype=float), np.array(labels)
+
+
+# every public metric over (scores, 0/1 labels)
+METRICS = {
+    "auc_roc": mx.auc_roc,
+    "auc_pr": mx.auc_pr,
+    "vus_roc": lambda scores, labels: mx.vus_roc(scores, labels, 2),
+    "weighted_auc_roc": lambda scores, labels: mx.weighted_auc_roc(scores, labels.astype(float)),
+    "precision_recall_f1": lambda scores, labels: mx.precision_recall_f1(scores, labels, 0.5),
+    "select_threshold": mx.select_threshold,
+}
 
 
 def distance_to_true_loop(labels):
@@ -71,15 +89,6 @@ def distance_to_true_loop(labels):
 
 
 class TestVectorizedHelpers:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_average_ranks_equal_tie_group_walk(self, seed):
-        rng = np.random.default_rng(seed)
-        for n in (1, 2, 9, 300):
-            scores = rng.integers(0, 5, n).astype(float) if seed % 2 else rng.normal(size=n)
-            if seed == 4:
-                scores[rng.random(n) < 0.2] = np.nan
-            np.testing.assert_array_equal(mx._average_ranks(scores), average_ranks_loop(scores))
-
     @pytest.mark.parametrize("seed", range(5))
     def test_distance_to_true_equals_sweeps(self, seed):
         rng = np.random.default_rng(seed)
@@ -280,3 +289,42 @@ class TestInferWindow:
 
     def test_no_anomalies_gives_zero(self):
         assert mx.infer_metric_window(np.zeros(10, dtype=bool)) == 0
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", METRICS)
+    def test_non_finite_score_rejected_with_its_index(self, name, bad):
+        scores = np.array([0.1, 0.9, 0.4, bad, 0.7, 0.2])
+        labels = np.array([0, 1, 0, 1, 1, 0])
+        with pytest.raises(ValueError, match="non-finite score at index 3"):
+            METRICS[name](scores, labels)
+
+    @pytest.mark.parametrize("name", METRICS)
+    def test_length_mismatch_rejected(self, name):
+        with pytest.raises(ValueError, match="equal-length vectors"):
+            METRICS[name](np.array([0.1, 0.9, 0.4, 0.3, 0.7]), np.array([0, 1, 0, 1]))
+
+
+class TestTiedScores:
+    @settings(max_examples=60, deadline=None)
+    @given(tied_binary())
+    def test_auc_roc_equals_pairwise_oracle(self, case):
+        assert mx.auc_roc(*case) == auc_pairwise_oracle(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_binary())
+    # F1 is 2/3 at both 2.0 and 1.0, so the lowest best score is taken
+    @example((np.array([2.0, 1.0, 1.0, 1.0, 0.0]), np.array([1, 1, 0, 0, 0], dtype=bool)))
+    def test_select_threshold_equals_per_threshold_loop(self, case):
+        assert mx.select_threshold(*case) == best_f1_threshold_oracle(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_binary())
+    def test_auc_pr_equals_loop_oracle(self, case):
+        assert mx.auc_pr(*case) == pytest.approx(auc_pr_loop_oracle(*case), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_binary())
+    def test_vus_at_width_zero_equals_auc(self, case):
+        assert abs(mx.vus_roc(*case, 0) - mx.auc_roc(*case)) <= 1e-12

@@ -2,17 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from helpers import build_model_with_encoder, randomize_model
+from helpers import best_f1_threshold_oracle, build_model_with_encoder, randomize_model
 
 from tcflow import data as dt
 from tcflow.conditioners import KINDS, EncoderConfig
 from tcflow.flow import gaussian_log_density
+from tcflow.metrics import select_threshold
 from tcflow.score import (
     ScoreSeries,
     export_latent,
     load_score_csv,
     score_series,
-    select_threshold,
     write_score_svg,
 )
 
@@ -124,18 +124,8 @@ class TestSelectThreshold:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_best_f1_equals_per_threshold_loop(self, seed):
-        # the loop over every unique score is the exact oracle, ties and NaN
-        # scores included
-        from tcflow.metrics import precision_recall_f1
-
-        def oracle(scores, labels):
-            best_thr, best_f1 = float(scores.max()), -1.0
-            for thr in np.unique(scores):
-                _, _, f1 = precision_recall_f1(scores, labels, float(thr))
-                if f1 > best_f1:
-                    best_f1, best_thr = f1, float(thr)
-            return best_thr
-
+        # the loop over every unique score is the exact oracle, ties included;
+        # a NaN score is rejected with its index
         rng = np.random.default_rng(seed)
         for n in (1, 2, 7, 60, 400):
             scores = (rng.integers(0, 6, n).astype(float) if seed % 2
@@ -143,9 +133,12 @@ class TestSelectThreshold:
             if seed == 4:
                 scores[rng.random(n) < 0.1] = np.nan
             labels = rng.random(n) < 0.2
-            got = select_threshold(scores, labels)
-            want = oracle(scores, labels)
-            assert got == want or (np.isnan(got) and np.isnan(want))
+            nan = np.flatnonzero(np.isnan(scores))
+            if nan.size:
+                with pytest.raises(ValueError, match=f"non-finite score at index {nan[0]}:"):
+                    select_threshold(scores, labels)
+            else:
+                assert select_threshold(scores, labels) == best_f1_threshold_oracle(scores, labels)
 
 
 class TestExportLatent:

@@ -20,9 +20,13 @@ checkout) and runs, through ``tcflow.cli.main``, into the empty directory OUT:
 - ``generate`` of a 3-channel series (so the pad channel is added), headerless
   copies of its training and test CSVs (first line stripped), and ``train``,
   ``score --labeled``, ``evaluate`` and ``export-latent`` of ``tcnf-base`` on
-  those copies, so header detection is part of the comparison.
+  those copies, so header detection is part of the comparison;
+- a hand-made ``t,score,label`` scores CSV with integer-valued scores, many
+  of them tied across both classes, and ``evaluate`` on it, so the tie
+  grouping of every metric and of the best-F1 threshold is compared (model
+  scores almost never tie).
 
-That is 148 files.
+That is 151 files.
 
 A change that must not alter any output is checked by running this against
 the parent's ``src`` and the change's, each into its own directory, then
@@ -112,6 +116,14 @@ def main(src: str, out: str) -> int:
     run("evaluate", "--scores", bare / "score" / "scores.csv", "--out-dir", bare / "evaluate")
     run("export-latent", "--model", bare / "train" / "model.tcf",
         "--data", bare / "test_labeled.csv", "--labeled", "--out-dir", bare / "latent")
+
+    tied = Path("tied-scores.csv")
+    rows = ["t,score,label"]
+    for t in range(300):
+        label = int(t % 50 >= 40)
+        rows.append(f"{t},{(t * 7) % 5 + 2 * label}.0,{label}")
+    tied.write_text("\n".join(rows) + "\n")
+    run("evaluate", "--scores", tied, "--out-dir", "tied-evaluate")
     return 0
 
 
