@@ -138,8 +138,6 @@ def _build_config(args) -> RunConfig:
     if args.out_dir is not None:
         cfg.set("run", "out_dir", args.out_dir)
     if getattr(args, "method", None):
-        if args.method not in METHODS:
-            raise CliError(f"unknown method {args.method!r} (choose from {', '.join(METHODS)})")
         cfg.set("run", "method", args.method)
     if getattr(args, "lookback", None) is not None:
         cfg.set("encoder", "lookback", args.lookback)

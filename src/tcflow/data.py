@@ -206,14 +206,7 @@ def normalize_minmax(ds: TimeSeriesDataset) -> TimeSeriesDataset:
     test data.
     """
     values = replace_zero_channels(ds.values)
-    lo = values.min(axis=0)
-    hi = values.max(axis=0)
-    return replace(
-        ds,
-        values=_apply_stats(values, lo, hi),
-        norm_stats=(lo, hi),
-        anomalies=list(ds.anomalies),
-    )
+    return normalize_with_stats(ds, (values.min(axis=0), values.max(axis=0)))
 
 
 def normalize_with_stats(ds: TimeSeriesDataset, stats) -> TimeSeriesDataset:
@@ -222,21 +215,16 @@ def normalize_with_stats(ds: TimeSeriesDataset, stats) -> TimeSeriesDataset:
     if lo.shape != (ds.n_channels,):
         raise DataError(f"stats cover {lo.shape[0]} channels, dataset has {ds.n_channels}")
     values = replace_zero_channels(ds.values)
-    return replace(ds, values=_apply_stats(values, lo, hi), norm_stats=(lo, hi),
-                   anomalies=list(ds.anomalies))
+    span = hi - lo
+    out = np.zeros_like(values)
+    live = span > 0
+    out[:, live] = 2.0 * (values[:, live] - lo[live]) / span[live] - 1.0
+    return replace(ds, values=out, norm_stats=(lo, hi), anomalies=list(ds.anomalies))
 
 
 def denormalize(values: np.ndarray, stats) -> np.ndarray:
     lo, hi = (np.asarray(s, dtype=np.float64) for s in stats)
     return lo + (values + 1.0) * (hi - lo) / 2.0
-
-
-def _apply_stats(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    span = hi - lo
-    out = np.zeros_like(values)
-    live = span > 0
-    out[:, live] = 2.0 * (values[:, live] - lo[live]) / span[live] - 1.0
-    return out
 
 
 def pad_even_channels(ds: TimeSeriesDataset) -> TimeSeriesDataset:

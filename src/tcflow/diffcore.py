@@ -18,8 +18,9 @@ gradients of each equal those of the composition it replaces.
 
 ``pack`` moves a list of parameters into one contiguous value buffer and one
 gradient buffer: each ``value`` and ``grad`` becomes a view, ``backward``
-accumulates a packed parameter's gradient straight into its view, and an
-optimizer updates every parameter with one vectorized op per step.
+writes each parameter's gradient in place into its ``grad``, and an
+optimizer reads them all from the buffer and updates every parameter with
+one vectorized op per step.
 
 Graphs are single-owner: build and differentiate a graph on one thread.
 Independent graphs (e.g. separate search candidates) can run on separate
@@ -52,10 +53,9 @@ def _as_array(value) -> np.ndarray:
 class Node:
     """One value in the computation graph.
 
-    ``grad`` is None until ``backward`` reaches the node (a packed
-    Parameter's is its gradient view from the start), then it has the shape
-    of ``value``; ``parents`` are the inputs of ``op`` in order. Leaves have
-    no parents.
+    ``grad`` is None until ``backward`` reaches the node (a Parameter's is
+    a zero array from the start), then it has the shape of ``value``;
+    ``parents`` are the inputs of ``op`` in order. Leaves have no parents.
     """
 
     __slots__ = ("value", "grad", "op", "parents", "_backward")
@@ -103,15 +103,15 @@ class Node:
 
 
 class Parameter(Node):
-    """A named trainable leaf. Once ``packed``, its ``value`` and ``grad`` are
-    views into the buffers made by ``pack``."""
+    """A named trainable leaf with its own ``grad`` array; after ``pack``,
+    its ``value`` and ``grad`` are views into the buffers made there."""
 
-    __slots__ = ("name", "packed")
+    __slots__ = ("name",)
 
     def __init__(self, value, name: str):
         super().__init__(value, op="param")
+        self.grad = np.zeros_like(self.value)
         self.name = name
-        self.packed = False
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"
@@ -134,7 +134,6 @@ def pack(params: Sequence[Parameter]) -> tuple[np.ndarray, np.ndarray]:
         values[lo:hi] = p.value.ravel()
         p.value = values[lo:hi].reshape(shape)
         p.grad = grads[lo:hi].reshape(shape)
-        p.packed = True
         lo = hi
     return values, grads
 
@@ -239,7 +238,9 @@ def tanh(a: Node) -> Node:
 
 
 def sigmoid(a: Node) -> Node:
-    out = Node(1.0 / (1.0 + np.exp(-a.value)), "sigmoid", (a,))
+    with np.errstate(over="ignore"):  # exp(-x) = inf saturates to 0
+        value = 1.0 / (1.0 + np.exp(-a.value))
+    out = Node(value, "sigmoid", (a,))
 
     def backward(out):
         a.grad += out.grad * out.value * (1.0 - out.value)
@@ -430,17 +431,21 @@ def lstm_sequence(steps: Node, state: Node, weight: Node, bias: Node) -> Node:
     tanh_c = np.empty((n_steps, batch, hidden))
     value = np.empty((n_steps, batch, 2 * hidden))
     h, c = sv[:, :hidden], sv[:, hidden:]
-    for t in range(n_steps):
-        xh[t, :, n_in:] = h
-        gates = xh[t] @ w + b
-        act = acts[t]
-        # the sigmoid of every block, then the candidate block's tanh: the
-        # same elementwise arithmetic as the cell's per-block nodes
-        np.divide(1.0, 1.0 + np.exp(-gates), out=act)
-        np.tanh(gates[:, g_], out=act[:, g_])
-        c_next = np.add(act[:, f_] * c, act[:, i_] * act[:, g_], out=value[t, :, hidden:])
-        h = np.multiply(act[:, o_], np.tanh(c_next, out=tanh_c[t]), out=value[t, :, :hidden])
-        c = c_next
+    # exp(-gates) = inf saturates a sigmoid to exactly 0; one errstate per
+    # call, as entering one costs about as much as a step's sigmoid
+    with np.errstate(over="ignore"):
+        for t in range(n_steps):
+            xh[t, :, n_in:] = h
+            gates = xh[t] @ w + b
+            act = acts[t]
+            # the sigmoid of every block, then the candidate block's tanh:
+            # the same elementwise arithmetic as the cell's per-block nodes
+            np.divide(1.0, 1.0 + np.exp(-gates), out=act)
+            np.tanh(gates[:, g_], out=act[:, g_])
+            c_next = np.add(act[:, f_] * c, act[:, i_] * act[:, g_], out=value[t, :, hidden:])
+            h = np.multiply(act[:, o_], np.tanh(c_next, out=tanh_c[t]),
+                            out=value[t, :, :hidden])
+            c = c_next
     out = Node(value, "lstm_sequence", (steps, state, weight, bias))
 
     def backward(out):
@@ -594,29 +599,26 @@ def _topo_order(root: Node) -> list[Node]:
     return order
 
 
-def backward(root: Node) -> dict[str, np.ndarray]:
-    """Accumulate d(root)/d(node) over the whole graph.
+def backward(root: Node) -> None:
+    """Accumulate d(root)/d(node) over the whole graph into each ``grad``.
 
-    Returns the gradient per Parameter reached, keyed by name. The root
-    must be scalar. A value consumed by several downstream nodes receives
-    the sum of all its contributions. A packed Parameter's gradient is
-    zeroed and accumulated in place, in its view of the gradient buffer, so
-    the next ``backward`` overwrites it; every other node gets a new array.
+    The root must be scalar. A value consumed by several downstream nodes
+    receives the sum of all its contributions. A Parameter's ``grad`` is
+    zeroed and accumulated in place (in its view of the gradient buffer once
+    packed), so the next ``backward`` overwrites it, and a parameter the
+    graph does not reach keeps its old ``grad``; every other node gets a new
+    array.
     """
     if root.value.size != 1:
         raise ValueError(f"backward requires a scalar root, got shape {root.value.shape}")
     order = _topo_order(root)
     for node in order:
-        if isinstance(node, Parameter) and node.packed:
+        if isinstance(node, Parameter):
             node.grad.fill(0.0)
         else:
             node.grad = np.zeros_like(node.value)
-    root.grad = np.ones_like(root.value)
-    grads: dict[str, np.ndarray] = {}
+    root.grad.fill(1.0)
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node)
-        if isinstance(node, Parameter):
-            grads[node.name] = node.grad
-    return grads
 

@@ -80,9 +80,9 @@ class AdamState:
 
     Construction packs ``params`` (``dc.pack``): ``values`` holds every
     parameter and ``grads`` every gradient, each parameter's ``value`` and
-    ``grad`` being views in list order, and ``spans[i]`` is parameter i's
-    slice of both. ``m`` and ``v`` are the first and second moments, aligned
-    with ``values``.
+    ``grad`` being views in list order, so ``dc.backward`` leaves the
+    gradients in ``grads``. ``m`` and ``v`` are the first and second
+    moments, aligned with ``values``.
     """
 
     def __init__(self, params):
@@ -90,7 +90,6 @@ class AdamState:
         self.values, self.grads = dc.pack(self.params)
         sizes = np.array([p.value.size for p in self.params], dtype=np.intp)
         starts = np.cumsum(sizes) - sizes
-        self.spans = [slice(lo, lo + size) for lo, size in zip(starts, sizes)]
         # parameters of one size share a (count, size) gather index, so the
         # per-parameter sums of the clip norm take one reduction per size
         self.size_groups = []
@@ -106,7 +105,6 @@ class AdamState:
 
 
 def adam_step(
-    grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
@@ -116,23 +114,12 @@ def adam_step(
 ) -> None:
     """Bias-corrected Adam update in place, with optional global-norm clip.
 
-    ``grads`` maps parameter names to gradients, as ``dc.backward`` returns
-    them; those are already the views into ``state.grads``, and any other
-    array is copied in. The NaN check, the moment and parameter updates and
-    the finite check each run once over the whole buffer. The clip norm adds
-    up per-parameter sums of squares in parameter order, as a loop over the
-    parameters would. A parameter missing from ``grads`` keeps its value and
-    its moments.
+    Reads the gradients from ``state.grads``, where ``dc.backward`` wrote
+    them. The NaN check, the moment and parameter updates and the finite
+    check each run once over the whole buffer. The clip norm adds up
+    per-parameter sums of squares in parameter order, as a loop over the
+    parameters would.
     """
-    frozen = []
-    for p, span in zip(state.params, state.spans):
-        g = grads.get(p.name)
-        if g is None:
-            p.grad.fill(0.0)
-            frozen.append((span, state.values[span].copy(), state.m[span].copy(),
-                           state.v[span].copy()))
-        elif g is not p.grad:
-            p.grad[...] = g
     g = state.grads
     if np.isnan(g).any():
         bad = next(p for p in state.params if np.isnan(p.grad).any())
@@ -161,8 +148,6 @@ def adam_step(
     denominator = np.sqrt(np.divide(v, 1.0 - beta2**t, out=b), out=b)
     denominator += eps
     state.values -= np.divide(m_hat, denominator, out=a)
-    for span, value, first, second in frozen:
-        state.values[span], m[span], v[span] = value, first, second
     if not np.isfinite(state.values).all():
         bad = next(p for p in state.params if not np.isfinite(p.value).all())
         raise FloatingPointError(f"non-finite values in parameter {bad.name!r} after update")
@@ -249,7 +234,8 @@ def _mean_loss(model, batches, rng, adam=None, cfg=None) -> float:
     for targets, contexts in batches:
         loss = nll_loss(model, targets, contexts, training=adam is not None, rng=rng)
         if adam is not None:
-            adam_step(dc.backward(loss), adam, cfg.learning_rate, clip_norm=cfg.clip_norm)
+            dc.backward(loss)
+            adam_step(adam, cfg.learning_rate, clip_norm=cfg.clip_norm)
         total += float(loss.value) * len(targets)
         count += len(targets)
     return total / count if count else np.nan

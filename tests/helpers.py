@@ -150,6 +150,24 @@ def composed_lstm_stack(encoder, steps, states, training=False, rng=None):
     return seq, new_states
 
 
+def param_grads(params):
+    """Each parameter's ``grad``, copied (a later ``dc.backward`` overwrites
+    it in place), keyed by name."""
+    return {p.name: p.grad.copy() for p in params}
+
+
+def backward_grads(loss, params):
+    """``dc.backward(loss)``, then ``param_grads(params)``; raises KeyError
+    for a parameter that the loss graph does not reach."""
+    params = list(params)
+    reached = {id(node) for node in dc._topo_order(loss)}
+    missing = [p.name for p in params if id(p) not in reached]
+    if missing:
+        raise KeyError(f"parameters not reached by the loss graph: {missing}")
+    dc.backward(loss)
+    return param_grads(params)
+
+
 def finite_diff_check(build_loss, params, epsilon=1e-5):
     """Max entrywise relative error between analytic and central-difference
     gradients: |analytic - numeric| / (|analytic| + |numeric| + 1e-12).
@@ -160,12 +178,10 @@ def finite_diff_check(build_loss, params, epsilon=1e-5):
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     params = list(params)
-    analytic = dc.backward(build_loss())
+    analytic = backward_grads(build_loss(), params)
     worst = 0.0
     for p in params:
-        a_grad = analytic.get(p.name)
-        if a_grad is None:
-            raise KeyError(f"parameter {p.name!r} not reached by the loss graph")
+        a_grad = analytic[p.name]
         for idx in np.ndindex(p.value.shape):
             saved = p.value[idx]
             p.value[idx] = saved + epsilon

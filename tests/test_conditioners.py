@@ -1,10 +1,16 @@
 import functools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from helpers import build_model_with_encoder, composed_lstm_stack, finite_diff_check
+from helpers import (
+    backward_grads,
+    build_model_with_encoder,
+    composed_lstm_stack,
+    finite_diff_check,
+)
 
 from tcflow import diffcore as dc
 from tcflow.conditioners import (
@@ -275,7 +281,8 @@ class TestFusedLstmStack:
         out, fused_states = enc._run_stack(steps, incoming, training, np.random.default_rng(3))
         terms = [dc.sum_(dc.mul(out[:, :, :hid], dc.constant(seq_seed)))]
         terms += [dc.sum_(dc.mul(s, dc.constant(q))) for s, q in zip(fused_states, state_seed)]
-        fused = dc.backward(functools.reduce(dc.add, terms))
+        fused = backward_grads(functools.reduce(dc.add, terms),
+                               enc.parameters() + [steps] + incoming)
 
         ref_steps = [dc.Parameter(x[t], f"x{t}") for t in range(n_steps)]
         ref_in = [(dc.Parameter(s[:, :hid], f"h{j}"), dc.Parameter(s[:, hid:], f"c{j}"))
@@ -286,7 +293,8 @@ class TestFusedLstmStack:
         for (h, c), q in zip(ref_states, state_seed):
             terms += [dc.sum_(dc.mul(h, dc.constant(q[:, :hid]))),
                       dc.sum_(dc.mul(c, dc.constant(q[:, hid:])))]
-        ref = dc.backward(functools.reduce(dc.add, terms))
+        ref = backward_grads(functools.reduce(dc.add, terms),
+                             enc.parameters() + ref_steps + [p for hc in ref_in for p in hc])
 
         np.testing.assert_array_equal(out.value[:, :, :hid], np.stack([h.value for h in seq]))
         for state, (h, c) in zip(fused_states, ref_states):
@@ -298,6 +306,23 @@ class TestFusedLstmStack:
         for j in range(layers):
             np.testing.assert_array_equal(
                 fused[f"s{j}"], np.hstack([ref[f"h{j}"], ref[f"c{j}"]]), err_msg=f"layer {j}")
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_saturated_gates_equal_per_step_cells_without_overflow_warning(self, layers):
+        # rows near 1e6 drive the gates to about 1e5, so exp(-gates)
+        # overflows to inf and each sigmoid saturates to exactly 0 or 1
+        enc = self._encoder(layers, kind="lstm-stateful")
+        rows = np.array([[1e6, -1e6], [-1e6, 1e6], [1e6, 1e6]])
+        zeros = dc.constant(np.zeros((1, self.HIDDEN)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            contexts, states = enc.encode_step(rows, enc.zero_states(1))
+            seq, ref_states = composed_lstm_stack(
+                enc, [dc.constant(row[None]) for row in rows], [(zeros, zeros)] * layers)
+        np.testing.assert_array_equal(contexts.value, np.vstack([h.value for h in seq]))
+        for state, (h, c) in zip(states, ref_states):
+            np.testing.assert_array_equal(state.value, np.hstack([h.value, c.value]))
+        assert np.isfinite(contexts.value).all()
 
     def test_walk_chunk_with_partial_mask_equals_per_step_cells(self):
         # lookback 4 over 7 rows: a full chunk, then a partial one whose
@@ -315,8 +340,10 @@ class TestFusedLstmStack:
             seq, states = composed_lstm_stack(enc, rows, states, True, ref_rng)
             np.testing.assert_array_equal(contexts.value, np.vstack([h.value for h in seq]))
             weights = np.random.default_rng(span.start).normal(size=(int(pick.sum()), self.HIDDEN))
-            fused = dc.backward(dc.sum_(dc.mul(contexts[pick], dc.constant(weights))))
-            ref = dc.backward(dc.sum_(dc.mul(dc.concat(seq, axis=0)[pick], dc.constant(weights))))
+            fused = backward_grads(dc.sum_(dc.mul(contexts[pick], dc.constant(weights))),
+                                   enc.parameters())
+            ref = backward_grads(dc.sum_(dc.mul(dc.concat(seq, axis=0)[pick],
+                                                dc.constant(weights))), enc.parameters())
             for p in enc.parameters():
                 np.testing.assert_array_equal(fused[p.name], ref[p.name], err_msg=p.name)
             states = [(dc.constant(h.value), dc.constant(c.value)) for h, c in states]

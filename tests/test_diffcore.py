@@ -1,4 +1,5 @@
 import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -35,21 +36,28 @@ def test_add_shape_mismatch_raises():
 
 def test_backward_of_sum_is_all_ones():
     p = dc.Parameter(np.arange(6.0).reshape(2, 3), "p")
-    grads = dc.backward(dc.sum_(p))
-    np.testing.assert_array_equal(grads["p"], np.ones((2, 3)))
+    dc.backward(dc.sum_(p))
+    np.testing.assert_array_equal(p.grad, np.ones((2, 3)))
 
 
 def test_backward_of_quadratic():
     # d/dp sum(p*p) = 2p, so at p=[1,2] the gradient is [2,4]
     p = dc.Parameter([1.0, 2.0], "p")
-    grads = dc.backward(dc.sum_(dc.mul(p, p)))
-    np.testing.assert_allclose(grads["p"], [2.0, 4.0])
+    dc.backward(dc.sum_(dc.mul(p, p)))
+    np.testing.assert_allclose(p.grad, [2.0, 4.0])
 
 
 def test_backward_of_tanh_at_zero_is_one():
     p = dc.Parameter(0.0, "p")
-    grads = dc.backward(dc.tanh(p))
-    np.testing.assert_allclose(grads["p"], 1.0)
+    dc.backward(dc.tanh(p))
+    np.testing.assert_allclose(p.grad, 1.0)
+
+
+def test_sigmoid_saturates_without_overflow_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        node = dc.sigmoid(dc.constant([-1e6, 0.0, 1e6]))
+    np.testing.assert_array_equal(node.value, [0.0, 0.5, 1.0])
 
 
 def test_backward_requires_scalar_root():
@@ -61,15 +69,15 @@ def test_backward_requires_scalar_root():
 def test_value_used_twice_accumulates_both_contributions():
     p = dc.Parameter(3.0, "p")
     # p*p + p -> derivative 2p + 1 = 7
-    grads = dc.backward(dc.add(dc.mul(p, p), p))
-    np.testing.assert_allclose(grads["p"], 7.0)
+    dc.backward(dc.add(dc.mul(p, p), p))
+    np.testing.assert_allclose(p.grad, 7.0)
 
 
 def test_broadcast_add_bias_gradient_sums_over_batch():
     x = dc.constant(np.ones((4, 3)))
     b = dc.Parameter(np.zeros(3), "b")
-    grads = dc.backward(dc.sum_(dc.add(x, b)))
-    np.testing.assert_array_equal(grads["b"], np.full(3, 4.0))
+    dc.backward(dc.sum_(dc.add(x, b)))
+    np.testing.assert_array_equal(b.grad, np.full(3, 4.0))
 
 
 def test_slice_and_concat_round_trip_gradient():
@@ -77,8 +85,8 @@ def test_slice_and_concat_round_trip_gradient():
     left = p[:, :2]
     right = p[:, 2:]
     rebuilt = dc.concat([right, left], axis=1)
-    grads = dc.backward(dc.sum_(dc.mul(rebuilt, rebuilt)))
-    np.testing.assert_allclose(grads["p"], 2.0 * p.value)
+    dc.backward(dc.sum_(dc.mul(rebuilt, rebuilt)))
+    np.testing.assert_allclose(p.grad, 2.0 * p.value)
 
 
 def test_dropout_identity_outside_training():
@@ -217,8 +225,8 @@ def test_mean_and_log_and_exp_gradients():
         return dc.mean(dc.log(dc.exp(p)))
 
     # mean(log(exp(p))) == mean(p), gradient 1/3 everywhere
-    grads = dc.backward(loss())
-    np.testing.assert_allclose(grads["p"], np.full(3, 1.0 / 3.0))
+    dc.backward(loss())
+    np.testing.assert_allclose(p.grad, np.full(3, 1.0 / 3.0))
     assert finite_diff_check(loss, [p]) < 1e-6
 
 

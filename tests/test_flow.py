@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    backward_grads,
     build_model_with_encoder,
     composed_inverse,
     composed_latent,
@@ -263,8 +264,8 @@ class TestFusedCoupling:
         ctx = None if ctx_values is None else dc.Parameter(ctx_values.copy(), "ctx")
         latent, log_det = build(model, x, ctx, training, np.random.default_rng(11))
         loss = dc.mean(dc.neg(dc.add(_gaussian_log_density_nodes(latent), log_det)))
-        grads = {name: g.copy() for name, g in dc.backward(loss).items()}
-        return latent.value, log_det.value, loss.value, grads
+        params = model.parameters() + ([] if ctx is None else [ctx])
+        return latent.value, log_det.value, loss.value, backward_grads(loss, params)
 
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
     @pytest.mark.parametrize("dim,n_layers,context_dim,cond_layers", [

@@ -3,11 +3,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import build_model_with_encoder, randomize_model, reference_window_rows
+from helpers import (
+    backward_grads,
+    build_model_with_encoder,
+    param_grads,
+    randomize_model,
+    reference_window_rows,
+)
 
 from tcflow import diffcore as dc
 from tcflow import data as dt
-from tcflow.conditioners import EncoderConfig
+from tcflow.conditioners import KINDS, EncoderConfig
 from tcflow.flow import ConditionerConfig, FlowConfig, gaussian_log_density, nll_loss
 from tcflow.train import (
     AdamState,
@@ -40,35 +46,38 @@ class TestAdam:
     def test_zero_gradient_is_a_fixed_point(self):
         p = self._param([1.0, -2.0])
         state = AdamState([p])
-        adam_step({"p": np.zeros(2)}, state, lr=1e-3)
+        adam_step(state, lr=1e-3)
         np.testing.assert_array_equal(p.value, [1.0, -2.0])
 
     def test_first_step_matches_hand_computation(self):
         # bias correction makes the first update -lr * g/(|g| + eps)
         p = self._param([0.0])
         state = AdamState([p])
-        adam_step({"p": np.ones(1)}, state, lr=1e-3)
+        p.grad[...] = 1.0
+        adam_step(state, lr=1e-3)
         assert p.value[0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_parameter_groups_updated_independently(self):
         a = self._param([0.0], "a")
         b = self._param([0.0], "b")
         state = AdamState([a, b])
-        adam_step({"a": np.ones(1), "b": np.zeros(1)}, state, lr=1e-3)
+        a.grad[...] = 1.0
+        adam_step(state, lr=1e-3)
         assert a.value[0] != 0.0
         assert b.value[0] == 0.0
 
     def test_nan_gradient_names_parameter(self):
         p = self._param([0.0], "w3")
         state = AdamState([p])
+        p.grad[...] = np.nan
         with pytest.raises(FloatingPointError, match="w3"):
-            adam_step({"w3": np.array([np.nan])}, state, lr=1e-3)
+            adam_step(state, lr=1e-3)
 
     def test_global_norm_clip_rescales(self):
         p = self._param(np.zeros(4))
         state = AdamState([p])
-        big = np.full(4, 100.0)
-        adam_step({"p": big}, state, lr=1.0, clip_norm=1.0)
+        p.grad[...] = 100.0
+        adam_step(state, lr=1.0, clip_norm=1.0)
         # after clipping, every coordinate sees the same (scaled) gradient
         assert np.isfinite(p.value).all()
         assert np.allclose(p.value, p.value[0])
@@ -126,14 +135,15 @@ class TestFlatBuffer:
             scale = 3.0 if t % 3 else 0.1
             grads = {name: rng.normal(size=shape) * scale for name, shape in self.SHAPES.items()}
             clipped += np.sqrt(sum(float((g**2).sum()) for g in grads.values())) > 5.0
-            adam_step(grads, state, lr=1e-2, clip_norm=5.0)
+            for p in flat:
+                p.grad[...] = grads[p.name]
+            adam_step(state, lr=1e-2, clip_norm=5.0)
             _per_parameter_adam(loop, grads, m, v, t, lr=1e-2, clip_norm=5.0)
             for a, b in zip(flat, loop):
                 np.testing.assert_array_equal(a.value, b.value, err_msg=f"{a.name} step {t}")
         assert 0 < clipped < 20
-        for p, span in zip(flat, state.spans):
-            np.testing.assert_array_equal(state.m[span], m[p.name].ravel())
-            np.testing.assert_array_equal(state.v[span], v[p.name].ravel())
+        np.testing.assert_array_equal(state.m, np.concatenate([m[p.name].ravel() for p in flat]))
+        np.testing.assert_array_equal(state.v, np.concatenate([v[p.name].ravel() for p in flat]))
 
     def test_gradients_from_backward_are_views_of_the_buffer(self):
         flat, loop = self._pair()
@@ -149,35 +159,21 @@ class TestFlatBuffer:
         m = {p.name: np.zeros_like(p.value) for p in loop}
         v = {p.name: np.zeros_like(p.value) for p in loop}
         for t in range(1, 4):
-            grads = dc.backward(loss(flat))
+            dc.backward(loss(flat))
             for p in flat:
-                assert grads[p.name] is p.grad and np.shares_memory(p.grad, state.grads)
-            adam_step(grads, state, lr=0.1, clip_norm=1.0)
-            _per_parameter_adam(loop, dc.backward(loss(loop)), m, v, t, lr=0.1, clip_norm=1.0)
+                assert p.grad.base is state.grads
+            adam_step(state, lr=0.1, clip_norm=1.0)
+            dc.backward(loss(loop))
+            _per_parameter_adam(loop, param_grads(loop), m, v, t, lr=0.1, clip_norm=1.0)
             for a, b in zip(flat, loop):
                 np.testing.assert_array_equal(a.value, b.value, err_msg=a.name)
-
-    def test_unreached_parameter_keeps_value_and_moments(self):
-        flat, _ = self._pair()
-        state = AdamState(flat)
-        ones = {name: np.ones(shape) for name, shape in self.SHAPES.items()}
-        adam_step(ones, state, lr=1e-2)
-        frozen = state.spans[1]
-        before = state.values[frozen].copy(), state.m[frozen].copy(), state.v[frozen].copy()
-        others = state.values.copy()
-        adam_step({name: g for name, g in ones.items() if name != "b1"}, state, lr=1e-2)
-        np.testing.assert_array_equal(state.values[frozen], before[0])
-        np.testing.assert_array_equal(state.m[frozen], before[1])
-        np.testing.assert_array_equal(state.v[frozen], before[2])
-        assert (state.values[state.spans[0]] != others[state.spans[0]]).all()
 
     def test_nan_gradient_names_its_parameter_among_many(self):
         flat, _ = self._pair()
         state = AdamState(flat)
-        grads = {name: np.zeros(shape) for name, shape in self.SHAPES.items()}
-        grads["w2"][1, 2] = np.nan
+        flat[2].grad[1, 2] = np.nan
         with pytest.raises(FloatingPointError, match="'w2'"):
-            adam_step(grads, state, lr=1e-3)
+            adam_step(state, lr=1e-3)
 
     @pytest.mark.parametrize("kind", ["none", "mlp", "lstm-stateful"])
     def test_parameters_are_views_of_one_buffer_after_training_and_loading(self, kind, tmp_path):
@@ -191,6 +187,33 @@ class TestFlatBuffer:
         self._assert_one_buffer(loaded.parameters())
         for a, b in zip(model.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(a.value, b.value)
+
+    @pytest.mark.parametrize("kind,layers", [(kind, 1) for kind in KINDS] + [
+        ("lstm-stateless", 2), ("lstm-stateful", 2)])
+    def test_every_parameter_gets_a_gradient_on_every_step(self, kind, layers, monkeypatch):
+        # Adam reads every gradient from the buffer: NaN-fill it before each
+        # backward, so a parameter the graph misses fails the step by name
+        import tcflow.train as train_module
+
+        states, calls = [], 0
+        real_state, real_backward = train_module.AdamState, dc.backward
+
+        def recording_state(params):
+            states.append(real_state(params))
+            return states[-1]
+
+        def nan_filled_backward(root):
+            nonlocal calls
+            states[-1].grads.fill(np.nan)
+            real_backward(root)
+            calls += 1
+
+        monkeypatch.setattr(train_module, "AdamState", recording_state)
+        monkeypatch.setattr(dc, "backward", nan_filled_backward)
+        ds = prepared_sine(200, seed=2)
+        train_model(ds, EncoderConfig(kind, lookback=4, lstm_layers=layers), small_cfgs(),
+                    TrainConfig(epochs=2, batch_size=64, seed=0))
+        assert len(states) == 1 and states[0].step == calls >= 4
 
     def test_restore_writes_the_best_epoch_into_the_buffer(self, monkeypatch):
         # record the buffer's values at each epoch's validation; the model
@@ -366,9 +389,9 @@ class TestStatefulChunks:
 
         contexts, _ = model.encoder.encode_step(stream, model.encoder.zero_states(1))
         chunked = nll_loss(model, targets[pick], contexts[pick])
-        chunk_grads = dc.backward(chunked)
+        chunk_grads = backward_grads(chunked, model.parameters())
         per_row = self._per_row_nll(model, stream, targets, pick)
-        row_grads = dc.backward(per_row)
+        row_grads = backward_grads(per_row, model.parameters())
 
         np.testing.assert_allclose(chunked.value, per_row.value, rtol=1e-12, atol=0)
         assert chunk_grads.keys() == row_grads.keys() == {p.name for p in model.parameters()}
