@@ -32,6 +32,7 @@ class EncoderConfig:
     kind reads the fields its class lists in ``reads`` (see ``ENCODERS``);
     those with a ``RANGES`` entry must lie in that inclusive range, which for
     all but ``lookback`` is also the range the search space searches.
+    ``lstm_hidden`` is not searched, so it has no range; it must be >= 0.
     """
 
     kind: str = "passthrough"
@@ -60,6 +61,9 @@ class EncoderConfig:
         if self.kind not in ENCODERS:
             raise ValueError(f"unknown encoder kind {self.kind!r}")
         check_ranges(self, ENCODERS[self.kind].reads)
+        if "lstm_hidden" in ENCODERS[self.kind].reads and self.lstm_hidden < 0:
+            raise ValueError(f"lstm_hidden must be >= 0 (0 derives it from the channel "
+                             f"count): {self.lstm_hidden}")
 
 
 # -- window construction ---------------------------------------------------

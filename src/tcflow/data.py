@@ -222,11 +222,6 @@ def normalize_with_stats(ds: TimeSeriesDataset, stats) -> TimeSeriesDataset:
     return replace(ds, values=out, norm_stats=(lo, hi), anomalies=list(ds.anomalies))
 
 
-def denormalize(values: np.ndarray, stats) -> np.ndarray:
-    lo, hi = (np.asarray(s, dtype=np.float64) for s in stats)
-    return lo + (values + 1.0) * (hi - lo) / 2.0
-
-
 def pad_even_channels(ds: TimeSeriesDataset) -> TimeSeriesDataset:
     """Append one constant-0.5 channel when the channel count is odd."""
     if ds.n_channels % 2 == 0:

@@ -72,32 +72,6 @@ class Node:
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape})"
 
-    # -- operator sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
     def __getitem__(self, key):
         return getitem(self, key)
 
@@ -140,10 +114,6 @@ def pack(params: Sequence[Parameter]) -> tuple[np.ndarray, np.ndarray]:
 
 def constant(value) -> Node:
     return Node(value, op="const")
-
-
-def _wrap(value) -> Node:
-    return value if isinstance(value, Node) else constant(value)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

@@ -7,12 +7,17 @@ with a per-timestep context vector. The raw scale is squashed through tanh
 and multiplied by a learnable per-feature cap, so ``exp(s)`` can never
 overflow. Halves are swapped between consecutive layers so every channel
 gets transformed.
+
+The detector runs only the data-to-base direction: ``CouplingLayer.inverse``
+is one fused node per layer, and ``FlowModel.latent_nodes`` chains them. The
+base-to-data direction is a test reference (``composed_forward`` in
+``tests/helpers.py``), not part of the package.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -72,27 +77,23 @@ class ConditionerConfig:
 @dataclass
 class FlowConfig:
     n_layers: int = 4
-    conditioner: ConditionerConfig = None  # type: ignore[assignment]
+    conditioner: ConditionerConfig = field(default_factory=ConditionerConfig)
 
     def __post_init__(self):
-        if self.conditioner is None:
-            self.conditioner = ConditionerConfig()
         if self.n_layers < 1:
             raise ValueError("need at least one coupling layer")
 
 
-def gaussian_log_density(u) -> np.ndarray | float:
-    """Standard normal log density; accepts a vector or a (batch, dim) array."""
+def gaussian_log_density(u) -> np.ndarray:
+    """Standard normal log density over the last axis of ``u``."""
     u = np.asarray(u, dtype=np.float64)
-    if u.ndim == 1:
-        return float(-0.5 * u.shape[0] * LOG_TWO_PI - 0.5 * np.dot(u, u))
-    return -0.5 * u.shape[1] * LOG_TWO_PI - 0.5 * (u * u).sum(axis=1)
+    return -0.5 * u.shape[-1] * LOG_TWO_PI - 0.5 * (u * u).sum(axis=-1)
 
 
 def _gaussian_log_density_nodes(u: Node) -> Node:
     dim = u.value.shape[1]
     squared = dc.sum_(dc.mul(u, u), axis=1)
-    return squared * (-0.5) + (-0.5 * dim * LOG_TWO_PI)
+    return dc.add(dc.mul(squared, dc.constant(-0.5)), dc.constant(-0.5 * dim * LOG_TWO_PI))
 
 
 def _hidden_widths(cfg: ConditionerConfig, dim: int) -> list[int]:
@@ -137,30 +138,6 @@ class CouplingLayer:
         out.extend([self.head_w, self.head_b, self.scale_cap])
         return out
 
-    def _scale_shift(self, untouched: Node, context: Node | None,
-                     training: bool, rng: np.random.Generator | None) -> tuple[Node, Node]:
-        h = untouched if context is None else dc.concat([untouched, context], axis=1)
-        for w, b in self.hidden:
-            h = dc.tanh(dc.add(dc.matmul(h, w), b))
-            if training and self.cfg.dropout > 0:
-                h = dc.dropout(h, self.cfg.dropout, rng, training)
-        raw = dc.add(dc.matmul(h, self.head_w), self.head_b)
-        out_half = self.dim - self.split
-        log_scale = dc.mul(self.scale_cap, dc.tanh(raw[:, :out_half]))
-        shift = raw[:, out_half:]
-        return log_scale, shift
-
-    def forward(self, u: Node, context: Node | None, training: bool = False,
-                rng: np.random.Generator | None = None) -> tuple[Node, Node]:
-        """Base-to-data direction: returns (x, per-row log|det J|) with
-        log-det equal to the row sum of the effective scale."""
-        self._check(u, context, (self.dim,))
-        u1 = u[:, : self.split]
-        u2 = u[:, self.split :]
-        log_scale, shift = self._scale_shift(u1, context, training, rng)
-        x2 = dc.add(dc.mul(u2, dc.exp(log_scale)), shift)
-        return dc.concat([u1, x2], axis=1), dc.sum_(log_scale, axis=1)
-
     def inverse(self, x: Node, context: Node | None, training: bool = False,
                 rng: np.random.Generator | None = None, swap: bool = False) -> Node:
         """Data-to-base direction as one fused node (``dc.coupling_inverse``).
@@ -180,11 +157,6 @@ class CouplingLayer:
         got_ctx = 0 if context is None else context.value.shape[1]
         if got_ctx != self.context_dim:
             raise dc.ShapeError("coupling context", (got_ctx,), (self.context_dim,))
-
-
-def _swap_halves(points: Node) -> Node:
-    half = points.value.shape[1] // 2
-    return dc.concat([points[:, half:], points[:, :half]], axis=1)
 
 
 class FlowModel:
@@ -254,34 +226,12 @@ class FlowModel:
         latent, log_det = self.latent_nodes(points, context, training, rng)
         return dc.add(_gaussian_log_density_nodes(latent), log_det)
 
-    def log_prob(self, points, context=None) -> np.ndarray:
-        """Evaluation-mode log density, plain arrays in and out."""
-        return self.log_prob_nodes(points, context, training=False).value
-
-    def sample(self, context, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-        """Draw from the base Gaussian and push through the stack."""
-        draws = rng.standard_normal((n, self.dim))
-        x = dc.constant(draws)
-        ctx = None
-        if context is not None:
-            ctx_arr = np.asarray(context, dtype=np.float64)
-            if ctx_arr.ndim == 1:
-                ctx_arr = np.broadcast_to(ctx_arr, (n, ctx_arr.shape[0]))
-            if ctx_arr.shape[1] > 0:
-                ctx = dc.constant(ctx_arr)
-        for i, layer in enumerate(self.layers):
-            x, _ = layer.forward(x, ctx)
-            if i < len(self.layers) - 1:
-                x = _swap_halves(x)
-        return x.value
-
 
 def nll_loss(model: FlowModel, points, context=None, training: bool = False,
              rng: np.random.Generator | None = None) -> Node:
     """Mean negative log density over a batch; errors on an empty batch."""
-    points = np.asarray(points, dtype=np.float64) if not isinstance(points, Node) else points
-    size = points.value.shape[0] if isinstance(points, Node) else points.shape[0]
-    if size == 0:
+    points = np.asarray(points, dtype=np.float64)
+    if points.shape[0] == 0:
         raise ValueError("nll_loss requires a non-empty batch")
     log_probs = model.log_prob_nodes(points, context, training, rng)
     return dc.mean(dc.neg(log_probs))

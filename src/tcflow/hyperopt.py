@@ -371,7 +371,6 @@ def run_search(
     candidate_cfg: TrainConfig | None = None,
     final_epochs: int = FINAL_EPOCHS,
     lookback_max: int = LOOKBACK_MAX,
-    workers: int | None = None,
 ) -> SearchResult:
     """CMA-ES search over the method's space; every candidate is trained on
     the clean training series and ranked by the chosen objective. The winner
@@ -397,8 +396,7 @@ def run_search(
     candidate_cfg = candidate_cfg or TrainConfig(epochs=CANDIDATE_EPOCHS, patience=CANDIDATE_PATIENCE)
     # checked before any candidate trains; only its seed waits for the winner
     final_cfg = replace(candidate_cfg, epochs=final_epochs, patience=max(candidate_cfg.patience, 5))
-    if workers is None:
-        workers = int(os.environ.get("TCFLOW_WORKERS", "1"))
+    workers = int(os.environ.get("TCFLOW_WORKERS", "1"))
 
     trials: list[Trial] = []
     used = 0

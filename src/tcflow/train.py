@@ -324,18 +324,28 @@ def load_model(path) -> FlowModel:
         raise SerializationError(
             f"{path}: format version {version} not supported (expected {FORMAT_VERSION})"
         )
-    encoder_cfg = EncoderConfig(**header["encoder"])
-    flow_cfg = FlowConfig(header["n_layers"], ConditionerConfig(**header["conditioner"]))
-    model = build_model(header["dim"], encoder_cfg, flow_cfg,
-                        np.random.default_rng(0), model_id=header["model_id"])
-    if header["norm_stats"] is not None:
-        model.norm_stats = tuple(np.asarray(s, dtype=np.float64) for s in header["norm_stats"])
-        bad = np.nonzero(~np.isfinite(np.stack(model.norm_stats)))[1]
+    try:
+        encoder_cfg = EncoderConfig(**header["encoder"])
+        flow_cfg = FlowConfig(header["n_layers"], ConditionerConfig(**header["conditioner"]))
+        model = build_model(header["dim"], encoder_cfg, flow_cfg,
+                            np.random.default_rng(0), model_id=header["model_id"])
+        stats = header["norm_stats"]
+        if stats is not None:
+            stats = np.asarray(stats, dtype=np.float64)
+            if stats.ndim != 2 or stats.shape[0] != 2:
+                raise ValueError(f"norm_stats of shape {stats.shape}, not (2, channels)")
+        declared = [(entry["name"], entry["shape"]) for entry in header["params"]]
+    except KeyError as exc:
+        raise SerializationError(f"{path}: header lacks key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"{path}: bad header: {exc}") from None
+    if stats is not None:
+        bad = np.nonzero(~np.isfinite(stats))[1]
         if bad.size:
             raise SerializationError(f"{path}: non-finite norm_stats for channel {bad[0]}")
+        model.norm_stats = tuple(stats)
     params = model.parameters()
-    if [(p.name, list(p.value.shape)) for p in params] != [
-            (entry["name"], entry["shape"]) for entry in header["params"]]:
+    if [(p.name, list(p.value.shape)) for p in params] != declared:
         raise SerializationError(f"{path}: parameter list does not match the declared architecture")
     values, _ = dc.pack(params)
     start = offset
@@ -346,4 +356,7 @@ def load_model(path) -> FlowModel:
     values[:] = np.frombuffer(raw, dtype="<f8", count=values.size, offset=start)
     if offset != len(raw):
         raise SerializationError(f"{path}: {len(raw) - offset} trailing bytes")
+    if not np.isfinite(values).all():
+        name = next(p.name for p in params if not np.isfinite(p.value).all())
+        raise SerializationError(f"{path}: non-finite value in parameter {name!r}")
     return model

@@ -82,13 +82,45 @@ def force_affine(layer, log_scale, shift):
     layer.scale_cap.value[:] = np.asarray(log_scale, dtype=float) / np.tanh(1.0)
 
 
+def log_prob(model, points, context=None):
+    """Evaluation-mode ``FlowModel.log_prob_nodes``, plain arrays in and out."""
+    return model.log_prob_nodes(points, context).value
+
+
+def composed_scale_shift(layer, untouched, context, training=False, rng=None):
+    """Reference conditioner net of a coupling layer, built from diffcore
+    primitives: ``(log_scale, shift)`` nodes for the untouched half and the
+    context, with one dropout draw per hidden layer in training."""
+    h = untouched if context is None else dc.concat([untouched, context], axis=1)
+    for w, b in layer.hidden:
+        h = dc.tanh(dc.add(dc.matmul(h, w), b))
+        if training and layer.cfg.dropout > 0:
+            h = dc.dropout(h, layer.cfg.dropout, rng, training)
+    raw = dc.add(dc.matmul(h, layer.head_w), layer.head_b)
+    out_half = layer.dim - layer.split
+    log_scale = dc.mul(layer.scale_cap, dc.tanh(raw[:, :out_half]))
+    return log_scale, raw[:, out_half:]
+
+
+def composed_forward(layer, u, context):
+    """Reference base-to-data direction of a coupling layer, which the
+    detector never runs: returns ``([u1 | x2], per-row log|det J|)`` as graph
+    nodes, the log-det being the row sum of the effective scale."""
+    layer._check(u, context, (layer.dim,))
+    u1 = u[:, : layer.split]
+    u2 = u[:, layer.split :]
+    log_scale, shift = composed_scale_shift(layer, u1, context)
+    x2 = dc.add(dc.mul(u2, dc.exp(log_scale)), shift)
+    return dc.concat([u1, x2], axis=1), dc.sum_(log_scale, axis=1)
+
+
 def composed_inverse(layer, x, context, training=False, rng=None):
     """Reference coupling inverse built from diffcore primitives: returns
     ``([x1 | u2], per-row log-det)`` as graph nodes, the composition that
     ``dc.coupling_inverse`` fuses into one node."""
     x1 = x[:, : layer.split]
     x2 = x[:, layer.split :]
-    log_scale, shift = layer._scale_shift(x1, context, training, rng)
+    log_scale, shift = composed_scale_shift(layer, x1, context, training, rng)
     u2 = dc.mul(dc.sub(x2, shift), dc.exp(dc.neg(log_scale)))
     return dc.concat([x1, u2], axis=1), dc.neg(dc.sum_(log_scale, axis=1))
 

@@ -269,6 +269,27 @@ class TestErrors:
         assert run_cli(*args) == 0
         assert dt.load_csv(tmp_path / "gen" / "test_labeled.csv").n_steps == 200
 
+    @pytest.mark.parametrize("key,value", [("n_anomalies", "-1"), ("noise", "-0.5")])
+    def test_negative_anomaly_count_or_noise_rejected(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "gen.ini"
+        cfg.write_text(f"[generate]\n{key} = {value}\n")
+        code = run_cli("generate", "--config", cfg, "--n-steps", 200,
+                       "--out-dir", tmp_path / "gen")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "CliError" in err and f"[generate] {key} must be >= 0" in err
+        assert not (tmp_path / "gen" / "train_clean.csv").exists()
+
+    def test_negative_lstm_hidden_rejected(self, generated, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[encoder]\nlstm_hidden = -3\n[train]\nepochs = 1\n")
+        code = run_cli("train", "--data", generated / "train_clean.csv",
+                       "--method", "tcnf-stateless", "--config", cfg,
+                       "--out-dir", tmp_path / "train")
+        assert code == 1
+        assert "lstm_hidden must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "train" / "model.tcf").exists()
+
     def test_missing_file_exits_one_with_single_line(self, tmp_path, capsys):
         code = run_cli("train", "--data", tmp_path / "nope.csv", "--out-dir", tmp_path)
         assert code == 1

@@ -359,6 +359,8 @@ class TestConfigValidation:
         {"kind": "lstm-stateless", "lstm_layers": 11},
         {"kind": "mlp", "dropout": 0.95},
         {"kind": "passthrough", "lookback": 0},
+        {"kind": "lstm-stateless", "lstm_hidden": -1},
+        {"kind": "lstm-stateful", "lstm_hidden": -1},
     ])
     def test_out_of_range_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -400,6 +402,7 @@ class TestConfigValidation:
     def test_fields_a_kind_does_not_read_are_not_checked(self):
         assert EncoderConfig("passthrough", mlp_layers=0, dropout=5.0).mlp_layers == 0
         assert EncoderConfig("none", lookback=0).lookback == 0
+        assert EncoderConfig("mlp", lstm_hidden=-3).lstm_hidden == -3
 
     def test_none_kind_builds_empty_encoder(self):
         enc = build_encoder(EncoderConfig("none"), 4, np.random.default_rng(0))

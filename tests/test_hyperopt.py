@@ -260,10 +260,11 @@ class TestRunSearch:
         train, labeled = self._datasets()
         rows = []
         for workers in (1, 2):
+            monkeypatch.setenv("TCFLOW_WORKERS", str(workers))
             result = run_search(
                 train, labeled, "tcnf-base", "labeled-30-70", budget=18, seed=3,
                 candidate_cfg=TrainConfig(epochs=1, batch_size=128, patience=1),
-                final_epochs=1, lookback_max=8, workers=workers,
+                final_epochs=1, lookback_max=8,
             )
             path = tmp_path / f"trials-{workers}.csv"
             result.trials_csv(path)
@@ -282,11 +283,12 @@ class TestRunSearch:
             return train_model(*args, **kwargs)
 
         monkeypatch.setattr(hyperopt, "train_model", counted)
+        monkeypatch.setenv("TCFLOW_WORKERS", "1")
         train, labeled = self._datasets()
         with pytest.raises(ValueError, match="epochs"):
             run_search(train, labeled, "tcnf-base", "labeled-30-70", budget=9, seed=0,
                        candidate_cfg=TrainConfig(epochs=1, patience=1), final_epochs=0,
-                       lookback_max=8, workers=1)
+                       lookback_max=8)
         assert calls == []
 
     def test_search_with_no_finite_trial_fails_before_refit(self):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import best_f1_threshold_oracle, build_model_with_encoder, randomize_model
+from helpers import best_f1_threshold_oracle, build_model_with_encoder, log_prob, randomize_model
 
 from tcflow import data as dt
 from tcflow.conditioners import KINDS, EncoderConfig
@@ -81,7 +81,7 @@ class TestScoreSeries:
         expected = []
         for t in range(n_steps):
             w, states = model.encoder.encode_step(stream[t : t + 1], states)
-            expected.append(-model.log_prob(values[t : t + 1], w)[0])
+            expected.append(-log_prob(model, values[t : t + 1], w)[0])
         np.testing.assert_allclose(score_series(model, ds).scores, expected, rtol=1e-12, atol=0)
 
     def test_trained_model_peaks_inside_injected_spike_range(self):

@@ -1,4 +1,7 @@
+import json
 import math
+import re
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from helpers import (
     backward_grads,
     build_model_with_encoder,
+    log_prob,
     param_grads,
     randomize_model,
     reference_window_rows,
@@ -16,6 +20,7 @@ from tcflow import data as dt
 from tcflow.conditioners import KINDS, EncoderConfig
 from tcflow.flow import ConditionerConfig, FlowConfig, gaussian_log_density, nll_loss
 from tcflow.train import (
+    MODEL_MAGIC,
     AdamState,
     SerializationError,
     TrainConfig,
@@ -253,7 +258,7 @@ class TestTrainModel:
         ds = prepared_sine()
         model = build_model_with_encoder(2, 2, EncoderConfig("none"), seed=3)
         batch = ds.values[:16]
-        per_point = -model.log_prob(batch)
+        per_point = -log_prob(model, batch)
         assert float(nll_loss(model, batch).value) == pytest.approx(per_point.mean())
 
     def test_white_noise_converges_to_gaussian_entropy(self):
@@ -473,6 +478,38 @@ class TestSerialization:
         model.norm_stats = (model.norm_stats[0], np.array([model.norm_stats[1][0], np.nan]))
         save_model(model, path)
         with pytest.raises(SerializationError, match="non-finite norm_stats for channel 1"):
+            load_model(path)
+
+    @staticmethod
+    def _with_header(raw, edit):
+        """``raw`` model bytes with the JSON header passed through ``edit``."""
+        start = len(MODEL_MAGIC) + 8
+        (length,) = struct.unpack_from("<Q", raw, len(MODEL_MAGIC))
+        header = json.loads(raw[start : start + length])
+        edit(header)
+        blob = json.dumps(header).encode()
+        return MODEL_MAGIC + struct.pack("<Q", len(blob)) + blob + raw[start + length :]
+
+    @pytest.mark.parametrize("key", ["format_version", "model_id", "dim", "n_layers",
+                                     "conditioner", "encoder", "norm_stats", "params"])
+    def test_missing_header_key_names_file_and_key(self, tmp_path, key):
+        _, path, _ = self._trained(tmp_path)
+        path.write_bytes(self._with_header(path.read_bytes(), lambda h: h.pop(key)))
+        named = "format version" if key == "format_version" else repr(key)
+        with pytest.raises(SerializationError, match=re.escape(str(path))) as excinfo:
+            load_model(path)
+        assert named in str(excinfo.value)
+
+    def test_mistyped_header_or_nan_parameter_names_the_file(self, tmp_path):
+        model, path, _ = self._trained(tmp_path)
+        original = path.read_bytes()
+        path.write_bytes(self._with_header(original, lambda h: h.update(dim=str(h["dim"]))))
+        with pytest.raises(SerializationError, match=re.escape(f"{path}: bad header")):
+            load_model(path)
+        model.layers[1].head_b.value[0] = np.nan
+        save_model(model, path)
+        with pytest.raises(SerializationError, match=re.escape(
+                f"{path}: non-finite value in parameter 'layer1.head.b'")):
             load_model(path)
 
     def test_garbage_file_rejected(self, tmp_path):

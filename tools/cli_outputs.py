@@ -6,6 +6,9 @@ Imports ``tcflow`` from the source directory SRC (for example ``src`` of a
 checkout) and runs, through ``tcflow.cli.main``, into the empty directory OUT:
 
 - ``generate``: a 600-step sine with spike and platform anomalies, seed 7;
+- ``generate`` of each other family (saw, increasing, wave, random-walk,
+  cbf) with all 8 anomaly kinds and ``[generate] n_anomalies = 8``, so every
+  family generator and every anomaly injection is compared;
 - ``train`` for 2 epochs with each of the 7 methods, and again with 2-layer
   LSTMs (``[encoder] lstm_layers = 2``) for ``tcnf-stateless`` and
   ``tcnf-stateful``, whose training draws the dropout between LSTM layers;
@@ -19,14 +22,15 @@ checkout) and runs, through ``tcflow.cli.main``, into the empty directory OUT:
 - one ``report`` over the 14 ``metrics.csv`` files;
 - ``generate`` of a 3-channel series (so the pad channel is added), headerless
   copies of its training and test CSVs (first line stripped), and ``train``,
-  ``score --labeled``, ``evaluate`` and ``export-latent`` of ``tcnf-base`` on
-  those copies, so header detection is part of the comparison;
+  ``score --labeled --svg``, ``evaluate`` and ``export-latent`` of
+  ``tcnf-base`` on those copies, so header detection and the score plot are
+  part of the comparison;
 - a hand-made ``t,score,label`` scores CSV with integer-valued scores, many
   of them tied across both classes, and ``evaluate`` on it, so the tie
   grouping of every metric and of the best-F1 threshold is compared (model
   scores almost never tie).
 
-That is 151 files.
+That is 173 files.
 
 A change that must not alter any output is checked by running this against
 the parent's ``src`` and the change's, each into its own directory, then
@@ -50,6 +54,7 @@ candidate_epochs = 2
 final_epochs = 2
 """
 TWO_LAYER_LSTM = "\n[encoder]\nlstm_layers = 2\n"
+EIGHT_ANOMALIES = "[generate]\nn_anomalies = 8\n"
 # method -> budget: one population of its search space
 SEARCHES = {"tcnf-base": 9, "tcnf-mlp": 10, "tcnf-cnn": 10, "tcnf-stateless": 10,
             "tcnf-stateful": 10}
@@ -58,6 +63,7 @@ SEARCHES = {"tcnf-base": 9, "tcnf-mlp": 10, "tcnf-cnn": 10, "tcnf-stateless": 10
 def main(src: str, out: str) -> int:
     sys.path.insert(0, str(Path(src).resolve()))
     from tcflow.cli import METHODS, main as cli
+    from tcflow.data import ANOMALY_KINDS
 
     out = Path(out)
     if out.exists() and any(out.iterdir()):
@@ -67,6 +73,8 @@ def main(src: str, out: str) -> int:
     data, config, config_2 = Path("data"), Path("config.ini"), Path("config-lstm2.ini")
     config.write_text(CONFIG)
     config_2.write_text(CONFIG + TWO_LAYER_LSTM)
+    config_8 = Path("config-anomalies.ini")
+    config_8.write_text(EIGHT_ANOMALIES)
 
     def run(*argv):
         argv = [str(a) for a in argv]
@@ -75,6 +83,10 @@ def main(src: str, out: str) -> int:
 
     run("generate", "--family", "sine", "--anomaly", "spike", "--anomaly", "platform",
         "--n-steps", 600, "--seed", 7, "--out-dir", data)
+    every_kind = [arg for kind in ANOMALY_KINDS for arg in ("--anomaly", kind)]
+    for family in ("saw", "increasing", "wave", "random-walk", "cbf"):
+        run("generate", "--config", config_8, "--family", family, *every_kind,
+            "--n-steps", 600, "--seed", 7, "--out-dir", Path(f"data-{family}"))
     models = {}
     for method in METHODS:
         run("train", "--config", config, "--data", data / "train_clean.csv",
@@ -112,7 +124,7 @@ def main(src: str, out: str) -> int:
     run("train", "--config", config, "--data", bare / "train_clean.csv",
         "--method", "tcnf-base", "--out-dir", bare / "train")
     run("score", "--model", bare / "train" / "model.tcf", "--data", bare / "test_labeled.csv",
-        "--labeled", "--out-dir", bare / "score")
+        "--labeled", "--svg", "--out-dir", bare / "score")
     run("evaluate", "--scores", bare / "score" / "scores.csv", "--out-dir", bare / "evaluate")
     run("export-latent", "--model", bare / "train" / "model.tcf",
         "--data", bare / "test_labeled.csv", "--labeled", "--out-dir", bare / "latent")
