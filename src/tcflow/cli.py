@@ -218,8 +218,12 @@ def _inject_round(ds, kinds, g, rng) -> dt.TimeSeriesDataset:
     n_anoms = g["n_anomalies"]
     n_steps = ds.n_steps
     ds = replace(ds, labels=np.zeros(n_steps, dtype=bool))  # labels even for n_anoms = 0
-    # evenly strided slots keep injected ranges from colliding
+    # evenly strided slots keep injected ranges from colliding; a slot of at
+    # least 2 steps leaves room for a range of length >= 1 after jitter
     slot = n_steps // (n_anoms + 1)
+    if n_anoms > 0 and slot < 2:
+        raise CliError(f"[generate] n_anomalies = {n_anoms} does not fit a series of "
+                       f"{n_steps} steps (at most {n_steps // 2 - 1})")
     for i in range(n_anoms):
         kind = kinds[i % len(kinds)]
         length = 1 if kind == "spike" else min(g["anomaly_length"], slot // 2)

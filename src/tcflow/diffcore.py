@@ -7,7 +7,8 @@ topological order and accumulates gradients with the chain rule.
 
 Supported operations: add, multiply (both broadcasting), matmul, tanh,
 sigmoid, exp, log, sum, mean, slicing, concat, reshape, inverted dropout and
-1-D "same" convolution over the time axis. One LSTM cell step,
+1-D "same" convolution over the time axis (``conv1d``: one node that carries
+its bias, computed as one matmul per kernel tap). One LSTM cell step,
 ``lstm_cell``, is a composition of these primitives (about 16 nodes).
 Two fused nodes have a hand-written backward, because the graphs of
 primitives they replace are mostly Python overhead on small arrays:
@@ -328,31 +329,43 @@ def dropout(a: Node, rate: float, rng: np.random.Generator, training: bool) -> N
 
 
 def conv1d(x: Node, weight: Node, bias: Node | None = None) -> Node:
-    """Cross-correlation over the time axis with "same" zero padding.
+    """Cross-correlation over the time axis with "same" zero padding, plus
+    ``bias`` when given, as one node.
 
-    ``x`` is (batch, time, in_channels) and ``weight`` is
-    (kernel, in_channels, out_channels); the output keeps the time length.
+    ``x`` is (batch, time, in_channels), ``weight`` is
+    (kernel, in_channels, out_channels) and ``bias`` is (out_channels,); the
+    output keeps the time length. The forward and each gradient are one
+    matmul per kernel tap over the padded input's time window for that tap.
     """
-    if x.value.ndim != 3 or weight.value.ndim != 3 or x.value.shape[2] != weight.value.shape[1]:
-        raise ShapeError("conv1d", x.value.shape, weight.value.shape)
-    kernel = weight.value.shape[0]
+    xv, w = x.value, weight.value
+    bias_shapes = [] if bias is None else [bias.value.shape]
+    if (xv.ndim != 3 or w.ndim != 3 or xv.shape[2] != w.shape[1]
+            or bias_shapes not in ([], [w.shape[2:]])):
+        raise ShapeError("conv1d", xv.shape, w.shape, *bias_shapes)
+    kernel, n_in, n_out = w.shape
+    n_time = xv.shape[1]
     left, right = (kernel - 1) // 2, kernel // 2
-    padded = np.pad(x.value, ((0, 0), (left, right), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, kernel, axis=1)
-    value = np.einsum("btck,kco->bto", windows, weight.value)
-    out = Node(value, "conv1d", (x, weight))
-    n_time = x.value.shape[1]
+    padded = np.pad(xv, ((0, 0), (left, right), (0, 0)))
+    value = padded[:, :n_time] @ w[0]
+    for k in range(1, kernel):
+        value += padded[:, k : k + n_time] @ w[k]
+    if bias is not None:
+        value += bias.value
+    out = Node(value, "conv1d", (x, weight) if bias is None else (x, weight, bias))
 
     def backward(out):
-        weight.grad += np.einsum("btck,bto->kco", windows, out.grad)
+        g = out.grad
+        g_rows = g.reshape(-1, n_out)
         grad_padded = np.zeros_like(padded)
         for k in range(kernel):
-            grad_padded[:, k : k + n_time, :] += out.grad @ weight.value[k].T
-        x.grad += grad_padded[:, left : left + n_time, :]
+            weight.grad[k] += padded[:, k : k + n_time].reshape(-1, n_in).T @ g_rows
+            grad_padded[:, k : k + n_time] += g @ weight.value[k].T
+        x.grad += grad_padded[:, left : left + n_time]
+        if bias is not None:
+            bias.grad += g.sum(axis=0).sum(axis=0)
 
     out._backward = backward
-    result = out if bias is None else add(out, bias)
-    return result
+    return out
 
 
 def lstm_cell(

@@ -325,6 +325,8 @@ def load_model(path) -> FlowModel:
             f"{path}: format version {version} not supported (expected {FORMAT_VERSION})"
         )
     try:
+        if not isinstance(header["model_id"], str):
+            raise TypeError(f"model_id {header['model_id']!r} is not a string")
         encoder_cfg = EncoderConfig(**header["encoder"])
         flow_cfg = FlowConfig(header["n_layers"], ConditionerConfig(**header["conditioner"]))
         model = build_model(header["dim"], encoder_cfg, flow_cfg,

@@ -140,6 +140,29 @@ def composed_latent(model, points, context=None, training=False, rng=None):
     return x, total
 
 
+def einsum_conv1d(x, weight, bias=None):
+    """Reference ``dc.conv1d``: one ``einsum`` over sliding windows of the
+    zero-padded input for the forward and for the weight gradient, a per-tap
+    loop for the input gradient, and the bias added by a separate
+    ``dc.add`` node."""
+    kernel = weight.value.shape[0]
+    left, right = (kernel - 1) // 2, kernel // 2
+    padded = np.pad(x.value, ((0, 0), (left, right), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, kernel, axis=1)
+    out = dc.Node(np.einsum("btck,kco->bto", windows, weight.value), "conv1d", (x, weight))
+    n_time = x.value.shape[1]
+
+    def backward(out):
+        weight.grad += np.einsum("btck,bto->kco", windows, out.grad)
+        grad_padded = np.zeros_like(padded)
+        for k in range(kernel):
+            grad_padded[:, k : k + n_time, :] += out.grad @ weight.value[k].T
+        x.grad += grad_padded[:, left : left + n_time, :]
+
+    out._backward = backward
+    return out if bias is None else dc.add(out, bias)
+
+
 def reference_window_rows(values, lookback, train_idx, val_idx):
     """Reference batched training rows: every fully observed window
     (t, rows t - lookback .. t - 1, row t) for t >= lookback, or every row

@@ -280,6 +280,22 @@ class TestErrors:
         assert "CliError" in err and f"[generate] {key} must be >= 0" in err
         assert not (tmp_path / "gen" / "train_clean.csv").exists()
 
+    @pytest.mark.parametrize("n_anomalies", [150, 500])
+    def test_too_many_anomalies_for_the_series_rejected(self, tmp_path, capsys, n_anomalies):
+        # 150 leaves one-step slots whose ranges can overlap, 500 empty ones
+        cfg = tmp_path / "gen.ini"
+        cfg.write_text(f"[generate]\nn_anomalies = {n_anomalies}\n")
+        code = run_cli("generate", "--config", cfg, "--n-steps", 200,
+                       "--out-dir", tmp_path / "gen")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "CliError" in err and f"[generate] n_anomalies = {n_anomalies}" in err
+        assert "series of 200 steps (at most 99)" in err
+        assert not (tmp_path / "gen" / "train_clean.csv").exists()
+        cfg.write_text("[generate]\nn_anomalies = 99\n")
+        assert run_cli("generate", "--config", cfg, "--n-steps", 200,
+                       "--out-dir", tmp_path / "gen") == 0
+
     def test_negative_lstm_hidden_rejected(self, generated, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[encoder]\nlstm_hidden = -3\n[train]\nepochs = 1\n")

@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import finite_diff_check
+from helpers import einsum_conv1d, finite_diff_check
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcflow import diffcore as dc
 
@@ -178,19 +180,50 @@ def test_finite_diff_conv1d():
     rng = np.random.default_rng(11)
     w = dc.Parameter(rng.normal(0, 0.4, (3, 2, 4)), "w")
     b = dc.Parameter(rng.normal(0, 0.1, 4), "b")
-    x = dc.constant(rng.normal(0, 1, (2, 6, 2)))
+    x = dc.Parameter(rng.normal(0, 1, (2, 6, 2)), "x")
 
     def loss():
         out = dc.conv1d(x, w, b)
         return dc.sum_(dc.mul(out, out))
 
-    assert finite_diff_check(loss, [w, b], epsilon=1e-5) < 1e-4
+    assert finite_diff_check(loss, [x, w, b], epsilon=1e-5) < 1e-4
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 12), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_conv1d_matches_einsum_reference(batch, n_time, n_in, n_out, kernel, seed):
+    # the per-tap node against the einsum form plus a separate bias node:
+    # values and the gradients of input, weight and bias, within 1e-12 of the
+    # reference array's largest magnitude (summation orders differ)
+    rng = np.random.default_rng(seed)
+    x_value = rng.normal(size=(batch, n_time, n_in))
+    w_value = rng.normal(size=(kernel, n_in, n_out))
+    b_value = rng.normal(size=n_out)
+    g_value = rng.normal(size=(batch, n_time, n_out))
+    results = []
+    for conv in (dc.conv1d, einsum_conv1d):
+        x, w, b = (dc.Parameter(v.copy(), name) for v, name in
+                   ((x_value, "x"), (w_value, "w"), (b_value, "b")))
+        out = conv(x, w, b)
+        dc.backward(dc.sum_(dc.mul(out, dc.constant(g_value))))
+        results.append((out.value, x.grad, w.grad, b.grad))
+    for got, ref in zip(*results):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 def test_conv1d_preserves_time_length():
     x = dc.constant(np.random.default_rng(0).normal(size=(1, 9, 2)))
     w = dc.constant(np.random.default_rng(1).normal(size=(5, 2, 3)))
     assert dc.conv1d(x, w).value.shape == (1, 9, 3)
+
+
+def test_conv1d_shape_mismatch_names_op():
+    x = dc.constant(np.zeros((1, 9, 2)))
+    with pytest.raises(dc.ShapeError, match="conv1d"):
+        dc.conv1d(x, dc.constant(np.zeros((3, 3, 4))))
+    with pytest.raises(dc.ShapeError, match=r"conv1d: .* and \(1, 4\)"):
+        dc.conv1d(x, dc.constant(np.zeros((3, 2, 4))), dc.constant(np.zeros((1, 4))))
 
 
 def test_conv1d_matches_manual_cross_correlation():

@@ -506,6 +506,10 @@ class TestSerialization:
         path.write_bytes(self._with_header(original, lambda h: h.update(dim=str(h["dim"]))))
         with pytest.raises(SerializationError, match=re.escape(f"{path}: bad header")):
             load_model(path)
+        path.write_bytes(self._with_header(original, lambda h: h.update(model_id=["flow"])))
+        with pytest.raises(SerializationError, match=re.escape(
+                f"{path}: bad header: model_id ['flow'] is not a string")):
+            load_model(path)
         model.layers[1].head_b.value[0] = np.nan
         save_model(model, path)
         with pytest.raises(SerializationError, match=re.escape(

@@ -1,6 +1,7 @@
 """Write every CLI artifact of a small fixed pipeline, for byte-identity checks.
 
 Usage: python tools/cli_outputs.py SRC OUT
+       python tools/cli_outputs.py --compare A B
 
 Imports ``tcflow`` from the source directory SRC (for example ``src`` of a
 checkout) and runs, through ``tcflow.cli.main``, into the empty directory OUT:
@@ -37,13 +38,25 @@ the parent's ``src`` and the change's, each into its own directory, then
 ``diff -r`` of the two. The commands run inside OUT with relative paths,
 so the resolved INIs of both runs name the same ``out_dir``. Every command
 must exit 0.
+
+A change declared to alter some outputs in their last digits is reported by
+``--compare A B`` over two such directories. It prints each file that is not
+byte-identical, or present in only one of them. For a CSV whose fields match
+as text wherever they are not both numbers, and for a model file whose header
+matches, it adds the largest relative difference |a - b| / max(|a|, |b|) over
+the numeric fields or the parameters. It ends with the count of byte-identical
+files and exits 1 when any file differs.
 """
 
 from __future__ import annotations
 
 import os
+import struct
 import sys
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 CONFIG = """\
 [train]
@@ -139,7 +152,64 @@ def main(src: str, out: str) -> int:
     return 0
 
 
+def _largest_relative_difference(a: Path, b: Path) -> float | None:
+    """The largest |x - y| / max(|x|, |y|) over the numbers of two files of
+    one layout (nan where a non-finite value differs), or None when they
+    differ otherwise: in text, in shape or in a model header."""
+    if a.suffix == ".csv":
+        rows_a, rows_b = ([line.split(",") for line in p.read_text().splitlines()] for p in (a, b))
+        if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+            return None
+        x, y = [], []
+        for field_a, field_b in zip(chain.from_iterable(rows_a), chain.from_iterable(rows_b)):
+            try:
+                pair = float(field_a), float(field_b)
+            except ValueError:
+                if field_a != field_b:
+                    return None
+                continue
+            x.append(pair[0])
+            y.append(pair[1])
+    elif a.suffix == ".tcf":
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+        from tcflow.train import MODEL_MAGIC
+
+        raw_a, raw_b = a.read_bytes(), b.read_bytes()
+        (header_len,) = struct.unpack_from("<Q", raw_a, len(MODEL_MAGIC))
+        params_at = len(MODEL_MAGIC) + 8 + header_len
+        if raw_a[:params_at] != raw_b[:params_at] or len(raw_a) != len(raw_b):
+            return None
+        x, y = (np.frombuffer(raw, dtype="<f8", offset=params_at) for raw in (raw_a, raw_b))
+    else:
+        return None
+    x, y = np.asarray(x), np.asarray(y)
+    unequal = (x != y) & ~(np.isnan(x) & np.isnan(y))
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(x - y)[unequal] / np.maximum(np.abs(x), np.abs(y))[unequal]
+    return float(rel.max(initial=0.0))
+
+
+def compare(a: str, b: str) -> int:
+    a, b = Path(a), Path(b)
+    names = sorted({p.relative_to(root) for root in (a, b) for p in root.rglob("*") if p.is_file()})
+    same = 0
+    for name in names:
+        file_a, file_b = a / name, b / name
+        if not (file_a.is_file() and file_b.is_file()):
+            print(f"{name}: only in {a if file_a.is_file() else b}")
+        elif file_a.read_bytes() == file_b.read_bytes():
+            same += 1
+        else:
+            rel = _largest_relative_difference(file_a, file_b)
+            print(f"{name}: differs" + ("" if rel is None else f", largest relative difference {rel:.3g}"))
+    print(f"{same} of {len(names)} files byte-identical")
+    return 0 if same == len(names) else 1
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
+    args = sys.argv[1:]
+    if len(args) == 3 and args[0] == "--compare":
+        sys.exit(compare(args[1], args[2]))
+    if len(args) != 2 or args[0] == "--compare":
         raise SystemExit(__doc__)
-    sys.exit(main(sys.argv[1], sys.argv[2]))
+    sys.exit(main(args[0], args[1]))
