@@ -17,7 +17,7 @@ from .data import (
 )
 from .flow import ConditionerConfig, FlowConfig, FlowModel, gaussian_log_density, nll_loss
 from .hyperopt import CmaEs, SearchSpace, decode, run_search, space_for_method
-from .metrics import (auc_pr, auc_roc, combined_objective, precision_recall_f1, range_labels,
+from .metrics import (auc_pr, auc_roc, combined_objective, precision_recall_f1,
                       select_threshold, vus_roc)
 from .score import ScoreSeries, export_latent, score_series
 from .train import TrainConfig, TrainReport, load_model, save_model, train_model
@@ -52,7 +52,6 @@ __all__ = [
     "normalize_with_stats",
     "pad_even_channels",
     "precision_recall_f1",
-    "range_labels",
     "run_search",
     "save_model",
     "score_series",

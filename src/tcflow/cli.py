@@ -189,9 +189,9 @@ def cmd_generate(args) -> int:
     out = _out_dir(cfg)
     seed = cfg.get("run", "seed")
     g = cfg.values["generate"]
-    for key in ("n_anomalies", "noise"):
-        if not g[key] >= 0:
-            raise CliError(f"[generate] {key} must be >= 0: {g[key]}")
+    for key, least in (("n_anomalies", 0), ("noise", 0), ("anomaly_length", 1)):
+        if not g[key] >= least:
+            raise CliError(f"[generate] {key} must be >= {least}: {g[key]}")
     kinds = [k.strip() for k in g["anomalies"].split(",") if k.strip()]
     if not kinds and g["n_anomalies"] > 0:
         raise CliError(f"[generate] anomalies is empty; n_anomalies = {g['n_anomalies']}")

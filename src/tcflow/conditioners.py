@@ -8,20 +8,23 @@ consume a batch of (lookback, channels) windows; the stateful LSTM walks the
 series in order (``StatefulLstmEncoder.walk``), holding its per-layer
 ``[h | c]`` states, one ``encode_step`` per chunk of ``lookback`` rows.
 Either returns a (batch, context_dim) node; each LSTM layer is one
-``dc.lstm_sequence`` node per call. Learnable encoders train with the flow.
+``dc.lstm_sequence`` node per call. Learnable encoders train with the flow:
+each layer is a ``flow.dense`` (weight, bias) pair in ``Encoder.pairs``, and
+dropout is drawn iff an rng is passed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import ClassVar
 
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Node, Parameter
-from .flow import check_ranges
+from .flow import check_ranges, dense
 
 
 @dataclass
@@ -88,7 +91,8 @@ def padded_context_windows(series: np.ndarray, lookback: int) -> np.ndarray:
 class Encoder:
     """Shared interface: ``context_dim``, ``parameters()``, ``encode_batch``.
 
-    ``reads`` lists the ``EncoderConfig`` fields the kind uses. Instantiated
+    ``reads`` lists the ``EncoderConfig`` fields the kind uses, and ``pairs``
+    the (weight, bias) of each learnable layer, in order. Instantiated
     directly for kind ``none``: the unconditioned flow, with an empty context
     and nothing to learn.
     """
@@ -100,11 +104,12 @@ class Encoder:
     def __init__(self, cfg: EncoderConfig, dim: int, rng: np.random.Generator):
         self.cfg = cfg
         self.dim = dim
+        self.pairs: list[tuple[Parameter, Parameter]] = []
 
     def parameters(self) -> list[Parameter]:
-        return []
+        return list(chain(*self.pairs))
 
-    def encode_batch(self, contexts: np.ndarray, training: bool = False,
+    def encode_batch(self, contexts: np.ndarray,
                      rng: np.random.Generator | None = None) -> Node | None:
         return None
 
@@ -127,7 +132,7 @@ class PassthroughEncoder(Encoder):
         super().__init__(cfg, dim, rng)
         self.context_dim = cfg.lookback * dim
 
-    def encode_batch(self, contexts, training=False, rng=None):
+    def encode_batch(self, contexts, rng=None):
         contexts = self._validate(contexts)
         return dc.constant(contexts.reshape(contexts.shape[0], -1))
 
@@ -143,7 +148,7 @@ class FixedSummaryEncoder(Encoder):
         super().__init__(cfg, dim, rng)
         self.context_dim = 4 * dim
 
-    def encode_batch(self, contexts, training=False, rng=None):
+    def encode_batch(self, contexts, rng=None):
         contexts = self._validate(contexts)
         mean = contexts.mean(axis=1)
         std = contexts.std(axis=1)
@@ -172,33 +177,20 @@ class MlpEncoder(Encoder):
             max(2, round(in_dim * ratio ** ((j + 1) / (cfg.mlp_layers + 1))))
             for j in range(cfg.mlp_layers)
         ]
-        self.weights: list[tuple[Parameter, Parameter]] = []
         prev = in_dim
         for j, width in enumerate(widths):
-            bound = math.sqrt(6.0 / (prev + width))
-            self.weights.append((
-                Parameter(rng.uniform(-bound, bound, (prev, width)), f"encoder.h{j}.w"),
-                Parameter(np.zeros(width), f"encoder.h{j}.b"),
-            ))
+            self.pairs.append(dense(rng, prev, width, f"encoder.h{j}"))
             prev = width
-        bound = math.sqrt(6.0 / (prev + self.context_dim))
-        self.head_w = Parameter(rng.uniform(-bound, bound, (prev, self.context_dim)), "encoder.head.w")
-        self.head_b = Parameter(np.zeros(self.context_dim), "encoder.head.b")
+        self.pairs.append(dense(rng, prev, self.context_dim, "encoder.head"))
 
-    def parameters(self):
-        out = []
-        for w, b in self.weights:
-            out.extend([w, b])
-        out.extend([self.head_w, self.head_b])
-        return out
-
-    def encode_batch(self, contexts, training=False, rng=None):
+    def encode_batch(self, contexts, rng=None):
         contexts = self._validate(contexts)
         h = dc.constant(contexts.reshape(contexts.shape[0], -1))
-        for w, b in self.weights:
+        *hidden, (head_w, head_b) = self.pairs
+        for w, b in hidden:
             h = dc.tanh(dc.add(dc.matmul(h, w), b))
-            h = dc.dropout(h, self.cfg.dropout, rng, training)
-        return dc.add(dc.matmul(h, self.head_w), self.head_b)
+            h = dc.dropout(h, self.cfg.dropout, rng)
+        return dc.add(dc.matmul(h, head_w), head_b)
 
 
 class CnnEncoder(Encoder):
@@ -216,30 +208,19 @@ class CnnEncoder(Encoder):
             for j in range(cfg.cnn_layers)
         ]
         channels[-1] = cfg.cnn_max_channels
-        self.convs: list[tuple[Parameter, Parameter]] = []
         prev = dim
         for j, ch in enumerate(channels):
-            fan = cfg.cnn_kernel * prev
-            bound = math.sqrt(6.0 / (fan + ch))
-            self.convs.append((
-                Parameter(rng.uniform(-bound, bound, (cfg.cnn_kernel, prev, ch)), f"encoder.conv{j}.w"),
-                Parameter(np.zeros(ch), f"encoder.conv{j}.b"),
-            ))
+            self.pairs.append(dense(rng, cfg.cnn_kernel * prev, ch, f"encoder.conv{j}",
+                                    (cfg.cnn_kernel, prev, ch)))
             prev = ch
 
-    def parameters(self):
-        out = []
-        for w, b in self.convs:
-            out.extend([w, b])
-        return out
-
-    def encode_batch(self, contexts, training=False, rng=None):
+    def encode_batch(self, contexts, rng=None):
         contexts = self._validate(contexts, fixed_length=False)
         h = dc.constant(contexts)
-        for j, (w, b) in enumerate(self.convs):
+        for j, (w, b) in enumerate(self.pairs):
             h = dc.tanh(dc.conv1d(h, w, b))
-            if j < len(self.convs) - 1:
-                h = dc.dropout(h, self.cfg.dropout, rng, training)
+            if j < len(self.pairs) - 1:
+                h = dc.dropout(h, self.cfg.dropout, rng)
         return dc.mean(h, axis=1)
 
 
@@ -256,45 +237,32 @@ class LstmEncoder(Encoder):
         super().__init__(cfg, dim, rng)
         self.hidden = cfg.lstm_hidden if cfg.lstm_hidden > 0 else max(2, 2 * dim)
         self.context_dim = self.hidden
-        self.cells: list[tuple[Parameter, Parameter]] = []
         prev = dim
         for j in range(cfg.lstm_layers):
-            in_dim = prev + self.hidden
-            bound = math.sqrt(6.0 / (in_dim + 4 * self.hidden))
-            self.cells.append((
-                Parameter(rng.uniform(-bound, bound, (in_dim, 4 * self.hidden)), f"encoder.lstm{j}.w"),
-                Parameter(np.zeros(4 * self.hidden), f"encoder.lstm{j}.b"),
-            ))
+            self.pairs.append(dense(rng, prev + self.hidden, 4 * self.hidden, f"encoder.lstm{j}"))
             prev = self.hidden
 
-    def parameters(self):
-        out = []
-        for w, b in self.cells:
-            out.extend([w, b])
-        return out
-
-    def _run_stack(self, steps: Node, states: list[Node], training: bool,
-                   rng) -> tuple[Node, list[Node]]:
+    def _run_stack(self, steps: Node, states: list[Node], rng) -> tuple[Node, list[Node]]:
         """Advance every layer over a (T, batch, input) step sequence, one
         ``dc.lstm_sequence`` node per layer, from the per-layer
         (batch, 2*hidden) ``[h | c]`` states. Returns the top layer's
-        (T, batch, 2*hidden) node and the new per-layer states; in training,
+        (T, batch, 2*hidden) node and the new per-layer states; with an rng,
         inverted dropout sits between layers, one mask draw per layer."""
         new_states = []
-        for j, (w, b) in enumerate(self.cells):
+        for j, (w, b) in enumerate(self.pairs):
             out = dc.lstm_sequence(steps, states[j], w, b)
             new_states.append(out[-1])
-            if j < len(self.cells) - 1:
-                steps = dc.dropout(out[:, :, : self.hidden], self.cfg.dropout, rng, training)
+            if j < len(self.pairs) - 1:
+                steps = dc.dropout(out[:, :, : self.hidden], self.cfg.dropout, rng)
         return out, new_states
 
     def zero_states(self, batch: int) -> list[Node]:
-        return [dc.constant(np.zeros((batch, 2 * self.hidden))) for _ in self.cells]
+        return [dc.constant(np.zeros((batch, 2 * self.hidden))) for _ in self.pairs]
 
-    def encode_batch(self, contexts, training=False, rng=None):
+    def encode_batch(self, contexts, rng=None):
         contexts = self._validate(contexts, fixed_length=False)
         steps = dc.constant(contexts.transpose(1, 0, 2))
-        out, _ = self._run_stack(steps, self.zero_states(contexts.shape[0]), training, rng)
+        out, _ = self._run_stack(steps, self.zero_states(contexts.shape[0]), rng)
         return out[-1, :, : self.hidden]
 
 
@@ -304,7 +272,7 @@ class StatefulLstmEncoder(LstmEncoder):
 
     kind = "lstm-stateful"
 
-    def encode_step(self, rows: np.ndarray, states: list[Node], training: bool = False,
+    def encode_step(self, rows: np.ndarray, states: list[Node],
                     rng: np.random.Generator | None = None) -> tuple[Node, list[Node]]:
         """Run a (k, channels) block of consecutive rows from the per-layer
         (1, 2*hidden) ``[h | c]`` ``states`` (``zero_states(1)`` to start).
@@ -314,11 +282,10 @@ class StatefulLstmEncoder(LstmEncoder):
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] != self.dim:
             raise dc.ShapeError("encode_step", rows.shape, (None, self.dim))
-        out, states = self._run_stack(dc.constant(rows[:, None, :]), states, training, rng)
+        out, states = self._run_stack(dc.constant(rows[:, None, :]), states, rng)
         return out[:, 0, : self.hidden], states
 
-    def walk(self, values: np.ndarray, training: bool = False,
-             rng: np.random.Generator | None = None):
+    def walk(self, values: np.ndarray, rng: np.random.Generator | None = None):
         """Yield ``(span, contexts)`` per chunk of ``lookback`` rows of
         ``values``, in order: row t's context is the state after its 1-row
         padded window (row t - 1; row 0 repeats itself). The graph is cut
@@ -328,7 +295,7 @@ class StatefulLstmEncoder(LstmEncoder):
         states = self.zero_states(1)
         for lo in range(0, stream.shape[0], self.cfg.lookback):
             span = slice(lo, lo + self.cfg.lookback)
-            contexts, states = self.encode_step(stream[span], states, training, rng)
+            contexts, states = self.encode_step(stream[span], states, rng)
             yield span, contexts
             del contexts  # the caller may free the chunk's graph before the next
             states = [dc.constant(state.value) for state in states]

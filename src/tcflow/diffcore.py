@@ -6,11 +6,11 @@ cached on its node. ``backward`` then walks the graph once in reverse
 topological order and accumulates gradients with the chain rule.
 
 Supported operations: add, multiply (both broadcasting), matmul, tanh,
-sigmoid, exp, log, sum, mean, slicing, concat, reshape, inverted dropout and
-1-D "same" convolution over the time axis (``conv1d``: one node that carries
-its bias, computed as one matmul per kernel tap). One LSTM cell step,
-``lstm_cell``, is a composition of these primitives (about 16 nodes).
-Two fused nodes have a hand-written backward, because the graphs of
+sigmoid, exp, log, sum, mean, slicing, concat, reshape, inverted dropout
+(drawn iff an rng is passed) and 1-D "same" convolution over the time axis
+(``conv1d``: one node that carries its bias, computed as one matmul per
+kernel tap). One LSTM cell step, ``lstm_cell``, is a composition of these
+primitives (about 16 nodes). Two fused nodes have a hand-written backward, because the graphs of
 primitives they replace are mostly Python overhead on small arrays:
 ``lstm_sequence`` runs an LSTM layer over a whole sequence (backpropagation
 through time), and ``coupling_inverse`` is the inverse of one affine coupling
@@ -309,12 +309,13 @@ def reshape(a: Node, shape) -> Node:
     return out
 
 
-def dropout(a: Node, rate: float, rng: np.random.Generator, training: bool) -> Node:
+def dropout(a: Node, rate: float, rng: np.random.Generator | None) -> Node:
     """Inverted dropout: kept activations are scaled by 1/(1-rate).
 
-    Identity outside training mode, so inference never touches the rng.
+    The mask is drawn iff ``rng`` is given; without one (inference) this is
+    the identity.
     """
-    if not training or rate <= 0.0:
+    if rng is None or rate <= 0.0:
         return a
     if rate >= 1.0:
         raise ValueError(f"dropout rate must be < 1, got {rate}")
@@ -328,9 +329,9 @@ def dropout(a: Node, rate: float, rng: np.random.Generator, training: bool) -> N
     return out
 
 
-def conv1d(x: Node, weight: Node, bias: Node | None = None) -> Node:
+def conv1d(x: Node, weight: Node, bias: Node) -> Node:
     """Cross-correlation over the time axis with "same" zero padding, plus
-    ``bias`` when given, as one node.
+    ``bias``, as one node.
 
     ``x`` is (batch, time, in_channels), ``weight`` is
     (kernel, in_channels, out_channels) and ``bias`` is (out_channels,); the
@@ -338,10 +339,9 @@ def conv1d(x: Node, weight: Node, bias: Node | None = None) -> Node:
     matmul per kernel tap over the padded input's time window for that tap.
     """
     xv, w = x.value, weight.value
-    bias_shapes = [] if bias is None else [bias.value.shape]
     if (xv.ndim != 3 or w.ndim != 3 or xv.shape[2] != w.shape[1]
-            or bias_shapes not in ([], [w.shape[2:]])):
-        raise ShapeError("conv1d", xv.shape, w.shape, *bias_shapes)
+            or bias.value.shape != w.shape[2:]):
+        raise ShapeError("conv1d", xv.shape, w.shape, bias.value.shape)
     kernel, n_in, n_out = w.shape
     n_time = xv.shape[1]
     left, right = (kernel - 1) // 2, kernel // 2
@@ -349,9 +349,8 @@ def conv1d(x: Node, weight: Node, bias: Node | None = None) -> Node:
     value = padded[:, :n_time] @ w[0]
     for k in range(1, kernel):
         value += padded[:, k : k + n_time] @ w[k]
-    if bias is not None:
-        value += bias.value
-    out = Node(value, "conv1d", (x, weight) if bias is None else (x, weight, bias))
+    value += bias.value
+    out = Node(value, "conv1d", (x, weight, bias))
 
     def backward(out):
         g = out.grad
@@ -361,8 +360,7 @@ def conv1d(x: Node, weight: Node, bias: Node | None = None) -> Node:
             weight.grad[k] += padded[:, k : k + n_time].reshape(-1, n_in).T @ g_rows
             grad_padded[:, k : k + n_time] += g @ weight.value[k].T
         x.grad += grad_padded[:, left : left + n_time]
-        if bias is not None:
-            bias.grad += g.sum(axis=0).sum(axis=0)
+        bias.grad += g.sum(axis=0).sum(axis=0)
 
     out._backward = backward
     return out

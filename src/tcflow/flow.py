@@ -11,13 +11,15 @@ gets transformed.
 The detector runs only the data-to-base direction: ``CouplingLayer.inverse``
 is one fused node per layer, and ``FlowModel.latent_nodes`` chains them. The
 base-to-data direction is a test reference (``composed_forward`` in
-``tests/helpers.py``), not part of the package.
+``tests/helpers.py``), not part of the package. Dropout is drawn iff an rng
+is passed. ``dense`` initializes every trainable layer, the encoders' too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import ClassVar
 
 import numpy as np
@@ -96,6 +98,15 @@ def _gaussian_log_density_nodes(u: Node) -> Node:
     return dc.add(dc.mul(squared, dc.constant(-0.5)), dc.constant(-0.5 * dim * LOG_TWO_PI))
 
 
+def dense(rng: np.random.Generator, fan_in: int, fan_out: int, name: str,
+          shape: tuple[int, ...] | None = None) -> tuple[Parameter, Parameter]:
+    """Glorot-uniform weight ``{name}.w`` of ``shape`` (default
+    ``(fan_in, fan_out)``) and zero bias ``{name}.b`` of ``fan_out``."""
+    bound = math.sqrt(6.0 / (fan_in + fan_out))
+    return (Parameter(rng.uniform(-bound, bound, shape or (fan_in, fan_out)), f"{name}.w"),
+            Parameter(np.zeros(fan_out), f"{name}.b"))
+
+
 def _hidden_widths(cfg: ConditionerConfig, dim: int) -> list[int]:
     widths = []
     width = float(cfg.multiplier * dim)
@@ -121,10 +132,7 @@ class CouplingLayer:
         self.hidden: list[tuple[Parameter, Parameter]] = []
         prev = in_dim
         for j, width in enumerate(_hidden_widths(cfg, dim)):
-            bound = math.sqrt(6.0 / (prev + width))
-            w = Parameter(rng.uniform(-bound, bound, (prev, width)), f"{name}.h{j}.w")
-            b = Parameter(np.zeros(width), f"{name}.h{j}.b")
-            self.hidden.append((w, b))
+            self.hidden.append(dense(rng, prev, width, f"{name}.h{j}"))
             prev = width
         # zero head: the layer starts as the identity transform
         self.head_w = Parameter(np.zeros((prev, 2 * out_half)), f"{name}.head.w")
@@ -132,22 +140,19 @@ class CouplingLayer:
         self.scale_cap = Parameter(np.ones(out_half), f"{name}.scale_cap")
 
     def parameters(self) -> list[Parameter]:
-        out = []
-        for w, b in self.hidden:
-            out.extend([w, b])
-        out.extend([self.head_w, self.head_b, self.scale_cap])
-        return out
+        return [*chain(*self.hidden), self.head_w, self.head_b, self.scale_cap]
 
-    def inverse(self, x: Node, context: Node | None, training: bool = False,
-                rng: np.random.Generator | None = None, swap: bool = False) -> Node:
-        """Data-to-base direction as one fused node (``dc.coupling_inverse``).
+    def inverse(self, x: Node, context: Node | None, rng: np.random.Generator | None = None,
+                swap: bool = False) -> Node:
+        """Data-to-base direction as one fused node (``dc.coupling_inverse``),
+        with dropout in the conditioner net iff ``rng`` is given.
 
         ``x`` is (batch, dim), or (batch, dim + 1) with a running log-det in
         its last column. Returns (batch, dim + 1): the transformed points
         (halves swapped when ``swap``), then the running log-det plus this
         layer's, which is the negated forward one."""
         self._check(x, context, (self.dim, self.dim + 1))
-        rate = self.cfg.dropout if training else 0.0
+        rate = 0.0 if rng is None else self.cfg.dropout
         return dc.coupling_inverse(x, context, self.hidden, self.head_w, self.head_b,
                                    self.scale_cap, rate, rng, swap)
 
@@ -198,18 +203,19 @@ class FlowModel:
             return None
         return node
 
-    def latent_nodes(self, points, context=None, training: bool = False,
+    def latent_nodes(self, points, context=None,
                      rng: np.random.Generator | None = None) -> tuple[Node, Node]:
         """Normalize points: (latent, per-row summed log|det J|) as graph nodes.
 
         ``points`` is (batch, dim); ``context`` is (batch, context_dim), a
         Node when gradients must flow into an encoder. The same context row
-        conditions every layer of the stack.
+        conditions every layer of the stack. Dropout is drawn iff ``rng`` is
+        given.
         """
         x = points if isinstance(points, Node) else dc.constant(points)
         ctx = self._context_node(context)
         for i in reversed(range(len(self.layers))):
-            x = self.layers[i].inverse(x, ctx, training, rng, swap=i > 0)
+            x = self.layers[i].inverse(x, ctx, rng, swap=i > 0)
             if np.isnan(x.value[:, : self.dim]).any():
                 raise FlowNanError(i)
         return x[:, : self.dim], x[:, self.dim]
@@ -219,19 +225,18 @@ class FlowModel:
         latent, log_det = self.latent_nodes(points, context)
         return latent.value, log_det.value
 
-    def log_prob_nodes(self, points, context=None, training: bool = False,
-                       rng: np.random.Generator | None = None) -> Node:
+    def log_prob_nodes(self, points, context=None, rng: np.random.Generator | None = None) -> Node:
         """Per-row conditional log density as a graph node: the base density
         of the latent plus the log-det of the normalizing pass."""
-        latent, log_det = self.latent_nodes(points, context, training, rng)
+        latent, log_det = self.latent_nodes(points, context, rng)
         return dc.add(_gaussian_log_density_nodes(latent), log_det)
 
 
-def nll_loss(model: FlowModel, points, context=None, training: bool = False,
+def nll_loss(model: FlowModel, points, context=None,
              rng: np.random.Generator | None = None) -> Node:
     """Mean negative log density over a batch; errors on an empty batch."""
     points = np.asarray(points, dtype=np.float64)
     if points.shape[0] == 0:
         raise ValueError("nll_loss requires a non-empty batch")
-    log_probs = model.log_prob_nodes(points, context, training, rng)
+    log_probs = model.log_prob_nodes(points, context, rng)
     return dc.mean(dc.neg(log_probs))

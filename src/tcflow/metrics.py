@@ -54,17 +54,6 @@ def auc_roc(scores, labels) -> float:
     return twice_wins / (2 * n_pos * n_neg)
 
 
-def range_labels(labels, width: int) -> np.ndarray:
-    """Continuous label weights: 1 on ranges, linear decay through a buffer
-    of ``width`` cells on each side, max where buffers overlap."""
-    labels = np.asarray(labels, dtype=bool)
-    if width < 0:
-        raise ValueError("buffer width must be >= 0")
-    if width == 0 or not labels.any():
-        return labels.astype(np.float64)
-    return _buffer_weights(_distance_to_true(labels), width)
-
-
 def _buffer_weights(distance: np.ndarray, width: int) -> np.ndarray:
     return np.clip((width + 1.0 - distance) / (width + 1.0), 0.0, 1.0)
 

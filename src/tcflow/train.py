@@ -208,7 +208,7 @@ def train_model(
     since_best = 0
     for epoch in range(1, train_cfg.epochs + 1):
         train_loss = _mean_loss(model, source(True, rng), rng, adam, train_cfg)
-        val_loss = _mean_loss(model, source(False, rng), rng)
+        val_loss = _mean_loss(model, source(False, None), None)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise TrainingDiverged(epoch - 1)
         report.train_losses.append(train_loss)
@@ -229,10 +229,10 @@ def train_model(
 
 def _mean_loss(model, batches, rng, adam=None, cfg=None) -> float:
     """Row-weighted mean NLL of the ``(targets, contexts)`` batches, NaN if
-    there are none; with ``adam``, training: one Adam step per batch."""
+    there are none; dropout iff ``rng``; with ``adam``, one Adam step per batch."""
     total, count = 0.0, 0
     for targets, contexts in batches:
-        loss = nll_loss(model, targets, contexts, training=adam is not None, rng=rng)
+        loss = nll_loss(model, targets, contexts, rng)
         if adam is not None:
             dc.backward(loss)
             adam_step(adam, cfg.learning_rate, clip_norm=cfg.clip_norm)
@@ -245,7 +245,8 @@ def _window_batches(encoder, values, lookback, train_mask, val_mask, batch_size)
     """``batches(training, rng)`` for every encoder kind but the stateful
     LSTM: a split's targets t >= ``lookback`` and their encoded
     ``padded_context_windows``, shuffled in batches of ``batch_size`` in
-    training, by 4096 in order in validation. An empty split raises here."""
+    training, by 4096 in order in validation (whose ``rng`` is None). An
+    empty split raises here."""
     usable = np.arange(values.shape[0]) >= lookback
     contexts = padded_context_windows(values, lookback)
     train, val = ((values[mask & usable], contexts[mask & usable])
@@ -259,7 +260,7 @@ def _window_batches(encoder, values, lookback, train_mask, val_mask, batch_size)
         order = rng.permutation(len(targets)) if training else np.arange(len(targets))
         for lo in range(0, len(targets), size):
             pick = order[lo : lo + size]
-            yield targets[pick], encoder.encode_batch(windows[pick], training=training, rng=rng)
+            yield targets[pick], encoder.encode_batch(windows[pick], rng)
 
     return batches
 
@@ -270,7 +271,7 @@ def _chunk_batches(encoder, values, train_mask, val_mask):
 
     def batches(training, rng):
         mask = train_mask if training else val_mask
-        for span, contexts in encoder.walk(values, training, rng):
+        for span, contexts in encoder.walk(values, rng):
             pick = mask[span]
             if pick.any():
                 yield values[span][pick], contexts[pick]
@@ -327,6 +328,9 @@ def load_model(path) -> FlowModel:
     try:
         if not isinstance(header["model_id"], str):
             raise TypeError(f"model_id {header['model_id']!r} is not a string")
+        for key in ("dim", "n_layers"):
+            if type(header[key]) is not int:
+                raise TypeError(f"{key} {header[key]!r} is not an integer")
         encoder_cfg = EncoderConfig(**header["encoder"])
         flow_cfg = FlowConfig(header["n_layers"], ConditionerConfig(**header["conditioner"]))
         model = build_model(header["dim"], encoder_cfg, flow_cfg,

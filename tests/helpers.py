@@ -3,6 +3,7 @@
 import numpy as np
 
 from tcflow import diffcore as dc
+from tcflow import metrics as mx
 from tcflow.conditioners import EncoderConfig, build_encoder
 from tcflow.flow import ConditionerConfig, FlowConfig, FlowModel
 from tcflow.hyperopt import CmaEs
@@ -34,6 +35,18 @@ def best_f1_threshold_oracle(scores, labels):
         if f1 > best_f1:
             best_f1, best_thr = f1, float(thr)
     return best_thr
+
+
+def range_labels(labels, width: int) -> np.ndarray:
+    """Continuous label weights: 1 on ranges, linear decay through a buffer
+    of ``width`` cells on each side, max where buffers overlap. ``vus_roc``
+    averages the weighted AUC over these weights for widths 0..max_width."""
+    labels = np.asarray(labels, dtype=bool)
+    if width < 0:
+        raise ValueError("buffer width must be >= 0")
+    if width == 0 or not labels.any():
+        return labels.astype(np.float64)
+    return mx._buffer_weights(mx._distance_to_true(labels), width)
 
 
 def small_flow(dim=2, n_layers=2, context_dim=0, seed=0, multiplier=2,
@@ -87,15 +100,14 @@ def log_prob(model, points, context=None):
     return model.log_prob_nodes(points, context).value
 
 
-def composed_scale_shift(layer, untouched, context, training=False, rng=None):
+def composed_scale_shift(layer, untouched, context, rng=None):
     """Reference conditioner net of a coupling layer, built from diffcore
     primitives: ``(log_scale, shift)`` nodes for the untouched half and the
-    context, with one dropout draw per hidden layer in training."""
+    context, with one dropout draw per hidden layer when ``rng`` is given."""
     h = untouched if context is None else dc.concat([untouched, context], axis=1)
     for w, b in layer.hidden:
         h = dc.tanh(dc.add(dc.matmul(h, w), b))
-        if training and layer.cfg.dropout > 0:
-            h = dc.dropout(h, layer.cfg.dropout, rng, training)
+        h = dc.dropout(h, layer.cfg.dropout, rng)
     raw = dc.add(dc.matmul(h, layer.head_w), layer.head_b)
     out_half = layer.dim - layer.split
     log_scale = dc.mul(layer.scale_cap, dc.tanh(raw[:, :out_half]))
@@ -114,25 +126,25 @@ def composed_forward(layer, u, context):
     return dc.concat([u1, x2], axis=1), dc.sum_(log_scale, axis=1)
 
 
-def composed_inverse(layer, x, context, training=False, rng=None):
+def composed_inverse(layer, x, context, rng=None):
     """Reference coupling inverse built from diffcore primitives: returns
     ``([x1 | u2], per-row log-det)`` as graph nodes, the composition that
     ``dc.coupling_inverse`` fuses into one node."""
     x1 = x[:, : layer.split]
     x2 = x[:, layer.split :]
-    log_scale, shift = composed_scale_shift(layer, x1, context, training, rng)
+    log_scale, shift = composed_scale_shift(layer, x1, context, rng)
     u2 = dc.mul(dc.sub(x2, shift), dc.exp(dc.neg(log_scale)))
     return dc.concat([x1, u2], axis=1), dc.neg(dc.sum_(log_scale, axis=1))
 
 
-def composed_latent(model, points, context=None, training=False, rng=None):
+def composed_latent(model, points, context=None, rng=None):
     """Reference ``FlowModel.latent_nodes``: one ``composed_inverse`` per layer,
     halves swapped between layers, log-dets summed in graph nodes."""
     x = points if isinstance(points, dc.Node) else dc.constant(points)
     ctx = model._context_node(context)
     total = None
     for i in reversed(range(len(model.layers))):
-        x, log_det = composed_inverse(model.layers[i], x, ctx, training, rng)
+        x, log_det = composed_inverse(model.layers[i], x, ctx, rng)
         total = log_det if total is None else dc.add(total, log_det)
         if i > 0:
             half = model.dim // 2
@@ -185,22 +197,22 @@ def reference_window_rows(values, lookback, train_idx, val_idx):
     return targets[in_train], contexts[in_train], targets[in_val], contexts[in_val]
 
 
-def composed_lstm_stack(encoder, steps, states, training=False, rng=None):
+def composed_lstm_stack(encoder, steps, states, rng=None):
     """Reference ``LstmEncoder._run_stack``: one ``dc.lstm_cell`` per step
     and layer over a list of (batch, input) step nodes, from per-layer
-    ``(h, c)`` node pairs, with one dropout draw per step between layers in
-    training. Returns the top layer's hidden nodes and the new pairs."""
+    ``(h, c)`` node pairs, with one dropout draw per step between layers when
+    ``rng`` is given. Returns the top layer's hidden nodes and the new pairs."""
     seq = list(steps)
     new_states = []
-    for j, (w, b) in enumerate(encoder.cells):
+    for j, (w, b) in enumerate(encoder.pairs):
         h, c = states[j]
         outputs = []
         for step in seq:
             h, c = dc.lstm_cell(step, h, c, w, b)
             outputs.append(h)
         new_states.append((h, c))
-        if j < len(encoder.cells) - 1:
-            outputs = [dc.dropout(o, encoder.cfg.dropout, rng, training) for o in outputs]
+        if j < len(encoder.pairs) - 1:
+            outputs = [dc.dropout(o, encoder.cfg.dropout, rng) for o in outputs]
         seq = outputs
     return seq, new_states
 

@@ -280,6 +280,18 @@ class TestErrors:
         assert "CliError" in err and f"[generate] {key} must be >= 0" in err
         assert not (tmp_path / "gen" / "train_clean.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["platform", "spike"])
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_anomaly_length_below_one_rejected(self, tmp_path, capsys, kind, length):
+        cfg = tmp_path / "gen.ini"
+        cfg.write_text(f"[generate]\nanomalies = {kind}\nanomaly_length = {length}\n")
+        code = run_cli("generate", "--config", cfg, "--n-steps", 200,
+                       "--out-dir", tmp_path / "gen")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "CliError" in err and f"[generate] anomaly_length must be >= 1: {length}" in err
+        assert not (tmp_path / "gen" / "train_clean.csv").exists()
+
     @pytest.mark.parametrize("n_anomalies", [150, 500])
     def test_too_many_anomalies_for_the_series_rejected(self, tmp_path, capsys, n_anomalies):
         # 150 leaves one-step slots whose ranges can overlap, 500 empty ones

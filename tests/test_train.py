@@ -29,6 +29,7 @@ from tcflow.train import (
     _mean_loss,
     _window_batches,
     adam_step,
+    build_model,
     load_model,
     save_model,
     train_model,
@@ -355,7 +356,7 @@ class TestBatchedRows:
         masks = np.zeros((2, ds.n_steps), dtype=bool)
         masks[0, train_idx] = masks[1, val_idx] = True
         # the raw windows as "contexts", every row in one batch, unshuffled
-        raw = SimpleNamespace(encode_batch=lambda windows, training, rng: windows)
+        raw = SimpleNamespace(encode_batch=lambda windows, rng: windows)
         batches = _window_batches(raw, ds.values, lookback, *masks, batch_size=ds.n_steps)
         in_order = SimpleNamespace(permutation=np.arange)
         (train,) = batches(True, in_order)
@@ -413,10 +414,54 @@ class TestStatefulChunks:
         val = np.zeros(n_steps, dtype=bool)
         val[7:] = True
         batches = _chunk_batches(model.encoder, values, ~val, val)
-        rng = np.random.default_rng(0)
-        val_loss = _mean_loss(model, batches(False, rng), rng)
+        val_loss = _mean_loss(model, batches(False, None), None)
         expected = float(self._per_row_nll(model, stream, values, val).value)
         np.testing.assert_allclose(val_loss, expected, rtol=1e-12, atol=0)
+
+
+class TestParameterOrder:
+    """``model.tcf`` stores the parameters in ``FlowModel.parameters()`` order:
+    per coupling layer its hidden (weight, bias) pairs, head and scale cap,
+    then the encoder's (weight, bias) pairs. Pinned at one small config (2
+    channels, 2 coupling layers with 3 hidden layers of multiplier 2,
+    lookback 3, 4 CNN channels, LSTM hidden size 4)."""
+
+    # (kind, lstm_layers) -> (context_dim, encoder parameters in order)
+    ENCODERS = {
+        ("none", 1): (0, []),
+        ("passthrough", 1): (6, []),
+        ("fixed-encode", 1): (8, []),
+        ("mlp", 1): (3, [("encoder.h0.w", (6, 5)), ("encoder.h0.b", (5,)),
+                         ("encoder.h1.w", (5, 4)), ("encoder.h1.b", (4,)),
+                         ("encoder.h2.w", (4, 4)), ("encoder.h2.b", (4,)),
+                         ("encoder.head.w", (4, 3)), ("encoder.head.b", (3,))]),
+        ("cnn", 1): (4, [("encoder.conv0.w", (3, 2, 3)), ("encoder.conv0.b", (3,)),
+                         ("encoder.conv1.w", (3, 3, 4)), ("encoder.conv1.b", (4,))]),
+        ("lstm-stateless", 1): (4, [("encoder.lstm0.w", (6, 16)), ("encoder.lstm0.b", (16,))]),
+        ("lstm-stateful", 1): (4, [("encoder.lstm0.w", (6, 16)), ("encoder.lstm0.b", (16,))]),
+        ("lstm-stateless", 2): (4, [("encoder.lstm0.w", (6, 16)), ("encoder.lstm0.b", (16,)),
+                                    ("encoder.lstm1.w", (8, 16)), ("encoder.lstm1.b", (16,))]),
+        ("lstm-stateful", 2): (4, [("encoder.lstm0.w", (6, 16)), ("encoder.lstm0.b", (16,)),
+                                   ("encoder.lstm1.w", (8, 16)), ("encoder.lstm1.b", (16,))]),
+    }
+
+    @pytest.mark.parametrize("kind,lstm_layers", [(kind, 1) for kind in KINDS] + [
+        ("lstm-stateless", 2), ("lstm-stateful", 2)])
+    def test_names_and_shapes_in_order(self, kind, lstm_layers):
+        context_dim, encoder = self.ENCODERS[kind, lstm_layers]
+        coupling = []
+        for i in range(2):
+            coupling += [
+                (f"layer{i}.h0.w", (1 + context_dim, 4)), (f"layer{i}.h0.b", (4,)),
+                (f"layer{i}.h1.w", (4, 2)), (f"layer{i}.h1.b", (2,)),
+                (f"layer{i}.h2.w", (2, 2)), (f"layer{i}.h2.b", (2,)),
+                (f"layer{i}.head.w", (2, 2)), (f"layer{i}.head.b", (2,)),
+                (f"layer{i}.scale_cap", (1,)),
+            ]
+        cfg = EncoderConfig(kind, lookback=3, cnn_max_channels=4, lstm_layers=lstm_layers)
+        model = build_model(2, cfg, small_cfgs(), np.random.default_rng(0))
+        assert model.encoder.context_dim == context_dim
+        assert [(p.name, p.value.shape) for p in model.parameters()] == coupling + encoder
 
 
 class TestSerialization:
@@ -503,9 +548,11 @@ class TestSerialization:
     def test_mistyped_header_or_nan_parameter_names_the_file(self, tmp_path):
         model, path, _ = self._trained(tmp_path)
         original = path.read_bytes()
-        path.write_bytes(self._with_header(original, lambda h: h.update(dim=str(h["dim"]))))
-        with pytest.raises(SerializationError, match=re.escape(f"{path}: bad header")):
-            load_model(path)
+        for key, value in (("dim", model.dim), ("n_layers", model.config.n_layers)):
+            path.write_bytes(self._with_header(original, lambda h: h.update({key: str(value)})))
+            with pytest.raises(SerializationError, match=re.escape(
+                    f"{path}: bad header: {key} '{value}' is not an integer")):
+                load_model(path)
         path.write_bytes(self._with_header(original, lambda h: h.update(model_id=["flow"])))
         with pytest.raises(SerializationError, match=re.escape(
                 f"{path}: bad header: model_id ['flow'] is not a string")):
