@@ -2,9 +2,12 @@
 export-latent and report.
 
 Every run resolves its configuration (file, then flags) against a fixed
-schema, rejects unknown keys, and writes the fully resolved config next to
-its outputs so any artifact can be reproduced from that file plus the seed.
-All randomness derives from the single per-run seed.
+schema and rejects unknown keys. A flag that sets a key names it as its
+argparse ``dest`` ("section.key"). ``main`` builds the config and the output
+directory for every command and, when the command succeeds, writes the fully
+resolved config next to its outputs as ``resolved-<command>.ini``, so any
+artifact can be reproduced from that file plus the seed. All randomness
+derives from the single per-run seed.
 """
 
 from __future__ import annotations
@@ -133,25 +136,12 @@ def _build_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         cfg.load_file(args.config)
-    if args.seed is not None:
-        cfg.set("run", "seed", args.seed)
-    if args.out_dir is not None:
-        cfg.set("run", "out_dir", args.out_dir)
-    if getattr(args, "method", None):
-        cfg.set("run", "method", args.method)
-    if getattr(args, "lookback", None) is not None:
-        cfg.set("encoder", "lookback", args.lookback)
-    if getattr(args, "metric_window", None) is not None:
-        cfg.set("metrics", "window", args.metric_window)
-    if getattr(args, "budget", None) is not None:
-        cfg.set("search", "budget", args.budget)
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            if isinstance(value, list):  # --anomaly, repeatable
+                value = ",".join(value)
+            cfg.set(*dest.split("."), value)
     return cfg
-
-
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.get("run", "out_dir"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _method(cfg: RunConfig) -> str:
@@ -176,17 +166,7 @@ def _prepare_scored(path: str, model, has_labels: bool) -> dt.TimeSeriesDataset:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_generate(args) -> int:
-    cfg = _build_config(args)
-    if args.family:
-        cfg.set("generate", "family", args.family)
-    if args.anomaly:
-        cfg.set("generate", "anomalies", ",".join(args.anomaly))
-    for flag in ("n_steps", "n_channels", "noise"):
-        value = getattr(args, flag)
-        if value is not None:
-            cfg.set("generate", flag, value)
-    out = _out_dir(cfg)
+def cmd_generate(args, cfg: RunConfig, out: Path) -> None:
     seed = cfg.get("run", "seed")
     g = cfg.values["generate"]
     for key, least in (("n_anomalies", 0), ("noise", 0), ("anomaly_length", 1)):
@@ -209,9 +189,7 @@ def cmd_generate(args) -> int:
     dt.save_csv(clean, out / "train_clean.csv", with_labels=False)
     dt.save_csv(labeled, out / "train_labeled.csv")
     dt.save_csv(test, out / "test_labeled.csv")
-    cfg.write(out / "resolved-generate.ini")
     print(f"wrote train_clean.csv train_labeled.csv test_labeled.csv to {out}")
-    return 0
 
 
 def _inject_round(ds, kinds, g, rng) -> dt.TimeSeriesDataset:
@@ -238,9 +216,7 @@ def _inject_round(ds, kinds, g, rng) -> dt.TimeSeriesDataset:
     return ds
 
 
-def cmd_train(args) -> int:
-    cfg = _build_config(args)
-    out = _out_dir(cfg)
+def cmd_train(args, cfg: RunConfig, out: Path) -> None:
     method = _method(cfg)
     ds = _prepare_train(args.data)
     encoder_cfg = cfg.encoder_config(method)
@@ -250,29 +226,21 @@ def cmd_train(args) -> int:
     )
     save_model(model, out / "model.tcf")
     report.to_csv(out / "train_report.csv")
-    cfg.write(out / "resolved-train.ini")
     print(f"best epoch {report.best_epoch} val loss {report.best_val_loss:.4f}; "
           f"model written to {out / 'model.tcf'}")
-    return 0
 
 
-def cmd_score(args) -> int:
-    cfg = _build_config(args)
-    out = _out_dir(cfg)
+def cmd_score(args, cfg: RunConfig, out: Path) -> None:
     model = load_model(args.model)
     ds = _prepare_scored(args.data, model, has_labels=args.labeled)
     series = score_series(model, ds)
     series.to_csv(out / "scores.csv", labels=ds.labels)
     if args.svg:
         write_score_svg(series, out / "scores.svg", labels=ds.labels)
-    cfg.write(out / "resolved-score.ini")
     print(f"scored {series.scores.size} timesteps to {out / 'scores.csv'}")
-    return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _build_config(args)
-    out = _out_dir(cfg)
+def cmd_evaluate(args, cfg: RunConfig, out: Path) -> None:
     series, labels = load_score_csv(args.scores)
     if labels is None:
         if not args.data:
@@ -297,18 +265,17 @@ def cmd_evaluate(args) -> int:
     dt.write_table(out / "metrics.csv", ["dataset", "model", "metric", "value"],
                    [[dataset_id] * len(rows), [model_id] * len(rows), *zip(*rows)],
                    comment=f"vus_variant={mx.VUS_VARIANT} window={window}")
-    cfg.write(out / "resolved-evaluate.ini")
     print(f"auc={auc:.4f} vus={vus:.4f} f1={f1:.4f} -> {out / 'metrics.csv'}")
-    return 0
 
 
-def cmd_search(args) -> int:
-    cfg = _build_config(args)
-    out = _out_dir(cfg)
+def cmd_search(args, cfg: RunConfig, out: Path) -> None:
     method = _method(cfg)
+    s = cfg.values["search"]
+    for key in ("candidate_epochs", "final_epochs"):
+        if s[key] < 1:
+            raise CliError(f"[search] {key} must be >= 1: {s[key]}")
     train_ds = dt.load_csv(args.train)
     labeled = dt.load_csv(args.labeled, has_labels=True) if args.labeled else None
-    s = cfg.values["search"]
     window = cfg.get("metrics", "window")
     candidate_cfg = TrainConfig(**dict(cfg.values["train"], epochs=s["candidate_epochs"],
                                        patience=CANDIDATE_PATIENCE))
@@ -322,27 +289,19 @@ def cmd_search(args) -> int:
     )
     result.trials_csv(out / "trials.csv")
     save_model(result.best_model, out / "model.tcf")
-    cfg.write(out / "resolved-search.ini")
     best = result.best_trial
     print(f"{len(result.trials)} trials; best fitness {best.fitness:.4f} "
           f"(auc={best.auc:.4f} vus={best.vus:.4f}); model at {out / 'model.tcf'}")
-    return 0
 
 
-def cmd_export_latent(args) -> int:
-    cfg = _build_config(args)
-    out = _out_dir(cfg)
+def cmd_export_latent(args, cfg: RunConfig, out: Path) -> None:
     model = load_model(args.model)
     ds = _prepare_scored(args.data, model, has_labels=args.labeled)
     export_latent(model, ds, out / "latent.csv")
-    cfg.write(out / "resolved-export-latent.ini")
     print(f"latent representation written to {out / 'latent.csv'}")
-    return 0
 
 
-def cmd_report(args) -> int:
-    cfg = _build_config(args)
-    out = _out_dir(cfg)
+def cmd_report(args, cfg: RunConfig, out: Path) -> None:
     groups: dict[tuple[str, str], list[float]] = {}
     for path in args.inputs:
         with open(path, newline="") as fh:
@@ -360,7 +319,6 @@ def cmd_report(args) -> int:
     dt.write_table(out / "report.csv", ["dataset", "metric", "mean", "std", "n"],
                    list(zip(*stats)), comment=f"vus_variant={mx.VUS_VARIANT}")
     print(f"aggregated {len(args.inputs)} metric files to {out / 'report.csv'}")
-    return 0
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -368,8 +326,8 @@ def cmd_report(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="INI config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out-dir", default=None)
+    p.add_argument("--seed", dest="run.seed", type=int)
+    p.add_argument("--out-dir", dest="run.out_dir")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,19 +337,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write synthetic train/eval/test CSVs")
     _add_common(p)
-    p.add_argument("--family", choices=dt.FAMILIES, default=None)
-    p.add_argument("--anomaly", action="append", default=None,
+    p.add_argument("--family", dest="generate.family", choices=dt.FAMILIES)
+    p.add_argument("--anomaly", dest="generate.anomalies", action="append",
                    help="anomaly kind, repeatable")
-    p.add_argument("--n-steps", dest="n_steps", type=int, default=None)
-    p.add_argument("--n-channels", dest="n_channels", type=int, default=None)
-    p.add_argument("--noise", type=float, default=None)
+    p.add_argument("--n-steps", dest="generate.n_steps", type=int)
+    p.add_argument("--n-channels", dest="generate.n_channels", type=int)
+    p.add_argument("--noise", dest="generate.noise", type=float)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="fit a model on a clean training CSV")
     _add_common(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--method", choices=METHODS, default=None)
-    p.add_argument("--lookback", type=int, default=None)
+    p.add_argument("--method", dest="run.method", choices=METHODS)
+    p.add_argument("--lookback", dest="encoder.lookback", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", help="score a CSV with a trained model")
@@ -405,19 +363,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="compute metrics from a score CSV")
     _add_common(p)
     p.add_argument("--scores", required=True)
-    p.add_argument("--data", default=None, help="labeled CSV if scores carry no labels")
-    p.add_argument("--metric-window", dest="metric_window", type=int, default=None)
-    p.add_argument("--dataset-id", default=None)
-    p.add_argument("--model-id", default=None)
+    p.add_argument("--data", help="labeled CSV if scores carry no labels")
+    p.add_argument("--metric-window", dest="metrics.window", type=int)
+    p.add_argument("--dataset-id")
+    p.add_argument("--model-id")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("search", help="CMA-ES hyperparameter search")
     _add_common(p)
     p.add_argument("--train", required=True, help="clean training CSV")
-    p.add_argument("--labeled", default=None, help="labeled evaluation CSV")
-    p.add_argument("--method", choices=METHODS, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--metric-window", dest="metric_window", type=int, default=None)
+    p.add_argument("--labeled", help="labeled evaluation CSV")
+    p.add_argument("--method", dest="run.method", choices=METHODS)
+    p.add_argument("--budget", dest="search.budget", type=int)
+    p.add_argument("--metric-window", dest="metrics.window", type=int)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("export-latent", help="dump the normalized representation")
@@ -437,7 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _build_config(args)
+        out = Path(cfg.get("run", "out_dir"))
+        out.mkdir(parents=True, exist_ok=True)
+        args.func(args, cfg, out)
+        cfg.write(out / f"resolved-{args.command}.ini")
+        return 0
     except Exception as exc:  # single machine-parseable line on any failure
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +28,21 @@ from .flow import ConditionerConfig, FlowConfig, FlowModel, nll_loss
 
 MODEL_MAGIC = b"TCFLOW\x00\x01"
 FORMAT_VERSION = 1
+
+# The type each header field must have is the type of its default, as for a
+# config key; an absent encoder or conditioner field takes its default. A bool
+# is no number, and an integer passes for a float (JSON has one number type).
+HEADER_DEFAULTS = {"model_id": "", "dim": 0, "n_layers": 0, "encoder": {}, "conditioner": {}} | {
+    f"{section}.{f.name}": f.default
+    for section, cls in (("encoder", EncoderConfig), ("conditioner", ConditionerConfig))
+    for f in fields(cls)}
+TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
+
+
+def _check_type(name: str, value, default) -> None:
+    kind = type(default)
+    if not (type(value) is kind or (kind is float and type(value) is int)):
+        raise TypeError(f"{name} {value!r} is not {TYPE_NAMES[kind]}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -326,11 +341,10 @@ def load_model(path) -> FlowModel:
             f"{path}: format version {version} not supported (expected {FORMAT_VERSION})"
         )
     try:
-        if not isinstance(header["model_id"], str):
-            raise TypeError(f"model_id {header['model_id']!r} is not a string")
-        for key in ("dim", "n_layers"):
-            if type(header[key]) is not int:
-                raise TypeError(f"{key} {header[key]!r} is not an integer")
+        for name, default in HEADER_DEFAULTS.items():
+            section, _, key = name.partition(".")
+            value = header[section].get(key, default) if key else header[section]
+            _check_type(name, value, default)
         encoder_cfg = EncoderConfig(**header["encoder"])
         flow_cfg = FlowConfig(header["n_layers"], ConditionerConfig(**header["conditioner"]))
         model = build_model(header["dim"], encoder_cfg, flow_cfg,
@@ -340,6 +354,9 @@ def load_model(path) -> FlowModel:
             stats = np.asarray(stats, dtype=np.float64)
             if stats.ndim != 2 or stats.shape[0] != 2:
                 raise ValueError(f"norm_stats of shape {stats.shape}, not (2, channels)")
+            for row in header["norm_stats"]:
+                for value in row:
+                    _check_type("norm_stats entry", value, 0.0)
         declared = [(entry["name"], entry["shape"]) for entry in header["params"]]
     except KeyError as exc:
         raise SerializationError(f"{path}: header lacks key {exc.args[0]!r}") from None

@@ -1,10 +1,13 @@
+import argparse
+import configparser
 import csv
 
 import numpy as np
 import pytest
 
+from tcflow import cli
 from tcflow import data as dt
-from tcflow.cli import RunConfig, main
+from tcflow.cli import DEFAULTS, RunConfig, build_parser, main
 
 
 def run_cli(*argv):
@@ -257,6 +260,106 @@ class TestRunConfig:
         assert (tmp_path / "resolved.ini").read_text() == DEFAULT_INI
 
 
+def read_resolved(out, command) -> configparser.ConfigParser:
+    resolved = configparser.ConfigParser()
+    assert resolved.read(out / f"resolved-{command}.ini")
+    return resolved
+
+
+class TestResolvedConfig:
+    @pytest.mark.parametrize("command", ["generate", "train", "score", "evaluate", "search",
+                                         "export-latent", "report"])
+    def test_every_command_writes_its_resolved_config(self, generated, trained, tmp_path,
+                                                      command):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("t,score,label\n0,0.0,0\n1,1.0,1\n2,0.5,0\n3,2.0,1\n")
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("# vus_variant=x window=3\ndataset,model,metric,value\n"
+                           "sine,m,auc_roc,0.5\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[train]\nepochs = 1\n"
+                       "[search]\ncandidate_epochs = 1\nfinal_epochs = 1\nlookback_max = 6\n")
+        model, test = trained / "model.tcf", generated / "test_labeled.csv"
+        argv = {
+            "generate": ["--n-steps", 200],
+            "train": ["--data", generated / "train_clean.csv"],
+            "score": ["--model", model, "--data", test, "--labeled"],
+            "evaluate": ["--scores", scores],
+            "search": ["--train", generated / "train_clean.csv",
+                       "--labeled", generated / "train_labeled.csv", "--budget", 9],
+            "export-latent": ["--model", model, "--data", test, "--labeled"],
+            "report": [metrics],
+        }[command]
+        out = tmp_path / "out"
+        assert run_cli(command, *argv, "--config", cfg, "--seed", 3, "--out-dir", out) == 0
+        resolved = read_resolved(out, command)
+        assert resolved["run"]["seed"] == "3" and resolved["run"]["out_dir"] == str(out)
+        assert resolved["search"]["lookback_max"] == "6"
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def key_flags():
+    """(command, action) for every flag whose dest names a config key."""
+    return [(command, action) for command, sub in subparsers().items()
+            for action in sub._actions if "." in action.dest]
+
+
+def required_argv(command):
+    """Placeholder values for the command's required arguments."""
+    argv = []
+    for action in subparsers()[command]._actions:
+        if not action.option_strings:
+            argv.append("x")
+        elif action.required:
+            argv += [action.option_strings[0], "x"]
+    return argv
+
+
+class TestFlags:
+    def test_each_flag_names_a_config_key(self):
+        flags = {}
+        for _, action in key_flags():
+            section, key = action.dest.split(".")
+            assert key in DEFAULTS.get(section, {}), action.dest
+            flags.setdefault(action.option_strings[0], action.dest)
+            assert flags[action.option_strings[0]] == action.dest
+        assert len(flags) == 11
+
+    @pytest.mark.parametrize("command,action", key_flags(),
+                             ids=lambda x: x if isinstance(x, str) else x.option_strings[0])
+    def test_flag_overrides_config_file_in_resolved_ini(self, monkeypatch, tmp_path,
+                                                        command, action):
+        # the command itself is stubbed: the flag's way to the INI is main's alone
+        monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), lambda *args: None)
+        section, key = action.dest.split(".")
+        default = DEFAULTS[section][key]
+        if key == "out_dir":
+            in_file, flag = tmp_path / "from-file", tmp_path / "from-flag"
+        elif action.choices:
+            in_file, flag = action.choices[0], action.choices[-1]
+        elif isinstance(default, str):
+            in_file, flag = "from-file", "from-flag"
+        else:
+            in_file, flag = default + 1, default + 2
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{section}]\n{key} = {in_file}\n")
+        out = tmp_path / "from-flag" if key == "out_dir" else tmp_path / "out"
+        assert run_cli(command, *required_argv(command), "--config", cfg,
+                       "--out-dir", out, action.option_strings[0], flag) == 0
+        resolved = read_resolved(out, command)
+        assert type(default)(resolved[section][key]) == type(default)(flag)
+
+    def test_repeated_anomaly_flags_join_into_one_key(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "cmd_generate", lambda *args: None)
+        assert run_cli("generate", "--anomaly", "spike", "--anomaly", "platform",
+                       "--out-dir", tmp_path) == 0
+        assert read_resolved(tmp_path, "generate")["generate"]["anomalies"] == "spike,platform"
+
+
 class TestErrors:
     def test_empty_anomaly_list_needs_zero_anomalies(self, tmp_path, capsys):
         cfg = tmp_path / "gen.ini"
@@ -323,6 +426,19 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["candidate_epochs", "final_epochs"])
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_search_epochs_below_one_rejected(self, generated, tmp_path, capsys, key, epochs):
+        cfg = tmp_path / "search.ini"
+        cfg.write_text(f"[search]\n{key} = {epochs}\n")
+        code = run_cli("search", "--train", generated / "train_clean.csv",
+                       "--labeled", generated / "train_labeled.csv", "--budget", 9,
+                       "--config", cfg, "--out-dir", tmp_path / "search")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "CliError" in err and f"[search] {key} must be >= 1: {epochs}" in err
+        assert not (tmp_path / "search" / "trials.csv").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"

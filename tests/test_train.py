@@ -557,6 +557,26 @@ class TestSerialization:
         with pytest.raises(SerializationError, match=re.escape(
                 f"{path}: bad header: model_id ['flow'] is not a string")):
             load_model(path)
+        (tmp_path / "mlp").mkdir()
+        _, mlp_path, _ = self._trained(tmp_path / "mlp", "mlp")
+        mlp_original = mlp_path.read_bytes()
+        for section, key, value, expected in (
+                ("encoder", "lookback", "3", "'3' is not an integer"),
+                ("conditioner", "layers", "3", "'3' is not an integer"),
+                ("encoder", "mlp_layers", 3.0, "3.0 is not an integer"),
+                ("encoder", "lookback", True, "True is not an integer"),
+                ("conditioner", "dropout", "0.2", "'0.2' is not a number"),
+                ("encoder", "kind", 1, "1 is not a string")):
+            mlp_path.write_bytes(self._with_header(
+                mlp_original, lambda h: h[section].update({key: value})))
+            with pytest.raises(SerializationError, match=re.escape(
+                    f"{mlp_path}: bad header: {section}.{key} {expected}")):
+                load_model(mlp_path)
+        mlp_path.write_bytes(self._with_header(
+            mlp_original, lambda h: h.update(norm_stats=[["0.0", "0.0"], ["1", "1"]])))
+        with pytest.raises(SerializationError, match=re.escape(
+                f"{mlp_path}: bad header: norm_stats entry '0.0' is not a number")):
+            load_model(mlp_path)
         model.layers[1].head_b.value[0] = np.nan
         save_model(model, path)
         with pytest.raises(SerializationError, match=re.escape(

@@ -31,7 +31,7 @@ checkout) and runs, through ``tcflow.cli.main``, into the empty directory OUT:
   grouping of every metric and of the best-F1 threshold is compared (model
   scores almost never tie).
 
-That is 173 files.
+That is 174 files.
 
 A change that must not alter any output is checked by running this against
 the parent's ``src`` and the change's, each into its own directory, then
