@@ -16,7 +16,7 @@ from .data import (
     split_train_val,
 )
 from .flow import ConditionerConfig, FlowConfig, FlowModel, gaussian_log_density, nll_loss
-from .hyperopt import CmaEs, SearchSpace, decode, run_search, space_for_method
+from .hyperopt import CmaEs, decode, run_search, space_for_method
 from .metrics import (auc_pr, auc_roc, combined_objective, precision_recall_f1,
                       select_threshold, vus_roc)
 from .score import ScoreSeries, export_latent, score_series
@@ -32,7 +32,6 @@ __all__ = [
     "FlowConfig",
     "FlowModel",
     "ScoreSeries",
-    "SearchSpace",
     "TimeSeriesDataset",
     "TrainConfig",
     "TrainReport",

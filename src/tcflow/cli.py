@@ -151,16 +151,11 @@ def _method(cfg: RunConfig) -> str:
     return method
 
 
-def _prepare_train(path: str) -> dt.TimeSeriesDataset:
-    ds = dt.load_csv(path)
-    return dt.pad_even_channels(dt.normalize_minmax(ds))
-
-
 def _prepare_scored(path: str, model, has_labels: bool) -> dt.TimeSeriesDataset:
     ds = dt.load_csv(path, has_labels=has_labels)
     if model.norm_stats is None:
         raise CliError("model carries no normalization statistics")
-    return dt.pad_even_channels(dt.normalize_with_stats(ds, model.norm_stats))
+    return dt.prepare(ds, model.norm_stats)
 
 
 # -- commands -----------------------------------------------------------------
@@ -218,7 +213,7 @@ def _inject_round(ds, kinds, g, rng) -> dt.TimeSeriesDataset:
 
 def cmd_train(args, cfg: RunConfig, out: Path) -> None:
     method = _method(cfg)
-    ds = _prepare_train(args.data)
+    ds = dt.prepare(dt.load_csv(args.data))
     encoder_cfg = cfg.encoder_config(method)
     model, report = train_model(
         ds, encoder_cfg, cfg.flow_config(), cfg.train_config(),
@@ -271,7 +266,7 @@ def cmd_evaluate(args, cfg: RunConfig, out: Path) -> None:
 def cmd_search(args, cfg: RunConfig, out: Path) -> None:
     method = _method(cfg)
     s = cfg.values["search"]
-    for key in ("candidate_epochs", "final_epochs"):
+    for key in ("candidate_epochs", "final_epochs", "lookback_max"):
         if s[key] < 1:
             raise CliError(f"[search] {key} must be >= 1: {s[key]}")
     train_ds = dt.load_csv(args.train)

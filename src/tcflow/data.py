@@ -235,6 +235,14 @@ def pad_even_channels(ds: TimeSeriesDataset) -> TimeSeriesDataset:
     )
 
 
+def prepare(ds: TimeSeriesDataset, stats=None) -> TimeSeriesDataset:
+    """The series as a model sees it: min/max normalized, fitted on ``ds``
+    when ``stats`` is None and with ``stats`` (the training series'
+    ``norm_stats``) otherwise, then padded to an even channel count."""
+    ds = normalize_minmax(ds) if stats is None else normalize_with_stats(ds, stats)
+    return pad_even_channels(ds)
+
+
 # -- train/validation split ----------------------------------------------------
 
 

@@ -6,10 +6,12 @@ recombination, cumulative step-size adaptation and rank-one plus rank-mu
 covariance updates, with candidates reflected back into bounds. Selection is
 purely rank based, so any strictly monotone transform of the fitness values
 leaves the update unchanged. When the best fitness stagnates the search
-restarts with a doubled population.
+restarts with a doubled population. ``CmaEs`` holds its own state.
 
-Candidates decode to named hyperparameters (integers rounded half-up), train
-a reduced-budget model each, and are ranked either by the labeled 30:70
+A search space is a list of ``ParamSpec`` rows. Each candidate vector is
+decoded once, to named hyperparameters (integers rounded half-up) that one
+``_evaluate_candidate`` call trains and its ``Trial`` records. A candidate
+trains a reduced-budget model and is ranked either by the labeled 30:70
 AUC/VUS blend or by the best validation loss.
 """
 
@@ -19,19 +21,13 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
 from .conditioners import ENCODERS, EncoderConfig
-from .data import (
-    DataError,
-    TimeSeriesDataset,
-    normalize_minmax,
-    normalize_with_stats,
-    pad_even_channels,
-    write_table,
-)
+from .data import DataError, TimeSeriesDataset, prepare, write_table
 from .flow import ConditionerConfig, FlowConfig
 from .metrics import auc_roc, combined_objective, infer_metric_window, vus_roc
 from .score import score_series
@@ -70,22 +66,10 @@ class ParamSpec:
     kind: str = "real"  # real | int
 
     def __post_init__(self):
-        if self.lower >= self.upper:
-            raise ValueError(f"{self.name}: lower bound must be below upper bound")
+        if self.lower > self.upper:
+            raise ValueError(f"{self.name}: lower bound {self.lower} > upper bound {self.upper}")
         if self.kind not in ("real", "int"):
             raise ValueError(f"{self.name}: unknown kind {self.kind!r}")
-
-
-@dataclass
-class SearchSpace:
-    params: list[ParamSpec]
-
-    @property
-    def names(self) -> list[str]:
-        return [p.name for p in self.params]
-
-    def __len__(self) -> int:
-        return len(self.params)
 
 
 def _ranged_row(cls, attr: str, name: str) -> ParamSpec:
@@ -106,7 +90,7 @@ def _encoder_rows(method: str) -> dict[str, str]:
     }
 
 
-def space_for_method(method: str, lookback_max: int = LOOKBACK_MAX) -> SearchSpace:
+def space_for_method(method: str, lookback_max: int = LOOKBACK_MAX) -> list[ParamSpec]:
     """Bounded hyperparameter rows for one method: the coupling layers, the
     conditioner's ranged fields, the lookback if the encoder reads one, and
     the encoder's other ranged fields."""
@@ -118,15 +102,15 @@ def space_for_method(method: str, lookback_max: int = LOOKBACK_MAX) -> SearchSpa
     if "lookback" in ENCODERS[METHOD_ENCODERS[method]].reads:
         rows.append(ParamSpec("lookback", 1, lookback_max, "int"))
     rows += [_ranged_row(EncoderConfig, attr, name) for name, attr in _encoder_rows(method).items()]
-    return SearchSpace(rows)
+    return rows
 
 
-def decode(vector: np.ndarray, space: SearchSpace) -> dict:
+def decode(vector: np.ndarray, space: list[ParamSpec]) -> dict:
     """Affine map from the unit cube to bounds; integers round half-up and
-    the result is always in-bounds."""
+    the result is always in-bounds (a row with equal bounds decodes to them)."""
     vector = np.clip(np.asarray(vector, dtype=np.float64), 0.0, 1.0)
     out = {}
-    for v, spec in zip(vector, space.params):
+    for v, spec in zip(vector, space):
         value = spec.lower + v * (spec.upper - spec.lower)
         if spec.kind == "int":
             value = int(min(max(math.floor(value + 0.5), spec.lower), spec.upper))
@@ -163,52 +147,35 @@ def reflect_into_unit(x: np.ndarray) -> np.ndarray:
     return np.where(folded > 1.0, 2.0 - folded, folded)
 
 
-@dataclass
-class CmaState:
-    """Sampling distribution state of one CMA-ES run."""
-
-    mean: np.ndarray
-    sigma: float
-    cov: np.ndarray
-    path_sigma: np.ndarray
-    path_cov: np.ndarray
-    generation: int = 0
-    lam: int = 0
-    weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    mu_eff: float = 0.0
-
-
 class CmaEs:
-    """Minimizer over [0, 1]^n with stagnation restarts at doubled population."""
+    """Minimizer over [0, 1]^n with stagnation restarts at doubled population.
+    ``_init_state`` sets the whole sampling distribution, at the start and at
+    each restart."""
 
-    def __init__(self, n: int, seed: int = 0, sigma0: float = 0.3,
-                 lam: int | None = None, restart_window: int = 20,
-                 restart_tol: float = 1e-12):
+    RESTART_TOL = 1e-12  # a window's least best-fitness gain that is not stagnation
+
+    def __init__(self, n: int, seed: int = 0, sigma0: float = 0.3, restart_window: int = 20):
         self.n = n
         self.rng = np.random.default_rng(seed)
         self.sigma0 = sigma0
         self.restart_window = restart_window
-        self.restart_tol = restart_tol
         self.best_vector: np.ndarray | None = None
         self.best_fitness = np.inf
         self.restarts = 0
-        self._init_state(lam or default_population(n), np.full(n, 0.5))
+        self._init_state(default_population(n), np.full(n, 0.5))
 
     def _init_state(self, lam: int, mean: np.ndarray):
-        mu = lam // 2
+        n, mu = self.n, lam // 2
         raw = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
-        weights = raw / raw.sum()
-        self.state = CmaState(
-            mean=mean.astype(np.float64),
-            sigma=self.sigma0,
-            cov=np.eye(self.n),
-            path_sigma=np.zeros(self.n),
-            path_cov=np.zeros(self.n),
-            lam=lam,
-            weights=weights,
-            mu_eff=1.0 / float((weights**2).sum()),
-        )
-        n, mu_eff = self.n, self.state.mu_eff
+        self.weights = raw / raw.sum()
+        self.mu_eff = mu_eff = 1.0 / float((self.weights**2).sum())
+        self.lam = lam
+        self.mean = mean.astype(np.float64)
+        self.sigma = self.sigma0
+        self.cov = np.eye(n)
+        self.path_sigma = np.zeros(n)
+        self.path_cov = np.zeros(n)
+        self.generation = 0
         self.c_sigma = (mu_eff + 2.0) / (n + mu_eff + 5.0)
         self.d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (n + 1.0)) - 1.0) + self.c_sigma
         self.c_cov_path = (4.0 + mu_eff / n) / (n + 4.0 + 2.0 * mu_eff / n)
@@ -218,34 +185,28 @@ class CmaEs:
         self.chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
         self._history: list[float] = []
 
-    @property
-    def lam(self) -> int:
-        return self.state.lam
-
     def _decomposed(self):
-        cov = (self.state.cov + self.state.cov.T) / 2.0
+        cov = (self.cov + self.cov.T) / 2.0
         eigvals, eigvecs = np.linalg.eigh(cov)
         floor = max(eigvals.max(), 1.0) * 1e-14
         eigvals = np.maximum(eigvals, floor)
-        self.state.cov = (eigvecs * eigvals) @ eigvecs.T
+        self.cov = (eigvecs * eigvals) @ eigvecs.T
         return eigvecs, np.sqrt(eigvals)
 
     def ask(self) -> np.ndarray:
         """Sample the population: mean + sigma * N(0, C), reflected into bounds."""
-        st = self.state
         basis, scale = self._decomposed()
-        z = self.rng.standard_normal((st.lam, self.n))
-        raw = st.mean + st.sigma * (z * scale) @ basis.T
+        z = self.rng.standard_normal((self.lam, self.n))
+        raw = self.mean + self.sigma * (z * scale) @ basis.T
         return reflect_into_unit(raw)
 
     def tell(self, candidates: np.ndarray, fitnesses) -> None:
         """Rank-based distribution update; NaN fitness counts as worst."""
-        st = self.state
         candidates = np.asarray(candidates, dtype=np.float64)
         fitnesses = np.asarray(fitnesses, dtype=np.float64)
-        if candidates.shape != (st.lam, self.n) or fitnesses.shape != (st.lam,):
+        if candidates.shape != (self.lam, self.n) or fitnesses.shape != (self.lam,):
             raise ValueError(
-                f"expected {st.lam} candidates of dimension {self.n}, "
+                f"expected {self.lam} candidates of dimension {self.n}, "
                 f"got {candidates.shape} with {fitnesses.shape} fitnesses"
             )
         fitnesses = np.where(np.isnan(fitnesses), np.inf, fitnesses)
@@ -254,41 +215,38 @@ class CmaEs:
             self.best_fitness = float(fitnesses[order[0]])
             self.best_vector = candidates[order[0]].copy()
         self._history.append(float(fitnesses[order[0]]))
-        st.generation += 1
+        self.generation += 1
         if not np.all(fitnesses == fitnesses[0]):  # all-equal carries no ranking signal
             self._update(candidates[order])
         if self._stagnated():
             self.restarts += 1
-            self._init_state(st.lam * 2, self.rng.uniform(0.0, 1.0, self.n))
+            self._init_state(self.lam * 2, self.rng.uniform(0.0, 1.0, self.n))
 
     def _update(self, ranked: np.ndarray) -> None:
-        st = self.state
-        mu = st.weights.size
         basis, scale = self._decomposed()
-        selected = ranked[:mu]
-        y = (selected - st.mean) / st.sigma
-        y_w = st.weights @ y
-        st.mean = st.mean + st.sigma * y_w
+        y = (ranked[:self.weights.size] - self.mean) / self.sigma
+        y_w = self.weights @ y
+        self.mean = self.mean + self.sigma * y_w
 
         inv_sqrt = (basis / scale) @ basis.T
-        st.path_sigma = (1.0 - self.c_sigma) * st.path_sigma + math.sqrt(
-            self.c_sigma * (2.0 - self.c_sigma) * st.mu_eff
+        self.path_sigma = (1.0 - self.c_sigma) * self.path_sigma + math.sqrt(
+            self.c_sigma * (2.0 - self.c_sigma) * self.mu_eff
         ) * (inv_sqrt @ y_w)
-        norm_ps = float(np.linalg.norm(st.path_sigma))
-        expected = math.sqrt(1.0 - (1.0 - self.c_sigma) ** (2.0 * st.generation))
+        norm_ps = float(np.linalg.norm(self.path_sigma))
+        expected = math.sqrt(1.0 - (1.0 - self.c_sigma) ** (2.0 * self.generation))
         h_sigma = 1.0 if norm_ps / expected < (1.4 + 2.0 / (self.n + 1.0)) * self.chi_n else 0.0
 
-        st.path_cov = (1.0 - self.c_cov_path) * st.path_cov + h_sigma * math.sqrt(
-            self.c_cov_path * (2.0 - self.c_cov_path) * st.mu_eff
+        self.path_cov = (1.0 - self.c_cov_path) * self.path_cov + h_sigma * math.sqrt(
+            self.c_cov_path * (2.0 - self.c_cov_path) * self.mu_eff
         ) * y_w
-        rank_one = np.outer(st.path_cov, st.path_cov)
-        rank_mu = (st.weights[:, None] * y).T @ y
-        st.cov = (
-            (1.0 - self.c_one - self.c_mu) * st.cov
-            + self.c_one * (rank_one + (1.0 - h_sigma) * self.c_cov_path * (2.0 - self.c_cov_path) * st.cov)
+        rank_one = np.outer(self.path_cov, self.path_cov)
+        rank_mu = (self.weights[:, None] * y).T @ y
+        self.cov = (
+            (1.0 - self.c_one - self.c_mu) * self.cov
+            + self.c_one * (rank_one + (1.0 - h_sigma) * self.c_cov_path * (2.0 - self.c_cov_path) * self.cov)
             + self.c_mu * rank_mu
         )
-        st.sigma = st.sigma * math.exp((self.c_sigma / self.d_sigma) * (norm_ps / self.chi_n - 1.0))
+        self.sigma = self.sigma * math.exp((self.c_sigma / self.d_sigma) * (norm_ps / self.chi_n - 1.0))
 
     def _stagnated(self) -> bool:
         w = self.restart_window
@@ -296,7 +254,7 @@ class CmaEs:
             return False
         recent = min(self._history[-w:])
         earlier = min(self._history[: -w])
-        return earlier - recent < self.restart_tol
+        return earlier - recent < self.RESTART_TOL
 
 
 # -- candidate evaluation and the search driver ----------------------------------
@@ -318,14 +276,14 @@ class SearchResult:
     trials: list[Trial]
     best_trial: Trial
     best_model: object
-    space: SearchSpace
+    space: list[ParamSpec]
     method: str
     objective: str
     metric_window: int
 
     def trials_csv(self, path) -> None:
         keys = [f.name for f in fields(Trial) if f.name != "params"]
-        names = self.space.names
+        names = [p.name for p in self.space]
         columns = [[getattr(t, key) for t in self.trials] for key in keys]
         columns += [np.array([t.params[n] for t in self.trials], dtype=float) for n in names]
         write_table(path, keys + names, columns,
@@ -337,10 +295,12 @@ def _candidate_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0])
 
 
-def _evaluate_candidate(args) -> tuple[float, float, float, float]:
-    (vector, space, method, train_ds, eval_ds, objective,
-     metric_window, train_cfg, base_seed, index) = args
-    params = decode(vector, space)
+def _evaluate_candidate(index: int, params: dict, *, method: str,
+                        train_ds: TimeSeriesDataset, eval_ds: TimeSeriesDataset | None,
+                        objective: str, metric_window: int, train_cfg: TrainConfig,
+                        base_seed: int) -> tuple[float, float, float, float]:
+    """(fitness, auc, vus, val_loss) of the candidate ``index`` with decoded
+    ``params``; a candidate that cannot be trained has fitness inf."""
     encoder_cfg, flow_cfg = configs_from_params(method, params)
     cfg = replace(train_cfg, seed=_candidate_seed(base_seed, index))
     try:
@@ -383,39 +343,35 @@ def run_search(
     opt = CmaEs(len(space), seed=seed)
     if budget < opt.lam:
         raise ValueError(f"budget {budget} is below one population of {opt.lam}")
+    workers = os.environ.get("TCFLOW_WORKERS", "1")
+    if not workers.isdecimal() or int(workers) < 1:
+        raise ValueError(f"TCFLOW_WORKERS must be an integer >= 1: {workers!r}")
+    workers = int(workers)
 
-    train_prepared = pad_even_channels(normalize_minmax(train))
+    train_prepared = prepare(train)
     eval_prepared = None
     if labeled_eval is not None:
-        eval_prepared = pad_even_channels(
-            normalize_with_stats(labeled_eval, train_prepared.norm_stats)
-        )
+        eval_prepared = prepare(labeled_eval, train_prepared.norm_stats)
         if metric_window is None and labeled_eval.labels is not None:
             metric_window = infer_metric_window(labeled_eval.labels)
     metric_window = int(metric_window or 0)
     candidate_cfg = candidate_cfg or TrainConfig(epochs=CANDIDATE_EPOCHS, patience=CANDIDATE_PATIENCE)
     # checked before any candidate trains; only its seed waits for the winner
     final_cfg = replace(candidate_cfg, epochs=final_epochs, patience=max(candidate_cfg.patience, 5))
-    workers = int(os.environ.get("TCFLOW_WORKERS", "1"))
+    candidate = partial(_evaluate_candidate, method=method, train_ds=train_prepared,
+                        eval_ds=eval_prepared, objective=objective, metric_window=metric_window,
+                        train_cfg=candidate_cfg, base_seed=seed)
 
     trials: list[Trial] = []
-    used = 0
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         evaluate = map if pool is None else pool.map
-        while used + opt.lam <= budget:
+        while len(trials) + opt.lam <= budget:
             population = opt.ask()
-            arg_list = [
-                (vec, space, method, train_prepared, eval_prepared, objective,
-                 metric_window, candidate_cfg, seed, used + i)
-                for i, vec in enumerate(population)
-            ]
-            results = list(evaluate(_evaluate_candidate, arg_list))
-            generation = opt.state.generation
-            for i, (vec, (fitness, auc, vus, val_loss)) in enumerate(zip(population, results)):
-                trials.append(Trial(generation, used + i, decode(vec, space),
-                                    fitness, auc, vus, val_loss))
+            indices = range(len(trials), len(trials) + len(population))
+            params = [decode(vec, space) for vec in population]
+            results = list(evaluate(candidate, indices, params))
+            trials += [Trial(opt.generation, i, p, *r) for i, p, r in zip(indices, params, results)]
             opt.tell(population, np.array([r[0] for r in results]))
-            used += len(population)
 
     fitness = np.array([t.fitness for t in trials])
     if not np.isfinite(fitness).any():

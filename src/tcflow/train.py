@@ -11,8 +11,10 @@ with dropout off, and the best validation epoch's parameters are restored.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .conditioners import (
     padded_context_windows,
 )
 from .data import DataError, TimeSeriesDataset, split_train_val, write_table
-from .flow import ConditionerConfig, FlowConfig, FlowModel, nll_loss
+from .flow import ConditionerConfig, FlowConfig, FlowModel, check_ranges, nll_loss
 
 MODEL_MAGIC = b"TCFLOW\x00\x01"
 FORMAT_VERSION = 1
@@ -64,9 +66,11 @@ class TrainConfig:
     clip_norm: float = 5.0
     seed: int = 0
 
+    RANGES: ClassVar[dict[str, tuple]] = dict.fromkeys(("epochs", "batch_size", "patience"),
+                                                       (1, math.inf))
+
     def __post_init__(self):
-        if min(self.epochs, self.batch_size, self.patience) < 1:
-            raise ValueError("epochs, batch_size and patience must be >= 1")
+        check_ranges(self, self.RANGES)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
 

@@ -263,10 +263,10 @@ def finite_diff_check(build_loss, params, epsilon=1e-5):
     return worst
 
 
-def minimize(func, n, budget, seed=0, sigma0=0.3, lam=None):
+def minimize(func, n, budget, seed=0, sigma0=0.3):
     """CMA-ES loop: minimize func over [0, 1]^n within a budget of
     evaluations; returns (best vector, best fitness, evaluations used)."""
-    opt = CmaEs(n, seed=seed, sigma0=sigma0, lam=lam)
+    opt = CmaEs(n, seed=seed, sigma0=sigma0)
     if budget < opt.lam:
         raise ValueError(f"budget {budget} is below one population of {opt.lam}")
     used = 0

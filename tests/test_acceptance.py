@@ -236,7 +236,7 @@ def test_a06_cma_es():
                 xs = opt.ask()
                 fits = np.array([float(((x - 0.4) ** 2).sum()) for x in xs])
                 opt.tell(xs, transform(fits))
-            means.append(opt.state.mean.copy())
+            means.append(opt.mean.copy())
         invariant &= np.allclose(means[0], means[1])
     elapsed = time.perf_counter() - start
     report("cma-es", successes >= 9 and invariant and elapsed < 30.0,

@@ -427,7 +427,7 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("key", ["candidate_epochs", "final_epochs"])
+    @pytest.mark.parametrize("key", ["candidate_epochs", "final_epochs", "lookback_max"])
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_search_epochs_below_one_rejected(self, generated, tmp_path, capsys, key, epochs):
         cfg = tmp_path / "search.ini"

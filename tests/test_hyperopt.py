@@ -54,7 +54,7 @@ class TestSearchSpace:
 
     @pytest.mark.parametrize("method", list(PINNED_SPACES))
     def test_rows_match_the_pinned_table(self, method):
-        rows = [(p.name, p.lower, p.upper, p.kind) for p in space_for_method(method).params]
+        rows = [(p.name, p.lower, p.upper, p.kind) for p in space_for_method(method)]
         assert rows == PINNED_SPACES[method]
 
     @pytest.mark.parametrize("method", list(PINNED_SPACES))
@@ -77,7 +77,7 @@ class TestPopulationAndDecode:
         space = space_for_method("tcnf-base")
         lows = decode(np.zeros(len(space)), space)
         highs = decode(np.ones(len(space)), space)
-        for spec in space.params:
+        for spec in space:
             assert lows[spec.name] == spec.lower
             assert highs[spec.name] == spec.upper
 
@@ -95,7 +95,7 @@ class TestPopulationAndDecode:
         for _ in range(50):
             vec = reflect_into_unit(rng.normal(0.5, 1.0, len(space)))
             params = decode(vec, space)
-            for spec in space.params:
+            for spec in space:
                 assert spec.lower <= params[spec.name] <= spec.upper
 
     def test_reflection_folds_into_unit_cube(self):
@@ -124,7 +124,7 @@ class TestCmaEs:
                 xs = opt.ask()
                 fits = np.array([float(((x - 0.3) ** 2).sum()) for x in xs])
                 opt.tell(xs, transform(fits))
-            return opt.state.mean.copy(), opt.state.sigma
+            return opt.mean.copy(), opt.sigma
 
         # exp and affine transforms preserve ranking exactly
         base_mean, base_sigma = run(lambda f: f)
@@ -135,9 +135,9 @@ class TestCmaEs:
     def test_all_equal_fitness_leaves_mean_unchanged(self):
         opt = CmaEs(4, seed=5)
         xs = opt.ask()
-        before = opt.state.mean.copy()
+        before = opt.mean.copy()
         opt.tell(xs, np.zeros(opt.lam))
-        np.testing.assert_array_equal(opt.state.mean, before)
+        np.testing.assert_array_equal(opt.mean, before)
 
     def test_nan_fitness_treated_as_worst(self):
         opt = CmaEs(3, seed=1)
@@ -173,7 +173,7 @@ class TestCmaEs:
             opt.tell(xs[:2], np.zeros(2))
 
     def test_restart_doubles_population_on_stagnation(self):
-        opt = CmaEs(3, seed=0, restart_window=3, restart_tol=1e-12)
+        opt = CmaEs(3, seed=0, restart_window=3)
         lam0 = opt.lam
         for _ in range(8):
             xs = opt.ask()
@@ -200,7 +200,7 @@ class TestRunSearch:
         assert len(result.trials) == 9
         assert result.best_trial.fitness <= np.nanmedian([t.fitness for t in result.trials])
         for trial in result.trials:
-            for spec in result.space.params:
+            for spec in result.space:
                 assert spec.lower <= trial.params[spec.name] <= spec.upper
         path = tmp_path / "trials.csv"
         result.trials_csv(path)
@@ -290,6 +290,31 @@ class TestRunSearch:
                        candidate_cfg=TrainConfig(epochs=1, patience=1), final_epochs=0,
                        lookback_max=8)
         assert calls == []
+
+    @pytest.mark.parametrize("workers", ["abc", "0", "-2"])
+    def test_bad_worker_count_rejected_before_any_candidate_trains(self, monkeypatch, workers):
+        import tcflow.hyperopt as hyperopt
+
+        calls = []
+        monkeypatch.setattr(hyperopt, "train_model", lambda *a, **k: calls.append(a))
+        monkeypatch.setenv("TCFLOW_WORKERS", workers)
+        train, labeled = self._datasets()
+        message = f"TCFLOW_WORKERS must be an integer >= 1: '{workers}'"
+        with pytest.raises(ValueError, match=message):
+            run_search(train, labeled, "tcnf-base", "labeled-30-70", budget=9, seed=0,
+                       candidate_cfg=TrainConfig(epochs=1, patience=1), final_epochs=1,
+                       lookback_max=8)
+        assert calls == []
+
+    def test_lookback_max_of_one_searches_lookback_one(self):
+        # the lookback row 1..1 has one value; every candidate decodes to it
+        train, _ = self._datasets()
+        result = run_search(train, None, "tcnf-base", "val-loss", budget=9, seed=0,
+                            candidate_cfg=TrainConfig(epochs=1, patience=1), final_epochs=1,
+                            lookback_max=1)
+        assert len(result.trials) == 9
+        assert {t.params["lookback"] for t in result.trials} == {1}
+        assert result.best_model.encoder.cfg.lookback == 1
 
     def test_search_with_no_finite_trial_fails_before_refit(self):
         # lookbacks up to 250 leave no train/validation split of 300 steps

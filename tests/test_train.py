@@ -327,6 +327,12 @@ class TestTrainModel:
                             clip_norm=0.0, seed=0),
             )
 
+    @pytest.mark.parametrize("name", ["epochs", "batch_size", "patience"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_count_below_one_names_field_and_value(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} out of range \[1, inf\]: {value}$"):
+            TrainConfig(**{name: value})
+
     def test_unnormalized_dataset_rejected(self):
         ds = dt.generate_synthetic("sine", 200, 2, seed=0)
         with pytest.raises(ValueError, match="normalized"):
