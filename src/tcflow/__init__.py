@@ -10,9 +10,7 @@ from .data import (
     generate_synthetic,
     inject_anomaly,
     load_csv,
-    normalize_minmax,
-    normalize_with_stats,
-    pad_even_channels,
+    prepare,
     split_train_val,
 )
 from .flow import ConditionerConfig, FlowConfig, FlowModel, gaussian_log_density, nll_loss
@@ -47,10 +45,8 @@ __all__ = [
     "load_csv",
     "load_model",
     "nll_loss",
-    "normalize_minmax",
-    "normalize_with_stats",
-    "pad_even_channels",
     "precision_recall_f1",
+    "prepare",
     "run_search",
     "save_model",
     "score_series",

@@ -152,10 +152,7 @@ def _method(cfg: RunConfig) -> str:
 
 
 def _prepare_scored(path: str, model, has_labels: bool) -> dt.TimeSeriesDataset:
-    ds = dt.load_csv(path, has_labels=has_labels)
-    if model.norm_stats is None:
-        raise CliError("model carries no normalization statistics")
-    return dt.prepare(ds, model.norm_stats)
+    return dt.prepare(dt.load_csv(path, has_labels=has_labels), model.norm_stats)
 
 
 # -- commands -----------------------------------------------------------------
@@ -164,7 +161,8 @@ def _prepare_scored(path: str, model, has_labels: bool) -> dt.TimeSeriesDataset:
 def cmd_generate(args, cfg: RunConfig, out: Path) -> None:
     seed = cfg.get("run", "seed")
     g = cfg.values["generate"]
-    for key, least in (("n_anomalies", 0), ("noise", 0), ("anomaly_length", 1)):
+    for key, least in (("n_steps", 100), ("n_channels", 2), ("n_anomalies", 0), ("noise", 0),
+                       ("anomaly_length", 1)):
         if not g[key] >= least:
             raise CliError(f"[generate] {key} must be >= {least}: {g[key]}")
     kinds = [k.strip() for k in g["anomalies"].split(",") if k.strip()]

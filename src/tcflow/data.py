@@ -1,12 +1,12 @@
 """Dataset handling: CSV ingestion, preprocessing, splits and a synthetic
 multichannel generator with anomaly injection.
 
-Preprocessing follows three rules: channels are min-max normalized into
-[-1, 1] with statistics taken from training data only, all-zero channels are
-replaced by the constant 0.5 before normalization, and an extra constant-0.5
-channel is appended when the channel count is odd (the coupling split needs
-an even count). Train/validation splits keep a lookback-sized gap so no
-training window can touch validation targets.
+``prepare`` is the one preprocessing step, in three rules: all-zero channels
+are replaced by the constant 0.5, channels are then min-max normalized into
+[-1, 1] with statistics taken from training data only, and an extra
+constant-0.5 channel is appended when the channel count is odd (the coupling
+split needs an even count). Train/validation splits keep a lookback-sized
+gap so no training window can touch validation targets.
 """
 
 from __future__ import annotations
@@ -187,60 +187,35 @@ def save_csv(ds: TimeSeriesDataset, path, with_labels: bool = True) -> None:
     write_table(path, header, columns)
 
 
-# -- normalization and padding ------------------------------------------------
+# -- preprocessing ------------------------------------------------------------
 
 
-def replace_zero_channels(values: np.ndarray) -> np.ndarray:
-    """All-zero channels become the constant 0.5 (pre-normalization rule)."""
-    values = values.copy()
-    dead = ~values.any(axis=0)
-    values[:, dead] = PAD_VALUE
-    return values
+def prepare(ds: TimeSeriesDataset, stats=None) -> TimeSeriesDataset:
+    """The series as a model sees it: a copy in which each all-zero channel
+    is the constant 0.5, each channel then min/max mapped into [-1, 1], and
+    one constant-0.5 ``pad`` channel appended when the channel count is odd.
 
-
-def normalize_minmax(ds: TimeSeriesDataset) -> TimeSeriesDataset:
-    """Fit per-channel min/max on this dataset and map into [-1, 1].
-
-    Constant channels (min == max), including the 0.5 stand-ins for all-zero
-    channels, map to all-zero. The fitted stats are stored for reuse on
-    test data.
-    """
-    values = replace_zero_channels(ds.values)
-    return normalize_with_stats(ds, (values.min(axis=0), values.max(axis=0)))
-
-
-def normalize_with_stats(ds: TimeSeriesDataset, stats) -> TimeSeriesDataset:
-    """Apply previously fitted train statistics; values may leave [-1, 1]."""
+    The (min, max) are fitted on ``ds`` when ``stats`` is None; otherwise
+    ``stats`` (the training series' ``norm_stats``) are used, and values may
+    leave [-1, 1]. A constant channel maps to all-zero. The result carries
+    the statistics as ``norm_stats``."""
+    values = ds.values.copy()
+    values[:, ~values.any(axis=0)] = PAD_VALUE
+    if stats is None:
+        stats = (values.min(axis=0), values.max(axis=0))
     lo, hi = (np.asarray(s, dtype=np.float64) for s in stats)
     if lo.shape != (ds.n_channels,):
         raise DataError(f"stats cover {lo.shape[0]} channels, dataset has {ds.n_channels}")
-    values = replace_zero_channels(ds.values)
     span = hi - lo
     out = np.zeros_like(values)
     live = span > 0
     out[:, live] = 2.0 * (values[:, live] - lo[live]) / span[live] - 1.0
-    return replace(ds, values=out, norm_stats=(lo, hi), anomalies=list(ds.anomalies))
-
-
-def pad_even_channels(ds: TimeSeriesDataset) -> TimeSeriesDataset:
-    """Append one constant-0.5 channel when the channel count is odd."""
-    if ds.n_channels % 2 == 0:
-        return ds
-    pad = np.full((ds.n_steps, 1), PAD_VALUE)
-    return replace(
-        ds,
-        values=np.hstack([ds.values, pad]),
-        channel_names=list(ds.channel_names) + ["pad"],
-        anomalies=list(ds.anomalies),
-    )
-
-
-def prepare(ds: TimeSeriesDataset, stats=None) -> TimeSeriesDataset:
-    """The series as a model sees it: min/max normalized, fitted on ``ds``
-    when ``stats`` is None and with ``stats`` (the training series'
-    ``norm_stats``) otherwise, then padded to an even channel count."""
-    ds = normalize_minmax(ds) if stats is None else normalize_with_stats(ds, stats)
-    return pad_even_channels(ds)
+    names = list(ds.channel_names)
+    if ds.n_channels % 2:
+        out = np.hstack([out, np.full((ds.n_steps, 1), PAD_VALUE)])
+        names.append("pad")
+    return replace(ds, values=out, channel_names=names, norm_stats=(lo, hi),
+                   anomalies=list(ds.anomalies))
 
 
 # -- train/validation split ----------------------------------------------------
@@ -282,7 +257,7 @@ def split_train_val(
             val_mask[start : start + section] = True
     excluded = val_mask.copy()
     val_idx = np.nonzero(val_mask)[0]
-    for v0, v1 in _runs(val_mask):
+    for v0, v1 in label_runs(val_mask):
         excluded[max(0, v0 - gap) : min(n_steps, v1 + gap)] = True
     train_idx = np.nonzero(~excluded)[0]
     if train_idx.size == 0:
@@ -290,16 +265,10 @@ def split_train_val(
     return train_idx, val_idx
 
 
-def _runs(mask: np.ndarray):
-    """Contiguous True runs as (start, stop) pairs."""
-    padded = np.diff(np.concatenate([[0], mask.astype(int), [0]]))
-    starts = np.nonzero(padded == 1)[0]
-    stops = np.nonzero(padded == -1)[0]
-    return list(zip(starts, stops))
-
-
 def label_runs(labels: np.ndarray):
-    return _runs(np.asarray(labels, dtype=bool))
+    """Contiguous True runs as (start, stop) pairs."""
+    edges = np.diff(np.concatenate([[0], np.asarray(labels, dtype=bool).astype(int), [0]]))
+    return list(zip(np.nonzero(edges == 1)[0], np.nonzero(edges == -1)[0]))
 
 
 # -- synthetic generator --------------------------------------------------------

@@ -82,8 +82,8 @@ class FlowConfig:
     conditioner: ConditionerConfig = field(default_factory=ConditionerConfig)
 
     def __post_init__(self):
-        if self.n_layers < 1:
-            raise ValueError("need at least one coupling layer")
+        if self.n_layers < 1:  # the config key of n_layers is [flow] coupling_layers
+            raise ValueError(f"coupling_layers out of range [1, inf]: {self.n_layers}")
 
 
 def gaussian_log_density(u) -> np.ndarray:

@@ -66,13 +66,15 @@ class TrainConfig:
     clip_norm: float = 5.0
     seed: int = 0
 
-    RANGES: ClassVar[dict[str, tuple]] = dict.fromkeys(("epochs", "batch_size", "patience"),
-                                                       (1, math.inf))
+    RANGES: ClassVar[dict[str, tuple]] = {
+        **dict.fromkeys(("epochs", "batch_size", "patience"), (1, math.inf)),
+        "clip_norm": (0, math.inf),  # 0 turns clipping off
+    }
 
     def __post_init__(self):
         check_ranges(self, self.RANGES)
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite: {self.learning_rate}")
 
 
 @dataclass
@@ -177,9 +179,9 @@ def adam_step(
 
 def _require_prepared(ds: TimeSeriesDataset):
     if ds.n_channels % 2 != 0:
-        raise ValueError("dataset must have an even channel count (pad first)")
+        raise ValueError("dataset must have an even channel count (data.prepare pads it)")
     if ds.norm_stats is None:
-        raise ValueError("dataset must be normalized before training")
+        raise ValueError("dataset must be normalized before training (data.prepare)")
 
 
 def build_model(
@@ -304,7 +306,8 @@ def _chunk_batches(encoder, values, train_mask, val_mask):
 def save_model(model: FlowModel, path) -> None:
     """Versioned binary container; the parameter round trip is bit-exact."""
     params = model.parameters()
-    stats = model.norm_stats
+    if model.norm_stats is None:
+        raise ValueError("model carries no normalization statistics")
     header = {
         "format_version": FORMAT_VERSION,
         "model_id": model.model_id,
@@ -312,7 +315,7 @@ def save_model(model: FlowModel, path) -> None:
         "n_layers": model.config.n_layers,
         "conditioner": asdict(model.config.conditioner),
         "encoder": asdict(model.encoder.cfg),
-        "norm_stats": None if stats is None else [list(map(float, s)) for s in stats],
+        "norm_stats": [list(map(float, s)) for s in model.norm_stats],
         "params": [{"name": p.name, "shape": list(p.value.shape)} for p in params],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -353,24 +356,21 @@ def load_model(path) -> FlowModel:
         flow_cfg = FlowConfig(header["n_layers"], ConditionerConfig(**header["conditioner"]))
         model = build_model(header["dim"], encoder_cfg, flow_cfg,
                             np.random.default_rng(0), model_id=header["model_id"])
-        stats = header["norm_stats"]
-        if stats is not None:
-            stats = np.asarray(stats, dtype=np.float64)
-            if stats.ndim != 2 or stats.shape[0] != 2:
-                raise ValueError(f"norm_stats of shape {stats.shape}, not (2, channels)")
-            for row in header["norm_stats"]:
-                for value in row:
-                    _check_type("norm_stats entry", value, 0.0)
+        stats = np.asarray(header["norm_stats"], dtype=np.float64)
+        if stats.ndim != 2 or stats.shape[0] != 2:
+            raise ValueError(f"norm_stats of shape {stats.shape}, not (2, channels)")
+        for row in header["norm_stats"]:
+            for value in row:
+                _check_type("norm_stats entry", value, 0.0)
         declared = [(entry["name"], entry["shape"]) for entry in header["params"]]
     except KeyError as exc:
         raise SerializationError(f"{path}: header lacks key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"{path}: bad header: {exc}") from None
-    if stats is not None:
-        bad = np.nonzero(~np.isfinite(stats))[1]
-        if bad.size:
-            raise SerializationError(f"{path}: non-finite norm_stats for channel {bad[0]}")
-        model.norm_stats = tuple(stats)
+    bad = np.nonzero(~np.isfinite(stats))[1]
+    if bad.size:
+        raise SerializationError(f"{path}: non-finite norm_stats for channel {bad[0]}")
+    model.norm_stats = tuple(stats)
     params = model.parameters()
     if [(p.name, list(p.value.shape)) for p in params] != declared:
         raise SerializationError(f"{path}: parameter list does not match the declared architecture")

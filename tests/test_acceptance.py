@@ -60,8 +60,7 @@ def searched_test_auc(family, method, seed, anomalies, budget):
     result = run_search(train, labeled, method, "labeled-30-70", budget=budget,
                         seed=seed, candidate_cfg=SEARCH_CANDIDATE_CFG,
                         final_epochs=20, lookback_max=50)
-    prepared = dt.pad_even_channels(
-        dt.normalize_with_stats(test, result.best_model.norm_stats))
+    prepared = dt.prepare(test, result.best_model.norm_stats)
     scores = score_series(result.best_model, prepared).scores
     return mx.auc_roc(scores, prepared.labels)
 
@@ -168,8 +167,7 @@ def test_a03_density_sanity():
 
 
 def test_a04_learned_density_normalizes():
-    ds = dt.pad_even_channels(dt.normalize_minmax(
-        dt.generate_synthetic("sine", 800, 2, noise=0.2, seed=0)))
+    ds = dt.prepare(dt.generate_synthetic("sine", 800, 2, noise=0.2, seed=0))
     model, _ = train_model(
         ds, EncoderConfig("passthrough", lookback=4),
         FlowConfig(2, ConditionerConfig(2, 3, 0.1, 1.5)),
@@ -311,8 +309,7 @@ def test_a10_reproducibility(tmp_path):
                             final_epochs=2, lookback_max=6)
         result.trials_csv(out / "trials.csv")
         save_model(result.best_model, out / "model.tcf")
-        prepared = dt.pad_even_channels(
-            dt.normalize_with_stats(labeled, result.best_model.norm_stats))
+        prepared = dt.prepare(labeled, result.best_model.norm_stats)
         score_series(load_model(out / "model.tcf"), prepared).to_csv(
             out / "scores.csv", labels=prepared.labels)
         return out

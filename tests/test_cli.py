@@ -372,15 +372,17 @@ class TestErrors:
         assert run_cli(*args) == 0
         assert dt.load_csv(tmp_path / "gen" / "test_labeled.csv").n_steps == 200
 
-    @pytest.mark.parametrize("key,value", [("n_anomalies", "-1"), ("noise", "-0.5")])
-    def test_negative_anomaly_count_or_noise_rejected(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("key,value,least", [
+        ("n_anomalies", "-1", 0), ("noise", "-0.5", 0), ("n_steps", "50", 100),
+        ("n_channels", "1", 2)])
+    def test_generate_value_below_least_rejected(self, tmp_path, capsys, key, value, least):
         cfg = tmp_path / "gen.ini"
-        cfg.write_text(f"[generate]\n{key} = {value}\n")
-        code = run_cli("generate", "--config", cfg, "--n-steps", 200,
-                       "--out-dir", tmp_path / "gen")
+        settings = {"n_steps": 200, key: value}
+        cfg.write_text("[generate]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+        code = run_cli("generate", "--config", cfg, "--out-dir", tmp_path / "gen")
         assert code == 1
         err = capsys.readouterr().err
-        assert "CliError" in err and f"[generate] {key} must be >= 0" in err
+        assert "CliError" in err and f"[generate] {key} must be >= {least}: {value}" in err
         assert not (tmp_path / "gen" / "train_clean.csv").exists()
 
     @pytest.mark.parametrize("kind", ["platform", "spike"])
@@ -419,6 +421,21 @@ class TestErrors:
                        "--out-dir", tmp_path / "train")
         assert code == 1
         assert "lstm_hidden must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "train" / "model.tcf").exists()
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("flow", "coupling_layers", "0", "coupling_layers out of range [1, inf]: 0"),
+        ("train", "clip_norm", "-1", "clip_norm out of range [0, inf]: -1.0"),
+        ("train", "learning_rate", "inf", "learning_rate must be positive and finite: inf"),
+    ])
+    def test_bad_flow_or_train_value_named_before_training(self, generated, tmp_path, capsys,
+                                                            section, key, value, message):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        code = run_cli("train", "--data", generated / "train_clean.csv", "--config", cfg,
+                       "--out-dir", tmp_path / "train")
+        assert code == 1
+        assert f"error: ValueError: {message}\n" == capsys.readouterr().err
         assert not (tmp_path / "train" / "model.tcf").exists()
 
     def test_missing_file_exits_one_with_single_line(self, tmp_path, capsys):

@@ -19,7 +19,7 @@ from tcflow.conditioners import (
     build_encoder,
     padded_context_windows,
 )
-from tcflow.flow import ConditionerConfig
+from tcflow.flow import ConditionerConfig, FlowConfig
 from tcflow.train import _window_batches
 
 
@@ -383,6 +383,7 @@ class TestConfigValidation:
         (EncoderConfig, {"kind": "lstm-stateful"}, "lstm_layers", "lstm_layers", 1, 10),
         (EncoderConfig, {"kind": "mlp"}, "dropout", "dropout", 0.1, 0.9),
         (EncoderConfig, {"kind": "cnn"}, "dropout", "dropout", 0.1, 0.9),
+        (FlowConfig, {}, "n_layers", "coupling_layers", 1, math.inf),
     ]
 
     @pytest.mark.parametrize("cls, fixed, attr, key, lower, upper", RANGED_FIELDS,

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -182,10 +183,10 @@ class TestTableChecks:
             self.LOADERS[loader](path)
 
 
-class TestNormalize:
+class TestPrepare:
     def test_maps_endpoints_and_midpoint(self):
         ds = dt.TimeSeriesDataset(np.array([[0.0], [5.0], [10.0]]))
-        out = dt.normalize_minmax(ds)
+        out = dt.prepare(ds)
         np.testing.assert_allclose(out.values[:, 0], [-1.0, 0.0, 1.0])
         lo, hi = out.norm_stats
         assert lo[0] == 0.0 and hi[0] == 10.0
@@ -193,45 +194,66 @@ class TestNormalize:
     def test_all_zero_channel_becomes_half_before_normalization(self):
         values = np.zeros((4, 2))
         values[:, 1] = [1.0, 2.0, 3.0, 4.0]
-        replaced = dt.replace_zero_channels(values)
-        np.testing.assert_array_equal(replaced[:, 0], 0.5)
-        np.testing.assert_array_equal(replaced[:, 1], values[:, 1])
+        lo, hi = dt.prepare(dt.TimeSeriesDataset(values)).norm_stats
+        np.testing.assert_array_equal([lo[0], hi[0]], 0.5)
+        np.testing.assert_array_equal([lo[1], hi[1]], [1.0, 4.0])
+        out = dt.prepare(dt.TimeSeriesDataset(values), ([0.0, 1.0], [1.0, 4.0]))
+        np.testing.assert_array_equal(out.values[:, 0], 0.0)  # 2 * 0.5 - 1
 
     def test_constant_channel_normalizes_to_zero(self):
         ds = dt.TimeSeriesDataset(np.column_stack([np.full(5, 3.3), np.arange(5.0)]))
-        out = dt.normalize_minmax(ds)
+        out = dt.prepare(ds)
         np.testing.assert_array_equal(out.values[:, 0], 0.0)
 
     def test_test_values_beyond_train_range_exceed_one(self):
-        train = dt.normalize_minmax(dt.TimeSeriesDataset(np.array([[0.0], [10.0]])))
-        test = dt.normalize_with_stats(dt.TimeSeriesDataset(np.array([[15.0]])), train.norm_stats)
+        train = dt.prepare(dt.TimeSeriesDataset(np.array([[0.0], [10.0]])))
+        test = dt.prepare(dt.TimeSeriesDataset(np.array([[15.0]])), train.norm_stats)
         assert test.values[0, 0] == pytest.approx(2.0)
 
     def test_affine_inverse_recovers_originals(self):
         rng = np.random.default_rng(0)
         values = rng.normal(3.0, 2.0, (50, 4))
-        ds = dt.normalize_minmax(dt.TimeSeriesDataset(values))
+        ds = dt.prepare(dt.TimeSeriesDataset(values))
         lo, hi = ds.norm_stats
         recovered = lo + (ds.values + 1.0) * (hi - lo) / 2.0
         np.testing.assert_allclose(recovered, values, atol=1e-12)
 
-
-class TestPadEvenChannels:
     def test_odd_gets_constant_half_channel(self):
         ds = dt.TimeSeriesDataset(np.zeros((5, 3)))
-        out = dt.pad_even_channels(ds)
-        assert out.n_channels == 4
+        out = dt.prepare(ds)
+        assert out.n_channels == 4 and out.channel_names[3] == "pad"
         np.testing.assert_array_equal(out.values[:, 3], 0.5)
+        assert len(out.norm_stats[0]) == 3  # the statistics cover the data channels only
 
-    def test_even_unchanged(self):
+    def test_even_gets_no_pad_channel(self):
         ds = dt.TimeSeriesDataset(np.zeros((5, 4)))
-        assert dt.pad_even_channels(ds) is ds
+        out = dt.prepare(ds)
+        assert out.n_channels == 4 and out.channel_names == ds.channel_names
 
-    def test_idempotent(self):
+    def test_stats_of_another_width_rejected(self):
         ds = dt.TimeSeriesDataset(np.zeros((5, 3)))
-        once = dt.pad_even_channels(ds)
-        twice = dt.pad_even_channels(once)
-        np.testing.assert_array_equal(once.values, twice.values)
+        with pytest.raises(dt.DataError, match="stats cover 2 channels, dataset has 3"):
+            dt.prepare(ds, (np.zeros(2), np.ones(2)))
+
+    def test_leaves_input_and_its_anomaly_list_untouched(self):
+        ds = dt.inject_anomaly(dt.generate_synthetic("sine", 200, 3, seed=0),
+                               dt.AnomalySpec("spike", 50, 1))
+        before = ds.values.copy()
+        out = dt.prepare(ds)
+        np.testing.assert_array_equal(ds.values, before)
+        assert out.anomalies == ds.anomalies and out.anomalies is not ds.anomalies
+        np.testing.assert_array_equal(out.labels, ds.labels)
+
+
+def test_readme_library_use_imports_only_public_names():
+    import tcflow
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    imported = re.search(r"from tcflow import \((.*?)\)", section, re.S).group(1)
+    names = [name.strip() for name in imported.split(",") if name.strip()]
+    assert "prepare" in names
+    assert sorted(set(names) - set(tcflow.__all__)) == []
 
 
 class TestSplit:

@@ -327,7 +327,7 @@ class TestRunSearch:
     def test_candidate_fitness_equals_chained_train_score_evaluate(self):
         # the search's internal evaluation must match running the pipeline
         # stages by hand with the same hyperparameters and derived seed
-        from tcflow.data import normalize_minmax, normalize_with_stats, pad_even_channels
+        from tcflow.data import prepare
         from tcflow.hyperopt import _candidate_seed, configs_from_params
         from tcflow.metrics import auc_roc, combined_objective, vus_roc
         from tcflow.score import score_series
@@ -340,8 +340,8 @@ class TestRunSearch:
         )
         trial = result.trials[3]
         encoder_cfg, flow_cfg = configs_from_params("tcnf-base", trial.params)
-        train_p = pad_even_channels(normalize_minmax(train))
-        eval_p = pad_even_channels(normalize_with_stats(labeled, train_p.norm_stats))
+        train_p = prepare(train)
+        eval_p = prepare(labeled, train_p.norm_stats)
         model, _ = train_model(
             train_p, encoder_cfg, flow_cfg,
             TrainConfig(epochs=2, batch_size=128, patience=2,

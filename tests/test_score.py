@@ -89,14 +89,14 @@ class TestScoreSeries:
         from tcflow.train import TrainConfig, train_model
 
         clean = dt.generate_synthetic("sine", 500, 2, noise=0.1, seed=0)
-        prepared = dt.pad_even_channels(dt.normalize_minmax(clean))
+        prepared = dt.prepare(clean)
         model, _ = train_model(
             prepared, EncoderConfig("passthrough", lookback=4),
             FlowConfig(2, ConditionerConfig(2, 3, 0.1, 1.5)),
             TrainConfig(epochs=6, batch_size=128, learning_rate=3e-3, seed=1))
         test = dt.generate_synthetic("sine", 500, 2, noise=0.1, seed=2)
         test = dt.inject_anomaly(test, dt.AnomalySpec("spike", 250, 1, 6.0, (0,)))
-        test = dt.pad_even_channels(dt.normalize_with_stats(test, prepared.norm_stats))
+        test = dt.prepare(test, prepared.norm_stats)
         series = score_series(model, test)
         peak = int(np.argmax(series.scores))
         buffer = 4  # lookback-wide slack after the labeled point

@@ -42,7 +42,7 @@ def small_cfgs(n_layers=2, multiplier=2, cond_layers=3):
 
 def prepared_sine(n_steps=400, n_channels=2, noise=0.1, seed=0):
     ds = dt.generate_synthetic("sine", n_steps, n_channels, noise=noise, seed=seed)
-    return dt.pad_even_channels(dt.normalize_minmax(ds))
+    return dt.prepare(ds)
 
 
 class TestAdam:
@@ -311,8 +311,7 @@ class TestTrainModel:
         train_nll = report.train_losses[-1]
         assert train_nll > 0  # noise level keeps the optimum above zero
         continuation = dt.generate_synthetic("sine", 300, 2, noise=0.4, seed=99)
-        continuation = dt.pad_even_channels(
-            dt.normalize_with_stats(continuation, ds.norm_stats))
+        continuation = dt.prepare(continuation, ds.norm_stats)
         from tcflow.score import score_series
         series = score_series(model, continuation)
         assert np.median(series.scores) <= 2.0 * train_nll
@@ -332,6 +331,21 @@ class TestTrainModel:
     def test_count_below_one_names_field_and_value(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} out of range \[1, inf\]: {value}$"):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_clip_norm_below_zero_or_nan_names_the_value(self, value):
+        with pytest.raises(ValueError, match=rf"^clip_norm out of range \[0, inf\]: {value}$"):
+            TrainConfig(clip_norm=value)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    def test_learning_rate_not_positive_and_finite_names_the_value(self, value):
+        with pytest.raises(ValueError, match=rf"^learning_rate must be positive and finite: {value}$"):
+            TrainConfig(learning_rate=value)
+
+    def test_odd_channel_dataset_names_prepare(self):
+        ds = dt.TimeSeriesDataset(np.zeros((200, 3)), norm_stats=(np.zeros(3), np.ones(3)))
+        with pytest.raises(ValueError, match=r"even channel count \(data\.prepare pads it\)"):
+            train_model(ds, EncoderConfig("none"), small_cfgs(), TrainConfig(epochs=1))
 
     def test_unnormalized_dataset_rejected(self):
         ds = dt.generate_synthetic("sine", 200, 2, seed=0)
@@ -587,6 +601,20 @@ class TestSerialization:
         save_model(model, path)
         with pytest.raises(SerializationError, match=re.escape(
                 f"{path}: non-finite value in parameter 'layer1.head.b'")):
+            load_model(path)
+
+    def test_model_without_norm_stats_cannot_be_saved(self, tmp_path):
+        model, path, _ = self._trained(tmp_path)
+        model.norm_stats = None
+        with pytest.raises(ValueError, match="model carries no normalization statistics"):
+            save_model(model, tmp_path / "stats-free.tcf")
+        assert not (tmp_path / "stats-free.tcf").exists()
+
+    def test_null_norm_stats_header_names_the_file(self, tmp_path):
+        _, path, _ = self._trained(tmp_path)
+        path.write_bytes(self._with_header(path.read_bytes(),
+                                           lambda h: h.update(norm_stats=None)))
+        with pytest.raises(SerializationError, match=re.escape(f"{path}: bad header: norm_stats")):
             load_model(path)
 
     def test_garbage_file_rejected(self, tmp_path):
