@@ -161,6 +161,11 @@ def _prepare_scored(path: str, model, has_labels: bool) -> dt.TimeSeriesDataset:
 def cmd_generate(args, cfg: RunConfig, out: Path) -> None:
     seed = cfg.get("run", "seed")
     g = cfg.values["generate"]
+    # a nan anomaly_magnitude stands for each anomaly kind's default magnitude
+    for key, bad in (("noise", not np.isfinite(g["noise"])),
+                     ("anomaly_magnitude", np.isinf(g["anomaly_magnitude"]))):
+        if bad:
+            raise CliError(f"[generate] {key} must be finite: {g[key]}")
     for key, least in (("n_steps", 100), ("n_channels", 2), ("n_anomalies", 0), ("noise", 0),
                        ("anomaly_length", 1)):
         if not g[key] >= least:

@@ -5,6 +5,12 @@ the "forward pass" happens at construction time and every intermediate is
 cached on its node. ``backward`` then walks the graph once in reverse
 topological order and accumulates gradients with the chain rule.
 
+Each node records whether it needs a gradient (``needs_grad``): a
+``Parameter`` does, a ``constant`` does not, and an operation's result does
+iff one of its inputs does. ``backward`` gives a grad array only to the
+nodes that need one, and every backward closure skips the input gradients
+of operands that need none (a constant input batch, window or context).
+
 Supported operations: add, multiply (both broadcasting), matmul, tanh,
 sigmoid, exp, log, sum, mean, slicing, concat, reshape, inverted dropout
 (drawn iff an rng is passed) and 1-D "same" convolution over the time axis
@@ -14,8 +20,9 @@ primitives (about 16 nodes). Two fused nodes have a hand-written backward, becau
 primitives they replace are mostly Python overhead on small arrays:
 ``lstm_sequence`` runs an LSTM layer over a whole sequence (backpropagation
 through time), and ``coupling_inverse`` is the inverse of one affine coupling
-layer (conditioner net, scale, shift, log-det; ~40 nodes). The values and
-gradients of each equal those of the composition it replaces.
+layer (conditioner net, scale, shift, log-det; ~40 nodes), whose dropout
+masks the caller draws and passes in. The values and gradients of each equal
+those of the composition it replaces.
 
 ``pack`` moves a list of parameters into one contiguous value buffer and one
 gradient buffer: each ``value`` and ``grad`` becomes a view, ``backward``
@@ -55,17 +62,20 @@ class Node:
     """One value in the computation graph.
 
     ``grad`` is None until ``backward`` reaches the node (a Parameter's is
-    a zero array from the start), then it has the shape of ``value``;
-    ``parents`` are the inputs of ``op`` in order. Leaves have no parents.
+    a zero array from the start), then it has the shape of ``value``; it
+    stays None for a node whose ``needs_grad`` is False, that is, one that
+    no Parameter feeds. ``parents`` are the inputs of ``op`` in order.
+    Leaves have no parents.
     """
 
-    __slots__ = ("value", "grad", "op", "parents", "_backward")
+    __slots__ = ("value", "grad", "op", "parents", "needs_grad", "_backward")
 
     def __init__(self, value, op: str = "leaf", parents: Sequence["Node"] = ()):
         self.value = _as_array(value)
         self.grad = None
         self.op = op
         self.parents = tuple(parents)
+        self.needs_grad = any(p.needs_grad for p in self.parents)
         # takes the node itself instead of closing over it: a graph then has
         # no reference cycle and is freed as soon as it is unreachable
         self._backward: Callable[[Node], None] | None = None
@@ -86,6 +96,7 @@ class Parameter(Node):
     def __init__(self, value, name: str):
         super().__init__(value, op="param")
         self.grad = np.zeros_like(self.value)
+        self.needs_grad = True
         self.name = name
 
     def __repr__(self):
@@ -138,8 +149,10 @@ def add(a: Node, b: Node) -> Node:
     out = Node(value, "add", (a, b))
 
     def backward(out):
-        a.grad += _unbroadcast(out.grad, a.value.shape)
-        b.grad += _unbroadcast(out.grad, b.value.shape)
+        if a.needs_grad:
+            a.grad += _unbroadcast(out.grad, a.value.shape)
+        if b.needs_grad:
+            b.grad += _unbroadcast(out.grad, b.value.shape)
 
     out._backward = backward
     return out
@@ -153,8 +166,10 @@ def sub(a: Node, b: Node) -> Node:
     out = Node(value, "sub", (a, b))
 
     def backward(out):
-        a.grad += _unbroadcast(out.grad, a.value.shape)
-        b.grad -= _unbroadcast(out.grad, b.value.shape)
+        if a.needs_grad:
+            a.grad += _unbroadcast(out.grad, a.value.shape)
+        if b.needs_grad:
+            b.grad -= _unbroadcast(out.grad, b.value.shape)
 
     out._backward = backward
     return out
@@ -178,8 +193,10 @@ def mul(a: Node, b: Node) -> Node:
     out = Node(value, "mul", (a, b))
 
     def backward(out):
-        a.grad += _unbroadcast(out.grad * b.value, a.value.shape)
-        b.grad += _unbroadcast(out.grad * a.value, b.value.shape)
+        if a.needs_grad:
+            a.grad += _unbroadcast(out.grad * b.value, a.value.shape)
+        if b.needs_grad:
+            b.grad += _unbroadcast(out.grad * a.value, b.value.shape)
 
     out._backward = backward
     return out
@@ -191,8 +208,10 @@ def matmul(a: Node, b: Node) -> Node:
     out = Node(a.value @ b.value, "matmul", (a, b))
 
     def backward(out):
-        a.grad += out.grad @ b.value.T
-        b.grad += a.value.T @ out.grad
+        if a.needs_grad:
+            a.grad += out.grad @ b.value.T
+        if b.needs_grad:
+            b.grad += a.value.T @ out.grad
 
     out._backward = backward
     return out
@@ -291,6 +310,8 @@ def concat(nodes: Sequence[Node], axis: int = 0) -> Node:
 
     def backward(out):
         for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if not node.needs_grad:
+                continue
             idx = [slice(None)] * out.grad.ndim
             idx[axis] = slice(lo, hi)
             node.grad += out.grad[tuple(idx)]
@@ -355,12 +376,16 @@ def conv1d(x: Node, weight: Node, bias: Node) -> Node:
     def backward(out):
         g = out.grad
         g_rows = g.reshape(-1, n_out)
-        grad_padded = np.zeros_like(padded)
+        grad_padded = np.zeros_like(padded) if x.needs_grad else None
         for k in range(kernel):
-            weight.grad[k] += padded[:, k : k + n_time].reshape(-1, n_in).T @ g_rows
-            grad_padded[:, k : k + n_time] += g @ weight.value[k].T
-        x.grad += grad_padded[:, left : left + n_time]
-        bias.grad += g.sum(axis=0).sum(axis=0)
+            if weight.needs_grad:
+                weight.grad[k] += padded[:, k : k + n_time].reshape(-1, n_in).T @ g_rows
+            if x.needs_grad:
+                grad_padded[:, k : k + n_time] += g @ weight.value[k].T
+        if x.needs_grad:
+            x.grad += grad_padded[:, left : left + n_time]
+        if bias.needs_grad:
+            bias.grad += g.sum(axis=0).sum(axis=0)
 
     out._backward = backward
     return out
@@ -453,11 +478,13 @@ def lstm_sequence(steps: Node, state: Node, weight: Node, bias: Node) -> Node:
             bias.grad += d_gates.sum(axis=0)
             weight.grad += xh[t].T @ d_gates
             d_xh = d_gates @ weight.value.T
-            steps.grad[t] += d_xh[:, :n_in]
+            if steps.needs_grad:
+                steps.grad[t] += d_xh[:, :n_in]
             dh_carry = d_xh[:, n_in:]
             dc_carry = dc * f_gate[t]
-        state.grad[:, :hidden] += dh_carry
-        state.grad[:, hidden:] += dc_carry
+        if state.needs_grad:
+            state.grad[:, :hidden] += dh_carry
+            state.grad[:, hidden:] += dc_carry
 
     out._backward = backward
     return out
@@ -470,8 +497,7 @@ def coupling_inverse(
     head_w: Node,
     head_b: Node,
     scale_cap: Node,
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
+    masks: Sequence[np.ndarray] | None = None,
     swap: bool = False,
 ) -> Node:
     """Data-to-base pass of one affine coupling layer as a single node.
@@ -480,9 +506,10 @@ def coupling_inverse(
     (batch, dim), or (batch, dim + 1) when its last column carries the
     running log-det of the layers inverted before. The first half ``x1``
     passes through. The conditioner runs on ``x1`` concatenated with
-    ``context``: ``h = tanh(h @ w + b)`` per hidden layer, each followed by
-    inverted dropout when ``dropout_rate`` > 0 (masks drawn from ``rng`` in
-    layer order), then ``raw = h @ head_w + head_b``. With
+    ``context``: ``h = tanh(h @ w + b)`` per hidden layer, each multiplied by
+    its inverted-dropout mask when ``masks`` (one (batch, width) array of 0
+    and 1/(1 - rate) per hidden layer, drawn by the caller) is given, then
+    ``raw = h @ head_w + head_b``. With
     ``log_scale = scale_cap * tanh(raw[:, :half])`` and
     ``shift = raw[:, half:]``, the second half becomes
     ``u2 = (x2 - shift) * exp(-log_scale)``.
@@ -490,7 +517,9 @@ def coupling_inverse(
     Returns (batch, dim + 1): ``[x1 | u2]`` (``[u2 | x1]`` with ``swap``),
     then the running log-det plus ``-log_scale.sum(axis=1)``. Values and
     gradients, the context's included, equal those of the same composition
-    of primitives.
+    of primitives. ``x`` and ``context`` may be constants (``needs_grad``
+    False), and the backward then skips their gradients; the weights are
+    Parameters.
     """
     xv = x.value
     half = scale_cap.value.shape[0]
@@ -498,60 +527,71 @@ def coupling_inverse(
     chained = xv.shape[1] == dim + 1
     x1, x2 = xv[:, :half], xv[:, half:dim]
     h = x1 if context is None else np.concatenate([x1, context.value], axis=1)
-    inputs, acts, masks = [], [], []
-    for w, b in hidden:
+    inputs, acts = [], []
+    for (w, b), mask in zip(hidden, masks or [None] * len(hidden)):
         inputs.append(h)
-        t = np.tanh(h @ w.value + b.value)
-        acts.append(t)
-        mask = None
-        if dropout_rate > 0.0:
-            mask = (rng.random(t.shape) >= dropout_rate) / (1.0 - dropout_rate)
-            t = t * mask
-        masks.append(mask)
-        h = t
-    raw = h @ head_w.value + head_b.value
+        t = h @ w.value
+        t += b.value
+        acts.append(np.tanh(t, out=t))
+        h = t if mask is None else t * mask
+    raw = h @ head_w.value
+    raw += head_b.value
     scale = np.tanh(raw[:, :half])
+    diff = np.subtract(x2, raw[:, half:], out=raw[:, half:])
     log_scale = scale_cap.value * scale
-    diff = x2 - raw[:, half:]
-    inv_scale = np.exp(-log_scale)
-    u2 = diff * inv_scale
-    log_det = -log_scale.sum(axis=1)
+    log_det = log_scale.sum(axis=1)
+    np.negative(log_det, out=log_det)
+    inv_scale = np.exp(np.negative(log_scale, out=log_scale), out=log_scale)
     value = np.empty((xv.shape[0], dim + 1))
-    first, second = (u2, x1) if swap else (x1, u2)
-    value[:, :half] = first
-    value[:, half:dim] = second
-    value[:, dim] = xv[:, dim] + log_det if chained else log_det
+    u2_cols, x1_cols = slice(0, half), slice(half, dim)
+    if not swap:
+        u2_cols, x1_cols = x1_cols, u2_cols
+    value[:, x1_cols] = x1
+    np.multiply(diff, inv_scale, out=value[:, u2_cols])
+    if chained:
+        np.add(xv[:, dim], log_det, out=value[:, dim])
+    else:
+        value[:, dim] = log_det
     parents = [x] + ([] if context is None else [context])
     for w, b in hidden:
         parents.extend([w, b])
     out = Node(value, "coupling", parents + [head_w, head_b, scale_cap])
+    grad_x, grad_context = x.needs_grad, context is not None and context.needs_grad
 
     def backward(out):
         g = out.grad
         g_log_det = g[:, dim]
-        g_u2, g_x1 = (g[:, :half], g[:, half:dim]) if swap else (g[:, half:dim], g[:, :half])
+        g_u2, g_x1 = g[:, u2_cols], g[:, x1_cols]
         g_diff = g_u2 * inv_scale
-        g_log_scale = -g_log_det[:, None] - g_u2 * diff * inv_scale
-        scale_cap.grad += (g_log_scale * scale).sum(axis=0)
-        g_raw = np.concatenate(
-            [g_log_scale * scale_cap.value * (1.0 - scale * scale), -g_diff], axis=1)
-        head_b.grad += g_raw.sum(axis=0)
+        g_log_scale = g_u2 * diff
+        g_log_scale *= inv_scale
+        np.subtract(-g_log_det[:, None], g_log_scale, out=g_log_scale)
+        # np.add.reduce is ndarray.sum without its Python-level wrapper
+        scale_cap.grad += np.add.reduce(g_log_scale * scale, axis=0)
+        g_raw = np.empty((g.shape[0], dim))
+        np.multiply(g_log_scale, scale_cap.value, out=g_raw[:, :half])
+        g_raw[:, :half] *= 1.0 - scale * scale
+        np.negative(g_diff, out=g_raw[:, half:])
+        head_b.grad += np.add.reduce(g_raw, axis=0)
         head_w.grad += h.T @ g_raw
         g_h = g_raw @ head_w.value.T
-        for (w, b), h_in, t, mask in zip(hidden[::-1], inputs[::-1], acts[::-1], masks[::-1]):
-            if mask is not None:
-                g_h = g_h * mask
-            g_pre = g_h * (1.0 - t * t)
-            b.grad += g_pre.sum(axis=0)
-            w.grad += h_in.T @ g_pre
-            g_h = g_pre @ w.value.T
-        if context is not None:
+        for j in reversed(range(len(hidden))):
+            w, b = hidden[j]
+            if masks:
+                g_h *= masks[j]
+            slope = acts[j] * acts[j]
+            g_h *= np.subtract(1.0, slope, out=slope)
+            b.grad += np.add.reduce(g_h, axis=0)
+            w.grad += inputs[j].T @ g_h
+            if j > 0 or grad_x or grad_context:
+                g_h = g_h @ w.value.T
+        if grad_context:
             context.grad += g_h[:, half:]
-            g_h = g_h[:, :half]
-        x.grad[:, :half] += g_x1 + g_h
-        x.grad[:, half:dim] += g_diff
-        if chained:
-            x.grad[:, dim] += g_log_det
+        if grad_x:
+            x.grad[:, :half] += g_x1 + g_h[:, :half]
+            x.grad[:, half:dim] += g_diff
+            if chained:
+                x.grad[:, dim] += g_log_det
 
     out._backward = backward
     return out
@@ -561,22 +601,29 @@ def coupling_inverse(
 
 
 def _topo_order(root: Node) -> list[Node]:
-    """Iterative post-order DFS; safe for long sequential graphs."""
+    """Iterative post-order DFS; safe for long sequential graphs. A leaf
+    parent is appended as soon as it is met rather than pushed on the stack:
+    only the leaves move in the order, and they have no backward."""
     order: list[Node] = []
-    visited: set[int] = set()
+    visited: set[Node] = set()  # a Node hashes by identity
     stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for parent in node.parents:
-            if id(parent) not in visited:
+            if parent in visited:
+                continue
+            if parent.parents:
                 stack.append((parent, False))
+            else:
+                visited.add(parent)
+                order.append(parent)
     return order
 
 
@@ -587,19 +634,22 @@ def backward(root: Node) -> None:
     receives the sum of all its contributions. A Parameter's ``grad`` is
     zeroed and accumulated in place (in its view of the gradient buffer once
     packed), so the next ``backward`` overwrites it, and a parameter the
-    graph does not reach keeps its old ``grad``; every other node gets a new
-    array.
+    graph does not reach keeps its old ``grad``; every other node that
+    needs a gradient gets a new array, and one that needs none (a constant
+    and everything computed from constants only) keeps ``grad`` None.
     """
     if root.value.size != 1:
         raise ValueError(f"backward requires a scalar root, got shape {root.value.shape}")
+    if not root.needs_grad:
+        return
     order = _topo_order(root)
     for node in order:
         if isinstance(node, Parameter):
             node.grad.fill(0.0)
-        else:
+        elif node.needs_grad:
             node.grad = np.zeros_like(node.value)
     root.grad.fill(1.0)
     for node in reversed(order):
-        if node._backward is not None:
+        if node._backward is not None and node.needs_grad:
             node._backward(node)
 

@@ -12,14 +12,17 @@ The detector runs only the data-to-base direction: ``CouplingLayer.inverse``
 is one fused node per layer, and ``FlowModel.latent_nodes`` chains them. The
 base-to-data direction is a test reference (``composed_forward`` in
 ``tests/helpers.py``), not part of the package. Dropout is drawn iff an rng
-is passed. ``dense`` initializes every trainable layer, the encoders' too.
+is passed, once per pass: one ``rng.random`` call draws the masks of every
+hidden layer of every coupling layer, the same doubles in the same order as
+one draw per hidden layer. ``dense`` initializes every trainable layer, the
+encoders' too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from typing import ClassVar
 
 import numpy as np
@@ -142,19 +145,19 @@ class CouplingLayer:
     def parameters(self) -> list[Parameter]:
         return [*chain(*self.hidden), self.head_w, self.head_b, self.scale_cap]
 
-    def inverse(self, x: Node, context: Node | None, rng: np.random.Generator | None = None,
+    def inverse(self, x: Node, context: Node | None, masks: list[np.ndarray] | None = None,
                 swap: bool = False) -> Node:
         """Data-to-base direction as one fused node (``dc.coupling_inverse``),
-        with dropout in the conditioner net iff ``rng`` is given.
+        with the inverted-dropout ``masks`` of the conditioner net's hidden
+        layers, one (batch, width) array each, when given.
 
         ``x`` is (batch, dim), or (batch, dim + 1) with a running log-det in
         its last column. Returns (batch, dim + 1): the transformed points
         (halves swapped when ``swap``), then the running log-det plus this
         layer's, which is the negated forward one."""
         self._check(x, context, (self.dim, self.dim + 1))
-        rate = 0.0 if rng is None else self.cfg.dropout
         return dc.coupling_inverse(x, context, self.hidden, self.head_w, self.head_b,
-                                   self.scale_cap, rate, rng, swap)
+                                   self.scale_cap, masks, swap)
 
     def _check(self, points: Node, context: Node | None, widths: tuple[int, ...]):
         if points.value.ndim != 2 or points.value.shape[1] not in widths:
@@ -210,15 +213,38 @@ class FlowModel:
         ``points`` is (batch, dim); ``context`` is (batch, context_dim), a
         Node when gradients must flow into an encoder. The same context row
         conditions every layer of the stack. Dropout is drawn iff ``rng`` is
-        given.
+        given (``_dropout_masks``). A NaN in the latent raises
+        ``FlowNanError`` for the first layer of the pass that produced one:
+        a NaN stays in the points of every later layer.
         """
         x = points if isinstance(points, Node) else dc.constant(points)
         ctx = self._context_node(context)
-        for i in reversed(range(len(self.layers))):
-            x = self.layers[i].inverse(x, ctx, rng, swap=i > 0)
-            if np.isnan(x.value[:, : self.dim]).any():
-                raise FlowNanError(i)
+        order = list(reversed(range(len(self.layers))))
+        masks = (self._dropout_masks(x.value.shape[0], rng) if rng is not None
+                 else [None] * len(order))
+        outputs = []
+        for i, layer_masks in zip(order, masks):
+            x = self.layers[i].inverse(x, ctx, layer_masks, swap=i > 0)
+            outputs.append(x)
+        if np.isnan(x.value[:, : self.dim]).any():
+            raise FlowNanError(next(i for i, out in zip(order, outputs)
+                                    if np.isnan(out.value[:, : self.dim]).any()))
         return x[:, : self.dim], x[:, self.dim]
+
+    def _dropout_masks(self, batch: int, rng: np.random.Generator) -> list[list[np.ndarray]]:
+        """Inverted-dropout masks of one pass: per layer in pass order, one
+        (batch, width) view per hidden layer of a single ``rng.random`` draw
+        over all of them, kept where the draw is >= the rate and scaled by
+        1/(1 - rate)."""
+        rate = self.config.conditioner.dropout
+        widths = [w.value.shape[1] for w, _ in self.layers[0].hidden]
+        masks = rng.random(len(self.layers) * batch * sum(widths))
+        # the kept flags as 1.0 and 0.0, written over the draw
+        np.greater_equal(masks, rate, out=masks, casting="unsafe")
+        masks /= 1.0 - rate
+        bounds = [0, *accumulate(batch * width for width in widths)]
+        return [[row[lo:hi].reshape(batch, -1) for lo, hi in zip(bounds, bounds[1:])]
+                for row in masks.reshape(len(self.layers), -1)]
 
     def latent(self, points, context=None) -> tuple[np.ndarray, np.ndarray]:
         """Evaluation-mode ``latent_nodes``, plain arrays in and out."""

@@ -101,22 +101,21 @@ class AdamState:
 
     Construction packs ``params`` (``dc.pack``): ``values`` holds every
     parameter and ``grads`` every gradient, each parameter's ``value`` and
-    ``grad`` being views in list order, so ``dc.backward`` leaves the
-    gradients in ``grads``. ``m`` and ``v`` are the first and second
-    moments, aligned with ``values``.
+    ``grad`` being views, so ``dc.backward`` leaves the gradients in
+    ``grads``. The buffer holds the parameters of one size side by side,
+    the sizes in order of first appearance in ``params``. ``m`` and ``v``
+    are the first and second moments, aligned with ``values``.
     """
 
     def __init__(self, params):
         self.params = list(params)
-        self.values, self.grads = dc.pack(self.params)
         sizes = np.array([p.value.size for p in self.params], dtype=np.intp)
-        starts = np.cumsum(sizes) - sizes
-        # parameters of one size share a (count, size) gather index, so the
+        # each size group is one (count, size) block of the buffer, so the
         # per-parameter sums of the clip norm take one reduction per size
-        self.size_groups = []
-        for size in dict.fromkeys(sizes.tolist()):
-            members = np.flatnonzero(sizes == size)
-            self.size_groups.append((members, starts[members, None] + np.arange(size)))
+        self.size_groups = [(np.flatnonzero(sizes == size), size)
+                            for size in dict.fromkeys(sizes.tolist())]
+        self.values, self.grads = dc.pack(
+            [self.params[i] for members, _ in self.size_groups for i in members])
         self.step = 0
         self.m = np.zeros_like(self.values)
         self.v = np.zeros_like(self.values)
@@ -139,7 +138,8 @@ def adam_step(
     them. The NaN check, the moment and parameter updates and the finite
     check each run once over the whole buffer. The clip norm adds up
     per-parameter sums of squares in parameter order, as a loop over the
-    parameters would.
+    parameters would; each size group's sums are one reduction over its
+    block of the buffer.
     """
     g = state.grads
     if np.isnan(g).any():
@@ -149,9 +149,11 @@ def adam_step(
     if clip_norm > 0:
         squares = np.multiply(g, g, out=a)
         sums = np.empty(len(state.params))
-        for members, index in state.size_groups:
-            gathered = np.take(squares, index, out=b[: index.size].reshape(index.shape))
-            sums[members] = gathered.sum(axis=1)
+        lo = 0
+        for members, size in state.size_groups:
+            hi = lo + members.size * size
+            sums[members] = squares[lo:hi].reshape(members.size, size).sum(axis=1)
+            lo = hi
         total = np.sqrt(sum(sums.tolist()))
         if total > clip_norm:
             g = np.multiply(g, clip_norm / total, out=a)

@@ -372,17 +372,20 @@ class TestErrors:
         assert run_cli(*args) == 0
         assert dt.load_csv(tmp_path / "gen" / "test_labeled.csv").n_steps == 200
 
+    # least None: the value must be finite (a nan anomaly_magnitude is the default)
     @pytest.mark.parametrize("key,value,least", [
         ("n_anomalies", "-1", 0), ("noise", "-0.5", 0), ("n_steps", "50", 100),
-        ("n_channels", "1", 2)])
+        ("n_channels", "1", 2), ("noise", "inf", None), ("noise", "nan", None),
+        ("anomaly_magnitude", "inf", None), ("anomaly_magnitude", "-inf", None)])
     def test_generate_value_below_least_rejected(self, tmp_path, capsys, key, value, least):
+        rule = "finite" if least is None else f">= {least}"
         cfg = tmp_path / "gen.ini"
         settings = {"n_steps": 200, key: value}
         cfg.write_text("[generate]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
         code = run_cli("generate", "--config", cfg, "--out-dir", tmp_path / "gen")
         assert code == 1
         err = capsys.readouterr().err
-        assert "CliError" in err and f"[generate] {key} must be >= {least}: {value}" in err
+        assert "CliError" in err and f"[generate] {key} must be {rule}: {value}" in err
         assert not (tmp_path / "gen" / "train_clean.csv").exists()
 
     @pytest.mark.parametrize("kind", ["platform", "spike"])

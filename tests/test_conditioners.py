@@ -19,7 +19,7 @@ from tcflow.conditioners import (
     build_encoder,
     padded_context_windows,
 )
-from tcflow.flow import ConditionerConfig, FlowConfig
+from tcflow.flow import ConditionerConfig, FlowConfig, nll_loss
 from tcflow.train import _window_batches
 
 
@@ -157,6 +157,40 @@ class TestCnnEncoder:
             return dc.sum_(dc.mul(out, out))
 
         assert finite_diff_check(loss, enc.parameters(), epsilon=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("kind", ["cnn", "mlp", "lstm-stateless"])
+def test_constant_windows_get_no_gradient_and_change_no_parameter_gradient(kind, monkeypatch):
+    # the windows (and the flow's input points) are constants, whose input
+    # gradients the backward skips; made Parameters instead, they get one,
+    # and every model parameter's gradient stays the same, bit for bit
+    model = build_model_with_encoder(2, 2, EncoderConfig(kind, lookback=5, cnn_layers=2,
+                                                         mlp_layers=3, lstm_layers=2), seed=3)
+    data = np.random.default_rng(4)
+    points, windows = data.normal(size=(9, 2)), data.normal(size=(9, 5, 2))
+    constant = dc.constant
+
+    def train_step(leaf):
+        made = []
+
+        def recorded(value):
+            made.append(leaf(value))
+            return made[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dc, "constant", recorded)
+            rng = np.random.default_rng(5)
+            loss = nll_loss(model, points, model.encoder.encode_batch(windows, rng), rng)
+        return made, backward_grads(loss, model.parameters())
+
+    constants, const_grads = train_step(constant)
+    params, param_grads = train_step(lambda value: dc.Parameter(value, "input"))
+    assert len(constants) == len(params) > 0
+    assert all(node.grad is None for node in constants)
+    assert all(p.grad is not None and p.grad.shape == p.value.shape for p in params)
+    assert const_grads.keys() == param_grads.keys()
+    for name, grad in param_grads.items():
+        np.testing.assert_array_equal(const_grads[name], grad, err_msg=name)
 
 
 class TestLstmEncoder:

@@ -6,7 +6,6 @@ from helpers import (
     backward_grads,
     build_model_with_encoder,
     composed_forward,
-    composed_inverse,
     composed_latent,
     finite_diff_check,
     force_affine,
@@ -266,16 +265,41 @@ class TestFusedCoupling:
             np.testing.assert_array_equal(fused[3][name], grad, err_msg=name)
 
     def test_dropout_masks_drawn_as_by_the_composition(self):
-        model = small_flow(dim=4, n_layers=2, context_dim=2, dropout=0.5)
+        # the pass draws every mask at once; the composition draws one per
+        # hidden layer and coupling layer: the same doubles, in the same order
+        model = small_flow(dim=4, n_layers=3, context_dim=2, dropout=0.5)
         randomize_model(model, np.random.default_rng(3))
-        x = dc.constant(np.random.default_rng(4).normal(size=(9, 4)))
-        ctx = dc.constant(np.random.default_rng(5).normal(size=(9, 2)))
-        fused_rng, reference_rng = np.random.default_rng(6), np.random.default_rng(6)
-        out = model.layers[0].inverse(x, ctx, fused_rng)
-        points, log_det = composed_inverse(model.layers[0], x, ctx, reference_rng)
-        np.testing.assert_array_equal(out.value[:, :4], points.value)
-        np.testing.assert_array_equal(out.value[:, 4], log_det.value)
-        assert fused_rng.random() == reference_rng.random()
+        for batch in (9, 37):
+            x = dc.constant(np.random.default_rng(4).normal(size=(batch, 4)))
+            ctx = dc.constant(np.random.default_rng(5).normal(size=(batch, 2)))
+            fused_rng, reference_rng = np.random.default_rng(6), np.random.default_rng(6)
+            latent, log_det = model.latent_nodes(x, ctx, fused_rng)
+            points, total = composed_latent(model, x, ctx, reference_rng)
+            np.testing.assert_array_equal(latent.value, points.value)
+            np.testing.assert_array_equal(log_det.value, total.value)
+            assert fused_rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+    def test_constant_inputs_get_no_gradient_and_change_no_parameter_gradient(self, training):
+        # the same points and context as constants and as Parameters: the
+        # constants keep grad None, and every parameter gradient is equal
+        model = small_flow(dim=4, n_layers=3, context_dim=3)
+        data = np.random.default_rng(12)
+        randomize_model(model, data)
+        points, context = data.normal(size=(11, 4)), data.normal(size=(11, 3))
+        grads = []
+        for leaf in (lambda v, name: dc.constant(v), dc.Parameter):
+            x, ctx = leaf(points.copy(), "x"), leaf(context.copy(), "ctx")
+            rng = np.random.default_rng(1) if training else None
+            loss = dc.mean(dc.neg(model.log_prob_nodes(x, ctx, rng)))
+            grads.append(backward_grads(loss, model.parameters()))
+            if isinstance(x, dc.Parameter):
+                assert x.grad.any() and ctx.grad.any()
+            else:
+                assert x.grad is None and ctx.grad is None
+        assert grads[0].keys() == grads[1].keys()
+        for name, grad in grads[1].items():
+            np.testing.assert_array_equal(grads[0][name], grad, err_msg=name)
 
     def test_finite_differences_through_stack_with_mlp_encoder(self):
         rng = np.random.default_rng(21)

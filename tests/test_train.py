@@ -110,8 +110,10 @@ def _per_parameter_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=
 
 
 class TestFlatBuffer:
-    # b1 and b2 share a size: the clip norm sums them in one gathered group
-    SHAPES = {"w1": (7, 5), "b1": (5,), "w2": (5, 5), "b2": (5,), "w3": (5, 3), "cap": (3,)}
+    # b1, b2 and b4 share a size, as do w3 and w4, and neither group is
+    # adjacent in the list: the buffer holds each group in one block
+    SHAPES = {"w1": (7, 5), "b1": (5,), "w2": (5, 5), "b2": (5,), "w3": (5, 3), "cap": (3,),
+              "w4": (3, 5), "b4": (5,)}
 
     def _pair(self):
         rng = np.random.default_rng(0)
@@ -119,6 +121,13 @@ class TestFlatBuffer:
         flat = [dc.Parameter(values[name].copy(), name) for name in self.SHAPES]
         loop = [dc.Parameter(values[name].copy(), name) for name in self.SHAPES]
         return flat, loop
+
+    @staticmethod
+    def _moment(state, moment, p):
+        """``p``'s entries of ``moment`` (``state.m`` or ``state.v``), found at
+        the offset of ``p.value`` in ``state.values``."""
+        start = (p.value.ctypes.data - state.values.ctypes.data) // state.values.itemsize
+        return moment[start : start + p.value.size].reshape(p.value.shape)
 
     @staticmethod
     def _assert_one_buffer(params):
@@ -148,8 +157,9 @@ class TestFlatBuffer:
             for a, b in zip(flat, loop):
                 np.testing.assert_array_equal(a.value, b.value, err_msg=f"{a.name} step {t}")
         assert 0 < clipped < 20
-        np.testing.assert_array_equal(state.m, np.concatenate([m[p.name].ravel() for p in flat]))
-        np.testing.assert_array_equal(state.v, np.concatenate([v[p.name].ravel() for p in flat]))
+        for p in flat:
+            np.testing.assert_array_equal(self._moment(state, state.m, p), m[p.name], p.name)
+            np.testing.assert_array_equal(self._moment(state, state.v, p), v[p.name], p.name)
 
     def test_gradients_from_backward_are_views_of_the_buffer(self):
         flat, loop = self._pair()
@@ -157,10 +167,11 @@ class TestFlatBuffer:
         x = dc.constant(np.random.default_rng(2).normal(size=(4, 7)))
 
         def loss(params):
-            w1, b1, w2, b2, w3, cap = params
+            w1, b1, w2, b2, w3, cap, w4, b4 = params
             h = dc.tanh(dc.add(dc.matmul(x, w1), b1))
             h = dc.tanh(dc.add(dc.matmul(h, w2), b2))
-            return dc.sum_(dc.mul(dc.matmul(h, w3), cap))
+            h = dc.tanh(dc.mul(dc.matmul(h, w3), cap))
+            return dc.sum_(dc.add(dc.matmul(h, w4), b4))
 
         m = {p.name: np.zeros_like(p.value) for p in loop}
         v = {p.name: np.zeros_like(p.value) for p in loop}
