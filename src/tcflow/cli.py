@@ -110,9 +110,6 @@ class RunConfig:
         except ValueError:
             raise CliError(f"bad value for [{section}] {key}: {raw!r}") from None
 
-    def get(self, section: str, key: str):
-        return self.values[section][key]
-
     def write(self, path) -> None:
         parser = configparser.ConfigParser()
         for section, keys in self.values.items():
@@ -129,7 +126,7 @@ class RunConfig:
         return flow_config(self.values["flow"])
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(seed=self.get("run", "seed"), **self.values["train"])
+        return TrainConfig(seed=self.values["run"]["seed"], **self.values["train"])
 
 
 def _build_config(args) -> RunConfig:
@@ -144,22 +141,27 @@ def _build_config(args) -> RunConfig:
     return cfg
 
 
+def _metric_window(cfg: RunConfig) -> int | None:
+    """``[metrics] window``: None for -1 (infer the median labeled-range
+    length), else the width itself, which must be >= 0."""
+    window = cfg.values["metrics"]["window"]
+    if window < -1:
+        raise CliError(f"[metrics] window must be -1 (infer) or >= 0: {window}")
+    return None if window == -1 else window
+
+
 def _method(cfg: RunConfig) -> str:
-    method = cfg.get("run", "method")
+    method = cfg.values["run"]["method"]
     if method not in METHODS:
         raise CliError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
     return method
-
-
-def _prepare_scored(path: str, model, has_labels: bool) -> dt.TimeSeriesDataset:
-    return dt.prepare(dt.load_csv(path, has_labels=has_labels), model.norm_stats)
 
 
 # -- commands -----------------------------------------------------------------
 
 
 def cmd_generate(args, cfg: RunConfig, out: Path) -> None:
-    seed = cfg.get("run", "seed")
+    seed = cfg.values["run"]["seed"]
     g = cfg.values["generate"]
     # a nan anomaly_magnitude stands for each anomaly kind's default magnitude
     for key, bad in (("noise", not np.isfinite(g["noise"])),
@@ -220,7 +222,7 @@ def cmd_train(args, cfg: RunConfig, out: Path) -> None:
     encoder_cfg = cfg.encoder_config(method)
     model, report = train_model(
         ds, encoder_cfg, cfg.flow_config(), cfg.train_config(),
-        model_id=f"{method}-seed{cfg.get('run', 'seed')}",
+        model_id=f"{method}-seed{cfg.values['run']['seed']}",
     )
     save_model(model, out / "model.tcf")
     report.to_csv(out / "train_report.csv")
@@ -230,7 +232,7 @@ def cmd_train(args, cfg: RunConfig, out: Path) -> None:
 
 def cmd_score(args, cfg: RunConfig, out: Path) -> None:
     model = load_model(args.model)
-    ds = _prepare_scored(args.data, model, has_labels=args.labeled)
+    ds = dt.prepare(dt.load_csv(args.data, has_labels=args.labeled), model.norm_stats)
     series = score_series(model, ds)
     series.to_csv(out / "scores.csv", labels=ds.labels)
     if args.svg:
@@ -239,13 +241,13 @@ def cmd_score(args, cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_evaluate(args, cfg: RunConfig, out: Path) -> None:
+    window = _metric_window(cfg)
     series, labels = load_score_csv(args.scores)
     if labels is None:
         if not args.data:
             raise CliError("scores file has no labels; pass --data with a labeled csv")
         labels = dt.load_csv(args.data, has_labels=True).labels
-    window = cfg.get("metrics", "window")
-    if window < 0:
+    if window is None:
         window = mx.infer_metric_window(labels)
     scores = series.scores
     auc = mx.auc_roc(scores, labels)
@@ -274,13 +276,12 @@ def cmd_search(args, cfg: RunConfig, out: Path) -> None:
             raise CliError(f"[search] {key} must be >= 1: {s[key]}")
     train_ds = dt.load_csv(args.train)
     labeled = dt.load_csv(args.labeled, has_labels=True) if args.labeled else None
-    window = cfg.get("metrics", "window")
     candidate_cfg = TrainConfig(**dict(cfg.values["train"], epochs=s["candidate_epochs"],
                                        patience=CANDIDATE_PATIENCE))
     result = run_search(
         train_ds, labeled, method, s["objective"], s["budget"],
-        seed=cfg.get("run", "seed"),
-        metric_window=None if window < 0 else window,
+        seed=cfg.values["run"]["seed"],
+        metric_window=_metric_window(cfg),
         candidate_cfg=candidate_cfg,
         final_epochs=s["final_epochs"],
         lookback_max=s["lookback_max"],
@@ -294,7 +295,7 @@ def cmd_search(args, cfg: RunConfig, out: Path) -> None:
 
 def cmd_export_latent(args, cfg: RunConfig, out: Path) -> None:
     model = load_model(args.model)
-    ds = _prepare_scored(args.data, model, has_labels=args.labeled)
+    ds = dt.prepare(dt.load_csv(args.data, has_labels=args.labeled), model.norm_stats)
     export_latent(model, ds, out / "latent.csv")
     print(f"latent representation written to {out / 'latent.csv'}")
 
@@ -394,7 +395,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _build_config(args)
-        out = Path(cfg.get("run", "out_dir"))
+        out = Path(cfg.values["run"]["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
         args.func(args, cfg, out)
         cfg.write(out / f"resolved-{args.command}.ini")

@@ -2,8 +2,10 @@
 
 Graphs are built eagerly: creating a node computes its value immediately, so
 the "forward pass" happens at construction time and every intermediate is
-cached on its node. ``backward`` then walks the graph once in reverse
-topological order and accumulates gradients with the chain rule.
+cached on its node. An operation's node is created after its inputs, so
+creation order (``Node.seq``) is a topological order: ``backward`` walks the
+nodes the root reaches once in reverse creation order and accumulates
+gradients with the chain rule.
 
 Each node records whether it needs a gradient (``needs_grad``): a
 ``Parameter`` does, a ``constant`` does not, and an operation's result does
@@ -37,6 +39,8 @@ workers.
 
 from __future__ import annotations
 
+from itertools import count
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,6 +53,9 @@ class ShapeError(ValueError):
         super().__init__(f"{op}: incompatible shapes {' and '.join(str(s) for s in shapes)}")
         self.op = op
         self.shapes = shapes
+
+
+_creation = count()  # numbers every node of the process (``Node.seq``)
 
 
 def _as_array(value) -> np.ndarray:
@@ -65,12 +72,13 @@ class Node:
     a zero array from the start), then it has the shape of ``value``; it
     stays None for a node whose ``needs_grad`` is False, that is, one that
     no Parameter feeds. ``parents`` are the inputs of ``op`` in order.
-    Leaves have no parents.
+    Leaves have no parents. ``seq`` numbers the nodes in creation order.
     """
 
-    __slots__ = ("value", "grad", "op", "parents", "needs_grad", "_backward")
+    __slots__ = ("value", "grad", "op", "parents", "needs_grad", "seq", "_backward")
 
     def __init__(self, value, op: str = "leaf", parents: Sequence["Node"] = ()):
+        self.seq = next(_creation)
         self.value = _as_array(value)
         self.grad = None
         self.op = op
@@ -259,12 +267,12 @@ def log(a: Node) -> Node:
     return out
 
 
-def sum_(a: Node, axis: int | None = None, keepdims: bool = False) -> Node:
-    out = Node(a.value.sum(axis=axis, keepdims=keepdims), "sum", (a,))
+def sum_(a: Node, axis: int | None = None) -> Node:
+    out = Node(a.value.sum(axis=axis), "sum", (a,))
 
     def backward(out):
         g = out.grad
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         a.grad += np.broadcast_to(g, a.value.shape)
 
@@ -272,13 +280,13 @@ def sum_(a: Node, axis: int | None = None, keepdims: bool = False) -> Node:
     return out
 
 
-def mean(a: Node, axis: int | None = None, keepdims: bool = False) -> Node:
+def mean(a: Node, axis: int | None = None) -> Node:
     n = a.value.size if axis is None else a.value.shape[axis]
-    out = Node(a.value.mean(axis=axis, keepdims=keepdims), "mean", (a,))
+    out = Node(a.value.mean(axis=axis), "mean", (a,))
 
     def backward(out):
         g = out.grad
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         a.grad += np.broadcast_to(g, a.value.shape) / n
 
@@ -601,42 +609,32 @@ def coupling_inverse(
 
 
 def _topo_order(root: Node) -> list[Node]:
-    """Iterative post-order DFS; safe for long sequential graphs. A leaf
-    parent is appended as soon as it is met rather than pushed on the stack:
-    only the leaves move in the order, and they have no backward."""
-    order: list[Node] = []
-    visited: set[Node] = set()  # a Node hashes by identity
-    stack: list[tuple[Node, bool]] = [(root, False)]
+    """Every node ``root`` reaches, ``root`` included, once each, in creation
+    order (``seq``): a topological order, as a node is created after its
+    parents."""
+    reached = {root}  # a Node hashes by identity
+    stack = [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if node in visited:
-            continue
-        visited.add(node)
-        stack.append((node, True))
-        for parent in node.parents:
-            if parent in visited:
-                continue
-            if parent.parents:
-                stack.append((parent, False))
-            else:
-                visited.add(parent)
-                order.append(parent)
-    return order
+        for parent in stack.pop().parents:
+            if parent not in reached:
+                reached.add(parent)
+                stack.append(parent)
+    return sorted(reached, key=attrgetter("seq"))
 
 
 def backward(root: Node) -> None:
     """Accumulate d(root)/d(node) over the whole graph into each ``grad``.
 
-    The root must be scalar. A value consumed by several downstream nodes
-    receives the sum of all its contributions. A Parameter's ``grad`` is
-    zeroed and accumulated in place (in its view of the gradient buffer once
-    packed), so the next ``backward`` overwrites it, and a parameter the
-    graph does not reach keeps its old ``grad``; every other node that
-    needs a gradient gets a new array, and one that needs none (a constant
-    and everything computed from constants only) keeps ``grad`` None.
+    The root must be scalar. Nodes run their backward in reverse creation
+    order, so each consumer of a node (created after it) has added its part
+    before the node passes its gradient on. A value consumed by several
+    downstream nodes receives the sum of all its contributions. A
+    Parameter's ``grad`` is zeroed and accumulated in place (in its view of
+    the gradient buffer once packed), so the next ``backward`` overwrites it,
+    and a parameter the graph does not reach keeps its old ``grad``; every
+    other node that needs a gradient gets a new array, and one that needs
+    none (a constant and everything computed from constants only) keeps
+    ``grad`` None.
     """
     if root.value.size != 1:
         raise ValueError(f"backward requires a scalar root, got shape {root.value.shape}")

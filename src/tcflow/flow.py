@@ -199,12 +199,9 @@ class FlowModel:
         return params
 
     def _context_node(self, context) -> Node | None:
-        if context is None:
-            return None
-        node = context if isinstance(context, Node) else dc.constant(context)
-        if node.value.shape[1] == 0:
-            return None
-        return node
+        if context is None or isinstance(context, Node):
+            return context
+        return dc.constant(context)
 
     def latent_nodes(self, points, context=None,
                      rng: np.random.Generator | None = None) -> tuple[Node, Node]:

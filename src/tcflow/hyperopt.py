@@ -337,8 +337,12 @@ def run_search(
     is refit at full budget and returned together with all trials."""
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    if objective == "labeled-30-70" and (labeled_eval is None or labeled_eval.labels is None):
-        raise ValueError("labeled-30-70 objective requires a labeled evaluation dataset")
+    if objective == "labeled-30-70":
+        if labeled_eval is None or labeled_eval.labels is None:
+            raise ValueError("labeled-30-70 objective requires a labeled evaluation dataset")
+        if labeled_eval.labels.all() or not labeled_eval.labels.any():
+            raise ValueError(f"labeled-30-70 objective needs both classes in the labeled evaluation "
+                             f"series; all its {labeled_eval.n_steps} labels are {labeled_eval.labels[0]:d}")
     space = space_for_method(method, lookback_max)
     opt = CmaEs(len(space), seed=seed)
     if budget < opt.lam:

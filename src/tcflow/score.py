@@ -103,13 +103,12 @@ def export_latent(model: FlowModel, ds: TimeSeriesDataset, path) -> None:
     write_table(path, header, columns)
 
 
-def write_score_svg(series: ScoreSeries, path, labels=None,
-                    width: int = 900, height: int = 240) -> None:
+def write_score_svg(series: ScoreSeries, path, labels=None) -> None:
     """Small standalone line plot of the scores with labeled ranges shaded."""
     scores = series.scores
     lo, hi = float(scores.min()), float(scores.max())
     span = hi - lo or 1.0
-    margin = 10
+    width, height, margin = 900, 240, 10
     xs = margin + (width - 2 * margin) * np.arange(scores.size) / max(1, scores.size - 1)
     ys = height - margin - (height - 2 * margin) * (scores - lo) / span
     parts = [

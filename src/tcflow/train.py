@@ -95,6 +95,8 @@ class TrainReport:
 
 # -- Adam ----------------------------------------------------------------------
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decay rates, denominator epsilon
+
 
 class AdamState:
     """Adam moments over one flat parameter buffer.
@@ -124,14 +126,7 @@ class AdamState:
         self._work = np.empty((2, self.values.size))
 
 
-def adam_step(
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    clip_norm: float = 0.0,
-) -> None:
+def adam_step(state: AdamState, lr: float, clip_norm: float = 0.0) -> None:
     """Bias-corrected Adam update in place, with optional global-norm clip.
 
     Reads the gradients from ``state.grads``, where ``dc.backward`` wrote
@@ -159,17 +154,17 @@ def adam_step(
             g = np.multiply(g, clip_norm / total, out=a)
     state.step += 1
     t = state.step
-    # the arithmetic of m += (1 - beta1) * g, v += (1 - beta2) * g * g and
-    # values -= lr * m_hat / (sqrt(v_hat) + eps), one op at a time in place
+    # the arithmetic of m += (1 - BETA1) * g, v += (1 - BETA2) * g * g and
+    # values -= lr * m_hat / (sqrt(v_hat) + EPS), one op at a time in place
     m, v = state.m, state.v
-    m *= beta1
-    m += np.multiply(g, 1.0 - beta1, out=b)
-    v *= beta2
-    v += np.multiply(np.multiply(g, 1.0 - beta2, out=b), g, out=b)
-    m_hat = np.divide(m, 1.0 - beta1**t, out=a)
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=b)
+    v *= BETA2
+    v += np.multiply(np.multiply(g, 1.0 - BETA2, out=b), g, out=b)
+    m_hat = np.divide(m, 1.0 - BETA1**t, out=a)
     m_hat *= lr
-    denominator = np.sqrt(np.divide(v, 1.0 - beta2**t, out=b), out=b)
-    denominator += eps
+    denominator = np.sqrt(np.divide(v, 1.0 - BETA2**t, out=b), out=b)
+    denominator += EPS
     state.values -= np.divide(m_hat, denominator, out=a)
     if not np.isfinite(state.values).all():
         bad = next(p for p in state.params if not np.isfinite(p.value).all())
@@ -230,8 +225,8 @@ def train_model(
     best_snapshot = None
     since_best = 0
     for epoch in range(1, train_cfg.epochs + 1):
-        train_loss = _mean_loss(model, source(True, rng), rng, adam, train_cfg)
-        val_loss = _mean_loss(model, source(False, None), None)
+        train_loss = _mean_loss(model, source(rng), rng, adam, train_cfg)
+        val_loss = _mean_loss(model, source(None), None)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise TrainingDiverged(epoch - 1)
         report.train_losses.append(train_loss)
@@ -265,11 +260,11 @@ def _mean_loss(model, batches, rng, adam=None, cfg=None) -> float:
 
 
 def _window_batches(encoder, values, lookback, train_mask, val_mask, batch_size):
-    """``batches(training, rng)`` for every encoder kind but the stateful
-    LSTM: a split's targets t >= ``lookback`` and their encoded
-    ``padded_context_windows``, shuffled in batches of ``batch_size`` in
-    training, by 4096 in order in validation (whose ``rng`` is None). An
-    empty split raises here."""
+    """``batches(rng)`` for every encoder kind but the stateful LSTM: a
+    split's targets t >= ``lookback`` and their encoded
+    ``padded_context_windows``; with an ``rng``, the training split's shuffled
+    in batches of ``batch_size`` with dropout, else the validation split's in
+    order by 4096. An empty split raises here."""
     usable = np.arange(values.shape[0]) >= lookback
     contexts = padded_context_windows(values, lookback)
     train, val = ((values[mask & usable], contexts[mask & usable])
@@ -277,10 +272,10 @@ def _window_batches(encoder, values, lookback, train_mask, val_mask, batch_size)
     if len(train[0]) == 0 or len(val[0]) == 0:
         raise DataError("split left an empty train or validation window set")
 
-    def batches(training, rng):
-        targets, windows = train if training else val
-        size = batch_size if training else 4096
-        order = rng.permutation(len(targets)) if training else np.arange(len(targets))
+    def batches(rng):
+        targets, windows = val if rng is None else train
+        size = 4096 if rng is None else batch_size
+        order = np.arange(len(targets)) if rng is None else rng.permutation(len(targets))
         for lo in range(0, len(targets), size):
             pick = order[lo : lo + size]
             yield targets[pick], encoder.encode_batch(windows[pick], rng)
@@ -289,11 +284,12 @@ def _window_batches(encoder, values, lookback, train_mask, val_mask, batch_size)
 
 
 def _chunk_batches(encoder, values, train_mask, val_mask):
-    """``batches(training, rng)`` for the stateful LSTM: per chunk of
-    ``StatefulLstmEncoder.walk``, its targets in the split and their contexts."""
+    """``batches(rng)`` for the stateful LSTM: per chunk of ``StatefulLstmEncoder.walk``,
+    its targets in the training split with an ``rng`` (dropout on), else in the
+    validation split, and their contexts."""
 
-    def batches(training, rng):
-        mask = train_mask if training else val_mask
+    def batches(rng):
+        mask = val_mask if rng is None else train_mask
         for span, contexts in encoder.walk(values, rng):
             pick = mask[span]
             if pick.any():

@@ -388,6 +388,26 @@ class TestErrors:
         assert "CliError" in err and f"[generate] {key} must be {rule}: {value}" in err
         assert not (tmp_path / "gen" / "train_clean.csv").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "search"])
+    @pytest.mark.parametrize("window", [-2, -7])
+    def test_metric_window_below_minus_one_rejected(self, generated, tmp_path, capsys,
+                                                    command, window):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("t,score,label\n0,0.1,0\n1,0.9,1\n2,0.2,0\n3,0.8,1\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[search]\ncandidate_epochs = 1\nfinal_epochs = 1\n")
+        inputs = {
+            "evaluate": ("--scores", scores),
+            "search": ("--train", generated / "train_clean.csv",
+                       "--labeled", generated / "train_labeled.csv", "--config", cfg),
+        }[command]
+        out = tmp_path / "out"
+        code = run_cli(command, *inputs, "--metric-window", window, "--out-dir", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "CliError" in err and f"[metrics] window must be -1 (infer) or >= 0: {window}" in err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("kind", ["platform", "spike"])
     @pytest.mark.parametrize("length", [0, -3])
     def test_anomaly_length_below_one_rejected(self, tmp_path, capsys, kind, length):

@@ -75,6 +75,68 @@ def test_value_used_twice_accumulates_both_contributions():
     np.testing.assert_allclose(p.grad, 7.0)
 
 
+def _reached(root):
+    """Reference reachability: ``root`` and every ancestor, by identity."""
+    seen = {}
+
+    def visit(node):
+        if id(node) not in seen:
+            seen[id(node)] = node
+            for parent in node.parents:
+                visit(parent)
+
+    visit(root)
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_topo_order_is_a_creation_ordered_walk_of_the_reachable_graph(data):
+    # a random DAG over Parameters and constants: ops drawn on any earlier
+    # node (shared inputs, diamonds), a hub node consumed four times, and
+    # nodes built between the others that the root does not use; at most 10
+    # ops on leaves in [-0.25, 0.25] keep every value and gradient finite
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pool = [dc.Parameter(rng.uniform(-0.25, 0.25, 2), f"p{i}")
+            for i in range(data.draw(st.integers(1, 3)))]
+    pool += [dc.constant(rng.uniform(-0.25, 0.25, 2)) for _ in range(data.draw(st.integers(0, 2)))]
+    unused = []
+    pick = st.integers(0, 10**6)
+    for _ in range(data.draw(st.integers(0, 10))):
+        kind = data.draw(st.sampled_from(["add", "mul", "tanh", "neg"]))
+        a, b = (pool[data.draw(pick) % len(pool)] for _ in range(2))
+        node = dc.add(a, b) if kind == "add" else dc.mul(a, b) if kind == "mul" else (
+            dc.tanh(a) if kind == "tanh" else dc.neg(a))
+        (unused if data.draw(st.booleans()) else pool).append(node)
+    hub = pool[data.draw(pick) % len(pool)]
+    pool += [dc.tanh(hub), dc.neg(hub), dc.mul(hub, hub)]
+    unused.append(dc.tanh(hub))
+    # the root sums a subset of the pool that holds the hub's consumers, plus
+    # a scalar Parameter q added to itself k times (so dq = k)
+    used = pool[-3:] + [n for n in pool[:-3] if data.draw(st.booleans())]
+    total = dc.sum_(used[0])
+    for node in used[1:]:
+        total = dc.add(total, dc.sum_(node))
+    k = data.draw(st.integers(1, 6))
+    q = dc.Parameter(0.5, "q")
+    q_sum = q
+    for _ in range(k - 1):
+        q_sum = dc.add(q_sum, q)
+    root = dc.add(total, q_sum)
+
+    order = dc._topo_order(root)
+    position = {id(node): i for i, node in enumerate(order)}
+    assert len(position) == len(order)
+    assert position.keys() == _reached(root).keys()
+    for node in order:
+        assert all(position[id(p)] < position[id(node)] for p in node.parents)
+    assert not any(id(node) in position for node in unused)
+    assert order[-1] is root
+
+    dc.backward(root)
+    assert q.grad == k
+
+
 def test_broadcast_add_bias_gradient_sums_over_batch():
     x = dc.constant(np.ones((4, 3)))
     b = dc.Parameter(np.zeros(3), "b")

@@ -291,6 +291,29 @@ class TestRunSearch:
                        lookback_max=8)
         assert calls == []
 
+    @pytest.mark.parametrize("label", [False, True])
+    def test_one_class_labeled_series_rejected_before_any_candidate_trains(
+            self, monkeypatch, label):
+        import tcflow.hyperopt as hyperopt
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return train_model(*args, **kwargs)
+
+        monkeypatch.setattr(hyperopt, "train_model", counted)
+        monkeypatch.setenv("TCFLOW_WORKERS", "1")
+        train, labeled = self._datasets()
+        labeled.labels = np.full(labeled.n_steps, label)
+        message = (f"needs both classes in the labeled evaluation series; "
+                   f"all its 260 labels are {int(label)}")
+        with pytest.raises(ValueError, match=message):
+            run_search(train, labeled, "tcnf-base", "labeled-30-70", budget=9, seed=0,
+                       candidate_cfg=TrainConfig(epochs=1, patience=1), final_epochs=1,
+                       lookback_max=8)
+        assert calls == []
+
     @pytest.mark.parametrize("workers", ["abc", "0", "-2"])
     def test_bad_worker_count_rejected_before_any_candidate_trains(self, monkeypatch, workers):
         import tcflow.hyperopt as hyperopt

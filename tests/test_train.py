@@ -390,8 +390,8 @@ class TestBatchedRows:
         raw = SimpleNamespace(encode_batch=lambda windows, rng: windows)
         batches = _window_batches(raw, ds.values, lookback, *masks, batch_size=ds.n_steps)
         in_order = SimpleNamespace(permutation=np.arange)
-        (train,) = batches(True, in_order)
-        (val,) = batches(False, None)
+        (train,) = batches(in_order)
+        (val,) = batches(None)
         want = reference_window_rows(ds.values, lookback, train_idx, val_idx)
         for rows, expected in zip(train + val, want):
             np.testing.assert_array_equal(rows, expected)
@@ -445,7 +445,7 @@ class TestStatefulChunks:
         val = np.zeros(n_steps, dtype=bool)
         val[7:] = True
         batches = _chunk_batches(model.encoder, values, ~val, val)
-        val_loss = _mean_loss(model, batches(False, None), None)
+        val_loss = _mean_loss(model, batches(None), None)
         expected = float(self._per_row_nll(model, stream, values, val).value)
         np.testing.assert_allclose(val_loss, expected, rtol=1e-12, atol=0)
 
