@@ -24,7 +24,7 @@ import numpy as np
 from . import data as dt
 from . import metrics as mx
 from .conditioners import EncoderConfig
-from .flow import ConditionerConfig, FlowConfig
+from .flow import ConditionerConfig, FlowConfig, check_ranges
 from .hyperopt import (
     CANDIDATE_EPOCHS,
     CANDIDATE_PATIENCE,
@@ -80,6 +80,24 @@ DEFAULTS = {
     "metrics": {"window": -1},
 }
 
+# Inclusive bounds by section and key: [flow], [encoder] and [train] read the
+# dataclasses' RANGES, and the series floors are generate_synthetic's own.
+RANGES = {
+    "run": {"seed": (0, np.inf)},
+    "generate": {"n_steps": (dt.MIN_STEPS, np.inf), "n_channels": (dt.MIN_CHANNELS, np.inf),
+                 "noise": (0, sys.float_info.max), "n_anomalies": (0, np.inf),
+                 "anomaly_length": (1, np.inf)},
+    "flow": FlowConfig.RANGES | {ConditionerConfig.KEY_PREFIX + name: bounds
+                                 for name, bounds in ConditionerConfig.RANGES.items()},
+    "encoder": EncoderConfig.RANGES,
+    "train": TrainConfig.RANGES,
+    "search": dict.fromkeys(("candidate_epochs", "final_epochs", "lookback_max"), (1, np.inf)),
+    "metrics": {"window": (-1, np.inf)},  # -1 infers the window from the labels
+}
+# The allowed values of each choice key.
+CHOICES = {("run", "method"): METHODS, ("generate", "family"): dt.FAMILIES,
+           ("search", "objective"): OBJECTIVES}
+
 
 class CliError(ValueError):
     pass
@@ -92,7 +110,7 @@ class RunConfig:
         self.values = {section: dict(keys) for section, keys in DEFAULTS.items()}
 
     def load_file(self, path: str) -> None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)  # '%' is literal
         read = parser.read(path)
         if not read:
             raise CliError(f"config file not found: {path}")
@@ -111,7 +129,7 @@ class RunConfig:
             raise CliError(f"bad value for [{section}] {key}: {raw!r}") from None
 
     def write(self, path) -> None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         for section, keys in self.values.items():
             parser[section] = {k: str(v) for k, v in keys.items()}
         with open(path, "w") as fh:
@@ -130,6 +148,8 @@ class RunConfig:
 
 
 def _build_config(args) -> RunConfig:
+    """The defaults, then the file, then the flags; the result is checked
+    against ``RANGES`` and ``CHOICES``, so a flag can mend a bad file value."""
     cfg = RunConfig()
     if args.config:
         cfg.load_file(args.config)
@@ -138,23 +158,17 @@ def _build_config(args) -> RunConfig:
             if isinstance(value, list):  # --anomaly, repeatable
                 value = ",".join(value)
             cfg.set(*dest.split("."), value)
+    for section, ranges in RANGES.items():
+        try:
+            check_ranges(cfg.values[section], ranges)
+        except ValueError as exc:
+            raise CliError(f"[{section}] {exc}") from None
+    for (section, key), choices in CHOICES.items():
+        if (value := cfg.values[section][key]) not in choices:
+            raise CliError(f"[{section}] {key} not one of {', '.join(choices)}: {value!r}")
+    if np.isinf(magnitude := cfg.values["generate"]["anomaly_magnitude"]):  # nan: each kind's own
+        raise CliError(f"[generate] anomaly_magnitude must be finite: {magnitude}")
     return cfg
-
-
-def _metric_window(cfg: RunConfig) -> int | None:
-    """``[metrics] window``: None for -1 (infer the median labeled-range
-    length), else the width itself, which must be >= 0."""
-    window = cfg.values["metrics"]["window"]
-    if window < -1:
-        raise CliError(f"[metrics] window must be -1 (infer) or >= 0: {window}")
-    return None if window == -1 else window
-
-
-def _method(cfg: RunConfig) -> str:
-    method = cfg.values["run"]["method"]
-    if method not in METHODS:
-        raise CliError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
-    return method
 
 
 # -- commands -----------------------------------------------------------------
@@ -163,21 +177,12 @@ def _method(cfg: RunConfig) -> str:
 def cmd_generate(args, cfg: RunConfig, out: Path) -> None:
     seed = cfg.values["run"]["seed"]
     g = cfg.values["generate"]
-    # a nan anomaly_magnitude stands for each anomaly kind's default magnitude
-    for key, bad in (("noise", not np.isfinite(g["noise"])),
-                     ("anomaly_magnitude", np.isinf(g["anomaly_magnitude"]))):
-        if bad:
-            raise CliError(f"[generate] {key} must be finite: {g[key]}")
-    for key, least in (("n_steps", 100), ("n_channels", 2), ("n_anomalies", 0), ("noise", 0),
-                       ("anomaly_length", 1)):
-        if not g[key] >= least:
-            raise CliError(f"[generate] {key} must be >= {least}: {g[key]}")
     kinds = [k.strip() for k in g["anomalies"].split(",") if k.strip()]
     if not kinds and g["n_anomalies"] > 0:
         raise CliError(f"[generate] anomalies is empty; n_anomalies = {g['n_anomalies']}")
     for kind in kinds:
         if kind not in dt.ANOMALY_KINDS:
-            raise CliError(f"unknown anomaly kind {kind!r}")
+            raise CliError(f"[generate] anomalies has an unknown kind {kind!r}")
 
     clean = dt.generate_synthetic(g["family"], g["n_steps"], g["n_channels"], g["noise"], seed)
     labeled = dt.generate_synthetic(g["family"], g["n_steps"], g["n_channels"], g["noise"], seed + 1)
@@ -217,7 +222,7 @@ def _inject_round(ds, kinds, g, rng) -> dt.TimeSeriesDataset:
 
 
 def cmd_train(args, cfg: RunConfig, out: Path) -> None:
-    method = _method(cfg)
+    method = cfg.values["run"]["method"]
     ds = dt.prepare(dt.load_csv(args.data))
     encoder_cfg = cfg.encoder_config(method)
     model, report = train_model(
@@ -241,13 +246,13 @@ def cmd_score(args, cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_evaluate(args, cfg: RunConfig, out: Path) -> None:
-    window = _metric_window(cfg)
+    window = cfg.values["metrics"]["window"]
     series, labels = load_score_csv(args.scores)
     if labels is None:
         if not args.data:
             raise CliError("scores file has no labels; pass --data with a labeled csv")
         labels = dt.load_csv(args.data, has_labels=True).labels
-    if window is None:
+    if window == -1:  # infer the median labeled-range length
         window = mx.infer_metric_window(labels)
     scores = series.scores
     auc = mx.auc_roc(scores, labels)
@@ -269,11 +274,8 @@ def cmd_evaluate(args, cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_search(args, cfg: RunConfig, out: Path) -> None:
-    method = _method(cfg)
-    s = cfg.values["search"]
-    for key in ("candidate_epochs", "final_epochs", "lookback_max"):
-        if s[key] < 1:
-            raise CliError(f"[search] {key} must be >= 1: {s[key]}")
+    method = cfg.values["run"]["method"]
+    s, window = cfg.values["search"], cfg.values["metrics"]["window"]
     train_ds = dt.load_csv(args.train)
     labeled = dt.load_csv(args.labeled, has_labels=True) if args.labeled else None
     candidate_cfg = TrainConfig(**dict(cfg.values["train"], epochs=s["candidate_epochs"],
@@ -281,7 +283,7 @@ def cmd_search(args, cfg: RunConfig, out: Path) -> None:
     result = run_search(
         train_ds, labeled, method, s["objective"], s["budget"],
         seed=cfg.values["run"]["seed"],
-        metric_window=_metric_window(cfg),
+        metric_window=None if window == -1 else window,  # None infers it
         candidate_cfg=candidate_cfg,
         final_epochs=s["final_epochs"],
         lookback_max=s["lookback_max"],

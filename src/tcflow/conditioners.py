@@ -32,10 +32,9 @@ class EncoderConfig:
     """Encoder kind plus its kind-specific hyperparameters.
 
     ``lookback`` is the number of past timesteps summarized per target. A
-    kind reads the fields its class lists in ``reads`` (see ``ENCODERS``);
-    those with a ``RANGES`` entry must lie in that inclusive range, which for
-    all but ``lookback`` is also the range the search space searches.
-    ``lstm_hidden`` is not searched, so it has no range; it must be >= 0.
+    kind reads the fields its class lists in ``reads`` (see ``ENCODERS``),
+    and only those must lie in their inclusive ``RANGES``. The search space
+    searches each finite range, and ``lookback`` over a range of its own.
     """
 
     kind: str = "passthrough"
@@ -57,16 +56,14 @@ class EncoderConfig:
         "cnn_kernel": (3, 7),
         "cnn_max_channels": (1, 20),
         "lstm_layers": (1, 10),
+        "lstm_hidden": (0, math.inf),
         "dropout": (0.1, 0.9),
     }
 
     def __post_init__(self):
         if self.kind not in ENCODERS:
             raise ValueError(f"unknown encoder kind {self.kind!r}")
-        check_ranges(self, ENCODERS[self.kind].reads)
-        if "lstm_hidden" in ENCODERS[self.kind].reads and self.lstm_hidden < 0:
-            raise ValueError(f"lstm_hidden must be >= 0 (0 derives it from the channel "
-                             f"count): {self.lstm_hidden}")
+        check_ranges({name: getattr(self, name) for name in ENCODERS[self.kind].reads}, self.RANGES)
 
 
 # -- window construction ---------------------------------------------------

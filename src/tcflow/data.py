@@ -19,6 +19,7 @@ import numpy as np
 SPLIT_MODES = ("random-sections", "sequential-tail")
 TRAIN_SHARE = 0.8  # of the series; the other 20% is validation
 FAMILIES = ("sine", "saw", "increasing", "wave", "random-walk", "cbf")
+MIN_STEPS, MIN_CHANNELS = 100, 2  # the smallest series generate_synthetic makes
 ANOMALY_KINDS = (
     "spike", "platform", "mean-shift", "amplitude",
     "pattern", "variance", "trend", "cutoff",
@@ -288,10 +289,10 @@ def generate_synthetic(
     """
     if family not in FAMILIES:
         raise DataError(f"unknown family {family!r}")
-    if n_steps < 100:
-        raise DataError("need at least 100 timesteps")
-    if n_channels < 2:
-        raise DataError("need at least 2 channels")
+    if n_steps < MIN_STEPS:
+        raise DataError(f"need at least {MIN_STEPS} timesteps")
+    if n_channels < MIN_CHANNELS:
+        raise DataError(f"need at least {MIN_CHANNELS} channels")
     rng = np.random.default_rng(seed)
     t = np.arange(n_steps, dtype=np.float64)
     values = np.empty((n_steps, n_channels))

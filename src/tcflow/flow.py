@@ -41,14 +41,12 @@ class FlowNanError(FloatingPointError):
         self.layer_index = layer_index
 
 
-def check_ranges(cfg, names, key_prefix: str = "") -> None:
-    """Reject the first of ``names`` outside its inclusive ``cfg.RANGES``
-    bounds, naming it as its config key (``key_prefix`` plus the field);
-    names without a range pass."""
-    for name in names:
-        if name in cfg.RANGES:
-            lower, upper = cfg.RANGES[name]
-            value = getattr(cfg, name)
+def check_ranges(values: dict, ranges: dict, key_prefix: str = "") -> None:
+    """Reject the first entry of ``values`` outside its inclusive ``ranges``
+    (NaN is outside every range), naming it ``key_prefix`` plus its name."""
+    for name, value in values.items():
+        if name in ranges:
+            lower, upper = ranges[name]
             if not lower <= value <= upper:
                 raise ValueError(f"{key_prefix}{name} out of range [{lower}, {upper}]: {value}")
 
@@ -76,7 +74,7 @@ class ConditionerConfig:
     }
 
     def __post_init__(self):
-        check_ranges(self, self.RANGES, self.KEY_PREFIX)
+        check_ranges(vars(self), self.RANGES, self.KEY_PREFIX)
 
 
 @dataclass
@@ -84,9 +82,10 @@ class FlowConfig:
     n_layers: int = 4
     conditioner: ConditionerConfig = field(default_factory=ConditionerConfig)
 
+    RANGES: ClassVar[dict[str, tuple]] = {"coupling_layers": (1, math.inf)}  # n_layers' key
+
     def __post_init__(self):
-        if self.n_layers < 1:  # the config key of n_layers is [flow] coupling_layers
-            raise ValueError(f"coupling_layers out of range [1, inf]: {self.n_layers}")
+        check_ranges({"coupling_layers": self.n_layers}, self.RANGES)
 
 
 def gaussian_log_density(u) -> np.ndarray:

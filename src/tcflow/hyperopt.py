@@ -80,20 +80,19 @@ def _ranged_row(cls, attr: str, name: str) -> ParamSpec:
 
 
 def _encoder_rows(method: str) -> dict[str, str]:
-    """Search row name -> ``EncoderConfig`` field for the ranged fields the
-    method's encoder reads, ``lookback`` aside: ``enc_`` plus the field name
-    without its kind prefix (``cnn_kernel`` is searched as ``enc_kernel``)."""
+    """``enc_`` plus the field name without its kind prefix (``cnn_kernel`` as
+    ``enc_kernel``) -> field, for each finitely ranged field the method reads."""
     return {
         "enc_" + attr.split("_", 1)[-1]: attr
         for attr in ENCODERS[METHOD_ENCODERS[method]].reads
-        if attr in EncoderConfig.RANGES and attr != "lookback"
+        if math.isfinite(EncoderConfig.RANGES[attr][1])
     }
 
 
 def space_for_method(method: str, lookback_max: int = LOOKBACK_MAX) -> list[ParamSpec]:
     """Bounded hyperparameter rows for one method: the coupling layers, the
     conditioner's ranged fields, the lookback if the encoder reads one, and
-    the encoder's other ranged fields."""
+    the encoder's fields with a finite range."""
     if method not in METHOD_ENCODERS:
         raise ValueError(f"unknown method {method!r}")
     rows = [ParamSpec("coupling_layers", 3, 20, "int")]
@@ -307,10 +306,11 @@ def _evaluate_candidate(index: int, params: dict, *, method: str,
         model, report = train_model(train_ds, encoder_cfg, flow_cfg, cfg)
         val_loss = report.best_val_loss
         auc = vus = float("nan")
-        if eval_ds is not None and eval_ds.labels is not None:
+        labels = None if eval_ds is None else eval_ds.labels
+        if labels is not None and labels.any() and not labels.all():  # AUC needs both classes
             scores = score_series(model, eval_ds).scores
-            auc = auc_roc(scores, eval_ds.labels)
-            vus = vus_roc(scores, eval_ds.labels, metric_window)
+            auc = auc_roc(scores, labels)
+            vus = vus_roc(scores, labels, metric_window)
         if objective == "labeled-30-70":
             fitness = -combined_objective(auc, vus)
         else:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
 
@@ -68,13 +69,12 @@ class TrainConfig:
 
     RANGES: ClassVar[dict[str, tuple]] = {
         **dict.fromkeys(("epochs", "batch_size", "patience"), (1, math.inf)),
+        "learning_rate": (math.ulp(0.0), sys.float_info.max),  # positive and finite
         "clip_norm": (0, math.inf),  # 0 turns clipping off
     }
 
     def __post_init__(self):
-        check_ranges(self, self.RANGES)
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be positive and finite: {self.learning_rate}")
+        check_ranges(vars(self), self.RANGES)
 
 
 @dataclass

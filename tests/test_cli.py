@@ -1,9 +1,13 @@
 import argparse
 import configparser
 import csv
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tcflow import cli
 from tcflow import data as dt
@@ -261,7 +265,7 @@ class TestRunConfig:
 
 
 def read_resolved(out, command) -> configparser.ConfigParser:
-    resolved = configparser.ConfigParser()
+    resolved = configparser.ConfigParser(interpolation=None)
     assert resolved.read(out / f"resolved-{command}.ini")
     return resolved
 
@@ -353,11 +357,78 @@ class TestFlags:
         resolved = read_resolved(out, command)
         assert type(default)(resolved[section][key]) == type(default)(flag)
 
+    def test_percent_sign_is_read_and_written_as_itself(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "cmd_report", lambda *args: None)
+        out = tmp_path / "100%"
+        assert run_cli("report", "x", "--out-dir", out) == 0
+        assert read_resolved(out, "report")["run"]["out_dir"] == str(out)
+        again = tmp_path / "again"
+        assert run_cli("report", "x", "--config", out / "resolved-report.ini",
+                       "--out-dir", again) == 0
+        assert (out / "resolved-report.ini").read_text().replace(str(out), str(again)) == \
+            (again / "resolved-report.ini").read_text()
+
     def test_repeated_anomaly_flags_join_into_one_key(self, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "cmd_generate", lambda *args: None)
         assert run_cli("generate", "--anomaly", "spike", "--anomaly", "platform",
                        "--out-dir", tmp_path) == 0
         assert read_resolved(tmp_path, "generate")["generate"]["anomalies"] == "spike,platform"
+
+
+MAX = "1.7976931348623157e+308"  # the largest finite float: "finite" as an inclusive bound
+
+
+def _case(command, sections, message, flags=()):
+    """One rejected value: the command, its INI settings by section, any
+    flags, and the whole error message, which names the key and the value."""
+    name = ",".join([command] + [f"{k}={v}" for keys in sections.values() for k, v in keys.items()]
+                    + [f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])])
+    return pytest.param(command, sections, flags, message, id=name)
+
+
+REJECTED = [
+    *[_case("generate", {"generate": {"n_steps": 200, key: value}},
+            f"[generate] {key} {rule}: {value}")
+      for key, value, rule in [
+          ("n_anomalies", "-1", "out of range [0, inf]"),
+          ("noise", "-0.5", f"out of range [0, {MAX}]"),
+          ("n_steps", "50", "out of range [100, inf]"),
+          ("n_channels", "1", "out of range [2, inf]"),
+          ("noise", "inf", f"out of range [0, {MAX}]"),
+          ("noise", "nan", f"out of range [0, {MAX}]"),
+          # a nan anomaly_magnitude, the default, takes each kind's own magnitude
+          ("anomaly_magnitude", "inf", "must be finite"),
+          ("anomaly_magnitude", "-inf", "must be finite")]],
+    *[_case(command, {}, f"[metrics] window out of range [-1, inf]: {window}",
+            flags=("--metric-window", window))
+      for window in (-2, -7) for command in ("evaluate", "search")],
+    *[_case("generate", {"generate": {"n_steps": 200, "anomalies": kind, "anomaly_length": length}},
+            f"[generate] anomaly_length out of range [1, inf]: {length}")
+      for length in (0, -3) for kind in ("platform", "spike")],
+    _case("train", {"run": {"method": "tcnf-stateless"}, "encoder": {"lstm_hidden": -3},
+                    "train": {"epochs": 1}}, "[encoder] lstm_hidden out of range [0, inf]: -3"),
+    _case("train", {"flow": {"coupling_layers": 0}},
+          "[flow] coupling_layers out of range [1, inf]: 0"),
+    _case("train", {"train": {"clip_norm": -1}}, "[train] clip_norm out of range [0, inf]: -1.0"),
+    _case("train", {"train": {"learning_rate": "inf"}},
+          f"[train] learning_rate out of range [5e-324, {MAX}]: inf"),
+    *[_case("search", {"search": {key: value}}, f"[search] {key} out of range [1, inf]: {value}")
+      for value in (0, -1) for key in ("candidate_epochs", "final_epochs", "lookback_max")],
+    _case("generate", {"run": {"seed": -1}}, "[run] seed out of range [0, inf]: -1"),
+    # the choice keys
+    _case("train", {"run": {"method": "tcnf-gru"}},
+          "[run] method not one of realnvp, tcnf-base, tcnf-fixed, tcnf-mlp, tcnf-cnn, "
+          "tcnf-stateless, tcnf-stateful: 'tcnf-gru'"),
+    _case("generate", {"generate": {"family": "square"}},
+          "[generate] family not one of sine, saw, increasing, wave, random-walk, cbf: 'square'"),
+    _case("search", {"search": {"objective": "auc"}},
+          "[search] objective not one of labeled-30-70, val-loss: 'auc'"),
+    # every key is checked, whether or not the command or the method reads it
+    _case("train", {"run": {"method": "tcnf-cnn"}, "encoder": {"mlp_layers": 2}},
+          "[encoder] mlp_layers out of range [3, 20]: 2"),
+    _case("search", {"flow": {"cond_layers": 9}}, "[flow] cond_layers out of range [3, 8]: 9"),
+    _case("evaluate", {"train": {"batch_size": 0}}, "[train] batch_size out of range [1, inf]: 0"),
+]
 
 
 class TestErrors:
@@ -372,53 +443,26 @@ class TestErrors:
         assert run_cli(*args) == 0
         assert dt.load_csv(tmp_path / "gen" / "test_labeled.csv").n_steps == 200
 
-    # least None: the value must be finite (a nan anomaly_magnitude is the default)
-    @pytest.mark.parametrize("key,value,least", [
-        ("n_anomalies", "-1", 0), ("noise", "-0.5", 0), ("n_steps", "50", 100),
-        ("n_channels", "1", 2), ("noise", "inf", None), ("noise", "nan", None),
-        ("anomaly_magnitude", "inf", None), ("anomaly_magnitude", "-inf", None)])
-    def test_generate_value_below_least_rejected(self, tmp_path, capsys, key, value, least):
-        rule = "finite" if least is None else f">= {least}"
-        cfg = tmp_path / "gen.ini"
-        settings = {"n_steps": 200, key: value}
-        cfg.write_text("[generate]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
-        code = run_cli("generate", "--config", cfg, "--out-dir", tmp_path / "gen")
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "CliError" in err and f"[generate] {key} must be {rule}: {value}" in err
-        assert not (tmp_path / "gen" / "train_clean.csv").exists()
-
-    @pytest.mark.parametrize("command", ["evaluate", "search"])
-    @pytest.mark.parametrize("window", [-2, -7])
-    def test_metric_window_below_minus_one_rejected(self, generated, tmp_path, capsys,
-                                                    command, window):
+    @pytest.mark.parametrize("command,sections,flags,message", REJECTED)
+    def test_bad_value_rejected_naming_its_key_before_the_output_directory(
+            self, generated, tmp_path, capsys, command, sections, flags, message):
         scores = tmp_path / "scores.csv"
         scores.write_text("t,score,label\n0,0.1,0\n1,0.9,1\n2,0.2,0\n3,0.8,1\n")
-        cfg = tmp_path / "run.ini"
-        cfg.write_text("[search]\ncandidate_epochs = 1\nfinal_epochs = 1\n")
         inputs = {
+            "generate": (),
+            "train": ("--data", generated / "train_clean.csv"),
             "evaluate": ("--scores", scores),
             "search": ("--train", generated / "train_clean.csv",
-                       "--labeled", generated / "train_labeled.csv", "--config", cfg),
+                       "--labeled", generated / "train_labeled.csv", "--budget", 9),
         }[command]
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                               for section, keys in sections.items()))
         out = tmp_path / "out"
-        code = run_cli(command, *inputs, "--metric-window", window, "--out-dir", out)
+        code = run_cli(command, *inputs, "--config", cfg, *flags, "--out-dir", out)
         assert code == 1
-        err = capsys.readouterr().err
-        assert "CliError" in err and f"[metrics] window must be -1 (infer) or >= 0: {window}" in err
-        assert list(out.iterdir()) == []
-
-    @pytest.mark.parametrize("kind", ["platform", "spike"])
-    @pytest.mark.parametrize("length", [0, -3])
-    def test_anomaly_length_below_one_rejected(self, tmp_path, capsys, kind, length):
-        cfg = tmp_path / "gen.ini"
-        cfg.write_text(f"[generate]\nanomalies = {kind}\nanomaly_length = {length}\n")
-        code = run_cli("generate", "--config", cfg, "--n-steps", 200,
-                       "--out-dir", tmp_path / "gen")
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "CliError" in err and f"[generate] anomaly_length must be >= 1: {length}" in err
-        assert not (tmp_path / "gen" / "train_clean.csv").exists()
+        assert capsys.readouterr().err == f"error: CliError: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_anomalies", [150, 500])
     def test_too_many_anomalies_for_the_series_rejected(self, tmp_path, capsys, n_anomalies):
@@ -436,49 +480,11 @@ class TestErrors:
         assert run_cli("generate", "--config", cfg, "--n-steps", 200,
                        "--out-dir", tmp_path / "gen") == 0
 
-    def test_negative_lstm_hidden_rejected(self, generated, tmp_path, capsys):
-        cfg = tmp_path / "run.ini"
-        cfg.write_text("[encoder]\nlstm_hidden = -3\n[train]\nepochs = 1\n")
-        code = run_cli("train", "--data", generated / "train_clean.csv",
-                       "--method", "tcnf-stateless", "--config", cfg,
-                       "--out-dir", tmp_path / "train")
-        assert code == 1
-        assert "lstm_hidden must be >= 0" in capsys.readouterr().err
-        assert not (tmp_path / "train" / "model.tcf").exists()
-
-    @pytest.mark.parametrize("section,key,value,message", [
-        ("flow", "coupling_layers", "0", "coupling_layers out of range [1, inf]: 0"),
-        ("train", "clip_norm", "-1", "clip_norm out of range [0, inf]: -1.0"),
-        ("train", "learning_rate", "inf", "learning_rate must be positive and finite: inf"),
-    ])
-    def test_bad_flow_or_train_value_named_before_training(self, generated, tmp_path, capsys,
-                                                            section, key, value, message):
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(f"[{section}]\n{key} = {value}\n")
-        code = run_cli("train", "--data", generated / "train_clean.csv", "--config", cfg,
-                       "--out-dir", tmp_path / "train")
-        assert code == 1
-        assert f"error: ValueError: {message}\n" == capsys.readouterr().err
-        assert not (tmp_path / "train" / "model.tcf").exists()
-
     def test_missing_file_exits_one_with_single_line(self, tmp_path, capsys):
         code = run_cli("train", "--data", tmp_path / "nope.csv", "--out-dir", tmp_path)
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("key", ["candidate_epochs", "final_epochs", "lookback_max"])
-    @pytest.mark.parametrize("epochs", [0, -1])
-    def test_search_epochs_below_one_rejected(self, generated, tmp_path, capsys, key, epochs):
-        cfg = tmp_path / "search.ini"
-        cfg.write_text(f"[search]\n{key} = {epochs}\n")
-        code = run_cli("search", "--train", generated / "train_clean.csv",
-                       "--labeled", generated / "train_labeled.csv", "--budget", 9,
-                       "--config", cfg, "--out-dir", tmp_path / "search")
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "CliError" in err and f"[search] {key} must be >= 1: {epochs}" in err
-        assert not (tmp_path / "search" / "trials.csv").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
@@ -487,3 +493,81 @@ class TestErrors:
                        "--out-dir", tmp_path)
         assert code == 1
         assert "warp_speed" in capsys.readouterr().err
+
+
+KEYS = [(section, key) for section, keys in DEFAULTS.items() for key in keys]
+ODD_VALUES = ["", " ", "0", "-1", "1", "2.5", "1e400", "-1e400", "5e-324", "nan", "inf", "-inf",
+              "1_000", "0x10", "true", "abc", "%", "100%", "%(seed)s", "[run]", "#", "é"]
+
+
+@st.composite
+def triples(draw):
+    """(section, key, value string): odd strings, numbers and text, each
+    key's range ends and the values just outside them, and its choices."""
+    section, key = draw(st.sampled_from(KEYS))
+    near = list(cli.CHOICES.get((section, key), ()))
+    if key in cli.RANGES.get(section, {}):
+        for end in cli.RANGES[section][key]:
+            near += [str(end)] + ([str(end - 1), str(end + 1)] if isinstance(end, int) else [])
+    value = draw(st.one_of(
+        st.sampled_from(ODD_VALUES + near),
+        st.integers(-10**6, 10**6).map(str),
+        st.floats().map(str),
+        st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=6),
+    ))
+    return section, key, value
+
+
+class TestConfigCheck:
+    @settings(max_examples=300, deadline=None)
+    @example(("train", "batch_size", "0"))
+    @example(("encoder", "mlp_layers", "2"))
+    @example(("run", "out_dir", "runs-100%"))
+    @given(triple=triples())
+    def test_any_value_builds_every_view_or_is_rejected_naming_its_key(self, triple):
+        section, key, value = triple
+        ini = configparser.ConfigParser(interpolation=None)
+        ini[section] = {key: value}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.ini"
+            with open(path, "w") as fh:
+                ini.write(fh)
+            try:
+                cfg = cli._build_config(argparse.Namespace(config=str(path)))
+                for method in cli.METHODS:
+                    cfg.encoder_config(method)
+                cfg.flow_config()
+                cfg.train_config()
+            except cli.CliError as exc:
+                assert f"[{section}] {key}" in str(exc)
+
+    def test_a_flag_mends_a_bad_file_value(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "cmd_train", lambda *args: None)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[encoder]\nlookback = 0\n")
+        argv = ("train", "--data", "x", "--config", cfg)
+        assert run_cli(*argv, "--out-dir", tmp_path / "bad") == 1
+        assert "[encoder] lookback out of range [1, inf]: 0" in capsys.readouterr().err
+        assert run_cli(*argv, "--lookback", 4, "--out-dir", tmp_path / "mended") == 0
+        assert read_resolved(tmp_path / "mended", "train")["encoder"]["lookback"] == "4"
+
+
+def _accepted(section, key) -> str:
+    """A key's accepted values as the README's Configuration table states them."""
+    if (section, key) in cli.CHOICES:
+        return ", ".join(f"`{choice}`" for choice in cli.CHOICES[section, key])
+    lower, upper = cli.RANGES[section][key]
+    return f"`[{lower}, {upper}]`"
+
+
+def test_readme_configuration_table_matches_defaults_and_bounds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in readme.split("## Configuration", 1)[1].splitlines()
+            if line.startswith("| `")]
+    assert [(section.strip("`[]"), key.strip("`")) for section, key, *_ in rows] == KEYS
+    for section, key, default, accepted in rows:
+        section, key = section.strip("`[]"), key.strip("`")
+        assert default == f"`{DEFAULTS[section][key]}`", key
+        if (section, key) in cli.CHOICES or key in cli.RANGES.get(section, {}):
+            assert accepted.split(";")[0] == _accepted(section, key), key

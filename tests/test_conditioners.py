@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from tcflow.conditioners import (
     padded_context_windows,
 )
 from tcflow.flow import ConditionerConfig, FlowConfig, nll_loss
-from tcflow.train import _window_batches
+from tcflow.train import TrainConfig, _window_batches
 
 
 def series(n_steps=12, dim=2, seed=0):
@@ -415,14 +416,19 @@ class TestConfigValidation:
         (EncoderConfig, {"kind": "cnn"}, "cnn_max_channels", "cnn_max_channels", 1, 20),
         (EncoderConfig, {"kind": "lstm-stateless"}, "lstm_layers", "lstm_layers", 1, 10),
         (EncoderConfig, {"kind": "lstm-stateful"}, "lstm_layers", "lstm_layers", 1, 10),
+        (EncoderConfig, {"kind": "lstm-stateless"}, "lstm_hidden", "lstm_hidden", 0, math.inf),
+        (EncoderConfig, {"kind": "lstm-stateful"}, "lstm_hidden", "lstm_hidden", 0, math.inf),
         (EncoderConfig, {"kind": "mlp"}, "dropout", "dropout", 0.1, 0.9),
         (EncoderConfig, {"kind": "cnn"}, "dropout", "dropout", 0.1, 0.9),
         (FlowConfig, {}, "n_layers", "coupling_layers", 1, math.inf),
+        # positive and finite: 0.0 and inf are the values just outside
+        (TrainConfig, {}, "learning_rate", "learning_rate", math.ulp(0.0), sys.float_info.max),
     ]
 
-    @pytest.mark.parametrize("cls, fixed, attr, key, lower, upper", RANGED_FIELDS,
-                             ids=[f"{key}-{fixed.get('kind', 'flow')}"
-                                  for _, fixed, _, key, _, _ in RANGED_FIELDS])
+    @pytest.mark.parametrize(
+        "cls, fixed, attr, key, lower, upper", RANGED_FIELDS,
+        ids=[f"{key}-{fixed.get('kind', 'train' if c is TrainConfig else 'flow')}"
+             for c, fixed, _, key, _, _ in RANGED_FIELDS])
     def test_range_ends_accepted_and_just_outside_rejected(self, cls, fixed, attr, key,
                                                            lower, upper):
         ends = [(lower, -1)] + ([] if math.isinf(upper) else [(upper, 1)])

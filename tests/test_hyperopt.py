@@ -314,6 +314,22 @@ class TestRunSearch:
                        lookback_max=8)
         assert calls == []
 
+    @pytest.mark.parametrize("label", [False, True])
+    def test_val_loss_search_over_a_one_class_labeled_series_records_nan_metrics(
+            self, monkeypatch, label):
+        # val-loss ranks by validation loss alone; AUC and VUS need both classes
+        monkeypatch.setenv("TCFLOW_WORKERS", "1")
+        train = dt.generate_synthetic("sine", 300, 2, noise=0.1, seed=0)
+        labeled = dt.generate_synthetic("sine", 300, 2, noise=0.1, seed=1)
+        labeled.labels = np.full(labeled.n_steps, label)
+        result = run_search(train, labeled, "tcnf-base", "val-loss", budget=9, seed=0,
+                            candidate_cfg=TrainConfig(epochs=1, patience=1), final_epochs=1,
+                            lookback_max=8)
+        assert len(result.trials) == 9
+        assert all(np.isnan(t.auc) and np.isnan(t.vus) for t in result.trials)
+        assert all(t.fitness == t.val_loss for t in result.trials)
+        assert np.isfinite(result.best_trial.fitness)
+
     @pytest.mark.parametrize("workers", ["abc", "0", "-2"])
     def test_bad_worker_count_rejected_before_any_candidate_trains(self, monkeypatch, workers):
         import tcflow.hyperopt as hyperopt

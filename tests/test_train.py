@@ -350,7 +350,9 @@ class TestTrainModel:
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
     def test_learning_rate_not_positive_and_finite_names_the_value(self, value):
-        with pytest.raises(ValueError, match=rf"^learning_rate must be positive and finite: {value}$"):
+        # positive and finite: from the smallest positive float to the largest finite one
+        with pytest.raises(ValueError, match=rf"^learning_rate out of range "
+                                             rf"\[5e-324, 1\.7976931348623157e\+308\]: {value}$"):
             TrainConfig(learning_rate=value)
 
     def test_odd_channel_dataset_names_prepare(self):
