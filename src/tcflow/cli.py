@@ -16,7 +16,7 @@ import argparse
 import configparser
 import csv
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from . import data as dt
 from . import metrics as mx
 from .conditioners import EncoderConfig
-from .flow import ConditionerConfig, FlowConfig, check_ranges
+from .flow import ConditionerConfig, FlowConfig, check_values, field_defaults
 from .hyperopt import (
     CANDIDATE_EPOCHS,
     CANDIDATE_PATIENCE,
@@ -32,8 +32,10 @@ from .hyperopt import (
     LOOKBACK_MAX,
     METHOD_ENCODERS,
     OBJECTIVES,
+    default_population,
     flow_config,
     run_search,
+    space_for_method,
 )
 from .metrics import select_threshold
 from .score import (
@@ -54,10 +56,6 @@ ANOMALY_MAGNITUDES = {
 }
 
 
-def _field_defaults(cls, skip=()) -> dict:
-    return {f.name: f.default for f in fields(cls) if f.name not in skip}
-
-
 # Every key's type is the type of its default.
 DEFAULTS = {
     "run": {"seed": 0, "out_dir": "runs", "method": "tcnf-base"},
@@ -69,10 +67,10 @@ DEFAULTS = {
     "flow": {
         "coupling_layers": FlowConfig.n_layers,
         **{ConditionerConfig.KEY_PREFIX + name: value
-           for name, value in _field_defaults(ConditionerConfig).items()},
+           for name, value in field_defaults(ConditionerConfig).items()},
     },
-    "encoder": _field_defaults(EncoderConfig, skip=("kind",)),
-    "train": _field_defaults(TrainConfig, skip=("seed",)),
+    "encoder": field_defaults(EncoderConfig, skip=("kind",)),
+    "train": field_defaults(TrainConfig, skip=("seed",)),
     "search": {
         "budget": 18, "objective": OBJECTIVES[0], "candidate_epochs": CANDIDATE_EPOCHS,
         "final_epochs": FINAL_EPOCHS, "lookback_max": LOOKBACK_MAX,
@@ -149,7 +147,8 @@ class RunConfig:
 
 def _build_config(args) -> RunConfig:
     """The defaults, then the file, then the flags; the result is checked
-    against ``RANGES`` and ``CHOICES``, so a flag can mend a bad file value."""
+    against ``CHOICES``, then the types of ``DEFAULTS`` and ``RANGES`` plus
+    the method's least budget, so a flag can mend a bad file value."""
     cfg = RunConfig()
     if args.config:
         cfg.load_file(args.config)
@@ -158,14 +157,17 @@ def _build_config(args) -> RunConfig:
             if isinstance(value, list):  # --anomaly, repeatable
                 value = ",".join(value)
             cfg.set(*dest.split("."), value)
-    for section, ranges in RANGES.items():
-        try:
-            check_ranges(cfg.values[section], ranges)
-        except ValueError as exc:
-            raise CliError(f"[{section}] {exc}") from None
     for (section, key), choices in CHOICES.items():
         if (value := cfg.values[section][key]) not in choices:
             raise CliError(f"[{section}] {key} not one of {', '.join(choices)}: {value!r}")
+    # the budget buys one population of the method's search at least
+    population = default_population(len(space_for_method(cfg.values["run"]["method"])))
+    floor = {"search": RANGES["search"] | {"budget": (population, np.inf)}}
+    for section, ranges in (RANGES | floor).items():
+        try:
+            check_values(cfg.values[section], DEFAULTS[section], ranges)
+        except ValueError as exc:
+            raise CliError(f"[{section}] {exc}") from None
     if np.isinf(magnitude := cfg.values["generate"]["anomaly_magnitude"]):  # nan: each kind's own
         raise CliError(f"[generate] anomaly_magnitude must be finite: {magnitude}")
     return cfg

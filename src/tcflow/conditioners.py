@@ -24,7 +24,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Node, Parameter
-from .flow import check_ranges, dense
+from .flow import check_values, dense, field_defaults
 
 
 @dataclass
@@ -33,7 +33,7 @@ class EncoderConfig:
 
     ``lookback`` is the number of past timesteps summarized per target. A
     kind reads the fields its class lists in ``reads`` (see ``ENCODERS``),
-    and only those must lie in their inclusive ``RANGES``. The search space
+    and every field must lie in its inclusive ``RANGES``. The search space
     searches each finite range, and ``lookback`` over a range of its own.
     """
 
@@ -61,9 +61,9 @@ class EncoderConfig:
     }
 
     def __post_init__(self):
+        check_values(vars(self), field_defaults(EncoderConfig), self.RANGES)
         if self.kind not in ENCODERS:
             raise ValueError(f"unknown encoder kind {self.kind!r}")
-        check_ranges({name: getattr(self, name) for name in ENCODERS[self.kind].reads}, self.RANGES)
 
 
 # -- window construction ---------------------------------------------------

@@ -21,7 +21,7 @@ encoders' too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import accumulate, chain
 from typing import ClassVar
 
@@ -31,6 +31,7 @@ from . import diffcore as dc
 from .diffcore import Node, Parameter
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
+TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}  # any other: its class
 
 
 class FlowNanError(FloatingPointError):
@@ -41,10 +42,20 @@ class FlowNanError(FloatingPointError):
         self.layer_index = layer_index
 
 
-def check_ranges(values: dict, ranges: dict, key_prefix: str = "") -> None:
-    """Reject the first entry of ``values`` outside its inclusive ``ranges``
-    (NaN is outside every range), naming it ``key_prefix`` plus its name."""
+def field_defaults(cls, skip=()) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.name not in skip}
+
+
+def check_values(values: dict, defaults: dict, ranges: dict, key_prefix: str = "") -> None:
+    """Reject the first entry of ``values`` not of its default's type (a bool is
+    no number; an int and ``np.float64`` pass for a float) or outside its
+    inclusive ``ranges`` (NaN is outside every range), named by ``key_prefix``."""
     for name, value in values.items():
+        kind = type(defaults[name])
+        if not (isinstance(value, kind) and type(value) is not bool
+                or kind is float and type(value) is int):
+            raise TypeError(f"{key_prefix}{name} {value!r} is not "
+                            f"{TYPE_NAMES.get(kind, 'a ' + kind.__name__)}")
         if name in ranges:
             lower, upper = ranges[name]
             if not lower <= value <= upper:
@@ -74,7 +85,7 @@ class ConditionerConfig:
     }
 
     def __post_init__(self):
-        check_ranges(vars(self), self.RANGES, self.KEY_PREFIX)
+        check_values(vars(self), field_defaults(ConditionerConfig), self.RANGES, self.KEY_PREFIX)
 
 
 @dataclass
@@ -85,7 +96,9 @@ class FlowConfig:
     RANGES: ClassVar[dict[str, tuple]] = {"coupling_layers": (1, math.inf)}  # n_layers' key
 
     def __post_init__(self):
-        check_ranges({"coupling_layers": self.n_layers}, self.RANGES)
+        check_values({"coupling_layers": self.n_layers, "conditioner": self.conditioner},
+                     {"coupling_layers": FlowConfig.n_layers, "conditioner": ConditionerConfig()},
+                     self.RANGES)
 
 
 def gaussian_log_density(u) -> np.ndarray:

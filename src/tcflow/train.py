@@ -14,7 +14,7 @@ import json
 import math
 import struct
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -27,25 +27,10 @@ from .conditioners import (
     padded_context_windows,
 )
 from .data import DataError, TimeSeriesDataset, split_train_val, write_table
-from .flow import ConditionerConfig, FlowConfig, FlowModel, check_ranges, nll_loss
+from .flow import ConditionerConfig, FlowConfig, FlowModel, check_values, field_defaults, nll_loss
 
 MODEL_MAGIC = b"TCFLOW\x00\x01"
 FORMAT_VERSION = 1
-
-# The type each header field must have is the type of its default, as for a
-# config key; an absent encoder or conditioner field takes its default. A bool
-# is no number, and an integer passes for a float (JSON has one number type).
-HEADER_DEFAULTS = {"model_id": "", "dim": 0, "n_layers": 0, "encoder": {}, "conditioner": {}} | {
-    f"{section}.{f.name}": f.default
-    for section, cls in (("encoder", EncoderConfig), ("conditioner", ConditionerConfig))
-    for f in fields(cls)}
-TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
-
-
-def _check_type(name: str, value, default) -> None:
-    kind = type(default)
-    if not (type(value) is kind or (kind is float and type(value) is int)):
-        raise TypeError(f"{name} {value!r} is not {TYPE_NAMES[kind]}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -74,7 +59,7 @@ class TrainConfig:
     }
 
     def __post_init__(self):
-        check_ranges(vars(self), self.RANGES)
+        check_values(vars(self), field_defaults(TrainConfig), self.RANGES)
 
 
 @dataclass
@@ -346,20 +331,18 @@ def load_model(path) -> FlowModel:
             f"{path}: format version {version} not supported (expected {FORMAT_VERSION})"
         )
     try:
-        for name, default in HEADER_DEFAULTS.items():
-            section, _, key = name.partition(".")
-            value = header[section].get(key, default) if key else header[section]
-            _check_type(name, value, default)
-        encoder_cfg = EncoderConfig(**header["encoder"])
-        flow_cfg = FlowConfig(header["n_layers"], ConditionerConfig(**header["conditioner"]))
-        model = build_model(header["dim"], encoder_cfg, flow_cfg,
-                            np.random.default_rng(0), model_id=header["model_id"])
+        top = {"model_id": "", "dim": 0, "n_layers": 0}  # the configs check the rest
+        check_values({name: header[name] for name in top}, top, {})
         stats = np.asarray(header["norm_stats"], dtype=np.float64)
         if stats.ndim != 2 or stats.shape[0] != 2:
             raise ValueError(f"norm_stats of shape {stats.shape}, not (2, channels)")
-        for row in header["norm_stats"]:
-            for value in row:
-                _check_type("norm_stats entry", value, 0.0)
+        for value in header["norm_stats"][0] + header["norm_stats"][1]:
+            check_values({"norm_stats entry": value}, {"norm_stats entry": 0.0}, {})
+        if header["dim"] != stats.shape[1] + stats.shape[1] % 2:  # prepare pads to even
+            raise ValueError(f"dim {header['dim']} does not fit {stats.shape[1]} norm_stats channels")
+        model = build_model(header["dim"], EncoderConfig(**header["encoder"]),
+                            FlowConfig(header["n_layers"], ConditionerConfig(**header["conditioner"])),
+                            np.random.default_rng(0), model_id=header["model_id"])
         declared = [(entry["name"], entry["shape"]) for entry in header["params"]]
     except KeyError as exc:
         raise SerializationError(f"{path}: header lacks key {exc.args[0]!r}") from None

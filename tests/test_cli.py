@@ -428,6 +428,10 @@ REJECTED = [
           "[encoder] mlp_layers out of range [3, 20]: 2"),
     _case("search", {"flow": {"cond_layers": 9}}, "[flow] cond_layers out of range [3, 8]: 9"),
     _case("evaluate", {"train": {"batch_size": 0}}, "[train] batch_size out of range [1, inf]: 0"),
+    # below one population of the method's search
+    _case("search", {}, "[search] budget out of range [9, inf]: 5", flags=("--budget", 5)),
+    _case("search", {"run": {"method": "realnvp"}}, "[search] budget out of range [8, inf]: 7",
+          flags=("--budget", 7)),
 ]
 
 

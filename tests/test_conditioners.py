@@ -441,10 +441,37 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=rf"^{key} out of range .*: {re.escape(str(value))}$"):
                 cls(**fixed, **{attr: value})
 
-    def test_fields_a_kind_does_not_read_are_not_checked(self):
-        assert EncoderConfig("passthrough", mlp_layers=0, dropout=5.0).mlp_layers == 0
-        assert EncoderConfig("none", lookback=0).lookback == 0
-        assert EncoderConfig("mlp", lstm_hidden=-3).lstm_hidden == -3
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"kind": "passthrough", "mlp_layers": 0}, "mlp_layers out of range [3, 20]: 0"),
+        ({"kind": "passthrough", "dropout": 5.0}, "dropout out of range [0.1, 0.9]: 5.0"),
+        ({"kind": "none", "lookback": 0}, "lookback out of range [1, inf]: 0"),
+        ({"kind": "mlp", "lstm_hidden": -3}, "lstm_hidden out of range [0, inf]: -3"),
+    ])
+    def test_fields_a_kind_does_not_read_are_checked_too(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EncoderConfig(**kwargs)
+
+    @pytest.mark.parametrize("cls, kwargs, message", [
+        (TrainConfig, {"batch_size": 2.5}, "batch_size 2.5 is not an integer"),
+        (TrainConfig, {"seed": "0"}, "seed '0' is not an integer"),
+        (TrainConfig, {"clip_norm": True}, "clip_norm True is not a number"),
+        (EncoderConfig, {"kind": "mlp", "lookback": True}, "lookback True is not an integer"),
+        (EncoderConfig, {"kind": "none", "lstm_hidden": 4.0}, "lstm_hidden 4.0 is not an integer"),
+        # the type is checked before the kind
+        (EncoderConfig, {"kind": 1}, "kind 1 is not a string"),
+        (ConditionerConfig, {"dropout": "0.2"}, "cond_dropout '0.2' is not a number"),
+        (ConditionerConfig, {"layers": 3.0}, "cond_layers 3.0 is not an integer"),
+        (FlowConfig, {"n_layers": 4.0}, "coupling_layers 4.0 is not an integer"),
+        (FlowConfig, {"conditioner": {}}, "conditioner {} is not a ConditionerConfig"),
+    ])
+    def test_wrong_type_rejected_naming_the_key(self, cls, kwargs, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            cls(**kwargs)
+
+    def test_an_integer_or_a_numpy_float_passes_for_a_float(self):
+        assert TrainConfig(clip_norm=1).clip_norm == 1
+        assert ConditionerConfig(funnel=np.float64(2.5)).funnel == 2.5
+        assert EncoderConfig("mlp", dropout=np.float64(0.5)).dropout == 0.5
 
     def test_none_kind_builds_empty_encoder(self):
         enc = build_encoder(EncoderConfig("none"), 4, np.random.default_rng(0))

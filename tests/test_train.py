@@ -2,10 +2,15 @@ import json
 import math
 import re
 import struct
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from helpers import (
     backward_grads,
     build_model_with_encoder,
@@ -497,6 +502,41 @@ class TestParameterOrder:
         assert [(p.name, p.value.shape) for p in model.parameters()] == coupling + encoder
 
 
+def bad_nested_values():
+    """(section, field, key, value): one ``encoder`` or ``conditioner`` field of
+    a model header and either a JSON value not of its default's type or a
+    number just outside its range. ``key`` is the field's config key."""
+    cases = []
+    for section, cls, prefix in (("encoder", EncoderConfig, ""),
+                                 ("conditioner", ConditionerConfig, ConditionerConfig.KEY_PREFIX)):
+        for f in fields(cls):
+            kind = type(f.default)
+            values = [st.booleans(), st.none(), st.lists(st.integers(), max_size=2)]
+            values += [st.text(max_size=4)] if kind is not str else [st.integers()]
+            values += [st.floats(-1e6, 1e6)] if kind is not float else []
+            if f.name in cls.RANGES:
+                lower, upper = cls.RANGES[f.name]
+                ends = [(lower, -1)] + ([(upper, 1)] if math.isfinite(upper) else [])
+                values.append(st.sampled_from([
+                    end + step if kind is int else math.nextafter(end, step * math.inf)
+                    for end, step in ends]))
+            cases.append(st.tuples(st.just(section), st.just(f.name), st.just(prefix + f.name),
+                                   st.one_of(values)))
+    return st.one_of(cases)
+
+
+@pytest.fixture(scope="module")
+def mlp_model_bytes():
+    """The bytes of a saved two-channel ``tcnf-mlp`` model (an untrained one)."""
+    model = build_model(2, EncoderConfig("mlp", lookback=4), small_cfgs(),
+                        np.random.default_rng(0), model_id="tcnf-mlp-seed0")
+    model.norm_stats = (np.zeros(2), np.ones(2))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.tcf"
+        save_model(model, path)
+        return path.read_bytes()
+
+
 class TestSerialization:
     def _trained(self, tmp_path, encoder_kind="passthrough"):
         ds = prepared_sine(300)
@@ -594,16 +634,16 @@ class TestSerialization:
         _, mlp_path, _ = self._trained(tmp_path / "mlp", "mlp")
         mlp_original = mlp_path.read_bytes()
         for section, key, value, expected in (
-                ("encoder", "lookback", "3", "'3' is not an integer"),
-                ("conditioner", "layers", "3", "'3' is not an integer"),
-                ("encoder", "mlp_layers", 3.0, "3.0 is not an integer"),
-                ("encoder", "lookback", True, "True is not an integer"),
-                ("conditioner", "dropout", "0.2", "'0.2' is not a number"),
-                ("encoder", "kind", 1, "1 is not a string")):
+                ("encoder", "lookback", "3", "lookback '3' is not an integer"),
+                ("conditioner", "layers", "3", "cond_layers '3' is not an integer"),
+                ("encoder", "mlp_layers", 3.0, "mlp_layers 3.0 is not an integer"),
+                ("encoder", "lookback", True, "lookback True is not an integer"),
+                ("conditioner", "dropout", "0.2", "cond_dropout '0.2' is not a number"),
+                ("encoder", "kind", 1, "kind 1 is not a string")):
             mlp_path.write_bytes(self._with_header(
                 mlp_original, lambda h: h[section].update({key: value})))
             with pytest.raises(SerializationError, match=re.escape(
-                    f"{mlp_path}: bad header: {section}.{key} {expected}")):
+                    f"{mlp_path}: bad header: {expected}")):
                 load_model(mlp_path)
         mlp_path.write_bytes(self._with_header(
             mlp_original, lambda h: h.update(norm_stats=[["0.0", "0.0"], ["1", "1"]])))
@@ -614,6 +654,36 @@ class TestSerialization:
         save_model(model, path)
         with pytest.raises(SerializationError, match=re.escape(
                 f"{path}: non-finite value in parameter 'layer1.head.b'")):
+            load_model(path)
+
+    # in-range values of the unbounded fields (lookback, lstm_hidden) are not
+    # drawn: a huge one would build a huge model before the parameter check
+    @settings(max_examples=100, deadline=None)
+    @example(("encoder", "cnn_kernel", "cnn_kernel", 2))  # a field the mlp kind does not read
+    @example(("conditioner", "layers", "cond_layers", 3.0))  # a float for an integer
+    @given(case=bad_nested_values())
+    def test_bad_nested_header_value_names_the_file_and_key(self, mlp_model_bytes, case):
+        section, name, key, value = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.tcf"
+            path.write_bytes(self._with_header(mlp_model_bytes,
+                                               lambda h: h[section].update({name: value})))
+            with pytest.raises(SerializationError) as excinfo:
+                load_model(path)
+        assert str(excinfo.value).startswith(f"{path}: bad header: {key} ")
+
+    @pytest.mark.parametrize("section, value", [("encoder", 5), ("conditioner", [])])
+    def test_non_object_config_header_names_the_file(self, tmp_path, section, value):
+        _, path, _ = self._trained(tmp_path)
+        path.write_bytes(self._with_header(path.read_bytes(), lambda h: h.update({section: value})))
+        with pytest.raises(SerializationError, match=re.escape(f"{path}: bad header: ")):
+            load_model(path)
+
+    def test_dim_that_does_not_fit_the_norm_stats_rejected(self, tmp_path):
+        _, path, _ = self._trained(tmp_path)
+        path.write_bytes(self._with_header(path.read_bytes(), lambda h: h.update(dim=4)))
+        with pytest.raises(SerializationError, match=re.escape(
+                f"{path}: bad header: dim 4 does not fit 2 norm_stats channels")):
             load_model(path)
 
     def test_model_without_norm_stats_cannot_be_saved(self, tmp_path):
