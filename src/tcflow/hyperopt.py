@@ -13,13 +13,23 @@ decoded once, to named hyperparameters (integers rounded half-up) that one
 ``_evaluate_candidate`` call trains and its ``Trial`` records. A candidate
 trains a reduced-budget model and is ranked either by the labeled 30:70
 AUC/VUS blend or by the best validation loss.
+
+The candidates of one generation are independent, so ``run_search`` trains
+them on a process pool of ``TCFLOW_WORKERS`` workers, by default one per
+usable CPU up to the population size, each with one OpenBLAS thread. One
+worker, or one usable CPU, trains them in order in the search's own process.
+A pool whose worker dies is dropped: that generation and the rest of the
+search run in order in the search's process. Every order gives the same
+trials.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -320,6 +330,51 @@ def _evaluate_candidate(index: int, params: dict, *, method: str,
     return fitness, auc, vus, val_loss
 
 
+def _worker_count(population: int) -> int:
+    """``TCFLOW_WORKERS``, or when unset one worker per usable CPU up to
+    ``population``."""
+    workers = os.environ.get("TCFLOW_WORKERS")
+    if workers is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        return min(cpus or 1, population)
+    if not workers.isdecimal() or int(workers) < 1:
+        raise ValueError(f"TCFLOW_WORKERS must be an integer >= 1: {workers!r}")
+    return int(workers)
+
+
+# argtypes and restype of OpenBLAS's get_num_threads and set_num_threads
+_OPENBLAS_PROTOTYPES = {"get": ([], ctypes.c_int), "set": ([ctypes.c_int], None)}
+
+
+def _openblas_threads_function(verb: str):
+    """The ``<verb>_num_threads`` function (``get`` or ``set``) of the
+    OpenBLAS that numpy loaded, found among this process's mapped libraries;
+    None where none is loaded."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line and ".so" in line}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                       "openblas_{}_num_threads"):
+            function = getattr(lib, symbol.format(verb), None)
+            if function is not None:
+                function.argtypes, function.restype = _OPENBLAS_PROTOTYPES[verb]
+                return function
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: the OpenBLAS that numpy loaded runs one thread in
+    this worker, so that the workers do not share cores with BLAS threads.
+    Does nothing where no OpenBLAS is loaded."""
+    set_threads = _openblas_threads_function("set")
+    if set_threads is not None:
+        set_threads(1)
+
+
 def run_search(
     train: TimeSeriesDataset,
     labeled_eval: TimeSeriesDataset | None,
@@ -347,10 +402,7 @@ def run_search(
     opt = CmaEs(len(space), seed=seed)
     if budget < opt.lam:
         raise ValueError(f"budget {budget} is below one population of {opt.lam}")
-    workers = os.environ.get("TCFLOW_WORKERS", "1")
-    if not workers.isdecimal() or int(workers) < 1:
-        raise ValueError(f"TCFLOW_WORKERS must be an integer >= 1: {workers!r}")
-    workers = int(workers)
+    workers = _worker_count(opt.lam)
 
     train_prepared = prepare(train)
     eval_prepared = None
@@ -367,13 +419,18 @@ def run_search(
                         train_cfg=candidate_cfg, base_seed=seed)
 
     trials: list[Trial] = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with (ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+          if workers > 1 else nullcontext()) as pool:
         evaluate = map if pool is None else pool.map
         while len(trials) + opt.lam <= budget:
             population = opt.ask()
             indices = range(len(trials), len(trials) + len(population))
             params = [decode(vec, space) for vec in population]
-            results = list(evaluate(candidate, indices, params))
+            try:
+                results = list(evaluate(candidate, indices, params))
+            except BrokenProcessPool:  # a worker died: this generation and the rest run here
+                evaluate = map
+                results = list(evaluate(candidate, indices, params))
             trials += [Trial(opt.generation, i, p, *r) for i, p, r in zip(indices, params, results)]
             opt.tell(population, np.array([r[0] for r in results]))
 

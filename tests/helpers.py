@@ -6,8 +6,14 @@ from tcflow import diffcore as dc
 from tcflow import metrics as mx
 from tcflow.conditioners import EncoderConfig, build_encoder
 from tcflow.flow import ConditionerConfig, FlowConfig, FlowModel
-from tcflow.hyperopt import CmaEs
+from tcflow.hyperopt import CmaEs, _openblas_threads_function
 from tcflow.metrics import precision_recall_f1
+
+
+def openblas_threads():
+    """Thread count of the OpenBLAS that numpy loaded, or None without one."""
+    get_threads = _openblas_threads_function("get")
+    return None if get_threads is None else get_threads()
 
 
 def auc_pairwise_oracle(scores, labels):

@@ -1,6 +1,7 @@
 import argparse
 import configparser
 import csv
+import os
 import tempfile
 from pathlib import Path
 
@@ -151,6 +152,42 @@ class TestSearchCommand:
         assert len(lines) == 2 + 9
         header = lines[1].split(",")
         assert header[:6] == ["generation", "index", "fitness", "auc", "vus", "val_loss"]
+
+
+class TestSearchWorkers:
+    @pytest.mark.parametrize("method, budget", [("tcnf-base", 9), ("tcnf-stateful", 10)])
+    def test_default_pool_writes_the_same_trials_and_model_as_one_worker(
+            self, tmp_path, monkeypatch, method, budget):
+        import tcflow.hyperopt as hyperopt
+
+        pools = []
+
+        class CountedPool(hyperopt.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(hyperopt, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two CPUs on any host
+        data = tmp_path / "data"  # 100 steps: the stateful walk trains one row at a time
+        assert run_cli("generate", "--anomaly", "spike", "--n-steps", 100, "--seed", 5,
+                       "--out-dir", data) == 0
+        cfg = tmp_path / "search.ini"
+        cfg.write_text("[search]\ncandidate_epochs = 1\nfinal_epochs = 1\nlookback_max = 6\n")
+        outputs = []
+        for workers in ("default", "1"):
+            if workers == "default":
+                monkeypatch.delenv("TCFLOW_WORKERS", raising=False)
+            else:
+                monkeypatch.setenv("TCFLOW_WORKERS", workers)
+            out = tmp_path / workers
+            assert run_cli("search", "--train", data / "train_clean.csv",
+                           "--labeled", data / "train_labeled.csv",
+                           "--method", method, "--budget", budget,
+                           "--config", cfg, "--seed", 1, "--out-dir", out) == 0
+            outputs.append([(out / name).read_bytes() for name in ("trials.csv", "model.tcf")])
+        assert pools == [2]
+        assert outputs[0] == outputs[1]
 
 
 class TestReport:

@@ -1,6 +1,9 @@
+import os
+from functools import partial
+
 import numpy as np
 import pytest
-from helpers import minimize
+from helpers import minimize, openblas_threads
 
 from tcflow import data as dt
 from tcflow.hyperopt import (
@@ -14,6 +17,12 @@ from tcflow.hyperopt import (
     space_for_method,
 )
 from tcflow.train import TrainConfig, train_model
+
+
+def _blas_threads_candidate(index, params, **kwargs):
+    """A stand-in for ``_evaluate_candidate`` whose fitness is the OpenBLAS
+    thread count of the process that evaluates it."""
+    return float(openblas_threads()), float("nan"), float("nan"), 0.0
 
 
 # Every method's search rows as (name, lower, upper, kind), in order, at the
@@ -271,6 +280,81 @@ class TestRunSearch:
             rows.append(path.read_text())
         assert pools == [2]
         assert len(rows[0].splitlines()) == 2 + 18
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("cpus, pools", [(1, []), (4, [4]), (64, [9])])
+    def test_default_worker_count_is_the_usable_cpus_up_to_the_population(
+            self, monkeypatch, cpus, pools):
+        import tcflow.hyperopt as hyperopt
+
+        built = []
+
+        class PoolBuilt(Exception):
+            pass
+
+        class CountedPool:
+            def __init__(self, **kwargs):
+                built.append(kwargs)
+                raise PoolBuilt  # the count is known; train nothing
+
+        monkeypatch.setattr(hyperopt, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.delenv("TCFLOW_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        train, labeled = self._datasets()
+        search = partial(run_search, train, labeled, "tcnf-base", "labeled-30-70", budget=9,
+                         seed=0, candidate_cfg=TrainConfig(epochs=1, patience=1),
+                         final_epochs=1, lookback_max=8)
+        if pools:
+            with pytest.raises(PoolBuilt):
+                search()
+        else:
+            assert len(search().trials) == 9
+        assert [kwargs["max_workers"] for kwargs in built] == pools
+        assert all(kwargs["initializer"] is hyperopt._one_blas_thread for kwargs in built)
+
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        import tcflow.hyperopt as hyperopt
+
+        parent_threads = openblas_threads()
+        if parent_threads is None:
+            pytest.skip("numpy has no OpenBLAS")
+        monkeypatch.setattr(hyperopt, "_evaluate_candidate", _blas_threads_candidate)
+        monkeypatch.setenv("TCFLOW_WORKERS", "2")
+        train, _ = self._datasets()
+        result = run_search(train, None, "tcnf-base", "val-loss", budget=9, seed=0,
+                            candidate_cfg=TrainConfig(epochs=1, patience=1), final_epochs=1,
+                            lookback_max=8)
+        assert [t.fitness for t in result.trials] == [1.0] * 9
+        assert openblas_threads() == parent_threads
+
+    def test_a_dead_worker_leaves_the_search_to_the_parent(self, tmp_path, monkeypatch):
+        # every pool worker dies in its first candidate; the parent then
+        # trains both generations and the refit, and writes the same trials
+        import tcflow.hyperopt as hyperopt
+
+        parent, calls = os.getpid(), []
+
+        def dies_in_a_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            calls.append(args)
+            return train_model(*args, **kwargs)
+
+        monkeypatch.setattr(hyperopt, "train_model", dies_in_a_worker)
+        train, labeled = self._datasets()
+        rows = []
+        for workers in ("2", "1"):
+            monkeypatch.setenv("TCFLOW_WORKERS", workers)
+            calls.clear()
+            result = run_search(
+                train, labeled, "tcnf-base", "labeled-30-70", budget=18, seed=3,
+                candidate_cfg=TrainConfig(epochs=1, batch_size=128, patience=1),
+                final_epochs=1, lookback_max=8,
+            )
+            assert len(calls) == 18 + 1
+            path = tmp_path / f"trials-{workers}.csv"
+            result.trials_csv(path)
+            rows.append(path.read_text())
         assert rows[0] == rows[1]
 
     def test_bad_final_epochs_rejected_before_any_candidate_trains(self, monkeypatch):
