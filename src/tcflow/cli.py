@@ -47,6 +47,7 @@ from .score import (
 from .train import TrainConfig, load_model, save_model, train_model
 
 METHODS = tuple(METHOD_ENCODERS)
+METRICS_HEADER = ["dataset", "model", "metric", "value"]  # of evaluate's metrics.csv
 
 # per-kind default anomaly strength (sigma units, absolute level for platform,
 # factor for amplitude/pattern)
@@ -269,7 +270,7 @@ def cmd_evaluate(args, cfg: RunConfig, out: Path) -> None:
         ("precision", precision), ("recall", recall), ("f1", f1),
         ("threshold", threshold), ("combined_30_70", mx.combined_objective(auc, vus)),
     ]
-    dt.write_table(out / "metrics.csv", ["dataset", "model", "metric", "value"],
+    dt.write_table(out / "metrics.csv", METRICS_HEADER,
                    [[dataset_id] * len(rows), [model_id] * len(rows), *zip(*rows)],
                    comment=f"vus_variant={mx.VUS_VARIANT} window={window}")
     print(f"auc={auc:.4f} vus={vus:.4f} f1={f1:.4f} -> {out / 'metrics.csv'}")
@@ -309,8 +310,11 @@ def cmd_report(args, cfg: RunConfig, out: Path) -> None:
     for path in args.inputs:
         with open(path, newline="") as fh:
             rows = csv.reader(fh)
-            next(rows, None)  # the comment line
-            next(rows, None)  # the header
+            header = next(rows, None)
+            if header and header[0].startswith("#"):  # the comment line
+                header = next(rows, None)
+            if header != METRICS_HEADER:
+                raise dt.DataError(f"{path}: header {header} is not {METRICS_HEADER}")
             for i, row in enumerate(rows, 1):
                 try:
                     dataset, _model, metric, value = row

@@ -1,16 +1,16 @@
 """Context encoders: turn the lookback window into the conditioning vector.
 
-``padded_context_windows`` is the one pairing of targets with contexts, for
-training (its rows t >= lookback) and scoring (every row). Six encoder kinds
-are supported, from a raw passthrough of the window to a stateful LSTM whose
-hidden state is carried from timestep to timestep. All stateless kinds
-consume a batch of (lookback, channels) windows; the stateful LSTM walks the
-series in order (``StatefulLstmEncoder.walk``), holding its per-layer
-``[h | c]`` states, one ``encode_step`` per chunk of ``lookback`` rows.
-Either returns a (batch, context_dim) node; each LSTM layer is one
-``dc.lstm_sequence`` node per call. Learnable encoders train with the flow:
-each layer is a ``flow.dense`` (weight, bias) pair in ``Encoder.pairs``, and
-dropout is drawn iff an rng is passed.
+The encoder owns the pairing of rows with contexts: ``split`` picks the
+training and validation rows, and ``batches`` yields ``(rows, contexts)``
+over any rows, for training and scoring. Six encoder kinds are supported,
+from a raw passthrough of the window to a stateful LSTM whose hidden state
+is carried from timestep to timestep. The stateless kinds encode blocks of
+``padded_context_windows``; the stateful LSTM walks the series in order,
+one ``encode_step`` per chunk of ``lookback`` rows. Either gives a
+(batch, context_dim) node; each LSTM layer is one ``dc.lstm_sequence`` node
+per call. Learnable encoders train with the flow: each layer is a
+``flow.dense`` (weight, bias) pair in ``Encoder.pairs``, and dropout is
+drawn iff an rng is passed.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from itertools import chain
 from typing import ClassVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diffcore as dc
+from .data import DataError, split_train_val
 from .diffcore import Node, Parameter
 from .flow import check_values, dense, field_defaults
 
@@ -74,24 +76,28 @@ def padded_context_windows(series: np.ndarray, lookback: int) -> np.ndarray:
     t - lookback .. t - 1, so a target is never part of its own context.
 
     The first ``lookback`` targets have no full history; missing rows are
-    filled by repeating the first observation.
+    filled by repeating the first observation. The result is a read-only
+    view of one padded copy of the series, so gathering rows of it copies
+    only the windows gathered.
     """
     series = np.asarray(series, dtype=np.float64)
-    n_steps = series.shape[0]
-    idx = np.arange(n_steps)[:, None] + np.arange(-lookback, 0)[None, :]
-    return series[np.clip(idx, 0, None)]
+    padded = np.concatenate([np.repeat(series[:1], lookback, axis=0), series])
+    windows = sliding_window_view(padded, lookback, axis=0)[: series.shape[0]]
+    return windows.transpose(0, 2, 1)
 
 
 # -- encoders ---------------------------------------------------------------
 
 
 class Encoder:
-    """Shared interface: ``context_dim``, ``parameters()``, ``encode_batch``.
+    """Shared interface: ``context_dim``, ``parameters()``, ``encode_batch``,
+    ``split`` and ``batches``.
 
-    ``reads`` lists the ``EncoderConfig`` fields the kind uses, and ``pairs``
-    the (weight, bias) of each learnable layer, in order. Instantiated
-    directly for kind ``none``: the unconditioned flow, with an empty context
-    and nothing to learn.
+    ``reads`` lists the ``EncoderConfig`` fields the kind uses, ``lookback``
+    is the history a context reads (0 for a kind that does not read
+    ``lookback``), and ``pairs`` the (weight, bias) of each learnable layer,
+    in order. Instantiated directly for kind ``none``: the unconditioned
+    flow, with an empty context and nothing to learn.
     """
 
     kind = "none"
@@ -101,10 +107,35 @@ class Encoder:
     def __init__(self, cfg: EncoderConfig, dim: int, rng: np.random.Generator):
         self.cfg = cfg
         self.dim = dim
+        self.lookback = cfg.lookback if "lookback" in self.reads else 0
         self.pairs: list[tuple[Parameter, Parameter]] = []
 
     def parameters(self) -> list[Parameter]:
         return list(chain(*self.pairs))
+
+    def split(self, n_steps: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Training and validation rows: ``split_train_val`` random sections
+        with a ``lookback`` gap, cut to the rows t >= ``lookback``, whose
+        window is fully observed. An empty set raises ``DataError``."""
+        train, val = split_train_val(n_steps, self.lookback, "random-sections", rng)
+        train, val = train[train >= self.lookback], val[val >= self.lookback]
+        if train.size == 0 or val.size == 0:
+            raise DataError("split left an empty train or validation window set")
+        return train, val
+
+    def batches(self, values: np.ndarray, rows: np.ndarray, size: int,
+                rng: np.random.Generator | None):
+        """Yield ``(rows, contexts)``: blocks of ``size`` of ``rows``, in the
+        order given or, with an ``rng``, in one ``rng.permutation`` of it
+        with dropout on, each with its encoded ``padded_context_windows``:
+        one view per call over the whole series, from which each block
+        gathers its own windows."""
+        windows = padded_context_windows(values, self.lookback)
+        if rng is not None:
+            rows = rows[rng.permutation(len(rows))]
+        for lo in range(0, len(rows), size):
+            pick = rows[lo : lo + size]
+            yield pick, self.encode_batch(windows[pick], rng)
 
     def encode_batch(self, contexts: np.ndarray,
                      rng: np.random.Generator | None = None) -> Node | None:
@@ -282,18 +313,31 @@ class StatefulLstmEncoder(LstmEncoder):
         out, states = self._run_stack(dc.constant(rows[:, None, :]), states, rng)
         return out[:, 0, : self.hidden], states
 
-    def walk(self, values: np.ndarray, rng: np.random.Generator | None = None):
-        """Yield ``(span, contexts)`` per chunk of ``lookback`` rows of
-        ``values``, in order: row t's context is the state after its 1-row
+    def split(self, n_steps, rng):
+        """The sequential tail with a ``lookback`` gap; the state runs through
+        the whole series, so every row has a context and none is cut."""
+        return split_train_val(n_steps, self.lookback, "sequential-tail", rng)
+
+    def batches(self, values, rows, size, rng):
+        """Walk ``values`` in chunks of ``lookback`` rows, in series order
+        (``size`` is not read), and yield each chunk's members of ``rows``
+        with their contexts: row t's context is the state after its 1-row
         padded window (row t - 1; row 0 repeats itself). The graph is cut
         between chunks, keeping the state values: truncated backpropagation.
         """
+        index = np.arange(values.shape[0])
+        wanted = np.zeros(values.shape[0], dtype=bool)
+        wanted[rows] = True
         stream = padded_context_windows(values, 1)[:, 0]
         states = self.zero_states(1)
-        for lo in range(0, stream.shape[0], self.cfg.lookback):
-            span = slice(lo, lo + self.cfg.lookback)
+        for lo in range(0, stream.shape[0], self.lookback):
+            span = slice(lo, lo + self.lookback)
             contexts, states = self.encode_step(stream[span], states, rng)
-            yield span, contexts
+            pick = wanted[span]
+            if pick.all():  # a whole chunk needs no gather node
+                yield index[span], contexts
+            elif pick.any():
+                yield index[span][pick], contexts[pick]
             del contexts  # the caller may free the chunk's graph before the next
             states = [dc.constant(state.value) for state in states]
 

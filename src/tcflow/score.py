@@ -2,9 +2,10 @@
 
 The score of a timestep is its negative conditional log density, so higher
 means more anomalous. Scores are reported raw: no point adjustment, no
-smoothing. The first ``lookback`` timesteps are scored with their missing
-history filled by repeating the first observation, keeping score/label
-alignment over the whole test series.
+smoothing. Every timestep is scored: the encoder's ``batches`` pairs each
+row with its context, the first ``lookback`` rows with their missing history
+filled by repeating the first observation, keeping score/label alignment
+over the whole test series.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioners import StatefulLstmEncoder, padded_context_windows
 from .data import DataError, TimeSeriesDataset, binary_labels, label_runs, read_table, write_table
 from .flow import FlowModel, gaussian_log_density
 
@@ -51,30 +51,26 @@ def load_score_csv(path) -> tuple[ScoreSeries, np.ndarray | None]:
 
 def _latent_series(model: FlowModel, ds: TimeSeriesDataset
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Latent coordinates, summed log|det J| and score per timestep, one flow
-    call per ``_BATCH`` rows; a non-finite score raises with its timestep.
-    The stateful LSTM's state runs from row to row, so its (T, hidden)
-    contexts are collected first from one ``StatefulLstmEncoder.walk``;
-    other encoders encode ``padded_context_windows`` batch by batch."""
+    """Latent coordinates, summed log|det J| and score per timestep; a
+    non-finite score raises with its timestep. The (T, context_dim) contexts
+    of every row are collected first from one ``Encoder.batches`` walk (the
+    stateful LSTM's state runs from row to row), then the flow runs once per
+    ``_BATCH`` rows."""
     if ds.n_channels != model.dim:
         raise ValueError(f"model expects {model.dim} channels, dataset has {ds.n_channels}")
     values = ds.values
-    encoder = model.encoder
+    n_steps, encoder = values.shape[0], model.encoder
+    contexts = None
+    if encoder.context_dim:  # kind none conditions on nothing
+        # without an rng, every kind yields the rows in series order
+        contexts = np.concatenate([context.value for _, context in
+                                   encoder.batches(values, np.arange(n_steps), _BATCH, None)])
     latents = np.empty_like(values)
-    log_dets = np.empty(values.shape[0])
-    contexts, encode = None, encoder.encode_batch
-    if isinstance(encoder, StatefulLstmEncoder):
-        contexts = np.empty((values.shape[0], encoder.context_dim))
-        for span, context in encoder.walk(values):
-            contexts[span] = context.value
-            del context  # free the chunk's graph before the walk builds the next
-        encode = np.asarray  # the contexts are already encoded
-    elif encoder.context_dim:
-        contexts = padded_context_windows(values, encoder.cfg.lookback)
-    for lo in range(0, values.shape[0], _BATCH):
-        hi = min(lo + _BATCH, values.shape[0])
-        ctx = None if contexts is None else encode(contexts[lo:hi])
-        latents[lo:hi], log_dets[lo:hi] = model.latent(values[lo:hi], ctx)
+    log_dets = np.empty(n_steps)
+    for lo in range(0, n_steps, _BATCH):
+        block = slice(lo, lo + _BATCH)
+        ctx = None if contexts is None else contexts[block]
+        latents[block], log_dets[block] = model.latent(values[block], ctx)
     scores = -(gaussian_log_density(latents) + log_dets)
     bad = np.nonzero(~np.isfinite(scores))[0]
     if bad.size:

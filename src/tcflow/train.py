@@ -1,11 +1,11 @@
 """End-to-end training of the conditioned flow, plus model (de)serialization.
 
-One loop (``_mean_loss``) trains and validates every encoder kind. Its
-batches are shuffled rows t >= lookback of ``padded_context_windows``
-(``_window_batches``) or, for the stateful LSTM, the chunks of
-``StatefulLstmEncoder.walk`` with the graph cut between chunks (truncated
-backpropagation; ``_chunk_batches``). Validation NLL is tracked per epoch
-with dropout off, and the best validation epoch's parameters are restored.
+One loop (``_mean_loss``) trains and validates every encoder kind. The
+encoder owns the pairing of rows with contexts: ``Encoder.split`` picks the
+training and validation rows once, and ``Encoder.batches`` yields each
+epoch's ``(rows, contexts)`` batches, shuffled with dropout for training and
+in order for validation. Validation NLL is tracked per epoch with dropout
+off, and the best validation epoch's parameters are restored.
 """
 
 from __future__ import annotations
@@ -20,13 +20,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import diffcore as dc
-from .conditioners import (
-    EncoderConfig,
-    StatefulLstmEncoder,
-    build_encoder,
-    padded_context_windows,
-)
-from .data import DataError, TimeSeriesDataset, split_train_val, write_table
+from .conditioners import EncoderConfig, build_encoder
+from .data import TimeSeriesDataset, write_table
 from .flow import ConditionerConfig, FlowConfig, FlowModel, check_values, field_defaults, nll_loss
 
 MODEL_MAGIC = b"TCFLOW\x00\x01"
@@ -191,27 +186,18 @@ def train_model(
     model = build_model(ds.n_channels, encoder_cfg, flow_cfg, rng, model_id=model_id)
     model.norm_stats = ds.norm_stats
 
-    stateful = isinstance(model.encoder, StatefulLstmEncoder)
-    mode = "sequential-tail" if stateful else "random-sections"
-    lookback = encoder_cfg.lookback if "lookback" in model.encoder.reads else 0
-    train_idx, val_idx = split_train_val(ds.n_steps, lookback, mode, rng)
-    train_mask, val_mask = np.zeros((2, ds.n_steps), dtype=bool)
-    train_mask[train_idx] = val_mask[val_idx] = True
-
-    if stateful:
-        source = _chunk_batches(model.encoder, ds.values, train_mask, val_mask)
-    else:
-        source = _window_batches(model.encoder, ds.values, lookback, train_mask, val_mask,
-                                 train_cfg.batch_size)
-
+    encoder, values = model.encoder, ds.values
+    train_rows, val_rows = encoder.split(ds.n_steps, rng)
     adam = AdamState(model.parameters())
     report = TrainReport()
     best_val = np.inf
     best_snapshot = None
     since_best = 0
     for epoch in range(1, train_cfg.epochs + 1):
-        train_loss = _mean_loss(model, source(rng), rng, adam, train_cfg)
-        val_loss = _mean_loss(model, source(None), None)
+        train_loss = _mean_loss(
+            model, values, encoder.batches(values, train_rows, train_cfg.batch_size, rng),
+            rng, adam, train_cfg)
+        val_loss = _mean_loss(model, values, encoder.batches(values, val_rows, 4096, None), None)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise TrainingDiverged(epoch - 1)
         report.train_losses.append(train_loss)
@@ -230,57 +216,19 @@ def train_model(
     return model, report
 
 
-def _mean_loss(model, batches, rng, adam=None, cfg=None) -> float:
-    """Row-weighted mean NLL of the ``(targets, contexts)`` batches, NaN if
-    there are none; dropout iff ``rng``; with ``adam``, one Adam step per batch."""
+def _mean_loss(model, values, batches, rng, adam=None, cfg=None) -> float:
+    """Row-weighted mean NLL of ``values[rows]`` over the ``(rows, contexts)``
+    batches, NaN if there are none; dropout iff ``rng``; with ``adam``, one
+    Adam step per batch."""
     total, count = 0.0, 0
-    for targets, contexts in batches:
-        loss = nll_loss(model, targets, contexts, rng)
+    for rows, contexts in batches:
+        loss = nll_loss(model, values[rows], contexts, rng)
         if adam is not None:
             dc.backward(loss)
             adam_step(adam, cfg.learning_rate, clip_norm=cfg.clip_norm)
-        total += float(loss.value) * len(targets)
-        count += len(targets)
+        total += float(loss.value) * len(rows)
+        count += len(rows)
     return total / count if count else np.nan
-
-
-def _window_batches(encoder, values, lookback, train_mask, val_mask, batch_size):
-    """``batches(rng)`` for every encoder kind but the stateful LSTM: a
-    split's targets t >= ``lookback`` and their encoded
-    ``padded_context_windows``; with an ``rng``, the training split's shuffled
-    in batches of ``batch_size`` with dropout, else the validation split's in
-    order by 4096. An empty split raises here."""
-    usable = np.arange(values.shape[0]) >= lookback
-    contexts = padded_context_windows(values, lookback)
-    train, val = ((values[mask & usable], contexts[mask & usable])
-                  for mask in (train_mask, val_mask))
-    if len(train[0]) == 0 or len(val[0]) == 0:
-        raise DataError("split left an empty train or validation window set")
-
-    def batches(rng):
-        targets, windows = val if rng is None else train
-        size = 4096 if rng is None else batch_size
-        order = np.arange(len(targets)) if rng is None else rng.permutation(len(targets))
-        for lo in range(0, len(targets), size):
-            pick = order[lo : lo + size]
-            yield targets[pick], encoder.encode_batch(windows[pick], rng)
-
-    return batches
-
-
-def _chunk_batches(encoder, values, train_mask, val_mask):
-    """``batches(rng)`` for the stateful LSTM: per chunk of ``StatefulLstmEncoder.walk``,
-    its targets in the training split with an ``rng`` (dropout on), else in the
-    validation split, and their contexts."""
-
-    def batches(rng):
-        mask = val_mask if rng is None else train_mask
-        for span, contexts in encoder.walk(values, rng):
-            pick = mask[span]
-            if pick.any():
-                yield values[span][pick], contexts[pick]
-
-    return batches
 
 
 # -- serialization -----------------------------------------------------------------
@@ -322,7 +270,9 @@ def load_model(path) -> FlowModel:
         raise SerializationError(f"{path}: truncated header")
     try:
         header = json.loads(raw[offset : offset + blob_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        if type(header) is not dict:  # an object loads as a dict, and nothing else does
+            raise ValueError("not a JSON object")
+    except ValueError as exc:  # a decode error included
         raise SerializationError(f"{path}: corrupt header: {exc}") from None
     offset += blob_len
     version = header.get("format_version")

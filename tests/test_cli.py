@@ -2,6 +2,8 @@ import argparse
 import configparser
 import csv
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -226,6 +228,26 @@ class TestReport:
         assert rows[("s,1", "auc_roc")] == ["1.0", "0.0", "1"]
         assert rows[("#a", "auc_roc")] == ["1.0", "0.0", "1"]
         assert rows[("dataset", "auc_roc")] == ["1.0", "0.0", "1"]
+
+    def test_file_without_comment_line_keeps_its_first_row(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("dataset,model,metric,value\nd,m,auc_roc,0.5\nd,m,vus_roc,0.25\n")
+        assert run_cli("report", path, "--out-dir", tmp_path / "report") == 0
+        lines = (tmp_path / "report" / "report.csv").read_text().splitlines()
+        assert lines[2:] == ["d,auc_roc,0.5,0.0,1", "d,vus_roc,0.25,0.0,1"]
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "# vus_variant=x window=3\n",
+        "d,m,auc_roc,0.5\n",
+        "# vus_variant=x window=3\ndataset,model,value\nd,m,0.5\n",
+    ], ids=["empty", "comment-only", "no-header", "other-header"])
+    def test_missing_header_rejected_naming_the_file(self, tmp_path, capsys, text):
+        path = tmp_path / "metrics.csv"
+        path.write_text(text)
+        assert run_cli("report", path, "--out-dir", tmp_path / "report") == 1
+        err = capsys.readouterr().err
+        assert "DataError" in err and f"{path}: header " in err
 
     @pytest.mark.parametrize("row, message", [
         ("sine,m,auc_roc", "row 2 is not dataset,model,metric,value"),
@@ -612,3 +634,16 @@ def test_readme_configuration_table_matches_defaults_and_bounds():
         assert default == f"`{DEFAULTS[section][key]}`", key
         if (section, key) in cli.CHOICES or key in cli.RANGES.get(section, {}):
             assert accepted.split(";")[0] == _accepted(section, key), key
+
+
+# Settable values of src/ as tools/settable_values.py counts them: defaulted
+# parameters, defaulted dataclass fields and config keys. A change that adds
+# or removes a knob edits this number on purpose.
+SETTABLE_VALUES = 123
+
+
+def test_settable_value_count_is_the_recorded_one():
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, root / "tools" / "settable_values.py", root / "src"],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split(": ")[-1].strip() == str(SETTABLE_VALUES), out

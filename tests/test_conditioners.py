@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,14 +15,16 @@ from helpers import (
 )
 
 from tcflow import diffcore as dc
+from tcflow import data as dt
 from tcflow.conditioners import (
+    KINDS,
     Encoder,
     EncoderConfig,
     build_encoder,
     padded_context_windows,
 )
 from tcflow.flow import ConditionerConfig, FlowConfig, nll_loss
-from tcflow.train import TrainConfig, _window_batches
+from tcflow.train import TrainConfig
 
 
 def series(n_steps=12, dim=2, seed=0):
@@ -50,13 +53,15 @@ class TestMakeWindows:
         assert contexts.shape == (n, k, 2)
         assert len(contexts[k:]) == n - k
 
-    def test_rejects_too_short_series(self):
-        # no target has a full history, so training has no rows
-        values = series(4)
-        model = build_model_with_encoder(2, 2, EncoderConfig("passthrough", lookback=4))
-        everything = np.ones(4, dtype=bool)
+    def test_rejects_split_without_fully_observed_training_rows(self):
+        # 100 rows, lookback 10: five validation sections of 4 rows, each 12
+        # rows into its block of 20, leave training rows 0 and 1 only, and
+        # neither has a full history, so training has no rows
+        model = build_model_with_encoder(2, 2, EncoderConfig("passthrough", lookback=10))
+        offsets = SimpleNamespace(integers=lambda lo, hi: 12)
+        assert dt.split_train_val(100, 10, "random-sections", offsets)[0].tolist() == [0, 1]
         with pytest.raises(ValueError, match="empty"):
-            _window_batches(model.encoder, values, 4, everything, everything, batch_size=128)
+            model.encoder.split(100, offsets)
 
     def test_target_never_inside_its_own_context(self):
         values = series(30, 2, seed=3)
@@ -72,6 +77,61 @@ class TestMakeWindows:
         np.testing.assert_array_equal(contexts[0], np.tile(values[0], (3, 1)))
         np.testing.assert_array_equal(contexts[1], np.vstack([values[0], values[0], values[0]]))
         np.testing.assert_array_equal(contexts[3], values[0:3])
+        assert not contexts.flags.writeable  # a view: its windows share rows
+
+
+class TestRowPairing:
+    """``Encoder.split`` and ``Encoder.batches`` own the pairing of rows with
+    contexts, for every kind: the stateless kinds in ``size`` blocks of the
+    requested order (one permutation of it with an rng), the stateful LSTM
+    in series order, one chunk of ``lookback`` rows at a time."""
+
+    LOOKBACK = 4
+
+    def _encoder(self, kind):
+        cfg = EncoderConfig(kind, lookback=self.LOOKBACK, cnn_max_channels=3, lstm_hidden=3)
+        return build_encoder(cfg, 2, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("with_rng", [False, True])
+    def test_batches_yield_each_requested_row_once(self, kind, with_rng):
+        enc = self._encoder(kind)
+        values = series(60, 2, seed=2)
+        requested = np.random.default_rng(3).permutation(60)[:37]
+        rng = np.random.default_rng(5) if with_rng else None
+        blocks = list(enc.batches(values, requested, 8, rng))
+        got = np.concatenate([rows for rows, _ in blocks])
+        assert sorted(got.tolist()) == sorted(requested.tolist())
+        for rows, ctx in blocks:
+            assert (ctx is None) == (enc.context_dim == 0)
+            assert ctx is None or ctx.value.shape == (len(rows), enc.context_dim)
+        if kind == "lstm-stateful":
+            np.testing.assert_array_equal(got, np.sort(requested))
+            chunks = [np.unique(rows // self.LOOKBACK) for rows, _ in blocks]
+            assert all(chunk.size == 1 for chunk in chunks)
+            assert len(np.unique(np.concatenate(chunks))) == len(chunks)
+        else:
+            order = np.random.default_rng(5).permutation(37) if with_rng else np.arange(37)
+            np.testing.assert_array_equal(got, requested[order])
+            assert [len(rows) for rows, _ in blocks] == [8, 8, 8, 8, 5]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_split_honours_gap_and_lookback_cut(self, kind):
+        enc = self._encoder(kind)
+        train, val = enc.split(200, np.random.default_rng(7))
+        stateful = kind == "lstm-stateful"
+        assert enc.lookback == (0 if kind == "none" else self.LOOKBACK)
+        mode = "sequential-tail" if stateful else "random-sections"
+        ref_train, ref_val = dt.split_train_val(200, enc.lookback, mode,
+                                                np.random.default_rng(7))
+        cut = 0 if stateful else enc.lookback
+        np.testing.assert_array_equal(train, ref_train[ref_train >= cut])
+        np.testing.assert_array_equal(val, ref_val[ref_val >= cut])
+        assert np.abs(train[:, None] - val[None, :]).min() > enc.lookback
+        if cut:
+            assert min(train.min(), val.min()) >= self.LOOKBACK
+        else:  # no cut: row 0 has a context too
+            assert 0 in np.concatenate([train, val])
 
 
 class TestPassthrough:
@@ -260,12 +320,12 @@ class TestStatefulEncoder:
         for s1, s2 in zip(single, block):
             np.testing.assert_array_equal(s1.value, s2.value)
 
-    def test_walk_equals_one_block_step_and_cuts_between_chunks(self):
+    def test_batches_equal_one_block_step_and_cut_between_chunks(self):
         # lookback 4 over 10 rows: chunks 0-3, 4-7 and a partial one
         _, stateful = self._pair()
         values = series(10, 2, seed=14)
-        chunks = list(stateful.walk(values))
-        assert [span for span, _ in chunks] == [slice(0, 4), slice(4, 8), slice(8, 12)]
+        chunks = list(stateful.batches(values, np.arange(10), 128, None))
+        assert [rows.tolist() for rows, _ in chunks] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
         shifted = np.vstack([values[:1], values[:-1]])
         whole, _ = stateful.encode_step(shifted, stateful.zero_states(1))
         np.testing.assert_array_equal(np.vstack([c.value for _, c in chunks]), whole.value)
@@ -360,23 +420,24 @@ class TestFusedLstmStack:
             np.testing.assert_array_equal(state.value, np.hstack([h.value, c.value]))
         assert np.isfinite(contexts.value).all()
 
-    def test_walk_chunk_with_partial_mask_equals_per_step_cells(self):
+    def test_batches_with_partial_pick_equal_per_step_cells(self):
         # lookback 4 over 7 rows: a full chunk, then a partial one whose
         # state comes across the cut; a partial pick of each chunk's rows
         enc = self._encoder(2, kind="lstm-stateful")
         values = np.random.default_rng(8).normal(size=(7, 2))
         stream = np.vstack([values[:1], values[:-1]])
+        spans = [slice(0, 4), slice(4, 8)]
         picks = [np.array([True, False, True, True]), np.array([False, True, True])]
         fused_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         states = [(dc.constant(np.zeros((1, self.HIDDEN))),) * 2 for _ in enc.pairs]
-        chunks = list(enc.walk(values, rng=fused_rng))
-        assert [span for span, _ in chunks] == [slice(0, 4), slice(4, 8)]
-        for (span, contexts), pick in zip(chunks, picks):
+        chunks = list(enc.batches(values, np.flatnonzero(np.concatenate(picks)), 128, fused_rng))
+        assert [rows.tolist() for rows, _ in chunks] == [[0, 2, 3], [5, 6]]
+        for (_, contexts), span, pick in zip(chunks, spans, picks):
             rows = [dc.constant(row[None]) for row in stream[span]]
             seq, states = composed_lstm_stack(enc, rows, states, ref_rng)
-            np.testing.assert_array_equal(contexts.value, np.vstack([h.value for h in seq]))
+            np.testing.assert_array_equal(contexts.value, np.vstack([h.value for h in seq])[pick])
             weights = np.random.default_rng(span.start).normal(size=(int(pick.sum()), self.HIDDEN))
-            fused = backward_grads(dc.sum_(dc.mul(contexts[pick], dc.constant(weights))),
+            fused = backward_grads(dc.sum_(dc.mul(contexts, dc.constant(weights))),
                                    enc.parameters())
             ref = backward_grads(dc.sum_(dc.mul(dc.concat(seq, axis=0)[pick],
                                                 dc.constant(weights))), enc.parameters())

@@ -22,7 +22,7 @@ from helpers import (
 
 from tcflow import diffcore as dc
 from tcflow import data as dt
-from tcflow.conditioners import KINDS, EncoderConfig
+from tcflow.conditioners import KINDS, Encoder, EncoderConfig
 from tcflow.flow import ConditionerConfig, FlowConfig, gaussian_log_density, nll_loss
 from tcflow.train import (
     MODEL_MAGIC,
@@ -30,9 +30,7 @@ from tcflow.train import (
     SerializationError,
     TrainConfig,
     TrainingDiverged,
-    _chunk_batches,
     _mean_loss,
-    _window_batches,
     adam_step,
     build_model,
     load_model,
@@ -245,10 +243,10 @@ class TestFlatBuffer:
         seen = []
         original = train_module._mean_loss
 
-        def mean_loss(model, batches, rng, adam=None, cfg=None):
+        def mean_loss(model, values, batches, rng, adam=None, cfg=None):
             if adam is None:
                 seen.append(np.concatenate([p.value.ravel() for p in model.parameters()]))
-            return original(model, batches, rng, adam, cfg)
+            return original(model, values, batches, rng, adam, cfg)
 
         monkeypatch.setattr(train_module, "_mean_loss", mean_loss)
         ds = prepared_sine(300, seed=4)
@@ -385,22 +383,26 @@ class TestBatchedRows:
     @pytest.mark.parametrize("lookback", [1, 4, 30])
     @pytest.mark.parametrize("kind", ["none", "passthrough"])
     def test_rows_match_window_and_set_construction(self, kind, lookback, mode):
-        # the split masks over padded_context_windows pick the same rows, in
-        # the same order, as the windows filtered by split-index membership
+        # a split's rows t >= lookback and their padded_context_windows are
+        # the same rows, in the same order, as the windows filtered by
+        # split-index membership
         ds = prepared_sine(400, seed=5)
-        lookback = lookback if kind != "none" else 0  # as train_model splits
+        lookback = lookback if kind != "none" else 0  # as Encoder.split splits
         train_idx, val_idx = dt.split_train_val(ds.n_steps, lookback, mode,
                                                 np.random.default_rng(1))
-        masks = np.zeros((2, ds.n_steps), dtype=bool)
-        masks[0, train_idx] = masks[1, val_idx] = True
         # the raw windows as "contexts", every row in one batch, unshuffled
-        raw = SimpleNamespace(encode_batch=lambda windows, rng: windows)
-        batches = _window_batches(raw, ds.values, lookback, *masks, batch_size=ds.n_steps)
+        raw = SimpleNamespace(lookback=lookback, encode_batch=lambda windows, rng: windows)
+        if mode == "random-sections":  # the stateless kinds' own split
+            train_rows, val_rows = Encoder.split(raw, ds.n_steps, np.random.default_rng(1))
+        else:
+            train_rows, val_rows = (idx[idx >= lookback] for idx in (train_idx, val_idx))
         in_order = SimpleNamespace(permutation=np.arange)
-        (train,) = batches(in_order)
-        (val,) = batches(None)
+        ((train_rows, train_ctx),) = Encoder.batches(raw, ds.values, train_rows, ds.n_steps,
+                                                     in_order)
+        ((val_rows, val_ctx),) = Encoder.batches(raw, ds.values, val_rows, ds.n_steps, None)
+        got = (ds.values[train_rows], train_ctx, ds.values[val_rows], val_ctx)
         want = reference_window_rows(ds.values, lookback, train_idx, val_idx)
-        for rows, expected in zip(train + val, want):
+        for rows, expected in zip(got, want):
             np.testing.assert_array_equal(rows, expected)
 
 
@@ -451,8 +453,8 @@ class TestStatefulChunks:
         stream = np.vstack([values[:1], values[:-1]])
         val = np.zeros(n_steps, dtype=bool)
         val[7:] = True
-        batches = _chunk_batches(model.encoder, values, ~val, val)
-        val_loss = _mean_loss(model, batches(None), None)
+        batches = model.encoder.batches(values, np.flatnonzero(val), 4096, None)
+        val_loss = _mean_loss(model, values, batches, None)
         expected = float(self._per_row_nll(model, stream, values, val).value)
         np.testing.assert_allclose(val_loss, expected, rtol=1e-12, atol=0)
 
@@ -677,6 +679,14 @@ class TestSerialization:
         _, path, _ = self._trained(tmp_path)
         path.write_bytes(self._with_header(path.read_bytes(), lambda h: h.update({section: value})))
         with pytest.raises(SerializationError, match=re.escape(f"{path}: bad header: ")):
+            load_model(path)
+
+    @pytest.mark.parametrize("header", [b"[1]", b"3", b"null", b'"x"'])
+    def test_non_object_header_is_corrupt_and_names_the_file(self, tmp_path, header):
+        path = tmp_path / "model.tcf"
+        path.write_bytes(MODEL_MAGIC + struct.pack("<Q", len(header)) + header)
+        with pytest.raises(SerializationError, match=re.escape(
+                f"{path}: corrupt header: not a JSON object")):
             load_model(path)
 
     def test_dim_that_does_not_fit_the_norm_stats_rejected(self, tmp_path):
