@@ -26,10 +26,6 @@ from . import metrics as mx
 from .conditioners import EncoderConfig
 from .flow import ConditionerConfig, FlowConfig, check_values, field_defaults
 from .hyperopt import (
-    CANDIDATE_EPOCHS,
-    CANDIDATE_PATIENCE,
-    FINAL_EPOCHS,
-    LOOKBACK_MAX,
     METHOD_ENCODERS,
     OBJECTIVES,
     default_population,
@@ -73,8 +69,8 @@ DEFAULTS = {
     "encoder": field_defaults(EncoderConfig, skip=("kind",)),
     "train": field_defaults(TrainConfig, skip=("seed",)),
     "search": {
-        "budget": 18, "objective": OBJECTIVES[0], "candidate_epochs": CANDIDATE_EPOCHS,
-        "final_epochs": FINAL_EPOCHS, "lookback_max": LOOKBACK_MAX,
+        "budget": 18, "objective": OBJECTIVES[0], "candidate_epochs": 10, "final_epochs": 30,
+        "lookback_max": 50,  # the searched lookback's upper bound
     },
     "metrics": {"window": -1},
 }
@@ -146,10 +142,16 @@ class RunConfig:
         return TrainConfig(seed=self.values["run"]["seed"], **self.values["train"])
 
 
+def _anomaly_kinds(anomalies: str) -> list[str]:
+    """The kinds of a comma-separated ``[generate] anomalies`` value."""
+    return [kind.strip() for kind in anomalies.split(",") if kind.strip()]
+
+
 def _build_config(args) -> RunConfig:
     """The defaults, then the file, then the flags; the result is checked
-    against ``CHOICES``, then the types of ``DEFAULTS`` and ``RANGES`` plus
-    the method's least budget, so a flag can mend a bad file value."""
+    against ``CHOICES``, then the types of ``DEFAULTS`` and ``RANGES``, then
+    the method's least budget and the ``[generate]`` anomalies, so a flag
+    can mend a bad file value."""
     cfg = RunConfig()
     if args.config:
         cfg.load_file(args.config)
@@ -161,16 +163,31 @@ def _build_config(args) -> RunConfig:
     for (section, key), choices in CHOICES.items():
         if (value := cfg.values[section][key]) not in choices:
             raise CliError(f"[{section}] {key} not one of {', '.join(choices)}: {value!r}")
-    # the budget buys one population of the method's search at least
-    population = default_population(len(space_for_method(cfg.values["run"]["method"])))
-    floor = {"search": RANGES["search"] | {"budget": (population, np.inf)}}
-    for section, ranges in (RANGES | floor).items():
+
+    def check(section, ranges):
         try:
             check_values(cfg.values[section], DEFAULTS[section], ranges)
         except ValueError as exc:
             raise CliError(f"[{section}] {exc}") from None
-    if np.isinf(magnitude := cfg.values["generate"]["anomaly_magnitude"]):  # nan: each kind's own
-        raise CliError(f"[generate] anomaly_magnitude must be finite: {magnitude}")
+
+    for section, ranges in RANGES.items():
+        check(section, ranges)
+    # the budget buys one population of the method's search at least
+    space = space_for_method(cfg.values["run"]["method"], cfg.values["search"]["lookback_max"])
+    check("search", {"budget": (default_population(len(space)), np.inf)})
+    g = cfg.values["generate"]
+    if np.isinf(g["anomaly_magnitude"]):  # nan: each kind's own
+        raise CliError(f"[generate] anomaly_magnitude must be finite: {g['anomaly_magnitude']}")
+    kinds, n_anoms, n_steps = _anomaly_kinds(g["anomalies"]), g["n_anomalies"], g["n_steps"]
+    if not kinds and n_anoms > 0:
+        raise CliError(f"[generate] anomalies is empty; n_anomalies = {n_anoms}")
+    if unknown := [kind for kind in kinds if kind not in dt.ANOMALY_KINDS]:
+        raise CliError(f"[generate] anomalies has an unknown kind {unknown[0]!r}")
+    # each anomaly's slot needs 2 steps or more, room for a range of length
+    # >= 1 after jitter (see _inject_round)
+    if n_anoms > 0 and n_steps // (n_anoms + 1) < 2:
+        raise CliError(f"[generate] n_anomalies = {n_anoms} does not fit a series of "
+                       f"{n_steps} steps (at most {n_steps // 2 - 1})")
     return cfg
 
 
@@ -180,13 +197,7 @@ def _build_config(args) -> RunConfig:
 def cmd_generate(args, cfg: RunConfig, out: Path) -> None:
     seed = cfg.values["run"]["seed"]
     g = cfg.values["generate"]
-    kinds = [k.strip() for k in g["anomalies"].split(",") if k.strip()]
-    if not kinds and g["n_anomalies"] > 0:
-        raise CliError(f"[generate] anomalies is empty; n_anomalies = {g['n_anomalies']}")
-    for kind in kinds:
-        if kind not in dt.ANOMALY_KINDS:
-            raise CliError(f"[generate] anomalies has an unknown kind {kind!r}")
-
+    kinds = _anomaly_kinds(g["anomalies"])
     clean = dt.generate_synthetic(g["family"], g["n_steps"], g["n_channels"], g["noise"], seed)
     labeled = dt.generate_synthetic(g["family"], g["n_steps"], g["n_channels"], g["noise"], seed + 1)
     test = dt.generate_synthetic(g["family"], g["n_steps"], g["n_channels"], g["noise"], seed + 2)
@@ -204,12 +215,8 @@ def _inject_round(ds, kinds, g, rng) -> dt.TimeSeriesDataset:
     n_anoms = g["n_anomalies"]
     n_steps = ds.n_steps
     ds = replace(ds, labels=np.zeros(n_steps, dtype=bool))  # labels even for n_anoms = 0
-    # evenly strided slots keep injected ranges from colliding; a slot of at
-    # least 2 steps leaves room for a range of length >= 1 after jitter
+    # evenly strided slots keep injected ranges from colliding
     slot = n_steps // (n_anoms + 1)
-    if n_anoms > 0 and slot < 2:
-        raise CliError(f"[generate] n_anomalies = {n_anoms} does not fit a series of "
-                       f"{n_steps} steps (at most {n_steps // 2 - 1})")
     for i in range(n_anoms):
         kind = kinds[i % len(kinds)]
         length = 1 if kind == "spike" else min(g["anomaly_length"], slot // 2)
@@ -281,15 +288,10 @@ def cmd_search(args, cfg: RunConfig, out: Path) -> None:
     s, window = cfg.values["search"], cfg.values["metrics"]["window"]
     train_ds = dt.load_csv(args.train)
     labeled = dt.load_csv(args.labeled, has_labels=True) if args.labeled else None
-    candidate_cfg = TrainConfig(**dict(cfg.values["train"], epochs=s["candidate_epochs"],
-                                       patience=CANDIDATE_PATIENCE))
     result = run_search(
-        train_ds, labeled, method, s["objective"], s["budget"],
-        seed=cfg.values["run"]["seed"],
+        train_ds, labeled, method, s["objective"], s["budget"], cfg.encoder_config(method),
+        cfg.train_config(), s["candidate_epochs"], s["final_epochs"], s["lookback_max"],
         metric_window=None if window == -1 else window,  # None infers it
-        candidate_cfg=candidate_cfg,
-        final_epochs=s["final_epochs"],
-        lookback_max=s["lookback_max"],
     )
     result.trials_csv(out / "trials.csv")
     save_model(result.best_model, out / "model.tcf")

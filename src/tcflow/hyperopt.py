@@ -12,7 +12,8 @@ A search space is a list of ``ParamSpec`` rows. Each candidate vector is
 decoded once, to named hyperparameters (integers rounded half-up) that one
 ``_evaluate_candidate`` call trains and its ``Trial`` records. A candidate
 trains a reduced-budget model and is ranked either by the labeled 30:70
-AUC/VUS blend or by the best validation loss.
+AUC/VUS blend or by the best validation loss. ``_train_trial`` trains every
+model of a search, each candidate and the winner's refit, by one rule.
 
 The candidates of one generation are independent, so ``run_search`` trains
 them on a process pool of ``TCFLOW_WORKERS`` workers, by default one per
@@ -45,14 +46,10 @@ from .train import TrainConfig, train_model
 
 OBJECTIVES = ("labeled-30-70", "val-loss")
 
-# Candidates train on a reduced budget: these epochs, and early stopping after
-# this many epochs without a better validation loss. The winner is refit for
-# FINAL_EPOCHS.
-CANDIDATE_EPOCHS = 10
+# Early stopping after this many epochs without a better validation loss: a
+# candidate's, and the winner's refit's.
 CANDIDATE_PATIENCE = 3
-FINAL_EPOCHS = 30
-# Upper bound of the searched lookback.
-LOOKBACK_MAX = 50
+FINAL_PATIENCE = 5
 
 METHOD_ENCODERS = {
     "realnvp": "none",
@@ -99,7 +96,7 @@ def _encoder_rows(method: str) -> dict[str, str]:
     }
 
 
-def space_for_method(method: str, lookback_max: int = LOOKBACK_MAX) -> list[ParamSpec]:
+def space_for_method(method: str, lookback_max: int) -> list[ParamSpec]:
     """Bounded hyperparameter rows for one method: the coupling layers, the
     conditioner's ranged fields, the lookback if the encoder reads one, and
     the encoder's fields with a finite range."""
@@ -135,11 +132,13 @@ def flow_config(params: dict) -> FlowConfig:
     return FlowConfig(params["coupling_layers"], cond)
 
 
-def configs_from_params(method: str, params: dict) -> tuple[EncoderConfig, FlowConfig]:
-    """The configs of one trial's decoded ``params``."""
+def configs_from_params(method: str, params: dict,
+                        encoder_cfg: EncoderConfig) -> tuple[EncoderConfig, FlowConfig]:
+    """The configs of one trial's decoded ``params``: ``encoder_cfg`` with the
+    method's kind and the searched lookback (else 1) and encoder fields."""
     enc_kwargs = {attr: params[name] for name, attr in _encoder_rows(method).items()}
-    encoder_cfg = EncoderConfig(METHOD_ENCODERS[method], lookback=params.get("lookback", 1),
-                                **enc_kwargs)
+    encoder_cfg = replace(encoder_cfg, kind=METHOD_ENCODERS[method],
+                          lookback=params.get("lookback", 1), **enc_kwargs)
     return encoder_cfg, flow_config(params)
 
 
@@ -304,16 +303,24 @@ def _candidate_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0])
 
 
-def _evaluate_candidate(index: int, params: dict, *, method: str,
-                        train_ds: TimeSeriesDataset, eval_ds: TimeSeriesDataset | None,
-                        objective: str, metric_window: int, train_cfg: TrainConfig,
-                        base_seed: int) -> tuple[float, float, float, float]:
+def _train_trial(train_ds: TimeSeriesDataset, method: str, encoder_cfg: EncoderConfig,
+                 train_cfg: TrainConfig, index: int, params: dict):
+    """``train_model`` for the trial ``index``: ``encoder_cfg`` and the flow
+    with its decoded ``params``, and ``train_cfg`` (a candidate's or the
+    refit's epochs and patience) seeded from its own seed and ``index``."""
+    encoder_cfg, flow_cfg = configs_from_params(method, params, encoder_cfg)
+    return train_model(train_ds, encoder_cfg, flow_cfg,
+                       replace(train_cfg, seed=_candidate_seed(train_cfg.seed, index)),
+                       model_id=f"{method}-seed{train_cfg.seed}")
+
+
+def _evaluate_candidate(index: int, params: dict, *, train_trial, eval_ds: TimeSeriesDataset | None,
+                        objective: str, metric_window: int) -> tuple[float, float, float, float]:
     """(fitness, auc, vus, val_loss) of the candidate ``index`` with decoded
-    ``params``; a candidate that cannot be trained has fitness inf."""
-    encoder_cfg, flow_cfg = configs_from_params(method, params)
-    cfg = replace(train_cfg, seed=_candidate_seed(base_seed, index))
+    ``params``, trained by ``train_trial(index, params)``; a candidate that
+    cannot be trained has fitness inf."""
     try:
-        model, report = train_model(train_ds, encoder_cfg, flow_cfg, cfg)
+        model, report = train_trial(index, params)
         val_loss = report.best_val_loss
         auc = vus = float("nan")
         labels = None if eval_ds is None else eval_ds.labels
@@ -375,21 +382,14 @@ def _one_blas_thread() -> None:
         set_threads(1)
 
 
-def run_search(
-    train: TimeSeriesDataset,
-    labeled_eval: TimeSeriesDataset | None,
-    method: str,
-    objective: str,
-    budget: int,
-    seed: int = 0,
-    metric_window: int | None = None,
-    candidate_cfg: TrainConfig | None = None,
-    final_epochs: int = FINAL_EPOCHS,
-    lookback_max: int = LOOKBACK_MAX,
-) -> SearchResult:
-    """CMA-ES search over the method's space; every candidate is trained on
-    the clean training series and ranked by the chosen objective. The winner
-    is refit at full budget and returned together with all trials."""
+def run_search(train: TimeSeriesDataset, labeled_eval: TimeSeriesDataset | None, method: str,
+               objective: str, budget: int, encoder_cfg: EncoderConfig, train_cfg: TrainConfig,
+               candidate_epochs: int, final_epochs: int, lookback_max: int,
+               metric_window: int | None = None) -> SearchResult:
+    """CMA-ES search over the method's space, seeded by ``train_cfg.seed``; every
+    candidate trains on the clean training series for ``candidate_epochs`` and
+    is ranked by the chosen objective. The winner is refit for ``final_epochs``
+    and returned together with all trials. See ``_train_trial``."""
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     if objective == "labeled-30-70":
@@ -399,7 +399,7 @@ def run_search(
             raise ValueError(f"labeled-30-70 objective needs both classes in the labeled evaluation "
                              f"series; all its {labeled_eval.n_steps} labels are {labeled_eval.labels[0]:d}")
     space = space_for_method(method, lookback_max)
-    opt = CmaEs(len(space), seed=seed)
+    opt = CmaEs(len(space), seed=train_cfg.seed)
     if budget < opt.lam:
         raise ValueError(f"budget {budget} is below one population of {opt.lam}")
     workers = _worker_count(opt.lam)
@@ -411,12 +411,12 @@ def run_search(
         if metric_window is None and labeled_eval.labels is not None:
             metric_window = infer_metric_window(labeled_eval.labels)
     metric_window = int(metric_window or 0)
-    candidate_cfg = candidate_cfg or TrainConfig(epochs=CANDIDATE_EPOCHS, patience=CANDIDATE_PATIENCE)
-    # checked before any candidate trains; only its seed waits for the winner
-    final_cfg = replace(candidate_cfg, epochs=final_epochs, patience=max(candidate_cfg.patience, 5))
-    candidate = partial(_evaluate_candidate, method=method, train_ds=train_prepared,
-                        eval_ds=eval_prepared, objective=objective, metric_window=metric_window,
-                        train_cfg=candidate_cfg, base_seed=seed)
+    train_trial = partial(_train_trial, train_prepared, method, encoder_cfg)
+    candidate_cfg = replace(train_cfg, epochs=candidate_epochs, patience=CANDIDATE_PATIENCE)
+    # checked before any candidate trains
+    final_cfg = replace(train_cfg, epochs=final_epochs, patience=FINAL_PATIENCE)
+    candidate = partial(_evaluate_candidate, train_trial=partial(train_trial, candidate_cfg),
+                        eval_ds=eval_prepared, objective=objective, metric_window=metric_window)
 
     trials: list[Trial] = []
     with (ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
@@ -438,8 +438,5 @@ def run_search(
     if not np.isfinite(fitness).any():
         raise DataError(f"all {len(trials)} candidates failed; there is no trial to refit")
     best_trial = trials[int(np.argmin(np.where(np.isnan(fitness), np.inf, fitness)))]
-    encoder_cfg, flow_cfg = configs_from_params(method, best_trial.params)
-    final_cfg = replace(final_cfg, seed=_candidate_seed(seed, best_trial.index))
-    best_model, _ = train_model(train_prepared, encoder_cfg, flow_cfg, final_cfg,
-                                model_id=f"{method}-seed{seed}")
+    best_model, _ = train_trial(final_cfg, best_trial.index, best_trial.params)
     return SearchResult(trials, best_trial, best_model, space, method, objective, metric_window)

@@ -52,14 +52,11 @@ def make_bundle(family, seed, anomalies, n_steps=2000):
     return train, out[0], out[1]
 
 
-SEARCH_CANDIDATE_CFG = TrainConfig(epochs=8, batch_size=128, learning_rate=3e-3, patience=3)
-
-
 def searched_test_auc(family, method, seed, anomalies, budget):
     train, labeled, test = make_bundle(family, seed, anomalies)
-    result = run_search(train, labeled, method, "labeled-30-70", budget=budget,
-                        seed=seed, candidate_cfg=SEARCH_CANDIDATE_CFG,
-                        final_epochs=20, lookback_max=50)
+    result = run_search(train, labeled, method, "labeled-30-70", budget, EncoderConfig(),
+                        TrainConfig(batch_size=128, learning_rate=3e-3, seed=seed),
+                        candidate_epochs=8, final_epochs=20, lookback_max=50)
     prepared = dt.prepare(test, result.best_model.norm_stats)
     scores = score_series(result.best_model, prepared).scores
     return mx.auc_roc(scores, prepared.labels)
@@ -303,9 +300,8 @@ def test_a10_reproducibility(tmp_path):
         train = dt.generate_synthetic("sine", 300, 2, noise=0.1, seed=5)
         labeled = dt.generate_synthetic("sine", 300, 2, noise=0.1, seed=6)
         labeled = dt.inject_anomaly(labeled, dt.AnomalySpec("spike", 150, 1, 6.0, (0,)))
-        result = run_search(train, labeled, "tcnf-base", "labeled-30-70", budget=9,
-                            seed=3, candidate_cfg=TrainConfig(epochs=2, batch_size=128,
-                                                              patience=2),
+        result = run_search(train, labeled, "tcnf-base", "labeled-30-70", 9, EncoderConfig(),
+                            TrainConfig(batch_size=128, seed=3), candidate_epochs=2,
                             final_epochs=2, lookback_max=6)
         result.trials_csv(out / "trials.csv")
         save_model(result.best_model, out / "model.tcf")

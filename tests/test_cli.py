@@ -192,6 +192,26 @@ class TestSearchWorkers:
         assert outputs[0] == outputs[1]
 
 
+class TestSearchConfig:
+    def test_search_model_has_the_configured_lstm_hidden(self, tmp_path, monkeypatch):
+        # lstm_hidden is not searched; every trial builds on the [encoder] section
+        from tcflow.train import load_model
+
+        monkeypatch.setenv("TCFLOW_WORKERS", "1")
+        data = tmp_path / "data"
+        assert run_cli("generate", "--n-steps", 100, "--seed", 5, "--out-dir", data) == 0
+        cfg = tmp_path / "search.ini"
+        cfg.write_text("[encoder]\nlstm_hidden = 16\n"
+                       "[search]\ncandidate_epochs = 1\nfinal_epochs = 1\nlookback_max = 4\n")
+        out = tmp_path / "search"
+        assert run_cli("search", "--train", data / "train_clean.csv",
+                       "--labeled", data / "train_labeled.csv", "--method", "tcnf-stateless",
+                       "--budget", 10, "--config", cfg, "--out-dir", out) == 0
+        encoder = load_model(out / "model.tcf").encoder
+        assert encoder.cfg.lstm_hidden == 16 and encoder.hidden == 16
+        assert read_resolved(out, "search")["encoder"]["lstm_hidden"] == "16"
+
+
 class TestReport:
     def test_mean_and_std_over_runs(self, tmp_path):
         paths = []
@@ -404,6 +424,8 @@ class TestFlags:
             in_file, flag = tmp_path / "from-file", tmp_path / "from-flag"
         elif action.choices:
             in_file, flag = action.choices[0], action.choices[-1]
+        elif key == "anomalies":  # a list of kinds, checked with the other keys
+            in_file, flag = dt.ANOMALY_KINDS[0], dt.ANOMALY_KINDS[-1]
         elif isinstance(default, str):
             in_file, flag = "from-file", "from-flag"
         else:
@@ -491,6 +513,16 @@ REJECTED = [
     _case("search", {}, "[search] budget out of range [9, inf]: 5", flags=("--budget", 5)),
     _case("search", {"run": {"method": "realnvp"}}, "[search] budget out of range [8, inf]: 7",
           flags=("--budget", 7)),
+    # the [generate] anomalies, checked with every other key
+    _case("generate", {}, "[generate] anomalies has an unknown kind 'bogus'",
+          flags=("--anomaly", "bogus")),
+    _case("train", {"generate": {"anomalies": "spike, bogus"}},
+          "[generate] anomalies has an unknown kind 'bogus'"),
+    _case("evaluate", {"generate": {"anomalies": " , "}},
+          "[generate] anomalies is empty; n_anomalies = 3"),
+    *[_case(command, {"generate": {"n_steps": 200, "n_anomalies": 150}},
+            "[generate] n_anomalies = 150 does not fit a series of 200 steps (at most 99)")
+      for command in ("generate", "search")],
 ]
 
 
@@ -639,7 +671,7 @@ def test_readme_configuration_table_matches_defaults_and_bounds():
 # Settable values of src/ as tools/settable_values.py counts them: defaulted
 # parameters, defaulted dataclass fields and config keys. A change that adds
 # or removes a knob edits this number on purpose.
-SETTABLE_VALUES = 123
+SETTABLE_VALUES = 118
 
 
 def test_settable_value_count_is_the_recorded_one():

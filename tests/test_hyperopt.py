@@ -6,6 +6,7 @@ import pytest
 from helpers import minimize, openblas_threads
 
 from tcflow import data as dt
+from tcflow.conditioners import EncoderConfig
 from tcflow.hyperopt import (
     METHOD_ENCODERS,
     CmaEs,
@@ -25,8 +26,8 @@ def _blas_threads_candidate(index, params, **kwargs):
     return float(openblas_threads()), float("nan"), float("nan"), 0.0
 
 
-# Every method's search rows as (name, lower, upper, kind), in order, at the
-# default lookback_max. Trials are decoded from these rows, so any drift
+# Every method's search rows as (name, lower, upper, kind), in order, at
+# lookback_max 50, the [search] default. Trials are decoded from these rows, so any drift
 # changes the trials of a fixed seed.
 _SHARED_ROWS = [
     ("coupling_layers", 3, 20, "int"),
@@ -63,15 +64,15 @@ class TestSearchSpace:
 
     @pytest.mark.parametrize("method", list(PINNED_SPACES))
     def test_rows_match_the_pinned_table(self, method):
-        rows = [(p.name, p.lower, p.upper, p.kind) for p in space_for_method(method)]
+        rows = [(p.name, p.lower, p.upper, p.kind) for p in space_for_method(method, 50)]
         assert rows == PINNED_SPACES[method]
 
     @pytest.mark.parametrize("method", list(PINNED_SPACES))
     def test_both_corners_decode_to_valid_configs(self, method):
-        space = space_for_method(method)
+        space = space_for_method(method, 50)
         for corner in (0.0, 1.0):
             params = decode(np.full(len(space), corner), space)
-            encoder_cfg, flow_cfg = configs_from_params(method, params)
+            encoder_cfg, flow_cfg = configs_from_params(method, params, EncoderConfig())
             assert encoder_cfg.kind == METHOD_ENCODERS[method]
             assert flow_cfg.n_layers == params["coupling_layers"]
             assert flow_cfg.conditioner.funnel == params["cond_funnel"]
@@ -83,7 +84,7 @@ class TestPopulationAndDecode:
         assert default_population(5) == 8
 
     def test_decode_endpoints(self):
-        space = space_for_method("tcnf-base")
+        space = space_for_method("tcnf-base", 50)
         lows = decode(np.zeros(len(space)), space)
         highs = decode(np.ones(len(space)), space)
         for spec in space:
@@ -91,7 +92,7 @@ class TestPopulationAndDecode:
             assert highs[spec.name] == spec.upper
 
     def test_decode_rounds_half_up(self):
-        space = space_for_method("tcnf-base")
+        space = space_for_method("tcnf-base", 50)
         mid = decode(np.full(len(space), 0.5), space)
         assert mid["coupling_layers"] == 12  # 3 + 0.5 * 17 = 11.5 rounds up
 
@@ -99,7 +100,7 @@ class TestPopulationAndDecode:
                                         "tcnf-mlp", "tcnf-cnn",
                                         "tcnf-stateless", "tcnf-stateful"])
     def test_decoded_values_always_in_bounds(self, method):
-        space = space_for_method(method, lookback_max=100)
+        space = space_for_method(method, 100)
         rng = np.random.default_rng(0)
         for _ in range(50):
             vec = reflect_into_unit(rng.normal(0.5, 1.0, len(space)))
@@ -202,9 +203,9 @@ class TestRunSearch:
     def test_labeled_objective_end_to_end(self, tmp_path):
         train, labeled = self._datasets()
         result = run_search(
-            train, labeled, "tcnf-base", "labeled-30-70", budget=9, seed=0,
-            candidate_cfg=TrainConfig(epochs=2, batch_size=128, patience=2),
-            final_epochs=2, lookback_max=8,
+            train, labeled, "tcnf-base", "labeled-30-70", 9, EncoderConfig(),
+            TrainConfig(batch_size=128, seed=0), candidate_epochs=2, final_epochs=2,
+            lookback_max=8,
         )
         assert len(result.trials) == 9
         assert result.best_trial.fitness <= np.nanmedian([t.fitness for t in result.trials])
@@ -220,9 +221,9 @@ class TestRunSearch:
     def test_val_loss_objective_needs_no_labels(self):
         train, _ = self._datasets()
         result = run_search(
-            train, None, "realnvp", "val-loss", budget=8, seed=1,
-            candidate_cfg=TrainConfig(epochs=2, batch_size=128, patience=2),
-            final_epochs=2,
+            train, None, "realnvp", "val-loss", 8, EncoderConfig(),
+            TrainConfig(batch_size=128, seed=1), candidate_epochs=2, final_epochs=2,
+            lookback_max=50,
         )
         assert np.isfinite(result.best_trial.fitness)
         assert np.isnan(result.best_trial.auc)
@@ -230,12 +231,14 @@ class TestRunSearch:
     def test_labeled_objective_without_labels_rejected(self):
         train, _ = self._datasets()
         with pytest.raises(ValueError, match="label"):
-            run_search(train, None, "tcnf-base", "labeled-30-70", budget=9)
+            run_search(train, None, "tcnf-base", "labeled-30-70", 9, EncoderConfig(),
+                       TrainConfig(), 10, 30, 50)
 
     def test_budget_below_population_rejected(self):
         train, labeled = self._datasets()
         with pytest.raises(ValueError, match="budget"):
-            run_search(train, labeled, "tcnf-base", "labeled-30-70", budget=2)
+            run_search(train, labeled, "tcnf-base", "labeled-30-70", 2, EncoderConfig(),
+                       TrainConfig(), 10, 30, 50)
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_infeasible_lookback_is_a_failed_trial(self, seed):
@@ -243,9 +246,8 @@ class TestRunSearch:
         # both seeds draw such candidates in the first generation
         train = dt.generate_synthetic("sine", 300, 2, noise=0.1, seed=0)
         result = run_search(
-            train, None, "tcnf-base", "val-loss", budget=9, seed=seed,
-            candidate_cfg=TrainConfig(epochs=1, patience=1), final_epochs=1,
-            lookback_max=50,
+            train, None, "tcnf-base", "val-loss", 9, EncoderConfig(), TrainConfig(seed=seed),
+            candidate_epochs=1, final_epochs=1, lookback_max=50,
         )
         failed = [t for t in result.trials if not np.isfinite(t.fitness)]
         assert 0 < len(failed) < len(result.trials)
@@ -271,9 +273,9 @@ class TestRunSearch:
         for workers in (1, 2):
             monkeypatch.setenv("TCFLOW_WORKERS", str(workers))
             result = run_search(
-                train, labeled, "tcnf-base", "labeled-30-70", budget=18, seed=3,
-                candidate_cfg=TrainConfig(epochs=1, batch_size=128, patience=1),
-                final_epochs=1, lookback_max=8,
+                train, labeled, "tcnf-base", "labeled-30-70", 18, EncoderConfig(),
+                TrainConfig(batch_size=128, seed=3), candidate_epochs=1, final_epochs=1,
+                lookback_max=8,
             )
             path = tmp_path / f"trials-{workers}.csv"
             result.trials_csv(path)
@@ -301,8 +303,8 @@ class TestRunSearch:
         monkeypatch.delenv("TCFLOW_WORKERS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         train, labeled = self._datasets()
-        search = partial(run_search, train, labeled, "tcnf-base", "labeled-30-70", budget=9,
-                         seed=0, candidate_cfg=TrainConfig(epochs=1, patience=1),
+        search = partial(run_search, train, labeled, "tcnf-base", "labeled-30-70", 9,
+                         EncoderConfig(), TrainConfig(seed=0), candidate_epochs=1,
                          final_epochs=1, lookback_max=8)
         if pools:
             with pytest.raises(PoolBuilt):
@@ -321,8 +323,8 @@ class TestRunSearch:
         monkeypatch.setattr(hyperopt, "_evaluate_candidate", _blas_threads_candidate)
         monkeypatch.setenv("TCFLOW_WORKERS", "2")
         train, _ = self._datasets()
-        result = run_search(train, None, "tcnf-base", "val-loss", budget=9, seed=0,
-                            candidate_cfg=TrainConfig(epochs=1, patience=1), final_epochs=1,
+        result = run_search(train, None, "tcnf-base", "val-loss", 9, EncoderConfig(),
+                            TrainConfig(seed=0), candidate_epochs=1, final_epochs=1,
                             lookback_max=8)
         assert [t.fitness for t in result.trials] == [1.0] * 9
         assert openblas_threads() == parent_threads
@@ -347,9 +349,9 @@ class TestRunSearch:
             monkeypatch.setenv("TCFLOW_WORKERS", workers)
             calls.clear()
             result = run_search(
-                train, labeled, "tcnf-base", "labeled-30-70", budget=18, seed=3,
-                candidate_cfg=TrainConfig(epochs=1, batch_size=128, patience=1),
-                final_epochs=1, lookback_max=8,
+                train, labeled, "tcnf-base", "labeled-30-70", 18, EncoderConfig(),
+                TrainConfig(batch_size=128, seed=3), candidate_epochs=1, final_epochs=1,
+                lookback_max=8,
             )
             assert len(calls) == 18 + 1
             path = tmp_path / f"trials-{workers}.csv"
@@ -370,8 +372,8 @@ class TestRunSearch:
         monkeypatch.setenv("TCFLOW_WORKERS", "1")
         train, labeled = self._datasets()
         with pytest.raises(ValueError, match="epochs"):
-            run_search(train, labeled, "tcnf-base", "labeled-30-70", budget=9, seed=0,
-                       candidate_cfg=TrainConfig(epochs=1, patience=1), final_epochs=0,
+            run_search(train, labeled, "tcnf-base", "labeled-30-70", 9, EncoderConfig(),
+                       TrainConfig(seed=0), candidate_epochs=1, final_epochs=0,
                        lookback_max=8)
         assert calls == []
 
@@ -393,8 +395,8 @@ class TestRunSearch:
         message = (f"needs both classes in the labeled evaluation series; "
                    f"all its 260 labels are {int(label)}")
         with pytest.raises(ValueError, match=message):
-            run_search(train, labeled, "tcnf-base", "labeled-30-70", budget=9, seed=0,
-                       candidate_cfg=TrainConfig(epochs=1, patience=1), final_epochs=1,
+            run_search(train, labeled, "tcnf-base", "labeled-30-70", 9, EncoderConfig(),
+                       TrainConfig(seed=0), candidate_epochs=1, final_epochs=1,
                        lookback_max=8)
         assert calls == []
 
@@ -406,8 +408,8 @@ class TestRunSearch:
         train = dt.generate_synthetic("sine", 300, 2, noise=0.1, seed=0)
         labeled = dt.generate_synthetic("sine", 300, 2, noise=0.1, seed=1)
         labeled.labels = np.full(labeled.n_steps, label)
-        result = run_search(train, labeled, "tcnf-base", "val-loss", budget=9, seed=0,
-                            candidate_cfg=TrainConfig(epochs=1, patience=1), final_epochs=1,
+        result = run_search(train, labeled, "tcnf-base", "val-loss", 9, EncoderConfig(),
+                            TrainConfig(seed=0), candidate_epochs=1, final_epochs=1,
                             lookback_max=8)
         assert len(result.trials) == 9
         assert all(np.isnan(t.auc) and np.isnan(t.vus) for t in result.trials)
@@ -424,16 +426,16 @@ class TestRunSearch:
         train, labeled = self._datasets()
         message = f"TCFLOW_WORKERS must be an integer >= 1: '{workers}'"
         with pytest.raises(ValueError, match=message):
-            run_search(train, labeled, "tcnf-base", "labeled-30-70", budget=9, seed=0,
-                       candidate_cfg=TrainConfig(epochs=1, patience=1), final_epochs=1,
+            run_search(train, labeled, "tcnf-base", "labeled-30-70", 9, EncoderConfig(),
+                       TrainConfig(seed=0), candidate_epochs=1, final_epochs=1,
                        lookback_max=8)
         assert calls == []
 
     def test_lookback_max_of_one_searches_lookback_one(self):
         # the lookback row 1..1 has one value; every candidate decodes to it
         train, _ = self._datasets()
-        result = run_search(train, None, "tcnf-base", "val-loss", budget=9, seed=0,
-                            candidate_cfg=TrainConfig(epochs=1, patience=1), final_epochs=1,
+        result = run_search(train, None, "tcnf-base", "val-loss", 9, EncoderConfig(),
+                            TrainConfig(seed=0), candidate_epochs=1, final_epochs=1,
                             lookback_max=1)
         assert len(result.trials) == 9
         assert {t.params["lookback"] for t in result.trials} == {1}
@@ -443,8 +445,8 @@ class TestRunSearch:
         # lookbacks up to 250 leave no train/validation split of 300 steps
         train = dt.generate_synthetic("sine", 300, 2, noise=0.1, seed=0)
         with pytest.raises(dt.DataError, match="all 9 candidates failed"):
-            run_search(train, None, "tcnf-base", "val-loss", budget=9, seed=0,
-                       candidate_cfg=TrainConfig(epochs=1, patience=1), final_epochs=1,
+            run_search(train, None, "tcnf-base", "val-loss", 9, EncoderConfig(),
+                       TrainConfig(seed=0), candidate_epochs=1, final_epochs=1,
                        lookback_max=250)
 
     def test_candidate_fitness_equals_chained_train_score_evaluate(self):
@@ -457,17 +459,17 @@ class TestRunSearch:
 
         train, labeled = self._datasets()
         result = run_search(
-            train, labeled, "tcnf-base", "labeled-30-70", budget=9, seed=4,
-            candidate_cfg=TrainConfig(epochs=2, batch_size=128, patience=2),
-            final_epochs=2, lookback_max=8,
+            train, labeled, "tcnf-base", "labeled-30-70", 9, EncoderConfig(),
+            TrainConfig(batch_size=128, seed=4), candidate_epochs=2, final_epochs=2,
+            lookback_max=8,
         )
         trial = result.trials[3]
-        encoder_cfg, flow_cfg = configs_from_params("tcnf-base", trial.params)
+        encoder_cfg, flow_cfg = configs_from_params("tcnf-base", trial.params, EncoderConfig())
         train_p = prepare(train)
         eval_p = prepare(labeled, train_p.norm_stats)
         model, _ = train_model(
             train_p, encoder_cfg, flow_cfg,
-            TrainConfig(epochs=2, batch_size=128, patience=2,
+            TrainConfig(epochs=2, batch_size=128, patience=3,
                         seed=_candidate_seed(4, trial.index)),
         )
         scores = score_series(model, eval_p).scores

@@ -84,6 +84,26 @@ class TestScoreSeries:
             expected.append(-log_prob(model, values[t : t + 1], w)[0])
         np.testing.assert_allclose(score_series(model, ds).scores, expected, rtol=1e-12, atol=0)
 
+    def test_stateful_flow_runs_on_batch_blocks_not_on_chunks(self):
+        # the flow's block size is _BATCH rows for every kind: on a wide net,
+        # BLAS results depend on the row count, so running the flow on each
+        # lookback-row chunk changes the last bits of latents and scores
+        from tcflow.score import _BATCH, _latent_series
+
+        model = build_model_with_encoder(
+            8, 2, EncoderConfig("lstm-stateful", lookback=3), seed=11, multiplier=50)
+        randomize_model(model, np.random.default_rng(12), scale=0.3)
+        values = np.random.default_rng(13).normal(size=(2500, 8))
+        ds = dt.TimeSeriesDataset(values, norm_stats=(np.full(8, -1.0), np.full(8, 1.0)))
+        stream = np.vstack([values[:1], values[:-1]])  # row t is conditioned on row t - 1
+        contexts = model.encoder.encode_step(stream, model.encoder.zero_states(1))[0].value
+        latents, log_dets = map(np.concatenate, zip(*[
+            model.latent(values[lo : lo + _BATCH], contexts[lo : lo + _BATCH])
+            for lo in range(0, values.shape[0], _BATCH)]))
+        scores = -(gaussian_log_density(latents) + log_dets)
+        for got, expected in zip(_latent_series(model, ds), (latents, log_dets, scores)):
+            np.testing.assert_array_equal(got, expected)
+
     def test_trained_model_peaks_inside_injected_spike_range(self):
         from tcflow.flow import ConditionerConfig, FlowConfig
         from tcflow.train import TrainConfig, train_model
