@@ -233,7 +233,7 @@ def _inject_round(ds, kinds, g, rng) -> dt.TimeSeriesDataset:
 
 def cmd_train(args, cfg: RunConfig, out: Path) -> None:
     method = cfg.values["run"]["method"]
-    ds = dt.prepare(dt.load_csv(args.data))
+    ds = dt.load_csv(args.data)
     encoder_cfg = cfg.encoder_config(method)
     model, report = train_model(
         ds, encoder_cfg, cfg.flow_config(), cfg.train_config(),
@@ -247,7 +247,7 @@ def cmd_train(args, cfg: RunConfig, out: Path) -> None:
 
 def cmd_score(args, cfg: RunConfig, out: Path) -> None:
     model = load_model(args.model)
-    ds = dt.prepare(dt.load_csv(args.data, has_labels=args.labeled), model.norm_stats)
+    ds = dt.load_csv(args.data, has_labels=args.labeled)
     series = score_series(model, ds)
     series.to_csv(out / "scores.csv", labels=ds.labels)
     if args.svg:
@@ -302,7 +302,7 @@ def cmd_search(args, cfg: RunConfig, out: Path) -> None:
 
 def cmd_export_latent(args, cfg: RunConfig, out: Path) -> None:
     model = load_model(args.model)
-    ds = dt.prepare(dt.load_csv(args.data, has_labels=args.labeled), model.norm_stats)
+    ds = dt.load_csv(args.data, has_labels=args.labeled)
     export_latent(model, ds, out / "latent.csv")
     print(f"latent representation written to {out / 'latent.csv'}")
 

@@ -3,10 +3,11 @@ multichannel generator with anomaly injection.
 
 ``prepare`` is the one preprocessing step, in three rules: all-zero channels
 are replaced by the constant 0.5, channels are then min-max normalized into
-[-1, 1] with statistics taken from training data only, and an extra
-constant-0.5 channel is appended when the channel count is odd (the coupling
-split needs an even count). Train/validation splits keep a lookback-sized
-gap so no training window can touch validation targets.
+[-1, 1] with statistics that ``train_model`` fits on the raw training series
+and keeps as the model's ``norm_stats``, and an extra constant-0.5 column is
+appended when the channel count is odd (the coupling split needs an even
+count). Every dataset a caller handles is raw. Train/validation splits keep
+a lookback-sized gap so no training window can touch validation targets.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ class TimeSeriesDataset:
     values: np.ndarray
     labels: np.ndarray | None = None
     channel_names: list[str] = field(default_factory=list)
-    norm_stats: tuple[np.ndarray, np.ndarray] | None = None  # per-channel (min, max)
     anomalies: list["AnomalySpec"] = field(default_factory=list)
 
     def __post_init__(self):
@@ -191,15 +191,15 @@ def save_csv(ds: TimeSeriesDataset, path, with_labels: bool = True) -> None:
 # -- preprocessing ------------------------------------------------------------
 
 
-def prepare(ds: TimeSeriesDataset, stats=None) -> TimeSeriesDataset:
-    """The series as a model sees it: a copy in which each all-zero channel
-    is the constant 0.5, each channel then min/max mapped into [-1, 1], and
-    one constant-0.5 ``pad`` channel appended when the channel count is odd.
+def prepare(ds: TimeSeriesDataset, stats=None) -> tuple[np.ndarray, tuple]:
+    """The values of ``ds`` as a model sees them, and the per-channel
+    (min, max) that mapped them: a copy in which each all-zero channel is
+    the constant 0.5, each channel then min/max mapped into [-1, 1], and one
+    constant-0.5 column appended when the channel count is odd.
 
     The (min, max) are fitted on ``ds`` when ``stats`` is None; otherwise
-    ``stats`` (the training series' ``norm_stats``) are used, and values may
-    leave [-1, 1]. A constant channel maps to all-zero. The result carries
-    the statistics as ``norm_stats``."""
+    ``stats`` (a model's ``norm_stats``) are used, and values may leave
+    [-1, 1]. A constant channel maps to all-zero."""
     values = ds.values.copy()
     values[:, ~values.any(axis=0)] = PAD_VALUE
     if stats is None:
@@ -211,12 +211,9 @@ def prepare(ds: TimeSeriesDataset, stats=None) -> TimeSeriesDataset:
     out = np.zeros_like(values)
     live = span > 0
     out[:, live] = 2.0 * (values[:, live] - lo[live]) / span[live] - 1.0
-    names = list(ds.channel_names)
     if ds.n_channels % 2:
         out = np.hstack([out, np.full((ds.n_steps, 1), PAD_VALUE)])
-        names.append("pad")
-    return replace(ds, values=out, channel_names=names, norm_stats=(lo, hi),
-                   anomalies=list(ds.anomalies))
+    return out, (lo, hi)
 
 
 # -- train/validation split ----------------------------------------------------

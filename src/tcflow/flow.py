@@ -136,8 +136,6 @@ class CouplingLayer:
 
     def __init__(self, dim: int, context_dim: int, cfg: ConditionerConfig,
                  rng: np.random.Generator, name: str):
-        if dim % 2 != 0:
-            raise ValueError(f"coupling layer needs an even channel count, got {dim}")
         self.dim = dim
         self.split = dim // 2
         self.context_dim = context_dim
@@ -182,11 +180,13 @@ class CouplingLayer:
 class FlowModel:
     """Stack of coupling layers with one shared context encoder.
 
-    The encoder (any object with ``context_dim``, ``parameters()`` and
-    ``encode_batch``; the base ``Encoder`` for the unconditioned flow) turns
-    lookback windows into the context vector fed to every layer of the stack
-    for the same timestep. Scoring never mutates the model, so a trained
-    instance may be shared read-only; training owns it exclusively.
+    The encoder (a ``conditioners.Encoder``, whose ``split`` and ``batches``
+    pair rows with contexts; the base ``Encoder`` for the unconditioned flow)
+    turns lookback windows into the context vector fed to every layer of the
+    stack for the same timestep. ``norm_stats`` are the ``data.prepare``
+    statistics that ``train_model`` fitted. Scoring never mutates the model,
+    so a trained instance may be shared read-only; training owns it
+    exclusively.
     """
 
     def __init__(self, dim: int, config: FlowConfig, encoder,
@@ -202,6 +202,12 @@ class FlowModel:
             CouplingLayer(dim, encoder.context_dim, config.conditioner, rng, f"layer{i}")
             for i in range(config.n_layers)
         ]
+
+    def require_norm_stats(self) -> tuple[np.ndarray, np.ndarray]:
+        """``norm_stats``; a model without them raises."""
+        if self.norm_stats is None:
+            raise ValueError("model carries no normalization statistics")
+        return self.norm_stats
 
     def parameters(self) -> list[Parameter]:
         params = []

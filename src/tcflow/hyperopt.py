@@ -38,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from .conditioners import ENCODERS, EncoderConfig
-from .data import DataError, TimeSeriesDataset, prepare, write_table
+from .data import DataError, TimeSeriesDataset, write_table
 from .flow import ConditionerConfig, FlowConfig
 from .metrics import auc_roc, combined_objective, infer_metric_window, vus_roc
 from .score import score_series
@@ -404,19 +404,19 @@ def run_search(train: TimeSeriesDataset, labeled_eval: TimeSeriesDataset | None,
         raise ValueError(f"budget {budget} is below one population of {opt.lam}")
     workers = _worker_count(opt.lam)
 
-    train_prepared = prepare(train)
-    eval_prepared = None
     if labeled_eval is not None:
-        eval_prepared = prepare(labeled_eval, train_prepared.norm_stats)
+        if labeled_eval.n_channels != train.n_channels:  # else every candidate would fail
+            raise DataError(f"labeled series has {labeled_eval.n_channels} channels, "
+                            f"training series has {train.n_channels}")
         if metric_window is None and labeled_eval.labels is not None:
             metric_window = infer_metric_window(labeled_eval.labels)
     metric_window = int(metric_window or 0)
-    train_trial = partial(_train_trial, train_prepared, method, encoder_cfg)
+    train_trial = partial(_train_trial, train, method, encoder_cfg)
     candidate_cfg = replace(train_cfg, epochs=candidate_epochs, patience=CANDIDATE_PATIENCE)
     # checked before any candidate trains
     final_cfg = replace(train_cfg, epochs=final_epochs, patience=FINAL_PATIENCE)
     candidate = partial(_evaluate_candidate, train_trial=partial(train_trial, candidate_cfg),
-                        eval_ds=eval_prepared, objective=objective, metric_window=metric_window)
+                        eval_ds=labeled_eval, objective=objective, metric_window=metric_window)
 
     trials: list[Trial] = []
     with (ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)

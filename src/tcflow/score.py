@@ -1,11 +1,12 @@
 """Per-timestep anomaly scoring and latent export.
 
-The score of a timestep is its negative conditional log density, so higher
-means more anomalous. Scores are reported raw: no point adjustment, no
-smoothing. Every timestep is scored: the encoder's ``batches`` pairs each
-row with its context, the first ``lookback`` rows with their missing history
-filled by repeating the first observation, keeping score/label alignment
-over the whole test series.
+Both take the raw series and apply ``data.prepare`` with the model's
+``norm_stats``, refusing a model without them. The score of a timestep is
+its negative conditional log density, so higher means more anomalous.
+Scores are reported raw: no point adjustment, no smoothing. Every timestep
+is scored: the encoder's ``batches`` pairs each row with its context, the
+first ``lookback`` rows with their missing history filled by repeating the
+first observation, keeping score/label alignment over the whole test series.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, TimeSeriesDataset, binary_labels, label_runs, read_table, write_table
+from .data import (DataError, TimeSeriesDataset, binary_labels, label_runs, prepare, read_table,
+                   write_table)
 from .flow import FlowModel, gaussian_log_density
 
 _BATCH = 1024
@@ -51,14 +53,12 @@ def load_score_csv(path) -> tuple[ScoreSeries, np.ndarray | None]:
 
 def _latent_series(model: FlowModel, ds: TimeSeriesDataset
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Latent coordinates, summed log|det J| and score per timestep; a
-    non-finite score raises with its timestep. The (T, context_dim) contexts
-    of every row are collected first from one ``Encoder.batches`` walk (the
-    stateful LSTM's state runs from row to row), then the flow runs once per
-    ``_BATCH`` rows."""
-    if ds.n_channels != model.dim:
-        raise ValueError(f"model expects {model.dim} channels, dataset has {ds.n_channels}")
-    values = ds.values
+    """Latent coordinates, summed log|det J| and score per timestep of the
+    raw ``ds``; a non-finite score raises with its timestep. The
+    (T, context_dim) contexts of every row are collected first from one
+    ``Encoder.batches`` walk (the stateful LSTM's state runs from row to
+    row), then the flow runs once per ``_BATCH`` rows."""
+    values = prepare(ds, model.require_norm_stats())[0]
     n_steps, encoder = values.shape[0], model.encoder
     contexts = None
     if encoder.context_dim:  # kind none conditions on nothing
@@ -79,8 +79,7 @@ def _latent_series(model: FlowModel, ds: TimeSeriesDataset
 
 
 def score_series(model: FlowModel, ds: TimeSeriesDataset) -> ScoreSeries:
-    """Negative log density per timestep; the dataset must already carry the
-    training normalization and an even channel count."""
+    """Negative log density per timestep of the raw series ``ds``."""
     scores = _latent_series(model, ds)[2]
     return ScoreSeries(scores)
 

@@ -1,6 +1,8 @@
 """End-to-end training of the conditioned flow, plus model (de)serialization.
 
-One loop (``_mean_loss``) trains and validates every encoder kind. The
+``train_model`` fits ``data.prepare`` on the raw series it is given and
+keeps the statistics as the model's ``norm_stats``. One loop
+(``_mean_loss``) trains and validates every encoder kind. The
 encoder owns the pairing of rows with contexts: ``Encoder.split`` picks the
 training and validation rows once, and ``Encoder.batches`` yields each
 epoch's ``(rows, contexts)`` batches, shuffled with dropout for training and
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .conditioners import EncoderConfig, build_encoder
-from .data import TimeSeriesDataset, write_table
+from .data import TimeSeriesDataset, prepare, write_table
 from .flow import ConditionerConfig, FlowConfig, FlowModel, check_values, field_defaults, nll_loss
 
 MODEL_MAGIC = b"TCFLOW\x00\x01"
@@ -154,13 +156,6 @@ def adam_step(state: AdamState, lr: float, clip_norm: float = 0.0) -> None:
 # -- training -------------------------------------------------------------------
 
 
-def _require_prepared(ds: TimeSeriesDataset):
-    if ds.n_channels % 2 != 0:
-        raise ValueError("dataset must have an even channel count (data.prepare pads it)")
-    if ds.norm_stats is None:
-        raise ValueError("dataset must be normalized before training (data.prepare)")
-
-
 def build_model(
     dim: int,
     encoder_cfg: EncoderConfig,
@@ -179,14 +174,15 @@ def train_model(
     train_cfg: TrainConfig,
     model_id: str = "flow",
 ) -> tuple[FlowModel, TrainReport]:
-    """Minimize the mean NLL on the training split; returns the model with
-    the best-validation-epoch parameters restored, plus the loss history."""
-    _require_prepared(ds)
+    """Fit ``data.prepare`` on the raw ``ds`` and minimize the mean NLL on its
+    normalized training split; returns the model, carrying those statistics
+    and the best-validation-epoch parameters, plus the loss history."""
+    values, stats = prepare(ds)
     rng = np.random.default_rng(train_cfg.seed)
-    model = build_model(ds.n_channels, encoder_cfg, flow_cfg, rng, model_id=model_id)
-    model.norm_stats = ds.norm_stats
+    model = build_model(values.shape[1], encoder_cfg, flow_cfg, rng, model_id=model_id)
+    model.norm_stats = stats
 
-    encoder, values = model.encoder, ds.values
+    encoder = model.encoder
     train_rows, val_rows = encoder.split(ds.n_steps, rng)
     adam = AdamState(model.parameters())
     report = TrainReport()
@@ -237,8 +233,6 @@ def _mean_loss(model, values, batches, rng, adam=None, cfg=None) -> float:
 def save_model(model: FlowModel, path) -> None:
     """Versioned binary container; the parameter round trip is bit-exact."""
     params = model.parameters()
-    if model.norm_stats is None:
-        raise ValueError("model carries no normalization statistics")
     header = {
         "format_version": FORMAT_VERSION,
         "model_id": model.model_id,
@@ -246,7 +240,7 @@ def save_model(model: FlowModel, path) -> None:
         "n_layers": model.config.n_layers,
         "conditioner": asdict(model.config.conditioner),
         "encoder": asdict(model.encoder.cfg),
-        "norm_stats": [list(map(float, s)) for s in model.norm_stats],
+        "norm_stats": [list(map(float, s)) for s in model.require_norm_stats()],
         "params": [{"name": p.name, "shape": list(p.value.shape)} for p in params],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")

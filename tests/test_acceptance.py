@@ -57,9 +57,8 @@ def searched_test_auc(family, method, seed, anomalies, budget):
     result = run_search(train, labeled, method, "labeled-30-70", budget, EncoderConfig(),
                         TrainConfig(batch_size=128, learning_rate=3e-3, seed=seed),
                         candidate_epochs=8, final_epochs=20, lookback_max=50)
-    prepared = dt.prepare(test, result.best_model.norm_stats)
-    scores = score_series(result.best_model, prepared).scores
-    return mx.auc_roc(scores, prepared.labels)
+    scores = score_series(result.best_model, test).scores
+    return mx.auc_roc(scores, test.labels)
 
 
 def test_a01_invertibility():
@@ -164,13 +163,13 @@ def test_a03_density_sanity():
 
 
 def test_a04_learned_density_normalizes():
-    ds = dt.prepare(dt.generate_synthetic("sine", 800, 2, noise=0.2, seed=0))
+    ds = dt.generate_synthetic("sine", 800, 2, noise=0.2, seed=0)
     model, _ = train_model(
         ds, EncoderConfig("passthrough", lookback=4),
         FlowConfig(2, ConditionerConfig(2, 3, 0.1, 1.5)),
         TrainConfig(epochs=8, batch_size=128, learning_rate=3e-3, seed=0))
     context = model.encoder.encode_batch(
-        padded_context_windows(ds.values, 4)[300][None]).value[0]
+        padded_context_windows(dt.prepare(ds, model.norm_stats)[0], 4)[300][None]).value[0]
     step, extent = 0.04, 12.0
     axis = np.arange(-extent, extent + step / 2, step)
     grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
@@ -305,9 +304,8 @@ def test_a10_reproducibility(tmp_path):
                             final_epochs=2, lookback_max=6)
         result.trials_csv(out / "trials.csv")
         save_model(result.best_model, out / "model.tcf")
-        prepared = dt.prepare(labeled, result.best_model.norm_stats)
-        score_series(load_model(out / "model.tcf"), prepared).to_csv(
-            out / "scores.csv", labels=prepared.labels)
+        score_series(load_model(out / "model.tcf"), labeled).to_csv(
+            out / "scores.csv", labels=labeled.labels)
         return out
 
     a, b = one_run("a"), one_run("b")

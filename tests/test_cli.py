@@ -123,6 +123,44 @@ class TestTrainScoreEvaluate:
         assert outs[0] == outs[1]
 
 
+class TestLibraryChainEqualsCli:
+    """``train_model`` then ``score_series`` or ``export_latent`` on the raw
+    series are the CLI's ``train`` then ``score`` or ``export-latent``: the
+    model normalizes, so neither side prepares anything."""
+
+    def test_scores_and_latents_are_bit_identical(self, tmp_path):
+        from tcflow.conditioners import EncoderConfig
+        from tcflow.flow import ConditionerConfig, FlowConfig
+        from tcflow.score import export_latent, load_score_csv, score_series
+        from tcflow.train import TrainConfig, train_model
+
+        gen = tmp_path / "gen"  # 3 channels, so the model pads a fourth
+        assert run_cli("generate", "--n-channels", 3, "--n-steps", 300, "--seed", 2,
+                       "--out-dir", gen) == 0
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[flow]\ncoupling_layers = 2\ncond_multiplier = 2\n"
+                       "[train]\nepochs = 2\nbatch_size = 64\n[encoder]\nlookback = 3\n")
+        test_csv = gen / "test_labeled.csv"
+        assert run_cli("train", "--data", gen / "train_clean.csv", "--method", "tcnf-base",
+                       "--config", cfg, "--seed", 4, "--out-dir", tmp_path / "train") == 0
+        model_path = tmp_path / "train" / "model.tcf"
+        for command in ("score", "export-latent"):
+            assert run_cli(command, "--model", model_path, "--data", test_csv, "--labeled",
+                           "--out-dir", tmp_path / command) == 0
+
+        model, _ = train_model(
+            dt.load_csv(gen / "train_clean.csv"), EncoderConfig("passthrough", lookback=3),
+            FlowConfig(2, ConditionerConfig(multiplier=2)),
+            TrainConfig(epochs=2, batch_size=64, seed=4))
+        test = dt.load_csv(test_csv, has_labels=True)
+        assert model.dim == 4
+        cli_scores, _ = load_score_csv(tmp_path / "score" / "scores.csv")
+        np.testing.assert_array_equal(score_series(model, test).scores, cli_scores.scores)
+        export_latent(model, test, tmp_path / "latent.csv")
+        assert ((tmp_path / "latent.csv").read_bytes()
+                == (tmp_path / "export-latent" / "latent.csv").read_bytes())
+
+
 class TestEvaluatePerfectScores:
     def test_scores_equal_to_labels_give_unit_auc(self, tmp_path):
         labels = np.zeros(60, dtype=bool)
@@ -671,7 +709,7 @@ def test_readme_configuration_table_matches_defaults_and_bounds():
 # Settable values of src/ as tools/settable_values.py counts them: defaulted
 # parameters, defaulted dataclass fields and config keys. A change that adds
 # or removes a knob edits this number on purpose.
-SETTABLE_VALUES = 118
+SETTABLE_VALUES = 117
 
 
 def test_settable_value_count_is_the_recorded_one():

@@ -131,6 +131,7 @@ class TestTableRoundTrip:
     def test_export_latent_reads_back_bit_identical(self, rows, seed):
         model = build_model_with_encoder(2, 2, EncoderConfig("passthrough", lookback=2))
         randomize_model(model, np.random.default_rng(seed), scale=0.3)
+        model.norm_stats = (np.full(2, -1.0), np.full(2, 1.0))
         ds = dt.TimeSeriesDataset(np.array([r[:2] for r in rows]),
                                   np.array([r[2] for r in rows]))
         latents, log_dets, scores = _latent_series(model, ds)
@@ -186,49 +187,47 @@ class TestTableChecks:
 class TestPrepare:
     def test_maps_endpoints_and_midpoint(self):
         ds = dt.TimeSeriesDataset(np.array([[0.0], [5.0], [10.0]]))
-        out = dt.prepare(ds)
-        np.testing.assert_allclose(out.values[:, 0], [-1.0, 0.0, 1.0])
-        lo, hi = out.norm_stats
+        out, (lo, hi) = dt.prepare(ds)
+        np.testing.assert_allclose(out[:, 0], [-1.0, 0.0, 1.0])
         assert lo[0] == 0.0 and hi[0] == 10.0
 
     def test_all_zero_channel_becomes_half_before_normalization(self):
         values = np.zeros((4, 2))
         values[:, 1] = [1.0, 2.0, 3.0, 4.0]
-        lo, hi = dt.prepare(dt.TimeSeriesDataset(values)).norm_stats
+        lo, hi = dt.prepare(dt.TimeSeriesDataset(values))[1]
         np.testing.assert_array_equal([lo[0], hi[0]], 0.5)
         np.testing.assert_array_equal([lo[1], hi[1]], [1.0, 4.0])
-        out = dt.prepare(dt.TimeSeriesDataset(values), ([0.0, 1.0], [1.0, 4.0]))
-        np.testing.assert_array_equal(out.values[:, 0], 0.0)  # 2 * 0.5 - 1
+        out, _ = dt.prepare(dt.TimeSeriesDataset(values), ([0.0, 1.0], [1.0, 4.0]))
+        np.testing.assert_array_equal(out[:, 0], 0.0)  # 2 * 0.5 - 1
 
     def test_constant_channel_normalizes_to_zero(self):
         ds = dt.TimeSeriesDataset(np.column_stack([np.full(5, 3.3), np.arange(5.0)]))
-        out = dt.prepare(ds)
-        np.testing.assert_array_equal(out.values[:, 0], 0.0)
+        out, _ = dt.prepare(ds)
+        np.testing.assert_array_equal(out[:, 0], 0.0)
 
     def test_test_values_beyond_train_range_exceed_one(self):
-        train = dt.prepare(dt.TimeSeriesDataset(np.array([[0.0], [10.0]])))
-        test = dt.prepare(dt.TimeSeriesDataset(np.array([[15.0]])), train.norm_stats)
-        assert test.values[0, 0] == pytest.approx(2.0)
+        _, stats = dt.prepare(dt.TimeSeriesDataset(np.array([[0.0], [10.0]])))
+        test, _ = dt.prepare(dt.TimeSeriesDataset(np.array([[15.0]])), stats)
+        assert test[0, 0] == pytest.approx(2.0)
 
     def test_affine_inverse_recovers_originals(self):
         rng = np.random.default_rng(0)
         values = rng.normal(3.0, 2.0, (50, 4))
-        ds = dt.prepare(dt.TimeSeriesDataset(values))
-        lo, hi = ds.norm_stats
-        recovered = lo + (ds.values + 1.0) * (hi - lo) / 2.0
+        out, (lo, hi) = dt.prepare(dt.TimeSeriesDataset(values))
+        recovered = lo + (out + 1.0) * (hi - lo) / 2.0
         np.testing.assert_allclose(recovered, values, atol=1e-12)
 
     def test_odd_gets_constant_half_channel(self):
         ds = dt.TimeSeriesDataset(np.zeros((5, 3)))
-        out = dt.prepare(ds)
-        assert out.n_channels == 4 and out.channel_names[3] == "pad"
-        np.testing.assert_array_equal(out.values[:, 3], 0.5)
-        assert len(out.norm_stats[0]) == 3  # the statistics cover the data channels only
+        out, (lo, _) = dt.prepare(ds)
+        assert out.shape == (5, 4)
+        np.testing.assert_array_equal(out[:, 3], 0.5)
+        assert len(lo) == 3  # the statistics cover the data channels only
 
     def test_even_gets_no_pad_channel(self):
         ds = dt.TimeSeriesDataset(np.zeros((5, 4)))
-        out = dt.prepare(ds)
-        assert out.n_channels == 4 and out.channel_names == ds.channel_names
+        out, _ = dt.prepare(ds)
+        assert out.shape == (5, 4)
 
     def test_stats_of_another_width_rejected(self):
         ds = dt.TimeSeriesDataset(np.zeros((5, 3)))
@@ -238,11 +237,10 @@ class TestPrepare:
     def test_leaves_input_and_its_anomaly_list_untouched(self):
         ds = dt.inject_anomaly(dt.generate_synthetic("sine", 200, 3, seed=0),
                                dt.AnomalySpec("spike", 50, 1))
-        before = ds.values.copy()
-        out = dt.prepare(ds)
+        before, anomalies = ds.values.copy(), list(ds.anomalies)
+        out, _ = dt.prepare(ds)
         np.testing.assert_array_equal(ds.values, before)
-        assert out.anomalies == ds.anomalies and out.anomalies is not ds.anomalies
-        np.testing.assert_array_equal(out.labels, ds.labels)
+        assert ds.anomalies == anomalies and not np.shares_memory(out, ds.values)
 
 
 def test_readme_library_use_imports_only_public_names():
@@ -252,7 +250,7 @@ def test_readme_library_use_imports_only_public_names():
     section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
     imported = re.search(r"from tcflow import \((.*?)\)", section, re.S).group(1)
     names = [name.strip() for name in imported.split(",") if name.strip()]
-    assert "prepare" in names
+    assert "train_model" in names
     assert sorted(set(names) - set(tcflow.__all__)) == []
 
 

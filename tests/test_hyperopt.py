@@ -234,6 +234,18 @@ class TestRunSearch:
             run_search(train, None, "tcnf-base", "labeled-30-70", 9, EncoderConfig(),
                        TrainConfig(), 10, 30, 50)
 
+    def test_labeled_series_of_another_width_rejected_before_training(self, monkeypatch):
+        import tcflow.hyperopt as hyperopt
+
+        train, _ = self._datasets()
+        labeled = dt.inject_anomaly(dt.generate_synthetic("sine", 260, 3, noise=0.1, seed=1),
+                                    dt.AnomalySpec("spike", 120, 1, 6.0, (0,)))
+        monkeypatch.setattr(hyperopt, "train_model", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(dt.DataError, match="labeled series has 3 channels, "
+                                               "training series has 2"):
+            run_search(train, labeled, "tcnf-base", "labeled-30-70", 9, EncoderConfig(),
+                       TrainConfig(), 10, 30, 50)
+
     def test_budget_below_population_rejected(self):
         train, labeled = self._datasets()
         with pytest.raises(ValueError, match="budget"):
@@ -452,7 +464,6 @@ class TestRunSearch:
     def test_candidate_fitness_equals_chained_train_score_evaluate(self):
         # the search's internal evaluation must match running the pipeline
         # stages by hand with the same hyperparameters and derived seed
-        from tcflow.data import prepare
         from tcflow.hyperopt import _candidate_seed, configs_from_params
         from tcflow.metrics import auc_roc, combined_objective, vus_roc
         from tcflow.score import score_series
@@ -465,15 +476,13 @@ class TestRunSearch:
         )
         trial = result.trials[3]
         encoder_cfg, flow_cfg = configs_from_params("tcnf-base", trial.params, EncoderConfig())
-        train_p = prepare(train)
-        eval_p = prepare(labeled, train_p.norm_stats)
         model, _ = train_model(
-            train_p, encoder_cfg, flow_cfg,
+            train, encoder_cfg, flow_cfg,
             TrainConfig(epochs=2, batch_size=128, patience=3,
                         seed=_candidate_seed(4, trial.index)),
         )
-        scores = score_series(model, eval_p).scores
-        auc = auc_roc(scores, eval_p.labels)
-        vus = vus_roc(scores, eval_p.labels, result.metric_window)
+        scores = score_series(model, labeled).scores
+        auc = auc_roc(scores, labeled.labels)
+        vus = vus_roc(scores, labeled.labels, result.metric_window)
         assert auc == pytest.approx(trial.auc, abs=1e-12)
         assert -combined_objective(auc, vus) == pytest.approx(trial.fitness, abs=1e-12)

@@ -18,31 +18,36 @@ from tcflow.score import (
 
 
 def zero_dataset(n_steps=6, dim=2):
-    return dt.TimeSeriesDataset(
-        np.zeros((n_steps, dim)),
-        norm_stats=(np.full(dim, -1.0), np.full(dim, 1.0)),
-    )
+    return dt.TimeSeriesDataset(np.zeros((n_steps, dim)))
+
+
+def identity_stats(dim):
+    """Statistics under which ``prepare`` maps a value v to (v + 1) - 1,
+    which is v up to rounding."""
+    return np.full(dim, -1.0), np.full(dim, 1.0)
 
 
 class TestScoreSeries:
     def test_identity_model_on_origin_scores_log_two_pi(self):
         model = build_model_with_encoder(2, 2, EncoderConfig("none"))
+        model.norm_stats = (np.zeros(2), np.ones(2))  # an all-zero channel reads 0.5, mapped to 0
         series = score_series(model, zero_dataset())
         np.testing.assert_allclose(series.scores, math.log(2 * math.pi))
 
     def test_scores_cover_every_timestep(self):
         model = build_model_with_encoder(2, 2, EncoderConfig("passthrough", lookback=5))
+        model.norm_stats = identity_stats(2)
         ds = zero_dataset(37)
         assert score_series(model, ds).scores.shape == (37,)
 
     def test_duplicated_sequence_duplicates_scores(self):
         model = build_model_with_encoder(2, 2, EncoderConfig("passthrough", lookback=3), seed=5)
         randomize_model(model, np.random.default_rng(0), scale=0.2)
+        model.norm_stats = identity_stats(2)
         rng = np.random.default_rng(1)
         values = rng.normal(size=(40, 2))
-        base = dt.TimeSeriesDataset(values, norm_stats=(np.full(2, -1.0), np.full(2, 1.0)))
-        doubled = dt.TimeSeriesDataset(
-            np.vstack([values, values]), norm_stats=base.norm_stats)
+        base = dt.TimeSeriesDataset(values)
+        doubled = dt.TimeSeriesDataset(np.vstack([values, values]))
         a = score_series(model, base).scores
         b = score_series(model, doubled).scores
         # the second copy repeats the first except at the boundary splice
@@ -51,20 +56,33 @@ class TestScoreSeries:
     def test_deterministic(self):
         model = build_model_with_encoder(2, 3, EncoderConfig("passthrough", lookback=4), seed=9)
         randomize_model(model, np.random.default_rng(3), scale=0.3)
-        ds = dt.TimeSeriesDataset(
-            np.random.default_rng(4).normal(size=(50, 2)),
-            norm_stats=(np.full(2, -1.0), np.full(2, 1.0)))
+        model.norm_stats = identity_stats(2)
+        ds = dt.TimeSeriesDataset(np.random.default_rng(4).normal(size=(50, 2)))
         np.testing.assert_array_equal(score_series(model, ds).scores,
                                       score_series(model, ds).scores)
 
     def test_channel_count_mismatch_rejected(self):
         model = build_model_with_encoder(4, 2, EncoderConfig("none"))
-        with pytest.raises(ValueError, match="channels"):
+        model.norm_stats = identity_stats(4)
+        with pytest.raises(dt.DataError, match="stats cover 4 channels, dataset has 2"):
             score_series(model, zero_dataset(10, 2))
+
+    def test_model_without_statistics_is_refused(self, tmp_path):
+        # scoring applies the model's statistics and never fits its own
+        model = build_model_with_encoder(2, 2, EncoderConfig("passthrough", lookback=2))
+        model.norm_stats = None
+        ds = dt.TimeSeriesDataset(np.random.default_rng(0).normal(size=(10, 2)))
+        path = tmp_path / "latent.csv"
+        with pytest.raises(ValueError, match="^model carries no normalization statistics$"):
+            score_series(model, ds)
+        with pytest.raises(ValueError, match="^model carries no normalization statistics$"):
+            export_latent(model, ds, path)
+        assert not path.exists()
 
     def test_stateful_scoring_matches_series_length(self):
         model = build_model_with_encoder(
             2, 2, EncoderConfig("lstm-stateful", lookback=4, lstm_layers=1))
+        model.norm_stats = identity_stats(2)
         ds = zero_dataset(23)
         assert score_series(model, ds).scores.shape == (23,)
 
@@ -74,8 +92,9 @@ class TestScoreSeries:
         model = build_model_with_encoder(
             2, 2, EncoderConfig("lstm-stateful", lookback=5, lstm_layers=2), seed=7)
         randomize_model(model, np.random.default_rng(8), scale=0.3)
-        values = np.random.default_rng(9).normal(size=(n_steps, 2))
-        ds = dt.TimeSeriesDataset(values, norm_stats=(np.full(2, -1.0), np.full(2, 1.0)))
+        model.norm_stats = identity_stats(2)
+        ds = dt.TimeSeriesDataset(np.random.default_rng(9).normal(size=(n_steps, 2)))
+        values = dt.prepare(ds, model.norm_stats)[0]
         stream = np.vstack([values[:1], values[:-1]])
         states = model.encoder.zero_states(1)
         expected = []
@@ -93,8 +112,9 @@ class TestScoreSeries:
         model = build_model_with_encoder(
             8, 2, EncoderConfig("lstm-stateful", lookback=3), seed=11, multiplier=50)
         randomize_model(model, np.random.default_rng(12), scale=0.3)
-        values = np.random.default_rng(13).normal(size=(2500, 8))
-        ds = dt.TimeSeriesDataset(values, norm_stats=(np.full(8, -1.0), np.full(8, 1.0)))
+        model.norm_stats = identity_stats(8)
+        ds = dt.TimeSeriesDataset(np.random.default_rng(13).normal(size=(2500, 8)))
+        values = dt.prepare(ds, model.norm_stats)[0]
         stream = np.vstack([values[:1], values[:-1]])  # row t is conditioned on row t - 1
         contexts = model.encoder.encode_step(stream, model.encoder.zero_states(1))[0].value
         latents, log_dets = map(np.concatenate, zip(*[
@@ -109,14 +129,12 @@ class TestScoreSeries:
         from tcflow.train import TrainConfig, train_model
 
         clean = dt.generate_synthetic("sine", 500, 2, noise=0.1, seed=0)
-        prepared = dt.prepare(clean)
         model, _ = train_model(
-            prepared, EncoderConfig("passthrough", lookback=4),
+            clean, EncoderConfig("passthrough", lookback=4),
             FlowConfig(2, ConditionerConfig(2, 3, 0.1, 1.5)),
             TrainConfig(epochs=6, batch_size=128, learning_rate=3e-3, seed=1))
         test = dt.generate_synthetic("sine", 500, 2, noise=0.1, seed=2)
         test = dt.inject_anomaly(test, dt.AnomalySpec("spike", 250, 1, 6.0, (0,)))
-        test = dt.prepare(test, prepared.norm_stats)
         series = score_series(model, test)
         peak = int(np.argmax(series.scores))
         buffer = 4  # lookback-wide slack after the labeled point
@@ -166,9 +184,10 @@ class TestExportLatent:
         # with one layer there is no half-swap, so fresh parameters give the
         # literal identity map
         model = build_model_with_encoder(2, 1, EncoderConfig("none"))
+        model.norm_stats = identity_stats(2)
         rng = np.random.default_rng(0)
-        values = rng.normal(size=(12, 2))
-        ds = dt.TimeSeriesDataset(values, norm_stats=(np.full(2, -1.0), np.full(2, 1.0)))
+        ds = dt.TimeSeriesDataset(rng.normal(size=(12, 2)))
+        values = dt.prepare(ds, model.norm_stats)[0]
         path = tmp_path / "latent.csv"
         export_latent(model, ds, path)
         rows = path.read_text().splitlines()
@@ -182,9 +201,9 @@ class TestExportLatent:
     def test_score_reconstructs_from_latent_and_logdet(self, tmp_path, kind):
         model = build_model_with_encoder(2, 3, EncoderConfig(kind, lookback=3), seed=2)
         randomize_model(model, np.random.default_rng(1), scale=0.3)
+        model.norm_stats = identity_stats(2)
         rng = np.random.default_rng(5)
-        ds = dt.TimeSeriesDataset(rng.normal(size=(30, 2)),
-                                  norm_stats=(np.full(2, -1.0), np.full(2, 1.0)))
+        ds = dt.TimeSeriesDataset(rng.normal(size=(30, 2)))
         path = tmp_path / "latent.csv"
         export_latent(model, ds, path)
         rows = path.read_text().splitlines()[1:]
@@ -202,8 +221,8 @@ class TestExportLatent:
         randomize_model(model, np.random.default_rng(0), scale=0.5)
         for layer in model.layers:
             layer.scale_cap.value = np.full_like(layer.scale_cap.value, 1.7e308)
-        ds = dt.TimeSeriesDataset(np.random.default_rng(1).normal(size=(5, 2)),
-                                  norm_stats=(np.full(2, -1.0), np.full(2, 1.0)))
+        model.norm_stats = identity_stats(2)
+        ds = dt.TimeSeriesDataset(np.random.default_rng(1).normal(size=(5, 2)))
         path = tmp_path / "latent.csv"
         with np.errstate(all="ignore"):
             with pytest.raises(FloatingPointError, match="non-finite score at timestep 0"):
@@ -214,9 +233,8 @@ class TestExportLatent:
 
     def test_labeled_dataset_adds_label_column(self, tmp_path):
         model = build_model_with_encoder(2, 2, EncoderConfig("none"))
-        ds = zero_dataset(8)
-        ds = dt.TimeSeriesDataset(ds.values, labels=np.arange(8) % 2 == 0,
-                                  norm_stats=ds.norm_stats)
+        model.norm_stats = identity_stats(2)
+        ds = dt.TimeSeriesDataset(np.zeros((8, 2)), labels=np.arange(8) % 2 == 0)
         path = tmp_path / "latent.csv"
         export_latent(model, ds, path)
         header = path.read_text().splitlines()[0]
@@ -225,8 +243,8 @@ class TestExportLatent:
     def test_byte_identical_across_runs(self, tmp_path):
         model = build_model_with_encoder(2, 2, EncoderConfig("passthrough", lookback=2), seed=3)
         randomize_model(model, np.random.default_rng(2), scale=0.2)
-        ds = dt.TimeSeriesDataset(np.random.default_rng(3).normal(size=(20, 2)),
-                                  norm_stats=(np.full(2, -1.0), np.full(2, 1.0)))
+        model.norm_stats = identity_stats(2)
+        ds = dt.TimeSeriesDataset(np.random.default_rng(3).normal(size=(20, 2)))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         export_latent(model, ds, p1)
         export_latent(model, ds, p2)

@@ -43,9 +43,8 @@ def small_cfgs(n_layers=2, multiplier=2, cond_layers=3):
     return FlowConfig(n_layers, ConditionerConfig(multiplier, cond_layers, 0.1, 1.5))
 
 
-def prepared_sine(n_steps=400, n_channels=2, noise=0.1, seed=0):
-    ds = dt.generate_synthetic("sine", n_steps, n_channels, noise=noise, seed=seed)
-    return dt.prepare(ds)
+def sine(n_steps=400, n_channels=2, noise=0.1, seed=0):
+    return dt.generate_synthetic("sine", n_steps, n_channels, noise=noise, seed=seed)
 
 
 class TestAdam:
@@ -197,7 +196,7 @@ class TestFlatBuffer:
 
     @pytest.mark.parametrize("kind", ["none", "mlp", "lstm-stateful"])
     def test_parameters_are_views_of_one_buffer_after_training_and_loading(self, kind, tmp_path):
-        ds = prepared_sine(200, seed=1)
+        ds = sine(200, seed=1)
         model, report = train_model(ds, EncoderConfig(kind, lookback=4), small_cfgs(),
                                     TrainConfig(epochs=3, seed=0))
         self._assert_one_buffer(model.parameters())
@@ -230,7 +229,7 @@ class TestFlatBuffer:
 
         monkeypatch.setattr(train_module, "AdamState", recording_state)
         monkeypatch.setattr(dc, "backward", nan_filled_backward)
-        ds = prepared_sine(200, seed=2)
+        ds = sine(200, seed=2)
         train_model(ds, EncoderConfig(kind, lookback=4, lstm_layers=layers), small_cfgs(),
                     TrainConfig(epochs=2, batch_size=64, seed=0))
         assert len(states) == 1 and states[0].step == calls >= 4
@@ -249,7 +248,7 @@ class TestFlatBuffer:
             return original(model, values, batches, rng, adam, cfg)
 
         monkeypatch.setattr(train_module, "_mean_loss", mean_loss)
-        ds = prepared_sine(300, seed=4)
+        ds = sine(300, seed=4)
         model, report = train_model(ds, EncoderConfig("passthrough", lookback=4), small_cfgs(),
                                     TrainConfig(epochs=6, learning_rate=0.3, seed=1))
         assert report.best_epoch < len(report.val_losses)
@@ -261,37 +260,40 @@ class TestFlatBuffer:
 
 class TestTrainModel:
     def test_identity_initialized_first_loss_is_base_nll(self):
-        ds = prepared_sine()
+        values = dt.prepare(sine())[0]
         model = build_model_with_encoder(2, 2, EncoderConfig("passthrough", lookback=4))
-        batch = ds.values[10:30]
-        ctx = np.stack([ds.values[i - 4 : i] for i in range(10, 30)])
+        batch = values[10:30]
+        ctx = np.stack([values[i - 4 : i] for i in range(10, 30)])
         loss = nll_loss(model, batch, model.encoder.encode_batch(ctx))
         expected = -gaussian_log_density(batch).mean()
         assert float(loss.value) == pytest.approx(expected)
 
     def test_batch_loss_is_mean_of_pointwise_nll(self):
-        ds = prepared_sine()
+        values = dt.prepare(sine())[0]
         model = build_model_with_encoder(2, 2, EncoderConfig("none"), seed=3)
-        batch = ds.values[:16]
+        batch = values[:16]
         per_point = -log_prob(model, batch)
         assert float(nll_loss(model, batch).value) == pytest.approx(per_point.mean())
 
     def test_white_noise_converges_to_gaussian_entropy(self):
         rng = np.random.default_rng(0)
         values = rng.standard_normal((1000, 2))
-        ds = dt.TimeSeriesDataset(values, norm_stats=(np.full(2, -1.0), np.full(2, 1.0)))
         model, report = train_model(
-            ds, EncoderConfig("none"), small_cfgs(),
-            TrainConfig(epochs=5, batch_size=256, seed=1),
+            dt.TimeSeriesDataset(values), EncoderConfig("none"), small_cfgs(),
+            # the flow starts as the identity and must learn the 2 / span scale
+            TrainConfig(epochs=20, batch_size=128, learning_rate=1e-2, seed=1),
         )
         # Monte-Carlo oracle: mean NLL of the true density on a fresh sample
         fresh = rng.standard_normal((10000, 2))
         oracle = float(-gaussian_log_density(fresh).mean())
         assert math.isclose(oracle, math.log(2 * math.pi) + 1.0, rel_tol=0.02)
-        assert abs(report.best_val_loss - oracle) < 0.15
+        # the model sees each channel mapped by 2 / span into [-1, 1]
+        lo, hi = model.norm_stats
+        shift = float(np.log(2.0 / (hi - lo)).sum())
+        assert abs(report.best_val_loss - (oracle + shift)) < 0.15
 
     def test_fixed_seed_reproduces_report(self):
-        ds = prepared_sine(300)
+        ds = sine(300)
         cfg = TrainConfig(epochs=3, batch_size=64, seed=7)
         _, r1 = train_model(ds, EncoderConfig("passthrough", lookback=4), small_cfgs(), cfg)
         _, r2 = train_model(ds, EncoderConfig("passthrough", lookback=4), small_cfgs(), cfg)
@@ -300,7 +302,7 @@ class TestTrainModel:
         assert r1.best_epoch == r2.best_epoch
 
     def test_best_epoch_at_most_first_epoch_loss(self):
-        ds = prepared_sine(500, seed=3)
+        ds = sine(500, seed=3)
         _, report = train_model(
             ds, EncoderConfig("passthrough", lookback=6), small_cfgs(),
             TrainConfig(epochs=8, batch_size=128, seed=2),
@@ -309,7 +311,7 @@ class TestTrainModel:
         assert report.best_epoch == int(np.argmin(report.val_losses)) + 1
 
     def test_training_reduces_loss_on_sine(self):
-        ds = prepared_sine(600, noise=0.2, seed=5)
+        ds = sine(600, noise=0.2, seed=5)
         _, report = train_model(
             ds, EncoderConfig("passthrough", lookback=6), small_cfgs(n_layers=3),
             TrainConfig(epochs=10, batch_size=128, seed=0),
@@ -317,7 +319,7 @@ class TestTrainModel:
         assert report.best_val_loss < report.val_losses[0]
 
     def test_heldout_clean_continuation_within_twice_train_nll(self):
-        ds = prepared_sine(700, noise=0.4, seed=11)
+        ds = sine(700, noise=0.4, seed=11)
         model, report = train_model(
             ds, EncoderConfig("passthrough", lookback=6), small_cfgs(n_layers=2),
             TrainConfig(epochs=8, batch_size=128, seed=4),
@@ -325,14 +327,13 @@ class TestTrainModel:
         train_nll = report.train_losses[-1]
         assert train_nll > 0  # noise level keeps the optimum above zero
         continuation = dt.generate_synthetic("sine", 300, 2, noise=0.4, seed=99)
-        continuation = dt.prepare(continuation, ds.norm_stats)
         from tcflow.score import score_series
         series = score_series(model, continuation)
         assert np.median(series.scores) <= 2.0 * train_nll
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_surfaces_structured_error(self):
-        ds = prepared_sine(300)
+        ds = sine(300)
         with pytest.raises((TrainingDiverged, FloatingPointError)):
             train_model(
                 ds, EncoderConfig("none"), small_cfgs(),
@@ -358,18 +359,18 @@ class TestTrainModel:
                                              rf"\[5e-324, 1\.7976931348623157e\+308\]: {value}$"):
             TrainConfig(learning_rate=value)
 
-    def test_odd_channel_dataset_names_prepare(self):
-        ds = dt.TimeSeriesDataset(np.zeros((200, 3)), norm_stats=(np.zeros(3), np.ones(3)))
-        with pytest.raises(ValueError, match=r"even channel count \(data\.prepare pads it\)"):
-            train_model(ds, EncoderConfig("none"), small_cfgs(), TrainConfig(epochs=1))
-
-    def test_unnormalized_dataset_rejected(self):
-        ds = dt.generate_synthetic("sine", 200, 2, seed=0)
-        with pytest.raises(ValueError, match="normalized"):
-            train_model(ds, EncoderConfig("none"), small_cfgs(), TrainConfig(epochs=1))
+    def test_raw_odd_channel_series_trains_on_the_padded_dim(self):
+        # the model fits its statistics on the raw series' 3 channels and
+        # trains on them plus prepare's constant pad column
+        ds = sine(200, n_channels=3, seed=0)
+        model, _ = train_model(ds, EncoderConfig("none"), small_cfgs(), TrainConfig(epochs=1))
+        assert model.dim == 4
+        lo, hi = model.norm_stats
+        np.testing.assert_array_equal(lo, ds.values.min(axis=0))
+        np.testing.assert_array_equal(hi, ds.values.max(axis=0))
 
     def test_stateful_training_runs_and_tracks_validation(self):
-        ds = prepared_sine(160, seed=2)
+        ds = sine(160, seed=2)
         cfg = EncoderConfig("lstm-stateful", lookback=8, lstm_layers=1)
         model, report = train_model(ds, cfg, small_cfgs(n_layers=2),
                                     TrainConfig(epochs=2, seed=0))
@@ -386,7 +387,7 @@ class TestBatchedRows:
         # a split's rows t >= lookback and their padded_context_windows are
         # the same rows, in the same order, as the windows filtered by
         # split-index membership
-        ds = prepared_sine(400, seed=5)
+        ds = sine(400, seed=5)
         lookback = lookback if kind != "none" else 0  # as Encoder.split splits
         train_idx, val_idx = dt.split_train_val(ds.n_steps, lookback, mode,
                                                 np.random.default_rng(1))
@@ -541,7 +542,7 @@ def mlp_model_bytes():
 
 class TestSerialization:
     def _trained(self, tmp_path, encoder_kind="passthrough"):
-        ds = prepared_sine(300)
+        ds = sine(300)
         enc = EncoderConfig(encoder_kind, lookback=4)
         model, _ = train_model(ds, enc, small_cfgs(), TrainConfig(epochs=2, seed=0))
         path = tmp_path / "model.tcf"
@@ -717,7 +718,7 @@ class TestSerialization:
             load_model(path)
 
     def test_report_csv_written(self, tmp_path):
-        ds = prepared_sine(300)
+        ds = sine(300)
         _, report = train_model(ds, EncoderConfig("none"), small_cfgs(),
                                 TrainConfig(epochs=3, seed=0))
         out = tmp_path / "report.csv"
