@@ -11,7 +11,6 @@ from .data import (
     inject_anomaly,
     load_csv,
     prepare,
-    split_train_val,
 )
 from .flow import ConditionerConfig, FlowConfig, FlowModel, gaussian_log_density, nll_loss
 from .hyperopt import CmaEs, decode, run_search, space_for_method
@@ -52,7 +51,6 @@ __all__ = [
     "score_series",
     "select_threshold",
     "space_for_method",
-    "split_train_val",
     "train_model",
     "vus_roc",
 ]

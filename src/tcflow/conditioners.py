@@ -1,12 +1,15 @@
 """Context encoders: turn the lookback window into the conditioning vector.
 
 The encoder owns the pairing of rows with contexts: ``split`` picks the
-training and validation rows, and ``batches`` yields ``(rows, contexts)``
-over any rows, for training and scoring. Six encoder kinds are supported,
-from a raw passthrough of the window to a stateful LSTM whose hidden state
-is carried from timestep to timestep. The stateless kinds encode blocks of
-``padded_context_windows``; the stateful LSTM walks the series in order,
-one ``encode_step`` per chunk of ``lookback`` rows. Either gives a
+training and validation rows, every training row more than ``lookback``
+from every validation row (five random validation sections for the
+stateless kinds, the last fifth for the stateful LSTM), and ``batches``
+yields ``(rows, contexts)`` over any rows, for training and scoring. Six
+encoder kinds are supported, from a raw passthrough of the window to a
+stateful LSTM whose hidden state is carried from timestep to timestep. The
+stateless kinds encode blocks of ``padded_context_windows``; the stateful
+LSTM walks the series in order, one ``encode_step`` per chunk of
+``lookback`` rows. Either gives a
 (batch, context_dim) node; each LSTM layer is one ``dc.lstm_sequence`` node
 per call. Learnable encoders train with the flow: each layer is a
 ``flow.dense`` (weight, bias) pair in ``Encoder.pairs``, and dropout is
@@ -24,9 +27,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diffcore as dc
-from .data import DataError, split_train_val
+from .data import DataError
 from .diffcore import Node, Parameter
 from .flow import check_values, dense, field_defaults
+
+TRAIN_SHARE = 0.8  # of the series; the other 20% is validation
 
 
 @dataclass
@@ -114,14 +119,21 @@ class Encoder:
         return list(chain(*self.pairs))
 
     def split(self, n_steps: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Training and validation rows: ``split_train_val`` random sections
-        with a ``lookback`` gap, cut to the rows t >= ``lookback``, whose
-        window is fully observed. An empty set raises ``DataError``."""
-        train, val = split_train_val(n_steps, self.lookback, "random-sections", rng)
-        train, val = train[train >= self.lookback], val[val >= self.lookback]
-        if train.size == 0 or val.size == 0:
-            raise DataError("split left an empty train or validation window set")
-        return train, val
+        """Training and validation rows: five equal random validation
+        sections, one ``rng.integers`` draw per fifth of the series, with no
+        training row within ``lookback`` of any of them, cut to the rows
+        t >= ``lookback``, whose window is fully observed. An empty set
+        raises ``DataError``."""
+        section, block, gap = validation_size(n_steps) // 5, n_steps // 5, self.lookback
+        if block <= section + gap:
+            raise DataError(f"series too short for five sections of {section} with gap {gap}")
+        in_val, excluded = np.zeros(n_steps, dtype=bool), np.zeros(n_steps, dtype=bool)
+        for b in range(5):
+            start = b * block + int(rng.integers(0, block - section + 1))
+            in_val[start : start + section] = True
+            excluded[max(0, start - gap) : start + section + gap] = True
+        train, val = np.flatnonzero(~excluded), np.flatnonzero(in_val)
+        return _nonempty(train[train >= gap], val[val >= gap])
 
     def batches(self, values: np.ndarray, rows: np.ndarray, size: int,
                 rng: np.random.Generator | None):
@@ -314,9 +326,11 @@ class StatefulLstmEncoder(LstmEncoder):
         return out[:, 0, : self.hidden], states
 
     def split(self, n_steps, rng):
-        """The sequential tail with a ``lookback`` gap; the state runs through
-        the whole series, so every row has a context and none is cut."""
-        return split_train_val(n_steps, self.lookback, "sequential-tail", rng)
+        """The last fifth of the series, and the rows more than ``lookback``
+        before it; the state runs through the whole series, so every row has
+        a context and none is cut. ``rng`` is not read."""
+        start = n_steps - validation_size(n_steps)
+        return _nonempty(np.arange(start - self.lookback), np.arange(start, n_steps))
 
     def batches(self, values, rows, size, rng):
         """Walk ``values`` in chunks of ``lookback`` rows, in series order
@@ -342,6 +356,21 @@ class StatefulLstmEncoder(LstmEncoder):
             states = [dc.constant(state.value) for state in states]
 
 
+def validation_size(n_steps: int) -> int:
+    """How many rows of an ``n_steps`` series validate: the share that
+    ``TRAIN_SHARE`` leaves, rounded. Fewer than 5 raise ``DataError``."""
+    val_total = int(round(n_steps * (1.0 - TRAIN_SHARE)))
+    if val_total < 5:
+        raise DataError(f"series too short to split: {n_steps} steps")
+    return val_total
+
+
+def _nonempty(train: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if train.size == 0 or val.size == 0:
+        raise DataError("split left an empty train or validation window set")
+    return train, val
+
+
 # kind -> encoder class; ``KINDS`` lists the kinds in this order
 ENCODERS: dict[str, type[Encoder]] = {
     cls.kind: cls
@@ -351,10 +380,7 @@ ENCODERS: dict[str, type[Encoder]] = {
 KINDS = tuple(ENCODERS)
 
 
-def build_encoder(cfg: EncoderConfig, dim: int,
-                  rng: np.random.Generator | None = None) -> Encoder:
+def build_encoder(cfg: EncoderConfig, dim: int, rng: np.random.Generator) -> Encoder:
     """Instantiate the encoder for ``cfg``; the base ``Encoder`` for kind
     ``none``, the unconditioned flow."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     return ENCODERS[cfg.kind](cfg, dim, rng)

@@ -1,13 +1,11 @@
-"""Dataset handling: CSV ingestion, preprocessing, splits and a synthetic
+"""Dataset handling: CSV ingestion, preprocessing and a synthetic
 multichannel generator with anomaly injection.
 
-``prepare`` is the one preprocessing step, in three rules: all-zero channels
-are replaced by the constant 0.5, channels are then min-max normalized into
-[-1, 1] with statistics that ``train_model`` fits on the raw training series
-and keeps as the model's ``norm_stats``, and an extra constant-0.5 column is
-appended when the channel count is odd (the coupling split needs an even
-count). Every dataset a caller handles is raw. Train/validation splits keep
-a lookback-sized gap so no training window can touch validation targets.
+``prepare`` is the one preprocessing step, in two rules: channels are
+min-max normalized into [-1, 1] with statistics that ``train_model`` fits on
+the raw training series and keeps as the model's ``norm_stats``, and an
+extra constant-0.5 column is appended when the channel count is odd (the
+coupling split needs an even count). Every dataset a caller handles is raw.
 """
 
 from __future__ import annotations
@@ -17,8 +15,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-SPLIT_MODES = ("random-sections", "sequential-tail")
-TRAIN_SHARE = 0.8  # of the series; the other 20% is validation
 FAMILIES = ("sine", "saw", "increasing", "wave", "random-walk", "cbf")
 MIN_STEPS, MIN_CHANNELS = 100, 2  # the smallest series generate_synthetic makes
 ANOMALY_KINDS = (
@@ -193,74 +189,26 @@ def save_csv(ds: TimeSeriesDataset, path, with_labels: bool = True) -> None:
 
 def prepare(ds: TimeSeriesDataset, stats=None) -> tuple[np.ndarray, tuple]:
     """The values of ``ds`` as a model sees them, and the per-channel
-    (min, max) that mapped them: a copy in which each all-zero channel is
-    the constant 0.5, each channel then min/max mapped into [-1, 1], and one
-    constant-0.5 column appended when the channel count is odd.
+    (min, max) that mapped them: a new array in which each channel is min/max
+    mapped into [-1, 1], with one constant-0.5 column appended when the
+    channel count is odd.
 
     The (min, max) are fitted on ``ds`` when ``stats`` is None; otherwise
     ``stats`` (a model's ``norm_stats``) are used, and values may leave
-    [-1, 1]. A constant channel maps to all-zero."""
-    values = ds.values.copy()
-    values[:, ~values.any(axis=0)] = PAD_VALUE
+    [-1, 1]. A channel whose statistics span nothing (constant in the series
+    they were fitted on) maps to all-zero."""
     if stats is None:
-        stats = (values.min(axis=0), values.max(axis=0))
+        stats = (ds.values.min(axis=0), ds.values.max(axis=0))
     lo, hi = (np.asarray(s, dtype=np.float64) for s in stats)
     if lo.shape != (ds.n_channels,):
         raise DataError(f"stats cover {lo.shape[0]} channels, dataset has {ds.n_channels}")
     span = hi - lo
-    out = np.zeros_like(values)
+    out = np.zeros_like(ds.values)
     live = span > 0
-    out[:, live] = 2.0 * (values[:, live] - lo[live]) / span[live] - 1.0
+    out[:, live] = 2.0 * (ds.values[:, live] - lo[live]) / span[live] - 1.0
     if ds.n_channels % 2:
         out = np.hstack([out, np.full((ds.n_steps, 1), PAD_VALUE)])
     return out, (lo, hi)
-
-
-# -- train/validation split ----------------------------------------------------
-
-
-def split_train_val(
-    n_steps: int,
-    lookback: int,
-    mode: str = "random-sections",
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Disjoint train/validation index sets with a lookback-sized guard gap.
-
-    ``random-sections`` carves five equal random sections totaling 20% of the
-    series; ``sequential-tail`` uses the last 20%. Every training index is
-    more than ``lookback`` steps away from every validation index.
-    """
-    if mode not in SPLIT_MODES:
-        raise DataError(f"unknown split mode {mode!r}")
-    val_total = int(round(n_steps * (1.0 - TRAIN_SHARE)))
-    if val_total < 5:
-        raise DataError(f"series too short to split: {n_steps} steps")
-    gap = max(0, int(lookback))
-    val_mask = np.zeros(n_steps, dtype=bool)
-    if mode == "sequential-tail":
-        val_mask[n_steps - val_total :] = True
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        section = val_total // 5
-        block = n_steps // 5
-        if section < 1 or block <= section + gap:
-            raise DataError(
-                f"series too short for five sections of {section} with gap {gap}"
-            )
-        for b in range(5):
-            lo = b * block
-            start = lo + int(rng.integers(0, block - section + 1))
-            val_mask[start : start + section] = True
-    excluded = val_mask.copy()
-    val_idx = np.nonzero(val_mask)[0]
-    for v0, v1 in label_runs(val_mask):
-        excluded[max(0, v0 - gap) : min(n_steps, v1 + gap)] = True
-    train_idx = np.nonzero(~excluded)[0]
-    if train_idx.size == 0:
-        raise DataError("gap exclusion removed every training index")
-    return train_idx, val_idx
 
 
 def label_runs(labels: np.ndarray):
@@ -363,12 +311,10 @@ def inject_anomaly(ds: TimeSeriesDataset, spec: AnomalySpec, seed: int = 0) -> T
     sl = slice(spec.start, spec.stop)
     for ch in channels:
         sigma = float(values[:, ch].std()) or 1.0
-        if spec.kind == "spike":
+        if spec.kind in ("spike", "mean-shift"):
             values[sl, ch] += spec.magnitude * sigma
         elif spec.kind == "platform":
             values[sl, ch] = spec.magnitude
-        elif spec.kind == "mean-shift":
-            values[sl, ch] += spec.magnitude * sigma
         elif spec.kind == "amplitude":
             center = float(values[:, ch].mean())
             values[sl, ch] = center + spec.magnitude * (values[sl, ch] - center)

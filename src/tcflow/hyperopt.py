@@ -160,13 +160,13 @@ class CmaEs:
     ``_init_state`` sets the whole sampling distribution, at the start and at
     each restart."""
 
+    SIGMA0 = 0.3  # the step size at the start and at each restart
+    RESTART_WINDOW = 20  # generations per window of the stagnation test
     RESTART_TOL = 1e-12  # a window's least best-fitness gain that is not stagnation
 
-    def __init__(self, n: int, seed: int = 0, sigma0: float = 0.3, restart_window: int = 20):
+    def __init__(self, n: int, seed: int):
         self.n = n
         self.rng = np.random.default_rng(seed)
-        self.sigma0 = sigma0
-        self.restart_window = restart_window
         self.best_vector: np.ndarray | None = None
         self.best_fitness = np.inf
         self.restarts = 0
@@ -179,7 +179,7 @@ class CmaEs:
         self.mu_eff = mu_eff = 1.0 / float((self.weights**2).sum())
         self.lam = lam
         self.mean = mean.astype(np.float64)
-        self.sigma = self.sigma0
+        self.sigma = self.SIGMA0
         self.cov = np.eye(n)
         self.path_sigma = np.zeros(n)
         self.path_cov = np.zeros(n)
@@ -257,7 +257,7 @@ class CmaEs:
         self.sigma = self.sigma * math.exp((self.c_sigma / self.d_sigma) * (norm_ps / self.chi_n - 1.0))
 
     def _stagnated(self) -> bool:
-        w = self.restart_window
+        w = self.RESTART_WINDOW
         if len(self._history) < 2 * w:
             return False
         recent = min(self._history[-w:])

@@ -5,6 +5,7 @@ import numpy as np
 from tcflow import diffcore as dc
 from tcflow import metrics as mx
 from tcflow.conditioners import EncoderConfig, build_encoder
+from tcflow.data import DataError, label_runs
 from tcflow.flow import ConditionerConfig, FlowConfig, FlowModel
 from tcflow.hyperopt import CmaEs, _openblas_threads_function
 from tcflow.metrics import precision_recall_f1
@@ -60,7 +61,7 @@ def small_flow(dim=2, n_layers=2, context_dim=0, seed=0, multiplier=2,
     cfg = FlowConfig(n_layers, ConditionerConfig(multiplier, cond_layers, dropout, funnel))
     if encoder is None:
         encoder = (_FixedDimEncoder(context_dim) if context_dim > 0
-                   else build_encoder(EncoderConfig("none"), dim))
+                   else build_encoder(EncoderConfig("none"), dim, np.random.default_rng(seed)))
     return FlowModel(dim, cfg, encoder, np.random.default_rng(seed))
 
 
@@ -203,6 +204,42 @@ def reference_window_rows(values, lookback, train_idx, val_idx):
     return targets[in_train], contexts[in_train], targets[in_val], contexts[in_val]
 
 
+def reference_split(n_steps, lookback, mode, rng):
+    """Reference train/validation split, before ``Encoder.split``'s cut:
+    ``random-sections`` (the stateless kinds) carves five equal random
+    sections totaling 20% of the series, one ``rng.integers`` draw per fifth;
+    ``sequential-tail`` (the stateful LSTM) uses the last 20%. Every training
+    index is more than ``lookback`` steps away from every validation index,
+    found by excluding ``lookback`` rows around each run of the validation
+    mask. Raises ``DataError`` where no such split exists."""
+    val_total = int(round(n_steps * (1.0 - 0.8)))  # the training share is 0.8
+    if val_total < 5:
+        raise DataError(f"series too short to split: {n_steps} steps")
+    gap = max(0, int(lookback))
+    val_mask = np.zeros(n_steps, dtype=bool)
+    if mode == "sequential-tail":
+        val_mask[n_steps - val_total :] = True
+    else:
+        section = val_total // 5
+        block = n_steps // 5
+        if section < 1 or block <= section + gap:
+            raise DataError(
+                f"series too short for five sections of {section} with gap {gap}"
+            )
+        for b in range(5):
+            lo = b * block
+            start = lo + int(rng.integers(0, block - section + 1))
+            val_mask[start : start + section] = True
+    excluded = val_mask.copy()
+    val_idx = np.nonzero(val_mask)[0]
+    for v0, v1 in label_runs(val_mask):
+        excluded[max(0, v0 - gap) : min(n_steps, v1 + gap)] = True
+    train_idx = np.nonzero(~excluded)[0]
+    if train_idx.size == 0:
+        raise DataError("gap exclusion removed every training index")
+    return train_idx, val_idx
+
+
 def composed_lstm_stack(encoder, steps, states, rng=None):
     """Reference ``LstmEncoder._run_stack``: one ``dc.lstm_cell`` per step
     and layer over a list of (batch, input) step nodes, from per-layer
@@ -269,10 +306,10 @@ def finite_diff_check(build_loss, params, epsilon=1e-5):
     return worst
 
 
-def minimize(func, n, budget, seed=0, sigma0=0.3):
+def minimize(func, n, budget, seed=0):
     """CMA-ES loop: minimize func over [0, 1]^n within a budget of
     evaluations; returns (best vector, best fitness, evaluations used)."""
-    opt = CmaEs(n, seed=seed, sigma0=sigma0)
+    opt = CmaEs(n, seed=seed)
     if budget < opt.lam:
         raise ValueError(f"budget {budget} is below one population of {opt.lam}")
     used = 0

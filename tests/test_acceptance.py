@@ -23,7 +23,7 @@ from helpers import (
 from tcflow import data as dt
 from tcflow import diffcore as dc
 from tcflow import metrics as mx
-from tcflow.conditioners import EncoderConfig, build_encoder, padded_context_windows
+from tcflow.conditioners import KINDS, EncoderConfig, build_encoder, padded_context_windows
 from tcflow.flow import ConditionerConfig, FlowConfig, nll_loss
 from tcflow.hyperopt import CmaEs, run_search
 from tcflow.score import score_series
@@ -273,10 +273,11 @@ def test_a09_leak_freedom():
     while checked < 1000:
         n_steps = int(rng.integers(80, 2500))
         lookback = int(rng.integers(1, 26))
-        mode = ("random-sections", "sequential-tail")[checked % 2]
+        cfg = EncoderConfig(KINDS[checked % len(KINDS)], lookback=lookback)
+        enc = build_encoder(cfg, 2, np.random.default_rng(0))
         try:
-            train_idx, val_idx = dt.split_train_val(
-                n_steps, lookback, mode, np.random.default_rng(int(rng.integers(1 << 30))))
+            train_idx, val_idx = enc.split(n_steps,
+                                           np.random.default_rng(int(rng.integers(1 << 30))))
         except dt.DataError:
             continue
         val_sorted = np.sort(val_idx)
@@ -287,7 +288,7 @@ def test_a09_leak_freedom():
         left = pos > 0
         nearest[left] = np.minimum(nearest[left],
                                    np.abs(train_idx[left] - val_sorted[pos[left] - 1]))
-        assert nearest.min() > lookback, f"gap violated: {nearest.min()} <= {lookback}"
+        assert nearest.min() > enc.lookback, f"gap violated: {nearest.min()} <= {enc.lookback}"
         checked += 1
     report("leak-freedom", checked == 1000, f"{checked} randomized configurations")
 

@@ -12,7 +12,10 @@ from helpers import (
     build_model_with_encoder,
     composed_lstm_stack,
     finite_diff_check,
+    reference_split,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcflow import diffcore as dc
 from tcflow import data as dt
@@ -59,7 +62,7 @@ class TestMakeWindows:
         # neither has a full history, so training has no rows
         model = build_model_with_encoder(2, 2, EncoderConfig("passthrough", lookback=10))
         offsets = SimpleNamespace(integers=lambda lo, hi: 12)
-        assert dt.split_train_val(100, 10, "random-sections", offsets)[0].tolist() == [0, 1]
+        assert reference_split(100, 10, "random-sections", offsets)[0].tolist() == [0, 1]
         with pytest.raises(ValueError, match="empty"):
             model.encoder.split(100, offsets)
 
@@ -122,8 +125,7 @@ class TestRowPairing:
         stateful = kind == "lstm-stateful"
         assert enc.lookback == (0 if kind == "none" else self.LOOKBACK)
         mode = "sequential-tail" if stateful else "random-sections"
-        ref_train, ref_val = dt.split_train_val(200, enc.lookback, mode,
-                                                np.random.default_rng(7))
+        ref_train, ref_val = reference_split(200, enc.lookback, mode, np.random.default_rng(7))
         cut = 0 if stateful else enc.lookback
         np.testing.assert_array_equal(train, ref_train[ref_train >= cut])
         np.testing.assert_array_equal(val, ref_val[ref_val >= cut])
@@ -134,31 +136,122 @@ class TestRowPairing:
             assert 0 in np.concatenate([train, val])
 
 
+class TestSplit:
+    """``Encoder.split``: five random validation sections for the stateless
+    kinds, the last fifth for the stateful LSTM, and no training row within
+    ``lookback`` of a validation row. It equals ``reference_split`` cut to
+    the rows t >= ``lookback`` (no cut for the stateful LSTM)."""
+
+    EDGES = [(20, 1, 0), (22, 3, 1), (100, 10, 2), (100, 19, 3), (400, 80, 4)]
+
+    @staticmethod
+    def _encoder(kind, lookback):
+        cfg = EncoderConfig(kind, lookback=lookback)
+        return build_encoder(cfg, 2, np.random.default_rng(0))
+
+    @staticmethod
+    def _reference(enc, n_steps, seed):
+        """``reference_split`` plus the cut, or None where it rejects."""
+        stateful = enc.kind == "lstm-stateful"
+        mode = "sequential-tail" if stateful else "random-sections"
+        try:
+            rows = reference_split(n_steps, enc.lookback, mode, np.random.default_rng(seed))
+        except dt.DataError:
+            return None
+        cut = 0 if stateful else enc.lookback
+        rows = [idx[idx >= cut] for idx in rows]
+        return None if min(idx.size for idx in rows) == 0 else rows
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_reference_split_and_cut(self, kind):
+        draws = np.random.default_rng(KINDS.index(kind))
+        configs = self.EDGES + [
+            tuple(int(draws.integers(lo, hi)) for lo, hi in ((20, 3001), (1, 121), (0, 1 << 30)))
+            for _ in range(300)
+        ]
+        outcomes = set()
+        for n_steps, lookback, seed in configs:
+            enc = self._encoder(kind, lookback)
+            want = self._reference(enc, n_steps, seed)
+            outcomes.add(want is None)
+            if want is None:
+                with pytest.raises(dt.DataError):
+                    enc.split(n_steps, np.random.default_rng(seed))
+                continue
+            got = enc.split(n_steps, np.random.default_rng(seed))
+            for rows, expected in zip(got, want):
+                assert rows.dtype == expected.dtype
+                np.testing.assert_array_equal(rows, expected)
+        assert outcomes == {True, False}  # both accepted and rejected cases ran
+
+    def test_sequential_tail_arithmetic(self):
+        train, val = self._encoder("lstm-stateful", 10).split(1000, np.random.default_rng(0))
+        assert val.min() == 800 and val.max() == 999 and val.size == 200
+        assert train.max() <= 789
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_disjoint(self, kind):
+        train, val = self._encoder(kind, 7).split(500, np.random.default_rng(3))
+        assert not set(train.tolist()) & set(val.tolist())
+
+    def test_random_sections_reproducible_per_seed(self):
+        enc = self._encoder("passthrough", 5)
+        a = enc.split(400, np.random.default_rng(9))
+        b = enc.split(400, np.random.default_rng(9))
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+
+    def test_random_sections_cover_a_fifth(self):
+        _, val = self._encoder("passthrough", 5).split(1000, np.random.default_rng(1))
+        assert val.size == 200
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_too_short_series_rejected(self, kind):
+        with pytest.raises(dt.DataError):
+            self._encoder(kind, 2).split(20, np.random.default_rng(0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_steps=st.integers(100, 2000),
+        lookback=st.integers(1, 15),
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(0, 1 << 16),
+    )
+    def test_gap_property(self, n_steps, lookback, kind, seed):
+        enc = self._encoder(kind, lookback)
+        try:
+            train, val = enc.split(n_steps, np.random.default_rng(seed))
+        except dt.DataError:
+            return  # legitimately too short for the kind's layout
+        distance = np.abs(train[:, None] - val[None, :]).min()
+        assert distance > enc.lookback
+
+
 class TestPassthrough:
     def test_flatten_definition(self):
-        enc = build_encoder(EncoderConfig("passthrough", lookback=2), 2)
+        enc = build_encoder(EncoderConfig("passthrough", lookback=2), 2, np.random.default_rng(0))
         ctx = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         np.testing.assert_array_equal(enc.encode_batch(ctx).value, [[1.0, 2.0, 3.0, 4.0]])
 
     def test_context_dim(self):
-        enc = build_encoder(EncoderConfig("passthrough", lookback=7), 3)
+        enc = build_encoder(EncoderConfig("passthrough", lookback=7), 3, np.random.default_rng(0))
         assert enc.context_dim == 21
 
     def test_shape_mismatch(self):
-        enc = build_encoder(EncoderConfig("passthrough", lookback=2), 2)
+        enc = build_encoder(EncoderConfig("passthrough", lookback=2), 2, np.random.default_rng(0))
         with pytest.raises(dc.ShapeError):
             enc.encode_batch(np.zeros((1, 3, 2)))
 
 
 class TestFixedSummary:
     def test_constant_channel_summary(self):
-        enc = build_encoder(EncoderConfig("fixed-encode", lookback=4), 1)
+        enc = build_encoder(EncoderConfig("fixed-encode", lookback=4), 1, np.random.default_rng(0))
         ctx = np.full((1, 4, 1), 2.5)
         out = enc.encode_batch(ctx).value[0]
         np.testing.assert_allclose(out, [2.5, 0.0, 2.5, 0.0])
 
     def test_summary_fields(self):
-        enc = build_encoder(EncoderConfig("fixed-encode", lookback=3), 1)
+        enc = build_encoder(EncoderConfig("fixed-encode", lookback=3), 1, np.random.default_rng(0))
         ctx = np.array([[[1.0], [2.0], [4.0]]])
         mean, std, last, diff_mean = enc.encode_batch(ctx).value[0]
         assert mean == pytest.approx(7.0 / 3.0)
@@ -167,7 +260,7 @@ class TestFixedSummary:
         assert diff_mean == pytest.approx(1.5)
 
     def test_lookback_one_has_zero_diff(self):
-        enc = build_encoder(EncoderConfig("fixed-encode", lookback=1), 2)
+        enc = build_encoder(EncoderConfig("fixed-encode", lookback=1), 2, np.random.default_rng(0))
         out = enc.encode_batch(np.ones((1, 1, 2))).value[0]
         np.testing.assert_allclose(out, [1, 1, 0, 0, 1, 1, 0, 0])
 

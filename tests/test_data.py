@@ -191,14 +191,21 @@ class TestPrepare:
         np.testing.assert_allclose(out[:, 0], [-1.0, 0.0, 1.0])
         assert lo[0] == 0.0 and hi[0] == 10.0
 
-    def test_all_zero_channel_becomes_half_before_normalization(self):
+    def test_all_zero_training_channel_spans_nothing_and_maps_to_zero(self):
         values = np.zeros((4, 2))
         values[:, 1] = [1.0, 2.0, 3.0, 4.0]
-        lo, hi = dt.prepare(dt.TimeSeriesDataset(values))[1]
-        np.testing.assert_array_equal([lo[0], hi[0]], 0.5)
+        out, (lo, hi) = dt.prepare(dt.TimeSeriesDataset(values))
+        np.testing.assert_array_equal([lo[0], hi[0]], 0.0)
         np.testing.assert_array_equal([lo[1], hi[1]], [1.0, 4.0])
-        out, _ = dt.prepare(dt.TimeSeriesDataset(values), ([0.0, 1.0], [1.0, 4.0]))
-        np.testing.assert_array_equal(out[:, 0], 0.0)  # 2 * 0.5 - 1
+        np.testing.assert_array_equal(out[:, 0], 0.0)
+
+    def test_all_zero_scored_channel_maps_by_the_training_statistics(self):
+        # a sensor that read 0.3 .. 0.7 in training and is dead (all zero)
+        # in the scored series lies far below its training range
+        values = np.zeros((4, 2))
+        values[:, 1] = [1.0, 2.0, 3.0, 4.0]
+        out, _ = dt.prepare(dt.TimeSeriesDataset(values), ([0.3, 1.0], [0.7, 4.0]))
+        np.testing.assert_allclose(out[:, 0], -2.5)
 
     def test_constant_channel_normalizes_to_zero(self):
         ds = dt.TimeSeriesDataset(np.column_stack([np.full(5, 3.3), np.arange(5.0)]))
@@ -252,47 +259,6 @@ def test_readme_library_use_imports_only_public_names():
     names = [name.strip() for name in imported.split(",") if name.strip()]
     assert "train_model" in names
     assert sorted(set(names) - set(tcflow.__all__)) == []
-
-
-class TestSplit:
-    def test_sequential_tail_arithmetic(self):
-        train, val = dt.split_train_val(1000, 10, "sequential-tail")
-        assert val.min() == 800 and val.max() == 999 and val.size == 200
-        assert train.max() <= 789
-
-    @pytest.mark.parametrize("mode", ["random-sections", "sequential-tail"])
-    def test_disjoint(self, mode):
-        train, val = dt.split_train_val(500, 7, mode, np.random.default_rng(3))
-        assert not set(train.tolist()) & set(val.tolist())
-
-    def test_random_sections_reproducible_per_seed(self):
-        a = dt.split_train_val(400, 5, "random-sections", np.random.default_rng(9))
-        b = dt.split_train_val(400, 5, "random-sections", np.random.default_rng(9))
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
-
-    def test_random_sections_cover_a_fifth(self):
-        _, val = dt.split_train_val(1000, 5, "random-sections", np.random.default_rng(1))
-        assert val.size == 200
-
-    def test_too_short_series_rejected(self):
-        with pytest.raises(dt.DataError):
-            dt.split_train_val(20, 2, "sequential-tail")
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n_steps=st.integers(100, 2000),
-        lookback=st.integers(1, 15),
-        mode=st.sampled_from(["random-sections", "sequential-tail"]),
-        seed=st.integers(0, 1 << 16),
-    )
-    def test_gap_property(self, n_steps, lookback, mode, seed):
-        try:
-            train, val = dt.split_train_val(n_steps, lookback, mode, np.random.default_rng(seed))
-        except dt.DataError:
-            return  # legitimately too short for the requested layout
-        distance = np.abs(train[:, None] - val[None, :]).min()
-        assert distance > lookback
 
 
 class TestGenerator:

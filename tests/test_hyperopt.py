@@ -116,8 +116,9 @@ class TestPopulationAndDecode:
 
 
 class TestCmaEs:
-    def test_tiny_sigma_collapses_population_to_mean(self):
-        opt = CmaEs(4, seed=0, sigma0=1e-12)
+    def test_tiny_sigma_collapses_population_to_mean(self, monkeypatch):
+        monkeypatch.setattr(CmaEs, "SIGMA0", 1e-12)
+        opt = CmaEs(4, seed=0)
         xs = opt.ask()
         np.testing.assert_allclose(xs, 0.5, atol=1e-9)
 
@@ -182,8 +183,9 @@ class TestCmaEs:
         with pytest.raises(ValueError, match="candidates"):
             opt.tell(xs[:2], np.zeros(2))
 
-    def test_restart_doubles_population_on_stagnation(self):
-        opt = CmaEs(3, seed=0, restart_window=3)
+    def test_restart_doubles_population_on_stagnation(self, monkeypatch):
+        monkeypatch.setattr(CmaEs, "RESTART_WINDOW", 3)
+        opt = CmaEs(3, seed=0)
         lam0 = opt.lam
         for _ in range(8):
             xs = opt.ask()

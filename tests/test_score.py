@@ -30,7 +30,7 @@ def identity_stats(dim):
 class TestScoreSeries:
     def test_identity_model_on_origin_scores_log_two_pi(self):
         model = build_model_with_encoder(2, 2, EncoderConfig("none"))
-        model.norm_stats = (np.zeros(2), np.ones(2))  # an all-zero channel reads 0.5, mapped to 0
+        model.norm_stats = identity_stats(2)
         series = score_series(model, zero_dataset())
         np.testing.assert_allclose(series.scores, math.log(2 * math.pi))
 

@@ -17,6 +17,7 @@ from helpers import (
     log_prob,
     param_grads,
     randomize_model,
+    reference_split,
     reference_window_rows,
 )
 
@@ -389,8 +390,7 @@ class TestBatchedRows:
         # split-index membership
         ds = sine(400, seed=5)
         lookback = lookback if kind != "none" else 0  # as Encoder.split splits
-        train_idx, val_idx = dt.split_train_val(ds.n_steps, lookback, mode,
-                                                np.random.default_rng(1))
+        train_idx, val_idx = reference_split(ds.n_steps, lookback, mode, np.random.default_rng(1))
         # the raw windows as "contexts", every row in one batch, unshuffled
         raw = SimpleNamespace(lookback=lookback, encode_batch=lambda windows, rng: windows)
         if mode == "random-sections":  # the stateless kinds' own split
