@@ -285,13 +285,13 @@ def cmd_evaluate(args, cfg: RunConfig, out: Path) -> None:
 
 def cmd_search(args, cfg: RunConfig, out: Path) -> None:
     method = cfg.values["run"]["method"]
-    s, window = cfg.values["search"], cfg.values["metrics"]["window"]
+    s = cfg.values["search"]
     train_ds = dt.load_csv(args.train)
     labeled = dt.load_csv(args.labeled, has_labels=True) if args.labeled else None
     result = run_search(
         train_ds, labeled, method, s["objective"], s["budget"], cfg.encoder_config(method),
         cfg.train_config(), s["candidate_epochs"], s["final_epochs"], s["lookback_max"],
-        metric_window=None if window == -1 else window,  # None infers it
+        metric_window=cfg.values["metrics"]["window"],
     )
     result.trials_csv(out / "trials.csv")
     save_model(result.best_model, out / "model.tcf")

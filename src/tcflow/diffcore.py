@@ -511,8 +511,8 @@ def coupling_inverse(
     """Data-to-base pass of one affine coupling layer as a single node.
 
     With ``half = len(scale_cap)`` and ``dim = 2 * half``, ``x`` is
-    (batch, dim), or (batch, dim + 1) when its last column carries the
-    running log-det of the layers inverted before. The first half ``x1``
+    (batch, dim + 1): the points, then the running log-det of the layers
+    inverted before (``-0.0`` before the first). The first half ``x1``
     passes through. The conditioner runs on ``x1`` concatenated with
     ``context``: ``h = tanh(h @ w + b)`` per hidden layer, each multiplied by
     its inverted-dropout mask when ``masks`` (one (batch, width) array of 0
@@ -532,7 +532,6 @@ def coupling_inverse(
     xv = x.value
     half = scale_cap.value.shape[0]
     dim = 2 * half
-    chained = xv.shape[1] == dim + 1
     x1, x2 = xv[:, :half], xv[:, half:dim]
     h = x1 if context is None else np.concatenate([x1, context.value], axis=1)
     inputs, acts = [], []
@@ -556,10 +555,7 @@ def coupling_inverse(
         u2_cols, x1_cols = x1_cols, u2_cols
     value[:, x1_cols] = x1
     np.multiply(diff, inv_scale, out=value[:, u2_cols])
-    if chained:
-        np.add(xv[:, dim], log_det, out=value[:, dim])
-    else:
-        value[:, dim] = log_det
+    np.add(xv[:, dim], log_det, out=value[:, dim])
     parents = [x] + ([] if context is None else [context])
     for w, b in hidden:
         parents.extend([w, b])
@@ -598,8 +594,7 @@ def coupling_inverse(
         if grad_x:
             x.grad[:, :half] += g_x1 + g_h[:, :half]
             x.grad[:, half:dim] += g_diff
-            if chained:
-                x.grad[:, dim] += g_log_det
+            x.grad[:, dim] += g_log_det
 
     out._backward = backward
     return out

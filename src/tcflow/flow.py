@@ -9,7 +9,8 @@ overflow. Halves are swapped between consecutive layers so every channel
 gets transformed.
 
 The detector runs only the data-to-base direction: ``CouplingLayer.inverse``
-is one fused node per layer, and ``FlowModel.latent_nodes`` chains them. The
+is one fused node per layer, and ``FlowModel.latent_nodes``, the one entry,
+chains them; each layer takes and returns ``[points | running log-det]``. The
 base-to-data direction is a test reference (``composed_forward`` in
 ``tests/helpers.py``), not part of the package. Dropout is drawn iff an rng
 is passed, once per pass: one ``rng.random`` call draws the masks of every
@@ -161,20 +162,17 @@ class CouplingLayer:
         with the inverted-dropout ``masks`` of the conditioner net's hidden
         layers, one (batch, width) array each, when given.
 
-        ``x`` is (batch, dim), or (batch, dim + 1) with a running log-det in
-        its last column. Returns (batch, dim + 1): the transformed points
-        (halves swapped when ``swap``), then the running log-det plus this
-        layer's, which is the negated forward one."""
-        self._check(x, context, (self.dim, self.dim + 1))
-        return dc.coupling_inverse(x, context, self.hidden, self.head_w, self.head_b,
-                                   self.scale_cap, masks, swap)
-
-    def _check(self, points: Node, context: Node | None, widths: tuple[int, ...]):
-        if points.value.ndim != 2 or points.value.shape[1] not in widths:
-            raise dc.ShapeError("coupling", points.value.shape, widths)
+        ``x`` is (batch, dim + 1): the points, then the running log-det.
+        Returns the same form: the transformed points (halves swapped when
+        ``swap``), then the running log-det plus this layer's, which is the
+        negated forward one."""
+        if x.value.ndim != 2 or x.value.shape[1] != self.dim + 1:
+            raise dc.ShapeError("coupling", x.value.shape, (self.dim + 1,))
         got_ctx = 0 if context is None else context.value.shape[1]
         if got_ctx != self.context_dim:
             raise dc.ShapeError("coupling context", (got_ctx,), (self.context_dim,))
+        return dc.coupling_inverse(x, context, self.hidden, self.head_w, self.head_b,
+                                   self.scale_cap, masks, swap)
 
 
 class FlowModel:
@@ -216,30 +214,27 @@ class FlowModel:
         params.extend(self.encoder.parameters())
         return params
 
-    def _context_node(self, context) -> Node | None:
-        if context is None or isinstance(context, Node):
-            return context
-        return dc.constant(context)
-
-    def latent_nodes(self, points, context=None,
+    def latent_nodes(self, points: np.ndarray, context: Node | None = None,
                      rng: np.random.Generator | None = None) -> tuple[Node, Node]:
         """Normalize points: (latent, per-row summed log|det J|) as graph nodes.
 
-        ``points`` is (batch, dim); ``context`` is (batch, context_dim), a
-        Node when gradients must flow into an encoder. The same context row
+        ``points`` is a (batch, dim) array, which enters the pass as one
+        constant ``[points | -0.0]``: -0.0 + v is v for every v, a zero's
+        sign included, so the first layer's running log-det is its own bit
+        for bit. ``context`` is a (batch, context_dim) node, through which
+        gradients flow into an encoder, or None. The same context row
         conditions every layer of the stack. Dropout is drawn iff ``rng`` is
         given (``_dropout_masks``). A NaN in the latent raises
         ``FlowNanError`` for the first layer of the pass that produced one:
         a NaN stays in the points of every later layer.
         """
-        x = points if isinstance(points, Node) else dc.constant(points)
-        ctx = self._context_node(context)
+        x = dc.constant(np.concatenate([points, np.full((len(points), 1), -0.0)], axis=1))
         order = list(reversed(range(len(self.layers))))
-        masks = (self._dropout_masks(x.value.shape[0], rng) if rng is not None
+        masks = (self._dropout_masks(len(points), rng) if rng is not None
                  else [None] * len(order))
         outputs = []
         for i, layer_masks in zip(order, masks):
-            x = self.layers[i].inverse(x, ctx, layer_masks, swap=i > 0)
+            x = self.layers[i].inverse(x, context, layer_masks, swap=i > 0)
             outputs.append(x)
         if np.isnan(x.value[:, : self.dim]).any():
             raise FlowNanError(next(i for i, out in zip(order, outputs)
@@ -260,11 +255,6 @@ class FlowModel:
         bounds = [0, *accumulate(batch * width for width in widths)]
         return [[row[lo:hi].reshape(batch, -1) for lo, hi in zip(bounds, bounds[1:])]
                 for row in masks.reshape(len(self.layers), -1)]
-
-    def latent(self, points, context=None) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluation-mode ``latent_nodes``, plain arrays in and out."""
-        latent, log_det = self.latent_nodes(points, context)
-        return latent.value, log_det.value
 
     def log_prob_nodes(self, points, context=None, rng: np.random.Generator | None = None) -> Node:
         """Per-row conditional log density as a graph node: the base density

@@ -70,13 +70,11 @@ class ParamSpec:
     name: str
     lower: float
     upper: float
-    kind: str = "real"  # real | int
+    kind: str  # real | int
 
     def __post_init__(self):
         if self.lower > self.upper:
             raise ValueError(f"{self.name}: lower bound {self.lower} > upper bound {self.upper}")
-        if self.kind not in ("real", "int"):
-            raise ValueError(f"{self.name}: unknown kind {self.kind!r}")
 
 
 def _ranged_row(cls, attr: str, name: str) -> ParamSpec:
@@ -385,11 +383,12 @@ def _one_blas_thread() -> None:
 def run_search(train: TimeSeriesDataset, labeled_eval: TimeSeriesDataset | None, method: str,
                objective: str, budget: int, encoder_cfg: EncoderConfig, train_cfg: TrainConfig,
                candidate_epochs: int, final_epochs: int, lookback_max: int,
-               metric_window: int | None = None) -> SearchResult:
+               metric_window: int) -> SearchResult:
     """CMA-ES search over the method's space, seeded by ``train_cfg.seed``; every
     candidate trains on the clean training series for ``candidate_epochs`` and
     is ranked by the chosen objective. The winner is refit for ``final_epochs``
-    and returned together with all trials. See ``_train_trial``."""
+    and returned together with all trials. See ``_train_trial``. A ``metric_window``
+    of -1 infers the VUS window from the labels, or is 0 without them."""
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     if objective == "labeled-30-70":
@@ -408,9 +407,9 @@ def run_search(train: TimeSeriesDataset, labeled_eval: TimeSeriesDataset | None,
         if labeled_eval.n_channels != train.n_channels:  # else every candidate would fail
             raise DataError(f"labeled series has {labeled_eval.n_channels} channels, "
                             f"training series has {train.n_channels}")
-        if metric_window is None and labeled_eval.labels is not None:
-            metric_window = infer_metric_window(labeled_eval.labels)
-    metric_window = int(metric_window or 0)
+    if metric_window == -1:
+        labeled = labeled_eval is not None and labeled_eval.labels is not None
+        metric_window = infer_metric_window(labeled_eval.labels) if labeled else 0
     train_trial = partial(_train_trial, train, method, encoder_cfg)
     candidate_cfg = replace(train_cfg, epochs=candidate_epochs, patience=CANDIDATE_PATIENCE)
     # checked before any candidate trains

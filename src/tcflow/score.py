@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import diffcore as dc
 from .data import (DataError, TimeSeriesDataset, binary_labels, label_runs, prepare, read_table,
                    write_table)
 from .flow import FlowModel, gaussian_log_density
@@ -57,20 +58,23 @@ def _latent_series(model: FlowModel, ds: TimeSeriesDataset
     raw ``ds``; a non-finite score raises with its timestep. The
     (T, context_dim) contexts of every row are collected first from one
     ``Encoder.batches`` walk (the stateful LSTM's state runs from row to
-    row), then the flow runs once per ``_BATCH`` rows."""
+    row), each block's copied so that no view keeps an encoder's working
+    array alive, then ``FlowModel.latent_nodes`` runs once per ``_BATCH`` rows."""
     values = prepare(ds, model.require_norm_stats())[0]
     n_steps, encoder = values.shape[0], model.encoder
     contexts = None
     if encoder.context_dim:  # kind none conditions on nothing
         # without an rng, every kind yields the rows in series order
-        contexts = np.concatenate([context.value for _, context in
+        contexts = np.concatenate([context.value.copy() for _, context in
                                    encoder.batches(values, np.arange(n_steps), _BATCH, None)])
     latents = np.empty_like(values)
     log_dets = np.empty(n_steps)
     for lo in range(0, n_steps, _BATCH):
         block = slice(lo, lo + _BATCH)
-        ctx = None if contexts is None else contexts[block]
-        latents[block], log_dets[block] = model.latent(values[block], ctx)
+        ctx = None if contexts is None else dc.constant(contexts[block])
+        # no name holds a node, so a block's graph is freed before the next is built
+        latents[block], log_dets[block] = (node.value for node in
+                                           model.latent_nodes(values[block], ctx))
     scores = -(gaussian_log_density(latents) + log_dets)
     bad = np.nonzero(~np.isfinite(scores))[0]
     if bad.size:

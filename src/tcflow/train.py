@@ -63,11 +63,11 @@ class TrainConfig:
 class TrainReport:
     train_losses: list[float] = field(default_factory=list)
     val_losses: list[float] = field(default_factory=list)
-    best_epoch: int = 0  # 1-based index into the loss lists
+    best_epoch: int = 0  # 1-based index into the loss lists; 0 before the first epoch
 
     @property
     def best_val_loss(self) -> float:
-        return self.val_losses[self.best_epoch - 1]
+        return self.val_losses[self.best_epoch - 1] if self.best_epoch else math.inf
 
     def to_csv(self, path) -> None:
         epochs = np.arange(1, len(self.train_losses) + 1)
@@ -108,8 +108,8 @@ class AdamState:
         self._work = np.empty((2, self.values.size))
 
 
-def adam_step(state: AdamState, lr: float, clip_norm: float = 0.0) -> None:
-    """Bias-corrected Adam update in place, with optional global-norm clip.
+def adam_step(state: AdamState, lr: float, clip_norm: float) -> None:
+    """Bias-corrected Adam update in place, with a global-norm clip unless ``clip_norm`` is 0.
 
     Reads the gradients from ``state.grads``, where ``dc.backward`` wrote
     them. The NaN check, the moment and parameter updates and the finite
@@ -186,9 +186,6 @@ def train_model(
     train_rows, val_rows = encoder.split(ds.n_steps, rng)
     adam = AdamState(model.parameters())
     report = TrainReport()
-    best_val = np.inf
-    best_snapshot = None
-    since_best = 0
     for epoch in range(1, train_cfg.epochs + 1):
         train_loss = _mean_loss(
             model, values, encoder.batches(values, train_rows, train_cfg.batch_size, rng),
@@ -198,17 +195,12 @@ def train_model(
             raise TrainingDiverged(epoch - 1)
         report.train_losses.append(train_loss)
         report.val_losses.append(val_loss)
-        if val_loss < best_val:
-            best_val = val_loss
+        if val_loss < report.best_val_loss:
             report.best_epoch = epoch
             best_snapshot = adam.values.copy()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= train_cfg.patience:
-                break
-    if best_snapshot is not None:
-        adam.values[:] = best_snapshot
+        elif epoch - report.best_epoch >= train_cfg.patience:
+            break
+    adam.values[:] = best_snapshot
     return model, report
 
 

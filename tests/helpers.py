@@ -102,9 +102,22 @@ def force_affine(layer, log_scale, shift):
     layer.scale_cap.value[:] = np.asarray(log_scale, dtype=float) / np.tanh(1.0)
 
 
+def context_node(context):
+    """A context array as a constant node; a node, or None, as it is."""
+    return context if context is None or isinstance(context, dc.Node) else dc.constant(context)
+
+
 def log_prob(model, points, context=None):
-    """Evaluation-mode ``FlowModel.log_prob_nodes``, plain arrays in and out."""
-    return model.log_prob_nodes(points, context).value
+    """Evaluation-mode ``FlowModel.log_prob_nodes``, plain arrays in and out
+    (the context may also be a node)."""
+    return model.log_prob_nodes(points, context_node(context)).value
+
+
+def latent(model, points, context=None):
+    """Evaluation-mode ``FlowModel.latent_nodes``: (latent, log-det) arrays,
+    plain arrays in (the context may also be a node)."""
+    latent_node, log_det = model.latent_nodes(points, context_node(context))
+    return latent_node.value, log_det.value
 
 
 def composed_scale_shift(layer, untouched, context, rng=None):
@@ -125,7 +138,11 @@ def composed_forward(layer, u, context):
     """Reference base-to-data direction of a coupling layer, which the
     detector never runs: returns ``([u1 | x2], per-row log|det J|)`` as graph
     nodes, the log-det being the row sum of the effective scale."""
-    layer._check(u, context, (layer.dim,))
+    if u.value.ndim != 2 or u.value.shape[1] != layer.dim:
+        raise dc.ShapeError("coupling", u.value.shape, (layer.dim,))
+    got_ctx = 0 if context is None else context.value.shape[1]
+    if got_ctx != layer.context_dim:
+        raise dc.ShapeError("coupling context", (got_ctx,), (layer.context_dim,))
     u1 = u[:, : layer.split]
     u2 = u[:, layer.split :]
     log_scale, shift = composed_scale_shift(layer, u1, context)
@@ -147,8 +164,8 @@ def composed_inverse(layer, x, context, rng=None):
 def composed_latent(model, points, context=None, rng=None):
     """Reference ``FlowModel.latent_nodes``: one ``composed_inverse`` per layer,
     halves swapped between layers, log-dets summed in graph nodes."""
-    x = points if isinstance(points, dc.Node) else dc.constant(points)
-    ctx = model._context_node(context)
+    x = dc.constant(points)
+    ctx = context_node(context)
     total = None
     for i in reversed(range(len(model.layers))):
         x, log_det = composed_inverse(model.layers[i], x, ctx, rng)

@@ -14,6 +14,7 @@ from helpers import (
     auc_pairwise_oracle,
     composed_forward,
     finite_diff_check,
+    latent,
     log_prob,
     minimize,
     randomize_model,
@@ -56,7 +57,7 @@ def searched_test_auc(family, method, seed, anomalies, budget):
     train, labeled, test = make_bundle(family, seed, anomalies)
     result = run_search(train, labeled, method, "labeled-30-70", budget, EncoderConfig(),
                         TrainConfig(batch_size=128, learning_rate=3e-3, seed=seed),
-                        candidate_epochs=8, final_epochs=20, lookback_max=50)
+                        candidate_epochs=8, final_epochs=20, lookback_max=50, metric_window=-1)
     scores = score_series(result.best_model, test).scores
     return mx.auc_roc(scores, test.labels)
 
@@ -78,8 +79,8 @@ def test_a01_invertibility():
                 x, _ = composed_forward(layer, x, ctx_node)
                 if i < len(model.layers) - 1:
                     x = dc.concat([x[:, dim // 2 :], x[:, : dim // 2]], axis=1)
-            latent, _ = model.latent(x.value, ctx)
-            worst = max(worst, float(np.abs(latent - u).max()))
+            points, _ = latent(model, x.value, ctx)
+            worst = max(worst, float(np.abs(points - u).max()))
     elapsed = time.perf_counter() - start
     report("invertibility", worst <= 1e-6 and elapsed < 10.0,
            f"max round-trip error {worst:.2e}, {elapsed:.1f}s over 300 triples")
@@ -302,7 +303,7 @@ def test_a10_reproducibility(tmp_path):
         labeled = dt.inject_anomaly(labeled, dt.AnomalySpec("spike", 150, 1, 6.0, (0,)))
         result = run_search(train, labeled, "tcnf-base", "labeled-30-70", 9, EncoderConfig(),
                             TrainConfig(batch_size=128, seed=3), candidate_epochs=2,
-                            final_epochs=2, lookback_max=6)
+                            final_epochs=2, lookback_max=6, metric_window=-1)
         result.trials_csv(out / "trials.csv")
         save_model(result.best_model, out / "model.tcf")
         score_series(load_model(out / "model.tcf"), labeled).to_csv(

@@ -709,7 +709,7 @@ def test_readme_configuration_table_matches_defaults_and_bounds():
 # Settable values of src/ as tools/settable_values.py counts them: defaulted
 # parameters, defaulted dataclass fields and config keys. A change that adds
 # or removes a knob edits this number on purpose.
-SETTABLE_VALUES = 111
+SETTABLE_VALUES = 107
 
 
 def test_settable_value_count_is_the_recorded_one():

@@ -9,6 +9,7 @@ from helpers import (
     composed_latent,
     finite_diff_check,
     force_affine,
+    latent,
     log_prob,
     randomize_model,
     small_flow,
@@ -28,6 +29,13 @@ LN2 = math.log(2.0)
 
 def as_node(arr):
     return dc.constant(np.atleast_2d(arr))
+
+
+def chained(points):
+    """The points as a coupling layer takes them: ``[points | -0.0]``, the
+    running log-det before the first layer."""
+    points = np.atleast_2d(points)
+    return dc.constant(np.concatenate([points, np.full((len(points), 1), -0.0)], axis=1))
 
 
 class TestCouplingLayer:
@@ -54,14 +62,14 @@ class TestCouplingLayer:
     def test_inverse_of_hand_example(self):
         model = small_flow(dim=2, n_layers=1)
         force_affine(model.layers[0], LN2, 1.0)
-        out = model.layers[0].inverse(as_node([0.0, 3.0]), None)
+        out = model.layers[0].inverse(chained([0.0, 3.0]), None)
         np.testing.assert_allclose(out.value[:, :2], [[0.0, 1.0]], atol=1e-12)
         np.testing.assert_allclose(out.value[:, 2], [-LN2], atol=1e-12)
 
     def test_identity_inverse_is_identity(self):
         model = small_flow(dim=2, n_layers=1)
         x = np.array([[0.7, -0.4]])
-        out = model.layers[0].inverse(as_node(x), None)
+        out = model.layers[0].inverse(chained(x), None)
         np.testing.assert_allclose(out.value[:, :2], x)
 
     def test_round_trip_with_random_parameters(self):
@@ -72,7 +80,7 @@ class TestCouplingLayer:
         u = rng.normal(size=(5, 4))
         ctx = dc.constant(rng.normal(size=(5, 3)))
         x, fwd = composed_forward(layer, dc.constant(u), ctx)
-        back = layer.inverse(dc.constant(x.value), ctx)
+        back = layer.inverse(chained(x.value), ctx)
         np.testing.assert_allclose(back.value[:, :4], u, atol=1e-9)
         np.testing.assert_allclose(fwd.value, -back.value[:, 4], atol=1e-12)
 
@@ -80,6 +88,16 @@ class TestCouplingLayer:
         model = small_flow(dim=4, n_layers=1)
         with pytest.raises(dc.ShapeError):
             composed_forward(model.layers[0], as_node([1.0, 2.0]), None)
+
+    def test_inverse_takes_only_the_chained_width(self):
+        # (batch, dim + 1) is the one form: unchained points, and chained
+        # points of another width, are rejected, by the pass too
+        model = small_flow(dim=4, n_layers=1)
+        for x in (as_node([1.0, 2.0, 3.0, 4.0]), chained([1.0, 2.0]), chained([1.0] * 6)):
+            with pytest.raises(dc.ShapeError, match=r"^coupling: .* and \(5,\)$"):
+                model.layers[0].inverse(x, None)
+        with pytest.raises(dc.ShapeError, match=r"^coupling: "):
+            model.latent_nodes(np.array([[1.0, 2.0]]))
 
 
 class TestGaussianLogDensity:
@@ -105,8 +123,8 @@ class TestFlowLogProb:
         force_affine(model.layers[0], LN2, 0.0)
         force_affine(model.layers[1], LN2, 0.0)
         x = np.array([[0.8, -0.6]])
-        latent, _ = model.latent(x)
-        expected = gaussian_log_density(latent) - 2 * LN2
+        points, _ = latent(model, x)
+        expected = gaussian_log_density(points) - 2 * LN2
         np.testing.assert_allclose(log_prob(model, x), expected, atol=1e-12)
 
     def test_density_integrates_to_one_on_grid(self):
@@ -145,8 +163,8 @@ class TestFlowLogProb:
             if i < len(model.layers) - 1:
                 half = model.dim // 2
                 x = dc.concat([x[:, half:], x[:, :half]], axis=1)
-        latent, inverse_total = model.latent(x.value, ctx_values)
-        np.testing.assert_allclose(latent, u, atol=1e-9)
+        points, inverse_total = latent(model, x.value, ctx_values)
+        np.testing.assert_allclose(points, u, atol=1e-9)
         np.testing.assert_allclose(forward_total, -inverse_total, atol=1e-10)
 
 
@@ -166,8 +184,8 @@ class TestInvertibility:
                 if i < len(model.layers) - 1:
                     half = dim // 2
                     x = dc.concat([x[:, half:], x[:, :half]], axis=1)
-            latent, _ = model.latent(x.value, ctx_values)
-            assert np.abs(latent - u).max() <= 1e-6
+            points, _ = latent(model, x.value, ctx_values)
+            assert np.abs(points - u).max() <= 1e-6
 
 
 class TestScaleStabilization:
@@ -270,7 +288,7 @@ class TestFusedCoupling:
         model = small_flow(dim=4, n_layers=3, context_dim=2, dropout=0.5)
         randomize_model(model, np.random.default_rng(3))
         for batch in (9, 37):
-            x = dc.constant(np.random.default_rng(4).normal(size=(batch, 4)))
+            x = np.random.default_rng(4).normal(size=(batch, 4))
             ctx = dc.constant(np.random.default_rng(5).normal(size=(batch, 2)))
             fused_rng, reference_rng = np.random.default_rng(6), np.random.default_rng(6)
             latent, log_det = model.latent_nodes(x, ctx, fused_rng)
@@ -281,25 +299,33 @@ class TestFusedCoupling:
 
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
     def test_constant_inputs_get_no_gradient_and_change_no_parameter_gradient(self, training):
-        # the same points and context as constants and as Parameters: the
-        # constants keep grad None, and every parameter gradient is equal
+        # the same chained points (into one fused layer) and context (into the
+        # whole pass) as constants and as Parameters: the constants keep grad
+        # None, and every parameter gradient is equal
         model = small_flow(dim=4, n_layers=3, context_dim=3)
         data = np.random.default_rng(12)
         randomize_model(model, data)
-        points, context = data.normal(size=(11, 4)), data.normal(size=(11, 3))
-        grads = []
+        points, context = data.normal(size=(11, 5)), data.normal(size=(11, 3))
+        layer, fixed_ctx = model.layers[1], dc.constant(context)
+        layer_grads, grads = [], []
         for leaf in (lambda v, name: dc.constant(v), dc.Parameter):
             x, ctx = leaf(points.copy(), "x"), leaf(context.copy(), "ctx")
+            masks = model._dropout_masks(11, np.random.default_rng(1))[1] if training else None
+            out = dc.coupling_inverse(x, fixed_ctx, layer.hidden, layer.head_w, layer.head_b,
+                                      layer.scale_cap, masks, swap=True)
+            layer_grads.append(backward_grads(dc.mean(dc.mul(out, out)), layer.parameters()))
             rng = np.random.default_rng(1) if training else None
-            loss = dc.mean(dc.neg(model.log_prob_nodes(x, ctx, rng)))
+            loss = dc.mean(dc.neg(model.log_prob_nodes(points[:, :4], ctx, rng)))
             grads.append(backward_grads(loss, model.parameters()))
             if isinstance(x, dc.Parameter):
-                assert x.grad.any() and ctx.grad.any()
+                # the running log-det column included
+                assert (x.grad != 0).any(axis=0).all() and ctx.grad.any()
             else:
                 assert x.grad is None and ctx.grad is None
-        assert grads[0].keys() == grads[1].keys()
-        for name, grad in grads[1].items():
-            np.testing.assert_array_equal(grads[0][name], grad, err_msg=name)
+        for pair in (layer_grads, grads):
+            assert pair[0].keys() == pair[1].keys()
+            for name, grad in pair[1].items():
+                np.testing.assert_array_equal(pair[0][name], grad, err_msg=name)
 
     def test_finite_differences_through_stack_with_mlp_encoder(self):
         rng = np.random.default_rng(21)
@@ -329,7 +355,7 @@ class TestFusedCoupling:
         layer = model.layers[0]
         x = rng.normal(size=(6, 4))
         ctx = dc.constant(rng.normal(size=(6, 3)))
-        inverted = layer.inverse(dc.constant(x), ctx)
+        inverted = layer.inverse(chained(x), ctx)
         back, fwd = composed_forward(layer, dc.constant(inverted.value[:, :4]), ctx)
         np.testing.assert_allclose(back.value, x, atol=1e-9)
         np.testing.assert_allclose(fwd.value, -inverted.value[:, 4], atol=1e-12)

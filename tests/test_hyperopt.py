@@ -208,6 +208,7 @@ class TestRunSearch:
             train, labeled, "tcnf-base", "labeled-30-70", 9, EncoderConfig(),
             TrainConfig(batch_size=128, seed=0), candidate_epochs=2, final_epochs=2,
             lookback_max=8,
+            metric_window=-1,
         )
         assert len(result.trials) == 9
         assert result.best_trial.fitness <= np.nanmedian([t.fitness for t in result.trials])
@@ -226,6 +227,7 @@ class TestRunSearch:
             train, None, "realnvp", "val-loss", 8, EncoderConfig(),
             TrainConfig(batch_size=128, seed=1), candidate_epochs=2, final_epochs=2,
             lookback_max=50,
+            metric_window=-1,
         )
         assert np.isfinite(result.best_trial.fitness)
         assert np.isnan(result.best_trial.auc)
@@ -234,7 +236,7 @@ class TestRunSearch:
         train, _ = self._datasets()
         with pytest.raises(ValueError, match="label"):
             run_search(train, None, "tcnf-base", "labeled-30-70", 9, EncoderConfig(),
-                       TrainConfig(), 10, 30, 50)
+                       TrainConfig(), 10, 30, 50, metric_window=-1)
 
     def test_labeled_series_of_another_width_rejected_before_training(self, monkeypatch):
         import tcflow.hyperopt as hyperopt
@@ -246,13 +248,13 @@ class TestRunSearch:
         with pytest.raises(dt.DataError, match="labeled series has 3 channels, "
                                                "training series has 2"):
             run_search(train, labeled, "tcnf-base", "labeled-30-70", 9, EncoderConfig(),
-                       TrainConfig(), 10, 30, 50)
+                       TrainConfig(), 10, 30, 50, metric_window=-1)
 
     def test_budget_below_population_rejected(self):
         train, labeled = self._datasets()
         with pytest.raises(ValueError, match="budget"):
             run_search(train, labeled, "tcnf-base", "labeled-30-70", 2, EncoderConfig(),
-                       TrainConfig(), 10, 30, 50)
+                       TrainConfig(), 10, 30, 50, metric_window=-1)
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_infeasible_lookback_is_a_failed_trial(self, seed):
@@ -262,6 +264,7 @@ class TestRunSearch:
         result = run_search(
             train, None, "tcnf-base", "val-loss", 9, EncoderConfig(), TrainConfig(seed=seed),
             candidate_epochs=1, final_epochs=1, lookback_max=50,
+            metric_window=-1,
         )
         failed = [t for t in result.trials if not np.isfinite(t.fitness)]
         assert 0 < len(failed) < len(result.trials)
@@ -290,6 +293,7 @@ class TestRunSearch:
                 train, labeled, "tcnf-base", "labeled-30-70", 18, EncoderConfig(),
                 TrainConfig(batch_size=128, seed=3), candidate_epochs=1, final_epochs=1,
                 lookback_max=8,
+                metric_window=-1,
             )
             path = tmp_path / f"trials-{workers}.csv"
             result.trials_csv(path)
@@ -319,7 +323,7 @@ class TestRunSearch:
         train, labeled = self._datasets()
         search = partial(run_search, train, labeled, "tcnf-base", "labeled-30-70", 9,
                          EncoderConfig(), TrainConfig(seed=0), candidate_epochs=1,
-                         final_epochs=1, lookback_max=8)
+                         final_epochs=1, lookback_max=8, metric_window=-1)
         if pools:
             with pytest.raises(PoolBuilt):
                 search()
@@ -339,7 +343,7 @@ class TestRunSearch:
         train, _ = self._datasets()
         result = run_search(train, None, "tcnf-base", "val-loss", 9, EncoderConfig(),
                             TrainConfig(seed=0), candidate_epochs=1, final_epochs=1,
-                            lookback_max=8)
+                            lookback_max=8, metric_window=-1)
         assert [t.fitness for t in result.trials] == [1.0] * 9
         assert openblas_threads() == parent_threads
 
@@ -366,6 +370,7 @@ class TestRunSearch:
                 train, labeled, "tcnf-base", "labeled-30-70", 18, EncoderConfig(),
                 TrainConfig(batch_size=128, seed=3), candidate_epochs=1, final_epochs=1,
                 lookback_max=8,
+                metric_window=-1,
             )
             assert len(calls) == 18 + 1
             path = tmp_path / f"trials-{workers}.csv"
@@ -388,7 +393,7 @@ class TestRunSearch:
         with pytest.raises(ValueError, match="epochs"):
             run_search(train, labeled, "tcnf-base", "labeled-30-70", 9, EncoderConfig(),
                        TrainConfig(seed=0), candidate_epochs=1, final_epochs=0,
-                       lookback_max=8)
+                       lookback_max=8, metric_window=-1)
         assert calls == []
 
     @pytest.mark.parametrize("label", [False, True])
@@ -411,7 +416,7 @@ class TestRunSearch:
         with pytest.raises(ValueError, match=message):
             run_search(train, labeled, "tcnf-base", "labeled-30-70", 9, EncoderConfig(),
                        TrainConfig(seed=0), candidate_epochs=1, final_epochs=1,
-                       lookback_max=8)
+                       lookback_max=8, metric_window=-1)
         assert calls == []
 
     @pytest.mark.parametrize("label", [False, True])
@@ -424,7 +429,7 @@ class TestRunSearch:
         labeled.labels = np.full(labeled.n_steps, label)
         result = run_search(train, labeled, "tcnf-base", "val-loss", 9, EncoderConfig(),
                             TrainConfig(seed=0), candidate_epochs=1, final_epochs=1,
-                            lookback_max=8)
+                            lookback_max=8, metric_window=-1)
         assert len(result.trials) == 9
         assert all(np.isnan(t.auc) and np.isnan(t.vus) for t in result.trials)
         assert all(t.fitness == t.val_loss for t in result.trials)
@@ -442,7 +447,7 @@ class TestRunSearch:
         with pytest.raises(ValueError, match=message):
             run_search(train, labeled, "tcnf-base", "labeled-30-70", 9, EncoderConfig(),
                        TrainConfig(seed=0), candidate_epochs=1, final_epochs=1,
-                       lookback_max=8)
+                       lookback_max=8, metric_window=-1)
         assert calls == []
 
     def test_lookback_max_of_one_searches_lookback_one(self):
@@ -450,7 +455,7 @@ class TestRunSearch:
         train, _ = self._datasets()
         result = run_search(train, None, "tcnf-base", "val-loss", 9, EncoderConfig(),
                             TrainConfig(seed=0), candidate_epochs=1, final_epochs=1,
-                            lookback_max=1)
+                            lookback_max=1, metric_window=-1)
         assert len(result.trials) == 9
         assert {t.params["lookback"] for t in result.trials} == {1}
         assert result.best_model.encoder.cfg.lookback == 1
@@ -461,7 +466,7 @@ class TestRunSearch:
         with pytest.raises(dt.DataError, match="all 9 candidates failed"):
             run_search(train, None, "tcnf-base", "val-loss", 9, EncoderConfig(),
                        TrainConfig(seed=0), candidate_epochs=1, final_epochs=1,
-                       lookback_max=250)
+                       lookback_max=250, metric_window=-1)
 
     def test_candidate_fitness_equals_chained_train_score_evaluate(self):
         # the search's internal evaluation must match running the pipeline
@@ -475,6 +480,7 @@ class TestRunSearch:
             train, labeled, "tcnf-base", "labeled-30-70", 9, EncoderConfig(),
             TrainConfig(batch_size=128, seed=4), candidate_epochs=2, final_epochs=2,
             lookback_max=8,
+            metric_window=-1,
         )
         trial = result.trials[3]
         encoder_cfg, flow_cfg = configs_from_params("tcnf-base", trial.params, EncoderConfig())

@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from helpers import best_f1_threshold_oracle, build_model_with_encoder, log_prob, randomize_model
+from helpers import (
+    best_f1_threshold_oracle,
+    build_model_with_encoder,
+    latent,
+    log_prob,
+    randomize_model,
+)
 
 from tcflow import data as dt
 from tcflow.conditioners import KINDS, EncoderConfig
@@ -118,11 +124,53 @@ class TestScoreSeries:
         stream = np.vstack([values[:1], values[:-1]])  # row t is conditioned on row t - 1
         contexts = model.encoder.encode_step(stream, model.encoder.zero_states(1))[0].value
         latents, log_dets = map(np.concatenate, zip(*[
-            model.latent(values[lo : lo + _BATCH], contexts[lo : lo + _BATCH])
+            latent(model, values[lo : lo + _BATCH], contexts[lo : lo + _BATCH])
             for lo in range(0, values.shape[0], _BATCH)]))
         scores = -(gaussian_log_density(latents) + log_dets)
         for got, expected in zip(_latent_series(model, ds), (latents, log_dets, scores)):
             np.testing.assert_array_equal(got, expected)
+
+    def test_stateless_lstm_peak_memory_does_not_grow_with_its_working_arrays(self):
+        # each stateless-LSTM context is a view of its block's whole
+        # (lookback, 1024, 2 * hidden) LSTM output; scoring copies it, so the
+        # peak grows with the (T, context_dim) contexts, not with those outputs
+        import tracemalloc
+
+        model = build_model_with_encoder(8, 2, EncoderConfig("lstm-stateless", lookback=50))
+        model.norm_stats = identity_stats(8)
+        peaks = []
+        for n_steps in (5_000, 20_000):
+            ds = dt.TimeSeriesDataset(np.random.default_rng(0).normal(size=(n_steps, 8)))
+            tracemalloc.start()
+            try:
+                score_series(model, ds)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 20 * 2**20, peaks
+
+    def test_each_block_graph_is_freed_before_the_next_is_built(self, monkeypatch):
+        # a block's coupling nodes hold its conditioner activations: keeping
+        # them alive into the next block doubles the scoring peak
+        import weakref
+
+        from tcflow import diffcore as dc
+        from tcflow.score import _BATCH
+
+        model = build_model_with_encoder(2, 3, EncoderConfig("passthrough", lookback=3))
+        model.norm_stats = identity_stats(2)
+        built, live = [], []
+        original = dc.coupling_inverse
+
+        def recording(*args):
+            live.append(sum(ref() is not None for ref in built))
+            out = original(*args)
+            built.append(weakref.ref(out.value))  # lives as long as the node
+            return out
+
+        monkeypatch.setattr(dc, "coupling_inverse", recording)
+        score_series(model, dt.TimeSeriesDataset(np.zeros((2 * _BATCH + 1, 2))))
+        assert live == [0, 1, 2] * 3
 
     def test_trained_model_peaks_inside_injected_spike_range(self):
         from tcflow.flow import ConditionerConfig, FlowConfig
@@ -196,6 +244,18 @@ class TestExportLatent:
         parsed = np.array([[float(c) for c in r.split(",")] for r in rows[1:]])
         np.testing.assert_allclose(parsed[:, :2], values, atol=1e-12)
         np.testing.assert_allclose(parsed[:, 2], 0.0, atol=1e-12)
+
+    def test_untrained_model_writes_negative_zero_log_dets(self, tmp_path):
+        # the pass starts the running log-det at -0.0, and each fresh layer
+        # adds -0.0 (its zero head's negated scale sum): every cell is -0.0
+        model = build_model_with_encoder(4, 3, EncoderConfig("passthrough", lookback=2))
+        model.norm_stats = identity_stats(4)
+        ds = dt.TimeSeriesDataset(np.random.default_rng(0).normal(size=(9, 4)))
+        path = tmp_path / "latent.csv"
+        export_latent(model, ds, path)
+        rows = path.read_text().splitlines()
+        column = rows[0].split(",").index("logdet")
+        assert [row.split(",")[column] for row in rows[1:]] == ["-0.0"] * 9
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_score_reconstructs_from_latent_and_logdet(self, tmp_path, kind):

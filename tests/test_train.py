@@ -55,7 +55,7 @@ class TestAdam:
     def test_zero_gradient_is_a_fixed_point(self):
         p = self._param([1.0, -2.0])
         state = AdamState([p])
-        adam_step(state, lr=1e-3)
+        adam_step(state, lr=1e-3, clip_norm=0.0)
         np.testing.assert_array_equal(p.value, [1.0, -2.0])
 
     def test_first_step_matches_hand_computation(self):
@@ -63,7 +63,7 @@ class TestAdam:
         p = self._param([0.0])
         state = AdamState([p])
         p.grad[...] = 1.0
-        adam_step(state, lr=1e-3)
+        adam_step(state, lr=1e-3, clip_norm=0.0)
         assert p.value[0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_parameter_groups_updated_independently(self):
@@ -71,7 +71,7 @@ class TestAdam:
         b = self._param([0.0], "b")
         state = AdamState([a, b])
         a.grad[...] = 1.0
-        adam_step(state, lr=1e-3)
+        adam_step(state, lr=1e-3, clip_norm=0.0)
         assert a.value[0] != 0.0
         assert b.value[0] == 0.0
 
@@ -80,7 +80,7 @@ class TestAdam:
         state = AdamState([p])
         p.grad[...] = np.nan
         with pytest.raises(FloatingPointError, match="w3"):
-            adam_step(state, lr=1e-3)
+            adam_step(state, lr=1e-3, clip_norm=0.0)
 
     def test_global_norm_clip_rescales(self):
         p = self._param(np.zeros(4))
@@ -193,7 +193,7 @@ class TestFlatBuffer:
         state = AdamState(flat)
         flat[2].grad[1, 2] = np.nan
         with pytest.raises(FloatingPointError, match="'w2'"):
-            adam_step(state, lr=1e-3)
+            adam_step(state, lr=1e-3, clip_norm=0.0)
 
     @pytest.mark.parametrize("kind", ["none", "mlp", "lstm-stateful"])
     def test_parameters_are_views_of_one_buffer_after_training_and_loading(self, kind, tmp_path):
@@ -310,6 +310,25 @@ class TestTrainModel:
         )
         assert report.best_val_loss <= report.val_losses[0]
         assert report.best_epoch == int(np.argmin(report.val_losses)) + 1
+
+    def test_stops_patience_epochs_after_the_best_and_a_tie_is_no_better(self, monkeypatch):
+        # scripted validation losses: the best is epoch 4 (1.5; epoch 6 ties
+        # it), so patience 3 stops after epoch 7 and epoch 8 never runs
+        import tcflow.train as train_module
+
+        scripted = iter([3.0, 2.0, 2.5, 1.5, 1.6, 1.5, 1.7, 0.1])
+        original = train_module._mean_loss
+
+        def mean_loss(model, values, batches, rng, adam=None, cfg=None):
+            loss = original(model, values, batches, rng, adam, cfg)
+            return loss if adam is not None else next(scripted)
+
+        monkeypatch.setattr(train_module, "_mean_loss", mean_loss)
+        _, report = train_model(sine(200, seed=4), EncoderConfig("none"), small_cfgs(),
+                                TrainConfig(epochs=8, patience=3, seed=1))
+        assert report.val_losses == [3.0, 2.0, 2.5, 1.5, 1.6, 1.5, 1.7]
+        assert report.best_epoch == 4 and report.best_val_loss == 1.5
+
 
     def test_training_reduces_loss_on_sine(self):
         ds = sine(600, noise=0.2, seed=5)
