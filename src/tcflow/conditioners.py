@@ -118,15 +118,20 @@ class Encoder:
     def parameters(self) -> list[Parameter]:
         return list(chain(*self.pairs))
 
+    @classmethod
+    def check_split(cls, n_steps: int, cfg: EncoderConfig) -> None:
+        """Raise ``DataError`` unless ``split`` can split an ``n_steps``
+        series for ``cfg``; draws nothing, so it can run before the build."""
+        _sections(n_steps, cfg.lookback if "lookback" in cls.reads else 0)
+
     def split(self, n_steps: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Training and validation rows: five equal random validation
         sections, one ``rng.integers`` draw per fifth of the series, with no
         training row within ``lookback`` of any of them, cut to the rows
-        t >= ``lookback``, whose window is fully observed. An empty set
-        raises ``DataError``."""
-        section, block, gap = validation_size(n_steps) // 5, n_steps // 5, self.lookback
-        if block <= section + gap:
-            raise DataError(f"series too short for five sections of {section} with gap {gap}")
+        t >= ``lookback``, whose window is fully observed. A series that
+        fails ``check_split`` or leaves an empty set raises ``DataError``."""
+        gap = self.lookback
+        section, block = _sections(n_steps, gap)
         in_val, excluded = np.zeros(n_steps, dtype=bool), np.zeros(n_steps, dtype=bool)
         for b in range(5):
             start = b * block + int(rng.integers(0, block - section + 1))
@@ -325,12 +330,19 @@ class StatefulLstmEncoder(LstmEncoder):
         out, states = self._run_stack(dc.constant(rows[:, None, :]), states, rng)
         return out[:, 0, : self.hidden], states
 
+    @classmethod
+    def check_split(cls, n_steps, cfg):
+        """``DataError`` unless a row lies more than ``lookback`` before the tail."""
+        if n_steps - validation_size(n_steps) - cfg.lookback < 1:
+            raise DataError("split left an empty train or validation window set")
+
     def split(self, n_steps, rng):
         """The last fifth of the series, and the rows more than ``lookback``
         before it; the state runs through the whole series, so every row has
         a context and none is cut. ``rng`` is not read."""
+        self.check_split(n_steps, self.cfg)
         start = n_steps - validation_size(n_steps)
-        return _nonempty(np.arange(start - self.lookback), np.arange(start, n_steps))
+        return np.arange(start - self.lookback), np.arange(start, n_steps)
 
     def batches(self, values, rows, size, rng):
         """Walk ``values`` in chunks of ``lookback`` rows, in series order
@@ -363,6 +375,15 @@ def validation_size(n_steps: int) -> int:
     if val_total < 5:
         raise DataError(f"series too short to split: {n_steps} steps")
     return val_total
+
+
+def _sections(n_steps: int, gap: int) -> tuple[int, int]:
+    """(section, block): the size of ``Encoder.split``'s validation sections
+    and of a fifth of the series; ``DataError`` unless block > section + gap."""
+    section, block = validation_size(n_steps) // 5, n_steps // 5
+    if block <= section + gap:
+        raise DataError(f"series too short for five sections of {section} with gap {gap}")
+    return section, block
 
 
 def _nonempty(train: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

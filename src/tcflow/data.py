@@ -23,6 +23,7 @@ ANOMALY_KINDS = (
 )
 
 PAD_VALUE = 0.5
+TABLE_BLOCK = 4096  # rows per ``writerows`` call of ``write_table``
 
 
 class DataError(ValueError):
@@ -87,14 +88,17 @@ class AnomalySpec:
 def write_table(path, header, columns, comment=None) -> None:
     """The one table format: an optional "# " comment line, the header, then
     the equal-length ``columns`` (arrays or lists) row by row, floats as the
-    shortest repr that reads back exactly, booleans as 0/1."""
-    cells = [(c.astype(int) if c.dtype == bool else c).tolist() for c in map(np.asarray, columns)]
+    shortest repr that reads back exactly, booleans as 0/1. Rows are made
+    and written ``TABLE_BLOCK`` at a time, so a long table never holds all
+    its rows as Python objects."""
+    columns = [c.astype(int) if c.dtype == bool else c for c in map(np.asarray, columns)]
     with open(path, "w", newline="") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(zip(*cells))
+        for lo in range(0, max(map(len, columns), default=0), TABLE_BLOCK):
+            writer.writerows(zip(*(c[lo : lo + TABLE_BLOCK].tolist() for c in columns)))
 
 
 def read_table(path) -> tuple[list[str] | None, np.ndarray]:

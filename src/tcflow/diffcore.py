@@ -12,6 +12,10 @@ Each node records whether it needs a gradient (``needs_grad``): a
 iff one of its inputs does. ``backward`` gives a grad array only to the
 nodes that need one, and every backward closure skips the input gradients
 of operands that need none (a constant input batch, window or context).
+A node that needs no gradient keeps neither its inputs nor its backward
+closure. Under ``no_grad()`` no node needs one, so a forward-only pass
+(scoring, a validation loss) holds each intermediate only until the next
+operation has consumed it, and computes the same values.
 
 Supported operations: add, multiply (both broadcasting), matmul, tanh,
 sigmoid, exp, log, sum, mean, slicing, concat, reshape, inverted dropout
@@ -34,11 +38,13 @@ one vectorized op per step.
 
 Graphs are single-owner: build and differentiate a graph on one thread.
 Independent graphs (e.g. separate search candidates) can run on separate
-workers.
+worker processes. The ``no_grad`` flag is likewise one per process, not
+per thread.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from itertools import count
 from operator import attrgetter
 from typing import Callable, Sequence
@@ -56,6 +62,20 @@ class ShapeError(ValueError):
 
 
 _creation = count()  # numbers every node of the process (``Node.seq``)
+_recording = True  # False inside ``no_grad``
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside the block: no node made there needs a
+    gradient, so none keeps its parents or its backward. Recording resumes
+    as it was when the block exits, by an exception too."""
+    global _recording
+    prior, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = prior
 
 
 def _as_array(value) -> np.ndarray:
@@ -71,22 +91,26 @@ class Node:
     ``grad`` is None until ``backward`` reaches the node (a Parameter's is
     a zero array from the start), then it has the shape of ``value``; it
     stays None for a node whose ``needs_grad`` is False, that is, one that
-    no Parameter feeds. ``parents`` are the inputs of ``op`` in order.
-    Leaves have no parents. ``seq`` numbers the nodes in creation order.
+    no Parameter feeds or that was made under ``no_grad``. ``parents`` are
+    the inputs of ``op`` in order, and ``backward`` its gradient rule; a
+    node that needs no gradient keeps neither (nor does a leaf). ``seq``
+    numbers the nodes in creation order.
     """
 
     __slots__ = ("value", "grad", "op", "parents", "needs_grad", "seq", "_backward")
 
-    def __init__(self, value, op: str = "leaf", parents: Sequence["Node"] = ()):
+    def __init__(self, value, op: str, parents: Sequence["Node"] = (),
+                 backward: Callable[["Node"], None] | None = None):
         self.seq = next(_creation)
         self.value = _as_array(value)
         self.grad = None
         self.op = op
-        self.parents = tuple(parents)
-        self.needs_grad = any(p.needs_grad for p in self.parents)
-        # takes the node itself instead of closing over it: a graph then has
-        # no reference cycle and is freed as soon as it is unreachable
-        self._backward: Callable[[Node], None] | None = None
+        self.needs_grad = _recording and any(p.needs_grad for p in parents)
+        # a node that needs no gradient keeps neither its inputs nor its
+        # backward, which takes the node itself instead of closing over it:
+        # a graph has no reference cycle and is freed once unreachable
+        self.parents = tuple(parents) if self.needs_grad else ()
+        self._backward = backward if self.needs_grad else None
 
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape})"
@@ -154,7 +178,6 @@ def add(a: Node, b: Node) -> Node:
         value = a.value + b.value
     except ValueError:
         raise ShapeError("add", a.value.shape, b.value.shape) from None
-    out = Node(value, "add", (a, b))
 
     def backward(out):
         if a.needs_grad:
@@ -162,8 +185,7 @@ def add(a: Node, b: Node) -> Node:
         if b.needs_grad:
             b.grad += _unbroadcast(out.grad, b.value.shape)
 
-    out._backward = backward
-    return out
+    return Node(value, "add", (a, b), backward)
 
 
 def sub(a: Node, b: Node) -> Node:
@@ -171,7 +193,6 @@ def sub(a: Node, b: Node) -> Node:
         value = a.value - b.value
     except ValueError:
         raise ShapeError("sub", a.value.shape, b.value.shape) from None
-    out = Node(value, "sub", (a, b))
 
     def backward(out):
         if a.needs_grad:
@@ -179,18 +200,14 @@ def sub(a: Node, b: Node) -> Node:
         if b.needs_grad:
             b.grad -= _unbroadcast(out.grad, b.value.shape)
 
-    out._backward = backward
-    return out
+    return Node(value, "sub", (a, b), backward)
 
 
 def neg(a: Node) -> Node:
-    out = Node(-a.value, "neg", (a,))
-
     def backward(out):
         a.grad -= out.grad
 
-    out._backward = backward
-    return out
+    return Node(-a.value, "neg", (a,), backward)
 
 
 def mul(a: Node, b: Node) -> Node:
@@ -198,7 +215,6 @@ def mul(a: Node, b: Node) -> Node:
         value = a.value * b.value
     except ValueError:
         raise ShapeError("mul", a.value.shape, b.value.shape) from None
-    out = Node(value, "mul", (a, b))
 
     def backward(out):
         if a.needs_grad:
@@ -206,14 +222,12 @@ def mul(a: Node, b: Node) -> Node:
         if b.needs_grad:
             b.grad += _unbroadcast(out.grad * a.value, b.value.shape)
 
-    out._backward = backward
-    return out
+    return Node(value, "mul", (a, b), backward)
 
 
 def matmul(a: Node, b: Node) -> Node:
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
         raise ShapeError("matmul", a.value.shape, b.value.shape)
-    out = Node(a.value @ b.value, "matmul", (a, b))
 
     def backward(out):
         if a.needs_grad:
@@ -221,68 +235,52 @@ def matmul(a: Node, b: Node) -> Node:
         if b.needs_grad:
             b.grad += a.value.T @ out.grad
 
-    out._backward = backward
-    return out
+    return Node(a.value @ b.value, "matmul", (a, b), backward)
 
 
 def tanh(a: Node) -> Node:
-    out = Node(np.tanh(a.value), "tanh", (a,))
-
     def backward(out):
         a.grad += out.grad * (1.0 - out.value * out.value)
 
-    out._backward = backward
-    return out
+    return Node(np.tanh(a.value), "tanh", (a,), backward)
 
 
 def sigmoid(a: Node) -> Node:
     with np.errstate(over="ignore"):  # exp(-x) = inf saturates to 0
         value = 1.0 / (1.0 + np.exp(-a.value))
-    out = Node(value, "sigmoid", (a,))
 
     def backward(out):
         a.grad += out.grad * out.value * (1.0 - out.value)
 
-    out._backward = backward
-    return out
+    return Node(value, "sigmoid", (a,), backward)
 
 
 def exp(a: Node) -> Node:
-    out = Node(np.exp(a.value), "exp", (a,))
-
     def backward(out):
         a.grad += out.grad * out.value
 
-    out._backward = backward
-    return out
+    return Node(np.exp(a.value), "exp", (a,), backward)
 
 
 def log(a: Node) -> Node:
-    out = Node(np.log(a.value), "log", (a,))
-
     def backward(out):
         a.grad += out.grad / a.value
 
-    out._backward = backward
-    return out
+    return Node(np.log(a.value), "log", (a,), backward)
 
 
 def sum_(a: Node, axis: int | None = None) -> Node:
-    out = Node(a.value.sum(axis=axis), "sum", (a,))
-
     def backward(out):
         g = out.grad
         if axis is not None:
             g = np.expand_dims(g, axis)
         a.grad += np.broadcast_to(g, a.value.shape)
 
-    out._backward = backward
-    return out
+    return Node(a.value.sum(axis=axis), "sum", (a,), backward)
 
 
 def mean(a: Node, axis: int | None = None) -> Node:
     n = a.value.size if axis is None else a.value.shape[axis]
-    out = Node(a.value.mean(axis=axis), "mean", (a,))
 
     def backward(out):
         g = out.grad
@@ -290,20 +288,16 @@ def mean(a: Node, axis: int | None = None) -> Node:
             g = np.expand_dims(g, axis)
         a.grad += np.broadcast_to(g, a.value.shape) / n
 
-    out._backward = backward
-    return out
+    return Node(a.value.mean(axis=axis), "mean", (a,), backward)
 
 
 def getitem(a: Node, key) -> Node:
-    out = Node(a.value[key], "slice", (a,))
-
     def backward(out):
         scattered = np.zeros_like(a.value)
         scattered[key] = out.grad
         a.grad += scattered
 
-    out._backward = backward
-    return out
+    return Node(a.value[key], "slice", (a,), backward)
 
 
 def concat(nodes: Sequence[Node], axis: int = 0) -> Node:
@@ -312,7 +306,6 @@ def concat(nodes: Sequence[Node], axis: int = 0) -> Node:
         value = np.concatenate([n.value for n in nodes], axis=axis)
     except ValueError:
         raise ShapeError("concat", *[n.value.shape for n in nodes]) from None
-    out = Node(value, "concat", nodes)
     sizes = [n.value.shape[axis] for n in nodes]
     offsets = np.cumsum([0] + sizes)
 
@@ -324,18 +317,14 @@ def concat(nodes: Sequence[Node], axis: int = 0) -> Node:
             idx[axis] = slice(lo, hi)
             node.grad += out.grad[tuple(idx)]
 
-    out._backward = backward
-    return out
+    return Node(value, "concat", nodes, backward)
 
 
 def reshape(a: Node, shape) -> Node:
-    out = Node(a.value.reshape(shape), "reshape", (a,))
-
     def backward(out):
         a.grad += out.grad.reshape(a.value.shape)
 
-    out._backward = backward
-    return out
+    return Node(a.value.reshape(shape), "reshape", (a,), backward)
 
 
 def dropout(a: Node, rate: float, rng: np.random.Generator | None) -> Node:
@@ -349,13 +338,11 @@ def dropout(a: Node, rate: float, rng: np.random.Generator | None) -> Node:
     if rate >= 1.0:
         raise ValueError(f"dropout rate must be < 1, got {rate}")
     mask = (rng.random(a.value.shape) >= rate) / (1.0 - rate)
-    out = Node(a.value * mask, "dropout", (a,))
 
     def backward(out):
         a.grad += out.grad * mask
 
-    out._backward = backward
-    return out
+    return Node(a.value * mask, "dropout", (a,), backward)
 
 
 def conv1d(x: Node, weight: Node, bias: Node) -> Node:
@@ -379,7 +366,6 @@ def conv1d(x: Node, weight: Node, bias: Node) -> Node:
     for k in range(1, kernel):
         value += padded[:, k : k + n_time] @ w[k]
     value += bias.value
-    out = Node(value, "conv1d", (x, weight, bias))
 
     def backward(out):
         g = out.grad
@@ -395,8 +381,7 @@ def conv1d(x: Node, weight: Node, bias: Node) -> Node:
         if bias.needs_grad:
             bias.grad += g.sum(axis=0).sum(axis=0)
 
-    out._backward = backward
-    return out
+    return Node(value, "conv1d", (x, weight, bias), backward)
 
 
 def lstm_cell(
@@ -460,7 +445,6 @@ def lstm_sequence(steps: Node, state: Node, weight: Node, bias: Node) -> Node:
             h = np.multiply(act[:, o_], np.tanh(c_next, out=tanh_c[t]),
                             out=value[t, :, :hidden])
             c = c_next
-    out = Node(value, "lstm_sequence", (steps, state, weight, bias))
 
     def backward(out):
         grad = out.grad
@@ -494,8 +478,7 @@ def lstm_sequence(steps: Node, state: Node, weight: Node, bias: Node) -> Node:
             state.grad[:, :hidden] += dh_carry
             state.grad[:, hidden:] += dc_carry
 
-    out._backward = backward
-    return out
+    return Node(value, "lstm_sequence", (steps, state, weight, bias), backward)
 
 
 def coupling_inverse(
@@ -559,7 +542,6 @@ def coupling_inverse(
     parents = [x] + ([] if context is None else [context])
     for w, b in hidden:
         parents.extend([w, b])
-    out = Node(value, "coupling", parents + [head_w, head_b, scale_cap])
     grad_x, grad_context = x.needs_grad, context is not None and context.needs_grad
 
     def backward(out):
@@ -596,8 +578,7 @@ def coupling_inverse(
             x.grad[:, half:dim] += g_diff
             x.grad[:, dim] += g_log_det
 
-    out._backward = backward
-    return out
+    return Node(value, "coupling", parents + [head_w, head_b, scale_cap], backward)
 
 
 # -- graph traversal ------------------------------------------------------

@@ -55,7 +55,9 @@ def load_score_csv(path) -> tuple[ScoreSeries, np.ndarray | None]:
 def _latent_series(model: FlowModel, ds: TimeSeriesDataset
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Latent coordinates, summed log|det J| and score per timestep of the
-    raw ``ds``; a non-finite score raises with its timestep. The
+    raw ``ds``; a non-finite score raises with its timestep. The pass runs
+    under ``dc.no_grad`` and keeps no graph: an encoder's intermediates are
+    freed as soon as the next op has read them. The
     (T, context_dim) contexts of every row are collected first from one
     ``Encoder.batches`` walk (the stateful LSTM's state runs from row to
     row), each block's copied so that no view keeps an encoder's working
@@ -63,18 +65,19 @@ def _latent_series(model: FlowModel, ds: TimeSeriesDataset
     values = prepare(ds, model.require_norm_stats())[0]
     n_steps, encoder = values.shape[0], model.encoder
     contexts = None
-    if encoder.context_dim:  # kind none conditions on nothing
-        # without an rng, every kind yields the rows in series order
-        contexts = np.concatenate([context.value.copy() for _, context in
-                                   encoder.batches(values, np.arange(n_steps), _BATCH, None)])
-    latents = np.empty_like(values)
-    log_dets = np.empty(n_steps)
-    for lo in range(0, n_steps, _BATCH):
-        block = slice(lo, lo + _BATCH)
-        ctx = None if contexts is None else dc.constant(contexts[block])
-        # no name holds a node, so a block's graph is freed before the next is built
-        latents[block], log_dets[block] = (node.value for node in
-                                           model.latent_nodes(values[block], ctx))
+    with dc.no_grad():
+        if encoder.context_dim:  # kind none conditions on nothing
+            # without an rng, every kind yields the rows in series order
+            contexts = np.concatenate([context.value.copy() for _, context in
+                                       encoder.batches(values, np.arange(n_steps), _BATCH, None)])
+        latents = np.empty_like(values)
+        log_dets = np.empty(n_steps)
+        for lo in range(0, n_steps, _BATCH):
+            block = slice(lo, lo + _BATCH)
+            ctx = None if contexts is None else dc.constant(contexts[block])
+            # no name holds a node, so a block's nodes are freed before the next is built
+            latents[block], log_dets[block] = (node.value for node in
+                                               model.latent_nodes(values[block], ctx))
     scores = -(gaussian_log_density(latents) + log_dets)
     bad = np.nonzero(~np.isfinite(scores))[0]
     if bad.size:

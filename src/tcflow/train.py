@@ -22,7 +22,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import diffcore as dc
-from .conditioners import EncoderConfig, build_encoder
+from .conditioners import ENCODERS, EncoderConfig, build_encoder
 from .data import TimeSeriesDataset, prepare, write_table
 from .flow import ConditionerConfig, FlowConfig, FlowModel, check_values, field_defaults, nll_loss
 
@@ -176,8 +176,12 @@ def train_model(
 ) -> tuple[FlowModel, TrainReport]:
     """Fit ``data.prepare`` on the raw ``ds`` and minimize the mean NLL on its
     normalized training split; returns the model, carrying those statistics
-    and the best-validation-epoch parameters, plus the loss history."""
+    and the best-validation-epoch parameters, plus the loss history. A
+    series the encoder kind cannot split raises ``DataError`` before the
+    model is built (``Encoder.check_split``). The validation loss is
+    computed under ``dc.no_grad``."""
     values, stats = prepare(ds)
+    ENCODERS[encoder_cfg.kind].check_split(ds.n_steps, encoder_cfg)
     rng = np.random.default_rng(train_cfg.seed)
     model = build_model(values.shape[1], encoder_cfg, flow_cfg, rng, model_id=model_id)
     model.norm_stats = stats
@@ -190,7 +194,8 @@ def train_model(
         train_loss = _mean_loss(
             model, values, encoder.batches(values, train_rows, train_cfg.batch_size, rng),
             rng, adam, train_cfg)
-        val_loss = _mean_loss(model, values, encoder.batches(values, val_rows, 4096, None), None)
+        with dc.no_grad():
+            val_loss = _mean_loss(model, values, encoder.batches(values, val_rows, 4096, None), None)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise TrainingDiverged(epoch - 1)
         report.train_losses.append(train_loss)

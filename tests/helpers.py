@@ -185,7 +185,6 @@ def einsum_conv1d(x, weight, bias=None):
     left, right = (kernel - 1) // 2, kernel // 2
     padded = np.pad(x.value, ((0, 0), (left, right), (0, 0)))
     windows = np.lib.stride_tricks.sliding_window_view(padded, kernel, axis=1)
-    out = dc.Node(np.einsum("btck,kco->bto", windows, weight.value), "conv1d", (x, weight))
     n_time = x.value.shape[1]
 
     def backward(out):
@@ -195,7 +194,8 @@ def einsum_conv1d(x, weight, bias=None):
             grad_padded[:, k : k + n_time, :] += out.grad @ weight.value[k].T
         x.grad += grad_padded[:, left : left + n_time, :]
 
-    out._backward = backward
+    out = dc.Node(np.einsum("btck,kco->bto", windows, weight.value), "conv1d", (x, weight),
+                  backward)
     return out if bias is None else dc.add(out, bias)
 
 

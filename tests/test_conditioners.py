@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from tcflow import diffcore as dc
 from tcflow import data as dt
 from tcflow.conditioners import (
+    ENCODERS,
     KINDS,
     Encoder,
     EncoderConfig,
@@ -183,6 +184,32 @@ class TestSplit:
                 assert rows.dtype == expected.dtype
                 np.testing.assert_array_equal(rows, expected)
         assert outcomes == {True, False}  # both accepted and rejected cases ran
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_check_split_rejects_as_split_does_before_any_encoder_exists(self, kind):
+        # train_model asks the class before it builds anything: a series
+        # check_split rejects, split rejects with the same message (split may
+        # also reject one whose cut leaves no training row)
+        draws = np.random.default_rng(len(KINDS) + KINDS.index(kind))
+        configs = self.EDGES + [
+            tuple(int(draws.integers(lo, hi)) for lo, hi in ((20, 3001), (1, 121), (0, 1 << 30)))
+            for _ in range(300)
+        ]
+        rejected = 0
+        for n_steps, lookback, seed in configs:
+            cfg = EncoderConfig(kind, lookback=lookback)
+            split_error = None
+            try:
+                build_encoder(cfg, 2, np.random.default_rng(0)).split(
+                    n_steps, np.random.default_rng(seed))
+            except dt.DataError as exc:
+                split_error = str(exc)
+            try:
+                ENCODERS[kind].check_split(n_steps, cfg)
+            except dt.DataError as exc:
+                assert str(exc) == split_error
+                rejected += 1
+        assert 0 < rejected < len(configs)
 
     def test_sequential_tail_arithmetic(self):
         train, val = self._encoder("lstm-stateful", 10).split(1000, np.random.default_rng(0))

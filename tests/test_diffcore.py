@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcflow import diffcore as dc
+from tcflow.flow import ConditionerConfig, CouplingLayer
 
 
 def test_tanh_of_zero_is_zero():
@@ -356,3 +357,86 @@ def test_dropped_graph_is_freed_without_cycle_collection():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _every_op():
+    """One thunk per operation, each over Parameters, so that a recorded
+    call builds a graph; calling a thunk twice gives the same value."""
+    rng = np.random.default_rng(0)
+
+    def param(*shape):
+        return dc.Parameter(rng.normal(size=shape), "p")
+
+    a, b, m, positive = param(3, 4), param(3, 4), param(4, 2), dc.exp(param(3, 4))
+    x, kernel, bias = param(2, 6, 3), param(3, 3, 4), param(4)
+    steps, state, w_lstm, b_lstm = param(5, 2, 3), param(2, 8), param(7, 16), param(16)
+    layer = CouplingLayer(4, 3, ConditionerConfig(), rng, "layer")
+    for p in layer.parameters():
+        p.value = rng.normal(0.0, 0.3, p.value.shape)
+    points, context = param(6, 5), param(6, 3)
+    masks = [(rng.random((6, w.value.shape[1])) >= 0.5) / 0.5 for w, _ in layer.hidden]
+    return {
+        "add": lambda: dc.add(a, b),
+        "sub": lambda: dc.sub(a, b),
+        "neg": lambda: dc.neg(a),
+        "mul": lambda: dc.mul(a, b),
+        "matmul": lambda: dc.matmul(a, m),
+        "tanh": lambda: dc.tanh(a),
+        "sigmoid": lambda: dc.sigmoid(a),
+        "exp": lambda: dc.exp(a),
+        "log": lambda: dc.log(positive),
+        "sum": lambda: dc.sum_(a, axis=1),
+        "mean": lambda: dc.mean(a, axis=0),
+        "slice": lambda: a[1:, ::2],
+        "concat": lambda: dc.concat([a, b], axis=1),
+        "reshape": lambda: dc.reshape(a, (4, 3)),
+        "dropout": lambda: dc.dropout(a, 0.5, np.random.default_rng(1)),
+        "conv1d": lambda: dc.conv1d(x, kernel, bias),
+        "lstm_cell": lambda: dc.lstm_cell(steps[0], state[:, :4], state[:, 4:], w_lstm, b_lstm)[1],
+        "lstm_sequence": lambda: dc.lstm_sequence(steps, state, w_lstm, b_lstm),
+        "coupling_inverse": lambda: layer.inverse(points, context, masks, swap=True),
+    }
+
+
+@pytest.mark.parametrize("op", list(_every_op()))
+def test_no_grad_computes_the_same_bits_and_keeps_no_graph(op):
+    # under no_grad a node over Parameters keeps no inputs and no backward,
+    # and its value equals the recorded one bit for bit
+    make = _every_op()[op]
+    recorded = make()
+    with dc.no_grad():
+        free = make()
+    assert recorded.needs_grad and recorded.parents and recorded._backward is not None
+    assert not free.needs_grad and free.parents == () and free._backward is None
+    assert free.value.dtype == recorded.value.dtype and free.value.shape == recorded.value.shape
+    assert free.value.tobytes() == recorded.value.tobytes()
+
+
+def test_node_that_needs_no_gradient_keeps_no_graph_outside_no_grad():
+    node = dc.tanh(dc.add(dc.constant(np.ones(3)), dc.constant(np.ones(3))))
+    assert not node.needs_grad and node.parents == () and node._backward is None
+
+
+def test_backward_of_a_root_built_under_no_grad_changes_no_gradient():
+    p = dc.Parameter(np.array([0.5, -1.0, 2.0]), "p")
+    p.grad[:] = 7.0
+    with dc.no_grad():
+        loss = dc.mean(dc.mul(dc.tanh(p), p))
+    dc.backward(loss)
+    np.testing.assert_array_equal(p.grad, [7.0, 7.0, 7.0])
+    assert loss.grad is None
+
+
+def test_recording_resumes_after_no_grad_even_when_the_block_raises():
+    p = dc.Parameter(np.ones(2), "p")
+    with pytest.raises(RuntimeError, match="inside"):
+        with dc.no_grad():
+            assert not dc.tanh(p).needs_grad
+            raise RuntimeError("inside")
+    assert dc.tanh(p).needs_grad
+    with dc.no_grad():
+        with dc.no_grad():
+            pass
+        assert not dc.tanh(p).needs_grad  # an inner block restores the outer one's state
+        assert dc.Parameter(np.ones(2), "q").needs_grad  # a Parameter is always trained
+    assert dc.tanh(p).needs_grad

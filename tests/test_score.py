@@ -149,6 +149,25 @@ class TestScoreSeries:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 20 * 2**20, peaks
 
+    @pytest.mark.parametrize("kind, bound_mib", [("cnn", 12), ("lstm-stateless", 12)])
+    def test_scoring_keeps_no_graph_of_the_encoder(self, kind, bound_mib):
+        # scoring runs under dc.no_grad: a recorded graph keeps each block's
+        # conv or LSTM intermediates alive up to the next block, a peak of
+        # 15.2 MiB (cnn) and 14.5 MiB (stateless LSTM) on this series, against
+        # 8.4 and 10.1 MiB without one
+        import tracemalloc
+
+        model = build_model_with_encoder(2, 4, EncoderConfig(kind, lookback=20))
+        model.norm_stats = identity_stats(2)
+        ds = dt.TimeSeriesDataset(np.random.default_rng(0).normal(size=(40_000, 2)))
+        tracemalloc.start()
+        try:
+            score_series(model, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, peak
+
     def test_each_block_graph_is_freed_before_the_next_is_built(self, monkeypatch):
         # a block's coupling nodes hold its conditioner activations: keeping
         # them alive into the next block doubles the scoring peak

@@ -330,6 +330,40 @@ class TestTrainModel:
         assert report.best_epoch == 4 and report.best_val_loss == 1.5
 
 
+    def test_validation_loss_keeps_no_graph(self, monkeypatch):
+        # each training batch's loss records its graph for the backward; the
+        # validation pass (no rng) runs under dc.no_grad and records none
+        import tcflow.train as train_module
+
+        seen = set()
+
+        def recording(model, points, contexts, rng):
+            loss = nll_loss(model, points, contexts, rng)
+            seen.add((rng is not None, loss.needs_grad, bool(loss.parents)))
+            return loss
+
+        monkeypatch.setattr(train_module, "nll_loss", recording)
+        train_model(sine(300, seed=4), EncoderConfig("cnn", lookback=4), small_cfgs(),
+                    TrainConfig(epochs=2, seed=1))
+        assert seen == {(True, True, True), (False, False, False)}
+
+    def test_unsplittable_lookback_is_rejected_before_the_model_is_built(self):
+        # an mlp encoder over 100 series lengths of lookback would ask numpy
+        # for about a terabyte of weights; the split's arithmetic rejects the
+        # series first, so nothing of that size is allocated
+        import tracemalloc
+
+        ds = sine(2000, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(dt.DataError, match="series too short for five sections"):
+                train_model(ds, EncoderConfig("mlp", lookback=100 * ds.n_steps), small_cfgs(),
+                            TrainConfig(epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, peak
+
     def test_training_reduces_loss_on_sine(self):
         ds = sine(600, noise=0.2, seed=5)
         _, report = train_model(
