@@ -12,7 +12,7 @@ from .data import (
     load_csv,
     prepare,
 )
-from .flow import ConditionerConfig, FlowConfig, FlowModel, gaussian_log_density, nll_loss
+from .flow import FlowConfig, FlowModel, gaussian_log_density, nll_loss
 from .hyperopt import CmaEs, decode, run_search, space_for_method
 from .metrics import (auc_pr, auc_roc, combined_objective, precision_recall_f1,
                       select_threshold, vus_roc)
@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnomalySpec",
     "CmaEs",
-    "ConditionerConfig",
     "EncoderConfig",
     "FlowConfig",
     "FlowModel",

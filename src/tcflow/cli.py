@@ -24,12 +24,11 @@ import numpy as np
 from . import data as dt
 from . import metrics as mx
 from .conditioners import EncoderConfig
-from .flow import ConditionerConfig, FlowConfig, check_values, field_defaults
+from .flow import FlowConfig, check_values, field_defaults
 from .hyperopt import (
     METHOD_ENCODERS,
     OBJECTIVES,
     default_population,
-    flow_config,
     run_search,
     space_for_method,
 )
@@ -61,11 +60,7 @@ DEFAULTS = {
         "anomalies": "spike", "n_anomalies": 3, "anomaly_magnitude": float("nan"),
         "anomaly_length": 20,
     },
-    "flow": {
-        "coupling_layers": FlowConfig.n_layers,
-        **{ConditionerConfig.KEY_PREFIX + name: value
-           for name, value in field_defaults(ConditionerConfig).items()},
-    },
+    "flow": field_defaults(FlowConfig),
     "encoder": field_defaults(EncoderConfig, skip=("kind",)),
     "train": field_defaults(TrainConfig, skip=("seed",)),
     "search": {
@@ -82,8 +77,7 @@ RANGES = {
     "generate": {"n_steps": (dt.MIN_STEPS, np.inf), "n_channels": (dt.MIN_CHANNELS, np.inf),
                  "noise": (0, sys.float_info.max), "n_anomalies": (0, np.inf),
                  "anomaly_length": (1, np.inf)},
-    "flow": FlowConfig.RANGES | {ConditionerConfig.KEY_PREFIX + name: bounds
-                                 for name, bounds in ConditionerConfig.RANGES.items()},
+    "flow": FlowConfig.RANGES,
     "encoder": EncoderConfig.RANGES,
     "train": TrainConfig.RANGES,
     "search": dict.fromkeys(("candidate_epochs", "final_epochs", "lookback_max"), (1, np.inf)),
@@ -134,9 +128,6 @@ class RunConfig:
 
     def encoder_config(self, method: str) -> EncoderConfig:
         return EncoderConfig(kind=METHOD_ENCODERS[method], **self.values["encoder"])
-
-    def flow_config(self) -> FlowConfig:
-        return flow_config(self.values["flow"])
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(seed=self.values["run"]["seed"], **self.values["train"])
@@ -236,7 +227,7 @@ def cmd_train(args, cfg: RunConfig, out: Path) -> None:
     ds = dt.load_csv(args.data)
     encoder_cfg = cfg.encoder_config(method)
     model, report = train_model(
-        ds, encoder_cfg, cfg.flow_config(), cfg.train_config(),
+        ds, encoder_cfg, FlowConfig(**cfg.values["flow"]), cfg.train_config(),
         model_id=f"{method}-seed{cfg.values['run']['seed']}",
     )
     save_model(model, out / "model.tcf")

@@ -6,7 +6,8 @@ from a small fully connected net fed with the untouched half concatenated
 with a per-timestep context vector. The raw scale is squashed through tanh
 and multiplied by a learnable per-feature cap, so ``exp(s)`` can never
 overflow. Halves are swapped between consecutive layers so every channel
-gets transformed.
+gets transformed. ``FlowConfig`` holds the stack's five hyperparameters,
+each under one name: its field, its ``[flow]`` config key and its search row.
 
 The detector runs only the data-to-base direction: ``CouplingLayer.inverse``
 is one fused node per layer, and ``FlowModel.latent_nodes``, the one entry,
@@ -22,7 +23,7 @@ encoders' too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import accumulate, chain
 from typing import ClassVar
 
@@ -32,7 +33,7 @@ from . import diffcore as dc
 from .diffcore import Node, Parameter
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
-TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}  # any other: its class
+TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}  # every default's type
 
 
 class FlowNanError(FloatingPointError):
@@ -47,59 +48,48 @@ def field_defaults(cls, skip=()) -> dict:
     return {f.name: f.default for f in fields(cls) if f.name not in skip}
 
 
-def check_values(values: dict, defaults: dict, ranges: dict, key_prefix: str = "") -> None:
+def check_values(values: dict, defaults: dict, ranges: dict) -> None:
     """Reject the first entry of ``values`` not of its default's type (a bool is
     no number; an int and ``np.float64`` pass for a float) or outside its
-    inclusive ``ranges`` (NaN is outside every range), named by ``key_prefix``."""
+    inclusive ``ranges`` (NaN is outside every range), named by its key."""
     for name, value in values.items():
         kind = type(defaults[name])
         if not (isinstance(value, kind) and type(value) is not bool
                 or kind is float and type(value) is int):
-            raise TypeError(f"{key_prefix}{name} {value!r} is not "
-                            f"{TYPE_NAMES.get(kind, 'a ' + kind.__name__)}")
+            raise TypeError(f"{name} {value!r} is not {TYPE_NAMES[kind]}")
         if name in ranges:
             lower, upper = ranges[name]
             if not lower <= value <= upper:
-                raise ValueError(f"{key_prefix}{name} out of range [{lower}, {upper}]: {value}")
-
-
-@dataclass
-class ConditionerConfig:
-    """Hyperparameters of the per-layer scale/shift network.
-
-    ``RANGES`` bounds each field, inclusively; the search space searches the
-    same ranges. Each field's config key and search row is ``KEY_PREFIX``
-    plus its name.
-    """
-
-    multiplier: int = 4
-    layers: int = 3
-    dropout: float = 0.1
-    funnel: float = 1.5
-
-    KEY_PREFIX: ClassVar[str] = "cond_"
-    RANGES: ClassVar[dict[str, tuple]] = {
-        "multiplier": (1, 50),
-        "layers": (3, 8),
-        "dropout": (0.1, 0.9),
-        "funnel": (1.0, 10.0),
-    }
-
-    def __post_init__(self):
-        check_values(vars(self), field_defaults(ConditionerConfig), self.RANGES, self.KEY_PREFIX)
+                raise ValueError(f"{name} out of range [{lower}, {upper}]: {value}")
 
 
 @dataclass
 class FlowConfig:
-    n_layers: int = 4
-    conditioner: ConditionerConfig = field(default_factory=ConditionerConfig)
+    """Hyperparameters of the coupling stack: its layer count, then the
+    per-layer scale/shift network's width multiplier, hidden layer count,
+    dropout rate and funnel (the factor by which each hidden layer narrows).
 
-    RANGES: ClassVar[dict[str, tuple]] = {"coupling_layers": (1, math.inf)}  # n_layers' key
+    Each field is its ``[flow]`` config key and, where its range is finite,
+    its search row. ``RANGES`` bounds each field, inclusively; the search
+    space searches the same ranges.
+    """
+
+    coupling_layers: int = 4
+    cond_multiplier: int = 4
+    cond_layers: int = 3
+    cond_dropout: float = 0.1
+    cond_funnel: float = 1.5
+
+    RANGES: ClassVar[dict[str, tuple]] = {
+        "coupling_layers": (1, math.inf),
+        "cond_multiplier": (1, 50),
+        "cond_layers": (3, 8),
+        "cond_dropout": (0.1, 0.9),
+        "cond_funnel": (1.0, 10.0),
+    }
 
     def __post_init__(self):
-        check_values({"coupling_layers": self.n_layers, "conditioner": self.conditioner},
-                     {"coupling_layers": FlowConfig.n_layers, "conditioner": ConditionerConfig()},
-                     self.RANGES)
+        check_values(vars(self), field_defaults(FlowConfig), self.RANGES)
 
 
 def gaussian_log_density(u) -> np.ndarray:
@@ -123,35 +113,33 @@ def dense(rng: np.random.Generator, fan_in: int, fan_out: int, name: str,
             Parameter(np.zeros(fan_out), f"{name}.b"))
 
 
-def _hidden_widths(cfg: ConditionerConfig, dim: int) -> list[int]:
+def _hidden_widths(cfg: FlowConfig, dim: int) -> list[int]:
     widths = []
-    width = float(cfg.multiplier * dim)
-    for _ in range(cfg.layers):
+    width = float(cfg.cond_multiplier * dim)
+    for _ in range(cfg.cond_layers):
         widths.append(max(2, int(width)))
-        width = width / cfg.funnel
+        width = width / cfg.cond_funnel
     return widths
 
 
 class CouplingLayer:
-    """One affine coupling step over ``dim`` channels with context input."""
+    """One affine coupling step over an even ``dim`` of channels with context
+    input; ``cfg``'s ``cond_*`` fields shape its scale/shift network."""
 
-    def __init__(self, dim: int, context_dim: int, cfg: ConditionerConfig,
+    def __init__(self, dim: int, context_dim: int, cfg: FlowConfig,
                  rng: np.random.Generator, name: str):
         self.dim = dim
-        self.split = dim // 2
         self.context_dim = context_dim
-        self.cfg = cfg
-        out_half = dim - self.split
-        in_dim = self.split + context_dim
+        half = dim // 2
         self.hidden: list[tuple[Parameter, Parameter]] = []
-        prev = in_dim
+        prev = half + context_dim
         for j, width in enumerate(_hidden_widths(cfg, dim)):
             self.hidden.append(dense(rng, prev, width, f"{name}.h{j}"))
             prev = width
         # zero head: the layer starts as the identity transform
-        self.head_w = Parameter(np.zeros((prev, 2 * out_half)), f"{name}.head.w")
-        self.head_b = Parameter(np.zeros(2 * out_half), f"{name}.head.b")
-        self.scale_cap = Parameter(np.ones(out_half), f"{name}.scale_cap")
+        self.head_w = Parameter(np.zeros((prev, dim)), f"{name}.head.w")
+        self.head_b = Parameter(np.zeros(dim), f"{name}.head.b")
+        self.scale_cap = Parameter(np.ones(half), f"{name}.scale_cap")
 
     def parameters(self) -> list[Parameter]:
         return [*chain(*self.hidden), self.head_w, self.head_b, self.scale_cap]
@@ -176,7 +164,8 @@ class CouplingLayer:
 
 
 class FlowModel:
-    """Stack of coupling layers with one shared context encoder.
+    """Stack of ``config.coupling_layers`` coupling layers with one shared
+    context encoder.
 
     The encoder (a ``conditioners.Encoder``, whose ``split`` and ``batches``
     pair rows with contexts; the base ``Encoder`` for the unconditioned flow)
@@ -197,8 +186,8 @@ class FlowModel:
         self.model_id = model_id
         self.norm_stats = None
         self.layers = [
-            CouplingLayer(dim, encoder.context_dim, config.conditioner, rng, f"layer{i}")
-            for i in range(config.n_layers)
+            CouplingLayer(dim, encoder.context_dim, config, rng, f"layer{i}")
+            for i in range(config.coupling_layers)
         ]
 
     def require_norm_stats(self) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +235,7 @@ class FlowModel:
         (batch, width) view per hidden layer of a single ``rng.random`` draw
         over all of them, kept where the draw is >= the rate and scaled by
         1/(1 - rate)."""
-        rate = self.config.conditioner.dropout
+        rate = self.config.cond_dropout
         widths = [w.value.shape[1] for w, _ in self.layers[0].hidden]
         masks = rng.random(len(self.layers) * batch * sum(widths))
         # the kept flags as 1.0 and 0.0, written over the draw

@@ -39,7 +39,7 @@ import numpy as np
 
 from .conditioners import ENCODERS, EncoderConfig
 from .data import DataError, TimeSeriesDataset, write_table
-from .flow import ConditionerConfig, FlowConfig
+from .flow import FlowConfig
 from .metrics import auc_roc, combined_objective, infer_metric_window, vus_roc
 from .score import score_series
 from .train import TrainConfig, train_model
@@ -95,14 +95,16 @@ def _encoder_rows(method: str) -> dict[str, str]:
 
 
 def space_for_method(method: str, lookback_max: int) -> list[ParamSpec]:
-    """Bounded hyperparameter rows for one method: the coupling layers, the
-    conditioner's ranged fields, the lookback if the encoder reads one, and
-    the encoder's fields with a finite range."""
+    """Bounded hyperparameter rows for one method: the coupling layers over
+    3..20, each ``FlowConfig`` field with a finite range, the lookback if the
+    encoder reads one, and the encoder's fields with a finite range. A row
+    of a config field is named by the field, an encoder row as
+    ``_encoder_rows`` names it."""
     if method not in METHOD_ENCODERS:
         raise ValueError(f"unknown method {method!r}")
     rows = [ParamSpec("coupling_layers", 3, 20, "int")]
-    rows += [_ranged_row(ConditionerConfig, attr, ConditionerConfig.KEY_PREFIX + attr)
-             for attr in ConditionerConfig.RANGES]
+    rows += [_ranged_row(FlowConfig, attr, attr)
+             for attr, (_, upper) in FlowConfig.RANGES.items() if math.isfinite(upper)]
     if "lookback" in ENCODERS[METHOD_ENCODERS[method]].reads:
         rows.append(ParamSpec("lookback", 1, lookback_max, "int"))
     rows += [_ranged_row(EncoderConfig, attr, name) for name, attr in _encoder_rows(method).items()]
@@ -122,22 +124,15 @@ def decode(vector: np.ndarray, space: list[ParamSpec]) -> dict:
     return out
 
 
-def flow_config(params: dict) -> FlowConfig:
-    """The flow from the flat ``coupling_layers`` and ``cond_*`` keys, as
-    named in the search space and in the ``[flow]`` config section."""
-    cond = ConditionerConfig(**{f.name: params[ConditionerConfig.KEY_PREFIX + f.name]
-                                for f in fields(ConditionerConfig)})
-    return FlowConfig(params["coupling_layers"], cond)
-
-
 def configs_from_params(method: str, params: dict,
                         encoder_cfg: EncoderConfig) -> tuple[EncoderConfig, FlowConfig]:
     """The configs of one trial's decoded ``params``: ``encoder_cfg`` with the
-    method's kind and the searched lookback (else 1) and encoder fields."""
+    method's kind and the searched lookback (else 1) and encoder fields, and
+    the flow of the ``FlowConfig`` fields, read by name."""
     enc_kwargs = {attr: params[name] for name, attr in _encoder_rows(method).items()}
     encoder_cfg = replace(encoder_cfg, kind=METHOD_ENCODERS[method],
                           lookback=params.get("lookback", 1), **enc_kwargs)
-    return encoder_cfg, flow_config(params)
+    return encoder_cfg, FlowConfig(**{f.name: params[f.name] for f in fields(FlowConfig)})
 
 
 # -- CMA-ES --------------------------------------------------------------------

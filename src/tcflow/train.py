@@ -24,7 +24,7 @@ import numpy as np
 from . import diffcore as dc
 from .conditioners import ENCODERS, EncoderConfig, build_encoder
 from .data import TimeSeriesDataset, prepare, write_table
-from .flow import ConditionerConfig, FlowConfig, FlowModel, check_values, field_defaults, nll_loss
+from .flow import FlowConfig, FlowModel, check_values, field_defaults, nll_loss
 
 MODEL_MAGIC = b"TCFLOW\x00\x01"
 FORMAT_VERSION = 1
@@ -177,11 +177,11 @@ def train_model(
     """Fit ``data.prepare`` on the raw ``ds`` and minimize the mean NLL on its
     normalized training split; returns the model, carrying those statistics
     and the best-validation-epoch parameters, plus the loss history. A
-    series the encoder kind cannot split raises ``DataError`` before the
-    model is built (``Encoder.check_split``). The validation loss is
-    computed under ``dc.no_grad``."""
-    values, stats = prepare(ds)
+    series the encoder kind cannot split, an empty one included, raises
+    ``DataError`` before anything else (``Encoder.check_split``). The
+    validation loss is computed under ``dc.no_grad``."""
     ENCODERS[encoder_cfg.kind].check_split(ds.n_steps, encoder_cfg)
+    values, stats = prepare(ds)
     rng = np.random.default_rng(train_cfg.seed)
     model = build_model(values.shape[1], encoder_cfg, flow_cfg, rng, model_id=model_id)
     model.norm_stats = stats
@@ -228,14 +228,19 @@ def _mean_loss(model, values, batches, rng, adam=None, cfg=None) -> float:
 
 
 def save_model(model: FlowModel, path) -> None:
-    """Versioned binary container; the parameter round trip is bit-exact."""
+    """Versioned binary container; the parameter round trip is bit-exact.
+
+    The header keeps format version 1's names for the flow: ``n_layers`` for
+    ``coupling_layers``, and the ``cond_*`` fields without their prefix in
+    one ``conditioner`` object."""
     params = model.parameters()
+    flow = asdict(model.config)
     header = {
         "format_version": FORMAT_VERSION,
         "model_id": model.model_id,
         "dim": model.dim,
-        "n_layers": model.config.n_layers,
-        "conditioner": asdict(model.config.conditioner),
+        "n_layers": flow.pop("coupling_layers"),
+        "conditioner": {name.removeprefix("cond_"): value for name, value in flow.items()},
         "encoder": asdict(model.encoder.cfg),
         "norm_stats": [list(map(float, s)) for s in model.require_norm_stats()],
         "params": [{"name": p.name, "shape": list(p.value.shape)} for p in params],
@@ -281,9 +286,14 @@ def load_model(path) -> FlowModel:
             check_values({"norm_stats entry": value}, {"norm_stats entry": 0.0}, {})
         if header["dim"] != stats.shape[1] + stats.shape[1] % 2:  # prepare pads to even
             raise ValueError(f"dim {header['dim']} does not fit {stats.shape[1]} norm_stats channels")
-        model = build_model(header["dim"], EncoderConfig(**header["encoder"]),
-                            FlowConfig(header["n_layers"], ConditionerConfig(**header["conditioner"])),
-                            np.random.default_rng(0), model_id=header["model_id"])
+        encoder_cfg = EncoderConfig(**header["encoder"])
+        conditioner = header["conditioner"]
+        if type(conditioner) is not dict:
+            raise TypeError(f"conditioner {conditioner!r} is not an object")
+        flow_cfg = FlowConfig(header["n_layers"],
+                              **{"cond_" + name: value for name, value in conditioner.items()})
+        model = build_model(header["dim"], encoder_cfg, flow_cfg, np.random.default_rng(0),
+                            model_id=header["model_id"])
         declared = [(entry["name"], entry["shape"]) for entry in header["params"]]
     except KeyError as exc:
         raise SerializationError(f"{path}: header lacks key {exc.args[0]!r}") from None

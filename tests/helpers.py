@@ -6,7 +6,7 @@ from tcflow import diffcore as dc
 from tcflow import metrics as mx
 from tcflow.conditioners import EncoderConfig, build_encoder
 from tcflow.data import DataError, label_runs
-from tcflow.flow import ConditionerConfig, FlowConfig, FlowModel
+from tcflow.flow import FlowConfig, FlowModel
 from tcflow.hyperopt import CmaEs, _openblas_threads_function
 from tcflow.metrics import precision_recall_f1
 
@@ -56,9 +56,9 @@ def range_labels(labels, width: int) -> np.ndarray:
     return mx._buffer_weights(mx._distance_to_true(labels), width)
 
 
-def small_flow(dim=2, n_layers=2, context_dim=0, seed=0, multiplier=2,
+def small_flow(dim=2, coupling_layers=2, context_dim=0, seed=0, multiplier=2,
                cond_layers=3, dropout=0.1, funnel=1.5, encoder=None):
-    cfg = FlowConfig(n_layers, ConditionerConfig(multiplier, cond_layers, dropout, funnel))
+    cfg = FlowConfig(coupling_layers, multiplier, cond_layers, dropout, funnel)
     if encoder is None:
         encoder = (_FixedDimEncoder(context_dim) if context_dim > 0
                    else build_encoder(EncoderConfig("none"), dim, np.random.default_rng(seed)))
@@ -75,11 +75,11 @@ class _FixedDimEncoder:
         return []
 
 
-def build_model_with_encoder(dim, n_layers, encoder_cfg: EncoderConfig, seed=0,
+def build_model_with_encoder(dim, coupling_layers, encoder_cfg: EncoderConfig, seed=0,
                              multiplier=2, cond_layers=3):
     rng = np.random.default_rng(seed)
     encoder = build_encoder(encoder_cfg, dim, rng)
-    cfg = FlowConfig(n_layers, ConditionerConfig(multiplier, cond_layers, 0.1, 1.5))
+    cfg = FlowConfig(coupling_layers, multiplier, cond_layers, 0.1, 1.5)
     return FlowModel(dim, cfg, encoder, rng)
 
 
@@ -92,7 +92,7 @@ def randomize_model(model, rng, scale=0.4):
 
 def force_affine(layer, log_scale, shift):
     """Pin a coupling layer to constant (log_scale, shift) regardless of input."""
-    half = layer.dim - layer.split
+    half = layer.dim // 2
     for w, b in layer.hidden:
         w.value[:] = 0.0
         b.value[:] = 0.0
@@ -120,18 +120,19 @@ def latent(model, points, context=None):
     return latent_node.value, log_det.value
 
 
-def composed_scale_shift(layer, untouched, context, rng=None):
+def composed_scale_shift(layer, untouched, context, rng=None, rate=0.0):
     """Reference conditioner net of a coupling layer, built from diffcore
     primitives: ``(log_scale, shift)`` nodes for the untouched half and the
-    context, with one dropout draw per hidden layer when ``rng`` is given."""
+    context, with one dropout draw at ``rate`` per hidden layer when ``rng``
+    is given."""
     h = untouched if context is None else dc.concat([untouched, context], axis=1)
     for w, b in layer.hidden:
         h = dc.tanh(dc.add(dc.matmul(h, w), b))
-        h = dc.dropout(h, layer.cfg.dropout, rng)
+        h = dc.dropout(h, rate, rng)
     raw = dc.add(dc.matmul(h, layer.head_w), layer.head_b)
-    out_half = layer.dim - layer.split
-    log_scale = dc.mul(layer.scale_cap, dc.tanh(raw[:, :out_half]))
-    return log_scale, raw[:, out_half:]
+    half = layer.dim // 2
+    log_scale = dc.mul(layer.scale_cap, dc.tanh(raw[:, :half]))
+    return log_scale, raw[:, half:]
 
 
 def composed_forward(layer, u, context):
@@ -143,20 +144,21 @@ def composed_forward(layer, u, context):
     got_ctx = 0 if context is None else context.value.shape[1]
     if got_ctx != layer.context_dim:
         raise dc.ShapeError("coupling context", (got_ctx,), (layer.context_dim,))
-    u1 = u[:, : layer.split]
-    u2 = u[:, layer.split :]
+    u1 = u[:, : layer.dim // 2]
+    u2 = u[:, layer.dim // 2 :]
     log_scale, shift = composed_scale_shift(layer, u1, context)
     x2 = dc.add(dc.mul(u2, dc.exp(log_scale)), shift)
     return dc.concat([u1, x2], axis=1), dc.sum_(log_scale, axis=1)
 
 
-def composed_inverse(layer, x, context, rng=None):
+def composed_inverse(layer, x, context, rng=None, rate=0.0):
     """Reference coupling inverse built from diffcore primitives: returns
     ``([x1 | u2], per-row log-det)`` as graph nodes, the composition that
-    ``dc.coupling_inverse`` fuses into one node."""
-    x1 = x[:, : layer.split]
-    x2 = x[:, layer.split :]
-    log_scale, shift = composed_scale_shift(layer, x1, context, rng)
+    ``dc.coupling_inverse`` fuses into one node; dropout as
+    ``composed_scale_shift``."""
+    x1 = x[:, : layer.dim // 2]
+    x2 = x[:, layer.dim // 2 :]
+    log_scale, shift = composed_scale_shift(layer, x1, context, rng, rate)
     u2 = dc.mul(dc.sub(x2, shift), dc.exp(dc.neg(log_scale)))
     return dc.concat([x1, u2], axis=1), dc.neg(dc.sum_(log_scale, axis=1))
 
@@ -168,7 +170,7 @@ def composed_latent(model, points, context=None, rng=None):
     ctx = context_node(context)
     total = None
     for i in reversed(range(len(model.layers))):
-        x, log_det = composed_inverse(model.layers[i], x, ctx, rng)
+        x, log_det = composed_inverse(model.layers[i], x, ctx, rng, model.config.cond_dropout)
         total = log_det if total is None else dc.add(total, log_det)
         if i > 0:
             half = model.dim // 2
@@ -321,6 +323,44 @@ def finite_diff_check(build_loss, params, epsilon=1e-5):
             err = abs(a - numeric) / (abs(a) + abs(numeric) + 1e-12)
             worst = max(worst, err)
     return worst
+
+
+def gaussian_entropy(cov):
+    """Differential entropy of a Gaussian of covariance ``cov``,
+    1/2 log det(2 pi e cov), in nats."""
+    return 0.5 * np.linalg.slogdet(2.0 * np.pi * np.e * np.asarray(cov, dtype=float))[1]
+
+
+class GaussianVar1:
+    """The stable Gaussian VAR(1) ``x_t = a x_{t-1} + e_t``, ``e_t ~ N(0, sigma)``.
+
+    Its conditional density given the previous step is N(a x_{t-1}, sigma),
+    of entropy ``conditional_entropy``. Its stationary law is N(0, P), of
+    entropy ``stationary_entropy``, where P solves the discrete Lyapunov
+    equation P = a P a^T + sigma.
+    """
+
+    def __init__(self, a, sigma):
+        self.a = np.asarray(a, dtype=float)
+        self.sigma = np.asarray(sigma, dtype=float)
+        if np.abs(np.linalg.eigvals(self.a)).max() >= 1.0:
+            raise ValueError("VAR(1) is not stable: a has an eigenvalue of modulus >= 1")
+        dim = len(self.a)
+        # vec(a P a^T) = (a kron a) vec(P), so vec(P) = (I - a kron a)^-1 vec(sigma)
+        self.stationary_cov = np.linalg.solve(np.eye(dim * dim) - np.kron(self.a, self.a),
+                                              self.sigma.reshape(-1)).reshape(dim, dim)
+        self.conditional_entropy = gaussian_entropy(self.sigma)
+        self.stationary_entropy = gaussian_entropy(self.stationary_cov)
+
+    def sample(self, n_steps, seed):
+        """(n_steps, dim) values, the first drawn from the stationary law."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n_steps, len(self.a)))
+        x[0] = np.linalg.cholesky(self.stationary_cov) @ x[0]
+        x[1:] = x[1:] @ np.linalg.cholesky(self.sigma).T
+        for t in range(1, n_steps):
+            x[t] += self.a @ x[t - 1]
+        return x
 
 
 def minimize(func, n, budget, seed=0):

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 from helpers import (
+    GaussianVar1,
     auc_pairwise_oracle,
     composed_forward,
     finite_diff_check,
@@ -25,7 +26,7 @@ from tcflow import data as dt
 from tcflow import diffcore as dc
 from tcflow import metrics as mx
 from tcflow.conditioners import KINDS, EncoderConfig, build_encoder, padded_context_windows
-from tcflow.flow import ConditionerConfig, FlowConfig, nll_loss
+from tcflow.flow import FlowConfig, nll_loss
 from tcflow.hyperopt import CmaEs, run_search
 from tcflow.score import score_series
 from tcflow.train import TrainConfig, load_model, save_model, train_model
@@ -68,7 +69,7 @@ def test_a01_invertibility():
     for dim in (2, 4, 8):
         rng = np.random.default_rng(dim)
         for trial in range(100):
-            model = small_flow(dim=dim, n_layers=3, context_dim=4,
+            model = small_flow(dim=dim, coupling_layers=3, context_dim=4,
                                seed=int(rng.integers(1 << 30)))
             randomize_model(model, rng)
             u = rng.normal(size=(1, dim))
@@ -94,7 +95,7 @@ def test_a02_gradient_correctness():
     def check_full_loss(tag, encoder_cfg, lookback):
         enc_rng = np.random.default_rng(1)
         encoder = build_encoder(encoder_cfg, 2, enc_rng)
-        cfg = FlowConfig(2, ConditionerConfig(1, 3, 0.1, 1.5))
+        cfg = FlowConfig(2, 1, 3, 0.1, 1.5)
         from tcflow.flow import FlowModel
 
         model = FlowModel(2, cfg, encoder, enc_rng)
@@ -122,7 +123,7 @@ def test_a02_gradient_correctness():
                              2, np.random.default_rng(2))
     from tcflow.flow import FlowModel
 
-    model = FlowModel(2, FlowConfig(2, ConditionerConfig(1, 3, 0.1, 1.5)),
+    model = FlowModel(2, FlowConfig(2, 1, 3, 0.1, 1.5),
                       stateful, np.random.default_rng(3))
     randomize_model(model, rng, scale=0.3)
     stream = rng.normal(size=(5, 2))
@@ -151,7 +152,7 @@ def test_a03_density_sanity():
     details = []
     for dim in (2, 4):
         rng = np.random.default_rng(dim)
-        model = small_flow(dim=dim, n_layers=3)
+        model = small_flow(dim=dim, coupling_layers=3)
         draws = rng.standard_normal((10_000, dim))
         nll = -log_prob(model, draws)
         target = dim / 2.0 * math.log(2.0 * math.pi * math.e)
@@ -167,7 +168,7 @@ def test_a04_learned_density_normalizes():
     ds = dt.generate_synthetic("sine", 800, 2, noise=0.2, seed=0)
     model, _ = train_model(
         ds, EncoderConfig("passthrough", lookback=4),
-        FlowConfig(2, ConditionerConfig(2, 3, 0.1, 1.5)),
+        FlowConfig(2, 2, 3, 0.1, 1.5),
         TrainConfig(epochs=8, batch_size=128, learning_rate=3e-3, seed=0))
     context = model.encoder.encode_batch(
         padded_context_windows(dt.prepare(ds, model.norm_stats)[0], 4)[300][None]).value[0]
@@ -315,3 +316,36 @@ def test_a10_reproducibility(tmp_path):
             for name in ("scores.csv", "trials.csv", "model.tcf")}
     report("reproducibility", all(same.values()),
            ", ".join(f"{k} identical={v}" for k, v in same.items()))
+
+
+def test_a11_known_answer_densities():
+    # a trained model's mean NLL on a long fresh series, in raw units,
+    # against the process's analytic entropies: the unconditioned flow can
+    # reach only the stationary one, a conditioned flow the conditional one,
+    # 1.10 nats lower; bounds set from seeds 0-7 (spreads in CHANGES.md)
+    eps_stationary, eps_conditional = 0.03, 0.06
+    start = time.perf_counter()
+    process = GaussianVar1([[0.8, 0.2], [-0.3, 0.6]], [[1.0, 0.5], [0.5, 0.8]])
+    assert np.allclose(process.stationary_cov, process.a @ process.stationary_cov @ process.a.T
+                       + process.sigma)
+    train = dt.TimeSeriesDataset(process.sample(8000, seed=0))
+    test = dt.TimeSeriesDataset(process.sample(100_000, seed=1))
+    ok, details = True, []
+    for method, encoder_cfg, target, eps in (
+            ("realnvp", EncoderConfig("none", lookback=2), process.stationary_entropy,
+             eps_stationary),
+            ("tcnf-base", EncoderConfig("passthrough", lookback=1), process.conditional_entropy,
+             eps_conditional),
+            ("tcnf-cnn", EncoderConfig("cnn", lookback=2), process.conditional_entropy,
+             eps_conditional)):
+        model, _ = train_model(train, encoder_cfg, FlowConfig(),
+                               TrainConfig(epochs=60, learning_rate=3e-3, seed=0))
+        lo, hi = model.norm_stats
+        # the scores are NLLs of the values mapped by 2 / span into [-1, 1];
+        # the first lookback rows have a padded context
+        nll = (score_series(model, test).scores[encoder_cfg.lookback :].mean()
+               - np.log(2.0 / (hi - lo)).sum())
+        ok &= abs(nll - target) <= eps
+        details.append(f"{method}: {nll:.4f} vs {target:.4f} (eps {eps})")
+    elapsed = time.perf_counter() - start
+    report("known-answer-densities", ok and elapsed < 30.0, "; ".join(details) + f", {elapsed:.1f}s")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from tcflow import cli
 from tcflow import data as dt
 from tcflow.cli import DEFAULTS, RunConfig, build_parser, main
+from tcflow.flow import FlowConfig
 
 
 def run_cli(*argv):
@@ -130,7 +131,6 @@ class TestLibraryChainEqualsCli:
 
     def test_scores_and_latents_are_bit_identical(self, tmp_path):
         from tcflow.conditioners import EncoderConfig
-        from tcflow.flow import ConditionerConfig, FlowConfig
         from tcflow.score import export_latent, load_score_csv, score_series
         from tcflow.train import TrainConfig, train_model
 
@@ -150,7 +150,7 @@ class TestLibraryChainEqualsCli:
 
         model, _ = train_model(
             dt.load_csv(gen / "train_clean.csv"), EncoderConfig("passthrough", lookback=3),
-            FlowConfig(2, ConditionerConfig(multiplier=2)),
+            FlowConfig(2, cond_multiplier=2),
             TrainConfig(epochs=2, batch_size=64, seed=4))
         test = dt.load_csv(test_csv, has_labels=True)
         assert model.dim == 4
@@ -669,7 +669,7 @@ class TestConfigCheck:
                 cfg = cli._build_config(argparse.Namespace(config=str(path)))
                 for method in cli.METHODS:
                     cfg.encoder_config(method)
-                cfg.flow_config()
+                FlowConfig(**cfg.values["flow"])
                 cfg.train_config()
             except cli.CliError as exc:
                 assert f"[{section}] {key}" in str(exc)
@@ -709,7 +709,7 @@ def test_readme_configuration_table_matches_defaults_and_bounds():
 # Settable values of src/ as tools/settable_values.py counts them: defaulted
 # parameters, defaulted dataclass fields and config keys. A change that adds
 # or removes a knob edits this number on purpose.
-SETTABLE_VALUES = 107
+SETTABLE_VALUES = 105
 
 
 def test_settable_value_count_is_the_recorded_one():

@@ -27,7 +27,7 @@ from tcflow.conditioners import (
     build_encoder,
     padded_context_windows,
 )
-from tcflow.flow import ConditionerConfig, FlowConfig, nll_loss
+from tcflow.flow import FlowConfig, nll_loss
 from tcflow.train import TrainConfig
 
 
@@ -585,10 +585,11 @@ class TestConfigValidation:
 
     # every ranged field: (config, fixed kwargs, field, its INI key, lower, upper)
     RANGED_FIELDS = [
-        (ConditionerConfig, {}, "multiplier", "cond_multiplier", 1, 50),
-        (ConditionerConfig, {}, "layers", "cond_layers", 3, 8),
-        (ConditionerConfig, {}, "dropout", "cond_dropout", 0.1, 0.9),
-        (ConditionerConfig, {}, "funnel", "cond_funnel", 1.0, 10.0),
+        (FlowConfig, {}, "coupling_layers", "coupling_layers", 1, math.inf),
+        (FlowConfig, {}, "cond_multiplier", "cond_multiplier", 1, 50),
+        (FlowConfig, {}, "cond_layers", "cond_layers", 3, 8),
+        (FlowConfig, {}, "cond_dropout", "cond_dropout", 0.1, 0.9),
+        (FlowConfig, {}, "cond_funnel", "cond_funnel", 1.0, 10.0),
         (EncoderConfig, {"kind": "passthrough"}, "lookback", "lookback", 1, math.inf),
         (EncoderConfig, {"kind": "mlp"}, "mlp_layers", "mlp_layers", 3, 20),
         (EncoderConfig, {"kind": "mlp"}, "mlp_compression", "mlp_compression", 1, 20),
@@ -601,7 +602,6 @@ class TestConfigValidation:
         (EncoderConfig, {"kind": "lstm-stateful"}, "lstm_hidden", "lstm_hidden", 0, math.inf),
         (EncoderConfig, {"kind": "mlp"}, "dropout", "dropout", 0.1, 0.9),
         (EncoderConfig, {"kind": "cnn"}, "dropout", "dropout", 0.1, 0.9),
-        (FlowConfig, {}, "n_layers", "coupling_layers", 1, math.inf),
         # positive and finite: 0.0 and inf are the values just outside
         (TrainConfig, {}, "learning_rate", "learning_rate", math.ulp(0.0), sys.float_info.max),
     ]
@@ -640,10 +640,9 @@ class TestConfigValidation:
         (EncoderConfig, {"kind": "none", "lstm_hidden": 4.0}, "lstm_hidden 4.0 is not an integer"),
         # the type is checked before the kind
         (EncoderConfig, {"kind": 1}, "kind 1 is not a string"),
-        (ConditionerConfig, {"dropout": "0.2"}, "cond_dropout '0.2' is not a number"),
-        (ConditionerConfig, {"layers": 3.0}, "cond_layers 3.0 is not an integer"),
-        (FlowConfig, {"n_layers": 4.0}, "coupling_layers 4.0 is not an integer"),
-        (FlowConfig, {"conditioner": {}}, "conditioner {} is not a ConditionerConfig"),
+        (FlowConfig, {"cond_dropout": "0.2"}, "cond_dropout '0.2' is not a number"),
+        (FlowConfig, {"cond_layers": 3.0}, "cond_layers 3.0 is not an integer"),
+        (FlowConfig, {"coupling_layers": 4.0}, "coupling_layers 4.0 is not an integer"),
     ])
     def test_wrong_type_rejected_naming_the_key(self, cls, kwargs, message):
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
@@ -651,7 +650,7 @@ class TestConfigValidation:
 
     def test_an_integer_or_a_numpy_float_passes_for_a_float(self):
         assert TrainConfig(clip_norm=1).clip_norm == 1
-        assert ConditionerConfig(funnel=np.float64(2.5)).funnel == 2.5
+        assert FlowConfig(cond_funnel=np.float64(2.5)).cond_funnel == 2.5
         assert EncoderConfig("mlp", dropout=np.float64(0.5)).dropout == 0.5
 
     def test_none_kind_builds_empty_encoder(self):

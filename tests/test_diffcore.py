@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcflow import diffcore as dc
-from tcflow.flow import ConditionerConfig, CouplingLayer
+from tcflow.flow import CouplingLayer, FlowConfig
 
 
 def test_tanh_of_zero_is_zero():
@@ -370,7 +370,7 @@ def _every_op():
     a, b, m, positive = param(3, 4), param(3, 4), param(4, 2), dc.exp(param(3, 4))
     x, kernel, bias = param(2, 6, 3), param(3, 3, 4), param(4)
     steps, state, w_lstm, b_lstm = param(5, 2, 3), param(2, 8), param(7, 16), param(16)
-    layer = CouplingLayer(4, 3, ConditionerConfig(), rng, "layer")
+    layer = CouplingLayer(4, 3, FlowConfig(), rng, "layer")
     for p in layer.parameters():
         p.value = rng.normal(0.0, 0.3, p.value.shape)
     points, context = param(6, 5), param(6, 3)

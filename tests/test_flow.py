@@ -40,41 +40,41 @@ def chained(points):
 
 class TestCouplingLayer:
     def test_fresh_layer_is_identity(self):
-        model = small_flow(dim=4, n_layers=1)
+        model = small_flow(dim=4, coupling_layers=1)
         u = np.array([[0.3, -0.2, 1.1, 0.0]])
         x, logdet = composed_forward(model.layers[0], as_node(u), None)
         np.testing.assert_allclose(x.value, u)
         np.testing.assert_allclose(logdet.value, [0.0])
 
     def test_hand_evaluated_scale_and_shift(self):
-        model = small_flow(dim=2, n_layers=1)
+        model = small_flow(dim=2, coupling_layers=1)
         force_affine(model.layers[0], LN2, 1.0)
         x, logdet = composed_forward(model.layers[0], as_node([0.0, 1.0]), None)
         np.testing.assert_allclose(x.value, [[0.0, 3.0]], atol=1e-12)
         np.testing.assert_allclose(logdet.value, [LN2], atol=1e-12)
 
     def test_symmetric_scales_cancel_in_logdet(self):
-        model = small_flow(dim=4, n_layers=1)
+        model = small_flow(dim=4, coupling_layers=1)
         force_affine(model.layers[0], [0.5, -0.5], [0.0, 0.0])
         _, logdet = composed_forward(model.layers[0], as_node([1.0, 2.0, 3.0, 4.0]), None)
         np.testing.assert_allclose(logdet.value, [0.0], atol=1e-12)
 
     def test_inverse_of_hand_example(self):
-        model = small_flow(dim=2, n_layers=1)
+        model = small_flow(dim=2, coupling_layers=1)
         force_affine(model.layers[0], LN2, 1.0)
         out = model.layers[0].inverse(chained([0.0, 3.0]), None)
         np.testing.assert_allclose(out.value[:, :2], [[0.0, 1.0]], atol=1e-12)
         np.testing.assert_allclose(out.value[:, 2], [-LN2], atol=1e-12)
 
     def test_identity_inverse_is_identity(self):
-        model = small_flow(dim=2, n_layers=1)
+        model = small_flow(dim=2, coupling_layers=1)
         x = np.array([[0.7, -0.4]])
         out = model.layers[0].inverse(chained(x), None)
         np.testing.assert_allclose(out.value[:, :2], x)
 
     def test_round_trip_with_random_parameters(self):
         rng = np.random.default_rng(0)
-        model = small_flow(dim=4, n_layers=1, context_dim=3)
+        model = small_flow(dim=4, coupling_layers=1, context_dim=3)
         randomize_model(model, rng)
         layer = model.layers[0]
         u = rng.normal(size=(5, 4))
@@ -85,14 +85,14 @@ class TestCouplingLayer:
         np.testing.assert_allclose(fwd.value, -back.value[:, 4], atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        model = small_flow(dim=4, n_layers=1)
+        model = small_flow(dim=4, coupling_layers=1)
         with pytest.raises(dc.ShapeError):
             composed_forward(model.layers[0], as_node([1.0, 2.0]), None)
 
     def test_inverse_takes_only_the_chained_width(self):
         # (batch, dim + 1) is the one form: unchained points, and chained
         # points of another width, are rejected, by the pass too
-        model = small_flow(dim=4, n_layers=1)
+        model = small_flow(dim=4, coupling_layers=1)
         for x in (as_node([1.0, 2.0, 3.0, 4.0]), chained([1.0, 2.0]), chained([1.0] * 6)):
             with pytest.raises(dc.ShapeError, match=r"^coupling: .* and \(5,\)$"):
                 model.layers[0].inverse(x, None)
@@ -114,12 +114,12 @@ class TestGaussianLogDensity:
 
 class TestFlowLogProb:
     def test_identity_flow_equals_base_density(self):
-        model = small_flow(dim=2, n_layers=3)
+        model = small_flow(dim=2, coupling_layers=3)
         x = np.array([[0.4, -1.2], [0.0, 0.0]])
         np.testing.assert_allclose(log_prob(model, x), gaussian_log_density(x))
 
     def test_two_swapped_scaling_layers_drop_density_by_dim_ln2(self):
-        model = small_flow(dim=2, n_layers=2)
+        model = small_flow(dim=2, coupling_layers=2)
         force_affine(model.layers[0], LN2, 0.0)
         force_affine(model.layers[1], LN2, 0.0)
         x = np.array([[0.8, -0.6]])
@@ -129,7 +129,7 @@ class TestFlowLogProb:
 
     def test_density_integrates_to_one_on_grid(self):
         rng = np.random.default_rng(42)
-        model = small_flow(dim=2, n_layers=2, context_dim=3)
+        model = small_flow(dim=2, coupling_layers=2, context_dim=3)
         randomize_model(model, rng, scale=0.3)
         ctx_row = rng.normal(size=3)
         axis = np.linspace(-8.0, 8.0, 321)
@@ -143,14 +143,14 @@ class TestFlowLogProb:
         assert total == pytest.approx(1.0, abs=0.02)
 
     def test_nan_input_reports_layer_index(self):
-        model = small_flow(dim=2, n_layers=3)
+        model = small_flow(dim=2, coupling_layers=3)
         with pytest.raises(FlowNanError) as excinfo:
             log_prob(model, np.array([[np.nan, 0.0]]))
         assert excinfo.value.layer_index == 2
 
     def test_logdet_chain_consistent_between_directions(self):
         rng = np.random.default_rng(1)
-        model = small_flow(dim=4, n_layers=3, context_dim=2)
+        model = small_flow(dim=4, coupling_layers=3, context_dim=2)
         randomize_model(model, rng)
         ctx_values = rng.normal(size=(3, 2))
         u = rng.normal(size=(3, 4))
@@ -173,7 +173,7 @@ class TestInvertibility:
     def test_round_trip_under_random_parameters(self, dim):
         rng = np.random.default_rng(dim)
         for _ in range(10):
-            model = small_flow(dim=dim, n_layers=3, context_dim=4, seed=int(rng.integers(1 << 30)))
+            model = small_flow(dim=dim, coupling_layers=3, context_dim=4, seed=int(rng.integers(1 << 30)))
             randomize_model(model, rng)
             ctx_values = rng.normal(size=(4, 4))
             u = rng.normal(size=(4, dim))
@@ -190,7 +190,7 @@ class TestInvertibility:
 
 class TestScaleStabilization:
     def test_effective_scale_bounded_by_cap_under_saturating_inputs(self):
-        model = small_flow(dim=2, n_layers=1)
+        model = small_flow(dim=2, coupling_layers=1)
         layer = model.layers[0]
         for w, b in layer.hidden:
             w.value[:] = 50.0
@@ -206,13 +206,13 @@ class TestScaleStabilization:
 
 class TestNllLoss:
     def test_identity_model_at_origin(self):
-        model = small_flow(dim=2, n_layers=2)
+        model = small_flow(dim=2, coupling_layers=2)
         loss = nll_loss(model, np.zeros((3, 2)))
         assert float(loss.value) == pytest.approx(math.log(2 * math.pi))
 
     def test_duplicated_batch_has_same_loss(self):
         rng = np.random.default_rng(8)
-        model = small_flow(dim=2, n_layers=2)
+        model = small_flow(dim=2, coupling_layers=2)
         randomize_model(model, rng, scale=0.2)
         batch = rng.normal(size=(6, 2))
         single = float(nll_loss(model, batch).value)
@@ -220,12 +220,12 @@ class TestNllLoss:
         assert doubled == pytest.approx(single)
 
     def test_single_point_unit_radius(self):
-        model = small_flow(dim=2, n_layers=1)
+        model = small_flow(dim=2, coupling_layers=1)
         loss = nll_loss(model, np.array([[1.0, 1.0]]))
         assert float(loss.value) == pytest.approx(math.log(2 * math.pi) + 1.0)
 
     def test_empty_batch_rejected(self):
-        model = small_flow(dim=2, n_layers=1)
+        model = small_flow(dim=2, coupling_layers=1)
         with pytest.raises(ValueError, match="empty"):
             nll_loss(model, np.zeros((0, 2)))
 
@@ -233,7 +233,7 @@ class TestNllLoss:
 class TestGradients:
     def test_loss_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)
-        model = small_flow(dim=2, n_layers=2, context_dim=2, multiplier=1)
+        model = small_flow(dim=2, coupling_layers=2, context_dim=2, multiplier=1)
         randomize_model(model, rng, scale=0.3)
         x = rng.normal(size=(4, 2))
         ctx = rng.normal(size=(4, 2))
@@ -259,13 +259,13 @@ class TestFusedCoupling:
         return latent.value, log_det.value, loss.value, backward_grads(loss, params)
 
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
-    @pytest.mark.parametrize("dim,n_layers,context_dim,cond_layers", [
+    @pytest.mark.parametrize("dim,coupling_layers,context_dim,cond_layers", [
         (2, 1, 0, 3), (4, 3, 3, 4), (6, 4, 5, 5), (8, 12, 2, 3),
     ])
-    def test_stack_matches_composed_primitives(self, training, dim, n_layers, context_dim,
+    def test_stack_matches_composed_primitives(self, training, dim, coupling_layers, context_dim,
                                                cond_layers):
-        rng = np.random.default_rng(dim * 100 + n_layers)
-        model = small_flow(dim=dim, n_layers=n_layers, context_dim=context_dim,
+        rng = np.random.default_rng(dim * 100 + coupling_layers)
+        model = small_flow(dim=dim, coupling_layers=coupling_layers, context_dim=context_dim,
                            multiplier=3, cond_layers=cond_layers, seed=dim)
         randomize_model(model, rng)
         x = rng.normal(size=(37, dim))
@@ -285,7 +285,7 @@ class TestFusedCoupling:
     def test_dropout_masks_drawn_as_by_the_composition(self):
         # the pass draws every mask at once; the composition draws one per
         # hidden layer and coupling layer: the same doubles, in the same order
-        model = small_flow(dim=4, n_layers=3, context_dim=2, dropout=0.5)
+        model = small_flow(dim=4, coupling_layers=3, context_dim=2, dropout=0.5)
         randomize_model(model, np.random.default_rng(3))
         for batch in (9, 37):
             x = np.random.default_rng(4).normal(size=(batch, 4))
@@ -302,7 +302,7 @@ class TestFusedCoupling:
         # the same chained points (into one fused layer) and context (into the
         # whole pass) as constants and as Parameters: the constants keep grad
         # None, and every parameter gradient is equal
-        model = small_flow(dim=4, n_layers=3, context_dim=3)
+        model = small_flow(dim=4, coupling_layers=3, context_dim=3)
         data = np.random.default_rng(12)
         randomize_model(model, data)
         points, context = data.normal(size=(11, 5)), data.normal(size=(11, 3))
@@ -342,7 +342,7 @@ class TestFusedCoupling:
         assert finite_diff_check(loss, model.parameters(), epsilon=1e-5) < 1e-4
 
     def test_nan_from_a_middle_layer_names_that_layer(self):
-        model = small_flow(dim=2, n_layers=3)
+        model = small_flow(dim=2, coupling_layers=3)
         model.layers[1].head_b.value[:] = np.nan
         with pytest.raises(FlowNanError) as excinfo:
             log_prob(model, np.array([[0.3, -0.1]]))
@@ -350,7 +350,7 @@ class TestFusedCoupling:
 
     def test_fused_inverse_then_composed_forward_round_trips(self):
         rng = np.random.default_rng(8)
-        model = small_flow(dim=4, n_layers=1, context_dim=3)
+        model = small_flow(dim=4, coupling_layers=1, context_dim=3)
         randomize_model(model, rng)
         layer = model.layers[0]
         x = rng.normal(size=(6, 4))
@@ -361,7 +361,7 @@ class TestFusedCoupling:
         np.testing.assert_allclose(fwd.value, -inverted.value[:, 4], atol=1e-12)
 
     def test_builds_one_node_per_layer(self):
-        model = small_flow(dim=4, n_layers=5, context_dim=2)
+        model = small_flow(dim=4, coupling_layers=5, context_dim=2)
         ctx = dc.constant(np.zeros((3, 2)))
         latent, log_det = model.latent_nodes(np.zeros((3, 4)), ctx, np.random.default_rng(0))
         ops = [node.op for node in dc._topo_order(dc.sum_(log_det))
@@ -372,7 +372,7 @@ class TestFusedCoupling:
     def test_dropped_graph_is_freed_without_cycle_collection(self):
         import gc
 
-        model = small_flow(dim=4, n_layers=3, context_dim=2)
+        model = small_flow(dim=4, coupling_layers=3, context_dim=2)
         gc.collect()
         gc.disable()
         try:

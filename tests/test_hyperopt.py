@@ -74,8 +74,8 @@ class TestSearchSpace:
             params = decode(np.full(len(space), corner), space)
             encoder_cfg, flow_cfg = configs_from_params(method, params, EncoderConfig())
             assert encoder_cfg.kind == METHOD_ENCODERS[method]
-            assert flow_cfg.n_layers == params["coupling_layers"]
-            assert flow_cfg.conditioner.funnel == params["cond_funnel"]
+            assert flow_cfg.coupling_layers == params["coupling_layers"]
+            assert flow_cfg.cond_funnel == params["cond_funnel"]
 
 
 class TestPopulationAndDecode:

@@ -192,13 +192,13 @@ class TestScoreSeries:
         assert live == [0, 1, 2] * 3
 
     def test_trained_model_peaks_inside_injected_spike_range(self):
-        from tcflow.flow import ConditionerConfig, FlowConfig
+        from tcflow.flow import FlowConfig
         from tcflow.train import TrainConfig, train_model
 
         clean = dt.generate_synthetic("sine", 500, 2, noise=0.1, seed=0)
         model, _ = train_model(
             clean, EncoderConfig("passthrough", lookback=4),
-            FlowConfig(2, ConditionerConfig(2, 3, 0.1, 1.5)),
+            FlowConfig(2, 2, 3, 0.1, 1.5),
             TrainConfig(epochs=6, batch_size=128, learning_rate=3e-3, seed=1))
         test = dt.generate_synthetic("sine", 500, 2, noise=0.1, seed=2)
         test = dt.inject_anomaly(test, dt.AnomalySpec("spike", 250, 1, 6.0, (0,)))

@@ -24,7 +24,7 @@ from helpers import (
 from tcflow import diffcore as dc
 from tcflow import data as dt
 from tcflow.conditioners import KINDS, Encoder, EncoderConfig
-from tcflow.flow import ConditionerConfig, FlowConfig, gaussian_log_density, nll_loss
+from tcflow.flow import FlowConfig, gaussian_log_density, nll_loss
 from tcflow.train import (
     MODEL_MAGIC,
     AdamState,
@@ -40,8 +40,8 @@ from tcflow.train import (
 )
 
 
-def small_cfgs(n_layers=2, multiplier=2, cond_layers=3):
-    return FlowConfig(n_layers, ConditionerConfig(multiplier, cond_layers, 0.1, 1.5))
+def small_cfgs(coupling_layers=2, multiplier=2, cond_layers=3):
+    return FlowConfig(coupling_layers, multiplier, cond_layers, 0.1, 1.5)
 
 
 def sine(n_steps=400, n_channels=2, noise=0.1, seed=0):
@@ -364,10 +364,17 @@ class TestTrainModel:
             tracemalloc.stop()
         assert peak < 10 * 2**20, peak
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_empty_series_is_a_data_error(self, kind):
+        # a DataError is what a search counts as a failed candidate
+        with pytest.raises(dt.DataError, match=r"^series too short to split: 0 steps$"):
+            train_model(dt.TimeSeriesDataset(np.zeros((0, 2))), EncoderConfig(kind),
+                        small_cfgs(), TrainConfig(epochs=1))
+
     def test_training_reduces_loss_on_sine(self):
         ds = sine(600, noise=0.2, seed=5)
         _, report = train_model(
-            ds, EncoderConfig("passthrough", lookback=6), small_cfgs(n_layers=3),
+            ds, EncoderConfig("passthrough", lookback=6), small_cfgs(coupling_layers=3),
             TrainConfig(epochs=10, batch_size=128, seed=0),
         )
         assert report.best_val_loss < report.val_losses[0]
@@ -375,7 +382,7 @@ class TestTrainModel:
     def test_heldout_clean_continuation_within_twice_train_nll(self):
         ds = sine(700, noise=0.4, seed=11)
         model, report = train_model(
-            ds, EncoderConfig("passthrough", lookback=6), small_cfgs(n_layers=2),
+            ds, EncoderConfig("passthrough", lookback=6), small_cfgs(coupling_layers=2),
             TrainConfig(epochs=8, batch_size=128, seed=4),
         )
         train_nll = report.train_losses[-1]
@@ -426,7 +433,7 @@ class TestTrainModel:
     def test_stateful_training_runs_and_tracks_validation(self):
         ds = sine(160, seed=2)
         cfg = EncoderConfig("lstm-stateful", lookback=8, lstm_layers=1)
-        model, report = train_model(ds, cfg, small_cfgs(n_layers=2),
+        model, report = train_model(ds, cfg, small_cfgs(coupling_layers=2),
                                     TrainConfig(epochs=2, seed=0))
         assert len(report.val_losses) == 2
         assert np.isfinite(report.val_losses).all()
@@ -561,23 +568,26 @@ class TestParameterOrder:
 def bad_nested_values():
     """(section, field, key, value): one ``encoder`` or ``conditioner`` field of
     a model header and either a JSON value not of its default's type or a
-    number just outside its range. ``key`` is the field's config key."""
+    number just outside its range. ``key`` is the field's config key, which
+    for a ``conditioner`` field is the ``FlowConfig`` field ``cond_`` plus
+    its name."""
+    named = [("encoder", EncoderConfig, f) for f in fields(EncoderConfig)]
+    named += [("conditioner", FlowConfig, f) for f in fields(FlowConfig)
+              if f.name.startswith("cond_")]
     cases = []
-    for section, cls, prefix in (("encoder", EncoderConfig, ""),
-                                 ("conditioner", ConditionerConfig, ConditionerConfig.KEY_PREFIX)):
-        for f in fields(cls):
-            kind = type(f.default)
-            values = [st.booleans(), st.none(), st.lists(st.integers(), max_size=2)]
-            values += [st.text(max_size=4)] if kind is not str else [st.integers()]
-            values += [st.floats(-1e6, 1e6)] if kind is not float else []
-            if f.name in cls.RANGES:
-                lower, upper = cls.RANGES[f.name]
-                ends = [(lower, -1)] + ([(upper, 1)] if math.isfinite(upper) else [])
-                values.append(st.sampled_from([
-                    end + step if kind is int else math.nextafter(end, step * math.inf)
-                    for end, step in ends]))
-            cases.append(st.tuples(st.just(section), st.just(f.name), st.just(prefix + f.name),
-                                   st.one_of(values)))
+    for section, cls, f in named:
+        kind = type(f.default)
+        values = [st.booleans(), st.none(), st.lists(st.integers(), max_size=2)]
+        values += [st.text(max_size=4)] if kind is not str else [st.integers()]
+        values += [st.floats(-1e6, 1e6)] if kind is not float else []
+        if f.name in cls.RANGES:
+            lower, upper = cls.RANGES[f.name]
+            ends = [(lower, -1)] + ([(upper, 1)] if math.isfinite(upper) else [])
+            values.append(st.sampled_from([
+                end + step if kind is int else math.nextafter(end, step * math.inf)
+                for end, step in ends]))
+        cases.append(st.tuples(st.just(section), st.just(f.name.removeprefix("cond_")),
+                               st.just(f.name), st.one_of(values)))
     return st.one_of(cases)
 
 
@@ -677,7 +687,7 @@ class TestSerialization:
     def test_mistyped_header_or_nan_parameter_names_the_file(self, tmp_path):
         model, path, _ = self._trained(tmp_path)
         original = path.read_bytes()
-        for key, value in (("dim", model.dim), ("n_layers", model.config.n_layers)):
+        for key, value in (("dim", model.dim), ("n_layers", model.config.coupling_layers)):
             path.write_bytes(self._with_header(original, lambda h: h.update({key: str(value)})))
             with pytest.raises(SerializationError, match=re.escape(
                     f"{path}: bad header: {key} '{value}' is not an integer")):
@@ -728,12 +738,47 @@ class TestSerialization:
                 load_model(path)
         assert str(excinfo.value).startswith(f"{path}: bad header: {key} ")
 
-    @pytest.mark.parametrize("section, value", [("encoder", 5), ("conditioner", [])])
+    @pytest.mark.parametrize("section, value", [
+        ("encoder", 5), ("conditioner", []), ("conditioner", [["layers", 3]]),
+        ("conditioner", "x"), ("conditioner", None)])
     def test_non_object_config_header_names_the_file(self, tmp_path, section, value):
         _, path, _ = self._trained(tmp_path)
         path.write_bytes(self._with_header(path.read_bytes(), lambda h: h.update({section: value})))
         with pytest.raises(SerializationError, match=re.escape(f"{path}: bad header: ")):
             load_model(path)
+
+    @pytest.mark.parametrize("section", ["encoder", "conditioner"])
+    def test_unknown_config_header_key_names_the_file(self, tmp_path, mlp_model_bytes, section):
+        path = tmp_path / "model.tcf"
+        path.write_bytes(self._with_header(mlp_model_bytes, lambda h: h[section].update(bogus=1)))
+        with pytest.raises(SerializationError, match=re.escape(f"{path}: bad header: ")):
+            load_model(path)
+
+    def test_header_keeps_the_format_version_1_names(self, tmp_path):
+        # the flow's coupling_layers and cond_* fields are stored as n_layers
+        # and the unprefixed conditioner object
+        flow_cfg = FlowConfig(1, 2, 4, 0.25, 2.5)
+        model = build_model(2, EncoderConfig("none"), flow_cfg, np.random.default_rng(0),
+                            model_id="m")
+        model.norm_stats = (np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
+        path = tmp_path / "model.tcf"
+        save_model(model, path)
+        raw = path.read_bytes()
+        (length,) = struct.unpack_from("<Q", raw, len(MODEL_MAGIC))
+        start = len(MODEL_MAGIC) + 8
+        assert raw[start : start + length].decode() == (
+            '{"conditioner": {"dropout": 0.25, "funnel": 2.5, "layers": 4, "multiplier": 2}, '
+            '"dim": 2, "encoder": {"cnn_kernel": 3, "cnn_layers": 2, "cnn_max_channels": 8, '
+            '"dropout": 0.1, "kind": "none", "lookback": 10, "lstm_hidden": 0, '
+            '"lstm_layers": 1, "mlp_compression": 2, "mlp_layers": 3}, "format_version": 1, '
+            '"model_id": "m", "n_layers": 1, "norm_stats": [[-1.0, 0.0], [1.0, 2.0]], '
+            '"params": [{"name": "layer0.h0.w", "shape": [1, 4]}, '
+            '{"name": "layer0.h0.b", "shape": [4]}, {"name": "layer0.h1.w", "shape": [4, 2]}, '
+            '{"name": "layer0.h1.b", "shape": [2]}, {"name": "layer0.h2.w", "shape": [2, 2]}, '
+            '{"name": "layer0.h2.b", "shape": [2]}, {"name": "layer0.h3.w", "shape": [2, 2]}, '
+            '{"name": "layer0.h3.b", "shape": [2]}, {"name": "layer0.head.w", "shape": [2, 2]}, '
+            '{"name": "layer0.head.b", "shape": [2]}, {"name": "layer0.scale_cap", "shape": [1]}]}')
+        assert load_model(path).config == flow_cfg
 
     @pytest.mark.parametrize("header", [b"[1]", b"3", b"null", b'"x"'])
     def test_non_object_header_is_corrupt_and_names_the_file(self, tmp_path, header):
