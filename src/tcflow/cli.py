@@ -247,14 +247,12 @@ def cmd_score(args, cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_evaluate(args, cfg: RunConfig, out: Path) -> None:
-    window = cfg.values["metrics"]["window"]
     series, labels = load_score_csv(args.scores)
     if labels is None:
         if not args.data:
             raise CliError("scores file has no labels; pass --data with a labeled csv")
         labels = dt.load_csv(args.data, has_labels=True).labels
-    if window == -1:  # infer the median labeled-range length
-        window = mx.infer_metric_window(labels)
+    window = mx.resolve_metric_window(cfg.values["metrics"]["window"], labels)
     scores = series.scores
     auc = mx.auc_roc(scores, labels)
     vus = mx.vus_roc(scores, labels, window)

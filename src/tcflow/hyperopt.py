@@ -8,11 +8,12 @@ purely rank based, so any strictly monotone transform of the fitness values
 leaves the update unchanged. When the best fitness stagnates the search
 restarts with a doubled population. ``CmaEs`` holds its own state.
 
-A search space is a list of ``ParamSpec`` rows. Each candidate vector is
-decoded once, to named hyperparameters (integers rounded half-up) that one
-``_evaluate_candidate`` call trains and its ``Trial`` records. A candidate
-trains a reduced-budget model and is ranked either by the labeled 30:70
-AUC/VUS blend or by the best validation loss. ``_train_trial`` trains every
+A search space is a list of ``ParamSpec`` rows, each named by the
+``FlowConfig`` or ``EncoderConfig`` field it sets, which is its config key.
+Each candidate vector is decoded once, to those fields' values (integers
+rounded half-up) that one ``_evaluate_candidate`` call trains and its
+``Trial`` records. A candidate trains a reduced-budget model and is ranked
+either by the labeled 30:70 AUC/VUS blend or by the best validation loss. ``_train_trial`` trains every
 model of a search, each candidate and the winner's refit, by one rule.
 
 The candidates of one generation are independent, so ``run_search`` trains
@@ -40,7 +41,7 @@ import numpy as np
 from .conditioners import ENCODERS, EncoderConfig
 from .data import DataError, TimeSeriesDataset, write_table
 from .flow import FlowConfig
-from .metrics import auc_roc, combined_objective, infer_metric_window, vus_roc
+from .metrics import auc_roc, combined_objective, resolve_metric_window, vus_roc
 from .score import score_series
 from .train import TrainConfig, train_model
 
@@ -77,37 +78,24 @@ class ParamSpec:
             raise ValueError(f"{self.name}: lower bound {self.lower} > upper bound {self.upper}")
 
 
-def _ranged_row(cls, attr: str, name: str) -> ParamSpec:
-    """The search row ``name`` over ``cls.RANGES[attr]``; integer when the
-    field's default is an integer, as for its config key."""
-    lower, upper = cls.RANGES[attr]
-    return ParamSpec(name, lower, upper, "int" if type(getattr(cls, attr)) is int else "real")
-
-
-def _encoder_rows(method: str) -> dict[str, str]:
-    """``enc_`` plus the field name without its kind prefix (``cnn_kernel`` as
-    ``enc_kernel``) -> field, for each finitely ranged field the method reads."""
-    return {
-        "enc_" + attr.split("_", 1)[-1]: attr
-        for attr in ENCODERS[METHOD_ENCODERS[method]].reads
-        if math.isfinite(EncoderConfig.RANGES[attr][1])
-    }
-
-
 def space_for_method(method: str, lookback_max: int) -> list[ParamSpec]:
-    """Bounded hyperparameter rows for one method: the coupling layers over
-    3..20, each ``FlowConfig`` field with a finite range, the lookback if the
-    encoder reads one, and the encoder's fields with a finite range. A row
-    of a config field is named by the field, an encoder row as
-    ``_encoder_rows`` names it."""
+    """Bounded hyperparameter rows for one method: each ``FlowConfig`` field,
+    then each ``EncoderConfig`` field the method's encoder reads, that has a
+    finite search range. A row is named by its field and spans the field's
+    ``RANGES``, except ``coupling_layers`` (3..20) and ``lookback``
+    (1..``lookback_max``); it is integer when the field's default is."""
     if method not in METHOD_ENCODERS:
         raise ValueError(f"unknown method {method!r}")
-    rows = [ParamSpec("coupling_layers", 3, 20, "int")]
-    rows += [_ranged_row(FlowConfig, attr, attr)
-             for attr, (_, upper) in FlowConfig.RANGES.items() if math.isfinite(upper)]
-    if "lookback" in ENCODERS[METHOD_ENCODERS[method]].reads:
-        rows.append(ParamSpec("lookback", 1, lookback_max, "int"))
-    rows += [_ranged_row(EncoderConfig, attr, name) for name, attr in _encoder_rows(method).items()]
+    # the search ranges of the two fields whose config range is unbounded
+    searched = {"coupling_layers": (3, 20), "lookback": (1, lookback_max)}
+    rows = []
+    for cls, attrs in ((FlowConfig, [f.name for f in fields(FlowConfig)]),
+                       (EncoderConfig, ENCODERS[METHOD_ENCODERS[method]].reads)):
+        for attr in attrs:
+            lower, upper = searched.get(attr, cls.RANGES[attr])
+            if math.isfinite(upper):
+                kind = "int" if type(getattr(cls, attr)) is int else "real"
+                rows.append(ParamSpec(attr, lower, upper, kind))
     return rows
 
 
@@ -126,12 +114,13 @@ def decode(vector: np.ndarray, space: list[ParamSpec]) -> dict:
 
 def configs_from_params(method: str, params: dict,
                         encoder_cfg: EncoderConfig) -> tuple[EncoderConfig, FlowConfig]:
-    """The configs of one trial's decoded ``params``: ``encoder_cfg`` with the
-    method's kind and the searched lookback (else 1) and encoder fields, and
-    the flow of the ``FlowConfig`` fields, read by name."""
-    enc_kwargs = {attr: params[name] for name, attr in _encoder_rows(method).items()}
-    encoder_cfg = replace(encoder_cfg, kind=METHOD_ENCODERS[method],
-                          lookback=params.get("lookback", 1), **enc_kwargs)
+    """The configs of one trial's decoded ``params``, each read by field name:
+    ``encoder_cfg`` with the method's kind, the lookback (1 when not searched)
+    and the searched encoder fields, and the flow of the ``FlowConfig``
+    fields."""
+    kind = METHOD_ENCODERS[method]
+    searched = {attr: params[attr] for attr in ENCODERS[kind].reads if attr in params}
+    encoder_cfg = replace(encoder_cfg, kind=kind, **{"lookback": 1, **searched})
     return encoder_cfg, FlowConfig(**{f.name: params[f.name] for f in fields(FlowConfig)})
 
 
@@ -270,6 +259,7 @@ class Trial:
     auc: float
     vus: float
     val_loss: float
+    seed: int  # the trial's training seed, derived from [run] seed and its index
 
 
 @dataclass
@@ -283,10 +273,11 @@ class SearchResult:
     metric_window: int
 
     def trials_csv(self, path) -> None:
+        """One row per trial: its ``Trial`` fields, then its values by config key."""
         keys = [f.name for f in fields(Trial) if f.name != "params"]
         names = [p.name for p in self.space]
         columns = [[getattr(t, key) for t in self.trials] for key in keys]
-        columns += [np.array([t.params[n] for t in self.trials], dtype=float) for n in names]
+        columns += [[t.params[n] for t in self.trials] for n in names]
         write_table(path, keys + names, columns,
                     comment=f"method={self.method} objective={self.objective} "
                             f"metric_window={self.metric_window}")
@@ -382,8 +373,8 @@ def run_search(train: TimeSeriesDataset, labeled_eval: TimeSeriesDataset | None,
     """CMA-ES search over the method's space, seeded by ``train_cfg.seed``; every
     candidate trains on the clean training series for ``candidate_epochs`` and
     is ranked by the chosen objective. The winner is refit for ``final_epochs``
-    and returned together with all trials. See ``_train_trial``. A ``metric_window``
-    of -1 infers the VUS window from the labels, or is 0 without them."""
+    and returned together with all trials. See ``_train_trial``, and
+    ``resolve_metric_window`` for a ``metric_window`` of -1."""
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     if objective == "labeled-30-70":
@@ -402,9 +393,8 @@ def run_search(train: TimeSeriesDataset, labeled_eval: TimeSeriesDataset | None,
         if labeled_eval.n_channels != train.n_channels:  # else every candidate would fail
             raise DataError(f"labeled series has {labeled_eval.n_channels} channels, "
                             f"training series has {train.n_channels}")
-    if metric_window == -1:
-        labeled = labeled_eval is not None and labeled_eval.labels is not None
-        metric_window = infer_metric_window(labeled_eval.labels) if labeled else 0
+    metric_window = resolve_metric_window(metric_window,
+                                          None if labeled_eval is None else labeled_eval.labels)
     train_trial = partial(_train_trial, train, method, encoder_cfg)
     candidate_cfg = replace(train_cfg, epochs=candidate_epochs, patience=CANDIDATE_PATIENCE)
     # checked before any candidate trains
@@ -425,7 +415,8 @@ def run_search(train: TimeSeriesDataset, labeled_eval: TimeSeriesDataset | None,
             except BrokenProcessPool:  # a worker died: this generation and the rest run here
                 evaluate = map
                 results = list(evaluate(candidate, indices, params))
-            trials += [Trial(opt.generation, i, p, *r) for i, p, r in zip(indices, params, results)]
+            trials += [Trial(opt.generation, i, p, *r, _candidate_seed(train_cfg.seed, i))
+                       for i, p, r in zip(indices, params, results)]
             opt.tell(population, np.array([r[0] for r in results]))
 
     fitness = np.array([t.fitness for t in trials])

@@ -152,9 +152,12 @@ def combined_objective(auc: float, vus: float) -> float:
     return 0.3 * auc + 0.7 * vus
 
 
-def infer_metric_window(labels) -> int:
-    """Default VUS max width: the median labeled-range length."""
-    runs = label_runs(labels)
+def resolve_metric_window(window: int, labels) -> int:
+    """The VUS max width ``window``; -1 infers the median labeled-range
+    length of ``labels``, 0 when ``labels`` is None or has no labeled range."""
+    if window != -1:
+        return window
+    runs = [] if labels is None else label_runs(labels)
     if not runs:
         return 0
     lengths = [stop - start for start, stop in runs]

@@ -193,6 +193,45 @@ class TestSearchCommand:
         header = lines[1].split(",")
         assert header[:6] == ["generation", "index", "fitness", "auc", "vus", "val_loss"]
 
+    def test_a_trials_row_replays_through_train_score_evaluate(self, generated, tmp_path,
+                                                                monkeypatch):
+        # a row's cells, pasted as they are, are INI values that rebuild its candidate
+        monkeypatch.setenv("TCFLOW_WORKERS", "1")
+        cfg = tmp_path / "search.ini"
+        cfg.write_text("[search]\ncandidate_epochs = 2\nfinal_epochs = 1\n")
+        search = tmp_path / "search"
+        assert run_cli("search", "--train", generated / "train_clean.csv",
+                       "--labeled", generated / "train_labeled.csv",
+                       "--method", "tcnf-cnn", "--budget", 10,
+                       "--config", cfg, "--out-dir", search) == 0
+        with open(search / "trials.csv", newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        row = min(rows, key=lambda r: float(r["fitness"]))
+        sections = {"run": {"seed": row["seed"]}, "train": {"epochs": "2", "patience": "3"}}
+        for key, cell in row.items():
+            for section in ("flow", "encoder"):
+                if key in DEFAULTS[section]:
+                    sections.setdefault(section, {})[key] = cell
+        # every cell but the seven Trial columns is a [flow] or [encoder] key
+        assert len(sections["flow"]) + len(sections["encoder"]) == len(row) - 7
+        replay = configparser.ConfigParser()
+        replay.read_dict(sections)
+        with open(tmp_path / "replay.ini", "w") as fh:
+            replay.write(fh)
+
+        assert run_cli("train", "--data", generated / "train_clean.csv", "--method", "tcnf-cnn",
+                       "--config", tmp_path / "replay.ini", "--out-dir", tmp_path / "train") == 0
+        assert run_cli("score", "--model", tmp_path / "train" / "model.tcf",
+                       "--data", generated / "train_labeled.csv", "--labeled",
+                       "--out-dir", tmp_path / "score") == 0
+        assert run_cli("evaluate", "--scores", tmp_path / "score" / "scores.csv",
+                       "--out-dir", tmp_path / "eval") == 0
+        with open(tmp_path / "eval" / "metrics.csv", newline="") as fh:
+            metrics = {r["metric"]: float(r["value"])
+                       for r in csv.DictReader(line for line in fh if not line.startswith("#"))}
+        assert metrics["auc_roc"] == float(row["auc"])
+        assert metrics["vus_roc"] == float(row["vus"])
+
 
 class TestSearchWorkers:
     @pytest.mark.parametrize("method, budget", [("tcnf-base", 9), ("tcnf-stateful", 10)])

@@ -6,7 +6,9 @@ import pytest
 from helpers import minimize, openblas_threads
 
 from tcflow import data as dt
+from tcflow.cli import DEFAULTS
 from tcflow.conditioners import EncoderConfig
+from tcflow.flow import FlowConfig
 from tcflow.hyperopt import (
     METHOD_ENCODERS,
     CmaEs,
@@ -37,21 +39,21 @@ _SHARED_ROWS = [
     ("cond_funnel", 1.0, 10.0, "real"),
 ]
 _LOOKBACK_ROW = [("lookback", 1, 50, "int")]
-_LSTM_ROWS = [("enc_layers", 1, 10, "int"), ("enc_dropout", 0.1, 0.9, "real")]
+_LSTM_ROWS = [("lstm_layers", 1, 10, "int"), ("dropout", 0.1, 0.9, "real")]
 PINNED_SPACES = {
     "realnvp": _SHARED_ROWS,
     "tcnf-base": _SHARED_ROWS + _LOOKBACK_ROW,
     "tcnf-fixed": _SHARED_ROWS + _LOOKBACK_ROW,
     "tcnf-mlp": _SHARED_ROWS + _LOOKBACK_ROW + [
-        ("enc_layers", 3, 20, "int"),
-        ("enc_compression", 1, 20, "int"),
-        ("enc_dropout", 0.1, 0.9, "real"),
+        ("mlp_layers", 3, 20, "int"),
+        ("mlp_compression", 1, 20, "int"),
+        ("dropout", 0.1, 0.9, "real"),
     ],
     "tcnf-cnn": _SHARED_ROWS + _LOOKBACK_ROW + [
-        ("enc_layers", 1, 5, "int"),
-        ("enc_kernel", 3, 7, "int"),
-        ("enc_max_channels", 1, 20, "int"),
-        ("enc_dropout", 0.1, 0.9, "real"),
+        ("cnn_layers", 1, 5, "int"),
+        ("cnn_kernel", 3, 7, "int"),
+        ("cnn_max_channels", 1, 20, "int"),
+        ("dropout", 0.1, 0.9, "real"),
     ],
     "tcnf-stateless": _SHARED_ROWS + _LOOKBACK_ROW + _LSTM_ROWS,
     "tcnf-stateful": _SHARED_ROWS + _LOOKBACK_ROW + _LSTM_ROWS,
@@ -66,6 +68,18 @@ class TestSearchSpace:
     def test_rows_match_the_pinned_table(self, method):
         rows = [(p.name, p.lower, p.upper, p.kind) for p in space_for_method(method, 50)]
         assert rows == PINNED_SPACES[method]
+
+    @pytest.mark.parametrize("method", list(PINNED_SPACES))
+    def test_every_row_is_a_config_key_of_its_type_within_its_range(self, method):
+        # so a decoded trial is never a value the config rejects
+        configs = {"flow": FlowConfig, "encoder": EncoderConfig}
+        for spec in space_for_method(method, 50):
+            sections = [section for section in configs if spec.name in DEFAULTS[section]]
+            assert sections, f"{spec.name} is no [flow] or [encoder] key"
+            default = DEFAULTS[sections[0]][spec.name]
+            assert spec.kind == ("int" if type(default) is int else "real"), spec
+            lower, upper = configs[sections[0]].RANGES[spec.name]
+            assert lower <= spec.lower <= spec.upper <= upper, spec
 
     @pytest.mark.parametrize("method", list(PINNED_SPACES))
     def test_both_corners_decode_to_valid_configs(self, method):
@@ -483,11 +497,11 @@ class TestRunSearch:
             metric_window=-1,
         )
         trial = result.trials[3]
+        assert trial.seed == _candidate_seed(4, trial.index)
         encoder_cfg, flow_cfg = configs_from_params("tcnf-base", trial.params, EncoderConfig())
         model, _ = train_model(
             train, encoder_cfg, flow_cfg,
-            TrainConfig(epochs=2, batch_size=128, patience=3,
-                        seed=_candidate_seed(4, trial.index)),
+            TrainConfig(epochs=2, batch_size=128, patience=3, seed=trial.seed),
         )
         scores = score_series(model, labeled).scores
         auc = auc_roc(scores, labeled.labels)

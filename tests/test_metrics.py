@@ -285,10 +285,17 @@ class TestInferWindow:
         labels[5:8] = True     # length 3
         labels[20:27] = True   # length 7
         labels[40:45] = True   # length 5
-        assert mx.infer_metric_window(labels) == 5
+        assert mx.resolve_metric_window(-1, labels) == 5
 
     def test_no_anomalies_gives_zero(self):
-        assert mx.infer_metric_window(np.zeros(10, dtype=bool)) == 0
+        assert mx.resolve_metric_window(-1, np.zeros(10, dtype=bool)) == 0
+
+    def test_no_labels_give_zero_and_a_set_window_is_kept(self):
+        labels = np.zeros(20, dtype=bool)
+        labels[5:9] = True
+        assert mx.resolve_metric_window(-1, None) == 0
+        assert mx.resolve_metric_window(0, labels) == 0
+        assert mx.resolve_metric_window(7, None) == 7
 
 
 class TestRejectedInput:

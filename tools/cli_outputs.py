@@ -16,7 +16,7 @@ checkout) and runs, through ``tcflow.cli.main``, into the empty directory OUT:
 - a one-generation search (2 candidate and 2 final epochs) for ``tcnf-base``
   (budget 9), and for ``tcnf-mlp``, ``tcnf-cnn``, ``tcnf-stateless`` and
   ``tcnf-stateful`` (budget 10), so every kind of search row (``cond_*``,
-  ``lookback`` and each encoder's ``enc_*``) is decoded into a config and
+  ``lookback`` and each encoder's own fields) is decoded into a config and
   the stateful training path runs with searched settings;
 - ``score --labeled``, ``evaluate`` and ``export-latent`` on the test series
   for all 14 models;
