@@ -154,9 +154,9 @@ class Encoder:
             pick = rows[lo : lo + size]
             yield pick, self.encode_batch(windows[pick], rng)
 
-    def encode_batch(self, contexts: np.ndarray,
-                     rng: np.random.Generator | None = None) -> Node | None:
-        return None
+    def encode_batch(self, contexts: np.ndarray, rng: np.random.Generator | None = None) -> Node:
+        """The empty (batch, 0) context of kind ``none``."""
+        return dc.constant(np.empty((len(contexts), 0)))
 
     def _validate(self, contexts, fixed_length: bool = True) -> np.ndarray:
         contexts = np.asarray(contexts, dtype=np.float64)

@@ -483,7 +483,7 @@ def lstm_sequence(steps: Node, state: Node, weight: Node, bias: Node) -> Node:
 
 def coupling_inverse(
     x: Node,
-    context: Node | None,
+    context: Node,
     hidden: Sequence[tuple[Node, Node]],
     head_w: Node,
     head_b: Node,
@@ -497,10 +497,10 @@ def coupling_inverse(
     (batch, dim + 1): the points, then the running log-det of the layers
     inverted before (``-0.0`` before the first). The first half ``x1``
     passes through. The conditioner runs on ``x1`` concatenated with
-    ``context``: ``h = tanh(h @ w + b)`` per hidden layer, each multiplied by
-    its inverted-dropout mask when ``masks`` (one (batch, width) array of 0
-    and 1/(1 - rate) per hidden layer, drawn by the caller) is given, then
-    ``raw = h @ head_w + head_b``. With
+    ``context`` ((batch, 0) without one): ``h = tanh(h @ w + b)`` per hidden
+    layer, each multiplied by its inverted-dropout mask when ``masks`` (one
+    (batch, width) array of 0 and 1/(1 - rate) per hidden layer, drawn by the
+    caller) is given, then ``raw = h @ head_w + head_b``. With
     ``log_scale = scale_cap * tanh(raw[:, :half])`` and
     ``shift = raw[:, half:]``, the second half becomes
     ``u2 = (x2 - shift) * exp(-log_scale)``.
@@ -516,7 +516,7 @@ def coupling_inverse(
     half = scale_cap.value.shape[0]
     dim = 2 * half
     x1, x2 = xv[:, :half], xv[:, half:dim]
-    h = x1 if context is None else np.concatenate([x1, context.value], axis=1)
+    h = np.concatenate([x1, context.value], axis=1)
     inputs, acts = [], []
     for (w, b), mask in zip(hidden, masks or [None] * len(hidden)):
         inputs.append(h)
@@ -539,10 +539,10 @@ def coupling_inverse(
     value[:, x1_cols] = x1
     np.multiply(diff, inv_scale, out=value[:, u2_cols])
     np.add(xv[:, dim], log_det, out=value[:, dim])
-    parents = [x] + ([] if context is None else [context])
+    parents = [x, context]
     for w, b in hidden:
         parents.extend([w, b])
-    grad_x, grad_context = x.needs_grad, context is not None and context.needs_grad
+    grad_x, grad_context = x.needs_grad, context.needs_grad
 
     def backward(out):
         g = out.grad

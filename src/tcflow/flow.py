@@ -151,14 +151,16 @@ class CouplingLayer:
         layers, one (batch, width) array each, when given.
 
         ``x`` is (batch, dim + 1): the points, then the running log-det.
+        ``context`` is a (batch, context_dim) node, or None for (batch, 0).
         Returns the same form: the transformed points (halves swapped when
         ``swap``), then the running log-det plus this layer's, which is the
         negated forward one."""
         if x.value.ndim != 2 or x.value.shape[1] != self.dim + 1:
             raise dc.ShapeError("coupling", x.value.shape, (self.dim + 1,))
-        got_ctx = 0 if context is None else context.value.shape[1]
-        if got_ctx != self.context_dim:
-            raise dc.ShapeError("coupling context", (got_ctx,), (self.context_dim,))
+        if context is None:
+            context = dc.constant(np.empty((x.value.shape[0], 0)))
+        if context.value.shape[1] != self.context_dim:
+            raise dc.ShapeError("coupling context", context.value.shape[1:], (self.context_dim,))
         return dc.coupling_inverse(x, context, self.hidden, self.head_w, self.head_b,
                                    self.scale_cap, masks, swap)
 
@@ -171,30 +173,31 @@ class FlowModel:
     pair rows with contexts; the base ``Encoder`` for the unconditioned flow)
     turns lookback windows into the context vector fed to every layer of the
     stack for the same timestep. ``norm_stats`` are the ``data.prepare``
-    statistics that ``train_model`` fitted. Scoring never mutates the model,
-    so a trained instance may be shared read-only; training owns it
-    exclusively.
+    (min, max) per channel: finite, no min above its max. Scoring never
+    mutates the model, so a trained instance may be shared read-only;
+    training owns it exclusively.
     """
 
-    def __init__(self, dim: int, config: FlowConfig, encoder,
+    def __init__(self, dim: int, config: FlowConfig, encoder, norm_stats,
                  rng: np.random.Generator, model_id: str = "flow"):
         if dim % 2 != 0 or dim < 2:
             raise ValueError(f"channel count must be even and >= 2, got {dim}")
+        lo, hi = np.array(norm_stats, dtype=np.float64)  # a copy the model owns
+        if dim != len(lo) + len(lo) % 2:  # prepare pads an odd channel count to even
+            raise ValueError(f"dim {dim} does not fit {len(lo)} norm_stats channels")
+        for bad, problem in ((~(np.isfinite(lo) & np.isfinite(hi)), "non-finite norm_stats"),
+                             (lo > hi, "norm_stats min above max")):
+            if bad.any():
+                raise ValueError(f"{problem} for channel {np.argmax(bad)}")
         self.dim = dim
         self.config = config
         self.encoder = encoder
+        self.norm_stats = (lo, hi)
         self.model_id = model_id
-        self.norm_stats = None
         self.layers = [
             CouplingLayer(dim, encoder.context_dim, config, rng, f"layer{i}")
             for i in range(config.coupling_layers)
         ]
-
-    def require_norm_stats(self) -> tuple[np.ndarray, np.ndarray]:
-        """``norm_stats``; a model without them raises."""
-        if self.norm_stats is None:
-            raise ValueError("model carries no normalization statistics")
-        return self.norm_stats
 
     def parameters(self) -> list[Parameter]:
         params = []
@@ -211,9 +214,9 @@ class FlowModel:
         constant ``[points | -0.0]``: -0.0 + v is v for every v, a zero's
         sign included, so the first layer's running log-det is its own bit
         for bit. ``context`` is a (batch, context_dim) node, through which
-        gradients flow into an encoder, or None. The same context row
-        conditions every layer of the stack. Dropout is drawn iff ``rng`` is
-        given (``_dropout_masks``). A NaN in the latent raises
+        gradients flow into an encoder, or None for (batch, 0). The same
+        context row conditions every layer of the stack. Dropout is drawn iff
+        ``rng`` is given (``_dropout_masks``). A NaN in the latent raises
         ``FlowNanError`` for the first layer of the pass that produced one:
         a NaN stays in the points of every later layer.
         """

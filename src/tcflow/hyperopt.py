@@ -288,23 +288,22 @@ def _candidate_seed(base_seed: int, index: int) -> int:
 
 
 def _train_trial(train_ds: TimeSeriesDataset, method: str, encoder_cfg: EncoderConfig,
-                 train_cfg: TrainConfig, index: int, params: dict):
-    """``train_model`` for the trial ``index``: ``encoder_cfg`` and the flow
-    with its decoded ``params``, and ``train_cfg`` (a candidate's or the
-    refit's epochs and patience) seeded from its own seed and ``index``."""
+                 train_cfg: TrainConfig, seed: int, params: dict):
+    """``train_model`` for a trial: ``encoder_cfg`` and the flow with its
+    decoded ``params``, and ``train_cfg`` (a candidate's or the refit's
+    epochs and patience) with the trial's ``seed``."""
     encoder_cfg, flow_cfg = configs_from_params(method, params, encoder_cfg)
-    return train_model(train_ds, encoder_cfg, flow_cfg,
-                       replace(train_cfg, seed=_candidate_seed(train_cfg.seed, index)),
+    return train_model(train_ds, encoder_cfg, flow_cfg, replace(train_cfg, seed=seed),
                        model_id=f"{method}-seed{train_cfg.seed}")
 
 
-def _evaluate_candidate(index: int, params: dict, *, train_trial, eval_ds: TimeSeriesDataset | None,
+def _evaluate_candidate(seed: int, params: dict, *, train_trial, eval_ds: TimeSeriesDataset | None,
                         objective: str, metric_window: int) -> tuple[float, float, float, float]:
-    """(fitness, auc, vus, val_loss) of the candidate ``index`` with decoded
-    ``params``, trained by ``train_trial(index, params)``; a candidate that
+    """(fitness, auc, vus, val_loss) of the candidate with decoded
+    ``params``, trained by ``train_trial(seed, params)``; a candidate that
     cannot be trained has fitness inf."""
     try:
-        model, report = train_trial(index, params)
+        model, report = train_trial(seed, params)
         val_loss = report.best_val_loss
         auc = vus = float("nan")
         labels = None if eval_ds is None else eval_ds.labels
@@ -409,19 +408,20 @@ def run_search(train: TimeSeriesDataset, labeled_eval: TimeSeriesDataset | None,
         while len(trials) + opt.lam <= budget:
             population = opt.ask()
             indices = range(len(trials), len(trials) + len(population))
+            seeds = [_candidate_seed(train_cfg.seed, i) for i in indices]
             params = [decode(vec, space) for vec in population]
             try:
-                results = list(evaluate(candidate, indices, params))
+                results = list(evaluate(candidate, seeds, params))
             except BrokenProcessPool:  # a worker died: this generation and the rest run here
                 evaluate = map
-                results = list(evaluate(candidate, indices, params))
-            trials += [Trial(opt.generation, i, p, *r, _candidate_seed(train_cfg.seed, i))
-                       for i, p, r in zip(indices, params, results)]
+                results = list(evaluate(candidate, seeds, params))
+            trials += [Trial(opt.generation, i, p, *r, seed)
+                       for i, p, r, seed in zip(indices, params, results, seeds)]
             opt.tell(population, np.array([r[0] for r in results]))
 
     fitness = np.array([t.fitness for t in trials])
     if not np.isfinite(fitness).any():
         raise DataError(f"all {len(trials)} candidates failed; there is no trial to refit")
     best_trial = trials[int(np.argmin(np.where(np.isnan(fitness), np.inf, fitness)))]
-    best_model, _ = train_trial(final_cfg, best_trial.index, best_trial.params)
+    best_model, _ = train_trial(final_cfg, best_trial.seed, best_trial.params)
     return SearchResult(trials, best_trial, best_model, space, method, objective, metric_window)

@@ -1,7 +1,7 @@
 """Per-timestep anomaly scoring and latent export.
 
 Both take the raw series and apply ``data.prepare`` with the model's
-``norm_stats``, refusing a model without them. The score of a timestep is
+``norm_stats``, which every ``FlowModel`` carries. The score of a timestep is
 its negative conditional log density, so higher means more anomalous.
 Scores are reported raw: no point adjustment, no smoothing. Every timestep
 is scored: the encoder's ``batches`` pairs each row with its context, the
@@ -58,26 +58,26 @@ def _latent_series(model: FlowModel, ds: TimeSeriesDataset
     raw ``ds``; a non-finite score raises with its timestep. The pass runs
     under ``dc.no_grad`` and keeps no graph: an encoder's intermediates are
     freed as soon as the next op has read them. The
-    (T, context_dim) contexts of every row are collected first from one
-    ``Encoder.batches`` walk (the stateful LSTM's state runs from row to
-    row), each block's copied so that no view keeps an encoder's working
-    array alive, then ``FlowModel.latent_nodes`` runs once per ``_BATCH`` rows."""
-    values = prepare(ds, model.require_norm_stats())[0]
-    n_steps, encoder = values.shape[0], model.encoder
-    contexts = None
+    (T, context_dim) contexts of every row, (T, 0) for kind ``none``, are
+    collected first from one ``Encoder.batches`` walk (the stateful LSTM's
+    state runs from row to row), each block's copied so that no view keeps
+    an encoder's working array alive, then ``FlowModel.latent_nodes`` runs
+    once per ``_BATCH`` rows."""
+    values = prepare(ds, model.norm_stats)[0]
+    n_steps = values.shape[0]
     with dc.no_grad():
-        if encoder.context_dim:  # kind none conditions on nothing
-            # without an rng, every kind yields the rows in series order
-            contexts = np.concatenate([context.value.copy() for _, context in
-                                       encoder.batches(values, np.arange(n_steps), _BATCH, None)])
+        # without an rng, every kind yields the rows in series order; the
+        # (0, context_dim) head keeps a 0-step series scoreable
+        contexts = np.concatenate([np.empty((0, model.encoder.context_dim))] + [
+            context.value.copy() for _, context in
+            model.encoder.batches(values, np.arange(n_steps), _BATCH, None)])
         latents = np.empty_like(values)
         log_dets = np.empty(n_steps)
         for lo in range(0, n_steps, _BATCH):
             block = slice(lo, lo + _BATCH)
-            ctx = None if contexts is None else dc.constant(contexts[block])
             # no name holds a node, so a block's nodes are freed before the next is built
-            latents[block], log_dets[block] = (node.value for node in
-                                               model.latent_nodes(values[block], ctx))
+            latents[block], log_dets[block] = (node.value for node in model.latent_nodes(
+                values[block], dc.constant(contexts[block])))
     scores = -(gaussian_log_density(latents) + log_dets)
     bad = np.nonzero(~np.isfinite(scores))[0]
     if bad.size:

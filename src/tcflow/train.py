@@ -1,7 +1,7 @@
 """End-to-end training of the conditioned flow, plus model (de)serialization.
 
 ``train_model`` fits ``data.prepare`` on the raw series it is given and
-keeps the statistics as the model's ``norm_stats``. One loop
+builds the model with the statistics as its ``norm_stats``. One loop
 (``_mean_loss``) trains and validates every encoder kind. The
 encoder owns the pairing of rows with contexts: ``Encoder.split`` picks the
 training and validation rows once, and ``Encoder.batches`` yields each
@@ -160,11 +160,12 @@ def build_model(
     dim: int,
     encoder_cfg: EncoderConfig,
     flow_cfg: FlowConfig,
+    norm_stats,
     rng: np.random.Generator,
     model_id: str = "flow",
 ) -> FlowModel:
     encoder = build_encoder(encoder_cfg, dim, rng)
-    return FlowModel(dim, flow_cfg, encoder, rng, model_id=model_id)
+    return FlowModel(dim, flow_cfg, encoder, norm_stats, rng, model_id=model_id)
 
 
 def train_model(
@@ -183,8 +184,7 @@ def train_model(
     ENCODERS[encoder_cfg.kind].check_split(ds.n_steps, encoder_cfg)
     values, stats = prepare(ds)
     rng = np.random.default_rng(train_cfg.seed)
-    model = build_model(values.shape[1], encoder_cfg, flow_cfg, rng, model_id=model_id)
-    model.norm_stats = stats
+    model = build_model(values.shape[1], encoder_cfg, flow_cfg, stats, rng, model_id=model_id)
 
     encoder = model.encoder
     train_rows, val_rows = encoder.split(ds.n_steps, rng)
@@ -242,7 +242,7 @@ def save_model(model: FlowModel, path) -> None:
         "n_layers": flow.pop("coupling_layers"),
         "conditioner": {name.removeprefix("cond_"): value for name, value in flow.items()},
         "encoder": asdict(model.encoder.cfg),
-        "norm_stats": [list(map(float, s)) for s in model.require_norm_stats()],
+        "norm_stats": [list(map(float, s)) for s in model.norm_stats],
         "params": [{"name": p.name, "shape": list(p.value.shape)} for p in params],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -284,25 +284,19 @@ def load_model(path) -> FlowModel:
             raise ValueError(f"norm_stats of shape {stats.shape}, not (2, channels)")
         for value in header["norm_stats"][0] + header["norm_stats"][1]:
             check_values({"norm_stats entry": value}, {"norm_stats entry": 0.0}, {})
-        if header["dim"] != stats.shape[1] + stats.shape[1] % 2:  # prepare pads to even
-            raise ValueError(f"dim {header['dim']} does not fit {stats.shape[1]} norm_stats channels")
         encoder_cfg = EncoderConfig(**header["encoder"])
         conditioner = header["conditioner"]
         if type(conditioner) is not dict:
             raise TypeError(f"conditioner {conditioner!r} is not an object")
         flow_cfg = FlowConfig(header["n_layers"],
                               **{"cond_" + name: value for name, value in conditioner.items()})
-        model = build_model(header["dim"], encoder_cfg, flow_cfg, np.random.default_rng(0),
-                            model_id=header["model_id"])
+        model = build_model(header["dim"], encoder_cfg, flow_cfg, stats,
+                            np.random.default_rng(0), model_id=header["model_id"])
         declared = [(entry["name"], entry["shape"]) for entry in header["params"]]
     except KeyError as exc:
         raise SerializationError(f"{path}: header lacks key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"{path}: bad header: {exc}") from None
-    bad = np.nonzero(~np.isfinite(stats))[1]
-    if bad.size:
-        raise SerializationError(f"{path}: non-finite norm_stats for channel {bad[0]}")
-    model.norm_stats = tuple(stats)
     params = model.parameters()
     if [(p.name, list(p.value.shape)) for p in params] != declared:
         raise SerializationError(f"{path}: parameter list does not match the declared architecture")

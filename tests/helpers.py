@@ -56,13 +56,20 @@ def range_labels(labels, width: int) -> np.ndarray:
     return mx._buffer_weights(mx._distance_to_true(labels), width)
 
 
+def identity_stats(dim):
+    """Statistics under which ``prepare`` maps a value v to (v + 1) - 1,
+    which is v up to rounding."""
+    return np.full(dim, -1.0), np.full(dim, 1.0)
+
+
 def small_flow(dim=2, coupling_layers=2, context_dim=0, seed=0, multiplier=2,
                cond_layers=3, dropout=0.1, funnel=1.5, encoder=None):
+    """A ``FlowModel`` of ``identity_stats``."""
     cfg = FlowConfig(coupling_layers, multiplier, cond_layers, dropout, funnel)
     if encoder is None:
         encoder = (_FixedDimEncoder(context_dim) if context_dim > 0
                    else build_encoder(EncoderConfig("none"), dim, np.random.default_rng(seed)))
-    return FlowModel(dim, cfg, encoder, np.random.default_rng(seed))
+    return FlowModel(dim, cfg, encoder, identity_stats(dim), np.random.default_rng(seed))
 
 
 class _FixedDimEncoder:
@@ -77,10 +84,12 @@ class _FixedDimEncoder:
 
 def build_model_with_encoder(dim, coupling_layers, encoder_cfg: EncoderConfig, seed=0,
                              multiplier=2, cond_layers=3):
+    """A ``FlowModel`` of ``identity_stats``, its encoder built first from
+    the same rng."""
     rng = np.random.default_rng(seed)
     encoder = build_encoder(encoder_cfg, dim, rng)
     cfg = FlowConfig(coupling_layers, multiplier, cond_layers, 0.1, 1.5)
-    return FlowModel(dim, cfg, encoder, rng)
+    return FlowModel(dim, cfg, encoder, identity_stats(dim), rng)
 
 
 def randomize_model(model, rng, scale=0.4):
@@ -102,21 +111,24 @@ def force_affine(layer, log_scale, shift):
     layer.scale_cap.value[:] = np.asarray(log_scale, dtype=float) / np.tanh(1.0)
 
 
-def context_node(context):
-    """A context array as a constant node; a node, or None, as it is."""
-    return context if context is None or isinstance(context, dc.Node) else dc.constant(context)
+def context_node(context, batch):
+    """A context array as a constant node, a node as it is, and None as the
+    empty (``batch``, 0) context of the unconditioned flow."""
+    if context is None:
+        context = np.empty((batch, 0))
+    return context if isinstance(context, dc.Node) else dc.constant(context)
 
 
 def log_prob(model, points, context=None):
     """Evaluation-mode ``FlowModel.log_prob_nodes``, plain arrays in and out
     (the context may also be a node)."""
-    return model.log_prob_nodes(points, context_node(context)).value
+    return model.log_prob_nodes(points, context_node(context, len(points))).value
 
 
 def latent(model, points, context=None):
     """Evaluation-mode ``FlowModel.latent_nodes``: (latent, log-det) arrays,
     plain arrays in (the context may also be a node)."""
-    latent_node, log_det = model.latent_nodes(points, context_node(context))
+    latent_node, log_det = model.latent_nodes(points, context_node(context, len(points)))
     return latent_node.value, log_det.value
 
 
@@ -124,8 +136,8 @@ def composed_scale_shift(layer, untouched, context, rng=None, rate=0.0):
     """Reference conditioner net of a coupling layer, built from diffcore
     primitives: ``(log_scale, shift)`` nodes for the untouched half and the
     context, with one dropout draw at ``rate`` per hidden layer when ``rng``
-    is given."""
-    h = untouched if context is None else dc.concat([untouched, context], axis=1)
+    is given; a None ``context`` is the empty one."""
+    h = dc.concat([untouched, context_node(context, len(untouched.value))], axis=1)
     for w, b in layer.hidden:
         h = dc.tanh(dc.add(dc.matmul(h, w), b))
         h = dc.dropout(h, rate, rng)
@@ -141,9 +153,9 @@ def composed_forward(layer, u, context):
     nodes, the log-det being the row sum of the effective scale."""
     if u.value.ndim != 2 or u.value.shape[1] != layer.dim:
         raise dc.ShapeError("coupling", u.value.shape, (layer.dim,))
-    got_ctx = 0 if context is None else context.value.shape[1]
-    if got_ctx != layer.context_dim:
-        raise dc.ShapeError("coupling context", (got_ctx,), (layer.context_dim,))
+    context = context_node(context, len(u.value))
+    if context.value.shape[1] != layer.context_dim:
+        raise dc.ShapeError("coupling context", context.value.shape[1:], (layer.context_dim,))
     u1 = u[:, : layer.dim // 2]
     u2 = u[:, layer.dim // 2 :]
     log_scale, shift = composed_scale_shift(layer, u1, context)
@@ -167,7 +179,7 @@ def composed_latent(model, points, context=None, rng=None):
     """Reference ``FlowModel.latent_nodes``: one ``composed_inverse`` per layer,
     halves swapped between layers, log-dets summed in graph nodes."""
     x = dc.constant(points)
-    ctx = context_node(context)
+    ctx = context_node(context, len(points))
     total = None
     for i in reversed(range(len(model.layers))):
         x, log_det = composed_inverse(model.layers[i], x, ctx, rng, model.config.cond_dropout)

@@ -15,6 +15,7 @@ from helpers import (
     auc_pairwise_oracle,
     composed_forward,
     finite_diff_check,
+    identity_stats,
     latent,
     log_prob,
     minimize,
@@ -98,14 +99,13 @@ def test_a02_gradient_correctness():
         cfg = FlowConfig(2, 1, 3, 0.1, 1.5)
         from tcflow.flow import FlowModel
 
-        model = FlowModel(2, cfg, encoder, enc_rng)
+        model = FlowModel(2, cfg, encoder, identity_stats(2), enc_rng)
         randomize_model(model, rng, scale=0.3)
         points = rng.normal(size=(3, 2))
-        contexts = rng.normal(size=(3, lookback, 2)) if encoder is not None else None
+        contexts = rng.normal(size=(3, lookback, 2))
 
         def loss():
-            ctx = encoder.encode_batch(contexts) if encoder is not None else None
-            return nll_loss(model, points, ctx)
+            return nll_loss(model, points, encoder.encode_batch(contexts))
 
         errors[tag] = finite_diff_check(loss, model.parameters(), epsilon=1e-5)
 
@@ -124,7 +124,7 @@ def test_a02_gradient_correctness():
     from tcflow.flow import FlowModel
 
     model = FlowModel(2, FlowConfig(2, 1, 3, 0.1, 1.5),
-                      stateful, np.random.default_rng(3))
+                      stateful, identity_stats(2), np.random.default_rng(3))
     randomize_model(model, rng, scale=0.3)
     stream = rng.normal(size=(5, 2))
     targets = rng.normal(size=(5, 2))

@@ -106,9 +106,8 @@ class TestRowPairing:
         blocks = list(enc.batches(values, requested, 8, rng))
         got = np.concatenate([rows for rows, _ in blocks])
         assert sorted(got.tolist()) == sorted(requested.tolist())
-        for rows, ctx in blocks:
-            assert (ctx is None) == (enc.context_dim == 0)
-            assert ctx is None or ctx.value.shape == (len(rows), enc.context_dim)
+        for rows, ctx in blocks:  # kind none's is the empty (rows, 0) context
+            assert ctx.value.shape == (len(rows), enc.context_dim)
         if kind == "lstm-stateful":
             np.testing.assert_array_equal(got, np.sort(requested))
             chunks = [np.unique(rows // self.LOOKBACK) for rows, _ in blocks]

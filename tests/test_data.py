@@ -131,7 +131,6 @@ class TestTableRoundTrip:
     def test_export_latent_reads_back_bit_identical(self, rows, seed):
         model = build_model_with_encoder(2, 2, EncoderConfig("passthrough", lookback=2))
         randomize_model(model, np.random.default_rng(seed), scale=0.3)
-        model.norm_stats = (np.full(2, -1.0), np.full(2, 1.0))
         ds = dt.TimeSeriesDataset(np.array([r[:2] for r in rows]),
                                   np.array([r[2] for r in rows]))
         latents, log_dets, scores = _latent_series(model, ds)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from helpers import (
 )
 
 from tcflow import diffcore as dc
-from tcflow.conditioners import EncoderConfig
+from tcflow.conditioners import EncoderConfig, build_encoder
 from tcflow.flow import (
+    FlowConfig,
+    FlowModel,
     FlowNanError,
     _gaussian_log_density_nodes,
     gaussian_log_density,
@@ -98,6 +101,59 @@ class TestCouplingLayer:
                 model.layers[0].inverse(x, None)
         with pytest.raises(dc.ShapeError, match=r"^coupling: "):
             model.latent_nodes(np.array([[1.0, 2.0]]))
+
+    def test_none_context_is_the_empty_context(self):
+        # a caller's None becomes the (batch, 0) context that kind none's
+        # encoder yields: the same values and the same running log-det
+        model = small_flow(dim=4, coupling_layers=1)
+        randomize_model(model, np.random.default_rng(2))
+        x = chained(np.random.default_rng(3).normal(size=(7, 4)))
+        empty = model.layers[0].inverse(x, dc.constant(np.empty((7, 0))))
+        np.testing.assert_array_equal(model.layers[0].inverse(x, None).value, empty.value)
+        conditioned = small_flow(dim=4, coupling_layers=1, context_dim=3).layers[0]
+        for context in (None, dc.constant(np.empty((7, 0)))):
+            with pytest.raises(dc.ShapeError, match=r"^coupling context: "):
+                conditioned.inverse(x, context)
+
+
+class TestNormStats:
+    """A ``FlowModel`` is built with its ``norm_stats`` and checks them once."""
+
+    @staticmethod
+    def _build(dim, lo, hi):
+        rng = np.random.default_rng(0)
+        return FlowModel(dim, FlowConfig(), build_encoder(EncoderConfig("none"), dim, rng),
+                         (np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)), rng)
+
+    def test_an_odd_channel_count_fits_the_padded_dim(self):
+        model = self._build(4, [0.0, 1.0, 2.0], [1.0, 1.0, 3.0])  # channel 1 is constant
+        np.testing.assert_array_equal(model.norm_stats[0], [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(model.norm_stats[1], [1.0, 1.0, 3.0])
+
+    @pytest.mark.parametrize("dim,channels", [(4, 2), (2, 4), (4, 5), (4, 1)])
+    def test_statistics_that_do_not_fit_dim_rejected(self, dim, channels):
+        with pytest.raises(ValueError, match=re.escape(
+                f"dim {dim} does not fit {channels} norm_stats channels")):
+            self._build(dim, np.zeros(channels), np.ones(channels))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_statistics_rejected_with_channel(self, side, value):
+        stats = [[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]]
+        stats[side][2] = value
+        with pytest.raises(ValueError, match="^non-finite norm_stats for channel 2$"):
+            self._build(4, *stats)
+
+    def test_min_above_max_rejected_with_channel(self):
+        with pytest.raises(ValueError, match="^norm_stats min above max for channel 1$"):
+            self._build(4, [0.0, 2.0, 0.0, 5.0], [1.0, 1.0, 1.0, 4.0])
+
+    def test_model_keeps_its_own_copy(self):
+        # the checked statistics cannot change behind the model's back
+        lo, hi = np.zeros(2), np.ones(2)
+        model = self._build(2, lo, hi)
+        lo[0] = 5.0
+        np.testing.assert_array_equal(model.norm_stats[0], [0.0, 0.0])
 
 
 class TestGaussianLogDensity:

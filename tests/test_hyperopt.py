@@ -22,7 +22,7 @@ from tcflow.hyperopt import (
 from tcflow.train import TrainConfig, train_model
 
 
-def _blas_threads_candidate(index, params, **kwargs):
+def _blas_threads_candidate(seed, params, **kwargs):
     """A stand-in for ``_evaluate_candidate`` whose fitness is the OpenBLAS
     thread count of the process that evaluates it."""
     return float(openblas_threads()), float("nan"), float("nan"), 0.0
@@ -481,6 +481,29 @@ class TestRunSearch:
             run_search(train, None, "tcnf-base", "val-loss", 9, EncoderConfig(),
                        TrainConfig(seed=0), candidate_epochs=1, final_epochs=1,
                        lookback_max=250, metric_window=-1)
+
+    def test_each_trial_seed_is_derived_once_and_the_refit_trains_with_it(self, monkeypatch):
+        # the refit is train_model with the winner's recorded seed, the one
+        # that trials.csv holds and a replay uses
+        import tcflow.hyperopt as hyperopt
+        from tcflow.hyperopt import FINAL_PATIENCE, configs_from_params
+
+        derived = []
+        original = hyperopt._candidate_seed
+        monkeypatch.setattr(hyperopt, "_candidate_seed",
+                            lambda *args: derived.append(args) or original(*args))
+        monkeypatch.setenv("TCFLOW_WORKERS", "1")
+        train, _ = self._datasets()
+        result = run_search(train, None, "tcnf-base", "val-loss", 9, EncoderConfig(),
+                            TrainConfig(seed=2), candidate_epochs=1, final_epochs=2,
+                            lookback_max=8, metric_window=-1)
+        assert derived == [(2, t.index) for t in result.trials]
+        best = result.best_trial
+        encoder_cfg, flow_cfg = configs_from_params("tcnf-base", best.params, EncoderConfig())
+        model, _ = train_model(train, encoder_cfg, flow_cfg,
+                               TrainConfig(epochs=2, patience=FINAL_PATIENCE, seed=best.seed))
+        for got, want in zip(result.best_model.parameters(), model.parameters(), strict=True):
+            np.testing.assert_array_equal(got.value, want.value, err_msg=got.name)
 
     def test_candidate_fitness_equals_chained_train_score_evaluate(self):
         # the search's internal evaluation must match running the pipeline

@@ -11,8 +11,8 @@ from helpers import (
 )
 
 from tcflow import data as dt
-from tcflow.conditioners import KINDS, EncoderConfig
-from tcflow.flow import gaussian_log_density
+from tcflow.conditioners import KINDS, EncoderConfig, build_encoder
+from tcflow.flow import FlowConfig, FlowModel, gaussian_log_density
 from tcflow.metrics import select_threshold
 from tcflow.score import (
     ScoreSeries,
@@ -27,29 +27,20 @@ def zero_dataset(n_steps=6, dim=2):
     return dt.TimeSeriesDataset(np.zeros((n_steps, dim)))
 
 
-def identity_stats(dim):
-    """Statistics under which ``prepare`` maps a value v to (v + 1) - 1,
-    which is v up to rounding."""
-    return np.full(dim, -1.0), np.full(dim, 1.0)
-
-
 class TestScoreSeries:
     def test_identity_model_on_origin_scores_log_two_pi(self):
         model = build_model_with_encoder(2, 2, EncoderConfig("none"))
-        model.norm_stats = identity_stats(2)
         series = score_series(model, zero_dataset())
         np.testing.assert_allclose(series.scores, math.log(2 * math.pi))
 
     def test_scores_cover_every_timestep(self):
         model = build_model_with_encoder(2, 2, EncoderConfig("passthrough", lookback=5))
-        model.norm_stats = identity_stats(2)
         ds = zero_dataset(37)
         assert score_series(model, ds).scores.shape == (37,)
 
     def test_duplicated_sequence_duplicates_scores(self):
         model = build_model_with_encoder(2, 2, EncoderConfig("passthrough", lookback=3), seed=5)
         randomize_model(model, np.random.default_rng(0), scale=0.2)
-        model.norm_stats = identity_stats(2)
         rng = np.random.default_rng(1)
         values = rng.normal(size=(40, 2))
         base = dt.TimeSeriesDataset(values)
@@ -62,33 +53,32 @@ class TestScoreSeries:
     def test_deterministic(self):
         model = build_model_with_encoder(2, 3, EncoderConfig("passthrough", lookback=4), seed=9)
         randomize_model(model, np.random.default_rng(3), scale=0.3)
-        model.norm_stats = identity_stats(2)
         ds = dt.TimeSeriesDataset(np.random.default_rng(4).normal(size=(50, 2)))
         np.testing.assert_array_equal(score_series(model, ds).scores,
                                       score_series(model, ds).scores)
 
+    def test_unconditioned_model_scores_a_zero_step_series_to_nothing(self):
+        model = build_model_with_encoder(2, 2, EncoderConfig("none"))
+        assert score_series(model, zero_dataset(0)).scores.shape == (0,)
+
     def test_channel_count_mismatch_rejected(self):
         model = build_model_with_encoder(4, 2, EncoderConfig("none"))
-        model.norm_stats = identity_stats(4)
         with pytest.raises(dt.DataError, match="stats cover 4 channels, dataset has 2"):
             score_series(model, zero_dataset(10, 2))
 
-    def test_model_without_statistics_is_refused(self, tmp_path):
-        # scoring applies the model's statistics and never fits its own
-        model = build_model_with_encoder(2, 2, EncoderConfig("passthrough", lookback=2))
-        model.norm_stats = None
-        ds = dt.TimeSeriesDataset(np.random.default_rng(0).normal(size=(10, 2)))
-        path = tmp_path / "latent.csv"
-        with pytest.raises(ValueError, match="^model carries no normalization statistics$"):
-            score_series(model, ds)
-        with pytest.raises(ValueError, match="^model carries no normalization statistics$"):
-            export_latent(model, ds, path)
-        assert not path.exists()
+    def test_model_cannot_be_built_without_statistics(self):
+        # scoring applies the model's statistics and never fits its own, so
+        # a model has them from its construction on
+        encoder = build_encoder(EncoderConfig("passthrough", lookback=2), 2,
+                                np.random.default_rng(0))
+        with pytest.raises(TypeError, match="norm_stats"):
+            FlowModel(2, FlowConfig(), encoder, rng=np.random.default_rng(0))
+        with pytest.raises(TypeError):
+            FlowModel(2, FlowConfig(), encoder, None, np.random.default_rng(0))
 
     def test_stateful_scoring_matches_series_length(self):
         model = build_model_with_encoder(
             2, 2, EncoderConfig("lstm-stateful", lookback=4, lstm_layers=1))
-        model.norm_stats = identity_stats(2)
         ds = zero_dataset(23)
         assert score_series(model, ds).scores.shape == (23,)
 
@@ -98,7 +88,6 @@ class TestScoreSeries:
         model = build_model_with_encoder(
             2, 2, EncoderConfig("lstm-stateful", lookback=5, lstm_layers=2), seed=7)
         randomize_model(model, np.random.default_rng(8), scale=0.3)
-        model.norm_stats = identity_stats(2)
         ds = dt.TimeSeriesDataset(np.random.default_rng(9).normal(size=(n_steps, 2)))
         values = dt.prepare(ds, model.norm_stats)[0]
         stream = np.vstack([values[:1], values[:-1]])
@@ -118,7 +107,6 @@ class TestScoreSeries:
         model = build_model_with_encoder(
             8, 2, EncoderConfig("lstm-stateful", lookback=3), seed=11, multiplier=50)
         randomize_model(model, np.random.default_rng(12), scale=0.3)
-        model.norm_stats = identity_stats(8)
         ds = dt.TimeSeriesDataset(np.random.default_rng(13).normal(size=(2500, 8)))
         values = dt.prepare(ds, model.norm_stats)[0]
         stream = np.vstack([values[:1], values[:-1]])  # row t is conditioned on row t - 1
@@ -137,7 +125,6 @@ class TestScoreSeries:
         import tracemalloc
 
         model = build_model_with_encoder(8, 2, EncoderConfig("lstm-stateless", lookback=50))
-        model.norm_stats = identity_stats(8)
         peaks = []
         for n_steps in (5_000, 20_000):
             ds = dt.TimeSeriesDataset(np.random.default_rng(0).normal(size=(n_steps, 8)))
@@ -158,7 +145,6 @@ class TestScoreSeries:
         import tracemalloc
 
         model = build_model_with_encoder(2, 4, EncoderConfig(kind, lookback=20))
-        model.norm_stats = identity_stats(2)
         ds = dt.TimeSeriesDataset(np.random.default_rng(0).normal(size=(40_000, 2)))
         tracemalloc.start()
         try:
@@ -177,7 +163,6 @@ class TestScoreSeries:
         from tcflow.score import _BATCH
 
         model = build_model_with_encoder(2, 3, EncoderConfig("passthrough", lookback=3))
-        model.norm_stats = identity_stats(2)
         built, live = [], []
         original = dc.coupling_inverse
 
@@ -251,7 +236,6 @@ class TestExportLatent:
         # with one layer there is no half-swap, so fresh parameters give the
         # literal identity map
         model = build_model_with_encoder(2, 1, EncoderConfig("none"))
-        model.norm_stats = identity_stats(2)
         rng = np.random.default_rng(0)
         ds = dt.TimeSeriesDataset(rng.normal(size=(12, 2)))
         values = dt.prepare(ds, model.norm_stats)[0]
@@ -268,7 +252,6 @@ class TestExportLatent:
         # the pass starts the running log-det at -0.0, and each fresh layer
         # adds -0.0 (its zero head's negated scale sum): every cell is -0.0
         model = build_model_with_encoder(4, 3, EncoderConfig("passthrough", lookback=2))
-        model.norm_stats = identity_stats(4)
         ds = dt.TimeSeriesDataset(np.random.default_rng(0).normal(size=(9, 4)))
         path = tmp_path / "latent.csv"
         export_latent(model, ds, path)
@@ -280,7 +263,6 @@ class TestExportLatent:
     def test_score_reconstructs_from_latent_and_logdet(self, tmp_path, kind):
         model = build_model_with_encoder(2, 3, EncoderConfig(kind, lookback=3), seed=2)
         randomize_model(model, np.random.default_rng(1), scale=0.3)
-        model.norm_stats = identity_stats(2)
         rng = np.random.default_rng(5)
         ds = dt.TimeSeriesDataset(rng.normal(size=(30, 2)))
         path = tmp_path / "latent.csv"
@@ -300,7 +282,6 @@ class TestExportLatent:
         randomize_model(model, np.random.default_rng(0), scale=0.5)
         for layer in model.layers:
             layer.scale_cap.value = np.full_like(layer.scale_cap.value, 1.7e308)
-        model.norm_stats = identity_stats(2)
         ds = dt.TimeSeriesDataset(np.random.default_rng(1).normal(size=(5, 2)))
         path = tmp_path / "latent.csv"
         with np.errstate(all="ignore"):
@@ -312,7 +293,6 @@ class TestExportLatent:
 
     def test_labeled_dataset_adds_label_column(self, tmp_path):
         model = build_model_with_encoder(2, 2, EncoderConfig("none"))
-        model.norm_stats = identity_stats(2)
         ds = dt.TimeSeriesDataset(np.zeros((8, 2)), labels=np.arange(8) % 2 == 0)
         path = tmp_path / "latent.csv"
         export_latent(model, ds, path)
@@ -322,7 +302,6 @@ class TestExportLatent:
     def test_byte_identical_across_runs(self, tmp_path):
         model = build_model_with_encoder(2, 2, EncoderConfig("passthrough", lookback=2), seed=3)
         randomize_model(model, np.random.default_rng(2), scale=0.2)
-        model.norm_stats = identity_stats(2)
         ds = dt.TimeSeriesDataset(np.random.default_rng(3).normal(size=(20, 2)))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         export_latent(model, ds, p1)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import (
     backward_grads,
     build_model_with_encoder,
+    identity_stats,
     log_prob,
     param_grads,
     randomize_model,
@@ -560,7 +561,7 @@ class TestParameterOrder:
                 (f"layer{i}.scale_cap", (1,)),
             ]
         cfg = EncoderConfig(kind, lookback=3, cnn_max_channels=4, lstm_layers=lstm_layers)
-        model = build_model(2, cfg, small_cfgs(), np.random.default_rng(0))
+        model = build_model(2, cfg, small_cfgs(), identity_stats(2), np.random.default_rng(0))
         assert model.encoder.context_dim == context_dim
         assert [(p.name, p.value.shape) for p in model.parameters()] == coupling + encoder
 
@@ -595,8 +596,8 @@ def bad_nested_values():
 def mlp_model_bytes():
     """The bytes of a saved two-channel ``tcnf-mlp`` model (an untrained one)."""
     model = build_model(2, EncoderConfig("mlp", lookback=4), small_cfgs(),
-                        np.random.default_rng(0), model_id="tcnf-mlp-seed0")
-    model.norm_stats = (np.zeros(2), np.ones(2))
+                        (np.zeros(2), np.ones(2)), np.random.default_rng(0),
+                        model_id="tcnf-mlp-seed0")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.tcf"
         save_model(model, path)
@@ -758,9 +759,9 @@ class TestSerialization:
         # the flow's coupling_layers and cond_* fields are stored as n_layers
         # and the unprefixed conditioner object
         flow_cfg = FlowConfig(1, 2, 4, 0.25, 2.5)
-        model = build_model(2, EncoderConfig("none"), flow_cfg, np.random.default_rng(0),
-                            model_id="m")
-        model.norm_stats = (np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
+        model = build_model(2, EncoderConfig("none"), flow_cfg,
+                            (np.array([-1.0, 0.0]), np.array([1.0, 2.0])),
+                            np.random.default_rng(0), model_id="m")
         path = tmp_path / "model.tcf"
         save_model(model, path)
         raw = path.read_bytes()
@@ -795,12 +796,27 @@ class TestSerialization:
                 f"{path}: bad header: dim 4 does not fit 2 norm_stats channels")):
             load_model(path)
 
-    def test_model_without_norm_stats_cannot_be_saved(self, tmp_path):
-        model, path, _ = self._trained(tmp_path)
-        model.norm_stats = None
-        with pytest.raises(ValueError, match="model carries no normalization statistics"):
-            save_model(model, tmp_path / "stats-free.tcf")
-        assert not (tmp_path / "stats-free.tcf").exists()
+    def test_min_above_max_norm_stats_rejected_with_channel(self, tmp_path):
+        # a constant channel (min == max) loads; one whose min exceeds its
+        # max would map every value of a fresh series to 0
+        _, path, _ = self._trained(tmp_path)
+        raw = path.read_bytes()
+
+        def pin_channel_0(header, lo, hi):
+            header["norm_stats"][0][0], header["norm_stats"][1][0] = lo, hi
+
+        path.write_bytes(self._with_header(raw, lambda h: pin_channel_0(h, 0.5, 0.5)))
+        np.testing.assert_array_equal(load_model(path).norm_stats[0][0], 0.5)
+        path.write_bytes(self._with_header(raw, lambda h: pin_channel_0(
+            h, h["norm_stats"][1][0], h["norm_stats"][0][0])))
+        with pytest.raises(SerializationError, match=re.escape(
+                f"{path}: bad header: norm_stats min above max for channel 0")):
+            load_model(path)
+
+    def test_model_cannot_be_built_without_norm_stats(self):
+        # so none can be saved without them either
+        with pytest.raises(TypeError, match="norm_stats"):
+            build_model(2, EncoderConfig("none"), small_cfgs(), rng=np.random.default_rng(0))
 
     def test_null_norm_stats_header_names_the_file(self, tmp_path):
         _, path, _ = self._trained(tmp_path)
