@@ -745,14 +745,16 @@ def test_readme_configuration_table_matches_defaults_and_bounds():
             assert accepted.split(";")[0] == _accepted(section, key), key
 
 
-# Settable values of src/ as tools/settable_values.py counts them: defaulted
-# parameters, defaulted dataclass fields and config keys. A change that adds
-# or removes a knob edits this number on purpose.
-SETTABLE_VALUES = 105
-
-
-def test_settable_value_count_is_the_recorded_one():
+def test_settable_values_are_the_pinned_list():
+    # tests/settable_values.txt is tools/settable_values.py's list for src/
+    # (defaulted parameters, defaulted dataclass fields and config keys),
+    # without its count line; a change that adds or removes a knob edits it
+    # on purpose, so its diff names the knob
     root = Path(__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, root / "tools" / "settable_values.py", root / "src"],
                          capture_output=True, text=True, check=True).stdout
-    assert out.split(": ")[-1].strip() == str(SETTABLE_VALUES), out
+    *names, total = out.splitlines()
+    pinned = (root / "tests" / "settable_values.txt").read_text().splitlines()
+    assert names == pinned, (f"added {sorted(set(names) - set(pinned))}, "
+                             f"gone {sorted(set(pinned) - set(names))}")
+    assert total.endswith(f": {len(pinned)}"), total
