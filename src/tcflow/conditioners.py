@@ -154,7 +154,7 @@ class Encoder:
             pick = rows[lo : lo + size]
             yield pick, self.encode_batch(windows[pick], rng)
 
-    def encode_batch(self, contexts: np.ndarray, rng: np.random.Generator | None = None) -> Node:
+    def encode_batch(self, contexts: np.ndarray, rng: np.random.Generator | None) -> Node:
         """The empty (batch, 0) context of kind ``none``."""
         return dc.constant(np.empty((len(contexts), 0)))
 
@@ -177,7 +177,7 @@ class PassthroughEncoder(Encoder):
         super().__init__(cfg, dim, rng)
         self.context_dim = cfg.lookback * dim
 
-    def encode_batch(self, contexts, rng=None):
+    def encode_batch(self, contexts, rng):
         contexts = self._validate(contexts)
         return dc.constant(contexts.reshape(contexts.shape[0], -1))
 
@@ -193,7 +193,7 @@ class FixedSummaryEncoder(Encoder):
         super().__init__(cfg, dim, rng)
         self.context_dim = 4 * dim
 
-    def encode_batch(self, contexts, rng=None):
+    def encode_batch(self, contexts, rng):
         contexts = self._validate(contexts)
         mean = contexts.mean(axis=1)
         std = contexts.std(axis=1)
@@ -228,7 +228,7 @@ class MlpEncoder(Encoder):
             prev = width
         self.pairs.append(dense(rng, prev, self.context_dim, "encoder.head"))
 
-    def encode_batch(self, contexts, rng=None):
+    def encode_batch(self, contexts, rng):
         contexts = self._validate(contexts)
         h = dc.constant(contexts.reshape(contexts.shape[0], -1))
         *hidden, (head_w, head_b) = self.pairs
@@ -259,7 +259,7 @@ class CnnEncoder(Encoder):
                                     (cfg.cnn_kernel, prev, ch)))
             prev = ch
 
-    def encode_batch(self, contexts, rng=None):
+    def encode_batch(self, contexts, rng):
         contexts = self._validate(contexts, fixed_length=False)
         h = dc.constant(contexts)
         for j, (w, b) in enumerate(self.pairs):
@@ -304,7 +304,7 @@ class LstmEncoder(Encoder):
     def zero_states(self, batch: int) -> list[Node]:
         return [dc.constant(np.zeros((batch, 2 * self.hidden))) for _ in self.pairs]
 
-    def encode_batch(self, contexts, rng=None):
+    def encode_batch(self, contexts, rng):
         contexts = self._validate(contexts, fixed_length=False)
         steps = dc.constant(contexts.transpose(1, 0, 2))
         out, _ = self._run_stack(steps, self.zero_states(contexts.shape[0]), rng)
@@ -318,7 +318,7 @@ class StatefulLstmEncoder(LstmEncoder):
     kind = "lstm-stateful"
 
     def encode_step(self, rows: np.ndarray, states: list[Node],
-                    rng: np.random.Generator | None = None) -> tuple[Node, list[Node]]:
+                    rng: np.random.Generator | None) -> tuple[Node, list[Node]]:
         """Run a (k, channels) block of consecutive rows from the per-layer
         (1, 2*hidden) ``[h | c]`` ``states`` (``zero_states(1)`` to start).
         Returns the top hidden state after each row, a (k, hidden) node, and

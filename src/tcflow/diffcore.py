@@ -488,8 +488,8 @@ def coupling_inverse(
     head_w: Node,
     head_b: Node,
     scale_cap: Node,
-    masks: Sequence[np.ndarray] | None = None,
-    swap: bool = False,
+    masks: Sequence[np.ndarray] | None,
+    swap: bool,
 ) -> Node:
     """Data-to-base pass of one affine coupling layer as a single node.
 
@@ -497,7 +497,7 @@ def coupling_inverse(
     (batch, dim + 1): the points, then the running log-det of the layers
     inverted before (``-0.0`` before the first). The first half ``x1``
     passes through. The conditioner runs on ``x1`` concatenated with
-    ``context`` ((batch, 0) without one): ``h = tanh(h @ w + b)`` per hidden
+    ``context`` ((batch, 0) for kind none): ``h = tanh(h @ w + b)`` per hidden
     layer, each multiplied by its inverted-dropout mask when ``masks`` (one
     (batch, width) array of 0 and 1/(1 - rate) per hidden layer, drawn by the
     caller) is given, then ``raw = h @ head_w + head_b``. With

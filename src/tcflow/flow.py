@@ -144,21 +144,18 @@ class CouplingLayer:
     def parameters(self) -> list[Parameter]:
         return [*chain(*self.hidden), self.head_w, self.head_b, self.scale_cap]
 
-    def inverse(self, x: Node, context: Node | None, masks: list[np.ndarray] | None = None,
-                swap: bool = False) -> Node:
+    def inverse(self, x: Node, context: Node, masks: list[np.ndarray] | None, swap: bool) -> Node:
         """Data-to-base direction as one fused node (``dc.coupling_inverse``),
         with the inverted-dropout ``masks`` of the conditioner net's hidden
-        layers, one (batch, width) array each, when given.
+        layers, one (batch, width) array each, or None for no dropout.
 
         ``x`` is (batch, dim + 1): the points, then the running log-det.
-        ``context`` is a (batch, context_dim) node, or None for (batch, 0).
+        ``context`` is a (batch, context_dim) node, (batch, 0) for kind ``none``.
         Returns the same form: the transformed points (halves swapped when
         ``swap``), then the running log-det plus this layer's, which is the
         negated forward one."""
         if x.value.ndim != 2 or x.value.shape[1] != self.dim + 1:
             raise dc.ShapeError("coupling", x.value.shape, (self.dim + 1,))
-        if context is None:
-            context = dc.constant(np.empty((x.value.shape[0], 0)))
         if context.value.shape[1] != self.context_dim:
             raise dc.ShapeError("coupling context", context.value.shape[1:], (self.context_dim,))
         return dc.coupling_inverse(x, context, self.hidden, self.head_w, self.head_b,
@@ -206,17 +203,17 @@ class FlowModel:
         params.extend(self.encoder.parameters())
         return params
 
-    def latent_nodes(self, points: np.ndarray, context: Node | None = None,
-                     rng: np.random.Generator | None = None) -> tuple[Node, Node]:
+    def latent_nodes(self, points: np.ndarray, context: Node,
+                     rng: np.random.Generator | None) -> tuple[Node, Node]:
         """Normalize points: (latent, per-row summed log|det J|) as graph nodes.
 
         ``points`` is a (batch, dim) array, which enters the pass as one
         constant ``[points | -0.0]``: -0.0 + v is v for every v, a zero's
         sign included, so the first layer's running log-det is its own bit
-        for bit. ``context`` is a (batch, context_dim) node, through which
-        gradients flow into an encoder, or None for (batch, 0). The same
-        context row conditions every layer of the stack. Dropout is drawn iff
-        ``rng`` is given (``_dropout_masks``). A NaN in the latent raises
+        for bit. ``context`` is the (batch, context_dim) node an encoder
+        gives, through which gradients flow into it. The same context row
+        conditions every layer of the stack. Dropout is drawn iff ``rng`` is
+        not None (``_dropout_masks``). A NaN in the latent raises
         ``FlowNanError`` for the first layer of the pass that produced one:
         a NaN stays in the points of every later layer.
         """
@@ -248,15 +245,14 @@ class FlowModel:
         return [[row[lo:hi].reshape(batch, -1) for lo, hi in zip(bounds, bounds[1:])]
                 for row in masks.reshape(len(self.layers), -1)]
 
-    def log_prob_nodes(self, points, context=None, rng: np.random.Generator | None = None) -> Node:
+    def log_prob_nodes(self, points, context: Node, rng: np.random.Generator | None) -> Node:
         """Per-row conditional log density as a graph node: the base density
         of the latent plus the log-det of the normalizing pass."""
         latent, log_det = self.latent_nodes(points, context, rng)
         return dc.add(_gaussian_log_density_nodes(latent), log_det)
 
 
-def nll_loss(model: FlowModel, points, context=None,
-             rng: np.random.Generator | None = None) -> Node:
+def nll_loss(model: FlowModel, points, context: Node, rng: np.random.Generator | None) -> Node:
     """Mean negative log density over a batch; errors on an empty batch."""
     points = np.asarray(points, dtype=np.float64)
     if points.shape[0] == 0:

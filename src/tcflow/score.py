@@ -55,29 +55,29 @@ def load_score_csv(path) -> tuple[ScoreSeries, np.ndarray | None]:
 def _latent_series(model: FlowModel, ds: TimeSeriesDataset
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Latent coordinates, summed log|det J| and score per timestep of the
-    raw ``ds``; a non-finite score raises with its timestep. The pass runs
-    under ``dc.no_grad`` and keeps no graph: an encoder's intermediates are
-    freed as soon as the next op has read them. The
-    (T, context_dim) contexts of every row, (T, 0) for kind ``none``, are
+    raw ``ds``: ``DataError`` for 0 steps, and a non-finite score raises with
+    its timestep. The pass runs under ``dc.no_grad`` and keeps no graph: an
+    encoder's intermediates are freed as soon as the next op has read them.
+    The (T, context_dim) contexts of every row, (T, 0) for kind ``none``, are
     collected first from one ``Encoder.batches`` walk (the stateful LSTM's
-    state runs from row to row), each block's copied so that no view keeps
-    an encoder's working array alive, then ``FlowModel.latent_nodes`` runs
-    once per ``_BATCH`` rows."""
+    state runs from row to row), each block's copied so that no view keeps an
+    encoder's working array alive, then ``FlowModel.latent_nodes`` runs once
+    per ``_BATCH`` rows."""
+    if ds.n_steps == 0:
+        raise DataError("nothing to score in a series of 0 steps")
     values = prepare(ds, model.norm_stats)[0]
     n_steps = values.shape[0]
     with dc.no_grad():
-        # without an rng, every kind yields the rows in series order; the
-        # (0, context_dim) head keeps a 0-step series scoreable
-        contexts = np.concatenate([np.empty((0, model.encoder.context_dim))] + [
-            context.value.copy() for _, context in
-            model.encoder.batches(values, np.arange(n_steps), _BATCH, None)])
+        # without an rng, every kind yields the rows in series order
+        contexts = np.concatenate([context.value.copy() for _, context in model.encoder.batches(
+            values, np.arange(n_steps), _BATCH, None)])
         latents = np.empty_like(values)
         log_dets = np.empty(n_steps)
         for lo in range(0, n_steps, _BATCH):
             block = slice(lo, lo + _BATCH)
             # no name holds a node, so a block's nodes are freed before the next is built
             latents[block], log_dets[block] = (node.value for node in model.latent_nodes(
-                values[block], dc.constant(contexts[block])))
+                values[block], dc.constant(contexts[block]), None))
     scores = -(gaussian_log_density(latents) + log_dets)
     bad = np.nonzero(~np.isfinite(scores))[0]
     if bad.size:

@@ -122,13 +122,13 @@ def context_node(context, batch):
 def log_prob(model, points, context=None):
     """Evaluation-mode ``FlowModel.log_prob_nodes``, plain arrays in and out
     (the context may also be a node)."""
-    return model.log_prob_nodes(points, context_node(context, len(points))).value
+    return model.log_prob_nodes(points, context_node(context, len(points)), None).value
 
 
 def latent(model, points, context=None):
     """Evaluation-mode ``FlowModel.latent_nodes``: (latent, log-det) arrays,
     plain arrays in (the context may also be a node)."""
-    latent_node, log_det = model.latent_nodes(points, context_node(context, len(points)))
+    latent_node, log_det = model.latent_nodes(points, context_node(context, len(points)), None)
     return latent_node.value, log_det.value
 
 

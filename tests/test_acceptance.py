@@ -105,7 +105,7 @@ def test_a02_gradient_correctness():
         contexts = rng.normal(size=(3, lookback, 2))
 
         def loss():
-            return nll_loss(model, points, encoder.encode_batch(contexts))
+            return nll_loss(model, points, encoder.encode_batch(contexts, None), None)
 
         errors[tag] = finite_diff_check(loss, model.parameters(), epsilon=1e-5)
 
@@ -133,8 +133,8 @@ def test_a02_gradient_correctness():
         states = stateful.zero_states(1)
         terms = []
         for t in range(5):
-            w, states = stateful.encode_step(stream[t : t + 1], states)
-            terms.append(dc.neg(model.log_prob_nodes(targets[t : t + 1], w)))
+            w, states = stateful.encode_step(stream[t : t + 1], states, None)
+            terms.append(dc.neg(model.log_prob_nodes(targets[t : t + 1], w, None)))
         return dc.mean(dc.concat(terms, axis=0))
 
     errors["stateful"] = finite_diff_check(stateful_loss, model.parameters(),
@@ -171,7 +171,7 @@ def test_a04_learned_density_normalizes():
         FlowConfig(2, 2, 3, 0.1, 1.5),
         TrainConfig(epochs=8, batch_size=128, learning_rate=3e-3, seed=0))
     context = model.encoder.encode_batch(
-        padded_context_windows(dt.prepare(ds, model.norm_stats)[0], 4)[300][None]).value[0]
+        padded_context_windows(dt.prepare(ds, model.norm_stats)[0], 4)[300][None], None).value[0]
     step, extent = 0.04, 12.0
     axis = np.arange(-extent, extent + step / 2, step)
     grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)

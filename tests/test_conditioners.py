@@ -257,7 +257,7 @@ class TestPassthrough:
     def test_flatten_definition(self):
         enc = build_encoder(EncoderConfig("passthrough", lookback=2), 2, np.random.default_rng(0))
         ctx = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        np.testing.assert_array_equal(enc.encode_batch(ctx).value, [[1.0, 2.0, 3.0, 4.0]])
+        np.testing.assert_array_equal(enc.encode_batch(ctx, None).value, [[1.0, 2.0, 3.0, 4.0]])
 
     def test_context_dim(self):
         enc = build_encoder(EncoderConfig("passthrough", lookback=7), 3, np.random.default_rng(0))
@@ -266,20 +266,20 @@ class TestPassthrough:
     def test_shape_mismatch(self):
         enc = build_encoder(EncoderConfig("passthrough", lookback=2), 2, np.random.default_rng(0))
         with pytest.raises(dc.ShapeError):
-            enc.encode_batch(np.zeros((1, 3, 2)))
+            enc.encode_batch(np.zeros((1, 3, 2)), None)
 
 
 class TestFixedSummary:
     def test_constant_channel_summary(self):
         enc = build_encoder(EncoderConfig("fixed-encode", lookback=4), 1, np.random.default_rng(0))
         ctx = np.full((1, 4, 1), 2.5)
-        out = enc.encode_batch(ctx).value[0]
+        out = enc.encode_batch(ctx, None).value[0]
         np.testing.assert_allclose(out, [2.5, 0.0, 2.5, 0.0])
 
     def test_summary_fields(self):
         enc = build_encoder(EncoderConfig("fixed-encode", lookback=3), 1, np.random.default_rng(0))
         ctx = np.array([[[1.0], [2.0], [4.0]]])
-        mean, std, last, diff_mean = enc.encode_batch(ctx).value[0]
+        mean, std, last, diff_mean = enc.encode_batch(ctx, None).value[0]
         assert mean == pytest.approx(7.0 / 3.0)
         assert std == pytest.approx(np.std([1.0, 2.0, 4.0]))
         assert last == 4.0
@@ -287,7 +287,7 @@ class TestFixedSummary:
 
     def test_lookback_one_has_zero_diff(self):
         enc = build_encoder(EncoderConfig("fixed-encode", lookback=1), 2, np.random.default_rng(0))
-        out = enc.encode_batch(np.ones((1, 1, 2))).value[0]
+        out = enc.encode_batch(np.ones((1, 1, 2)), None).value[0]
         np.testing.assert_allclose(out, [1, 1, 0, 0, 1, 1, 0, 0])
 
 
@@ -296,7 +296,7 @@ class TestMlpEncoder:
         cfg = EncoderConfig("mlp", lookback=5, mlp_layers=3, mlp_compression=3)
         enc = build_encoder(cfg, 4, np.random.default_rng(0))
         assert enc.context_dim == (5 * 4) // 3
-        out = enc.encode_batch(series(9, 4)[None, :5] * np.ones((3, 1, 1)))
+        out = enc.encode_batch(series(9, 4)[None, :5] * np.ones((3, 1, 1)), None)
         assert out.value.shape == (3, enc.context_dim)
 
     def test_output_floor_of_two(self):
@@ -313,8 +313,8 @@ class TestMlpEncoder:
         enc = build_encoder(cfg, 2, np.random.default_rng(1))
         ctx = np.random.default_rng(2).normal(size=(6, 3, 2))
         perm = np.array([4, 0, 5, 2, 1, 3])
-        out = enc.encode_batch(ctx).value
-        out_perm = enc.encode_batch(ctx[perm]).value
+        out = enc.encode_batch(ctx, None).value
+        out_perm = enc.encode_batch(ctx[perm], None).value
         np.testing.assert_allclose(out_perm, out[perm])
 
 
@@ -324,7 +324,7 @@ class TestCnnEncoder:
             cfg = EncoderConfig("cnn", lookback=k, cnn_layers=2, cnn_kernel=3, cnn_max_channels=6)
             enc = build_encoder(cfg, 2, np.random.default_rng(0))
             assert enc.context_dim == 6
-            out = enc.encode_batch(np.zeros((2, k, 2)))
+            out = enc.encode_batch(np.zeros((2, k, 2)), None)
             assert out.value.shape == (2, 6)
 
     def test_gradients_reach_conv_weights(self):
@@ -333,7 +333,7 @@ class TestCnnEncoder:
         ctx = np.random.default_rng(4).normal(size=(3, 5, 2))
 
         def loss():
-            out = enc.encode_batch(ctx)
+            out = enc.encode_batch(ctx, None)
             return dc.sum_(dc.mul(out, out))
 
         assert finite_diff_check(loss, enc.parameters(), epsilon=1e-5) < 1e-4
@@ -377,14 +377,15 @@ class TestLstmEncoder:
     def test_zero_context_zero_bias_gives_zero(self):
         cfg = EncoderConfig("lstm-stateless", lookback=4, lstm_layers=2)
         enc = build_encoder(cfg, 2, np.random.default_rng(0))
-        out = enc.encode_batch(np.zeros((2, 4, 2)))
+        out = enc.encode_batch(np.zeros((2, 4, 2)), None)
         np.testing.assert_array_equal(out.value, np.zeros((2, enc.context_dim)))
 
     def test_deterministic_in_eval_mode(self):
         cfg = EncoderConfig("lstm-stateless", lookback=3, lstm_layers=1)
         enc = build_encoder(cfg, 2, np.random.default_rng(5))
         ctx = np.random.default_rng(6).normal(size=(4, 3, 2))
-        np.testing.assert_array_equal(enc.encode_batch(ctx).value, enc.encode_batch(ctx).value)
+        np.testing.assert_array_equal(enc.encode_batch(ctx, None).value,
+                                      enc.encode_batch(ctx, None).value)
 
     def test_gradients_through_time(self):
         cfg = EncoderConfig("lstm-stateless", lookback=3, lstm_layers=2)
@@ -392,7 +393,7 @@ class TestLstmEncoder:
         ctx = np.random.default_rng(8).normal(size=(2, 3, 2))
 
         def loss():
-            out = enc.encode_batch(ctx)
+            out = enc.encode_batch(ctx, None)
             return dc.sum_(dc.mul(out, out))
 
         assert finite_diff_check(loss, enc.parameters(), epsilon=1e-5) < 1e-4
@@ -413,8 +414,8 @@ class TestStatefulEncoder:
         values = series(7, 2, seed=12)
         states = stateful.zero_states(1)
         for t in range(values.shape[0]):
-            stepped, states = stateful.encode_step(values[t : t + 1], states)
-            prefix = stateless.encode_batch(values[: t + 1][None, :, :]).value[0]
+            stepped, states = stateful.encode_step(values[t : t + 1], states, None)
+            prefix = stateless.encode_batch(values[: t + 1][None, :, :], None).value[0]
             np.testing.assert_allclose(stepped.value[0], prefix, atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(2, 3), (3,), (2,), (1, 2, 2), (0, 2)])
@@ -423,18 +424,18 @@ class TestStatefulEncoder:
         # rows of the 2 channels
         _, stateful = self._pair()
         with pytest.raises(dc.ShapeError, match=re.escape(f"{shape} and (None, 2)")):
-            stateful.encode_step(np.zeros(shape), stateful.zero_states(1))
+            stateful.encode_step(np.zeros(shape), stateful.zero_states(1), None)
 
     def test_block_step_equals_single_row_steps(self):
         _, stateful = self._pair()
         values = series(7, 2, seed=13)
         single, rows = stateful.zero_states(1), []
         for t in range(7):
-            row, single = stateful.encode_step(values[t : t + 1], single)
+            row, single = stateful.encode_step(values[t : t + 1], single, None)
             rows.append(row.value)
-        first, block = stateful.encode_step(values[:3], stateful.zero_states(1))
+        first, block = stateful.encode_step(values[:3], stateful.zero_states(1), None)
         assert first.value.shape == (3, stateful.hidden)
-        rest, block = stateful.encode_step(values[3:], block)
+        rest, block = stateful.encode_step(values[3:], block, None)
         np.testing.assert_array_equal(np.vstack([first.value, rest.value]), np.vstack(rows))
         for s1, s2 in zip(single, block):
             np.testing.assert_array_equal(s1.value, s2.value)
@@ -446,7 +447,7 @@ class TestStatefulEncoder:
         chunks = list(stateful.batches(values, np.arange(10), 128, None))
         assert [rows.tolist() for rows, _ in chunks] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
         shifted = np.vstack([values[:1], values[:-1]])
-        whole, _ = stateful.encode_step(shifted, stateful.zero_states(1))
+        whole, _ = stateful.encode_step(shifted, stateful.zero_states(1), None)
         np.testing.assert_array_equal(np.vstack([c.value for _, c in chunks]), whole.value)
 
         def graph(node):
@@ -459,8 +460,8 @@ class TestStatefulEncoder:
         values = series(6, 2, seed=22)
         s1, s2 = stateful.zero_states(1), stateful.zero_states(1)
         for t in range(values.shape[0]):
-            a, s1 = stateful.encode_step(values[t : t + 1], s1)
-            b, s2 = stateful.encode_step(values[t : t + 1], s2)
+            a, s1 = stateful.encode_step(values[t : t + 1], s1, None)
+            b, s2 = stateful.encode_step(values[t : t + 1], s2, None)
             np.testing.assert_array_equal(a.value, b.value)
 
 
@@ -531,7 +532,7 @@ class TestFusedLstmStack:
         zeros = dc.constant(np.zeros((1, self.HIDDEN)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            contexts, states = enc.encode_step(rows, enc.zero_states(1))
+            contexts, states = enc.encode_step(rows, enc.zero_states(1), None)
             seq, ref_states = composed_lstm_stack(
                 enc, [dc.constant(row[None]) for row in rows], [(zeros, zeros)] * layers)
         np.testing.assert_array_equal(contexts.value, np.vstack([h.value for h in seq]))

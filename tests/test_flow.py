@@ -8,6 +8,7 @@ from helpers import (
     build_model_with_encoder,
     composed_forward,
     composed_latent,
+    context_node,
     finite_diff_check,
     force_affine,
     latent,
@@ -65,14 +66,14 @@ class TestCouplingLayer:
     def test_inverse_of_hand_example(self):
         model = small_flow(dim=2, coupling_layers=1)
         force_affine(model.layers[0], LN2, 1.0)
-        out = model.layers[0].inverse(chained([0.0, 3.0]), None)
+        out = model.layers[0].inverse(chained([0.0, 3.0]), context_node(None, 1), None, False)
         np.testing.assert_allclose(out.value[:, :2], [[0.0, 1.0]], atol=1e-12)
         np.testing.assert_allclose(out.value[:, 2], [-LN2], atol=1e-12)
 
     def test_identity_inverse_is_identity(self):
         model = small_flow(dim=2, coupling_layers=1)
         x = np.array([[0.7, -0.4]])
-        out = model.layers[0].inverse(chained(x), None)
+        out = model.layers[0].inverse(chained(x), context_node(None, 1), None, False)
         np.testing.assert_allclose(out.value[:, :2], x)
 
     def test_round_trip_with_random_parameters(self):
@@ -83,7 +84,7 @@ class TestCouplingLayer:
         u = rng.normal(size=(5, 4))
         ctx = dc.constant(rng.normal(size=(5, 3)))
         x, fwd = composed_forward(layer, dc.constant(u), ctx)
-        back = layer.inverse(chained(x.value), ctx)
+        back = layer.inverse(chained(x.value), ctx, None, False)
         np.testing.assert_allclose(back.value[:, :4], u, atol=1e-9)
         np.testing.assert_allclose(fwd.value, -back.value[:, 4], atol=1e-12)
 
@@ -94,26 +95,18 @@ class TestCouplingLayer:
 
     def test_inverse_takes_only_the_chained_width(self):
         # (batch, dim + 1) is the one form: unchained points, and chained
-        # points of another width, are rejected, by the pass too
+        # points of another width, are rejected, by the pass too; so is a
+        # context of another width than the layer's
         model = small_flow(dim=4, coupling_layers=1)
+        empty = context_node(None, 1)
         for x in (as_node([1.0, 2.0, 3.0, 4.0]), chained([1.0, 2.0]), chained([1.0] * 6)):
             with pytest.raises(dc.ShapeError, match=r"^coupling: .* and \(5,\)$"):
-                model.layers[0].inverse(x, None)
+                model.layers[0].inverse(x, empty, None, False)
         with pytest.raises(dc.ShapeError, match=r"^coupling: "):
-            model.latent_nodes(np.array([[1.0, 2.0]]))
-
-    def test_none_context_is_the_empty_context(self):
-        # a caller's None becomes the (batch, 0) context that kind none's
-        # encoder yields: the same values and the same running log-det
-        model = small_flow(dim=4, coupling_layers=1)
-        randomize_model(model, np.random.default_rng(2))
-        x = chained(np.random.default_rng(3).normal(size=(7, 4)))
-        empty = model.layers[0].inverse(x, dc.constant(np.empty((7, 0))))
-        np.testing.assert_array_equal(model.layers[0].inverse(x, None).value, empty.value)
+            model.latent_nodes(np.array([[1.0, 2.0]]), empty, None)
         conditioned = small_flow(dim=4, coupling_layers=1, context_dim=3).layers[0]
-        for context in (None, dc.constant(np.empty((7, 0)))):
-            with pytest.raises(dc.ShapeError, match=r"^coupling context: "):
-                conditioned.inverse(x, context)
+        with pytest.raises(dc.ShapeError, match=r"^coupling context: "):
+            conditioned.inverse(chained([1.0] * 4), empty, None, False)
 
 
 class TestNormStats:
@@ -263,7 +256,7 @@ class TestScaleStabilization:
 class TestNllLoss:
     def test_identity_model_at_origin(self):
         model = small_flow(dim=2, coupling_layers=2)
-        loss = nll_loss(model, np.zeros((3, 2)))
+        loss = nll_loss(model, np.zeros((3, 2)), context_node(None, 3), None)
         assert float(loss.value) == pytest.approx(math.log(2 * math.pi))
 
     def test_duplicated_batch_has_same_loss(self):
@@ -271,19 +264,19 @@ class TestNllLoss:
         model = small_flow(dim=2, coupling_layers=2)
         randomize_model(model, rng, scale=0.2)
         batch = rng.normal(size=(6, 2))
-        single = float(nll_loss(model, batch).value)
-        doubled = float(nll_loss(model, np.vstack([batch, batch])).value)
-        assert doubled == pytest.approx(single)
+        single = float(nll_loss(model, batch, context_node(None, 6), None).value)
+        doubled = nll_loss(model, np.vstack([batch, batch]), context_node(None, 12), None)
+        assert float(doubled.value) == pytest.approx(single)
 
     def test_single_point_unit_radius(self):
         model = small_flow(dim=2, coupling_layers=1)
-        loss = nll_loss(model, np.array([[1.0, 1.0]]))
+        loss = nll_loss(model, np.array([[1.0, 1.0]]), context_node(None, 1), None)
         assert float(loss.value) == pytest.approx(math.log(2 * math.pi) + 1.0)
 
     def test_empty_batch_rejected(self):
         model = small_flow(dim=2, coupling_layers=1)
         with pytest.raises(ValueError, match="empty"):
-            nll_loss(model, np.zeros((0, 2)))
+            nll_loss(model, np.zeros((0, 2)), context_node(None, 0), None)
 
 
 class TestGradients:
@@ -295,7 +288,7 @@ class TestGradients:
         ctx = rng.normal(size=(4, 2))
 
         def loss():
-            return nll_loss(model, x, dc.constant(ctx))
+            return nll_loss(model, x, dc.constant(ctx), None)
 
         err = finite_diff_check(loss, model.parameters(), epsilon=1e-5)
         assert err < 1e-4
@@ -308,10 +301,11 @@ class TestFusedCoupling:
 
     @staticmethod
     def _values_and_grads(build, model, x, ctx_values, training):
-        ctx = None if ctx_values is None else dc.Parameter(ctx_values.copy(), "ctx")
+        ctx = (context_node(None, len(x)) if ctx_values is None
+               else dc.Parameter(ctx_values.copy(), "ctx"))
         latent, log_det = build(model, x, ctx, np.random.default_rng(11) if training else None)
         loss = dc.mean(dc.neg(dc.add(_gaussian_log_density_nodes(latent), log_det)))
-        params = model.parameters() + ([] if ctx is None else [ctx])
+        params = model.parameters() + ([] if ctx_values is None else [ctx])
         return latent.value, log_det.value, loss.value, backward_grads(loss, params)
 
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
@@ -392,7 +386,7 @@ class TestFusedCoupling:
         windows = rng.normal(size=(4, 3, 2))
 
         def loss():
-            return nll_loss(model, x, model.encoder.encode_batch(windows))
+            return nll_loss(model, x, model.encoder.encode_batch(windows, None), None)
 
         assert any(p.name.startswith("encoder.") for p in model.parameters())
         assert finite_diff_check(loss, model.parameters(), epsilon=1e-5) < 1e-4
@@ -411,7 +405,7 @@ class TestFusedCoupling:
         layer = model.layers[0]
         x = rng.normal(size=(6, 4))
         ctx = dc.constant(rng.normal(size=(6, 3)))
-        inverted = layer.inverse(chained(x), ctx)
+        inverted = layer.inverse(chained(x), ctx, None, False)
         back, fwd = composed_forward(layer, dc.constant(inverted.value[:, :4]), ctx)
         np.testing.assert_allclose(back.value, x, atol=1e-9)
         np.testing.assert_allclose(fwd.value, -inverted.value[:, 4], atol=1e-12)

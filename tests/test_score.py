@@ -57,9 +57,17 @@ class TestScoreSeries:
         np.testing.assert_array_equal(score_series(model, ds).scores,
                                       score_series(model, ds).scores)
 
-    def test_unconditioned_model_scores_a_zero_step_series_to_nothing(self):
-        model = build_model_with_encoder(2, 2, EncoderConfig("none"))
-        assert score_series(model, zero_dataset(0)).scores.shape == (0,)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_step_series_raises_for_every_kind(self, tmp_path, kind):
+        # as in training: no kind scores or exports a series of 0 steps, and
+        # the export opens no file
+        model = build_model_with_encoder(2, 2, EncoderConfig(kind, lookback=3))
+        path = tmp_path / "latent.csv"
+        with pytest.raises(dt.DataError, match="series of 0 steps"):
+            score_series(model, zero_dataset(0))
+        with pytest.raises(dt.DataError, match="series of 0 steps"):
+            export_latent(model, zero_dataset(0), path)
+        assert not path.exists()
 
     def test_channel_count_mismatch_rejected(self):
         model = build_model_with_encoder(4, 2, EncoderConfig("none"))
@@ -94,7 +102,7 @@ class TestScoreSeries:
         states = model.encoder.zero_states(1)
         expected = []
         for t in range(n_steps):
-            w, states = model.encoder.encode_step(stream[t : t + 1], states)
+            w, states = model.encoder.encode_step(stream[t : t + 1], states, None)
             expected.append(-log_prob(model, values[t : t + 1], w)[0])
         np.testing.assert_allclose(score_series(model, ds).scores, expected, rtol=1e-12, atol=0)
 
@@ -110,7 +118,7 @@ class TestScoreSeries:
         ds = dt.TimeSeriesDataset(np.random.default_rng(13).normal(size=(2500, 8)))
         values = dt.prepare(ds, model.norm_stats)[0]
         stream = np.vstack([values[:1], values[:-1]])  # row t is conditioned on row t - 1
-        contexts = model.encoder.encode_step(stream, model.encoder.zero_states(1))[0].value
+        contexts = model.encoder.encode_step(stream, model.encoder.zero_states(1), None)[0].value
         latents, log_dets = map(np.concatenate, zip(*[
             latent(model, values[lo : lo + _BATCH], contexts[lo : lo + _BATCH])
             for lo in range(0, values.shape[0], _BATCH)]))

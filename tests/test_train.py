@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import (
     backward_grads,
     build_model_with_encoder,
+    context_node,
     identity_stats,
     log_prob,
     param_grads,
@@ -266,7 +267,7 @@ class TestTrainModel:
         model = build_model_with_encoder(2, 2, EncoderConfig("passthrough", lookback=4))
         batch = values[10:30]
         ctx = np.stack([values[i - 4 : i] for i in range(10, 30)])
-        loss = nll_loss(model, batch, model.encoder.encode_batch(ctx))
+        loss = nll_loss(model, batch, model.encoder.encode_batch(ctx, None), None)
         expected = -gaussian_log_density(batch).mean()
         assert float(loss.value) == pytest.approx(expected)
 
@@ -275,7 +276,8 @@ class TestTrainModel:
         model = build_model_with_encoder(2, 2, EncoderConfig("none"), seed=3)
         batch = values[:16]
         per_point = -log_prob(model, batch)
-        assert float(nll_loss(model, batch).value) == pytest.approx(per_point.mean())
+        loss = nll_loss(model, batch, context_node(None, len(batch)), None)
+        assert float(loss.value) == pytest.approx(per_point.mean())
 
     def test_white_noise_converges_to_gaussian_entropy(self):
         rng = np.random.default_rng(0)
@@ -484,9 +486,9 @@ class TestStatefulChunks:
         states = encoder.zero_states(1)
         terms = []
         for t in range(stream.shape[0]):
-            w, states = encoder.encode_step(stream[t : t + 1], states)
+            w, states = encoder.encode_step(stream[t : t + 1], states, None)
             if pick[t]:
-                terms.append(dc.neg(model.log_prob_nodes(targets[t : t + 1], w)))
+                terms.append(dc.neg(model.log_prob_nodes(targets[t : t + 1], w, None)))
         return dc.mean(dc.concat(terms, axis=0))
 
     def test_chunk_loss_and_gradients_match_per_row_construction(self):
@@ -495,8 +497,8 @@ class TestStatefulChunks:
         stream, targets = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
         pick = np.array([True, False, True, True, False])
 
-        contexts, _ = model.encoder.encode_step(stream, model.encoder.zero_states(1))
-        chunked = nll_loss(model, targets[pick], contexts[pick])
+        contexts, _ = model.encoder.encode_step(stream, model.encoder.zero_states(1), None)
+        chunked = nll_loss(model, targets[pick], contexts[pick], None)
         chunk_grads = backward_grads(chunked, model.parameters())
         per_row = self._per_row_nll(model, stream, targets, pick)
         row_grads = backward_grads(per_row, model.parameters())
